@@ -84,9 +84,10 @@ StudyBuild::vliCluster()
         study.bins[study.cfg.primaryIdx], study.mappableSet,
         study.cfg.primaryIdx, study.cfg.intervalTarget,
         study.cfg.engineSeed);
-    study.vliPartition = vliBuild.partition;
-    study.vliCluster = sp::pickSimulationPoints(vliBuild.intervals,
-                                                study.cfg.simpoint);
+    // The build is dead once split: move its parts out.
+    study.vliPartition = std::move(vliBuild.partition);
+    study.vliCluster = sp::pickSimulationPoints(
+        std::move(vliBuild.intervals), study.cfg.simpoint);
     obs::Progress::global().completeStep(
         format("study.{}.cluster", prog.name));
 }
@@ -114,24 +115,23 @@ StudyBuild::binary(std::size_t b)
     const std::string stepLabel = format(
         "study.{}.binary.{}", prog.name, study.bins[b].displayName());
 
+    bs.avgVliIntervalSize =
+        static_cast<double>(bs.totalInstrs) /
+        static_cast<double>(study.vliPartition.intervalCount());
+
     if (!config.detailed) {
-        // Interval sizes are still known without timing: compute
-        // the mapped VLI sizes with a cheap (no-cache) run.
+        // No timing, but the cross-binary mapping is still checked:
+        // a cheap (no-cache) run must cross every mappable boundary
+        // of the partition, in order, in this binary too.
         exec::Engine engine(study.bins[b], config.engineSeed);
-        std::vector<InstrCount> cuts;
-        core::BoundaryTracker tracker(
-            study.mappableSet, b, study.vliPartition,
-            [&](std::size_t) {
-                cuts.push_back(engine.instructionsExecuted());
-            });
+        core::BoundaryTracker tracker(study.mappableSet, b,
+                                      study.vliPartition,
+                                      [](std::size_t) {});
         engine.addObserver(&tracker, {false, false, true});
         engine.run();
         if (!tracker.finished())
             panic("binary {}: VLI boundaries not all crossed",
                   study.bins[b].displayName());
-        bs.avgVliIntervalSize =
-            static_cast<double>(engine.instructionsExecuted()) /
-            static_cast<double>(study.vliPartition.intervalCount());
         obs::Progress::global().completeStep(stepLabel);
         return;
     }
@@ -147,9 +147,6 @@ StudyBuild::binary(std::size_t b)
                                      bs.detailedRun.fliIntervals);
     bs.vliEstimate = estimateSampled(study.vliCluster,
                                      bs.detailedRun.vliIntervals);
-    bs.avgVliIntervalSize =
-        static_cast<double>(bs.totalInstrs) /
-        static_cast<double>(study.vliPartition.intervalCount());
     obs::Progress::global().completeStep(stepLabel);
 }
 
@@ -187,9 +184,10 @@ StudyBuild::compileCached() const
 bool
 StudyBuild::profileCached(std::size_t b) const
 {
-    if (b >= study.bins.size())
-        return false;  // compile itself failed or hasn't run
-    return store::ArtifactStore::global().contains(
+    const store::ArtifactStore& store = store::ArtifactStore::global();
+    if (b >= study.bins.size() || !store.enabled())
+        return false;  // no binary yet, or nothing to probe
+    return store.contains(
         prof::profilePassKey(study.bins[b], study.cfg.intervalTarget,
                              study.cfg.engineSeed),
         prof::ProfilePassCodec::tag, prof::ProfilePassCodec::version);

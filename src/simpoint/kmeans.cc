@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "obs/stats.hh"
@@ -27,6 +28,8 @@ struct KMeansStats
     obs::Counter distances;  ///< sqDist evaluations in E-steps
     obs::Counter skips;      ///< Hamerly bound proved the owner
     obs::Counter fallbacks;  ///< bound failed: full scan
+    obs::Counter cycles;     ///< fits that entered a proven cycle
+    obs::Counter proven;     ///< iterations skipped by that proof
     obs::Distribution iterations;
     obs::Distribution batchSize;  ///< centroid rows per batched call
 };
@@ -40,6 +43,8 @@ kmeansStats()
         reg.counter("kmeans.estep.distances"),
         reg.counter("kmeans.hamerly.skips"),
         reg.counter("kmeans.hamerly.fallbacks"),
+        reg.counter("kmeans.cycles"),
+        reg.counter("kmeans.iterations.proven"),
         reg.distribution("kmeans.iterations"),
         reg.distribution("kmeans.estep.batchSize"),
     };
@@ -332,13 +337,40 @@ updateCentroids(const ProjectedData& data, KMeansResult& res)
     return empty;
 }
 
-/** Re-seed an empty cluster with the worst-fitting point. */
+/**
+ * Re-seed an empty cluster with the worst-fitting point.  With an
+ * AccelState the point-to-owner distances are memoised per (class,
+ * owner) pair: rows of a class are bit-identical, so one sqDist per
+ * pair gives every member's distance bit for bit.  Only empty
+ * clusters are re-seeded and their points are never candidates, so
+ * the owners' centroids — and the table — stay fixed across the
+ * whole call.  The scan itself still runs over points in index order
+ * with the naive strict `>`, so it picks the same point.
+ */
 void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
-            const std::vector<u32>& empty)
+            const std::vector<u32>& empty, const AccelState* accel)
 {
     const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
+    std::vector<double> memo;
+    if (accel)
+        memo.assign(accel->classFirst.size() * res.k, -1.0);
+    auto ownerDist = [&](std::size_t i, u32 owner) {
+        auto dist = [&] {
+            return kern.sqDist(data.row(i),
+                               res.centroidRow(owner, data.dims),
+                               data.rowStride());
+        };
+        if (!accel)
+            return dist();
+        double& slot =
+            memo[static_cast<std::size_t>(accel->classOf[i]) * res.k +
+                 owner];
+        if (slot < 0.0)
+            slot = dist();
+        return slot;
+    };
     for (u32 c : empty) {
         double worst = -1.0;
         std::size_t worstIdx = 0;
@@ -346,10 +378,7 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
             const u32 owner = res.labels[i];
             if (res.clusterWeight[owner] <= 0.0)
                 continue;
-            const double d =
-                kern.sqDist(data.row(i),
-                            res.centroidRow(owner, data.dims),
-                            data.rowStride());
+            const double d = ownerDist(i, owner);
             if (d > worst) {
                 worst = d;
                 worstIdx = i;
@@ -426,7 +455,7 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
 
 void
 initRandomPartition(const ProjectedData& data, KMeansResult& res,
-                    Rng& rng)
+                    Rng& rng, const AccelState* accel)
 {
     for (std::size_t i = 0; i < data.count; ++i)
         res.labels[i] = static_cast<u32>(rng.nextBelow(res.k));
@@ -434,13 +463,55 @@ initRandomPartition(const ProjectedData& data, KMeansResult& res,
     for (u32 c = 0; c < res.k && c < data.count; ++c)
         res.labels[c] = c;
     const auto empty = updateCentroids(data, res);
-    reseedEmpty(data, res, empty);
+    reseedEmpty(data, res, empty, accel);
     // Re-seeding relabels the stolen points, leaving the donor
     // clusters' centroids and weights stale; recompute once so the
     // first E-step sees centroids consistent with the labels.
     if (!empty.empty())
         updateCentroids(data, res);
 }
+
+/**
+ * Brent-style cycle detector over the Lloyd loop state at loop entry.
+ *
+ * One iteration of the loop is a deterministic function of
+ * (labels, centroids) at its entry: the E-step reads only the
+ * centroids, updateCentroids rebuilds clusterWeight before anything
+ * reads it, and the Hamerly state only decides which distances get
+ * computed, never a result.  So once the state at iteration t equals
+ * the one at t - period, the states repeat with that period forever,
+ * and a cycle that did not break the first time round never will.
+ *
+ * A copy is taken only at iterations 1, 2, 4, 8, ... and every later
+ * state is compared against the latest copy, labels first, so a fit
+ * that converges in a few iterations pays two vector copies.
+ * Iteration 0 is never recorded: `stable` is gated on iter > 0, so a
+ * state first seen there could still break at its repeat.
+ */
+struct CycleProbe
+{
+    std::vector<u32> labels;
+    simd::AlignedVec centroids;
+    u32 at = 0;  ///< iteration of the copy (0: none yet)
+
+    /** Period of the cycle the state at `iter` closes, or 0. */
+    u32
+    observe(u32 iter, const KMeansResult& res)
+    {
+        if (iter == 0)
+            return 0;
+        if (at && res.labels == labels &&
+            std::memcmp(res.centroids.data(), centroids.data(),
+                        centroids.size() * sizeof(double)) == 0)
+            return iter - at;
+        if ((iter & (iter - 1)) == 0) {
+            labels = res.labels;
+            centroids = res.centroids;
+            at = iter;
+        }
+        return 0;
+    }
+};
 
 } // namespace
 
@@ -469,7 +540,8 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
         initPlusPlus(data, res, rng,
                      options.accelerate ? &state : nullptr);
     else
-        initRandomPartition(data, res, rng);
+        initRandomPartition(data, res, rng,
+                            options.accelerate ? &state : nullptr);
 
     if (options.accelerate)
         state.adoptLabels(res.labels);
@@ -481,7 +553,26 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
 
     std::vector<u32> newLabels(data.count, 0);
     simd::AlignedVec oldCentroids;
+    CycleProbe probe;
+    bool cycling = false;
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
+        if (options.accelerate && !cycling) {
+            if (const u32 period = probe.observe(iter, res)) {
+                // Proven cycle: no iteration up to maxIterations
+                // breaks, and whole periods leave the state where it
+                // is.  Skip them and run the remainder normally.
+                const u32 skip =
+                    (options.maxIterations - iter) / period * period;
+                cycling = true;
+                kmeansStats().cycles.add();
+                kmeansStats().proven.add(skip);
+                iter += skip;
+                if (iter == options.maxIterations) {
+                    res.iterations = iter;
+                    break;
+                }
+            }
+        }
         res.iterations = iter + 1;
         res.weightedSse = assign(newLabels);
         const bool stable = newLabels == res.labels && iter > 0;
@@ -490,7 +581,8 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
             oldCentroids = res.centroids;
         const auto empty = updateCentroids(data, res);
         if (!empty.empty()) {
-            reseedEmpty(data, res, empty);
+            reseedEmpty(data, res, empty,
+                        options.accelerate ? &state : nullptr);
             updateCentroids(data, res);
             state.invalidate();
             continue;

@@ -179,6 +179,26 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
     return out;
 }
 
+/**
+ * Serve `compute` through the artifact store.  The key hashes every
+ * raw vector, so it is built only when the store will look it up;
+ * both overloads hash before they normalize, so the key is the same
+ * either way.
+ */
+template <typename Compute>
+SimPointResult
+memoized(const FrequencyVectorSet& fvs, const SimPointOptions& options,
+         Compute&& compute)
+{
+    if (fvs.size() == 0)
+        fatal("SimPoint called with no intervals");
+    store::ArtifactStore& store = store::ArtifactStore::global();
+    if (!store.enabled())
+        return compute();
+    return store.getOrCompute<SimPointCodec>(
+        simPointKey(fvs, options), "simpoint", compute);
+}
+
 } // namespace
 
 serial::Hash128
@@ -196,28 +216,21 @@ SimPointResult
 pickSimulationPoints(const FrequencyVectorSet& fvs,
                      const SimPointOptions& options)
 {
-    if (fvs.size() == 0)
-        fatal("SimPoint called with no intervals");
-    return store::ArtifactStore::global().getOrCompute<SimPointCodec>(
-        simPointKey(fvs, options), "simpoint", [&] {
-            FrequencyVectorSet normalized = fvs;
-            normalized.normalize();
-            return pickFromNormalized(normalized, options);
-        });
+    return memoized(fvs, options, [&] {
+        FrequencyVectorSet normalized = fvs;
+        normalized.normalize();
+        return pickFromNormalized(normalized, options);
+    });
 }
 
 SimPointResult
 pickSimulationPoints(FrequencyVectorSet&& fvs,
                      const SimPointOptions& options)
 {
-    if (fvs.size() == 0)
-        fatal("SimPoint called with no intervals");
-    const serial::Hash128 key = simPointKey(fvs, options);
-    return store::ArtifactStore::global().getOrCompute<SimPointCodec>(
-        key, "simpoint", [&] {
-            fvs.normalize();
-            return pickFromNormalized(fvs, options);
-        });
+    return memoized(fvs, options, [&] {
+        fvs.normalize();
+        return pickFromNormalized(fvs, options);
+    });
 }
 
 } // namespace xbsp::sp

@@ -13,6 +13,9 @@
 #include <gtest/gtest.h>
 
 #include "compile/compiler.hh"
+#include "core/mappable.hh"
+#include "core/vli.hh"
+#include "harness/experiments.hh"
 #include "obs/stats.hh"
 #include "profile/profile.hh"
 #include "simpoint/simpoint.hh"
@@ -88,6 +91,65 @@ blobData(std::size_t count, u32 dims, u32 blobs, u64 seed)
     return data;
 }
 
+/**
+ * `distinct` random rows, each repeated `copies` times in one run,
+ * with the duplicate-class structure dedup would attach.
+ */
+ProjectedData
+duplicateData(std::size_t distinct, std::size_t copies, u32 dims,
+              u64 seed)
+{
+    Rng rng(seed);
+    std::vector<double> rows(distinct * dims);
+    for (double& v : rows)
+        v = rng.nextGaussian();
+    ProjectedData data;
+    data.dims = dims;
+    data.count = distinct * copies;
+    data.points.resize(data.count * dims);
+    data.weights.resize(data.count);
+    for (std::size_t i = 0; i < data.count; ++i) {
+        const std::size_t r = i / copies;
+        for (u32 d = 0; d < dims; ++d)
+            data.points[i * dims + d] = rows[r * dims + d];
+        data.weights[i] = rng.nextDouble(0.5, 2.0);
+        data.classOf.push_back(static_cast<u32>(r));
+    }
+    for (std::size_t r = 0; r < distinct; ++r)
+        data.classFirst.push_back(static_cast<u32>(r * copies));
+    return data;
+}
+
+/**
+ * VLI vectors of one workload, built the way a study builds them:
+ * profile all four binaries, find the mappable points, split the
+ * primary binary at them.
+ */
+FrequencyVectorSet
+vliVectors(const std::string& name, InstrCount interval)
+{
+    const sim::StudyConfig config = harness::defaultStudyConfig();
+    const ir::Program program = workloads::makeWorkload(name, 1.0);
+    const std::vector<bin::Binary> bins =
+        compile::compileAllTargets(program, config.compileOptions);
+    std::vector<prof::ProfilePass> passes;
+    for (const bin::Binary& binary : bins)
+        passes.push_back(
+            prof::runProfilePass(binary, interval, config.engineSeed));
+    std::vector<const bin::Binary*> binPtrs;
+    std::vector<const prof::MarkerProfile*> profPtrs;
+    for (std::size_t b = 0; b < bins.size(); ++b) {
+        binPtrs.push_back(&bins[b]);
+        profPtrs.push_back(&passes[b].markers);
+    }
+    const core::MappableSet mappable =
+        core::findMappablePoints(binPtrs, profPtrs);
+    return core::buildVliPartition(bins[config.primaryIdx], mappable,
+                                   config.primaryIdx, interval,
+                                   config.engineSeed)
+        .intervals;
+}
+
 } // namespace
 
 TEST(KMeansEquiv, HamerlyMatchesNaiveAcrossKAndInit)
@@ -129,6 +191,116 @@ TEST(KMeansEquiv, HamerlyMatchesNaiveOnDegenerateData)
         Rng rngB = rngA;
         expectIdenticalKMeans(runKMeans(flat, k, rngA, naiveOpts),
                               runKMeans(flat, k, rngB, accelOpts));
+    }
+}
+
+/**
+ * With k above the number of distinct rows some cluster is empty
+ * after every E-step, re-seeding moves one point, and the loop
+ * never converges: it cycles.  The accelerated loop proves the cycle
+ * and jumps to maxIterations; the result must still equal running
+ * every iteration.  99, 100 and 101 iterations put the jump's
+ * remainder at every offset within a period-2 cycle, and the proven
+ * iteration counts pin where (and with which period) each shape's
+ * cycle was detected.
+ */
+TEST(KMeansEquiv, ProvenCycleMatchesNaive)
+{
+    struct Shape
+    {
+        const char* name;
+        u64 dataSeed;
+        u32 period;
+        u32 detectedAt;  ///< iteration that repeats a checkpoint
+    };
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    for (const Shape& shape : {Shape{"period 2", 1, 2, 4},
+                               Shape{"period 1", 2, 1, 2}}) {
+        const ProjectedData data =
+            duplicateData(2, 7, 4, shape.dataSeed);
+        const u32 k = 3;
+        for (const u32 maxIterations : {99u, 100u, 101u}) {
+            SCOPED_TRACE(std::string(shape.name) + " max " +
+                         std::to_string(maxIterations));
+            KMeansOptions naiveOpts;
+            naiveOpts.maxIterations = maxIterations;
+            naiveOpts.accelerate = false;
+            KMeansOptions accelOpts = naiveOpts;
+            accelOpts.accelerate = true;
+            Rng rngA(shape.dataSeed * 7 + k);
+            Rng rngB = rngA;
+
+            const u64 cycles0 = reg.counterValue("kmeans.cycles");
+            const u64 proven0 =
+                reg.counterValue("kmeans.iterations.proven");
+            const KMeansResult naive =
+                runKMeans(data, k, rngA, naiveOpts);
+            EXPECT_EQ(reg.counterValue("kmeans.cycles"), cycles0);
+            const KMeansResult accel =
+                runKMeans(data, k, rngB, accelOpts);
+            expectIdenticalKMeans(naive, accel);
+            EXPECT_EQ(accel.iterations, maxIterations);
+            EXPECT_FALSE(accel.converged);
+
+            EXPECT_EQ(reg.counterValue("kmeans.cycles") - cycles0, 1u);
+            const u32 skipped = (maxIterations - shape.detectedAt) /
+                                shape.period * shape.period;
+            EXPECT_EQ(reg.counterValue("kmeans.iterations.proven") -
+                          proven0,
+                      skipped);
+        }
+    }
+}
+
+TEST(KMeansEquiv, ReseedWithMixedOwnersMatchesNaive)
+{
+    // Zero-weight points leave clusters empty right after a random
+    // partition, so the first re-seed scans duplicate classes whose
+    // members still carry different labels: the memoised worst-point
+    // scan must key its distances by (class, owner), not class.
+    for (const u64 seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        ProjectedData data = duplicateData(3, 8, 4, seed);
+        for (std::size_t i = 0; i < data.count; ++i) {
+            if (i % 4 != 3)
+                data.weights[i] = 0.0;
+        }
+        for (const u32 k : {3u, 5u, 8u}) {
+            KMeansOptions naiveOpts;
+            naiveOpts.init = InitMethod::RandomPartition;
+            naiveOpts.accelerate = false;
+            KMeansOptions accelOpts = naiveOpts;
+            accelOpts.accelerate = true;
+            Rng rngA(seed * 31 + k);
+            Rng rngB = rngA;
+            expectIdenticalKMeans(runKMeans(data, k, rngA, naiveOpts),
+                                  runKMeans(data, k, rngB, accelOpts));
+        }
+    }
+}
+
+/**
+ * The suite workloads whose VLI sweeps cycle: at 2K-instruction
+ * intervals applu's VLI vectors have fewer distinct rows than
+ * k = 7..10 and vpr's fewer than k = 10.  The whole sweep, naive
+ * against accelerated, must agree bit for bit, and the accelerated
+ * one must actually have taken the shortcut.
+ */
+TEST(ClusteringEquiv, CyclingVliSweepsBitIdentical)
+{
+    SimPointOptions naiveOpts = harness::defaultStudyConfig().simpoint;
+    naiveOpts.accelerate = false;
+    SimPointOptions accelOpts = naiveOpts;
+    accelOpts.accelerate = true;
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    for (const std::string name : {"applu", "vpr"}) {
+        const FrequencyVectorSet fvs = vliVectors(name, 2'000);
+        const SimPointResult naive =
+            pickSimulationPoints(fvs, naiveOpts);
+        const u64 cycles0 = reg.counterValue("kmeans.cycles");
+        const SimPointResult accel =
+            pickSimulationPoints(fvs, accelOpts);
+        EXPECT_GT(reg.counterValue("kmeans.cycles"), cycles0) << name;
+        expectIdenticalResults(naive, accel, name + " VLI");
     }
 }
 

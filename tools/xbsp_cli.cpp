@@ -453,6 +453,14 @@ renderTopFrame(const std::map<std::string, double>& series)
         seriesValue(series, "xbsp_kmeans_estep_distances_rate") / 1e6,
         seriesValue(series, "xbsp_kmeans_estep_distances_total"));
     add();
+    std::snprintf(
+        line, sizeof(line),
+        "k-means   %.0f fits, %.0f proven cycles (%.0f iterations "
+        "skipped)\n",
+        seriesValue(series, "xbsp_kmeans_fits_total"),
+        seriesValue(series, "xbsp_kmeans_cycles_total"),
+        seriesValue(series, "xbsp_kmeans_iterations_proven_total"));
+    add();
 
     // Distributed executor, shown only when a serve daemon has ever
     // seen a worker or shipped a task (the series exist but are all
