@@ -1,13 +1,81 @@
 #include "simpoint/io.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <vector>
 
 #include "util/logging.hh"
 
 namespace xbsp::sp
 {
+
+namespace
+{
+
+/** Largest phase id: one more would wrap k = maxLabel + 1 to 0. */
+constexpr u64 kMaxPhaseId = std::numeric_limits<u32>::max() - 1;
+
+/**
+ * Call `fn(fields, lineNo)` for every non-blank line of `is`, with
+ * the line split at whitespace.
+ */
+template <typename Fn>
+void
+forEachLine(std::istream& is, Fn&& fn)
+{
+    std::string line;
+    std::size_t lineNo = 0;
+    std::vector<std::string> fields;
+    while (std::getline(is, line)) {
+        ++lineNo;
+        std::istringstream split(line);
+        fields.clear();
+        for (std::string field; split >> field;)
+            fields.push_back(std::move(field));
+        if (!fields.empty())
+            fn(fields, lineNo);
+    }
+}
+
+/** Strict decimal integer in [0, max]; fatal() names file and line. */
+u64
+parseUint(const std::string& field, u64 max, const char* file,
+          std::size_t lineNo)
+{
+    u64 value = 0;
+    const char* end = field.data() + field.size();
+    const auto [ptr, ec] = std::from_chars(field.data(), end, value);
+    if (ec == std::errc::result_out_of_range ||
+        (ec == std::errc() && ptr == end && value > max))
+        fatal("{} file line {}: {} is out of range (max {})", file,
+              lineNo, field, max);
+    if (ec != std::errc() || ptr != end)
+        fatal("{} file line {}: '{}' is not a non-negative integer",
+              file, lineNo, field);
+    return value;
+}
+
+/** Finite, non-negative decimal; fatal() names file and line. */
+double
+parseWeight(const std::string& field, const char* file,
+            std::size_t lineNo)
+{
+    char* end = nullptr;
+    const double value = std::strtod(field.c_str(), &end);
+    if (end != field.c_str() + field.size() || !std::isfinite(value) ||
+        value < 0.0)
+        fatal("{} file line {}: '{}' is not a finite non-negative "
+              "number", file, lineNo, field);
+    return value;
+}
+
+} // namespace
 
 void
 writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs)
@@ -53,15 +121,29 @@ readBbvFile(std::istream& is, u32 dimensionHint)
                 fatal("bb file line {}: expected ':' at column {}",
                       lineNo, pos);
             ++pos;
-            char* end = nullptr;
-            const unsigned long idx =
-                std::strtoul(line.c_str() + pos, &end, 10);
-            if (!end || *end != ':' || idx == 0)
+            // strtoull would take a sign or leading blanks and wrap
+            // "-1"; an index starts with a digit.
+            if (!std::isdigit(static_cast<unsigned char>(line[pos])))
                 fatal("bb file line {}: bad dimension index", lineNo);
+            char* end = nullptr;
+            errno = 0;
+            const unsigned long long idx =
+                std::strtoull(line.c_str() + pos, &end, 10);
+            if (*end != ':' || idx == 0)
+                fatal("bb file line {}: bad dimension index", lineNo);
+            if (errno == ERANGE || idx > kMaxBbvDimension)
+                fatal("bb file line {}: dimension index {} exceeds "
+                      "the limit of {}", lineNo,
+                      line.substr(pos, static_cast<std::size_t>(
+                                           end - line.c_str()) - pos),
+                      kMaxBbvDimension);
             pos = static_cast<std::size_t>(end - line.c_str()) + 1;
             const double val = std::strtod(line.c_str() + pos, &end);
-            if (!end || end == line.c_str() + pos)
+            if (end == line.c_str() + pos)
                 fatal("bb file line {}: bad value", lineNo);
+            if (!std::isfinite(val) || val < 0.0)
+                fatal("bb file line {}: value {} is not finite and "
+                      "non-negative", lineNo, val);
             pos = static_cast<std::size_t>(end - line.c_str());
             interval.vec.emplace_back(static_cast<u32>(idx - 1), val);
             maxIdx = std::max(maxIdx, static_cast<u32>(idx - 1));
@@ -98,9 +180,13 @@ void
 readLengthsFile(std::istream& is, FrequencyVectorSet& fvs)
 {
     std::vector<InstrCount> lengths;
-    u64 value = 0;
-    while (is >> value)
-        lengths.push_back(value);
+    forEachLine(is, [&](const std::vector<std::string>& fields,
+                        std::size_t lineNo) {
+        for (const std::string& field : fields)
+            lengths.push_back(parseUint(
+                field, std::numeric_limits<u64>::max(), "lengths",
+                lineNo));
+    });
     if (lengths.size() != fvs.size())
         fatal("lengths file has {} entries for {} intervals",
               lengths.size(), fvs.size());
@@ -135,22 +221,41 @@ readSimPointFiles(std::istream& simpoints, std::istream& weights,
     SimPointResult result;
 
     std::map<u32, u32> reps;
-    u64 rep = 0, id = 0;
-    while (simpoints >> rep >> id)
+    forEachLine(simpoints, [&](const std::vector<std::string>& fields,
+                               std::size_t lineNo) {
+        if (fields.size() != 2)
+            fatal("simpoints file line {}: expected '<interval> "
+                  "<phase>'", lineNo);
+        const u64 rep = parseUint(
+            fields[0], std::numeric_limits<u32>::max(), "simpoints",
+            lineNo);
+        const u64 id =
+            parseUint(fields[1], kMaxPhaseId, "simpoints", lineNo);
         reps[static_cast<u32>(id)] = static_cast<u32>(rep);
+    });
 
     std::map<u32, double> weightOf;
-    double w = 0.0;
-    while (weights >> w >> id)
-        weightOf[static_cast<u32>(id)] = w;
+    forEachLine(weights, [&](const std::vector<std::string>& fields,
+                             std::size_t lineNo) {
+        if (fields.size() != 2)
+            fatal("weights file line {}: expected '<weight> <phase>'",
+                  lineNo);
+        const u64 id =
+            parseUint(fields[1], kMaxPhaseId, "weights", lineNo);
+        weightOf[static_cast<u32>(id)] =
+            parseWeight(fields[0], "weights", lineNo);
+    });
 
     if (reps.size() != weightOf.size())
         fatal("simpoints file has {} phases but weights file has {}",
               reps.size(), weightOf.size());
 
-    u32 label = 0;
-    while (labels >> label)
-        result.labels.push_back(label);
+    forEachLine(labels, [&](const std::vector<std::string>& fields,
+                            std::size_t lineNo) {
+        for (const std::string& field : fields)
+            result.labels.push_back(static_cast<u32>(
+                parseUint(field, kMaxPhaseId, "labels", lineNo)));
+    });
     if (result.labels.empty())
         fatal("labels file is empty");
 

@@ -35,11 +35,19 @@ namespace xbsp::sp
 void writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs);
 
 /**
+ * Largest one-based dimension index readBbvFile() accepts.  Projection
+ * allocates one padded row per dimension (128 bytes at the default 15
+ * projected dimensions), so this caps that matrix at 512 MB.
+ */
+inline constexpr u32 kMaxBbvDimension = 1u << 22;
+
+/**
  * Parse a .bb file.  Indices are converted back to 0-based; the
  * dimension is the maximum index seen (or `dimensionHint` if
  * larger).  Lengths are initialised to 1 for every interval (fixed
  * length) unless later overwritten.
- * Calls fatal() on malformed input.
+ * Calls fatal() on malformed input, on an index above
+ * kMaxBbvDimension and on a negative or non-finite value.
  */
 FrequencyVectorSet readBbvFile(std::istream& is,
                                u32 dimensionHint = 0);
@@ -48,7 +56,10 @@ FrequencyVectorSet readBbvFile(std::istream& is,
 void writeLengthsFile(std::ostream& os,
                       const FrequencyVectorSet& fvs);
 
-/** Read a lengths file into an existing vector set (sizes must match). */
+/**
+ * Read a lengths file into an existing vector set (sizes must match).
+ * Every entry must be a decimal integer in u64 range, else fatal().
+ */
 void readLengthsFile(std::istream& is, FrequencyVectorSet& fvs);
 
 /**
@@ -68,7 +79,10 @@ void writeLabelsFile(std::ostream& os, const SimPointResult& result);
  * Reconstruct a (partial) SimPointResult from `.simpoints`,
  * `.weights` and `.labels` streams.  Members are rebuilt from the
  * labels; BIC metadata is not representable in the files and is left
- * zero.  Calls fatal() on inconsistent inputs.
+ * zero.  Calls fatal() on inconsistent inputs, on interval indices and
+ * phase ids that are not decimal integers in u32 range (a phase id of
+ * 2^32 - 1 is out of range too: k would wrap) and on negative or
+ * non-finite weights.
  */
 SimPointResult readSimPointFiles(std::istream& simpoints,
                                  std::istream& weights,

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
@@ -30,6 +31,8 @@ struct KMeansStats
     obs::Counter fallbacks;  ///< bound failed: full scan
     obs::Counter cycles;     ///< fits that entered a proven cycle
     obs::Counter proven;     ///< iterations skipped by that proof
+    obs::Counter mstepRows;  ///< point rows accumulated by M-steps
+    obs::Counter initTerms;  ///< terms summed by k-means++ draws
     obs::Distribution iterations;
     obs::Distribution batchSize;  ///< centroid rows per batched call
 };
@@ -45,6 +48,8 @@ kmeansStats()
         reg.counter("kmeans.hamerly.fallbacks"),
         reg.counter("kmeans.cycles"),
         reg.counter("kmeans.iterations.proven"),
+        reg.counter("kmeans.mstep.rows"),
+        reg.counter("kmeans.init.terms"),
         reg.distribution("kmeans.iterations"),
         reg.distribution("kmeans.estep.batchSize"),
     };
@@ -304,36 +309,66 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
     return sse;
 }
 
-/** Recompute weighted centroids; returns ids of empty clusters. */
+/**
+ * Recompute weighted centroids; returns ids of empty clusters.
+ *
+ * With a `dirty` mask (accelerated path) only the flagged clusters
+ * are rebuilt, and the flags are cleared.  A centroid row and its
+ * weight are a deterministic function of the cluster's ordered
+ * member list and those members' rows and weights, so a cluster no
+ * point entered or left since this function last produced its row
+ * would get back exactly the row it holds.  Callers flag every
+ * cluster whose row came from anywhere else (seeding, re-seeding).
+ * The empty list still covers all k clusters.
+ */
 std::vector<u32>
-updateCentroids(const ProjectedData& data, KMeansResult& res)
+updateCentroids(const ProjectedData& data, KMeansResult& res,
+                std::vector<u8>* dirty = nullptr)
 {
     const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
-    std::fill(res.centroids.begin(), res.centroids.end(), 0.0);
-    std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
+    auto rebuilt = [&](u32 c) { return !dirty || (*dirty)[c]; };
+    u32 rebuilding = 0;
+    for (u32 c = 0; c < res.k; ++c) {
+        if (!rebuilt(c))
+            continue;
+        ++rebuilding;
+        std::fill_n(res.centroids.data() +
+                        static_cast<std::size_t>(c) * cstride,
+                    cstride, 0.0);
+        res.clusterWeight[c] = 0.0;
+    }
     // Accumulation stays serial in point order: the reduction order
     // into each centroid is part of the pinned semantics (elementwise
     // axpy per point, points in increasing index order).
-    for (std::size_t i = 0; i < data.count; ++i) {
+    u64 rows = 0;
+    for (std::size_t i = 0; rebuilding && i < data.count; ++i) {
         const u32 c = res.labels[i];
+        if (!rebuilt(c))
+            continue;
         double* crow = res.centroids.data() +
                        static_cast<std::size_t>(c) * cstride;
         const double w = data.weights[i];
         kern.axpy(crow, data.row(i), w, data.rowStride());
         res.clusterWeight[c] += w;
+        ++rows;
     }
+    kmeansStats().mstepRows.add(rows);
     std::vector<u32> empty;
     for (u32 c = 0; c < res.k; ++c) {
         if (res.clusterWeight[c] <= 0.0) {
             empty.push_back(c);
             continue;
         }
+        if (!rebuilt(c))
+            continue;
         double* crow = res.centroids.data() +
                        static_cast<std::size_t>(c) * cstride;
         for (u32 d = 0; d < data.dims; ++d)
             crow[d] /= res.clusterWeight[c];
     }
+    if (dirty)
+        std::fill(dirty->begin(), dirty->end(), u8{0});
     return empty;
 }
 
@@ -346,10 +381,14 @@ updateCentroids(const ProjectedData& data, KMeansResult& res)
  * the owners' centroids — and the table — stay fixed across the
  * whole call.  The scan itself still runs over points in index order
  * with the naive strict `>`, so it picks the same point.
+ *
+ * Each re-seeded cluster and the donor of its stolen point are
+ * flagged in `dirty` (when given) for the next updateCentroids().
  */
 void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
-            const std::vector<u32>& empty, const AccelState* accel)
+            const std::vector<u32>& empty, const AccelState* accel,
+            std::vector<u8>* dirty = nullptr)
 {
     const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
@@ -388,6 +427,8 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
                        static_cast<std::size_t>(c) * cstride;
         const auto p = data.point(worstIdx);
         std::copy(p.begin(), p.end(), crow);
+        if (dirty)
+            (*dirty)[c] = (*dirty)[res.labels[worstIdx]] = 1;
         res.labels[worstIdx] = c;
     }
 }
@@ -399,6 +440,18 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
  * consumption and every pick — are bit-identical to the naive loop,
  * because a class member's distance IS its representative's distance
  * (identical rows).
+ *
+ * The accelerated draws also walk only the points whose term can
+ * still be non-zero.  A term w * minDist that is +-0 stays +-0 from
+ * then on: w is fixed and minDist only falls, so the rounded product
+ * only shrinks in magnitude.  Adding +-0 to the (never -0) total and
+ * subtracting it from r change neither, and r <= 0 can first hold at
+ * a zero term only when it already held before the scan, where the
+ * naive draw picks index 0 (weights are non-negative).  So the
+ * compacted active list, kept in point order, gives the same total,
+ * the same r at every non-zero term and the same pick; a scan that
+ * runs off the end still picks the last point, not the last active
+ * one.
  */
 void
 initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
@@ -409,6 +462,7 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
         double total = 0.0;
         for (double p : probs)
             total += p;
+        kmeansStats().initTerms.add(probs.size());
         double r = rng.nextDouble() * total;
         for (std::size_t i = 0; i < probs.size(); ++i) {
             r -= probs[i];
@@ -434,6 +488,11 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
     std::vector<double> minDist(slots,
                                 std::numeric_limits<double>::max());
     std::vector<double> probs(data.count);
+    std::vector<u32> active;
+    if (accel) {
+        active.resize(data.count);
+        std::iota(active.begin(), active.end(), u32{0});
+    }
     for (u32 c = 1; c < res.k; ++c) {
         for (std::size_t u = 0; u < slots; ++u) {
             const std::size_t rep =
@@ -444,12 +503,35 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
                             data.rowStride());
             minDist[u] = std::min(minDist[u], d);
         }
-        for (std::size_t i = 0; i < data.count; ++i) {
-            probs[i] =
-                data.weights[i] *
-                minDist[accel ? accel->classOf[i] : i];
+        if (!accel) {
+            for (std::size_t i = 0; i < data.count; ++i)
+                probs[i] = data.weights[i] * minDist[i];
+            setCentroid(c, pickWeighted(probs));
+            continue;
         }
-        setCentroid(c, pickWeighted(probs));
+        // Compact the active list to its non-zero terms (probs[j]
+        // belongs to active[j]) and sum them in point order.
+        std::size_t live = 0;
+        double total = 0.0;
+        for (const u32 i : active) {
+            const double p =
+                data.weights[i] * minDist[accel->classOf[i]];
+            if (p == 0.0)
+                continue;
+            active[live] = i;
+            probs[live++] = p;
+            total += p;
+        }
+        active.resize(live);
+        kmeansStats().initTerms.add(live);
+        double r = rng.nextDouble() * total;
+        std::size_t pick = r <= 0.0 ? 0 : data.count - 1;
+        for (std::size_t j = 0; r > 0.0 && j < live; ++j) {
+            r -= probs[j];
+            if (r <= 0.0)
+                pick = active[j];
+        }
+        setCentroid(c, pick);
     }
 }
 
@@ -552,6 +634,14 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     };
 
     std::vector<u32> newLabels(data.count, 0);
+    // Accelerated path: clusters some point entered or left since
+    // updateCentroids() last produced their row.  Iteration 0's rows
+    // are seeds, not M-step output, so every cluster starts dirty.
+    std::vector<u8> dirty;
+    if (options.accelerate)
+        dirty.assign(res.k, 1);
+    std::vector<u8>* const dirtyMask =
+        options.accelerate ? &dirty : nullptr;
     simd::AlignedVec oldCentroids;
     CycleProbe probe;
     bool cycling = false;
@@ -575,15 +665,32 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
         }
         res.iterations = iter + 1;
         res.weightedSse = assign(newLabels);
-        const bool stable = newLabels == res.labels && iter > 0;
-        res.labels = newLabels;
-        if (options.accelerate)
+        bool stable;
+        if (options.accelerate) {
+            // Adopt the new labels in place, flagging both ends of
+            // every move for the M-step.
+            bool moved = false;
+            for (std::size_t i = 0; i < data.count; ++i) {
+                const u32 from = res.labels[i];
+                const u32 to = newLabels[i];
+                if (from != to) {
+                    dirty[from] = dirty[to] = 1;
+                    res.labels[i] = to;
+                    moved = true;
+                }
+            }
+            stable = !moved && iter > 0;
             oldCentroids = res.centroids;
-        const auto empty = updateCentroids(data, res);
+        } else {
+            stable = newLabels == res.labels && iter > 0;
+            res.labels = newLabels;
+        }
+        const auto empty = updateCentroids(data, res, dirtyMask);
         if (!empty.empty()) {
             reseedEmpty(data, res, empty,
-                        options.accelerate ? &state : nullptr);
-            updateCentroids(data, res);
+                        options.accelerate ? &state : nullptr,
+                        dirtyMask);
+            updateCentroids(data, res, dirtyMask);
             state.invalidate();
             continue;
         }
@@ -596,11 +703,19 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     }
     // Final consistent assignment and SSE against the final
     // centroids; recompute member weights to match the final labels
-    // without moving the centroids again.
-    res.weightedSse = assign(res.labels);
-    std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
-    for (std::size_t i = 0; i < data.count; ++i)
-        res.clusterWeight[res.labels[i]] += data.weights[i];
+    // without moving the centroids again.  A converged accelerated
+    // fit skips it: its last iteration moved no point, so its M-step
+    // rebuilt nothing and this E-step would read exactly the
+    // centroids the last one read, giving back the same labels and
+    // SSE; every clusterWeight was summed by an M-step over these
+    // same members in this same order.
+    if (!(options.accelerate && res.converged)) {
+        res.weightedSse = assign(res.labels);
+        std::fill(res.clusterWeight.begin(), res.clusterWeight.end(),
+                  0.0);
+        for (std::size_t i = 0; i < data.count; ++i)
+            res.clusterWeight[res.labels[i]] += data.weights[i];
+    }
     kmeansStats().fits.add();
     kmeansStats().iterations.sample(res.iterations);
     return res;

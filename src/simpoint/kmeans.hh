@@ -35,11 +35,14 @@ struct KMeansOptions
     /**
      * Accelerate the E-step with Hamerly distance bounds (and, when
      * the data carries duplicate-class structure, one distance
-     * computation per class instead of per point).  Bounds only ever
-     * *skip* scans whose outcome they prove; every distance that is
-     * computed uses the same sqDist on the same operands in the same
-     * order as the naive scan, so labels, centroids, SSE and
-     * iteration counts are bit-identical either way (asserted by
+     * computation per class instead of per point), and skip the work
+     * whose result is already fixed: M-steps rebuild only clusters
+     * whose membership changed, a converged fit reuses its last
+     * E-step, and k-means++ draws skip points whose term is zero.
+     * Every skip is proven: whatever is computed uses the same
+     * arithmetic on the same operands in the same order as the naive
+     * loop, so labels, centroids, SSE and iteration counts are
+     * bit-identical either way (asserted by
      * tests/test_clustering_equiv.cc).
      */
     bool accelerate = true;

@@ -83,6 +83,9 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
                 best = std::move(res);
             }
         }
+        if (best.k == 0)
+            panic("no k-means fit at k = {} has an SSE below the "
+                  "largest double (non-finite vectors?)", k);
         bicByK.push_back(bicScore(data, best));
         bestByK.push_back(std::move(best));
     }
@@ -121,25 +124,48 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
     // interval sizes the earliest member of a phase often carries
     // cache warm-up state, which would systematically bias the
     // simulation points of both methods.
+    //
+    // Members are bucketed in one pass, in increasing interval order.
+    // With duplicate classes each member's distance is memoised per
+    // (class, phase): rows of a class are bit-identical, so one
+    // sqDist gives every member's distance bit for bit.
     const InstrCount total = fvs.totalInstructions();
+    std::vector<std::vector<u32>> membersOf(chosen.k);
+    for (std::size_t i = 0; i < fvs.size(); ++i)
+        membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
+    std::vector<double> classDist;
+    std::vector<u32> classPhase;
+    if (data.hasClasses()) {
+        classDist.resize(data.classFirst.size());
+        classPhase.assign(data.classFirst.size(), chosen.k);
+    }
     for (u32 c = 0; c < chosen.k; ++c) {
         Phase phase;
         phase.id = c;
+        phase.members = std::move(membersOf[c]);
+        if (phase.members.empty())
+            continue; // degenerate cluster; drop it
         InstrCount phaseInstrs = 0;
         std::vector<double> dists;
+        dists.reserve(phase.members.size());
         double bestDist = std::numeric_limits<double>::max();
-        for (std::size_t i = 0; i < fvs.size(); ++i) {
-            if (chosen.labels[i] != c)
-                continue;
-            phase.members.push_back(static_cast<u32>(i));
+        const auto centroid = chosen.centroid(c, data.dims);
+        for (const u32 i : phase.members) {
             phaseInstrs += fvs.lengths[i];
-            const double d = sqDist(data.point(i),
-                                    chosen.centroid(c, data.dims));
+            double d;
+            if (data.hasClasses()) {
+                const u32 u = data.classOf[i];
+                if (classPhase[u] != c) {
+                    classPhase[u] = c;
+                    classDist[u] = sqDist(data.point(i), centroid);
+                }
+                d = classDist[u];
+            } else {
+                d = sqDist(data.point(i), centroid);
+            }
             dists.push_back(d);
             bestDist = std::min(bestDist, d);
         }
-        if (phase.members.empty())
-            continue; // degenerate cluster; drop it
 
         // Near-tie window: a small fraction of the cluster's mean
         // distance-to-centroid.  Members inside it are considered
@@ -157,6 +183,9 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
             if (dists[m] <= bestDist + epsilon)
                 candidates.push_back(phase.members[m]);
         }
+        if (candidates.empty())
+            panic("phase {}: no member within {} of the centroid "
+                  "(non-finite distances?)", c, bestDist + epsilon);
         // Early points take the first acceptable interval (cheap to
         // reach); the default takes the temporally median candidate.
         phase.representative = options.earlyPoints

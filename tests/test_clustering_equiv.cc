@@ -10,6 +10,12 @@
  * threads, plus the low-level runKMeans contract on synthetic data.
  */
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <limits>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "compile/compiler.hh"
@@ -61,6 +67,44 @@ expectIdenticalKMeans(const KMeansResult& a, const KMeansResult& b)
     EXPECT_EQ(a.weightedSse, b.weightedSse);
     EXPECT_EQ(a.iterations, b.iterations);
     EXPECT_EQ(a.converged, b.converged);
+}
+
+/** Counter deltas of one accelerated and one naive fit. */
+struct FitWork
+{
+    u64 mstepRows = 0;
+    u64 initTerms = 0;
+};
+
+/**
+ * Run one fit naive and one accelerated from the same RNG state,
+ * require every KMeansResult field to match, and return each side's
+ * M-step rows and k-means++ terms.
+ */
+std::pair<FitWork, FitWork>
+expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
+                      KMeansOptions options)
+{
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    auto work = [&](auto&& fit) {
+        const u64 rows0 = reg.counterValue("kmeans.mstep.rows");
+        const u64 terms0 = reg.counterValue("kmeans.init.terms");
+        const KMeansResult res = fit();
+        return std::pair{
+            res, FitWork{reg.counterValue("kmeans.mstep.rows") - rows0,
+                         reg.counterValue("kmeans.init.terms") -
+                             terms0}};
+    };
+    options.accelerate = false;
+    Rng rngA(seed);
+    const auto [naive, naiveWork] =
+        work([&] { return runKMeans(data, k, rngA, options); });
+    options.accelerate = true;
+    Rng rngB(seed);
+    const auto [accel, accelWork] =
+        work([&] { return runKMeans(data, k, rngB, options); });
+    expectIdenticalKMeans(naive, accel);
+    return {naiveWork, accelWork};
 }
 
 /** Gaussian blobs with exact duplicate points mixed in. */
@@ -279,6 +323,188 @@ TEST(KMeansEquiv, ReseedWithMixedOwnersMatchesNaive)
 }
 
 /**
+ * Duplicate-heavy data: once k-means++ has picked a centroid inside a
+ * class, every member's term is +0 and leaves the active list.  The
+ * draws must still land where the naive draws land, while summing
+ * fewer terms.
+ */
+TEST(KMeansEquiv, PlusPlusSkipsZeroMassPoints)
+{
+    const ProjectedData data = duplicateData(6, 40, 4, 11);
+    for (const u32 k : {2u, 3u, 5u, 6u, 8u}) {
+        for (const u64 seed : {1u, 2u, 3u, 4u}) {
+            SCOPED_TRACE("k " + std::to_string(k) + " seed " +
+                         std::to_string(seed));
+            const auto [naive, accel] =
+                expectFitMatchesNaive(data, k, seed * 97 + k, {});
+            // Naive sums every term of all k draws.  Each chosen
+            // centroid zeroes a whole new class of 40 points, so by
+            // draw j the accelerated draws have dropped min(j, 6)
+            // classes.
+            EXPECT_EQ(naive.initTerms, u64{k} * data.count);
+            u64 dropped = 0;
+            for (u32 j = 1; j < k; ++j)
+                dropped += u64{40} * std::min(j, 6u);
+            EXPECT_EQ(accel.initTerms + dropped, naive.initTerms);
+        }
+    }
+}
+
+/**
+ * All-identical rows with k >= 2: after the first pick every term is
+ * +0, so total == 0, r == 0 and the naive draw picks index 0 — which
+ * the accelerated draw must reproduce from an empty active list.
+ */
+TEST(KMeansEquiv, PlusPlusAllZeroTermsPicksFirstPoint)
+{
+    ProjectedData data = duplicateData(1, 15, 3, 4);
+    for (const u32 k : {2u, 3u, 7u}) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        const auto [naive, accel] =
+            expectFitMatchesNaive(data, k, 19 + k, {});
+        // Only the first draw has a non-zero term.
+        EXPECT_EQ(accel.initTerms, data.count);
+        EXPECT_EQ(naive.initTerms, u64{k} * data.count);
+    }
+}
+
+/**
+ * r can also be 0 while a term is still live: with a total of one
+ * denormal term, r = u * total rounds to 0 whenever u < 0.5.  The
+ * naive draw then picks index 0 — here a point already chosen — not
+ * the first live point.
+ */
+TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
+{
+    ProjectedData data;
+    data.dims = 3;
+    data.count = 3;
+    data.points = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0};
+    data.weights = {1.0, 1.0,
+                    std::numeric_limits<double>::denorm_min()};
+    KMeansOptions options;
+    options.maxIterations = 0;
+    u32 zeroDraws = 0;
+    for (u64 seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        options.accelerate = false;
+        Rng rngA(seed);
+        const KMeansResult naive = runKMeans(data, 2, rngA, options);
+        options.accelerate = true;
+        Rng rngB(seed);
+        const KMeansResult accel = runKMeans(data, 2, rngB, options);
+        EXPECT_EQ(naive.centroids, accel.centroids);
+        EXPECT_EQ(naive.labels, accel.labels);
+        if (accel.centroid(1, data.dims)[0] == 0.0)
+            ++zeroDraws;
+    }
+    EXPECT_GT(zeroDraws, 0u);
+}
+
+/**
+ * A draw whose scan runs off the end picks the last point, not the
+ * last active one.  A NaN weight makes every total NaN, so no draw
+ * ever satisfies r <= 0: the first draw picks the last point, whose
+ * term then drops to +0 and leaves the active list, and every later
+ * draw must pick it again.  maxIterations = 0 leaves the k-means++
+ * rows in place to compare.
+ */
+TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
+{
+    ProjectedData data = blobData(30, 3, 3, 9);
+    data.weights[4] = std::nan("");
+    KMeansOptions options;
+    options.maxIterations = 0;
+    for (const u32 k : {2u, 4u}) {
+        SCOPED_TRACE("k " + std::to_string(k));
+        options.accelerate = false;
+        Rng rngA(k);
+        const KMeansResult naive = runKMeans(data, k, rngA, options);
+        options.accelerate = true;
+        Rng rngB(k);
+        const KMeansResult accel = runKMeans(data, k, rngB, options);
+        EXPECT_EQ(naive.centroids, accel.centroids);
+        EXPECT_EQ(naive.labels, accel.labels);
+        const auto last = data.point(data.count - 1);
+        for (u32 c = 0; c < k; ++c) {
+            const auto row = accel.centroid(c, data.dims);
+            EXPECT_TRUE(std::equal(row.begin(), row.end(), last.begin()))
+                << "centroid " << c;
+        }
+    }
+}
+
+/**
+ * A far, tight group keeps its membership from the first M-step on
+ * while the boundary between two clusters inside a spread-out group
+ * keeps moving.  The M-steps in between rebuild only the clusters
+ * that changed, so the accelerated fits accumulate a row count that
+ * is not a whole multiple of the point count.
+ */
+TEST(KMeansEquiv, DirtyClusterMStepMatchesNaive)
+{
+    ProjectedData data;
+    data.dims = 2;
+    Rng rng(23);
+    auto add = [&](double x, double y) {
+        data.points.push_back(x);
+        data.points.push_back(y);
+        data.weights.push_back(rng.nextDouble(0.5, 2.0));
+        ++data.count;
+    };
+    for (int i = 0; i < 30; ++i) {
+        add(1000.0 + rng.nextDouble(), rng.nextDouble());
+        add(rng.nextDouble(0.0, 10.0), rng.nextDouble(0.0, 3.0));
+        add(rng.nextDouble(0.0, 10.0), rng.nextDouble(0.0, 3.0));
+    }
+    u64 partialFits = 0;
+    for (const u64 seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        const auto [naive, accel] =
+            expectFitMatchesNaive(data, 3, seed, {});
+        EXPECT_LT(accel.mstepRows, naive.mstepRows);
+        if (accel.mstepRows % data.count != 0)
+            ++partialFits;
+    }
+    EXPECT_GT(partialFits, 0u);
+}
+
+/**
+ * The re-seed path, where stolen points mark their donors and the
+ * re-seeded clusters dirty, at 99, 100 and 101 iterations (the same
+ * cycling shapes as ProvenCycleMatchesNaive) under both seedings,
+ * and with zero-weight points whose clusters stay empty after a
+ * re-seed.
+ */
+TEST(KMeansEquiv, ReseedPathMatchesNaiveAtIterationCap)
+{
+    for (const InitMethod init :
+         {InitMethod::KMeansPlusPlus, InitMethod::RandomPartition}) {
+        for (const u64 dataSeed : {1u, 2u}) {
+            ProjectedData data = duplicateData(2, 7, 4, dataSeed);
+            ProjectedData light = data;
+            for (std::size_t i = 0; i < light.count; i += 3)
+                light.weights[i] = 0.0;
+            for (const u32 maxIterations : {99u, 100u, 101u}) {
+                SCOPED_TRACE("init " +
+                             std::to_string(static_cast<int>(init)) +
+                             " data " + std::to_string(dataSeed) +
+                             " max " + std::to_string(maxIterations));
+                KMeansOptions options;
+                options.init = init;
+                options.maxIterations = maxIterations;
+                for (const u32 k : {3u, 4u}) {
+                    expectFitMatchesNaive(data, k, dataSeed * 7 + k,
+                                          options);
+                    expectFitMatchesNaive(light, k, dataSeed * 5 + k,
+                                          options);
+                }
+            }
+        }
+    }
+}
+
+/**
  * The suite workloads whose VLI sweeps cycle: at 2K-instruction
  * intervals applu's VLI vectors have fewer distinct rows than
  * k = 7..10 and vpr's fewer than k = 10.  The whole sweep, naive
@@ -349,6 +575,68 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
             expectIdenticalResults(naive, accelParallel,
                                    context + " (4 threads)");
         }
+    }
+}
+
+/**
+ * Phase building on suite vectors: members, representatives and
+ * weights from the accelerated pipeline (members bucketed in one
+ * pass, distances memoised per duplicate class) equal the naive
+ * pipeline's.  The new work counters must also be identical at 1 and
+ * 4 workers, like every exact counter.
+ */
+TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
+{
+    SimPointOptions naiveOpts;
+    naiveOpts.maxK = 10;
+    naiveOpts.accelerate = false;
+    SimPointOptions accelOpts = naiveOpts;
+    accelOpts.accelerate = true;
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    auto work = [&reg] {
+        return std::array<u64, 3>{
+            reg.counterValue("kmeans.mstep.rows"),
+            reg.counterValue("kmeans.init.terms"),
+            reg.counterValue("kmeans.estep.distances")};
+    };
+    auto since = [](const std::array<u64, 3>& after,
+                    const std::array<u64, 3>& before) {
+        return std::array<u64, 3>{after[0] - before[0],
+                                  after[1] - before[1],
+                                  after[2] - before[2]};
+    };
+    for (const std::string name : {"gcc", "art", "equake", "twolf"}) {
+        const ir::Program program = workloads::makeWorkload(name, 1.0);
+        const bin::Binary binary =
+            compile::compileProgram(program, bin::target32o);
+        const prof::ProfilePass pass =
+            prof::runProfilePass(binary, 10000);
+        ASSERT_GT(pass.fliIntervals.size(), 100u) << name;
+
+        const auto before = work();
+        const SimPointResult naive =
+            pickSimulationPoints(pass.fliIntervals, naiveOpts);
+        const auto naiveWork = since(work(), before);
+
+        setGlobalJobs(1);
+        const auto serialStart = work();
+        const SimPointResult serial =
+            pickSimulationPoints(pass.fliIntervals, accelOpts);
+        const auto serialWork = since(work(), serialStart);
+        setGlobalJobs(4);
+        const auto parallelStart = work();
+        const SimPointResult parallel =
+            pickSimulationPoints(pass.fliIntervals, accelOpts);
+        const auto parallelWork = since(work(), parallelStart);
+        setGlobalJobs(0);
+
+        expectIdenticalResults(naive, serial, name + " (1 thread)");
+        expectIdenticalResults(naive, parallel, name + " (4 threads)");
+        EXPECT_EQ(serialWork, parallelWork) << name;
+        // The accelerated sweep accumulates fewer M-step rows and
+        // sums fewer k-means++ terms than the naive one.
+        EXPECT_LT(serialWork[0], naiveWork[0]) << name;
+        EXPECT_LT(serialWork[1], naiveWork[1]) << name;
     }
 }
 

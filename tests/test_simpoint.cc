@@ -417,6 +417,30 @@ TEST(SimPointPick, EmptyInputFatal)
                 ::testing::ExitedWithCode(1), "no intervals");
 }
 
+TEST(SimPointPick, NonFiniteInputsPanicInsteadOfCrashing)
+{
+    for (const bool accelerate : {false, true}) {
+        SimPointOptions options;
+        options.accelerate = accelerate;
+        // A NaN row poisons its centroid, so no fit at k = 1 has a
+        // usable SSE.
+        FrequencyVectorSet poisoned;
+        poisoned.dimension = 2;
+        poisoned.addInterval(SparseVec{{0, std::nan("")}}, 10);
+        poisoned.addInterval(SparseVec{{1, 1.0}}, 10);
+        EXPECT_DEATH((void)pickSimulationPoints(poisoned, options),
+                     "no k-means fit at k = 1");
+        // A NaN tolerance (a decoded config can carry one) admits no
+        // member as the representative: a panic with a message, not
+        // an index into an empty candidate list.
+        options.earlyPoints = true;
+        options.earlyTolerance = std::nan("");
+        EXPECT_DEATH(
+            (void)pickSimulationPoints(syntheticClusters(2, 4), options),
+            "no member within");
+    }
+}
+
 TEST(SimPointPick, MaxKCapsPhaseCount)
 {
     FrequencyVectorSet fvs = syntheticClusters(6, 10);

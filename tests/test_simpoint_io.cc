@@ -252,3 +252,107 @@ TEST(SimPointIoProperty, ExtremeWeightsRoundTrip)
     ASSERT_EQ(parsed.size(), 1u);
     EXPECT_EQ(parsed.vectors[0], fvs.vectors[0]);
 }
+
+// ---------------------------------------------------------------------
+// Hostile numbers: every reader rejects them through fatal() (exit 1,
+// with the line number), never through a signal or a silent wrap.
+
+TEST(SimPointIoHostile, BbvIndexOutOfRangeFatal)
+{
+    // 2^32 used to wrap maxIdx + 1 to 0 and panic; 3 G asked for a
+    // 3 G-row projection matrix and died of bad_alloc.
+    for (const char* line :
+         {"T:4294967296:1\n", "T:3000000000:1\n",
+          "T:18446744073709551617:1\n", "T:4194305:1\n"}) {
+        std::stringstream ss(line);
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    "line 1: dimension index [0-9]+ exceeds the limit")
+            << line;
+    }
+    // strtoull would accept a sign and wrap it.
+    std::stringstream negative("T:2:1 :-1:2\n");
+    EXPECT_EXIT((void)readBbvFile(negative),
+                ::testing::ExitedWithCode(1),
+                "line 1: bad dimension index");
+}
+
+TEST(SimPointIoHostile, BbvIndexAtTheCeilingReads)
+{
+    std::stringstream ss("T:" + std::to_string(kMaxBbvDimension) +
+                         ":1\n");
+    const FrequencyVectorSet fvs = readBbvFile(ss);
+    EXPECT_EQ(fvs.dimension, kMaxBbvDimension);
+    const SparseVec expected{{kMaxBbvDimension - 1, 1.0}};
+    EXPECT_EQ(fvs.vectors.at(0), expected);
+}
+
+TEST(SimPointIoHostile, BbvNonFiniteOrNegativeValueFatal)
+{
+    // A NaN value used to reach phase building and index an empty
+    // candidate list (SIGSEGV).
+    for (const char* line :
+         {"T:1:nan\n", "T:1:inf\n", "T:1:-inf\n", "T:1:-2\n",
+          "T:1:1 :2:1e999\n"}) {
+        std::stringstream ss(std::string("T:1:1\n") + line);
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    "line 2: value .* is not finite and non-negative")
+            << line;
+    }
+}
+
+TEST(SimPointIoHostile, LengthsOutOfRangeFatal)
+{
+    FrequencyVectorSet fvs = sampleFvs();
+    std::stringstream negative("1\n-5\n2\n");
+    EXPECT_EXIT(readLengthsFile(negative, fvs),
+                ::testing::ExitedWithCode(1),
+                "lengths file line 2: '-5' is not a non-negative");
+    std::stringstream huge("1\n2\n18446744073709551616\n");
+    EXPECT_EXIT(readLengthsFile(huge, fvs), ::testing::ExitedWithCode(1),
+                "lengths file line 3: 18446744073709551616 is out of "
+                "range");
+    std::stringstream garbage("1\n2x\n3\n");
+    EXPECT_EXIT(readLengthsFile(garbage, fvs),
+                ::testing::ExitedWithCode(1),
+                "lengths file line 2: '2x'");
+}
+
+TEST(SimPointIoHostile, SimPointFilesOutOfRangeFatal)
+{
+    struct Case
+    {
+        const char* simpoints;
+        const char* weights;
+        const char* labels;
+        const char* message;
+    };
+    const Case cases[] = {
+        // A label of -1 used to read as 4294967295 and wrap k to 0.
+        {"0 0\n", "1 0\n", "0\n-1\n",
+         "labels file line 2: '-1' is not a non-negative"},
+        {"0 0\n", "1 0\n", "0\n4294967295\n",
+         "labels file line 2: 4294967295 is out of range"},
+        // Representatives and phase ids above 2^32 used to truncate.
+        {"4294967296 0\n", "1 0\n", "0\n",
+         "simpoints file line 1: 4294967296 is out of range"},
+        {"0 4294967296\n", "1 0\n", "0\n",
+         "simpoints file line 1: 4294967296 is out of range"},
+        {"0 0\n", "1 4294967296\n", "0\n",
+         "weights file line 1: 4294967296 is out of range"},
+        {"0 -1\n", "1 0\n", "0\n",
+         "simpoints file line 1: '-1' is not a non-negative"},
+        {"0 0\n", "nan 0\n", "0\n",
+         "weights file line 1: 'nan' is not a finite"},
+        {"0 0\n", "-0.5 0\n", "0\n",
+         "weights file line 1: '-0.5' is not a finite"},
+        {"0 0 7\n", "1 0\n", "0\n",
+         "simpoints file line 1: expected"},
+    };
+    for (const Case& c : cases) {
+        std::stringstream sims(c.simpoints), weights(c.weights),
+            labels(c.labels);
+        EXPECT_EXIT((void)readSimPointFiles(sims, weights, labels),
+                    ::testing::ExitedWithCode(1), c.message)
+            << c.message;
+    }
+}

@@ -456,10 +456,12 @@ renderTopFrame(const std::map<std::string, double>& series)
     std::snprintf(
         line, sizeof(line),
         "k-means   %.0f fits, %.0f proven cycles (%.0f iterations "
-        "skipped)\n",
+        "skipped), %.0f M-step rows, %.0f k-means++ terms\n",
         seriesValue(series, "xbsp_kmeans_fits_total"),
         seriesValue(series, "xbsp_kmeans_cycles_total"),
-        seriesValue(series, "xbsp_kmeans_iterations_proven_total"));
+        seriesValue(series, "xbsp_kmeans_iterations_proven_total"),
+        seriesValue(series, "xbsp_kmeans_mstep_rows_total"),
+        seriesValue(series, "xbsp_kmeans_init_terms_total"));
     add();
 
     // Distributed executor, shown only when a serve daemon has ever
