@@ -20,8 +20,6 @@
 
 #include "bench_clustering_common.hh"
 #include "bench_common.hh"
-#include "bench_engine_common.hh"
-#include "bench_kernels_common.hh"
 #include "dist/client.hh"
 #include "dist/server.hh"
 #include "dist/spawn.hh"
@@ -112,30 +110,8 @@ main(int argc, char** argv)
         return bench::clusteringTable(clustering);
     });
 
-    // Kernel microbench (scalar reference vs dispatched vector
-    // kernels, plus the dedup digest build); the dedicated
-    // bench_micro_kernels binary measures with more reps.
-    std::vector<bench::KernelBenchResult> kernels;
-    bench::DedupBenchResult dedup;
-    timed("kernels", [&] {
-        kernels = bench::benchKernels(3);
-        dedup = bench::benchDedupBuild(3);
-        return bench::kernelsTable(kernels);
-    });
-
-    // Engine fast-path microbench (structural interpreter vs the
-    // compiled engine on the detailed-simulation loop) on the first
-    // couple of suite workloads; the dedicated bench_micro_engine
-    // binary measures more workloads with more reps.
-    std::vector<bench::EngineBenchResult> engineResults;
-    timed("engine", [&] {
-        const double scale = std::min(config.workScale, 0.2);
-        for (std::size_t w = 0; w < names.size() && w < 2; ++w) {
-            engineResults.push_back(
-                bench::benchEngineWorkload(names[w], scale, 2));
-        }
-        return bench::engineTable(engineResults);
-    });
+    // The dedup digest build on duplicate-heavy synthetic input.
+    const bench::DedupBenchResult dedup = bench::benchDedupBuild(3);
 
     const double totalSeconds =
         std::chrono::duration<double>(clock::now() - suiteStart)
@@ -166,10 +142,8 @@ main(int argc, char** argv)
                  static_cast<double>(instructions) / totalSeconds, 0);
         w.key("clustering");
         bench::writeClusteringCases(w, clustering);
-        w.key("kernels");
-        bench::writeKernelsJson(w, kernels, dedup);
-        w.key("engine");
-        bench::writeEngineJson(w, engineResults);
+        w.key("dedup");
+        bench::writeDedupJson(w, dedup);
         w.key("figures").beginArray();
         for (const FigureTiming& t : timings) {
             w.beginObject();

@@ -5,9 +5,10 @@
  * profile vectors with the naive engine and with the accelerated one
  * (duplicate-interval dedup + Hamerly-bounded k-means + parallel
  * (k, seed) sweep), cross-check that both pick identical phases, and
- * emit the numbers as a table / JSON.  Used by bench_micro_clustering
- * (standalone, writes BENCH_clustering.json) and by bench_all (folds
- * the numbers into BENCH_pipeline.json).
+ * emit the numbers as a table / JSON.  Also times the dedup digest
+ * build on duplicate-heavy sparse input.  Used by
+ * bench_micro_clustering (standalone, writes BENCH_clustering.json)
+ * and by bench_all (folds the numbers into BENCH_pipeline.json).
  */
 
 #ifndef XBSP_BENCH_CLUSTERING_COMMON_HH
@@ -25,6 +26,7 @@
 #include "simpoint/simpoint.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/table.hh"
 #include "workloads/workloads.hh"
 
@@ -218,6 +220,73 @@ writeClusteringCases(JsonWriter& w,
         w.endObject();
     }
     w.endArray();
+}
+
+/** Timing of the dedup digest build (hash-bound). */
+struct DedupBenchResult
+{
+    std::size_t intervals = 0;
+    std::size_t classes = 0;
+    double buildSeconds = 0.0;   ///< best-of-reps wall clock
+    double nsPerInterval = 0.0;
+};
+
+/**
+ * Time the dedup digest build on a duplicate-heavy synthetic set
+ * shaped like real phase behaviour: `phases` distinct vectors
+ * emitted in runs of `runLen` (a loop-dominated phase produces the
+ * same interval vector for a long stretch before the program moves
+ * on), cycling until `intervals` rows exist.  This is the shape the
+ * accelerated sweep is bound by.  Best of `reps` after one warmup.
+ */
+inline DedupBenchResult
+benchDedupBuild(int reps, std::size_t intervals = 20000,
+                std::size_t phases = 12, std::size_t nnz = 24,
+                std::size_t runLen = 50)
+{
+    sp::FrequencyVectorSet fvs;
+    fvs.dimension = static_cast<u32>(phases * nnz * 2);
+    Rng rng(0xdedb);
+    std::vector<sp::SparseVec> prototypes(phases);
+    for (std::size_t p = 0; p < phases; ++p) {
+        for (std::size_t e = 0; e < nnz; ++e)
+            prototypes[p].emplace_back(
+                static_cast<u32>(p * nnz * 2 + e * 2),
+                rng.nextDouble(0.1, 10.0));
+    }
+    for (std::size_t i = 0; i < intervals; ++i)
+        fvs.addInterval(prototypes[(i / runLen) % phases], 1000);
+    fvs.normalize();
+
+    using clock = std::chrono::steady_clock;
+    DedupBenchResult result;
+    result.intervals = intervals;
+    sp::DedupMap map = fvs.dedup();
+    double best = std::numeric_limits<double>::max();
+    for (int rep = 0; rep < reps; ++rep) {
+        const auto start = clock::now();
+        map = fvs.dedup();
+        best = std::min(
+            best, std::chrono::duration<double>(clock::now() - start)
+                      .count());
+    }
+    result.buildSeconds = best;
+    result.classes = map.classes();
+    result.nsPerInterval = result.buildSeconds * 1e9 /
+                           static_cast<double>(intervals);
+    return result;
+}
+
+/** Emit the dedup measurement as a JSON object value on `w`. */
+inline void
+writeDedupJson(JsonWriter& w, const DedupBenchResult& dedup)
+{
+    w.beginObject();
+    w.member("intervals", dedup.intervals);
+    w.member("classes", dedup.classes);
+    w.member("build_seconds", dedup.buildSeconds, 6);
+    w.member("ns_per_interval", dedup.nsPerInterval, 1);
+    w.endObject();
 }
 
 } // namespace xbsp::bench

@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "cpu/core.hh"
-#include "exec/compiled.hh"
 #include "harness/experiments.hh"
 #include "util/format.hh"
 #include "util/options.hh"
-#include "util/simd/simd.hh"
 #include "util/stats.hh"
 
 namespace xbsp::bench
@@ -43,14 +41,6 @@ makeOptions(const std::string& description)
                     true);
     options.addBool("csv", "also emit CSV after the table", false);
     options.addBool("verbose", "per-study progress on stderr", true);
-    options.addString("simd",
-                      "kernel dispatch: off|scalar|auto|on|avx2|neon "
-                      "(default: XBSP_SIMD, else best available; pure "
-                      "speed knob — results are bit-identical)", "");
-    options.addString("engine",
-                      "execution engine: interp|compiled (default: "
-                      "XBSP_ENGINE, else compiled; pure speed knob — "
-                      "results are bit-identical)", "");
     options.addString("core",
                       "timing core: inorder|decoupled (default: "
                       "XBSP_CORE, else inorder; a model knob — "
@@ -83,12 +73,6 @@ makeConfig(const Options& options)
 {
     harness::ExperimentConfig config;
     options.applyJobs();
-    if (const std::string mode = options.getString("simd");
-        !mode.empty())
-        simd::select(mode);
-    if (const std::string mode = options.getString("engine");
-        !mode.empty())
-        exec::selectEngineMode(mode);
     // A model knob: defaultStudyConfig() below reads the selection.
     if (const std::string mode = options.getString("core");
         !mode.empty())

@@ -17,8 +17,6 @@
 #ifndef XBSP_BINARY_BINARY_HH
 #define XBSP_BINARY_BINARY_HH
 
-#include <memory>
-#include <mutex>
 #include <string>
 #include <variant>
 #include <vector>
@@ -133,45 +131,6 @@ struct MachineProc
 };
 
 /** A compiled program for one target. */
-/**
- * Copy-cold memo slot for expensive per-object derivations (the
- * execution engine caches its compiled trace here).  Copies and
- * moves start empty: the memo follows one object's identity, never
- * its content — content-level sharing lives in the consumer's own
- * keyed cache, which this slot merely short-circuits.  Thread-safe;
- * concurrent load/store on one Binary is allowed.
- */
-class DerivedSlot
-{
-  public:
-    DerivedSlot() = default;
-    DerivedSlot(const DerivedSlot&) noexcept {}
-    DerivedSlot(DerivedSlot&&) noexcept {}
-    DerivedSlot& operator=(const DerivedSlot&) noexcept
-    {
-        return *this;
-    }
-    DerivedSlot& operator=(DerivedSlot&&) noexcept { return *this; }
-
-    std::shared_ptr<const void>
-    load() const
-    {
-        std::lock_guard<std::mutex> guard(mutex);
-        return value;
-    }
-
-    void
-    store(std::shared_ptr<const void> derived) const
-    {
-        std::lock_guard<std::mutex> guard(mutex);
-        value = std::move(derived);
-    }
-
-  private:
-    mutable std::mutex mutex;
-    mutable std::shared_ptr<const void> value;
-};
-
 struct Binary
 {
     std::string programName;
@@ -180,12 +139,6 @@ struct Binary
     std::vector<MachineBlock> blocks;
     std::vector<Marker> markers;
     u32 entryProcId = invalidId;
-
-    /**
-     * Per-object derivation memo (not part of the binary's content:
-     * never hashed, serialized or compared; copies start cold).
-     */
-    DerivedSlot derived;
 
     /** Number of static basic blocks (the BBV dimension). */
     u32 blockCount() const { return static_cast<u32>(blocks.size()); }

@@ -12,14 +12,14 @@
  *    so a backend may never retro-charge cycles to an earlier
  *    interval.
  *  - **Timing is a pure function of the event stream.**  The engine
- *    delivers the identical stream under either run loop and at any
- *    --jobs count, so a conforming core is bit-identical across
- *    engines and worker counts by construction.  No wall-clock, no
+ *    delivers the identical stream at any --jobs count, so a
+ *    conforming core is bit-identical across worker counts by
+ *    construction.  No wall-clock, no
  *    unseeded randomness, no iteration over unordered containers.
  *  - **The configuration is part of the result's identity.**  Every
  *    CoreConfig field is hashed into detailedRunKey and the study
- *    config digest (see sim/serial) — unlike --engine/--simd, a core
- *    is a *model* knob, not a speed knob.
+ *    config digest (see sim/serial): a core is a *model* knob that
+ *    changes results.
  *
  * Backends:
  *  - InOrderCore (cpu/inorder.hh): one cycle per instruction plus
@@ -156,8 +156,8 @@ CoreKind activeCoreKind();
 
 /**
  * Force the default kind (the `--core` option).  Returns false
- * (state unchanged, with a warning) on an unknown name.  Unlike
- * --engine this is a *model* knob: it changes results and store keys.
+ * (state unchanged, with a warning) on an unknown name.  This is a
+ * *model* knob: it changes results and store keys.
  */
 bool selectCore(std::string_view name);
 

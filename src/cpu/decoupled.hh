@@ -31,8 +31,7 @@
  *    run-ahead fetch time.
  *
  * Timing is a pure function of the event stream — deterministic at
- * any --jobs count and identical under both run loops — and all
- * counters are monotonic, so the snapshot collectors gate it exactly
+ * any --jobs count — and all counters are monotonic, so the snapshot collectors gate it exactly
  * like the in-order model.
  */
 

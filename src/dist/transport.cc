@@ -2,7 +2,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
@@ -14,6 +13,7 @@
 
 #include "dist/wire.hh"
 #include "util/format.hh"
+#include "util/options.hh"
 #include "util/serial.hh"
 
 namespace xbsp::dist
@@ -159,11 +159,12 @@ parseAddress(const std::string& spec)
 {
     Address address;
     if (spec.rfind("tcp:", 0) == 0) {
-        address.tcp = true;
-        address.port = std::atoi(spec.c_str() + 4);
-        if (address.port <= 0 || address.port > 65535)
+        const std::optional<int> port = parseTcpPort(spec.substr(4));
+        if (!port || *port == 0)
             throw std::runtime_error(
                 format("bad tcp port in '{}'", spec));
+        address.tcp = true;
+        address.port = *port;
         return address;
     }
     address.path = spec.rfind("unix:", 0) == 0 ? spec.substr(5) : spec;

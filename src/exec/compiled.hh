@@ -1,106 +1,6 @@
 /**
  * @file
- * Trace compilation: a one-time pass per bin::Binary that flattens
- * the structural program (procedure bodies, counted loops, calls)
- * into a linear op program the engine can run without walking the
- * statement tree.  Replaying the op program produces the *same event
- * stream, in the same order*, as the structural interpreter; the
- * compiled engine is a pure speed knob (like `simd`) and never
- * appears in artifact-store keys.
- *
- * Op format (CompiledOp{kind, a, b}):
- *  - BlockRun   a = start index into CompiledTrace::blockIds,
- *               b = count: execute those blocks in order.  Emission
- *               run-length-merges consecutive block executions into
- *               one op; Marker/Call ops fence the merge, so a
- *               backedge target (always preceded by the loop-entry
- *               marker) can never land mid-run.
- *  - Marker     a = markerId: fire the marker event.
- *  - Call       a = pc of the callee's first op (its entry marker);
- *               push pc+1 on the call stack and jump.
- *  - Ret        pop the call stack and jump to the saved pc; with an
- *               empty stack the program halts (the entry procedure's
- *               Ret).
- *  - Backedge   a = pc of the loop body's first op, b = trip slot:
- *               increment the per-run trip counter; while it is below
- *               CompiledTrace::loopTrips[b], jump back; on exit reset
- *               the counter to 0 so the loop can be re-entered.
- *
- * Loops with tripCount 0 compile to just their entry marker;
- * tripCount 1 omits the Backedge op.  The call graph is acyclic
- * (checkBinary guarantees it), so one trip counter per static loop
- * is safe: a loop can never be active twice concurrently.
- *
- * Compiled traces are cached per binary *content hash* under a
- * global mutex, so the N engines of a study compile each binary
- * once; compilation happens under the lock, which keeps the
- * engine.compile.{hits,misses} counters deterministic at any worker
- * count.
+ * Empty on purpose.  perfbench/xbspbench.cc still includes this
+ * header; the benchmark's next revision drops the include, and this
+ * file goes with it.  The engine lives in exec/engine.hh.
  */
-
-#ifndef XBSP_EXEC_COMPILED_HH
-#define XBSP_EXEC_COMPILED_HH
-
-#include <memory>
-#include <string_view>
-#include <vector>
-
-#include "binary/binary.hh"
-#include "util/types.hh"
-
-namespace xbsp::exec
-{
-
-/** Which run loop Engine::run uses.  Pure speed knob; never hashed. */
-enum class EngineMode { Interp, Compiled };
-
-/** Display name, e.g. "compiled". */
-std::string_view engineModeName(EngineMode mode);
-
-/**
- * The active mode.  First call resolves the `XBSP_ENGINE` environment
- * variable ("interp"/"interpreter"/"off" selects the structural
- * interpreter; "compiled"/"auto"/"on" — and unset — the compiled
- * engine).  Thread-safe.
- */
-EngineMode activeEngineMode();
-
-/**
- * Force the mode (the `--engine` option).  Returns false (state
- * unchanged, with a warning) on an unknown mode string.
- */
-bool selectEngineMode(std::string_view mode);
-
-/** One linear-program op; see the file comment for the format. */
-struct CompiledOp
-{
-    enum class Kind : u32 { BlockRun, Marker, Call, Ret, Backedge };
-
-    Kind kind = Kind::Ret;
-    u32 a = 0;
-    u32 b = 0;
-};
-
-/** The linear op program of one binary (immutable once built). */
-struct CompiledTrace
-{
-    std::vector<CompiledOp> ops;
-    std::vector<u32> blockIds;   ///< BlockRun pool (run slices)
-    std::vector<u64> loopTrips;  ///< per Backedge slot: trip count
-    std::vector<u32> procStart;  ///< per procId: pc of its first op
-};
-
-/** Compile `binary` into a fresh linear op program (no caching). */
-CompiledTrace compileTrace(const bin::Binary& binary);
-
-/**
- * The shared compiled trace for `binary`, keyed by content hash:
- * compiles on first request, returns the cached program afterwards
- * (also across distinct Binary instances with identical content).
- */
-std::shared_ptr<const CompiledTrace>
-compiledTraceFor(const bin::Binary& binary);
-
-} // namespace xbsp::exec
-
-#endif // XBSP_EXEC_COMPILED_HH

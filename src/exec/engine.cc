@@ -8,8 +8,7 @@
 namespace xbsp::exec
 {
 
-Engine::Engine(const bin::Binary& binary, u64 seed, EngineMode mode)
-    : bin(binary), engineMode(mode)
+Engine::Engine(const bin::Binary& binary, u64 seed) : bin(binary)
 {
     states.resize(bin.blocks.size());
     u32 maxRefs = 0;
@@ -23,8 +22,6 @@ Engine::Engine(const bin::Binary& binary, u64 seed, EngineMode mode)
     }
     if (maxRefs > 0)
         refBuf = std::make_unique<mem::MemRef[]>(maxRefs);
-    if (engineMode == EngineMode::Compiled)
-        trace = compiledTraceFor(bin);
 }
 
 void
@@ -42,7 +39,7 @@ Engine::addObserver(Observer* observer, const ObserverHooks& hooks)
 }
 
 /**
- * The legacy dispatch path as a sink: fan every event out to the
+ * The observer path as a sink: fan every event out to the
  * registered observer vectors, in registration order.
  */
 struct Engine::VirtualSink
@@ -114,6 +111,15 @@ runOnce(const bin::Binary& binary,
         engine.addObserver(obs, obs->hooks());
     engine.run();
     return engine.instructionsExecuted();
+}
+
+bool
+selectEngineMode(std::string_view mode)
+{
+    if (mode == "compiled" || mode == "interp")
+        return true;
+    warn("unknown engine mode '{}' (compiled|interp)", mode);
+    return false;
 }
 
 } // namespace xbsp::exec

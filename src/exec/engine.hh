@@ -8,18 +8,9 @@
  * subscribe to the event kinds they need; profilers, the timing model
  * and the sampling gates are all observers.
  *
- * Two run loops produce the identical event stream (see DESIGN.md,
- * "Engine fast path"):
- *  - **Interp** walks the statement tree with an explicit frame
- *    stack (the original engine);
- *  - **Compiled** replays the binary's linear op program (see
- *    exec/compiled.hh), built once per binary content and cached.
- * The mode is a pure speed knob (`--engine` / `XBSP_ENGINE`): event
- * order, statistics and every downstream artifact are bit-identical,
- * so it is never part of an artifact-store key.
- *
- * Both loops are templates over a *Sink* — the compile-time analogue
- * of the observer vectors:
+ * The run loop walks the statement tree with an explicit frame
+ * stack (see DESIGN.md, "Engine run loop").  It is a template over a
+ * *Sink*, the compile-time analogue of the observer vectors:
  *
  *     struct MySink {
  *         bool wantsBlocks() const;
@@ -32,8 +23,7 @@
  *     };
  *
  * Engine::run() drives a sink that fans out to the registered
- * observers (the legacy path, byte-for-byte unchanged behaviour);
- * Engine::runWith(sink) lets the dominant configurations (the BBV
+ * observers; Engine::runWith(sink) lets the dominant configurations (the BBV
  * profile pass, the detailed core) supply a concrete sink so the
  * whole hot path devirtualizes into one translation unit.
  *
@@ -58,10 +48,10 @@
 
 #include <memory>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "binary/binary.hh"
-#include "exec/compiled.hh"
 #include "mem/pattern.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
@@ -133,17 +123,8 @@ class Observer
 class Engine
 {
   public:
-    /**
-     * `seed` feeds the per-block address generators; the run loop is
-     * chosen by activeEngineMode().
-     */
-    explicit Engine(const bin::Binary& binary, u64 seed = 0x5EEDull)
-        : Engine(binary, seed, activeEngineMode())
-    {
-    }
-
-    /** Same, with the run loop pinned (tests, equivalence drivers). */
-    Engine(const bin::Binary& binary, u64 seed, EngineMode mode);
+    /** `seed` feeds the per-block address generators. */
+    explicit Engine(const bin::Binary& binary, u64 seed = 0x5EEDull);
 
     /** Subscribe an observer (not owned) to selected event kinds. */
     void addObserver(Observer* observer, const ObserverHooks& hooks);
@@ -165,10 +146,7 @@ class Engine
         ran = true;
         {
             obs::TraceSpan span("engine.run", "exec");
-            if (engineMode == EngineMode::Compiled)
-                runCompiledT(sink);
-            else
-                runInterpT(sink);
+            runT(sink);
         }
         sink.onRunEnd();
         flushStats();
@@ -179,9 +157,6 @@ class Engine
 
     /** The binary being executed. */
     const bin::Binary& binary() const { return bin; }
-
-    /** The run loop this engine uses. */
-    EngineMode mode() const { return engineMode; }
 
   private:
     struct BlockState
@@ -203,15 +178,13 @@ class Engine
     struct VirtualSink;
 
     const bin::Binary& bin;
-    EngineMode engineMode;
-    std::shared_ptr<const CompiledTrace> trace;  ///< Compiled mode
     std::vector<BlockState> states;
     std::vector<Observer*> blockObservers;
     std::vector<Observer*> memObservers;
     std::vector<Observer*> markerObservers;
     std::vector<Observer*> allObservers;
     std::unique_ptr<mem::MemRef[]> refBuf;  ///< per-block scratch
-    std::vector<Frame> frames;              ///< interp walk stack
+    std::vector<Frame> frames;              ///< statement walk stack
     InstrCount instrCount = 0;
     // Event tallies kept as plain integers in the hot path and
     // flushed to the stats registry once per run() (one atomic add
@@ -275,15 +248,15 @@ class Engine
     }
 
     /**
-     * The structural interpreter: iterative statement walk with an
-     * explicit frame stack.  Event order: a procedure's entry marker
+     * The run loop: iterative statement walk with an explicit frame
+     * stack.  Event order: a procedure's entry marker
      * fires before its body, a loop's entry marker before its first
      * iteration, and each iteration runs body, branch block, branch
      * marker.
      */
     template <typename Sink>
     void
-    runInterpT(Sink& sink)
+    runT(Sink& sink)
     {
         const bin::MachineProc& entry = bin.procs[bin.entryProcId];
         fireMarkerT(sink, entry.entryMarkerId);
@@ -325,60 +298,6 @@ class Engine
         }
     }
 
-    /**
-     * The compiled run loop: replay the binary's linear op program
-     * (exec/compiled.hh documents the op semantics).  Produces the
-     * identical event stream to runInterpT by construction.
-     */
-    template <typename Sink>
-    void
-    runCompiledT(Sink& sink)
-    {
-        const CompiledTrace& t = *trace;
-        loopCounts.assign(t.loopTrips.size(), 0);
-        callStack.clear();
-        const CompiledOp* const ops = t.ops.data();
-        const u32* const blockIds = t.blockIds.data();
-        u32 pc = t.procStart[bin.entryProcId];
-        for (;;) {
-            const CompiledOp op = ops[pc];
-            switch (op.kind) {
-              case CompiledOp::Kind::BlockRun: {
-                const u32* ids = blockIds + op.a;
-                for (u32 i = 0; i < op.b; ++i)
-                    execBlockT(sink, ids[i]);
-                ++pc;
-                break;
-              }
-              case CompiledOp::Kind::Marker:
-                fireMarkerT(sink, op.a);
-                ++pc;
-                break;
-              case CompiledOp::Kind::Call:
-                callStack.push_back(pc + 1);
-                pc = op.a;
-                break;
-              case CompiledOp::Kind::Ret:
-                if (callStack.empty())
-                    return;
-                pc = callStack.back();
-                callStack.pop_back();
-                break;
-              case CompiledOp::Kind::Backedge:
-                if (++loopCounts[op.b] < t.loopTrips[op.b]) {
-                    pc = op.a;
-                } else {
-                    loopCounts[op.b] = 0;
-                    ++pc;
-                }
-                break;
-            }
-        }
-    }
-
-    std::vector<u64> loopCounts;  ///< compiled: per-slot trips done
-    std::vector<u32> callStack;   ///< compiled: return pcs
-
     void flushStats();
 };
 
@@ -389,6 +308,14 @@ class Engine
 InstrCount runOnce(const bin::Binary& binary,
                    const std::vector<Observer*>& observers,
                    u64 seed = 0x5EEDull);
+
+/**
+ * Stateless name check kept for perfbench's xbspbench, its only
+ * caller: true for "compiled" and "interp" (there is one run loop, so
+ * both names mean the same thing); warns and returns false on
+ * anything else.
+ */
+bool selectEngineMode(std::string_view mode);
 
 } // namespace xbsp::exec
 

@@ -52,14 +52,12 @@ parsePort(const std::string& text)
 {
     if (text.empty())
         return -1;
-    char* end = nullptr;
-    const long port = std::strtol(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || port < 0 ||
-        port > 65535) {
+    const std::optional<int> port = parseTcpPort(text);
+    if (!port) {
         warn("ignoring bad metrics TCP port '{}'", text);
         return -1;
     }
-    return static_cast<int>(port);
+    return *port;
 }
 
 /** "out/stats.json" -> "out/manifest.json"; bare file -> cwd. */

@@ -15,9 +15,9 @@ bicScore(const ProjectedData& data, const KMeansResult& result)
     // Effective totals; weights were rescaled to sum to the point
     // count, so R is (approximately) the number of intervals while
     // still crediting long intervals more.  Summed under the pinned
-    // simd reduction order so the score is arch-independent.
-    const double bigR = simd::active().sum(data.weights.data(),
-                                           data.weights.size());
+    // 4-lane reduction order (util/simd) so the score's bits are fixed.
+    const double bigR =
+        simd::sum(data.weights.data(), data.weights.size());
     if (bigR <= 0.0)
         return 0.0;
 

@@ -70,7 +70,6 @@ double
 assignLabels(const ProjectedData& data, const KMeansResult& res,
              std::vector<u32>& labels)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t stride = data.rowStride();
     // One sample per E-step (not per point): deterministic at any
     // --jobs, and enough to see the batch shape in the stats dump.
@@ -86,10 +85,10 @@ assignLabels(const ProjectedData& data, const KMeansResult& res,
                 // All k distances in one batched call: the point row
                 // stays hot while the centroid matrix streams.  Each
                 // dist[c] is bit-for-bit sqDist(point, centroid c).
-                kern.sqDistBatch(data.row(i), res.centroids.data(),
-                                 res.k, stride,
-                                 res.rowStride(data.dims),
-                                 dist.data());
+                simd::sqDistBatch(data.row(i), res.centroids.data(),
+                                  res.k, stride,
+                                  res.rowStride(data.dims),
+                                  dist.data());
                 double best = std::numeric_limits<double>::max();
                 u32 bestC = 0;
                 for (u32 c = 0; c < res.k; ++c) {
@@ -187,7 +186,6 @@ struct AccelState
     {
         if (!boundsValid)
             return;
-        const simd::Kernels& kern = simd::active();
         const std::size_t cstride = res.rowStride(dims);
         double maxMove = 0.0;
         for (u32 c = 0; c < res.k; ++c) {
@@ -195,9 +193,9 @@ struct AccelState
                 oldCentroids.data() +
                 static_cast<std::size_t>(c) * cstride;
             maxMove = std::max(
-                maxMove, kern.sqDist(before,
-                                     res.centroidRow(c, dims),
-                                     cstride));
+                maxMove, simd::sqDist(before,
+                                      res.centroidRow(c, dims),
+                                      cstride));
         }
         if (maxMove <= 0.0)
             return;
@@ -219,7 +217,6 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                   std::vector<u32>& labels, AccelState& state)
 {
     const u32 k = res.k;
-    const simd::Kernels& kern = simd::active();
     const std::size_t stride = data.rowStride();
     const std::size_t cstride = res.rowStride(data.dims);
     // Half-distance from each centroid to its nearest neighbour.
@@ -228,9 +225,9 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
     std::vector<double> guard(k, std::numeric_limits<double>::max());
     for (u32 c = 0; c < k; ++c) {
         for (u32 c2 = c + 1; c2 < k; ++c2) {
-            const double d = kern.sqDist(res.centroidRow(c, data.dims),
-                                         res.centroidRow(c2, data.dims),
-                                         cstride);
+            const double d = simd::sqDist(res.centroidRow(c, data.dims),
+                                          res.centroidRow(c2, data.dims),
+                                          cstride);
             guard[c] = std::min(guard[c], d);
             guard[c2] = std::min(guard[c2], d);
         }
@@ -254,8 +251,8 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                 const double* x = data.row(state.classFirst[u]);
                 const u32 a = state.ownerOf[u];
                 const double down =
-                    kern.sqDist(x, res.centroidRow(a, data.dims),
-                                stride);
+                    simd::sqDist(x, res.centroidRow(a, data.dims),
+                                 stride);
                 distances.add();
                 if (std::sqrt(down) <
                     std::max(guard[a], state.lower[u])) {
@@ -268,8 +265,8 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                 // Fallback: the naive scan, verbatim (same batched
                 // kernel over the same operands), plus second-best
                 // tracking to refresh the lower bound.
-                kern.sqDistBatch(x, res.centroids.data(), k, stride,
-                                 cstride, dist.data());
+                simd::sqDistBatch(x, res.centroids.data(), k, stride,
+                                  cstride, dist.data());
                 double best = std::numeric_limits<double>::max();
                 double second = best;
                 u32 bestC = 0;
@@ -325,7 +322,6 @@ std::vector<u32>
 updateCentroids(const ProjectedData& data, KMeansResult& res,
                 std::vector<u8>* dirty = nullptr)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     auto rebuilt = [&](u32 c) { return !dirty || (*dirty)[c]; };
     u32 rebuilding = 0;
@@ -349,7 +345,7 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
         double* crow = res.centroids.data() +
                        static_cast<std::size_t>(c) * cstride;
         const double w = data.weights[i];
-        kern.axpy(crow, data.row(i), w, data.rowStride());
+        simd::axpy(crow, data.row(i), w, data.rowStride());
         res.clusterWeight[c] += w;
         ++rows;
     }
@@ -390,16 +386,15 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
             const std::vector<u32>& empty, const AccelState* accel,
             std::vector<u8>* dirty = nullptr)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     std::vector<double> memo;
     if (accel)
         memo.assign(accel->classFirst.size() * res.k, -1.0);
     auto ownerDist = [&](std::size_t i, u32 owner) {
         auto dist = [&] {
-            return kern.sqDist(data.row(i),
-                               res.centroidRow(owner, data.dims),
-                               data.rowStride());
+            return simd::sqDist(data.row(i),
+                                res.centroidRow(owner, data.dims),
+                                data.rowStride());
         };
         if (!accel)
             return dist();
@@ -472,7 +467,6 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
         return probs.size() - 1;
     };
 
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     std::size_t first = pickWeighted(data.weights);
     auto setCentroid = [&](u32 c, std::size_t i) {
@@ -498,9 +492,9 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
             const std::size_t rep =
                 accel ? accel->classFirst[u] : u;
             const double d =
-                kern.sqDist(data.row(rep),
-                            res.centroidRow(c - 1, data.dims),
-                            data.rowStride());
+                simd::sqDist(data.row(rep),
+                             res.centroidRow(c - 1, data.dims),
+                             data.rowStride());
             minDist[u] = std::min(minDist[u], d);
         }
         if (!accel) {

@@ -14,7 +14,7 @@ namespace xbsp::sp
 double
 sqDist(std::span<const double> a, std::span<const double> b)
 {
-    return simd::active().sqDist(a.data(), b.data(), a.size());
+    return simd::sqDist(a.data(), b.data(), a.size());
 }
 
 ProjectedData
@@ -43,18 +43,17 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
     }
 
     // One multiply-add per (sparse entry x output dim): the dot-op
-    // count of a row is nnz * dims regardless of layout, padding or
-    // kernel arch, so the counter merges exactly at any --jobs.
+    // count of a row is nnz * dims regardless of layout or padding,
+    // so the counter merges exactly at any --jobs.
     auto& reg = obs::StatRegistry::global();
     obs::Counter dotOps = reg.counter("projection.dotOps");
 
-    const simd::Kernels& kern = simd::active();
     auto projectRow = [&](std::size_t i, obs::ShardCounter& ops) {
         double* row = out.row(i);
         for (const auto& [idx, val] : fvs.vectors[i]) {
             const double* mrow =
                 matrix.data() + static_cast<std::size_t>(idx) * stride;
-            kern.axpy(row, mrow, val, stride);
+            simd::axpy(row, mrow, val, stride);
         }
         ops.add(static_cast<u64>(fvs.vectors[i].size()) * dims);
     };

@@ -23,7 +23,7 @@ namespace xbsp::sp
 /**
  * Dense, row-major projected data plus per-point weights.  Rows are
  * padded with +0.0 to `stride = simd::padded(dims)` doubles and the
- * storage is 32-byte aligned, so the vector kernels run tail-free
+ * storage is 32-byte aligned, so the lane kernels run tail-free
  * over whole rows (padding is bit-transparent — see util/simd).
  */
 struct ProjectedData
@@ -96,8 +96,8 @@ ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
 
 /**
  * Squared Euclidean distance between a row and a centroid, under the
- * pinned simd reduction order (dispatched kernel; bit-identical
- * across scalar/AVX2/NEON and any --jobs).
+ * pinned 4-lane reduction order of util/simd (bit-identical at any
+ * --jobs).
  */
 double sqDist(std::span<const double> a, std::span<const double> b);
 

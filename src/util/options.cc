@@ -1,14 +1,34 @@
 #include "util/options.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include "util/format.hh"
 
+#include "util/format.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
 
 namespace xbsp
 {
+
+namespace
+{
+
+/**
+ * Parse all of `text` into `out`: no leading blank or '+', no
+ * trailing characters, no overflow.  `out` is untouched on failure.
+ */
+template <typename T>
+bool
+parseWhole(const std::string& text, T& out)
+{
+    const char* end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
 
 Options::Options(std::string desc) : description(std::move(desc))
 {
@@ -89,19 +109,14 @@ Options::assign(Option& opt, const std::string& value)
         opt.strVal = value;
         break;
       case Kind::Uint:
-        try {
-            opt.uintVal = std::stoull(value);
-        } catch (...) {
+        if (!parseWhole(value, opt.uintVal))
             fatal("--{} expects an unsigned integer, got '{}'",
                   opt.name, value);
-        }
         break;
       case Kind::Double:
-        try {
-            opt.dblVal = std::stod(value);
-        } catch (...) {
-            fatal("--{} expects a number, got '{}'", opt.name, value);
-        }
+        if (!parseWhole(value, opt.dblVal) || !std::isfinite(opt.dblVal))
+            fatal("--{} expects a finite number, got '{}'", opt.name,
+                  value);
         break;
       case Kind::Bool:
         if (value == "true" || value == "1") {
@@ -207,6 +222,15 @@ Options::printHelp() const
         std::printf("  --%-24s %s (default: %s)\n", opt.name.c_str(),
                     opt.help.c_str(), def.c_str());
     }
+}
+
+std::optional<int>
+parseTcpPort(const std::string& text)
+{
+    u32 port = 0;
+    if (!parseWhole(text, port) || port > 65535)
+        return std::nullopt;
+    return static_cast<int>(port);
 }
 
 } // namespace xbsp

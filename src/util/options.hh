@@ -8,6 +8,7 @@
 #ifndef XBSP_UTIL_OPTIONS_HH
 #define XBSP_UTIL_OPTIONS_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,6 +92,13 @@ class Options
     const Option& require(const std::string& name, Kind kind) const;
     void assign(Option& opt, const std::string& value);
 };
+
+/**
+ * Parse a decimal TCP port: all of `text`, digits only, in
+ * [0, 65535]; nothing otherwise.  Callers decide whether 0 ("any
+ * port") is acceptable and what a bad port means.
+ */
+std::optional<int> parseTcpPort(const std::string& text);
 
 } // namespace xbsp
 

@@ -1,30 +1,12 @@
 #include "util/simd/simd.hh"
 
-#include <atomic>
-#include <cstdlib>
-#include <mutex>
-
-#include "obs/stats.hh"
 #include "util/logging.hh"
 
 namespace xbsp::simd
 {
 
-namespace
-{
-
-/**
- * Scalar reference kernels — the semantic ground truth.  The 4-lane
- * accumulator shape is deliberate: it IS the pinned reduction order
- * (element i -> lane i % 4, lanes combined (l0+l1)+(l2+l3)), and it
- * happens to be a shape compilers can auto-vectorize without
- * reassociating, so even the "scalar" build is not slow.  With
- * -ffp-contract=off pinned project-wide, `acc + d * d` is always a
- * multiply then an add — never an FMA — matching the vector TUs,
- * which use explicit mul/add intrinsics.
- */
 double
-sqDistScalar(const double* a, const double* b, std::size_t n)
+sqDist(const double* a, const double* b, std::size_t n)
 {
     double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
     std::size_t i = 0;
@@ -42,23 +24,22 @@ sqDistScalar(const double* a, const double* b, std::size_t n)
 }
 
 void
-sqDistBatchScalar(const double* point, const double* rows,
-                  std::size_t k, std::size_t n, std::size_t stride,
-                  double* out)
+sqDistBatch(const double* point, const double* rows, std::size_t k,
+            std::size_t n, std::size_t stride, double* out)
 {
     for (std::size_t c = 0; c < k; ++c)
-        out[c] = sqDistScalar(point, rows + c * stride, n);
+        out[c] = sqDist(point, rows + c * stride, n);
 }
 
 void
-axpyScalar(double* dst, const double* src, double a, std::size_t n)
+axpy(double* dst, const double* src, double a, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         dst[i] = dst[i] + a * src[i];
 }
 
 double
-sumScalar(const double* a, std::size_t n)
+sum(const double* a, std::size_t n)
 {
     double acc[kLanes] = {0.0, 0.0, 0.0, 0.0};
     std::size_t i = 0;
@@ -71,178 +52,13 @@ sumScalar(const double* a, std::size_t n)
     return (acc[0] + acc[1]) + (acc[2] + acc[3]);
 }
 
-constexpr Kernels scalarTable{
-    Arch::Scalar,
-    &sqDistScalar,
-    &sqDistBatchScalar,
-    &axpyScalar,
-    &sumScalar,
-};
-
-/** The dispatched table; null until the first active()/select(). */
-std::atomic<const Kernels*> current{nullptr};
-std::mutex dispatchMutex;
-
-const Kernels* tableFor(Arch arch);
-
-/** Publish `table` and record the decision in the stats registry. */
-void
-publish(const Kernels* table)
-{
-    current.store(table, std::memory_order_release);
-    // One-shot configuration value, not an event count: which arch
-    // the kernels dispatched to (1 scalar, 2 avx2, 3 neon).  Exact
-    // at any --jobs since dispatch happens once per process.
-    obs::StatRegistry::global()
-        .counter("simd.dispatch.arch")
-        .set(static_cast<u64>(table->arch));
-}
-
-/** Resolve the initial dispatch from XBSP_SIMD, else best. */
-const Kernels*
-initialTable()
-{
-    if (const char* env = std::getenv("XBSP_SIMD")) {
-        const std::string_view mode(env);
-        if (!mode.empty()) {
-            if (mode == "off" || mode == "scalar")
-                return tableFor(Arch::Scalar);
-            if (mode == "avx2" && supported(Arch::Avx2))
-                return tableFor(Arch::Avx2);
-            if (mode == "neon" && supported(Arch::Neon))
-                return tableFor(Arch::Neon);
-            if (mode != "auto" && mode != "on") {
-                warn("XBSP_SIMD='{}' unknown or unsupported; using "
-                     "best available",
-                     mode);
-            }
-        }
-    }
-    return tableFor(bestSupported());
-}
-
-} // namespace
-
-#if defined(XBSP_SIMD_AVX2)
-const Kernels& avx2Kernels(); // simd_avx2.cc (the only -mavx2 TU)
-#endif
-#if defined(XBSP_SIMD_NEON)
-const Kernels& neonKernels(); // simd_neon.cc
-#endif
-
-namespace
-{
-
-const Kernels*
-tableFor(Arch arch)
-{
-#if defined(XBSP_SIMD_AVX2)
-    if (arch == Arch::Avx2)
-        return &avx2Kernels();
-#endif
-#if defined(XBSP_SIMD_NEON)
-    if (arch == Arch::Neon)
-        return &neonKernels();
-#endif
-    (void)arch;
-    return &scalarTable;
-}
-
-} // namespace
-
-const char*
-archName(Arch arch)
-{
-    switch (arch) {
-      case Arch::Scalar:
-        return "scalar";
-      case Arch::Avx2:
-        return "avx2";
-      case Arch::Neon:
-        return "neon";
-    }
-    return "unknown";
-}
-
-bool
-supported(Arch arch)
-{
-    switch (arch) {
-      case Arch::Scalar:
-        return true;
-      case Arch::Avx2:
-#if defined(XBSP_SIMD_AVX2) && defined(__x86_64__)
-        return __builtin_cpu_supports("avx2");
-#else
-        return false;
-#endif
-      case Arch::Neon:
-#if defined(XBSP_SIMD_NEON) && defined(__aarch64__)
-        return true; // NEON is architectural baseline on aarch64
-#else
-        return false;
-#endif
-    }
-    return false;
-}
-
-Arch
-bestSupported()
-{
-    if (supported(Arch::Avx2))
-        return Arch::Avx2;
-    if (supported(Arch::Neon))
-        return Arch::Neon;
-    return Arch::Scalar;
-}
-
-const Kernels&
-active()
-{
-    const Kernels* table = current.load(std::memory_order_acquire);
-    if (table)
-        return *table;
-    std::lock_guard<std::mutex> lock(dispatchMutex);
-    table = current.load(std::memory_order_acquire);
-    if (!table) {
-        publish(initialTable());
-        table = current.load(std::memory_order_acquire);
-    }
-    return *table;
-}
-
-const Kernels&
-scalarKernels()
-{
-    return scalarTable;
-}
-
 bool
 select(std::string_view mode)
 {
-    std::lock_guard<std::mutex> lock(dispatchMutex);
-    if (mode == "off" || mode == "scalar") {
-        publish(&scalarTable);
+    if (mode == "auto" || mode == "on" || mode == "scalar" ||
+        mode == "off")
         return true;
-    }
-    if (mode == "auto" || mode == "on" || mode.empty()) {
-        publish(tableFor(bestSupported()));
-        return true;
-    }
-    if (mode == "avx2" || mode == "neon") {
-        const Arch arch = mode == "avx2" ? Arch::Avx2 : Arch::Neon;
-        if (!supported(arch)) {
-            warn("simd arch '{}' not available in this build/CPU; "
-                 "dispatch unchanged",
-                 mode);
-            return false;
-        }
-        publish(tableFor(arch));
-        return true;
-    }
-    warn("unknown simd mode '{}' (off|scalar|auto|on|avx2|neon); "
-         "dispatch unchanged",
-         mode);
+    warn("unknown simd mode '{}' (auto|on|scalar|off)", mode);
     return false;
 }
 

@@ -1,28 +1,20 @@
 /**
  * @file
- * Vector-kernel layer for the clustering hot paths: squared-
+ * Lane-shaped kernels for the clustering hot paths: squared
  * distance, batched point-vs-centroids distance, axpy and pinned sums
- * over dense double rows, with one-time runtime dispatch between a
- * scalar reference, AVX2 (x86-64) and NEON (aarch64)
- * implementations.
+ * over dense double rows.
  *
- * **Determinism contract.**  Every kernel is defined by the *pinned
- * 4-lane reduction order* the scalar reference implements: element i
- * is accumulated into lane `i % 4` (elements in increasing i order
- * within each lane) and the four lane partials are combined as
- * `(l0 + l1) + (l2 + l3)`.  Elementwise kernels (axpy) have no
- * reduction and are defined elementwise.  All arithmetic is plain
- * IEEE-754 multiply/add — **no FMA** (a fused multiply-add rounds
- * once where mul+add rounds twice, so fusing would change bits; the
- * build pins `-ffp-contract=off` so the compiler cannot fuse behind
- * our back either).  A 4-double AVX2 register and a pair of 2-double
- * NEON registers both map lanes 0..3 onto the same element classes,
- * so every implementation produces **bit-identical** results to the
- * scalar reference on every input — asserted exhaustively by
- * tests/test_simd.cc and end-to-end by tests/test_clustering_equiv.cc.
- * `simd` is therefore a pure speed knob, exactly like `accelerate`:
- * labels, SSE, BIC, phases, reports and artifact-store keys do not
- * depend on it.
+ * **Determinism contract.**  Every reduction uses the *pinned 4-lane
+ * order*: element i is accumulated into lane `i % 4` (elements in
+ * increasing i order within each lane) and the four lane partials
+ * are combined as `(l0 + l1) + (l2 + l3)`.  Elementwise kernels
+ * (axpy) have no reduction and are defined elementwise.  All
+ * arithmetic is plain IEEE-754 multiply/add, **never FMA**: a fused
+ * multiply-add rounds once where mul+add rounds twice, so fusing
+ * would change bits, and the golden report digests depend on these
+ * exact bits.  The build pins `-ffp-contract=off` so the compiler
+ * cannot fuse behind our back.  The 4-lane shape is also one
+ * compilers can auto-vectorize without reassociating.
  *
  * **Padding.**  Rows padded with +0.0 to a multiple of the lane
  * count are transparent: a zero element contributes `(0-0)^2 = +0.0`
@@ -33,11 +25,8 @@
  * prefix — callers pad once (ProjectedData/KMeansResult rows) and
  * kernels then run tail-free.
  *
- * Dispatch: resolved once, on first use, from the `XBSP_SIMD`
- * environment variable ("off"/"scalar", "auto"/"on", "avx2", "neon");
- * `select()` overrides it at runtime (the `--simd` option).  Builds
- * configured with `-DXBSP_SIMD=OFF` contain only the scalar
- * reference.
+ * All kernels tolerate n == 0 (sqDist/sum return +0.0, axpy is a
+ * no-op) and arbitrary, unpadded lengths.
  */
 
 #ifndef XBSP_UTIL_SIMD_SIMD_HH
@@ -48,15 +37,13 @@
 #include <string_view>
 #include <vector>
 
-#include "util/types.hh"
-
 namespace xbsp::simd
 {
 
-/** Reduction lanes of the pinned kernel semantics (arch-independent). */
+/** Reduction lanes of the pinned kernel semantics. */
 inline constexpr std::size_t kLanes = 4;
 
-/** Row alignment (bytes) of padded matrices — one AVX2 vector. */
+/** Row alignment (bytes) of padded matrices: one 4-double vector. */
 inline constexpr std::size_t kAlign = 32;
 
 /** `n` rounded up to a multiple of the lane count. */
@@ -67,7 +54,7 @@ padded(std::size_t n)
 }
 
 /**
- * Minimal aligned allocator so padded matrices can hand the kernels
+ * Minimal aligned allocator so padded matrices hand the kernels
  * 32-byte-aligned rows without a custom container.
  */
 template <typename T, std::size_t Align = kAlign>
@@ -114,69 +101,28 @@ struct AlignedAllocator
 /** Dense double storage with rows alignable to kAlign. */
 using AlignedVec = std::vector<double, AlignedAllocator<double>>;
 
-/** Kernel implementations the dispatcher can select between. */
-enum class Arch
-{
-    Scalar = 1,  ///< portable reference; the semantic ground truth
-    Avx2 = 2,    ///< x86-64 AVX2 (4 doubles per register)
-    Neon = 3,    ///< aarch64 NEON (2x2 doubles per register pair)
-};
-
-/** Human-readable arch name ("scalar", "avx2", "neon"). */
-const char* archName(Arch arch);
+/** Squared Euclidean distance over n doubles (pinned reduction). */
+double sqDist(const double* a, const double* b, std::size_t n);
 
 /**
- * One implementation of the kernel set.  All functions tolerate
- * n == 0 (sqDist/sum return +0.0, axpy is a no-op) and arbitrary
- * (unpadded) lengths via the pinned tail handling.
+ * Distances from one point row to k matrix rows spaced `stride`
+ * doubles apart, each over the first n doubles; out[c] is exactly
+ * sqDist(point, rows + c * stride, n).
  */
-struct Kernels
-{
-    Arch arch = Arch::Scalar;
+void sqDistBatch(const double* point, const double* rows, std::size_t k,
+                 std::size_t n, std::size_t stride, double* out);
 
-    /** Squared Euclidean distance over n doubles (pinned reduction). */
-    double (*sqDist)(const double* a, const double* b, std::size_t n);
+/** dst[i] = dst[i] + a * src[i] for i in [0, n), elementwise. */
+void axpy(double* dst, const double* src, double a, std::size_t n);
 
-    /**
-     * Distances from one point row to k matrix rows spaced `stride`
-     * doubles apart, each over the first n doubles; out[c] is exactly
-     * sqDist(point, rows + c * stride, n).
-     */
-    void (*sqDistBatch)(const double* point, const double* rows,
-                        std::size_t k, std::size_t n,
-                        std::size_t stride, double* out);
-
-    /** dst[i] = dst[i] + a * src[i] for i in [0, n) — elementwise. */
-    void (*axpy)(double* dst, const double* src, double a,
-                 std::size_t n);
-
-    /** Sum of n doubles under the pinned reduction order. */
-    double (*sum)(const double* a, std::size_t n);
-};
+/** Sum of n doubles under the pinned reduction order. */
+double sum(const double* a, std::size_t n);
 
 /**
- * The active kernel set.  First call resolves the dispatch: XBSP_SIMD
- * environment variable if set, else the best implementation this
- * build contains that the CPU supports.  Thread-safe; the returned
- * reference is valid for the process lifetime.
- */
-const Kernels& active();
-
-/** The scalar reference kernels (always available; used by tests). */
-const Kernels& scalarKernels();
-
-/** True when this build + CPU can run `arch`. */
-bool supported(Arch arch);
-
-/** Best arch this build + CPU supports (>= Scalar). */
-Arch bestSupported();
-
-/**
- * Force the dispatch: "off"/"scalar" selects the reference,
- * "auto"/"on" the best supported, "avx2"/"neon" that implementation.
- * Returns false (state unchanged, with a warning) on an unknown mode
- * or an implementation this build/CPU cannot run.  Safe to call any
- * time no kernel is concurrently in flight.
+ * Stateless name check kept for perfbench's xbspbench, its only
+ * caller: true for "auto", "on", "scalar" and "off" (there is one
+ * kernel set, so every accepted name means the same thing); warns
+ * and returns false on anything else.
  */
 bool select(std::string_view mode);
 

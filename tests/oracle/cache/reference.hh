@@ -5,12 +5,10 @@
  * full set walks with no MRU hint, per-reference level loop, probe()-
  * then-lookup() writebacks and a switch for latencies.
  *
- * This is an independent twin of SetAssociativeCache/Hierarchy (the
- * same idiom as simd::scalarKernels() for the clustering kernels):
- * it shares no state or code with the optimized classes, so it both
- * pins down the semantics the fast path must reproduce bit for bit
- * (see test_hierarchy) and serves as the honest baseline for
- * bench_micro_engine.  Keep it boring; never optimize it.
+ * This is an independent twin of SetAssociativeCache/Hierarchy: it
+ * shares no state or code with the optimized classes, so it pins down
+ * the semantics the fast path must reproduce bit for bit (see
+ * test_hierarchy).  Keep it boring; never optimize it.
  */
 
 #ifndef XBSP_CACHE_REFERENCE_HH

@@ -25,7 +25,6 @@
 #include "obs/stats.hh"
 #include "profile/profile.hh"
 #include "simpoint/simpoint.hh"
-#include "util/simd/simd.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
 
@@ -702,11 +701,10 @@ TEST(ClusteringEquiv, StatsQuantifyAcceleration)
 }
 
 /**
- * The PR-2 contract, extended: `simd` — like `accelerate` — is a pure
- * speed knob.  Sweep simd on/off x accelerate on/off x jobs 1/4 on
- * real profile data; every combination must produce a study report
- * (labels, BIC scores, phases) bit-identical to the scalar serial
- * naive reference.
+ * `accelerate` and the worker count are pure speed knobs.  Sweep
+ * accelerate on/off x jobs 1/4 on real profile data; every
+ * combination must produce a study report (labels, BIC scores,
+ * phases) bit-identical to the serial naive reference.
  */
 TEST(ClusteringEquiv, SimdSweepBitIdentical)
 {
@@ -719,31 +717,25 @@ TEST(ClusteringEquiv, SimdSweepBitIdentical)
     SimPointOptions opts;
     opts.maxK = 10;
 
-    // Reference: scalar kernels, serial, naive E-step.
-    ASSERT_TRUE(simd::select("scalar"));
+    // Reference: serial, naive E-step.
     setGlobalJobs(1);
     opts.accelerate = false;
     const SimPointResult reference =
         pickSimulationPoints(pass.fliIntervals, opts);
 
-    for (const char* mode : {"scalar", "auto"}) {
-        ASSERT_TRUE(simd::select(mode));
-        for (const bool accel : {false, true}) {
-            for (const u64 jobs : {u64{1}, u64{4}}) {
-                opts.accelerate = accel;
-                setGlobalJobs(jobs);
-                const SimPointResult got =
-                    pickSimulationPoints(pass.fliIntervals, opts);
-                expectIdenticalResults(
-                    reference, got,
-                    std::string("simd=") + mode +
-                        " accel=" + (accel ? "on" : "off") +
-                        " jobs=" + std::to_string(jobs));
-            }
+    for (const bool accel : {false, true}) {
+        for (const u64 jobs : {u64{1}, u64{4}}) {
+            opts.accelerate = accel;
+            setGlobalJobs(jobs);
+            const SimPointResult got =
+                pickSimulationPoints(pass.fliIntervals, opts);
+            expectIdenticalResults(
+                reference, got,
+                std::string("accel=") + (accel ? "on" : "off") +
+                    " jobs=" + std::to_string(jobs));
         }
     }
     setGlobalJobs(0);
-    ASSERT_TRUE(simd::select("auto"));
 }
 
 TEST(ClusteringEquiv, DedupCollapsesDuplicateHeavyInput)

@@ -2,7 +2,7 @@
  * @file
  * The pluggable CPU-backend layer: kind parsing/selection, the
  * decoupled-frontend model's counters, the determinism contract
- * (identical stats under both run loops and at any job count), config
+ * (identical stats at any job count), config
  * validation, and the serial codecs that carry CoreConfig/CoreStats
  * through store keys and the dist wire.
  */
@@ -24,15 +24,14 @@ using namespace xbsp;
 namespace
 {
 
-/** Run one binary start-to-finish under the given core and engine. */
+/** Run one binary start-to-finish under the given core. */
 cpu::CoreStats
-runWith(const bin::Binary& binary, const cpu::CoreConfig& config,
-        exec::EngineMode mode)
+runWith(const bin::Binary& binary, const cpu::CoreConfig& config)
 {
     cache::Hierarchy hierarchy;
     const std::unique_ptr<cpu::Core> core =
         cpu::makeCore(config, hierarchy);
-    exec::Engine engine(binary, 0x5EEDull, mode);
+    exec::Engine engine(binary, 0x5EEDull);
     engine.addObserver(core.get(), core->hooks());
     engine.run();
     return core->totals();
@@ -90,8 +89,7 @@ TEST(InOrderCore, MatchesFrozenTimingMath)
     // instructions == cycles when there is no memory traffic, and
     // the frontend counters stay zero: the seed model, unchanged.
     const cpu::CoreStats stats = runWith(
-        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::InOrder),
-        exec::EngineMode::Interp);
+        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::InOrder));
     EXPECT_GT(stats.instructions, 0u);
     EXPECT_GE(stats.cycles, stats.instructions);
     EXPECT_GT(stats.memRefs, 0u);
@@ -104,8 +102,7 @@ TEST(InOrderCore, MatchesFrozenTimingMath)
 TEST(DecoupledCore, LoopyProgramTrainsThePredictor)
 {
     const cpu::CoreStats stats = runWith(
-        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled),
-        exec::EngineMode::Interp);
+        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled));
     EXPECT_GT(stats.branches, 0u);
     EXPECT_GT(stats.mispredicts, 0u);
     // Loops dominate the tiny program: the steady-state iterations
@@ -121,30 +118,14 @@ TEST(DecoupledCore, LoopyProgramTrainsThePredictor)
 TEST(DecoupledCore, FrontendOnlyAddsCycles)
 {
     const cpu::CoreStats inorder = runWith(
-        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::InOrder),
-        exec::EngineMode::Interp);
+        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::InOrder));
     const cpu::CoreStats decoupled = runWith(
-        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled),
-        exec::EngineMode::Interp);
+        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled));
     // Same committed work and memory traffic; the decoupled frontend
     // can only add stall cycles on top of the in-order baseline.
     EXPECT_EQ(decoupled.instructions, inorder.instructions);
     EXPECT_EQ(decoupled.memRefs, inorder.memRefs);
     EXPECT_GE(decoupled.cycles, inorder.cycles);
-}
-
-TEST(DecoupledCore, ByteIdenticalAcrossRunLoops)
-{
-    for (const cpu::CoreKind kind :
-         {cpu::CoreKind::InOrder, cpu::CoreKind::Decoupled}) {
-        const cpu::CoreConfig config = cpu::coreConfigFor(kind);
-        const cpu::CoreStats interp =
-            runWith(tinyBinary(), config, exec::EngineMode::Interp);
-        const cpu::CoreStats compiled =
-            runWith(tinyBinary(), config, exec::EngineMode::Compiled);
-        EXPECT_EQ(interp, compiled)
-            << "core " << cpu::coreKindName(kind);
-    }
 }
 
 TEST(DecoupledCore, ByteIdenticalAcrossJobCounts)
@@ -182,10 +163,8 @@ TEST(DecoupledCore, MispredictPenaltyIsVisibleInCycles)
     cheap.mispredictPenalty = 1;
     cpu::CoreConfig dear = cheap;
     dear.mispredictPenalty = 40;
-    const cpu::CoreStats a =
-        runWith(tinyBinary(), cheap, exec::EngineMode::Compiled);
-    const cpu::CoreStats b =
-        runWith(tinyBinary(), dear, exec::EngineMode::Compiled);
+    const cpu::CoreStats a = runWith(tinyBinary(), cheap);
+    const cpu::CoreStats b = runWith(tinyBinary(), dear);
     // Identical prediction behaviour, dearer redirects.
     EXPECT_EQ(a.mispredicts, b.mispredicts);
     EXPECT_GT(b.cycles, a.cycles);
@@ -242,8 +221,7 @@ TEST(CpuSerial, CoreConfigRoundTrips)
 TEST(CpuSerial, CoreStatsRoundTrip)
 {
     const cpu::CoreStats stats = runWith(
-        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled),
-        exec::EngineMode::Compiled);
+        tinyBinary(), cpu::coreConfigFor(cpu::CoreKind::Decoupled));
     serial::Encoder e;
     cpu::encodeCoreStats(e, stats);
     const std::string bytes = e.take();

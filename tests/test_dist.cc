@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 
 #include "cpu/core.hh"
@@ -94,6 +95,19 @@ TEST(DistWire, ParseAddress)
     EXPECT_TRUE(tcp.tcp);
     EXPECT_EQ(tcp.port, 4711);
     EXPECT_EQ(tcp.text(), "tcp:4711");
+    EXPECT_EQ(dist::parseAddress("tcp:65535").port, 65535);
+}
+
+TEST(DistWire, ParseAddressRejectsBadPorts)
+{
+    // Trailing garbage, signs, blanks, overflow and port 0 (a client
+    // cannot connect to "any port") are all rejected, not truncated.
+    for (const char* spec :
+         {"tcp:80abc", "tcp:", "tcp:0", "tcp:-1", "tcp:+80", "tcp: 80",
+          "tcp:65536", "tcp:99999999999999999999", "unix:"}) {
+        EXPECT_THROW((void)dist::parseAddress(spec), std::runtime_error)
+            << spec;
+    }
 }
 
 TEST(DistWire, SuiteRequestFrameRoundTrip)

@@ -100,6 +100,39 @@ TEST(Options, BadIntegerFatal)
                 ::testing::ExitedWithCode(1), "unsigned integer");
 }
 
+TEST(Options, MalformedIntegerFatal)
+{
+    // A suffix must not truncate (250k is not 250), -1 must not wrap
+    // to 2^64 - 1, and overflow must not saturate.
+    for (const char* value : {"250k", "-1", "+1", " 1", "1 ", "",
+                              "18446744073709551616"}) {
+        Options options = makeParser();
+        EXPECT_EXIT(parse(options, {"--count", value}),
+                    ::testing::ExitedWithCode(1), "unsigned integer")
+            << "'" << value << "'";
+    }
+}
+
+TEST(Options, PartialOrNonFiniteDoubleFatal)
+{
+    for (const char* value :
+         {"1.5x", "nan", "inf", "-inf", "1e999", "", "abc"}) {
+        Options options = makeParser();
+        EXPECT_EXIT(parse(options, {"--ratio", value}),
+                    ::testing::ExitedWithCode(1), "finite number")
+            << "'" << value << "'";
+    }
+}
+
+TEST(Options, WholeNumbersAccepted)
+{
+    Options options = makeParser();
+    EXPECT_TRUE(parse(options, {"--count", "18446744073709551615",
+                                "--ratio", "-2.5e-3"}));
+    EXPECT_EQ(options.getUint("count"), 18446744073709551615ull);
+    EXPECT_DOUBLE_EQ(options.getDouble("ratio"), -2.5e-3);
+}
+
 TEST(Options, MissingValueFatal)
 {
     Options options = makeParser();
@@ -112,4 +145,14 @@ TEST(Options, WrongTypeAccessPanics)
     Options options = makeParser();
     EXPECT_TRUE(parse(options, {}));
     EXPECT_DEATH((void)options.getUint("name"), "wrong type");
+}
+
+TEST(ParseTcpPort, WholeDecimalInRange)
+{
+    EXPECT_EQ(parseTcpPort("0"), 0);
+    EXPECT_EQ(parseTcpPort("65535"), 65535);
+    EXPECT_FALSE(parseTcpPort("65536").has_value());
+    EXPECT_FALSE(parseTcpPort("").has_value());
+    EXPECT_FALSE(parseTcpPort("80abc").has_value());
+    EXPECT_FALSE(parseTcpPort("-1").has_value());
 }

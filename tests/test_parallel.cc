@@ -216,6 +216,14 @@ expectIdenticalStudies(const sim::CrossBinaryStudy& a,
         EXPECT_EQ(bsA.vliEstimate.trueCycles,
                   bsB.vliEstimate.trueCycles);
         EXPECT_EQ(bsA.vliEstimate.estCycles, bsB.vliEstimate.estCycles);
+        EXPECT_EQ(bsA.detailedRun.totals, bsB.detailedRun.totals);
+        EXPECT_EQ(bsA.detailedRun.memory.l1Hits,
+                  bsB.detailedRun.memory.l1Hits);
+        EXPECT_EQ(bsA.detailedRun.memory.dramAccesses,
+                  bsB.detailedRun.memory.dramAccesses);
+        EXPECT_EQ(bsA.detailedRun.memory.dramWritebacks,
+                  bsB.detailedRun.memory.dramWritebacks);
+        EXPECT_EQ(bsA.markers.counts, bsB.markers.counts);
     }
 }
 

@@ -88,7 +88,6 @@
 #include "dist/server.hh"
 #include "dist/stagerun.hh"
 #include "dist/worker.hh"
-#include "exec/compiled.hh"
 #include "harness/experiments.hh"
 #include "obs/live/endpoint.hh"
 #include "obs/live/exposition.hh"
@@ -102,7 +101,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
-#include "util/simd/simd.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
 
@@ -506,8 +504,14 @@ cmdTop(const Options& options)
         if (const char* env = std::getenv("XBSP_METRICS_TCP"))
             tcpSpec = env;
     }
-    const int tcpPort =
-        tcpSpec.empty() ? -1 : std::atoi(tcpSpec.c_str());
+    int tcpPort = -1;
+    if (!tcpSpec.empty()) {
+        const std::optional<int> port = parseTcpPort(tcpSpec);
+        if (!port || *port == 0)
+            fatal("bad --metrics-tcp port '{}' (want 1-65535)",
+                  tcpSpec);
+        tcpPort = *port;
+    }
     if (socketPath.empty() && tcpPort < 0)
         fatal("top needs --metrics-socket PATH (or --metrics-tcp "
               "PORT) pointing at a run started with the same flag");
@@ -690,15 +694,11 @@ cmdServe(const Options& options)
     so.unixPath = options.getString("serve-socket");
     const std::string tcp = options.getString("serve-tcp");
     if (!tcp.empty()) {
-        // Validate like parseAddress does client-side; atoi would
-        // turn "abc" into 0 and silently bind an ephemeral port.
-        // 0 stays legal here: it means "pick a port" (tests use it).
-        char* end = nullptr;
-        const long port = std::strtol(tcp.c_str(), &end, 10);
-        if (end == tcp.c_str() || *end != '\0' || port < 0 ||
-            port > 65535)
+        // 0 is legal here: it means "pick a port" (tests use it).
+        const std::optional<int> port = parseTcpPort(tcp);
+        if (!port)
             fatal("bad --serve-tcp port '{}' (want 0-65535)", tcp);
-        so.tcpPort = static_cast<int>(port);
+        so.tcpPort = *port;
     }
     if (so.unixPath.empty() && tcp.empty())
         fatal("serve needs --serve-socket PATH and/or "
@@ -874,14 +874,6 @@ main(int argc, char** argv)
     options.addUint("task-timeout-ms",
                     "per-stage deadline before a worker is declared "
                     "dead (`serve`)", 120000);
-    options.addString("simd",
-                      "kernel dispatch: off|scalar|auto|on|avx2|neon "
-                      "(default: XBSP_SIMD, else best available; pure "
-                      "speed knob — results are bit-identical)", "");
-    options.addString("engine",
-                      "execution engine: interp|compiled (default: "
-                      "XBSP_ENGINE, else compiled; pure speed knob — "
-                      "results are bit-identical)", "");
     options.addString("core",
                       "timing core: inorder|decoupled (default: "
                       "XBSP_CORE, else inorder; a model knob — "
@@ -905,17 +897,8 @@ main(int argc, char** argv)
 
     options.applyJobs();
 
-    // Explicit --simd wins over the XBSP_SIMD environment variable
-    // (which the lazy first dispatch otherwise consults); likewise
-    // --engine over XBSP_ENGINE.
-    if (const std::string mode = options.getString("simd");
-        !mode.empty())
-        simd::select(mode);
-    if (const std::string mode = options.getString("engine");
-        !mode.empty())
-        exec::selectEngineMode(mode);
-    // --core wins over XBSP_CORE the same way; unlike the two above
-    // it changes results, so it must land before any stage runs.
+    // --core wins over XBSP_CORE; it changes results, so it must
+    // land before any stage runs.
     if (const std::string mode = options.getString("core");
         !mode.empty() && !cpu::selectCore(mode))
         fatal("unknown --core '{}' (want inorder|decoupled)", mode);
