@@ -1,8 +1,9 @@
 #include "binary/binary.hh"
 
-#include "util/format.hh"
+#include <algorithm>
 #include <sstream>
 
+#include "util/format.hh"
 #include "util/logging.hh"
 
 namespace xbsp::bin
@@ -49,90 +50,193 @@ Binary::displayName() const
 namespace
 {
 
+/** Dynamic instruction totals saturate here; see binaryDefect(). */
+constexpr InstrCount instrLimit = InstrCount{1} << 53;
+
+InstrCount
+addSat(InstrCount a, InstrCount b)
+{
+    return std::min(a + b, instrLimit);  // a, b <= instrLimit
+}
+
+InstrCount
+mulSat(InstrCount a, u64 b)
+{
+    if (a != 0 && b > instrLimit / a)
+        return instrLimit;
+    return std::min(a * b, instrLimit);
+}
+
+/** The first defect found, thrown inside the checker only. */
+struct Defect
+{
+    std::string what;
+};
+
 struct Checker
 {
     const Binary& binary;
 
+    template <typename... Args>
+    [[noreturn]] void
+    fail(std::string_view fmt, const Args&... args) const
+    {
+        throw Defect{"binary " + binary.displayName() + ": " +
+                     xbsp::format(fmt, args...)};
+    }
+
     void
-    checkBlockId(u32 id) const
+    checkBlockId(u32 id, u32 procId) const
     {
         if (id >= binary.blocks.size())
-            panic("binary {}: block id {} out of range",
-                  binary.displayName(), id);
+            fail("block id {} out of range", id);
+        if (binary.blocks[id].procId != procId)
+            fail("block {} owned by proc {}, referenced from proc {}",
+                 id, binary.blocks[id].procId, procId);
     }
 
     void
     checkMarkerId(u32 id, MarkerKind kind, u32 procId) const
     {
         if (id >= binary.markers.size())
-            panic("binary {}: marker id {} out of range",
-                  binary.displayName(), id);
+            fail("marker id {} out of range", id);
         const Marker& m = binary.markers[id];
         if (m.kind != kind)
-            panic("binary {}: marker {} has kind {}, expected {}",
-                  binary.displayName(), id, markerKindName(m.kind),
-                  markerKindName(kind));
+            fail("marker {} has kind {}, expected {}", id,
+                 markerKindName(m.kind), markerKindName(kind));
         if (m.procId != procId)
-            panic("binary {}: marker {} owned by proc {}, referenced "
-                  "from proc {}", binary.displayName(), id, m.procId,
-                  procId);
+            fail("marker {} owned by proc {}, referenced from proc {}",
+                 id, m.procId, procId);
     }
 
+    /**
+     * Check `stmts` of proc `procId`, enclosed by `depth` loops;
+     * collect its callees.
+     */
     void
-    checkStmts(const std::vector<MachineStmt>& stmts, u32 procId) const
+    checkStmts(const std::vector<MachineStmt>& stmts, u32 procId,
+               u32 depth, std::vector<u32>& callees) const
     {
+        if (depth > ir::maxLoopNesting)
+            fail("loops nested deeper than {}", ir::maxLoopNesting);
         for (const auto& stmt : stmts) {
             if (const auto* ref = std::get_if<BlockRef>(&stmt)) {
-                checkBlockId(ref->blockId);
-                if (binary.blocks[ref->blockId].procId != procId)
-                    panic("binary {}: block {} referenced outside its "
-                          "procedure", binary.displayName(),
-                          ref->blockId);
+                checkBlockId(ref->blockId, procId);
             } else if (const auto* loop =
                            std::get_if<MachineLoop>(&stmt)) {
                 checkMarkerId(loop->entryMarkerId, MarkerKind::LoopEntry,
                               procId);
                 checkMarkerId(loop->branchMarkerId,
                               MarkerKind::LoopBranch, procId);
-                checkBlockId(loop->branchBlockId);
+                checkBlockId(loop->branchBlockId, procId);
                 if (loop->tripCount == 0)
-                    panic("binary {}: loop with trip count 0",
-                          binary.displayName());
-                checkStmts(loop->body, procId);
+                    fail("loop with trip count 0");
+                checkStmts(loop->body, procId, depth + 1, callees);
             } else if (const auto* call =
                            std::get_if<MachineCall>(&stmt)) {
                 if (call->procId >= binary.procs.size())
-                    panic("binary {}: call to proc id {} out of range",
-                          binary.displayName(), call->procId);
+                    fail("call to proc id {} out of range",
+                         call->procId);
+                callees.push_back(call->procId);
             }
         }
     }
+
+    /**
+     * Procedures in callee-first order (an iterative depth-first
+     * postorder of the call graph); fails on a call cycle.
+     */
+    std::vector<u32>
+    calleeFirstOrder(const std::vector<std::vector<u32>>& callees) const
+    {
+        enum : u8 { Unseen, Open, Done };
+        std::vector<u8> state(binary.procs.size(), Unseen);
+        std::vector<u32> order;
+        std::vector<std::pair<u32, std::size_t>> stack;
+        for (u32 root = 0; root < binary.procs.size(); ++root) {
+            if (state[root] != Unseen)
+                continue;
+            state[root] = Open;
+            stack.push_back({root, 0});
+            while (!stack.empty()) {
+                auto& [proc, next] = stack.back();
+                if (next == callees[proc].size()) {
+                    state[proc] = Done;
+                    order.push_back(proc);
+                    stack.pop_back();
+                    continue;
+                }
+                const u32 callee = callees[proc][next++];
+                if (state[callee] == Open)
+                    fail("call cycle through proc {}",
+                         binary.procs[callee].name);
+                if (state[callee] == Unseen) {
+                    state[callee] = Open;
+                    stack.push_back({callee, 0});
+                }
+            }
+        }
+        return order;
+    }
 };
 
+/** Saturating dynamic instructions of `stmts`, given callee totals. */
 InstrCount
-stmtInstrs(const Binary& binary, const std::vector<MachineStmt>& stmts);
-
-InstrCount
-procInstrs(const Binary& binary, u32 procId)
-{
-    return stmtInstrs(binary, binary.procs[procId].body);
-}
-
-InstrCount
-stmtInstrs(const Binary& binary, const std::vector<MachineStmt>& stmts)
+stmtInstrs(const Binary& binary, const std::vector<MachineStmt>& stmts,
+           const std::vector<InstrCount>& procTotals)
 {
     InstrCount total = 0;
     for (const auto& stmt : stmts) {
         if (const auto* ref = std::get_if<BlockRef>(&stmt)) {
-            total += binary.blocks[ref->blockId].instrs;
+            total = addSat(total, binary.blocks[ref->blockId].instrs);
         } else if (const auto* loop = std::get_if<MachineLoop>(&stmt)) {
-            InstrCount body = stmtInstrs(binary, loop->body) +
-                              binary.blocks[loop->branchBlockId].instrs;
-            total += loop->tripCount * body;
+            const InstrCount trip = addSat(
+                stmtInstrs(binary, loop->body, procTotals),
+                binary.blocks[loop->branchBlockId].instrs);
+            total = addSat(total, mulSat(trip, loop->tripCount));
         } else if (const auto* call = std::get_if<MachineCall>(&stmt)) {
-            total += procInstrs(binary, call->procId);
+            total = addSat(total, procTotals[call->procId]);
         }
     }
+    return total;
+}
+
+/**
+ * Check everything and return the dynamic instructions of one
+ * execution (saturated at instrLimit); throws Defect.
+ */
+InstrCount
+checkAndCount(const Binary& binary)
+{
+    const Checker checker{binary};
+    if (binary.entryProcId >= binary.procs.size())
+        checker.fail("entry proc id {} out of range", binary.entryProcId);
+    for (u32 b = 0; b < binary.blocks.size(); ++b) {
+        if (binary.blocks[b].instrs == 0)
+            checker.fail("block {} has no instructions", b);
+        if (binary.blocks[b].procId >= binary.procs.size())
+            checker.fail("block {} owner out of range", b);
+    }
+    for (u32 m = 0; m < binary.markers.size(); ++m) {
+        const Marker& marker = binary.markers[m];
+        if (marker.procId >= binary.procs.size())
+            checker.fail("marker {} owner out of range", m);
+        if (marker.kind == MarkerKind::ProcEntry && marker.symbol.empty())
+            checker.fail("proc-entry marker {} has no symbol", m);
+    }
+    std::vector<std::vector<u32>> callees(binary.procs.size());
+    for (u32 p = 0; p < binary.procs.size(); ++p) {
+        const MachineProc& proc = binary.procs[p];
+        checker.checkMarkerId(proc.entryMarkerId, MarkerKind::ProcEntry,
+                              p);
+        checker.checkStmts(proc.body, p, 0, callees[p]);
+    }
+    std::vector<InstrCount> procTotals(binary.procs.size(), 0);
+    for (u32 p : checker.calleeFirstOrder(callees))
+        procTotals[p] = stmtInstrs(binary, binary.procs[p].body, procTotals);
+    const InstrCount total = procTotals[binary.entryProcId];
+    if (total >= instrLimit)
+        checker.fail("executes 2^53 or more instructions");
     return total;
 }
 
@@ -167,36 +271,32 @@ describeStmts(const Binary& binary,
 
 } // namespace
 
+std::string
+binaryDefect(const Binary& binary)
+{
+    try {
+        (void)checkAndCount(binary);
+    } catch (const Defect& defect) {
+        return defect.what;
+    }
+    return {};
+}
+
 void
 checkBinary(const Binary& binary)
 {
-    if (binary.entryProcId >= binary.procs.size())
-        panic("binary {}: entry proc id {} out of range",
-              binary.displayName(), binary.entryProcId);
-    Checker checker{binary};
-    for (u32 p = 0; p < binary.procs.size(); ++p) {
-        const MachineProc& proc = binary.procs[p];
-        checker.checkMarkerId(proc.entryMarkerId, MarkerKind::ProcEntry,
-                              p);
-        checker.checkStmts(proc.body, p);
-    }
-    for (u32 m = 0; m < binary.markers.size(); ++m) {
-        const Marker& marker = binary.markers[m];
-        if (marker.procId >= binary.procs.size())
-            panic("binary {}: marker {} owner out of range",
-                  binary.displayName(), m);
-        if (marker.kind == MarkerKind::ProcEntry &&
-            marker.symbol.empty()) {
-            panic("binary {}: proc-entry marker {} has no symbol",
-                  binary.displayName(), m);
-        }
-    }
+    if (const std::string defect = binaryDefect(binary); !defect.empty())
+        panic("{}", defect);
 }
 
 InstrCount
 staticDynamicInstrCount(const Binary& binary)
 {
-    return procInstrs(binary, binary.entryProcId);
+    try {
+        return checkAndCount(binary);
+    } catch (const Defect& defect) {
+        panic("{}", defect.what);
+    }
 }
 
 std::string

@@ -154,13 +154,28 @@ struct Binary
 };
 
 /**
- * Structural sanity checks on a compiled binary: ids in range, entry
- * exists, loop control blocks present, marker back-references
- * consistent.  panic()s on violation (compiler bugs, not user error).
+ * The first structural defect of `binary`, or "" when it has none.
+ * A sound binary has its ids in range, an entry procedure, loop
+ * control blocks and markers owned by the loop's procedure, marker
+ * back-references consistent, loops nested at most
+ * ir::maxLoopNesting deep, no zero trip counts, no zero-instruction
+ * blocks, no call cycles, and fewer than 2^53 dynamic instructions.
+ * The last four are what the engine's skip-ahead relies on:
+ * summaries are built by recursion over calls, and bulk BBV adds
+ * stay exact integer-valued doubles.
+ */
+std::string binaryDefect(const Binary& binary);
+
+/**
+ * binaryDefect() as an assertion on compiler output: panic()s on a
+ * defect (compiler bugs, not user error).
  */
 void checkBinary(const Binary& binary);
 
-/** Statically computed dynamic instruction count of one execution. */
+/**
+ * Statically computed dynamic instruction count of one execution;
+ * panic()s on a defective binary.
+ */
 InstrCount staticDynamicInstrCount(const Binary& binary);
 
 /** Human-readable listing (for debugging and the docs). */

@@ -1,5 +1,7 @@
 #include "binary/serial.hh"
 
+#include <limits>
+
 #include "ir/serial.hh"
 
 namespace xbsp::bin
@@ -11,6 +13,16 @@ namespace
 constexpr u64 kindBlockRef = 1;
 constexpr u64 kindLoop = 2;
 constexpr u64 kindCall = 3;
+
+/** A varint that must fit an id or a count field of 32 bits. */
+u32
+u32v(serial::Decoder& d)
+{
+    const u64 v = d.varint();
+    if (v > std::numeric_limits<u32>::max())
+        throw serial::DecodeError("32-bit field out of range");
+    return static_cast<u32>(v);
+}
 
 void
 encodePattern(serial::Encoder& e, const ir::MemPattern& p)
@@ -34,13 +46,13 @@ decodePattern(serial::Decoder& d)
     if (kind > static_cast<u64>(ir::MemPatternKind::Gather))
         throw serial::DecodeError("bad MemPatternKind");
     p.kind = static_cast<ir::MemPatternKind>(kind);
-    p.regionId = static_cast<u32>(d.varint());
+    p.regionId = u32v(d);
     p.workingSet = d.varint();
     p.stride = d.varint();
     p.writeFraction = d.f64();
     p.pointerScale = d.f64();
     p.hotFraction = d.f64();
-    p.driftPeriod = static_cast<u32>(d.varint());
+    p.driftPeriod = u32v(d);
     p.driftAmp = d.f64();
     return p;
 }
@@ -68,8 +80,10 @@ encodeStmts(serial::Encoder& e, const std::vector<MachineStmt>& body)
 }
 
 std::vector<MachineStmt>
-decodeStmts(serial::Decoder& d)
+decodeStmts(serial::Decoder& d, u32 depth)
 {
+    if (depth > ir::maxLoopNesting)
+        throw serial::DecodeError("statements nested too deeply");
     const u64 n = d.arrayCount(2);
     std::vector<MachineStmt> body;
     body.reserve(static_cast<std::size_t>(n));
@@ -77,23 +91,23 @@ decodeStmts(serial::Decoder& d)
         switch (d.varint()) {
         case kindBlockRef: {
             BlockRef ref;
-            ref.blockId = static_cast<u32>(d.varint());
+            ref.blockId = u32v(d);
             body.push_back(ref);
             break;
         }
         case kindLoop: {
             MachineLoop loop;
-            loop.entryMarkerId = static_cast<u32>(d.varint());
-            loop.branchMarkerId = static_cast<u32>(d.varint());
-            loop.branchBlockId = static_cast<u32>(d.varint());
+            loop.entryMarkerId = u32v(d);
+            loop.branchMarkerId = u32v(d);
+            loop.branchBlockId = u32v(d);
             loop.tripCount = d.varint();
-            loop.body = decodeStmts(d);
+            loop.body = decodeStmts(d, depth + 1);
             body.push_back(std::move(loop));
             break;
         }
         case kindCall: {
             MachineCall call;
-            call.procId = static_cast<u32>(d.varint());
+            call.procId = u32v(d);
             body.push_back(call);
             break;
         }
@@ -153,15 +167,15 @@ decodeBinary(serial::Decoder& d)
     if (opt > static_cast<u64>(OptLevel::Optimized))
         throw serial::DecodeError("bad OptLevel");
     binary.target.opt = static_cast<OptLevel>(opt);
-    binary.entryProcId = static_cast<u32>(d.varint());
+    binary.entryProcId = u32v(d);
 
     const u64 procs = d.arrayCount(3);
     binary.procs.reserve(static_cast<std::size_t>(procs));
     for (u64 i = 0; i < procs; ++i) {
         MachineProc proc;
         proc.name = d.str();
-        proc.entryMarkerId = static_cast<u32>(d.varint());
-        proc.body = decodeStmts(d);
+        proc.entryMarkerId = u32v(d);
+        proc.body = decodeStmts(d, 0);
         binary.procs.push_back(std::move(proc));
     }
 
@@ -169,12 +183,12 @@ decodeBinary(serial::Decoder& d)
     binary.blocks.reserve(static_cast<std::size_t>(blocks));
     for (u64 i = 0; i < blocks; ++i) {
         MachineBlock block;
-        block.instrs = static_cast<u32>(d.varint());
-        block.memOps = static_cast<u32>(d.varint());
-        block.stackOps = static_cast<u32>(d.varint());
+        block.instrs = u32v(d);
+        block.memOps = u32v(d);
+        block.stackOps = u32v(d);
         block.pattern = decodePattern(d);
-        block.sourceLine = static_cast<u32>(d.varint());
-        block.procId = static_cast<u32>(d.varint());
+        block.sourceLine = u32v(d);
+        block.procId = u32v(d);
         binary.blocks.push_back(block);
     }
 
@@ -187,10 +201,14 @@ decodeBinary(serial::Decoder& d)
             throw serial::DecodeError("bad MarkerKind");
         marker.kind = static_cast<MarkerKind>(kind);
         marker.symbol = d.str();
-        marker.line = static_cast<u32>(d.varint());
-        marker.procId = static_cast<u32>(d.varint());
+        marker.line = u32v(d);
+        marker.procId = u32v(d);
         binary.markers.push_back(std::move(marker));
     }
+    // The engine indexes a binary unchecked: reject what it could
+    // not run, or could not run exactly.
+    if (const std::string defect = binaryDefect(binary); !defect.empty())
+        throw serial::DecodeError(defect);
     return binary;
 }
 

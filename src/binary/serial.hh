@@ -18,7 +18,10 @@ namespace xbsp::bin
 /** Append a full binary to `e` (see BinaryCodec for the inverse). */
 void encodeBinary(serial::Encoder& e, const Binary& binary);
 
-/** Decode one binary; throws serial::DecodeError on malformed input. */
+/**
+ * Decode one binary; throws serial::DecodeError on malformed input,
+ * including any binary binaryDefect() rejects.
+ */
 Binary decodeBinary(serial::Decoder& d);
 
 /** Fold a target's identity (arch x opt level) into `h`. */

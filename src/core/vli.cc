@@ -10,11 +10,29 @@
 namespace xbsp::core
 {
 
+namespace
+{
+
+/** Credit the mappable-point firings of `trips` repetitions of `trip`. */
+void
+addFirings(std::vector<u64>& fireCounts, const MappableSet& mappable,
+           std::size_t binaryIdx, const exec::Summary& trip, u64 trips)
+{
+    for (const exec::IdCount& m : trip.markerCounts) {
+        const u32 pointIdx = mappable.pointFor(binaryIdx, m.id);
+        if (pointIdx != invalidId)
+            fireCounts[pointIdx] += trips * m.count;
+    }
+}
+
+} // namespace
+
 VliBbvCollector::VliBbvCollector(const exec::Engine& eng,
                                  const MappableSet& set,
                                  std::size_t bIdx,
                                  InstrCount targetSize)
-    : engine(eng), mappable(set), binaryIdx(bIdx), target(targetSize)
+    : engine(eng), mappable(set), binaryIdx(bIdx), target(targetSize),
+      accum(eng.binary().blockCount())
 {
     if (target == 0)
         fatal("VLI interval target must be > 0");
@@ -22,30 +40,19 @@ VliBbvCollector::VliBbvCollector(const exec::Engine& eng,
         fatal("binary index {} out of range ({} binaries)",
               binaryIdx, mappable.binaryCount);
     fireCounts.assign(mappable.points.size(), 0);
-    bbvDense.assign(eng.binary().blockCount(), 0.0);
     fvs.dimension = eng.binary().blockCount();
 }
 
 void
 VliBbvCollector::onBlock(u32 blockId, u32 instrs)
 {
-    if (bbvDense[blockId] == 0.0)
-        bbvTouched.push_back(blockId);
-    bbvDense[blockId] += static_cast<double>(instrs);
+    accum.add(blockId, static_cast<double>(instrs));
 }
 
 void
 VliBbvCollector::closeInterval(InstrCount now)
 {
-    std::sort(bbvTouched.begin(), bbvTouched.end());
-    sp::SparseVec vec;
-    vec.reserve(bbvTouched.size());
-    for (u32 block : bbvTouched) {
-        vec.emplace_back(block, bbvDense[block]);
-        bbvDense[block] = 0.0;
-    }
-    bbvTouched.clear();
-    fvs.addInterval(std::move(vec), now - intervalStart);
+    fvs.addInterval(accum.flush(), now - intervalStart);
     intervalStart = now;
 }
 
@@ -61,6 +68,40 @@ VliBbvCollector::onMarker(u32 markerId)
         part.boundaries.push_back(Boundary{pointIdx, count});
         closeInterval(now);
     }
+}
+
+u64
+VliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips,
+                            const exec::ObserverHooks& streams) const
+{
+    if (!streams.markers)
+        return maxTrips;
+    const bool mapped = std::any_of(
+        trip.markerCounts.begin(), trip.markerCounts.end(),
+        [&](const exec::IdCount& m) {
+            return mappable.pointFor(binaryIdx, m.id) != invalidId;
+        });
+    if (!mapped)
+        return maxTrips;
+    // A mappable firing closes the interval once used >= target, even
+    // in a zero-instruction trip (a call to an empty procedure), and
+    // no event of n trips sees more than used + n * trip.instrs.
+    const InstrCount used = engine.instructionsExecuted() - intervalStart;
+    if (used >= target)
+        return 0;
+    if (trip.instrs == 0)
+        return maxTrips;
+    return std::min(maxTrips, (target - 1 - used) / trip.instrs);
+}
+
+void
+VliBbvCollector::onBulk(const exec::Summary& trip, u64 trips,
+                        const exec::ObserverHooks& streams)
+{
+    if (streams.blocks)
+        accum.addTrips(engine.binary(), trip, trips);
+    if (streams.markers)
+        addFirings(fireCounts, mappable, binaryIdx, trip, trips);
 }
 
 void
@@ -131,7 +172,7 @@ buildVliPartitionUncached(const bin::Binary& primary,
     exec::Engine engine(primary, seed);
     VliBbvCollector collector(engine, mappable, primaryIdx,
                               targetSize);
-    engine.addObserver(&collector, {true, false, true});
+    engine.addObserver(&collector, collector.hooks());
     engine.run();
 
     VliBuild build;
@@ -189,6 +230,36 @@ BoundaryTracker::onMarker(u32 markerId)
                   expected.fireCount, count);
         }
     }
+}
+
+u64
+BoundaryTracker::quietTrips(const exec::Summary& trip, u64 maxTrips,
+                            const exec::ObserverHooks& streams) const
+{
+    if (!streams.markers || finished())
+        return maxTrips;
+    // Only firings of the next boundary's point can cross it or
+    // panic; n trips take that point from `have` to have + n * h.
+    const Boundary& expected = part.boundaries[next];
+    u64 h = 0;
+    for (const exec::IdCount& m : trip.markerCounts) {
+        if (mappable.pointFor(binaryIdx, m.id) == expected.pointIdx)
+            h += m.count;
+    }
+    if (h == 0)
+        return maxTrips;
+    const u64 have = fireCounts[expected.pointIdx];
+    if (have >= expected.fireCount)
+        return 0;
+    return std::min(maxTrips, (expected.fireCount - 1 - have) / h);
+}
+
+void
+BoundaryTracker::onBulk(const exec::Summary& trip, u64 trips,
+                        const exec::ObserverHooks& streams)
+{
+    if (streams.markers)
+        addFirings(fireCounts, mappable, binaryIdx, trip, trips);
 }
 
 } // namespace xbsp::core

@@ -58,9 +58,24 @@ class VliBbvCollector : public exec::Observer
                     const MappableSet& mappable, std::size_t binaryIdx,
                     InstrCount targetSize);
 
+    exec::ObserverHooks
+    hooks() const override
+    {
+        return {true, false, true};
+    }
+
     void onBlock(u32 blockId, u32 instrs) override;
     void onMarker(u32 markerId) override;
     void onRunEnd() override;
+
+    /**
+     * Every trip without a mappable marker of this binary; otherwise
+     * the trips that end before the open interval reaches the target.
+     */
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
+                   const exec::ObserverHooks& streams) const override;
+    void onBulk(const exec::Summary& trip, u64 trips,
+                const exec::ObserverHooks& streams) override;
 
     /** Per-interval BBVs (with true VLI lengths). */
     const sp::FrequencyVectorSet& intervals() const { return fvs; }
@@ -74,8 +89,7 @@ class VliBbvCollector : public exec::Observer
     const std::size_t binaryIdx;
     const InstrCount target;
     std::vector<u64> fireCounts;  ///< per mappable point
-    std::vector<double> bbvDense;
-    std::vector<u32> bbvTouched;
+    prof::BbvAccumulator accum;
     sp::FrequencyVectorSet fvs;
     VliPartition part;
     InstrCount intervalStart = 0;
@@ -126,7 +140,23 @@ class BoundaryTracker : public exec::Observer
     BoundaryTracker(const MappableSet& mappable, std::size_t binaryIdx,
                     const VliPartition& partition, Callback onBoundary);
 
+    exec::ObserverHooks
+    hooks() const override
+    {
+        return {false, false, true};
+    }
+
     void onMarker(u32 markerId) override;
+
+    /**
+     * Every trip once finished or when the trip never fires the next
+     * boundary's point; otherwise the trips that leave that point
+     * short of the boundary's firing.
+     */
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
+                   const exec::ObserverHooks& streams) const override;
+    void onBulk(const exec::Summary& trip, u64 trips,
+                const exec::ObserverHooks& streams) override;
 
     /** True when every boundary has been crossed. */
     bool finished() const { return next == part.boundaries.size(); }

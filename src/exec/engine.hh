@@ -20,7 +20,20 @@
  *         void onMemRefs(std::span<const mem::MemRef> refs);
  *         void onMarker(u32 markerId);
  *         void onRunEnd();
+ *         // Optional, detected with `requires` (see SkippingSink):
+ *         u64 quietTrips(const Summary& trip, u64 maxTrips);
+ *         void onBulk(const Summary& trip, u64 trips);
  *     };
+ *
+ * Skip-ahead: a sink that wants no memory references and has the two
+ * optional members is asked, at the start of every loop trip and at
+ * every call, how many whole trips are *quiet* — trips in which none
+ * of its observers can react to an event beyond counting it.  The
+ * engine then applies those trips in one step from the trip's static
+ * Summary (counters first, then onBulk) instead of walking them.  A
+ * quiet trip never contains an event that changes what an observer
+ * does next, so the observers end up in exactly the state the
+ * per-event walk leaves (DESIGN.md, "Engine run loop").
  *
  * Engine::run() drives a sink that fans out to the registered
  * observers; Engine::runWith(sink) lets the dominant configurations (the BBV
@@ -46,6 +59,9 @@
 #ifndef XBSP_EXEC_ENGINE_HH
 #define XBSP_EXEC_ENGINE_HH
 
+#include <algorithm>
+#include <concepts>
+#include <deque>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -66,6 +82,28 @@ struct ObserverHooks
     bool blocks = false;
     bool memRefs = false;
     bool markers = false;
+};
+
+/** One (block or marker id, dynamic count) entry of a Summary. */
+struct IdCount
+{
+    u32 id = 0;
+    u64 count = 0;
+};
+
+/**
+ * The events of one loop trip (body, branch block, branch marker) or
+ * one procedure call (entry marker, body).  Control flow is static,
+ * so every trip of a loop and every call of a procedure executes
+ * exactly these events; only their order is dropped.
+ */
+struct Summary
+{
+    InstrCount instrs = 0;              ///< instructions executed
+    u64 blocks = 0;                     ///< block executions
+    u64 markers = 0;                    ///< marker firings
+    std::vector<IdCount> blockCounts;   ///< sorted by block id
+    std::vector<IdCount> markerCounts;  ///< sorted by marker id
 };
 
 /** Base class for execution observers; override what you need. */
@@ -117,6 +155,43 @@ class Observer
 
     /** The program finished. */
     virtual void onRunEnd() {}
+
+    /**
+     * How many of the next `maxTrips` repetitions of `trip` are
+     * quiet for this observer: no event in them may make it do
+     * anything but count.  `streams` are the event kinds it is
+     * subscribed to.  The default 0 keeps the observer on the
+     * per-event path; the engine skips only when every observer
+     * agrees.
+     */
+    virtual u64
+    quietTrips(const Summary& trip, u64 maxTrips,
+               const ObserverHooks& streams) const
+    {
+        (void)trip;
+        (void)maxTrips;
+        (void)streams;
+        return 0;
+    }
+
+    /**
+     * `trips` quiet repetitions of `trip` ran: apply their events of
+     * `streams` at once.  The engine's counters already include them.
+     */
+    virtual void
+    onBulk(const Summary& trip, u64 trips, const ObserverHooks& streams)
+    {
+        (void)trip;
+        (void)trips;
+        (void)streams;
+    }
+};
+
+/** A sink with the optional skip-ahead members. */
+template <typename Sink>
+concept SkippingSink = requires(Sink& sink, const Summary& trip, u64 n) {
+    { sink.quietTrips(trip, n) } -> std::convertible_to<u64>;
+    sink.onBulk(trip, n);
 };
 
 /** Executes one binary once; construct a fresh engine per run. */
@@ -165,6 +240,17 @@ class Engine
         u32 stackCursor = 0;
     };
 
+    /**
+     * The Summary of one loop trip or procedure call, plus the nodes
+     * of its body's loops and calls (null for block statements), so
+     * the walk finds a child's summary by statement index.
+     */
+    struct SummaryNode
+    {
+        Summary trip;
+        std::vector<const SummaryNode*> kids;  ///< per body statement
+    };
+
     /** One level of the iterative statement walk (proc or loop body). */
     struct Frame
     {
@@ -172,6 +258,7 @@ class Engine
         std::size_t next = 0;                     ///< next stmt index
         const bin::MachineLoop* loop = nullptr;   ///< loop-body frame
         u64 iter = 0;                             ///< completed trips
+        const SummaryNode* node = nullptr;        ///< when skipping
     };
 
     /** Sink fanning out to the registered observer vectors. */
@@ -183,8 +270,14 @@ class Engine
     std::vector<Observer*> memObservers;
     std::vector<Observer*> markerObservers;
     std::vector<Observer*> allObservers;
+    std::vector<ObserverHooks> allHooks;    ///< parallel to allObservers
     std::unique_ptr<mem::MemRef[]> refBuf;  ///< per-block scratch
     std::vector<Frame> frames;              ///< statement walk stack
+    /// Summary nodes, built on the first skipping run: one per
+    /// reachable procedure and one per loop (a deque keeps the
+    /// kids' pointers valid as it grows).
+    std::deque<SummaryNode> summaries;
+    std::vector<const SummaryNode*> procSummaries;  ///< by proc id
     InstrCount instrCount = 0;
     // Event tallies kept as plain integers in the hot path and
     // flushed to the stats registry once per run() (one atomic add
@@ -192,6 +285,8 @@ class Engine
     u64 blocksExecuted = 0;
     u64 refsIssued = 0;
     u64 markersFired = 0;
+    u64 bulkInstrs = 0;  ///< instructions applied by onBulk steps
+    u64 bulkTrips = 0;   ///< trips and calls applied by onBulk steps
     bool ran = false;
 
     /**
@@ -248,20 +343,57 @@ class Engine
     }
 
     /**
+     * Apply as many of the next `maxTrips` (>= 1) repetitions of
+     * `trip` as the sink calls quiet, in one step; returns how many.
+     */
+    template <typename Sink>
+    u64
+    bulkT(Sink& sink, const Summary& trip, u64 maxTrips)
+    {
+        if constexpr (SkippingSink<Sink>) {
+            const u64 n = std::min(maxTrips, sink.quietTrips(trip, maxTrips));
+            if (n == 0)
+                return 0;
+            instrCount += n * trip.instrs;
+            blocksExecuted += n * trip.blocks;
+            if (sink.wantsMarkers())
+                markersFired += n * trip.markers;
+            bulkInstrs += n * trip.instrs;
+            bulkTrips += n;
+            sink.onBulk(trip, n);
+            return n;
+        } else {
+            (void)sink;
+            (void)trip;
+            (void)maxTrips;
+            return 0;
+        }
+    }
+
+    /**
      * The run loop: iterative statement walk with an explicit frame
      * stack.  Event order: a procedure's entry marker
      * fires before its body, a loop's entry marker before its first
      * iteration, and each iteration runs body, branch block, branch
-     * marker.
+     * marker.  With a skipping sink (no memory stream), the start of
+     * every loop trip and every call first offers the sink a bulk
+     * step over whole trips.
      */
     template <typename Sink>
     void
     runT(Sink& sink)
     {
+        bool skip = false;
+        if constexpr (SkippingSink<Sink>)
+            skip = !sink.wantsMems();
         const bin::MachineProc& entry = bin.procs[bin.entryProcId];
-        fireMarkerT(sink, entry.entryMarkerId);
+        const SummaryNode* root =
+            skip ? &procNode(bin.entryProcId) : nullptr;
         frames.clear();
-        frames.push_back({&entry.body, 0, nullptr, 0});
+        if (!skip || bulkT(sink, root->trip, 1) == 0) {
+            fireMarkerT(sink, entry.entryMarkerId);
+            frames.push_back({&entry.body, 0, nullptr, 0, root});
+        }
 
         while (!frames.empty()) {
             Frame& frame = frames.back();
@@ -271,32 +403,59 @@ class Engine
                     // block, branch marker, then loop or fall through.
                     execBlockT(sink, frame.loop->branchBlockId);
                     fireMarkerT(sink, frame.loop->branchMarkerId);
-                    if (++frame.iter < frame.loop->tripCount) {
-                        frame.next = 0;
-                        continue;
+                    const u64 trips = frame.loop->tripCount;
+                    if (++frame.iter < trips) {
+                        if (skip) {
+                            frame.iter += bulkT(sink, frame.node->trip,
+                                                trips - frame.iter);
+                        }
+                        if (frame.iter < trips) {
+                            frame.next = 0;
+                            continue;
+                        }
                     }
                 }
                 frames.pop_back();
                 continue;
             }
 
-            const bin::MachineStmt& stmt = (*frame.stmts)[frame.next];
-            ++frame.next;
+            const std::size_t idx = frame.next++;
+            const bin::MachineStmt& stmt = (*frame.stmts)[idx];
             if (const auto* ref = std::get_if<bin::BlockRef>(&stmt)) {
                 execBlockT(sink, ref->blockId);
             } else if (const auto* loop =
                            std::get_if<bin::MachineLoop>(&stmt)) {
                 fireMarkerT(sink, loop->entryMarkerId);
-                if (loop->tripCount > 0)
-                    frames.push_back({&loop->body, 0, loop, 0});
+                if (loop->tripCount == 0)
+                    continue;
+                const SummaryNode* node =
+                    skip ? frame.node->kids[idx] : nullptr;
+                const u64 done =
+                    skip ? bulkT(sink, node->trip, loop->tripCount) : 0;
+                if (done < loop->tripCount)
+                    frames.push_back({&loop->body, 0, loop, done, node});
             } else if (const auto* call =
                            std::get_if<bin::MachineCall>(&stmt)) {
+                const SummaryNode* node =
+                    skip ? frame.node->kids[idx] : nullptr;
+                if (skip && bulkT(sink, node->trip, 1) == 1)
+                    continue;
                 const bin::MachineProc& proc = bin.procs[call->procId];
                 fireMarkerT(sink, proc.entryMarkerId);
-                frames.push_back({&proc.body, 0, nullptr, 0});
+                frames.push_back({&proc.body, 0, nullptr, 0, node});
             }
         }
     }
+
+    /**
+     * The call summary of `procId`, building it on first use;
+     * `depth` counts the calls above it, to stop on call cycles.
+     */
+    const SummaryNode& procNode(u32 procId, u32 depth = 0);
+
+    /** Add the events of `stmts` to `node` and set its kids. */
+    void summarize(const std::vector<bin::MachineStmt>& stmts,
+                   SummaryNode& node, u32 depth);
 
     void flushStats();
 };

@@ -1,5 +1,6 @@
 #include "ir/program.hh"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -37,6 +38,8 @@ struct Validator
     const Program& program;
     std::set<u32> lines;
     std::map<std::string, Colour> colour;
+    /** Loop nesting of each validated procedure, callees included. */
+    std::map<std::string, u64> nesting;
 
     explicit Validator(const Program& p) : program(p) {}
 
@@ -51,9 +54,11 @@ struct Validator
                   program.name, line);
     }
 
-    void
+    /** Check `stmts`; return their loop nesting, callees included. */
+    u64
     visitStmts(const std::vector<Stmt>& stmts)
     {
+        u64 deepest = 0;
         for (const auto& stmt : stmts) {
             if (const auto* blk = std::get_if<Block>(&stmt)) {
                 checkLine(blk->line, "block");
@@ -80,15 +85,16 @@ struct Validator
                 if (loop->tripCount == 0)
                     fatal("program '{}': loop at line {} has trip "
                           "count 0", program.name, loop->line);
-                visitStmts(loop->body);
+                deepest = std::max(deepest, 1 + visitStmts(loop->body));
             } else if (const auto* call = std::get_if<Call>(&stmt)) {
                 checkLine(call->line, "call");
-                visitProc(call->callee);
+                deepest = std::max(deepest, visitProc(call->callee));
             }
         }
+        return deepest;
     }
 
-    void
+    u64
     visitProc(const std::string& name)
     {
         const Procedure* proc = program.findProcedure(name);
@@ -100,11 +106,12 @@ struct Validator
             if (it->second == Colour::Grey)
                 fatal("program '{}': recursive call cycle through "
                       "'{}'", program.name, name);
-            return; // already validated
+            return nesting[name]; // already validated
         }
         colour[name] = Colour::Grey;
-        visitStmts(proc->body);
+        nesting[name] = visitStmts(proc->body);
         colour[name] = Colour::Black;
+        return nesting[name];
     }
 };
 
@@ -154,7 +161,10 @@ validate(const Program& program)
                   program.name, proc.name);
     }
     Validator v(program);
-    v.visitProc(program.entry);
+    const u64 nesting = v.visitProc(program.entry);
+    if (nesting > maxLoopNesting)
+        fatal("program '{}': loops nest {} deep along a call chain "
+              "(limit {})", program.name, nesting, maxLoopNesting);
 }
 
 InstrCount

@@ -140,9 +140,19 @@ struct Program
 };
 
 /**
+ * Deepest loop nesting a program or binary may have.  For a program
+ * it counts the loops enclosing a statement along the whole call
+ * chain, which bounds any binary's nesting, inlining included.
+ * validate(), bin::binaryDefect() and the binary decoder share it, so
+ * every binary that compiles also decodes.
+ */
+constexpr u32 maxLoopNesting = 256;
+
+/**
  * Validate structural invariants: entry exists, all calls resolve,
  * the call graph is acyclic, line numbers are unique and non-zero,
- * trip counts are non-zero, and block instruction counts are sane.
+ * trip counts are non-zero, block instruction counts are sane, and
+ * loops nest at most maxLoopNesting deep along any call chain.
  * Calls fatal() with a diagnostic on violation.
  */
 void validate(const Program& program);

@@ -24,6 +24,16 @@ MarkerProfiler::finish(InstrCount totalInstrs)
     profile.totalInstructions = totalInstrs;
 }
 
+void
+MarkerProfiler::onBulk(const exec::Summary& trip, u64 trips,
+                       const exec::ObserverHooks& streams)
+{
+    if (!streams.markers)
+        return;
+    for (const exec::IdCount& m : trip.markerCounts)
+        profile.counts[m.id] += trips * m.count;
+}
+
 BbvAccumulator::BbvAccumulator(u32 dimension)
 {
     dense.assign(dimension, 0.0);
@@ -35,6 +45,16 @@ BbvAccumulator::add(u32 block, double value)
     if (dense[block] == 0.0)
         touched.push_back(block);
     dense[block] += value;
+}
+
+void
+BbvAccumulator::addTrips(const bin::Binary& binary,
+                         const exec::Summary& trip, u64 trips)
+{
+    for (const exec::IdCount& b : trip.blockCounts) {
+        add(b.id, static_cast<double>(trips * b.count *
+                                      binary.blocks[b.id].instrs));
+    }
 }
 
 sp::SparseVec
@@ -71,6 +91,27 @@ FliBbvCollector::onBlock(u32 blockId, u32 instrs)
         ends.push_back(now);
         intervalStart = now;
     }
+}
+
+u64
+FliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips,
+                            const exec::ObserverHooks& streams) const
+{
+    // An interval closes at the first block event with
+    // used >= target, so used < target between events, and no event
+    // of n trips sees more than used + n * trip.instrs.
+    if (!streams.blocks || trip.instrs == 0)
+        return maxTrips;
+    const InstrCount used = engine.instructionsExecuted() - intervalStart;
+    return std::min(maxTrips, (target - 1 - used) / trip.instrs);
+}
+
+void
+FliBbvCollector::onBulk(const exec::Summary& trip, u64 trips,
+                        const exec::ObserverHooks& streams)
+{
+    if (streams.blocks)
+        accum.addTrips(engine.binary(), trip, trips);
 }
 
 void
@@ -120,7 +161,9 @@ namespace
 
 /**
  * Concrete sink for the profile pass — blocks into the BBV
- * collector, markers into the marker profiler, no memory stream.
+ * collector, markers into the marker profiler, no memory stream, and
+ * bulk steps wherever the open FLI interval stays short of its
+ * target.
  * Both observer classes are final, so every call devirtualizes and
  * the whole pass compiles into one tight loop.  Event routing and
  * run-end order match the legacy registration (markers, then bbv)
@@ -142,6 +185,20 @@ struct ProfileSink
     void onMemRefs(std::span<const mem::MemRef>) {}
     void onMarker(u32 markerId) { markers.onMarker(markerId); }
     void onRunEnd() { bbv.onRunEnd(); }
+
+    u64
+    quietTrips(const exec::Summary& trip, u64 maxTrips) const
+    {
+        return std::min(markers.quietTrips(trip, maxTrips, markers.hooks()),
+                        bbv.quietTrips(trip, maxTrips, bbv.hooks()));
+    }
+
+    void
+    onBulk(const exec::Summary& trip, u64 trips)
+    {
+        markers.onBulk(trip, trips, markers.hooks());
+        bbv.onBulk(trip, trips, bbv.hooks());
+    }
 };
 
 ProfilePass

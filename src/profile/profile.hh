@@ -40,6 +40,17 @@ class MarkerProfiler final : public exec::Observer
 
     void onMarker(u32 markerId) override { ++profile.counts[markerId]; }
 
+    /** Counting is all it does: every trip is quiet. */
+    u64
+    quietTrips(const exec::Summary&, u64 maxTrips,
+               const exec::ObserverHooks&) const override
+    {
+        return maxTrips;
+    }
+
+    void onBulk(const exec::Summary& trip, u64 trips,
+                const exec::ObserverHooks& streams) override;
+
     /** Record the final instruction count at run end. */
     void finish(InstrCount totalInstrs);
 
@@ -60,6 +71,13 @@ class BbvAccumulator
 
     /** Credit `value` (instructions executed) to dimension `block`. */
     void add(u32 block, double value);
+
+    /**
+     * Credit the instructions of `trips` repetitions of `trip`, one
+     * add per block.  Exact: every sum is an integer below 2^53.
+     */
+    void addTrips(const bin::Binary& binary, const exec::Summary& trip,
+                  u64 trips);
 
     /** Extract the accumulated sparse vector and reset. */
     sp::SparseVec flush();
@@ -93,6 +111,12 @@ class FliBbvCollector final : public exec::Observer
 
     void onBlock(u32 blockId, u32 instrs) override;
     void onRunEnd() override;
+
+    /** Trips that end before the open interval reaches the target. */
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
+                   const exec::ObserverHooks& streams) const override;
+    void onBulk(const exec::Summary& trip, u64 trips,
+                const exec::ObserverHooks& streams) override;
 
     /** Per-interval BBVs with instruction lengths. */
     const sp::FrequencyVectorSet& intervals() const { return fvs; }

@@ -143,6 +143,17 @@ TEST(IrValidate, DuplicateProcedureFatal)
                 "declared twice");
 }
 
+TEST(IrValidate, LoopNestingLimitCountsCallChains)
+{
+    // Loops inside a callee add to the loops around its call site.
+    const Program atLimit = test::deepProgram(200, maxLoopNesting - 200);
+    EXPECT_EQ(sourceInstructionCount(atLimit), 3u);
+    EXPECT_EXIT((void)test::deepProgram(200, maxLoopNesting - 199),
+                ::testing::ExitedWithCode(1), "nest 257 deep");
+    EXPECT_EXIT((void)test::deepProgram(maxLoopNesting + 1, 0),
+                ::testing::ExitedWithCode(1), "nest 257 deep");
+}
+
 TEST(IrValidate, TinyAndTrickyValidate)
 {
     // Building already validates; reaching here means success.

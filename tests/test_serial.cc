@@ -339,3 +339,204 @@ TEST(SerialCodec, MalformedEnumRejected)
     serial::Decoder d(e.view());
     EXPECT_THROW(bin::decodeBinary(d), serial::DecodeError);
 }
+
+namespace
+{
+
+/** A sound binary to break: tiny's 32u build. */
+bin::Binary
+soundBinary()
+{
+    return compile::compileProgram(test::tinyProgram(), bin::target32u);
+}
+
+/** The first loop of procedure `name`. */
+bin::MachineLoop&
+firstLoop(bin::Binary& binary, const std::string& name)
+{
+    for (bin::MachineStmt& stmt :
+         binary.procs[binary.findProc(name)].body) {
+        if (auto* loop = std::get_if<bin::MachineLoop>(&stmt))
+            return *loop;
+    }
+    throw std::logic_error("no loop in " + name);
+}
+
+/** Encode `binary` and expect the decoder to reject it. */
+void
+expectRejected(const bin::Binary& binary)
+{
+    serial::Encoder e;
+    bin::encodeBinary(e, binary);
+    serial::Decoder d(e.view());
+    EXPECT_THROW((void)bin::decodeBinary(d), serial::DecodeError);
+}
+
+} // namespace
+
+TEST(BinaryDecode, SoundBinaryPasses)
+{
+    const bin::Binary binary = soundBinary();
+    EXPECT_EQ(bin::binaryDefect(binary), "");
+}
+
+TEST(BinaryDecode, RejectsOutOfRangeBlockId)
+{
+    bin::Binary binary = soundBinary();
+    bin::MachineLoop& loop = firstLoop(binary, "work");
+    std::get<bin::BlockRef>(loop.body[0]).blockId = binary.blockCount();
+    expectRejected(binary);
+}
+
+TEST(BinaryDecode, RejectsOutOfRangeMarkerId)
+{
+    bin::Binary binary = soundBinary();
+    firstLoop(binary, "work").branchMarkerId = binary.markerCount() + 7;
+    expectRejected(binary);
+}
+
+TEST(BinaryDecode, RejectsOutOfRangeProcIds)
+{
+    bin::Binary call = soundBinary();
+    call.procs[call.findProc("main")].body.push_back(
+        bin::MachineCall{static_cast<u32>(call.procs.size())});
+    expectRejected(call);
+
+    bin::Binary entry = soundBinary();
+    entry.entryProcId = static_cast<u32>(entry.procs.size());
+    expectRejected(entry);
+
+    bin::Binary owner = soundBinary();
+    owner.blocks[0].procId = static_cast<u32>(owner.procs.size());
+    expectRejected(owner);
+}
+
+TEST(BinaryDecode, RejectsIdsWiderThan32Bits)
+{
+    const bin::Binary binary = soundBinary();
+    serial::Encoder e;
+    bin::encodeBinary(e, binary);
+    // The entry proc id follows the name and the two target enums;
+    // re-encode it as 2^32 + its value.
+    serial::Encoder wide;
+    wide.str(binary.programName);
+    wide.varint(static_cast<u64>(binary.target.arch));
+    wide.varint(static_cast<u64>(binary.target.opt));
+    serial::Encoder narrow = wide;
+    narrow.varint(binary.entryProcId);
+    wide.varint((1ull << 32) + binary.entryProcId);
+    const std::string rest(e.view().substr(narrow.size()));
+    wide.bytes(rest.data(), rest.size());
+    serial::Decoder d(wide.view());
+    EXPECT_THROW((void)bin::decodeBinary(d), serial::DecodeError);
+}
+
+TEST(BinaryDecode, RejectsZeroTripCount)
+{
+    bin::Binary binary = soundBinary();
+    firstLoop(binary, "setup").tripCount = 0;
+    expectRejected(binary);
+    EXPECT_DEATH(bin::checkBinary(binary), "trip count 0");
+}
+
+TEST(BinaryDecode, RejectsZeroInstructionBlock)
+{
+    bin::Binary binary = soundBinary();
+    binary.blocks[0].instrs = 0;
+    expectRejected(binary);
+    EXPECT_DEATH(bin::checkBinary(binary), "no instructions");
+}
+
+TEST(BinaryDecode, RejectsCallCycle)
+{
+    bin::Binary binary = soundBinary();
+    firstLoop(binary, "work").body.push_back(
+        bin::MachineCall{binary.findProc("main")});
+    expectRejected(binary);
+    EXPECT_DEATH(bin::checkBinary(binary), "call cycle");
+
+    bin::Binary self = soundBinary();
+    const u32 tail = self.findProc("tail");
+    self.procs[tail].body.push_back(bin::MachineCall{tail});
+    expectRejected(self);
+}
+
+TEST(BinaryDecode, RejectsBranchBlockOfAnotherProc)
+{
+    bin::Binary binary = soundBinary();
+    const u32 setupBranch = firstLoop(binary, "setup").branchBlockId;
+    firstLoop(binary, "work").branchBlockId = setupBranch;
+    expectRejected(binary);
+    EXPECT_DEATH(bin::checkBinary(binary), "owned by proc");
+}
+
+TEST(BinaryDecode, RejectsTwoPow53Instructions)
+{
+    bin::Binary binary = soundBinary();
+    firstLoop(binary, "setup").tripCount = 1ull << 53;
+    expectRejected(binary);
+    EXPECT_DEATH(bin::checkBinary(binary), "2\\^53");
+
+    // Totals saturate instead of wrapping: 2^63 x 2^63 trips must not
+    // come out small.
+    bin::Binary wraps = soundBinary();
+    firstLoop(wraps, "work").tripCount = 1ull << 63;
+    firstLoop(wraps, "main").tripCount = 1ull << 63;
+    expectRejected(wraps);
+}
+
+namespace
+{
+
+/** Wrap the top-level loop of "work" in `extra` one-trip loops. */
+bin::Binary
+nestedWork(u32 extra)
+{
+    bin::Binary binary = soundBinary();
+    bin::MachineLoop& loop = firstLoop(binary, "work");
+    bin::MachineLoop nested = loop;
+    for (u32 depth = 0; depth < extra; ++depth) {
+        bin::MachineLoop outer = loop;
+        outer.tripCount = 1;
+        outer.body = {std::move(nested)};
+        nested = std::move(outer);
+    }
+    loop = std::move(nested);
+    return binary;
+}
+
+} // namespace
+
+TEST(BinaryDecode, RejectsDeepNesting)
+{
+    // ir::maxLoopNesting loops are sound; one more is a defect.
+    const bin::Binary atLimit = nestedWork(ir::maxLoopNesting - 1);
+    EXPECT_EQ(bin::binaryDefect(atLimit), "");
+    serial::Encoder e;
+    bin::encodeBinary(e, atLimit);
+    serial::Decoder d(e.view());
+    EXPECT_NO_THROW((void)bin::decodeBinary(d));
+
+    const bin::Binary over = nestedWork(ir::maxLoopNesting);
+    expectRejected(over);
+    EXPECT_DEATH(bin::checkBinary(over), "nested deeper than 256");
+    expectRejected(nestedWork(300));
+}
+
+TEST(BinaryDecode, EveryCompiledNestingDecodes)
+{
+    // Compile and decode agree on the limit: a program at it compiles
+    // (inlining adds the leaf's loops to main's) and every binary
+    // decodes back to the same encoding.
+    const ir::Program program =
+        test::deepProgram(200, ir::maxLoopNesting - 200);
+    for (const bin::Binary& binary : test::compileFour(program)) {
+        serial::Encoder e;
+        bin::encodeBinary(e, binary);
+        serial::Decoder d(e.view());
+        const bin::Binary back = bin::decodeBinary(d);
+        serial::Encoder again;
+        bin::encodeBinary(again, back);
+        EXPECT_EQ(again.view(), e.view()) << binary.displayName();
+    }
+}

@@ -8,6 +8,8 @@
 #ifndef XBSP_TESTS_TEST_SUPPORT_HH
 #define XBSP_TESTS_TEST_SUPPORT_HH
 
+#include <functional>
+
 #include "compile/compiler.hh"
 #include "ir/builder.hh"
 #include "profile/profile.hh"
@@ -84,6 +86,34 @@ trickyProgram()
         outer.call("helper");
         outer.call("sometimes");
     });
+    return b.build();
+}
+
+/**
+ * A program whose loops nest `outer + inner` deep along one call
+ * chain: main wraps a call to the always-inlined `leaf` in `outer`
+ * one-trip loops, and leaf wraps one block in `inner` more.
+ */
+inline ir::Program
+deepProgram(u32 outer, u32 inner)
+{
+    using namespace ir;
+    ProgramBuilder b("deep");
+    std::function<void(StmtSeq&, u32, const std::function<void(StmtSeq&)>&)>
+        nest = [&](StmtSeq& s, u32 depth,
+                   const std::function<void(StmtSeq&)>& innermost) {
+            if (depth == 0) {
+                innermost(s);
+                return;
+            }
+            s.loop(1, [&](StmtSeq& body) {
+                nest(body, depth - 1, innermost);
+            });
+        };
+    StmtSeq leaf = b.procedure("leaf", InlineHint::Always);
+    nest(leaf, inner, [](StmtSeq& s) { s.compute(3); });
+    StmtSeq main = b.procedure("main");
+    nest(main, outer, [](StmtSeq& s) { s.call("leaf"); });
     return b.build();
 }
 

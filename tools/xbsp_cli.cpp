@@ -451,6 +451,15 @@ renderTopFrame(const std::map<std::string, double>& series)
         seriesValue(series, "xbsp_kmeans_estep_distances_rate") / 1e6,
         seriesValue(series, "xbsp_kmeans_estep_distances_total"));
     add();
+    const double instrs = seriesValue(series, "xbsp_engine_instrs_total");
+    const double bulk =
+        seriesValue(series, "xbsp_engine_instrs_bulk_total");
+    std::snprintf(
+        line, sizeof(line),
+        "engine    %.0f instrs, %5.1f%% skipped ahead (%.0f trips)\n",
+        instrs, instrs > 0.0 ? 100.0 * bulk / instrs : 0.0,
+        seriesValue(series, "xbsp_engine_trips_bulk_total"));
+    add();
     std::snprintf(
         line, sizeof(line),
         "k-means   %.0f fits, %.0f proven cycles (%.0f iterations "
