@@ -1,6 +1,7 @@
 #include "dist/server.hh"
 
 #include <exception>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -25,6 +26,14 @@ suiteConfig(const SuiteRequest& request)
     config.workScale = request.workScale;
     config.study = harness::defaultStudyConfig();
     config.study.intervalTarget = request.intervalTarget;
+    // maxK travels as a u64 varint; narrowing it silently would run
+    // 2^32 + 10 as k = 10.
+    if (request.maxK == 0 ||
+        request.maxK > std::numeric_limits<u32>::max()) {
+        throw std::runtime_error(
+            format("maxK must be between 1 and {}, got {}",
+                   std::numeric_limits<u32>::max(), request.maxK));
+    }
     config.study.simpoint.maxK = static_cast<u32>(request.maxK);
     config.study.simpoint.seed = request.seed;
     if (!request.core.empty()) {

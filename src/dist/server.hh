@@ -100,7 +100,9 @@ class Server
 /**
  * Translate a SuiteRequest into the harness configuration, exactly as
  * the bench binaries build theirs (defaultStudyConfig + the request's
- * scalars).  Shared by the daemon and `xbsp submit --local`.
+ * scalars).  Shared by the daemon and `xbsp submit --local`.  Throws
+ * std::runtime_error on an unknown core or a maxK outside
+ * [1, 2^32 - 1], so the daemon answers a bad request with an error.
  */
 harness::ExperimentConfig suiteConfig(const SuiteRequest& request);
 

@@ -4,7 +4,10 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <numeric>
+#include <span>
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
@@ -32,6 +35,7 @@ struct KMeansStats
     obs::Counter cycles;     ///< fits that entered a proven cycle
     obs::Counter proven;     ///< iterations skipped by that proof
     obs::Counter mstepRows;  ///< point rows accumulated by M-steps
+    obs::Counter mstepReused;  ///< M-step lookups the memo served
     obs::Counter initTerms;  ///< terms summed by k-means++ draws
     obs::Distribution iterations;
     obs::Distribution batchSize;  ///< centroid rows per batched call
@@ -49,6 +53,7 @@ kmeansStats()
         reg.counter("kmeans.cycles"),
         reg.counter("kmeans.iterations.proven"),
         reg.counter("kmeans.mstep.rows"),
+        reg.counter("kmeans.mstep.reused"),
         reg.counter("kmeans.init.terms"),
         reg.distribution("kmeans.iterations"),
         reg.distribution("kmeans.estep.batchSize"),
@@ -138,15 +143,22 @@ assignLabels(const ProjectedData& data, const KMeansResult& res,
  *    by the same sqDist on the same operands the naive scan would
  *    reduce with, and the SSE is accumulated over *original* points
  *    in the same chunk order — bit-identical floats.
+ *
+ * Between E-steps the labels are kept per class too: while
+ * `classLevel` holds, point i's label is `labelOwner[classOf[i]]`
+ * and `res.labels` is stale until materialize() writes it out.
  */
 struct AccelState
 {
-    std::vector<u32> classOf;    ///< point -> class
-    std::vector<u32> classFirst; ///< class -> lowest point index
-    std::vector<u32> ownerOf;    ///< class -> owner hypothesis
-    std::vector<double> lower;   ///< class -> non-owner lower bound
-    std::vector<double> dOwn;    ///< class -> exact sqDist to owner
-    bool boundsValid = false;    ///< lower[] usable this iteration
+    std::span<const u32> classOf;    ///< point -> class
+    std::span<const u32> classFirst; ///< class -> lowest point index
+    std::vector<u32> identity;  ///< backs both maps without classes
+    std::vector<u32> ownerOf;   ///< class -> owner hypothesis
+    std::vector<double> lower;  ///< class -> non-owner lower bound
+    std::vector<double> dOwn;   ///< class -> exact sqDist to owner
+    bool boundsValid = false;   ///< lower[] usable this iteration
+    std::vector<u32> labelOwner;  ///< class -> label of its points
+    bool classLevel = false;      ///< labelOwner holds the labels
 
     /** Adopt the data's duplicate classes (identity when absent). */
     void
@@ -156,24 +168,93 @@ struct AccelState
             classOf = data.classOf;
             classFirst = data.classFirst;
         } else {
-            classOf.resize(data.count);
-            classFirst.resize(data.count);
-            for (std::size_t i = 0; i < data.count; ++i) {
-                classOf[i] = static_cast<u32>(i);
-                classFirst[i] = static_cast<u32>(i);
-            }
+            identity.resize(data.count);
+            std::iota(identity.begin(), identity.end(), u32{0});
+            classOf = identity;
+            classFirst = identity;
         }
         ownerOf.assign(classFirst.size(), 0);
         lower.assign(classFirst.size(), 0.0);
         dOwn.assign(classFirst.size(), 0.0);
     }
 
-    /** Seed owner hypotheses from the current labels. */
+    /**
+     * Seed owner hypotheses from the current labels.  `uniform` says
+     * every point carries the same label (k-means++ leaves them all
+     * 0), so the labels are class-level without a check.
+     */
     void
-    adoptLabels(const std::vector<u32>& labels)
+    adoptLabels(const std::vector<u32>& labels, bool uniform)
     {
         for (std::size_t u = 0; u < classFirst.size(); ++u)
             ownerOf[u] = labels[classFirst[u]];
+        if (uniform) {
+            labelOwner = ownerOf;
+            classLevel = true;
+        } else {
+            regroup(labels);
+        }
+    }
+
+    /**
+     * Make per-point labels class-level again when every class's
+     * members share one label.  A re-seed moves single points, so it
+     * keeps that only when each point it moved was alone in its
+     * class (always, for data without duplicate classes).
+     */
+    void
+    regroup(const std::vector<u32>& labels)
+    {
+        for (std::size_t i = 0; i < labels.size(); ++i) {
+            if (labels[i] != labels[classFirst[classOf[i]]])
+                return;
+        }
+        labelOwner.resize(classFirst.size());
+        for (std::size_t u = 0; u < classFirst.size(); ++u)
+            labelOwner[u] = labels[classFirst[u]];
+        classLevel = true;
+    }
+
+    /**
+     * Take the E-step's owners as the labels, flagging both ends of
+     * every move in `dirty`; returns whether any point moved.  Every
+     * class has a member, so a class moves exactly when its members
+     * do, and comparing owners per class flags the same clusters as
+     * comparing labels per point.  After a re-seed that split a
+     * class the labels are per point and are compared per point.
+     */
+    bool
+    adoptOwners(const std::vector<u32>& labels, std::vector<u8>& dirty)
+    {
+        bool moved = false;
+        auto move = [&](u32 from, u32 to) {
+            if (from != to) {
+                dirty[from] = dirty[to] = 1;
+                moved = true;
+            }
+        };
+        if (classLevel) {
+            for (std::size_t u = 0; u < ownerOf.size(); ++u)
+                move(labelOwner[u], ownerOf[u]);
+        } else {
+            for (std::size_t i = 0; i < labels.size(); ++i)
+                move(labels[i], ownerOf[classOf[i]]);
+        }
+        labelOwner = ownerOf;
+        classLevel = true;
+        return moved;
+    }
+
+    /** Write class-level labels out per point; labels are per point
+     *  from then on. */
+    void
+    materialize(std::vector<u32>& labels)
+    {
+        if (!classLevel)
+            return;
+        for (std::size_t i = 0; i < labels.size(); ++i)
+            labels[i] = labelOwner[classOf[i]];
+        classLevel = false;
     }
 
     /** Centroids teleported (re-seeding): bounds mean nothing now. */
@@ -206,15 +287,14 @@ struct AccelState
 };
 
 /**
- * Accelerated drop-in for assignLabels(): per-class Hamerly-bounded
- * nearest-centroid search, then a broadcast pass over the original
- * points that assigns labels and reduces the weighted SSE in exactly
- * the naive chunk order.  See AccelState for why the result is
- * bit-identical.
+ * Accelerated E-step: per-class Hamerly-bounded nearest-centroid
+ * search, leaving each class's owner in `state.ownerOf` and its exact
+ * squared distance in `state.dOwn`.  Labels and the SSE are not
+ * broadcast here; see broadcastOwners().
  */
-double
-assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
-                  std::vector<u32>& labels, AccelState& state)
+void
+assignClassesAccel(const ProjectedData& data, const KMeansResult& res,
+                   AccelState& state)
 {
     const u32 k = res.k;
     const std::size_t stride = data.rowStride();
@@ -284,9 +364,18 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                 state.lower[u] = std::sqrt(second);
             }
         });
+}
 
-    // Broadcast labels and reduce the SSE over original points, in
-    // the same chunking the naive E-step uses.
+/**
+ * Broadcast the last E-step's owners to every point and reduce the
+ * weighted SSE over original points, in the same chunking the naive
+ * E-step uses: the SSE is bit-identical to assignLabels() over the
+ * same centroids.
+ */
+double
+broadcastOwners(const ProjectedData& data, const AccelState& state,
+                std::vector<u32>& labels)
+{
     std::vector<double> partialSse(parallelChunkCount(data.count),
                                    0.0);
     parallelChunks(
@@ -307,65 +396,241 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
 }
 
 /**
+ * Rebuild the clusters flagged in `rebuild` from scratch: zero the
+ * row and weight, axpy every member's row in increasing point index,
+ * then divide by the summed weight when it is positive.  That order
+ * is the pinned semantics of an M-step, so a row and its weight are a
+ * deterministic function of the cluster's ordered member list.
+ * `forEachMember(add)` calls `add(i, c)` for every point i of a
+ * flagged cluster c, in increasing i.  Returns the rows summed per
+ * cluster.
+ */
+template <typename ForEachMember>
+std::vector<u64>
+rebuildClusters(const ProjectedData& data, KMeansResult& res,
+                const std::vector<u8>& rebuild,
+                ForEachMember forEachMember)
+{
+    const std::size_t cstride = res.rowStride(data.dims);
+    auto row = [&](u32 c) {
+        return res.centroids.data() +
+               static_cast<std::size_t>(c) * cstride;
+    };
+    std::vector<u64> rows(res.k, 0);
+    if (std::ranges::find(rebuild, u8{1}) == rebuild.end())
+        return rows;
+    for (u32 c = 0; c < res.k; ++c) {
+        if (rebuild[c]) {
+            std::fill_n(row(c), cstride, 0.0);
+            res.clusterWeight[c] = 0.0;
+        }
+    }
+    forEachMember([&](std::size_t i, u32 c) {
+        const double w = data.weights[i];
+        simd::axpy(row(c), data.row(i), w, data.rowStride());
+        res.clusterWeight[c] += w;
+        ++rows[c];
+    });
+    for (u32 c = 0; c < res.k; ++c) {
+        if (!rebuild[c] || res.clusterWeight[c] <= 0.0)
+            continue;
+        double* crow = row(c);
+        for (u32 d = 0; d < data.dims; ++d)
+            crow[d] /= res.clusterWeight[c];
+    }
+    return rows;
+}
+
+/** Clusters whose weight is not positive, over all k. */
+std::vector<u32>
+emptyClusters(const KMeansResult& res)
+{
+    std::vector<u32> empty;
+    for (u32 c = 0; c < res.k; ++c) {
+        if (res.clusterWeight[c] <= 0.0)
+            empty.push_back(c);
+    }
+    return empty;
+}
+
+/**
  * Recompute weighted centroids; returns ids of empty clusters.
  *
  * With a `dirty` mask (accelerated path) only the flagged clusters
- * are rebuilt, and the flags are cleared.  A centroid row and its
- * weight are a deterministic function of the cluster's ordered
- * member list and those members' rows and weights, so a cluster no
- * point entered or left since this function last produced its row
- * would get back exactly the row it holds.  Callers flag every
- * cluster whose row came from anywhere else (seeding, re-seeding).
- * The empty list still covers all k clusters.
+ * are rebuilt, and the flags are cleared.  A cluster no point entered
+ * or left since an M-step last produced its row would get back
+ * exactly the row it holds.  Callers flag every cluster whose row
+ * came from anywhere else (seeding, re-seeding).  The empty list
+ * still covers all k clusters.
  */
 std::vector<u32>
 updateCentroids(const ProjectedData& data, KMeansResult& res,
                 std::vector<u8>* dirty = nullptr)
 {
-    const std::size_t cstride = res.rowStride(data.dims);
-    auto rebuilt = [&](u32 c) { return !dirty || (*dirty)[c]; };
-    u32 rebuilding = 0;
-    for (u32 c = 0; c < res.k; ++c) {
-        if (!rebuilt(c))
-            continue;
-        ++rebuilding;
-        std::fill_n(res.centroids.data() +
-                        static_cast<std::size_t>(c) * cstride,
-                    cstride, 0.0);
-        res.clusterWeight[c] = 0.0;
-    }
-    // Accumulation stays serial in point order: the reduction order
-    // into each centroid is part of the pinned semantics (elementwise
-    // axpy per point, points in increasing index order).
-    u64 rows = 0;
-    for (std::size_t i = 0; rebuilding && i < data.count; ++i) {
-        const u32 c = res.labels[i];
-        if (!rebuilt(c))
-            continue;
-        double* crow = res.centroids.data() +
-                       static_cast<std::size_t>(c) * cstride;
-        const double w = data.weights[i];
-        simd::axpy(crow, data.row(i), w, data.rowStride());
-        res.clusterWeight[c] += w;
-        ++rows;
-    }
-    kmeansStats().mstepRows.add(rows);
-    std::vector<u32> empty;
-    for (u32 c = 0; c < res.k; ++c) {
-        if (res.clusterWeight[c] <= 0.0) {
-            empty.push_back(c);
-            continue;
-        }
-        if (!rebuilt(c))
-            continue;
-        double* crow = res.centroids.data() +
-                       static_cast<std::size_t>(c) * cstride;
-        for (u32 d = 0; d < data.dims; ++d)
-            crow[d] /= res.clusterWeight[c];
-    }
+    const std::vector<u8> all(res.k, 1);
+    const std::vector<u8>& rebuild = dirty ? *dirty : all;
+    const auto rows =
+        rebuildClusters(data, res, rebuild, [&](auto&& add) {
+            for (std::size_t i = 0; i < data.count; ++i) {
+                if (rebuild[res.labels[i]])
+                    add(i, res.labels[i]);
+            }
+        });
+    kmeansStats().mstepRows.add(
+        std::accumulate(rows.begin(), rows.end(), u64{0}));
     if (dirty)
         std::fill(dirty->begin(), dirty->end(), u8{0});
-    return empty;
+    return emptyClusters(res);
+}
+
+} // namespace
+
+/**
+ * M-step results of one sweep, keyed by owned-class bitset and
+ * ordered by its words, so a lookup compares keys exactly.  Entries
+ * are never changed or erased once inserted, and map nodes never
+ * move, so an entry found under the lock may be read after it is
+ * released.
+ */
+struct MStepMemo::Table
+{
+    struct Entry
+    {
+        std::vector<double> row;  ///< divided row, padded stride
+        double weight = 0.0;      ///< the cluster's clusterWeight
+    };
+
+    /** Lexicographic order over bitset words, for any word range. */
+    struct KeyLess
+    {
+        using is_transparent = void;
+
+        bool
+        operator()(std::span<const u64> a, std::span<const u64> b) const
+        {
+            return std::ranges::lexicographical_compare(a, b);
+        }
+    };
+
+    std::mutex mutex;
+    std::map<std::vector<u64>, Entry, KeyLess> byKey;
+
+    /** The entry stored for `key`, or null.  Hold `mutex`. */
+    const Entry*
+    find(std::span<const u64> key) const
+    {
+        const auto it = byKey.find(key);
+        return it == byKey.end() ? nullptr : &it->second;
+    }
+};
+
+MStepMemo::MStepMemo(const ProjectedData& data)
+    : source(data), table(std::make_unique<Table>())
+{
+}
+
+MStepMemo::~MStepMemo() = default;
+
+namespace
+{
+
+/**
+ * updateCentroids() for class-level labels (`state.classLevel`),
+ * where a cluster's ordered member list is every point of the
+ * classes it owns, in increasing index.  Its row and weight are then
+ * a pure function of that class set over the fixed data, so a dirty
+ * cluster looks its set up in the sweep's `memo` and takes the
+ * stored row and weight when some fit of the sweep — this one
+ * included — already built them: the very bits this M-step would
+ * compute.  Misses are rebuilt exactly as updateCentroids() would
+ * (zeroed row, axpy per member in point order, one division) and
+ * then offered to the memo; when a concurrent fit inserted the same
+ * key first, its equal value stays.
+ *
+ * `kmeans.mstep.rows` counts only the rows of rebuilds that insert
+ * an entry (all rebuilds without a memo), and `kmeans.mstep.reused`
+ * every lookup an entry served, so both are the same at any worker
+ * count: each distinct key is inserted once per sweep.
+ */
+std::vector<u32>
+updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
+                       const AccelState& state, std::vector<u8>& dirty,
+                       MStepMemo* memo)
+{
+    using Entry = MStepMemo::Table::Entry;
+    const u32 k = res.k;
+    const std::size_t cstride = res.rowStride(data.dims);
+    const std::size_t words = (state.classFirst.size() + 63) / 64;
+    std::vector<u64> keys(static_cast<std::size_t>(k) * words, 0);
+    std::vector<u8> owns(k, 0);
+    for (std::size_t u = 0; u < state.labelOwner.size(); ++u) {
+        const u32 c = state.labelOwner[u];
+        if (!dirty[c])
+            continue;
+        keys[c * words + u / 64] |= u64{1} << (u % 64);
+        owns[c] = 1;
+    }
+    auto key = [&](u32 c) {
+        return std::span<const u64>(keys).subspan(c * words, words);
+    };
+    auto row = [&](u32 c) {
+        return res.centroids.data() +
+               static_cast<std::size_t>(c) * cstride;
+    };
+
+    // A key costs a bit per class.  The memo is consulted only while
+    // a key is no larger than the row it stores, so an entry stays
+    // within two rows when the data has few duplicates; the choice
+    // depends on the data alone.  A cluster that owns no class is
+    // rebuilt (to a zero row and weight) without a lookup.
+    MStepMemo::Table* const table =
+        memo && words <= cstride ? &memo->entries() : nullptr;
+    u64 reused = 0;
+    std::vector<u8> rebuild = dirty;
+    if (table) {
+        std::lock_guard lock(table->mutex);
+        for (u32 c = 0; c < k; ++c) {
+            if (!dirty[c] || !owns[c])
+                continue;
+            if (const Entry* entry = table->find(key(c))) {
+                std::copy(entry->row.begin(), entry->row.end(), row(c));
+                res.clusterWeight[c] = entry->weight;
+                rebuild[c] = 0;
+                ++reused;
+            }
+        }
+    }
+    const auto rowsOf =
+        rebuildClusters(data, res, rebuild, [&](auto&& add) {
+            for (std::size_t i = 0; i < data.count; ++i) {
+                const u32 c = state.labelOwner[state.classOf[i]];
+                if (rebuild[c])
+                    add(i, c);
+            }
+        });
+
+    u64 rows = 0;
+    for (u32 c = 0; c < k; ++c) {
+        if (!rebuild[c])
+            continue;
+        if (table && owns[c]) {
+            std::lock_guard lock(table->mutex);
+            const auto kc = key(c);
+            if (!table->byKey
+                     .try_emplace({kc.begin(), kc.end()},
+                                  Entry{{row(c), row(c) + cstride},
+                                        res.clusterWeight[c]})
+                     .second) {
+                ++reused;
+                continue;
+            }
+        }
+        rows += rowsOf[c];
+    }
+    kmeansStats().mstepRows.add(rows);
+    kmeansStats().mstepReused.add(reused);
+    std::fill(dirty.begin(), dirty.end(), u8{0});
+    return emptyClusters(res);
 }
 
 /**
@@ -563,85 +828,131 @@ initRandomPartition(const ProjectedData& data, KMeansResult& res,
  * that converges in a few iterations pays two vector copies.
  * Iteration 0 is never recorded: `stable` is gated on iter > 0, so a
  * state first seen there could still break at its repeat.
+ *
+ * Labels are compared in whichever form both states hold them: two
+ * class-level states by their owner arrays (every class has a member,
+ * so equal owners mean equal labels and unequal owners unequal
+ * labels), otherwise point by point.
  */
 struct CycleProbe
 {
-    std::vector<u32> labels;
+    std::vector<u32> labels;  ///< per class when byClass, else per point
+    bool byClass = false;
     simd::AlignedVec centroids;
     u32 at = 0;  ///< iteration of the copy (0: none yet)
 
     /** Period of the cycle the state at `iter` closes, or 0. */
     u32
-    observe(u32 iter, const KMeansResult& res)
+    observe(u32 iter, const KMeansResult& res, const AccelState& state)
     {
         if (iter == 0)
             return 0;
-        if (at && res.labels == labels &&
+        if (at && sameLabels(res, state) &&
             std::memcmp(res.centroids.data(), centroids.data(),
                         centroids.size() * sizeof(double)) == 0)
             return iter - at;
         if ((iter & (iter - 1)) == 0) {
-            labels = res.labels;
+            byClass = state.classLevel;
+            labels = byClass ? state.labelOwner : res.labels;
             centroids = res.centroids;
             at = iter;
         }
         return 0;
     }
+
+    bool
+    sameLabels(const KMeansResult& res, const AccelState& state) const
+    {
+        if (byClass && state.classLevel)
+            return labels == state.labelOwner;
+        for (std::size_t i = 0; i < res.labels.size(); ++i) {
+            const u32 u = state.classOf[i];
+            const u32 then = byClass ? labels[u] : labels[i];
+            const u32 now =
+                state.classLevel ? state.labelOwner[u] : res.labels[i];
+            if (then != now)
+                return false;
+        }
+        return true;
+    }
 };
 
-} // namespace
-
-KMeansResult
-runKMeans(const ProjectedData& data, u32 k, Rng& rng,
-          const KMeansOptions& options)
+/** Re-sum every clusterWeight over the final labels, in point order. */
+void
+resumWeights(const ProjectedData& data, KMeansResult& res)
 {
-    if (data.count == 0)
-        fatal("k-means called with no data points");
-    KMeansResult res;
-    res.k = std::max<u32>(1, std::min<u32>(
-                                 k, static_cast<u32>(data.count)));
-    res.labels.assign(data.count, 0);
-    // Centroid rows share the data's padded stride so the batched
-    // kernels can stream both matrices tail-free.
-    res.stride = data.rowStride();
-    res.centroids.assign(
-        static_cast<std::size_t>(res.k) * res.stride, 0.0);
-    res.clusterWeight.assign(res.k, 0.0);
+    std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
+    for (std::size_t i = 0; i < data.count; ++i)
+        res.clusterWeight[res.labels[i]] += data.weights[i];
+}
 
-    AccelState state;
-    if (options.accelerate)
-        state.attach(data);
-
+/**
+ * The reference Lloyd loop: every iteration assigns every point,
+ * rebuilds every centroid and reduces the SSE; a final E-step and
+ * weight re-sum make labels, SSE and weights consistent with the
+ * final centroids.
+ */
+void
+runNaive(const ProjectedData& data, KMeansResult& res, Rng& rng,
+         const KMeansOptions& options)
+{
     if (options.init == InitMethod::KMeansPlusPlus)
-        initPlusPlus(data, res, rng,
-                     options.accelerate ? &state : nullptr);
+        initPlusPlus(data, res, rng, nullptr);
     else
-        initRandomPartition(data, res, rng,
-                            options.accelerate ? &state : nullptr);
-
-    if (options.accelerate)
-        state.adoptLabels(res.labels);
-    auto assign = [&](std::vector<u32>& labels) {
-        return options.accelerate
-                   ? assignLabelsAccel(data, res, labels, state)
-                   : assignLabels(data, res, labels);
-    };
-
+        initRandomPartition(data, res, rng, nullptr);
     std::vector<u32> newLabels(data.count, 0);
-    // Accelerated path: clusters some point entered or left since
-    // updateCentroids() last produced their row.  Iteration 0's rows
-    // are seeds, not M-step output, so every cluster starts dirty.
-    std::vector<u8> dirty;
-    if (options.accelerate)
-        dirty.assign(res.k, 1);
-    std::vector<u8>* const dirtyMask =
-        options.accelerate ? &dirty : nullptr;
+    for (u32 iter = 0; iter < options.maxIterations; ++iter) {
+        res.iterations = iter + 1;
+        res.weightedSse = assignLabels(data, res, newLabels);
+        const bool stable = newLabels == res.labels && iter > 0;
+        res.labels = newLabels;
+        const auto empty = updateCentroids(data, res);
+        if (!empty.empty()) {
+            reseedEmpty(data, res, empty, nullptr);
+            updateCentroids(data, res);
+            continue;
+        }
+        if (stable) {
+            res.converged = true;
+            break;
+        }
+    }
+    res.weightedSse = assignLabels(data, res, res.labels);
+    resumWeights(data, res);
+}
+
+/**
+ * The accelerated Lloyd loop, bit-identical to runNaive() (DESIGN.md
+ * "Clustering acceleration"): per-class E-steps under Hamerly
+ * bounds, labels kept per class between E-steps, M-steps that rebuild
+ * only dirty clusters and take whole rows from the sweep's `memo`,
+ * proven cycles jumped over, and no SSE until the fit is done.  Only
+ * a re-seed that splits a class, by moving one of its points, drops
+ * the labels to per point until the next E-step.
+ */
+void
+runAccelerated(const ProjectedData& data, KMeansResult& res, Rng& rng,
+               const KMeansOptions& options, MStepMemo* memo)
+{
+    AccelState state;
+    state.attach(data);
+    if (options.init == InitMethod::KMeansPlusPlus)
+        initPlusPlus(data, res, rng, &state);
+    else
+        initRandomPartition(data, res, rng, &state);
+    state.adoptLabels(res.labels,
+                      options.init == InitMethod::KMeansPlusPlus);
+
+    // Clusters some point entered or left since an M-step last
+    // produced their row.  Iteration 0's rows are seeds, not M-step
+    // output, so every cluster starts dirty.
+    std::vector<u8> dirty(res.k, 1);
     simd::AlignedVec oldCentroids;
     CycleProbe probe;
     bool cycling = false;
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
-        if (options.accelerate && !cycling) {
-            if (const u32 period = probe.observe(iter, res)) {
+        if (!cycling) {
+            if (const u32 period = probe.observe(iter, res, state)) {
                 // Proven cycle: no iteration up to maxIterations
                 // breaks, and whole periods leave the state where it
                 // is.  Skip them and run the remainder normally.
@@ -658,57 +969,69 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
             }
         }
         res.iterations = iter + 1;
-        res.weightedSse = assign(newLabels);
-        bool stable;
-        if (options.accelerate) {
-            // Adopt the new labels in place, flagging both ends of
-            // every move for the M-step.
-            bool moved = false;
-            for (std::size_t i = 0; i < data.count; ++i) {
-                const u32 from = res.labels[i];
-                const u32 to = newLabels[i];
-                if (from != to) {
-                    dirty[from] = dirty[to] = 1;
-                    res.labels[i] = to;
-                    moved = true;
-                }
-            }
-            stable = !moved && iter > 0;
-            oldCentroids = res.centroids;
-        } else {
-            stable = newLabels == res.labels && iter > 0;
-            res.labels = newLabels;
-        }
-        const auto empty = updateCentroids(data, res, dirtyMask);
+        // No SSE here: only the last E-step's could ever be read, and
+        // it is reduced after the loop from the same dOwn.
+        assignClassesAccel(data, res, state);
+        const bool stable =
+            !state.adoptOwners(res.labels, dirty) && iter > 0;
+        oldCentroids = res.centroids;
+        const auto empty =
+            updateCentroidsByClass(data, res, state, dirty, memo);
         if (!empty.empty()) {
-            reseedEmpty(data, res, empty,
-                        options.accelerate ? &state : nullptr,
-                        dirtyMask);
-            updateCentroids(data, res, dirtyMask);
+            state.materialize(res.labels);
+            reseedEmpty(data, res, empty, &state, &dirty);
+            state.regroup(res.labels);
+            if (state.classLevel)
+                updateCentroidsByClass(data, res, state, dirty, memo);
+            else
+                updateCentroids(data, res, &dirty);
             state.invalidate();
             continue;
         }
-        if (options.accelerate)
-            state.relax(oldCentroids, res, data.dims);
+        state.relax(oldCentroids, res, data.dims);
         if (stable) {
             res.converged = true;
             break;
         }
     }
-    // Final consistent assignment and SSE against the final
-    // centroids; recompute member weights to match the final labels
-    // without moving the centroids again.  A converged accelerated
-    // fit skips it: its last iteration moved no point, so its M-step
-    // rebuilt nothing and this E-step would read exactly the
-    // centroids the last one read, giving back the same labels and
-    // SSE; every clusterWeight was summed by an M-step over these
-    // same members in this same order.
-    if (!(options.accelerate && res.converged)) {
-        res.weightedSse = assign(res.labels);
-        std::fill(res.clusterWeight.begin(), res.clusterWeight.end(),
-                  0.0);
-        for (std::size_t i = 0; i < data.count; ++i)
-            res.clusterWeight[res.labels[i]] += data.weights[i];
+    // A converged fit's last iteration moved no point, so its M-step
+    // rebuilt nothing: a final E-step would read exactly the centroids
+    // the last one read and give back the same owners and dOwn, and
+    // every clusterWeight was summed by an M-step over these same
+    // members in this same order.  So it only broadcasts.  Any other
+    // fit ends on the reference's final assignment and weight re-sum.
+    if (!res.converged)
+        assignClassesAccel(data, res, state);
+    res.weightedSse = broadcastOwners(data, state, res.labels);
+    if (!res.converged)
+        resumWeights(data, res);
+}
+
+} // namespace
+
+KMeansResult
+runKMeans(const ProjectedData& data, u32 k, Rng& rng,
+          const KMeansOptions& options, MStepMemo* memo)
+{
+    if (data.count == 0)
+        fatal("k-means called with no data points");
+    if (memo && &memo->data() != &data)
+        panic("k-means M-step memo shared across different data");
+    KMeansResult res;
+    res.k = std::max<u32>(1, std::min<u32>(
+                                 k, static_cast<u32>(data.count)));
+    res.labels.assign(data.count, 0);
+    // Centroid rows share the data's padded stride so the batched
+    // kernels can stream both matrices tail-free.
+    res.stride = data.rowStride();
+    res.centroids.assign(
+        static_cast<std::size_t>(res.k) * res.stride, 0.0);
+    res.clusterWeight.assign(res.k, 0.0);
+
+    if (!options.accelerate) {
+        runNaive(data, res, rng, options);
+    } else {
+        runAccelerated(data, res, rng, options, memo);
     }
     kmeansStats().fits.add();
     kmeansStats().iterations.sample(res.iterations);

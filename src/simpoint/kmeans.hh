@@ -9,6 +9,7 @@
 #ifndef XBSP_SIMPOINT_KMEANS_HH
 #define XBSP_SIMPOINT_KMEANS_HH
 
+#include <memory>
 #include <vector>
 
 #include "simpoint/projection.hh"
@@ -36,9 +37,11 @@ struct KMeansOptions
      * Accelerate the E-step with Hamerly distance bounds (and, when
      * the data carries duplicate-class structure, one distance
      * computation per class instead of per point), and skip the work
-     * whose result is already fixed: M-steps rebuild only clusters
-     * whose membership changed, a converged fit reuses its last
-     * E-step, and k-means++ draws skip points whose term is zero.
+     * whose result is already fixed: labels are kept per class
+     * between E-steps, M-steps rebuild only clusters whose membership
+     * changed (or copy them from an MStepMemo), the SSE is reduced
+     * once per fit, and k-means++ draws skip points whose term is
+     * zero.
      * Every skip is proven: whatever is computed uses the same
      * arithmetic on the same operands in the same order as the naive
      * loop, so labels, centroids, SSE and iteration counts are
@@ -84,12 +87,45 @@ struct KMeansResult
 };
 
 /**
+ * Centroid rows and weights computed by the accelerated M-steps of
+ * one sweep, shared by all of its fits.  While a fit's labels are
+ * kept per duplicate class, a cluster's row and weight depend only on
+ * the set of classes it owns, so the memo keys them by that set
+ * (compared exactly) and a fit reaching a set any fit of the sweep
+ * already built copies its bits instead of summing its members.  It
+ * is bound to one ProjectedData, safe to share between concurrent
+ * fits, and freed with the sweep.
+ */
+class MStepMemo
+{
+  public:
+    explicit MStepMemo(const ProjectedData& data);
+    ~MStepMemo();
+    MStepMemo(const MStepMemo&) = delete;
+    MStepMemo& operator=(const MStepMemo&) = delete;
+
+    /** The data every fit sharing this memo must cluster. */
+    const ProjectedData& data() const { return source; }
+
+    struct Table;  ///< defined in kmeans.cc
+    Table& entries() { return *table; }
+
+  private:
+    const ProjectedData& source;
+    std::unique_ptr<Table> table;
+};
+
+/**
  * Run Lloyd's algorithm with weights until labels stabilize or
  * maxIterations.  Empty clusters are re-seeded with the point
  * farthest from its centroid.  k is clamped to the point count.
+ * The fits of one sweep may share a `memo` built over the same
+ * `data`; accelerated fits use it, the naive path ignores it, and
+ * results are the same with or without it.
  */
 KMeansResult runKMeans(const ProjectedData& data, u32 k, Rng& rng,
-                       const KMeansOptions& options = KMeansOptions{});
+                       const KMeansOptions& options = KMeansOptions{},
+                       MStepMemo* memo = nullptr);
 
 } // namespace xbsp::sp
 

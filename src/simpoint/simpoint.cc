@@ -49,22 +49,30 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
     // runs serially in (k, seed-index) order with a strict less-than,
     // which reproduces the sequential loop's pick — including its
     // lowest-seed-index tie-break — exactly.
+    //
+    // The fits share one M-step memo (read only by accelerated
+    // fits), freed with the sweep; its entries are pure functions of
+    // their keys, so which fit fills an entry first never shows in a
+    // result.
     const std::size_t fitCount =
         static_cast<std::size_t>(maxK) * options.seedsPerK;
     std::vector<KMeansResult> fits(fitCount);
-    auto fitOne = [&](std::size_t f) {
-        const u32 k = 1 + static_cast<u32>(f / options.seedsPerK);
-        const u32 s = static_cast<u32>(f % options.seedsPerK);
-        obs::TraceSpan span(format("kmeans k={} seed={}", k, s),
-                            "cluster");
-        Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
-        fits[f] = runKMeans(data, k, seedRng, kmOpts);
-    };
-    if (options.accelerate) {
-        parallelFor(globalPool(), fitCount, fitOne);
-    } else {
-        for (std::size_t f = 0; f < fitCount; ++f)
-            fitOne(f);
+    {
+        MStepMemo memo(data);
+        auto fitOne = [&](std::size_t f) {
+            const u32 k = 1 + static_cast<u32>(f / options.seedsPerK);
+            const u32 s = static_cast<u32>(f % options.seedsPerK);
+            obs::TraceSpan span(format("kmeans k={} seed={}", k, s),
+                                "cluster");
+            Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
+            fits[f] = runKMeans(data, k, seedRng, kmOpts, &memo);
+        };
+        if (options.accelerate) {
+            parallelFor(globalPool(), fitCount, fitOne);
+        } else {
+            for (std::size_t f = 0; f < fitCount; ++f)
+                fitOne(f);
+        }
     }
 
     std::vector<KMeansResult> bestByK;

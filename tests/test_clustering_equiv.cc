@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <utility>
@@ -73,26 +74,31 @@ struct FitWork
 {
     u64 mstepRows = 0;
     u64 initTerms = 0;
+    u64 mstepReused = 0;
 };
 
 /**
- * Run one fit naive and one accelerated from the same RNG state,
- * require every KMeansResult field to match, and return each side's
- * M-step rows and k-means++ terms.
+ * Run one fit naive and one accelerated from the same RNG state (the
+ * accelerated one through `memo`, when given), require every
+ * KMeansResult field to match, and return each side's M-step rows,
+ * k-means++ terms and memo-served M-step lookups.
  */
 std::pair<FitWork, FitWork>
 expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
-                      KMeansOptions options)
+                      KMeansOptions options, MStepMemo* memo = nullptr)
 {
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto work = [&](auto&& fit) {
         const u64 rows0 = reg.counterValue("kmeans.mstep.rows");
         const u64 terms0 = reg.counterValue("kmeans.init.terms");
+        const u64 reused0 = reg.counterValue("kmeans.mstep.reused");
         const KMeansResult res = fit();
         return std::pair{
             res, FitWork{reg.counterValue("kmeans.mstep.rows") - rows0,
                          reg.counterValue("kmeans.init.terms") -
-                             terms0}};
+                             terms0,
+                         reg.counterValue("kmeans.mstep.reused") -
+                             reused0}};
     };
     options.accelerate = false;
     Rng rngA(seed);
@@ -101,7 +107,7 @@ expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
     options.accelerate = true;
     Rng rngB(seed);
     const auto [accel, accelWork] =
-        work([&] { return runKMeans(data, k, rngB, options); });
+        work([&] { return runKMeans(data, k, rngB, options, memo); });
     expectIdenticalKMeans(naive, accel);
     return {naiveWork, accelWork};
 }
@@ -160,6 +166,38 @@ duplicateData(std::size_t distinct, std::size_t copies, u32 dims,
     }
     for (std::size_t r = 0; r < distinct; ++r)
         data.classFirst.push_back(static_cast<u32>(r * copies));
+    return data;
+}
+
+/**
+ * `data` with the duplicate-class structure dedup would attach:
+ * points whose rows are equal bit for bit share a class.
+ */
+ProjectedData
+withClasses(ProjectedData data)
+{
+    data.classOf.clear();
+    data.classFirst.clear();
+    for (std::size_t i = 0; i < data.count; ++i) {
+        const auto row = data.point(i);
+        u32 cls = 0;
+        while (cls < data.classFirst.size() &&
+               !std::ranges::equal(row,
+                                   data.point(data.classFirst[cls])))
+            ++cls;
+        if (cls == data.classFirst.size())
+            data.classFirst.push_back(static_cast<u32>(i));
+        data.classOf.push_back(cls);
+    }
+    return data;
+}
+
+/** `data` without its duplicate classes: every point alone. */
+ProjectedData
+withoutClasses(ProjectedData data)
+{
+    data.classOf.clear();
+    data.classFirst.clear();
     return data;
 }
 
@@ -504,6 +542,163 @@ TEST(KMeansEquiv, ReseedPathMatchesNaiveAtIterationCap)
 }
 
 /**
+ * Two fits of one sweep share an M-step memo.  Well-separated blobs
+ * lead different seeds to the same owned-class sets, so the second
+ * fit copies rows the first one built: it must sum fewer rows and be
+ * served more often than the same fit with a fresh memo, and every
+ * fit must still match the naive one field for field.  A fit that
+ * repeats an earlier one's trajectory builds nothing at all.
+ */
+TEST(KMeansEquiv, MemoHitCrossesFits)
+{
+    const ProjectedData data = withClasses(blobData(240, 6, 5, 31));
+    ASSERT_LT(data.classFirst.size(), data.count);
+    const u32 k = 5;
+    u64 crossed = 0;
+    for (const u64 seed : {2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        MStepMemo fresh(data);
+        const FitWork alone =
+            expectFitMatchesNaive(data, k, seed, {}, &fresh).second;
+
+        MStepMemo shared(data);
+        expectFitMatchesNaive(data, k, 1, {}, &shared);
+        const FitWork second =
+            expectFitMatchesNaive(data, k, seed, {}, &shared).second;
+        EXPECT_GE(second.mstepReused, alone.mstepReused);
+        EXPECT_LE(second.mstepRows, alone.mstepRows);
+        if (second.mstepReused > alone.mstepReused) {
+            EXPECT_LT(second.mstepRows, alone.mstepRows);
+            ++crossed;
+        }
+
+        const FitWork again =
+            expectFitMatchesNaive(data, k, seed, {}, &shared).second;
+        EXPECT_EQ(again.mstepRows, 0u);
+        EXPECT_GT(again.mstepReused, 0u);
+    }
+    EXPECT_GT(crossed, 0u);
+}
+
+/**
+ * Keys cost a bit per class, so with more classes than 64 per
+ * double of a row (here 300 points, each alone in its class, in 2
+ * dimensions) a key would outgrow the row it stores and the memo is
+ * left alone: a repeated fit sums every row again, none is served,
+ * and results still match the naive fit.
+ */
+TEST(KMeansEquiv, MemoSkippedWhenKeysOutgrowRows)
+{
+    const ProjectedData data = blobData(300, 2, 3, 17);
+    ASSERT_GT((data.count + 63) / 64, data.rowStride());
+    MStepMemo memo(data);
+    const FitWork first =
+        expectFitMatchesNaive(data, 3, 5, {}, &memo).second;
+    const FitWork again =
+        expectFitMatchesNaive(data, 3, 5, {}, &memo).second;
+    EXPECT_GT(first.mstepRows, 0u);
+    EXPECT_EQ(again.mstepRows, first.mstepRows);
+    EXPECT_EQ(first.mstepReused + again.mstepReused, 0u);
+}
+
+/**
+ * Re-seeds through a shared memo at 99, 100 and 101 iterations.  In
+ * the duplicate-class data every re-seed splits a class, so the
+ * iteration after it adopts labels point by point before the labels
+ * are per class again.  Without classes every point is alone, a
+ * re-seed keeps the labels per class, and the M-step right after it
+ * already goes through the memo.
+ */
+TEST(KMeansEquiv, ReseedFallbackWithMemoMatchesNaive)
+{
+    for (const u64 dataSeed : {1u, 2u}) {
+        const ProjectedData split = duplicateData(2, 7, 4, dataSeed);
+        const ProjectedData alone = withoutClasses(split);
+        for (const u32 maxIterations : {99u, 100u, 101u}) {
+            SCOPED_TRACE("data " + std::to_string(dataSeed) + " max " +
+                         std::to_string(maxIterations));
+            KMeansOptions options;
+            options.maxIterations = maxIterations;
+            for (const InitMethod init :
+                 {InitMethod::KMeansPlusPlus,
+                  InitMethod::RandomPartition}) {
+                options.init = init;
+                MStepMemo splitMemo(split);
+                MStepMemo aloneMemo(alone);
+                for (const u32 k : {3u, 4u}) {
+                    expectFitMatchesNaive(split, k, dataSeed * 7 + k,
+                                          options, &splitMemo);
+                    expectFitMatchesNaive(alone, k, dataSeed * 7 + k,
+                                          options, &aloneMemo);
+                }
+            }
+        }
+    }
+}
+
+/**
+ * The period-2 shape of ProvenCycleMatchesNaive with every point in
+ * its own class: each re-seed moves a point that is alone in its
+ * class, the labels stay per class at every loop entry, and the
+ * probe must prove the same cycle at the same iteration by comparing
+ * owner arrays.
+ */
+TEST(KMeansEquiv, CycleProvenFromOwnerArrays)
+{
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    const ProjectedData data = withoutClasses(duplicateData(2, 7, 4, 1));
+    const u32 k = 3;
+    const u32 period = 2;
+    const u32 detectedAt = 4;
+    for (const u32 maxIterations : {99u, 100u, 101u}) {
+        SCOPED_TRACE("max " + std::to_string(maxIterations));
+        KMeansOptions options;
+        options.maxIterations = maxIterations;
+        MStepMemo memo(data);
+        const u64 cycles0 = reg.counterValue("kmeans.cycles");
+        const u64 proven0 = reg.counterValue("kmeans.iterations.proven");
+        expectFitMatchesNaive(data, k, 1 * 7 + k, options, &memo);
+        EXPECT_EQ(reg.counterValue("kmeans.cycles") - cycles0, 1u);
+        EXPECT_EQ(reg.counterValue("kmeans.iterations.proven") - proven0,
+                  (maxIterations - detectedAt) / period * period);
+    }
+}
+
+/**
+ * A converged fit reduces its SSE once, after the loop, from the last
+ * E-step's per-class distances.  Over thousands of points in 64
+ * chunks with uneven weights the float sum depends on its order, so
+ * it must equal the naive SSE bit for bit at 1 and at 4 workers.
+ */
+TEST(KMeansEquiv, DeferredSseMatchesNaiveBitwise)
+{
+    const ProjectedData data = withClasses(blobData(3000, 5, 6, 13));
+    u32 converged = 0;
+    for (const u64 jobs : {u64{1}, u64{4}}) {
+        setGlobalJobs(jobs);
+        for (const u32 k : {4u, 6u, 8u}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs) + " k " +
+                         std::to_string(k));
+            KMeansOptions options;
+            options.accelerate = false;
+            Rng rngA(k);
+            const KMeansResult naive = runKMeans(data, k, rngA, options);
+            options.accelerate = true;
+            Rng rngB(k);
+            MStepMemo memo(data);
+            const KMeansResult accel =
+                runKMeans(data, k, rngB, options, &memo);
+            expectIdenticalKMeans(naive, accel);
+            EXPECT_EQ(std::bit_cast<u64>(naive.weightedSse),
+                      std::bit_cast<u64>(accel.weightedSse));
+            converged += accel.converged;
+        }
+    }
+    setGlobalJobs(0);
+    EXPECT_GT(converged, 0u);
+}
+
+/**
  * The suite workloads whose VLI sweeps cycle: at 2K-instruction
  * intervals applu's VLI vectors have fewer distinct rows than
  * k = 7..10 and vpr's fewer than k = 10.  The whole sweep, naive
@@ -581,8 +776,9 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
  * Phase building on suite vectors: members, representatives and
  * weights from the accelerated pipeline (members bucketed in one
  * pass, distances memoised per duplicate class) equal the naive
- * pipeline's.  The new work counters must also be identical at 1 and
- * 4 workers, like every exact counter.
+ * pipeline's.  The work counters, kmeans.mstep.reused included,
+ * must also be identical at 1 and 4 workers, like every exact
+ * counter, even though concurrent fits race to fill the memo.
  */
 TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
 {
@@ -593,16 +789,18 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
     accelOpts.accelerate = true;
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto work = [&reg] {
-        return std::array<u64, 3>{
+        return std::array<u64, 4>{
             reg.counterValue("kmeans.mstep.rows"),
             reg.counterValue("kmeans.init.terms"),
-            reg.counterValue("kmeans.estep.distances")};
+            reg.counterValue("kmeans.estep.distances"),
+            reg.counterValue("kmeans.mstep.reused")};
     };
-    auto since = [](const std::array<u64, 3>& after,
-                    const std::array<u64, 3>& before) {
-        return std::array<u64, 3>{after[0] - before[0],
-                                  after[1] - before[1],
-                                  after[2] - before[2]};
+    auto since = [](const std::array<u64, 4>& after,
+                    const std::array<u64, 4>& before) {
+        std::array<u64, 4> delta{};
+        for (std::size_t i = 0; i < delta.size(); ++i)
+            delta[i] = after[i] - before[i];
+        return delta;
     };
     for (const std::string name : {"gcc", "art", "equake", "twolf"}) {
         const ir::Program program = workloads::makeWorkload(name, 1.0);
@@ -633,9 +831,13 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
         expectIdenticalResults(naive, parallel, name + " (4 threads)");
         EXPECT_EQ(serialWork, parallelWork) << name;
         // The accelerated sweep accumulates fewer M-step rows and
-        // sums fewer k-means++ terms than the naive one.
+        // sums fewer k-means++ terms than the naive one, and its
+        // fits take whole rows from the sweep's M-step memo, which
+        // the naive sweep never consults.
         EXPECT_LT(serialWork[0], naiveWork[0]) << name;
         EXPECT_LT(serialWork[1], naiveWork[1]) << name;
+        EXPECT_GT(serialWork[3], 0u) << name;
+        EXPECT_EQ(naiveWork[3], 0u) << name;
     }
 }
 

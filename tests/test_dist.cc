@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -151,6 +152,34 @@ TEST(DistWire, SuiteConfigRejectsUnknownCore)
     request.core.clear();
     EXPECT_EQ(dist::suiteConfig(request).study.core,
               harness::defaultStudyConfig().core);
+}
+
+TEST(DistWire, SuiteConfigRejectsMaxKOutsideU32)
+{
+    dist::SuiteRequest request = smallRequest();
+    for (const u64 bad : {u64{0}, u64{1} << 32, (u64{1} << 32) + 10}) {
+        request.maxK = bad;
+        EXPECT_THROW((void)dist::suiteConfig(request),
+                     std::runtime_error)
+            << bad;
+    }
+    request.maxK = std::numeric_limits<u32>::max();
+    EXPECT_EQ(dist::suiteConfig(request).study.simpoint.maxK,
+              std::numeric_limits<u32>::max());
+    request.maxK = 1;
+    EXPECT_EQ(dist::suiteConfig(request).study.simpoint.maxK, 1u);
+}
+
+/** `--maxk` past u32 or 0 is fatal (exit 1), not truncated to k = 10. */
+TEST(DistCli, MaxKOutsideU32IsFatal)
+{
+    for (const char* bad : {"4294967306", "4294967296", "0"}) {
+        const int pid = dist::spawnProcess(
+            {cliPath(), "study", "--workload", "gzip", "--scale",
+             "0.01", "--maxk", bad});
+        ASSERT_GT(pid, 0);
+        EXPECT_EQ(dist::waitProcess(pid), 1) << bad;
+    }
 }
 
 TEST(DistWire, StageTaskCodecRoundTrip)

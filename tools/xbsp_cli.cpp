@@ -77,6 +77,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -117,6 +118,17 @@ parseTarget(const std::string& name)
             return target;
     }
     fatal("unknown target '{}' (expected 32u/32o/64u/64o)", name);
+}
+
+/** --maxk as SimPoint takes it: 0 or a count past u32 is fatal. */
+u32
+maxKOption(const Options& options)
+{
+    const u64 maxK = options.getUint("maxk");
+    if (maxK == 0 || maxK > std::numeric_limits<u32>::max())
+        fatal("--maxk must be between 1 and {}, got {}",
+              std::numeric_limits<u32>::max(), maxK);
+    return static_cast<u32>(maxK);
 }
 
 int
@@ -180,7 +192,7 @@ cmdSimpoints(const Options& options)
     }
 
     sp::SimPointOptions spOptions;
-    spOptions.maxK = static_cast<u32>(options.getUint("maxk"));
+    spOptions.maxK = maxKOption(options);
     spOptions.seed = options.getUint("seed");
     spOptions.accelerate = options.getBool("accel");
     const sp::SimPointResult result =
@@ -205,7 +217,7 @@ cmdStudy(const Options& options)
 {
     sim::StudyConfig config = harness::defaultStudyConfig();
     config.intervalTarget = options.getUint("interval");
-    config.simpoint.maxK = static_cast<u32>(options.getUint("maxk"));
+    config.simpoint.maxK = maxKOption(options);
     config.simpoint.seed = options.getUint("seed");
     config.simpoint.accelerate = options.getBool("accel");
     const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
@@ -258,8 +270,7 @@ cmdGraph(const Options& options)
     config.workScale = options.getDouble("scale");
     config.study = harness::defaultStudyConfig();
     config.study.intervalTarget = options.getUint("interval");
-    config.study.simpoint.maxK =
-        static_cast<u32>(options.getUint("maxk"));
+    config.study.simpoint.maxK = maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
     config.study.simpoint.accelerate = options.getBool("accel");
 
@@ -463,11 +474,13 @@ renderTopFrame(const std::map<std::string, double>& series)
     std::snprintf(
         line, sizeof(line),
         "k-means   %.0f fits, %.0f proven cycles (%.0f iterations "
-        "skipped), %.0f M-step rows, %.0f k-means++ terms\n",
+        "skipped), %.0f M-step rows (%.0f rebuilds reused), %.0f "
+        "k-means++ terms\n",
         seriesValue(series, "xbsp_kmeans_fits_total"),
         seriesValue(series, "xbsp_kmeans_cycles_total"),
         seriesValue(series, "xbsp_kmeans_iterations_proven_total"),
         seriesValue(series, "xbsp_kmeans_mstep_rows_total"),
+        seriesValue(series, "xbsp_kmeans_mstep_reused_total"),
         seriesValue(series, "xbsp_kmeans_init_terms_total"));
     add();
 
@@ -653,7 +666,7 @@ suiteRequestFromOptions(const Options& options)
     request.workloads = splitList(options.getString("workloads"));
     request.workScale = options.getDouble("scale");
     request.intervalTarget = options.getUint("interval");
-    request.maxK = options.getUint("maxk");
+    request.maxK = maxKOption(options);
     request.seed = options.getUint("seed");
     // Resolved client-side (--core already applied in main) so the
     // report never depends on the daemon's environment.
@@ -669,8 +682,7 @@ cmdCores(const Options& options)
     config.workScale = options.getDouble("scale");
     config.study = harness::defaultStudyConfig();
     config.study.intervalTarget = options.getUint("interval");
-    config.study.simpoint.maxK =
-        static_cast<u32>(options.getUint("maxk"));
+    config.study.simpoint.maxK = maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
     config.study.simpoint.accelerate = options.getBool("accel");
     config.workloads = splitList(options.getString("workloads"));
