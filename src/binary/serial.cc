@@ -1,7 +1,5 @@
 #include "binary/serial.hh"
 
-#include <limits>
-
 #include "ir/serial.hh"
 
 namespace xbsp::bin
@@ -13,16 +11,6 @@ namespace
 constexpr u64 kindBlockRef = 1;
 constexpr u64 kindLoop = 2;
 constexpr u64 kindCall = 3;
-
-/** A varint that must fit an id or a count field of 32 bits. */
-u32
-u32v(serial::Decoder& d)
-{
-    const u64 v = d.varint();
-    if (v > std::numeric_limits<u32>::max())
-        throw serial::DecodeError("32-bit field out of range");
-    return static_cast<u32>(v);
-}
 
 void
 encodePattern(serial::Encoder& e, const ir::MemPattern& p)
@@ -46,13 +34,13 @@ decodePattern(serial::Decoder& d)
     if (kind > static_cast<u64>(ir::MemPatternKind::Gather))
         throw serial::DecodeError("bad MemPatternKind");
     p.kind = static_cast<ir::MemPatternKind>(kind);
-    p.regionId = u32v(d);
+    p.regionId = d.varint32();
     p.workingSet = d.varint();
     p.stride = d.varint();
     p.writeFraction = d.f64();
     p.pointerScale = d.f64();
     p.hotFraction = d.f64();
-    p.driftPeriod = u32v(d);
+    p.driftPeriod = d.varint32();
     p.driftAmp = d.f64();
     return p;
 }
@@ -91,15 +79,15 @@ decodeStmts(serial::Decoder& d, u32 depth)
         switch (d.varint()) {
         case kindBlockRef: {
             BlockRef ref;
-            ref.blockId = u32v(d);
+            ref.blockId = d.varint32();
             body.push_back(ref);
             break;
         }
         case kindLoop: {
             MachineLoop loop;
-            loop.entryMarkerId = u32v(d);
-            loop.branchMarkerId = u32v(d);
-            loop.branchBlockId = u32v(d);
+            loop.entryMarkerId = d.varint32();
+            loop.branchMarkerId = d.varint32();
+            loop.branchBlockId = d.varint32();
             loop.tripCount = d.varint();
             loop.body = decodeStmts(d, depth + 1);
             body.push_back(std::move(loop));
@@ -107,7 +95,7 @@ decodeStmts(serial::Decoder& d, u32 depth)
         }
         case kindCall: {
             MachineCall call;
-            call.procId = u32v(d);
+            call.procId = d.varint32();
             body.push_back(call);
             break;
         }
@@ -167,14 +155,14 @@ decodeBinary(serial::Decoder& d)
     if (opt > static_cast<u64>(OptLevel::Optimized))
         throw serial::DecodeError("bad OptLevel");
     binary.target.opt = static_cast<OptLevel>(opt);
-    binary.entryProcId = u32v(d);
+    binary.entryProcId = d.varint32();
 
     const u64 procs = d.arrayCount(3);
     binary.procs.reserve(static_cast<std::size_t>(procs));
     for (u64 i = 0; i < procs; ++i) {
         MachineProc proc;
         proc.name = d.str();
-        proc.entryMarkerId = u32v(d);
+        proc.entryMarkerId = d.varint32();
         proc.body = decodeStmts(d, 0);
         binary.procs.push_back(std::move(proc));
     }
@@ -183,12 +171,12 @@ decodeBinary(serial::Decoder& d)
     binary.blocks.reserve(static_cast<std::size_t>(blocks));
     for (u64 i = 0; i < blocks; ++i) {
         MachineBlock block;
-        block.instrs = u32v(d);
-        block.memOps = u32v(d);
-        block.stackOps = u32v(d);
+        block.instrs = d.varint32();
+        block.memOps = d.varint32();
+        block.stackOps = d.varint32();
         block.pattern = decodePattern(d);
-        block.sourceLine = u32v(d);
-        block.procId = u32v(d);
+        block.sourceLine = d.varint32();
+        block.procId = d.varint32();
         binary.blocks.push_back(block);
     }
 
@@ -201,8 +189,8 @@ decodeBinary(serial::Decoder& d)
             throw serial::DecodeError("bad MarkerKind");
         marker.kind = static_cast<MarkerKind>(kind);
         marker.symbol = d.str();
-        marker.line = u32v(d);
-        marker.procId = u32v(d);
+        marker.line = d.varint32();
+        marker.procId = d.varint32();
         binary.markers.push_back(std::move(marker));
     }
     // The engine indexes a binary unchecked: reject what it could

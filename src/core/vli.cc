@@ -1,6 +1,7 @@
 #include "core/vli.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "binary/serial.hh"
 #include "core/serial.hh"
@@ -52,7 +53,7 @@ VliBbvCollector::onBlock(u32 blockId, u32 instrs)
 void
 VliBbvCollector::closeInterval(InstrCount now)
 {
-    fvs.addInterval(accum.flush(), now - intervalStart);
+    accum.flushInto(fvs, now - intervalStart);
     intervalStart = now;
 }
 
@@ -124,6 +125,13 @@ VliBbvCollector::onRunEnd()
     }
 }
 
+sp::FrequencyVectorSet
+VliBbvCollector::takeIntervals()
+{
+    fvs.seal();
+    return std::exchange(fvs, {});
+}
+
 namespace
 {
 VliBuild buildVliPartitionUncached(const bin::Binary& primary,
@@ -177,7 +185,7 @@ buildVliPartitionUncached(const bin::Binary& primary,
 
     VliBuild build;
     build.partition = collector.partition();
-    build.intervals = collector.intervals();
+    build.intervals = collector.takeIntervals();
     build.totalInstructions = engine.instructionsExecuted();
     return build;
 }

@@ -77,8 +77,11 @@ class VliBbvCollector : public exec::Observer
     void onBulk(const exec::Summary& trip, u64 trips,
                 const exec::ObserverHooks& streams) override;
 
-    /** Per-interval BBVs (with true VLI lengths). */
-    const sp::FrequencyVectorSet& intervals() const { return fvs; }
+    /**
+     * Move the per-interval BBVs (with true VLI lengths) out, sealed
+     * (see FrequencyVectorSet::seal).
+     */
+    sp::FrequencyVectorSet takeIntervals();
 
     /** The boundary list, mappable to every other binary. */
     const VliPartition& partition() const { return part; }

@@ -1,6 +1,7 @@
 #include "profile/profile.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "binary/serial.hh"
 #include "obs/stats.hh"
@@ -57,18 +58,16 @@ BbvAccumulator::addTrips(const bin::Binary& binary,
     }
 }
 
-sp::SparseVec
-BbvAccumulator::flush()
+void
+BbvAccumulator::flushInto(sp::FrequencyVectorSet& fvs, InstrCount length)
 {
     std::sort(touched.begin(), touched.end());
-    sp::SparseVec vec;
-    vec.reserve(touched.size());
     for (u32 block : touched) {
-        vec.emplace_back(block, dense[block]);
+        fvs.pushEntry(block, dense[block]);
         dense[block] = 0.0;
     }
     touched.clear();
-    return vec;
+    fvs.closeInterval(length);
 }
 
 FliBbvCollector::FliBbvCollector(const exec::Engine& eng,
@@ -87,7 +86,7 @@ FliBbvCollector::onBlock(u32 blockId, u32 instrs)
     accum.add(blockId, static_cast<double>(instrs));
     const InstrCount now = engine.instructionsExecuted();
     if (now - intervalStart >= target) {
-        fvs.addInterval(accum.flush(), now - intervalStart);
+        accum.flushInto(fvs, now - intervalStart);
         ends.push_back(now);
         intervalStart = now;
     }
@@ -119,10 +118,17 @@ FliBbvCollector::onRunEnd()
 {
     const InstrCount now = engine.instructionsExecuted();
     if (now > intervalStart) {
-        fvs.addInterval(accum.flush(), now - intervalStart);
+        accum.flushInto(fvs, now - intervalStart);
         ends.push_back(now);
         intervalStart = now;
     }
+}
+
+sp::FrequencyVectorSet
+FliBbvCollector::takeIntervals()
+{
+    fvs.seal();
+    return std::exchange(fvs, {});
 }
 
 namespace
@@ -216,7 +222,7 @@ runProfilePassUncached(const bin::Binary& binary, InstrCount fliTarget,
 
     ProfilePass pass;
     pass.markers = markers.result();
-    pass.fliIntervals = bbv.intervals();
+    pass.fliIntervals = bbv.takeIntervals();
     pass.fliBoundaries = bbv.boundaries();
     pass.totalInstructions = engine.instructionsExecuted();
 

@@ -79,8 +79,11 @@ class BbvAccumulator
     void addTrips(const bin::Binary& binary, const exec::Summary& trip,
                   u64 trips);
 
-    /** Extract the accumulated sparse vector and reset. */
-    sp::SparseVec flush();
+    /**
+     * Append the accumulated vector to `fvs` as one interval of
+     * `length` instructions, entries in block order, and reset.
+     */
+    void flushInto(sp::FrequencyVectorSet& fvs, InstrCount length);
 
     /** True when nothing has been accumulated since the last flush. */
     bool empty() const { return touched.empty(); }
@@ -118,8 +121,11 @@ class FliBbvCollector final : public exec::Observer
     void onBulk(const exec::Summary& trip, u64 trips,
                 const exec::ObserverHooks& streams) override;
 
-    /** Per-interval BBVs with instruction lengths. */
-    const sp::FrequencyVectorSet& intervals() const { return fvs; }
+    /**
+     * Move the per-interval BBVs (with instruction lengths) out,
+     * sealed (see FrequencyVectorSet::seal).
+     */
+    sp::FrequencyVectorSet takeIntervals();
 
     /**
      * Cumulative instruction count at the end of each interval

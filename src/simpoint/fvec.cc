@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "obs/stats.hh"
@@ -34,34 +35,34 @@ entryKey(double value, double quantum)
 }
 
 /**
- * Pinned 128-bit digest of a sparse vector's quantized form (the
- * frozen util/serial hash, aligned-word fast path).  Probes compare
- * digests first, and only a full-digest match falls through to the
- * verifying element comparison.
+ * Pinned 128-bit digest of a sparse row's quantized form (the frozen
+ * util/serial hash, aligned-word fast path).  Probes compare digests
+ * first, and only a full-digest match falls through to the verifying
+ * element comparison.
  */
 serial::Hash128
-vectorDigest(const SparseVec& vec, double quantum)
+vectorDigest(SparseRow row, double quantum)
 {
     serial::Hasher h;
-    h.u64w(vec.size());
-    for (const auto& [idx, val] : vec) {
-        h.u64w(idx);
-        h.u64w(entryKey(val, quantum));
+    h.u64w(row.size());
+    for (std::size_t e = 0; e < row.size(); ++e) {
+        h.u64w(row.index[e]);
+        h.u64w(entryKey(row.value[e], quantum));
     }
     return h.finish();
 }
 
-/** Exact equality of two sparse vectors under `quantum`. */
+/** Exact equality of two sparse rows under `quantum`. */
 bool
-vectorsEqual(const SparseVec& a, const SparseVec& b, double quantum)
+vectorsEqual(SparseRow a, SparseRow b, double quantum)
 {
     if (a.size() != b.size())
         return false;
-    for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].first != b[i].first)
+    for (std::size_t e = 0; e < a.size(); ++e) {
+        if (a.index[e] != b.index[e])
             return false;
-        if (entryKey(a[i].second, quantum) !=
-            entryKey(b[i].second, quantum))
+        if (entryKey(a.value[e], quantum) !=
+            entryKey(b.value[e], quantum))
             return false;
     }
     return true;
@@ -70,43 +71,75 @@ vectorsEqual(const SparseVec& a, const SparseVec& b, double quantum)
 } // namespace
 
 double
-sparseSum(const SparseVec& vec)
+sparseSum(SparseRow row)
 {
     double sum = 0.0;
-    for (const auto& [idx, val] : vec)
+    for (double val : row.value)
         sum += val;
     return sum;
 }
 
 void
-sparseNormalize(SparseVec& vec)
+FrequencyVectorSet::addInterval(const SparseVec& vec, InstrCount length)
 {
-    const double sum = sparseSum(vec);
-    if (sum == 0.0)
-        return;
-    for (auto& [idx, val] : vec)
-        val /= sum;
+    for (const auto& [idx, val] : vec)
+        pushEntry(idx, val);
+    closeInterval(length);
 }
 
 void
-FrequencyVectorSet::addInterval(SparseVec vec, InstrCount length)
+FrequencyVectorSet::closeInterval(InstrCount length)
 {
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-        if (vec[i].first >= dimension)
+    if (offsets.empty())
+        offsets.push_back(0);
+    const std::size_t begin = offsets.back();
+    const std::size_t end = index.size();
+    if (end > std::numeric_limits<u32>::max())
+        panic("frequency-vector set exceeds {} entries",
+              std::numeric_limits<u32>::max());
+    for (std::size_t e = begin; e < end; ++e) {
+        if (index[e] >= dimension)
             panic("frequency vector index {} exceeds dimension {}",
-                  vec[i].first, dimension);
-        if (i > 0 && vec[i].first <= vec[i - 1].first)
+                  index[e], dimension);
+        if (e > begin && index[e] <= index[e - 1])
             panic("frequency vector indices must be strictly rising");
     }
-    vectors.push_back(std::move(vec));
+    offsets.push_back(static_cast<u32>(end));
     lengths.push_back(length);
+}
+
+void
+FrequencyVectorSet::seal()
+{
+    offsets.shrink_to_fit();
+    index.shrink_to_fit();
+    value.shrink_to_fit();
+    lengths.shrink_to_fit();
+    auto& reg = obs::StatRegistry::global();
+    reg.counter("fvs.rows").add(size());
+    reg.counter("fvs.entries").add(entries());
+}
+
+void
+FrequencyVectorSet::releaseEntries()
+{
+    std::vector<u32>().swap(offsets);
+    std::vector<u32>().swap(index);
+    std::vector<double>().swap(value);
 }
 
 void
 FrequencyVectorSet::normalize()
 {
-    for (auto& vec : vectors)
-        sparseNormalize(vec);
+    for (std::size_t i = 0; i < size(); ++i) {
+        const u32 begin = offsets[i];
+        const u32 end = offsets[i + 1];
+        const double sum = sparseSum(row(i));
+        if (sum == 0.0)
+            continue;
+        for (u32 e = begin; e < end; ++e)
+            value[e] /= sum;
+    }
 }
 
 DedupMap
@@ -116,7 +149,7 @@ FrequencyVectorSet::dedup(double quantum) const
     obs::ScopedTimer buildTimer(reg.timer("dedup.build"));
 
     DedupMap map;
-    map.classOf.resize(vectors.size());
+    map.classOf.resize(size());
 
     // Phase 1, parallel: compare each row to its predecessor and
     // digest the rows that start a run.  Phase-structured profiles
@@ -127,15 +160,15 @@ FrequencyVectorSet::dedup(double quantum) const
     // are independent (row i reads only rows i and i-1, both
     // read-only) and land in preallocated slots, so the result is
     // identical at any --jobs.
-    std::vector<serial::Hash128> digests(vectors.size());
-    std::vector<unsigned char> sameAsPrev(vectors.size(), 0);
-    parallelFor(globalPool(), vectors.size(), [&](std::size_t i) {
+    std::vector<serial::Hash128> digests(size());
+    std::vector<unsigned char> sameAsPrev(size(), 0);
+    parallelFor(globalPool(), size(), [&](std::size_t i) {
         if (i > 0 &&
-            vectorsEqual(vectors[i], vectors[i - 1], quantum)) {
+            vectorsEqual(row(i), row(i - 1), quantum)) {
             sameAsPrev[i] = 1;
             return;
         }
-        digests[i] = vectorDigest(vectors[i], quantum);
+        digests[i] = vectorDigest(row(i), quantum);
     });
 
     // Phase 2, serial in row order (class ids must be assigned in
@@ -148,8 +181,8 @@ FrequencyVectorSet::dedup(double quantum) const
     // can never be a class representative, so every firstOf row has
     // a computed digest.)
     std::unordered_map<u64, std::vector<u32>> buckets;
-    buckets.reserve(vectors.size());
-    for (std::size_t i = 0; i < vectors.size(); ++i) {
+    buckets.reserve(size());
+    for (std::size_t i = 0; i < size(); ++i) {
         u32 cls;
         if (sameAsPrev[i]) {
             cls = map.classOf[i - 1];
@@ -160,7 +193,7 @@ FrequencyVectorSet::dedup(double quantum) const
             for (u32 candidate : bucket) {
                 const u32 rep = map.firstOf[candidate];
                 if (digests[rep] == digests[i] &&
-                    vectorsEqual(vectors[i], vectors[rep], quantum)) {
+                    vectorsEqual(row(i), row(rep), quantum)) {
                     cls = candidate;
                     break;
                 }
@@ -176,7 +209,7 @@ FrequencyVectorSet::dedup(double quantum) const
     }
 
     reg.counter("dedup.calls").add();
-    reg.counter("dedup.intervals").add(vectors.size());
+    reg.counter("dedup.intervals").add(size());
     reg.counter("dedup.classes").add(map.classes());
     // One sample per class so the histogram shows how much arithmetic
     // the per-class clustering path can share.

@@ -83,11 +83,12 @@ writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs)
     // %.17g guarantees strtod() recovers the exact double on read —
     // the text BBV path round-trips bit-for-bit like the binary store.
     char buf[64];
-    for (const SparseVec& vec : fvs.vectors) {
+    for (std::size_t i = 0; i < fvs.size(); ++i) {
+        const SparseRow row = fvs.row(i);
         os << "T";
-        for (const auto& [idx, val] : vec) {
-            std::snprintf(buf, sizeof(buf), "%.17g", val);
-            os << ":" << (idx + 1) << ":" << buf << " ";
+        for (std::size_t e = 0; e < row.size(); ++e) {
+            std::snprintf(buf, sizeof(buf), "%.17g", row.value[e]);
+            os << ":" << (row.index[e] + 1) << ":" << buf << " ";
         }
         os << "\n";
     }
@@ -96,11 +97,11 @@ writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs)
 FrequencyVectorSet
 readBbvFile(std::istream& is, u32 dimensionHint)
 {
-    struct RawInterval
-    {
-        SparseVec vec;
-    };
-    std::vector<RawInterval> raw;
+    // Rows go straight into the set's block; its dimension is known
+    // only at the end, so until then it is the largest one accepted.
+    FrequencyVectorSet fvs;
+    fvs.dimension = kMaxBbvDimension;
+    SparseVec vec;
     u32 maxIdx = 0;
     std::string line;
     std::size_t lineNo = 0;
@@ -110,7 +111,7 @@ readBbvFile(std::istream& is, u32 dimensionHint)
             continue;
         if (line[0] != 'T')
             fatal("bb file line {}: expected 'T' prefix", lineNo);
-        RawInterval interval;
+        vec.clear();
         std::size_t pos = 1;
         while (pos < line.size()) {
             if (line[pos] == ' ') {
@@ -145,27 +146,23 @@ readBbvFile(std::istream& is, u32 dimensionHint)
                 fatal("bb file line {}: value {} is not finite and "
                       "non-negative", lineNo, val);
             pos = static_cast<std::size_t>(end - line.c_str());
-            interval.vec.emplace_back(static_cast<u32>(idx - 1), val);
+            vec.emplace_back(static_cast<u32>(idx - 1), val);
             maxIdx = std::max(maxIdx, static_cast<u32>(idx - 1));
         }
-        std::sort(interval.vec.begin(), interval.vec.end());
+        std::sort(vec.begin(), vec.end());
         // Merge duplicate dimension entries (SimPoint frequency
         // semantics: repeated ids on one line accumulate).
-        SparseVec merged;
-        for (const auto& [idx, val] : interval.vec) {
-            if (!merged.empty() && merged.back().first == idx)
-                merged.back().second += val;
+        for (std::size_t e = 0; e < vec.size(); ++e) {
+            const auto [idx, val] = vec[e];
+            if (e > 0 && vec[e - 1].first == idx)
+                fvs.value.back() += val;
             else
-                merged.emplace_back(idx, val);
+                fvs.pushEntry(idx, val);
         }
-        interval.vec = std::move(merged);
-        raw.push_back(std::move(interval));
+        fvs.closeInterval(1);
     }
-
-    FrequencyVectorSet fvs;
     fvs.dimension = std::max(dimensionHint, maxIdx + 1);
-    for (RawInterval& interval : raw)
-        fvs.addInterval(std::move(interval.vec), 1);
+    fvs.seal();
     return fvs;
 }
 

@@ -50,12 +50,14 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
 
     auto projectRow = [&](std::size_t i, obs::ShardCounter& ops) {
         double* row = out.row(i);
-        for (const auto& [idx, val] : fvs.vectors[i]) {
+        const SparseRow vec = fvs.row(i);
+        for (std::size_t e = 0; e < vec.size(); ++e) {
             const double* mrow =
-                matrix.data() + static_cast<std::size_t>(idx) * stride;
-            simd::axpy(row, mrow, val, stride);
+                matrix.data() +
+                static_cast<std::size_t>(vec.index[e]) * stride;
+            simd::axpy(row, mrow, vec.value[e], stride);
         }
-        ops.add(static_cast<u64>(fvs.vectors[i].size()) * dims);
+        ops.add(static_cast<u64>(vec.size()) * dims);
     };
 
     ThreadPool& pool = globalPool();

@@ -1,6 +1,7 @@
 #include "simpoint/simpoint.hh"
 
 #include <limits>
+#include <utility>
 
 #include "obs/stats.hh"
 #include "obs/trace.hh"
@@ -16,9 +17,12 @@ namespace xbsp::sp
 namespace
 {
 
-/** The pipeline proper, over an already-normalized vector set. */
+/**
+ * The pipeline proper, over an already-normalized vector set it owns:
+ * the entries are freed as soon as projection has read them.
+ */
 SimPointResult
-pickFromNormalized(const FrequencyVectorSet& fvs,
+pickFromNormalized(FrequencyVectorSet fvs,
                    const SimPointOptions& options)
 {
     // Coalesce duplicate intervals up front: projection runs once per
@@ -26,12 +30,16 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
     // The class structure rides along inside ProjectedData; every
     // label, member list and representative below stays expressed in
     // original interval ids.
-    DedupMap dedup;
-    if (options.accelerate)
-        dedup = fvs.dedup(options.dedupQuantum);
-    const ProjectedData data =
-        project(fvs, options.projectedDims, options.seed,
-                options.accelerate ? &dedup : nullptr);
+    ProjectedData data;
+    {
+        DedupMap dedup;
+        if (options.accelerate)
+            dedup = fvs.dedup(options.dedupQuantum);
+        data = project(fvs, options.projectedDims, options.seed,
+                       options.accelerate ? &dedup : nullptr);
+    }
+    // Nothing reads a row again; only the lengths weigh the phases.
+    fvs.releaseEntries();
 
     const u32 maxK = std::max<u32>(
         1, std::min<u32>(options.maxK,
@@ -256,7 +264,7 @@ pickSimulationPoints(const FrequencyVectorSet& fvs,
     return memoized(fvs, options, [&] {
         FrequencyVectorSet normalized = fvs;
         normalized.normalize();
-        return pickFromNormalized(normalized, options);
+        return pickFromNormalized(std::move(normalized), options);
     });
 }
 
@@ -264,9 +272,12 @@ SimPointResult
 pickSimulationPoints(FrequencyVectorSet&& fvs,
                      const SimPointOptions& options)
 {
-    return memoized(fvs, options, [&] {
-        fvs.normalize();
-        return pickFromNormalized(fvs, options);
+    // Owned from the start, so the caller's set is empty afterwards
+    // even on a cache hit.
+    FrequencyVectorSet owned = std::exchange(fvs, {});
+    return memoized(owned, options, [&] {
+        owned.normalize();
+        return pickFromNormalized(std::move(owned), options);
     });
 }
 

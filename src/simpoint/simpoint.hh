@@ -93,8 +93,9 @@ SimPointResult pickSimulationPoints(const FrequencyVectorSet& fvs,
                                     const SimPointOptions& options);
 
 /**
- * Consuming overload: normalizes `fvs` in place instead of deep-
- * copying it.  Use when the caller is done with the vector set.
+ * Consuming overload: takes ownership of `fvs` (left empty), so no
+ * deep copy is made and its entries are freed as soon as projection
+ * has read them.  Use when the caller is done with the vector set.
  */
 SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
                                     const SimPointOptions& options);

@@ -1,6 +1,7 @@
 #include "util/serial.hh"
 
 #include <cstring>
+#include <limits>
 
 namespace xbsp::serial
 {
@@ -215,6 +216,15 @@ Decoder::varint()
         }
     }
     throw DecodeError("varint longer than 10 bytes");
+}
+
+u32
+Decoder::varint32()
+{
+    const u64 v = varint();
+    if (v > std::numeric_limits<u32>::max())
+        throw DecodeError("32-bit field out of range");
+    return static_cast<u32>(v);
 }
 
 u64

@@ -154,6 +154,8 @@ class Decoder
     explicit Decoder(std::string_view bytes) : data(bytes) {}
 
     u64 varint();
+    /** A varint that must fit 32 bits (an id or a count field). */
+    u32 varint32();
     u64 fixed64();
     u32 fixed32();
     double f64();

@@ -778,7 +778,10 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
  * pass, distances memoised per duplicate class) equal the naive
  * pipeline's.  The work counters, kmeans.mstep.reused included,
  * must also be identical at 1 and 4 workers, like every exact
- * counter, even though concurrent fits race to fill the memo.
+ * counter, even though concurrent fits race to fill the memo.  The
+ * accelerated runs profile afresh and hand the set over, so the
+ * fvs.rows / fvs.entries layout counters are held to the same rule
+ * and must count the profile's rows and entries exactly once.
  */
 TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
 {
@@ -789,15 +792,17 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
     accelOpts.accelerate = true;
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto work = [&reg] {
-        return std::array<u64, 4>{
+        return std::array<u64, 6>{
             reg.counterValue("kmeans.mstep.rows"),
             reg.counterValue("kmeans.init.terms"),
             reg.counterValue("kmeans.estep.distances"),
-            reg.counterValue("kmeans.mstep.reused")};
+            reg.counterValue("kmeans.mstep.reused"),
+            reg.counterValue("fvs.rows"),
+            reg.counterValue("fvs.entries")};
     };
-    auto since = [](const std::array<u64, 4>& after,
-                    const std::array<u64, 4>& before) {
-        std::array<u64, 4> delta{};
+    auto since = [](const std::array<u64, 6>& after,
+                    const std::array<u64, 6>& before) {
+        std::array<u64, 6> delta{};
         for (std::size_t i = 0; i < delta.size(); ++i)
             delta[i] = after[i] - before[i];
         return delta;
@@ -817,19 +822,21 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
 
         setGlobalJobs(1);
         const auto serialStart = work();
-        const SimPointResult serial =
-            pickSimulationPoints(pass.fliIntervals, accelOpts);
+        const SimPointResult serial = pickSimulationPoints(
+            prof::runProfilePass(binary, 10000).fliIntervals, accelOpts);
         const auto serialWork = since(work(), serialStart);
         setGlobalJobs(4);
         const auto parallelStart = work();
-        const SimPointResult parallel =
-            pickSimulationPoints(pass.fliIntervals, accelOpts);
+        const SimPointResult parallel = pickSimulationPoints(
+            prof::runProfilePass(binary, 10000).fliIntervals, accelOpts);
         const auto parallelWork = since(work(), parallelStart);
         setGlobalJobs(0);
 
         expectIdenticalResults(naive, serial, name + " (1 thread)");
         expectIdenticalResults(naive, parallel, name + " (4 threads)");
         EXPECT_EQ(serialWork, parallelWork) << name;
+        EXPECT_EQ(serialWork[4], pass.fliIntervals.size()) << name;
+        EXPECT_EQ(serialWork[5], pass.fliIntervals.entries()) << name;
         // The accelerated sweep accumulates fewer M-step rows and
         // sums fewer k-means++ terms than the naive one, and its
         // fits take whole rows from the sweep's M-step memo, which

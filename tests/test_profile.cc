@@ -61,14 +61,21 @@ TEST(BbvAccumulator, FlushProducesSortedSparseVector)
     accum.add(2, 1.0);
     accum.add(7, 2.0);
     EXPECT_FALSE(accum.empty());
-    const sp::SparseVec vec = accum.flush();
-    ASSERT_EQ(vec.size(), 2u);
-    EXPECT_EQ(vec[0].first, 2u);
-    EXPECT_DOUBLE_EQ(vec[0].second, 1.0);
-    EXPECT_EQ(vec[1].first, 7u);
-    EXPECT_DOUBLE_EQ(vec[1].second, 5.0);
+    sp::FrequencyVectorSet fvs;
+    fvs.dimension = 10;
+    accum.flushInto(fvs, 6);
+    ASSERT_EQ(fvs.size(), 1u);
+    const sp::SparseRow row = fvs.row(0);
+    ASSERT_EQ(row.size(), 2u);
+    EXPECT_EQ(row.index[0], 2u);
+    EXPECT_DOUBLE_EQ(row.value[0], 1.0);
+    EXPECT_EQ(row.index[1], 7u);
+    EXPECT_DOUBLE_EQ(row.value[1], 5.0);
+    EXPECT_EQ(fvs.lengths[0], 6u);
     EXPECT_TRUE(accum.empty());
-    EXPECT_TRUE(accum.flush().empty());
+    accum.flushInto(fvs, 0);
+    ASSERT_EQ(fvs.size(), 2u);
+    EXPECT_TRUE(fvs.row(1).empty());
 }
 
 TEST(FliCollector, IntervalsPartitionTheRun)
@@ -103,7 +110,7 @@ TEST(FliCollector, BbvValuesSumToIntervalLength)
         compile::compileProgram(test::tinyProgram(), bin::target32u);
     const prof::ProfilePass pass = prof::runProfilePass(binary, 5000);
     for (std::size_t i = 0; i < pass.fliIntervals.size(); ++i) {
-        EXPECT_NEAR(sp::sparseSum(pass.fliIntervals.vectors[i]),
+        EXPECT_NEAR(sp::sparseSum(pass.fliIntervals.row(i)),
                     static_cast<double>(pass.fliIntervals.lengths[i]),
                     1e-6);
     }

@@ -10,13 +10,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <sstream>
 
 #include "binary/serial.hh"
 #include "core/serial.hh"
 #include "profile/serial.hh"
 #include "sim/serial.hh"
+#include "simpoint/io.hh"
 #include "simpoint/serial.hh"
 #include "test_support.hh"
 #include "util/serial.hh"
@@ -226,9 +229,183 @@ TEST(SerialCodec, FrequencyVectorSetRoundTrip)
     const sp::FrequencyVectorSet back = sp::decodeFvs(d);
     d.expectEnd();
 
-    EXPECT_EQ(back.dimension, fvs.dimension);
-    EXPECT_EQ(back.vectors, fvs.vectors);
-    EXPECT_EQ(back.lengths, fvs.lengths);
+    EXPECT_TRUE(back == fvs);
+}
+
+namespace
+{
+
+/** Lowercase hex of an encoder's bytes. */
+std::string
+hexBytes(std::string_view bytes)
+{
+    std::string out;
+    char buf[3];
+    for (unsigned char c : bytes) {
+        std::snprintf(buf, sizeof(buf), "%02x", c);
+        out += buf;
+    }
+    return out;
+}
+
+/**
+ * A fixed set with empty rows and a trailing partial interval.  Its
+ * three external forms are pinned below: the store bytes, the
+ * content digest the store keys on and the BBV text.  Changing any of
+ * them orphans every cache entry or .bb file written so far.
+ */
+sp::FrequencyVectorSet
+pinnedFvs()
+{
+    sp::FrequencyVectorSet fvs;
+    fvs.dimension = 6;
+    fvs.addInterval({{0, 0.5}, {3, 1e-300}, {5, 1.0 / 3.0}}, 2000);
+    fvs.addInterval({}, 2000);
+    fvs.addInterval({{1, 7.25}}, 2000);
+    fvs.addInterval({}, 2000);
+    fvs.addInterval({{2, 123456789.0}, {4, 2.5}}, 731);
+    return fvs;
+}
+
+/** The codec bytes of `fvs`. */
+std::string
+fvsBytes(const sp::FrequencyVectorSet& fvs)
+{
+    serial::Encoder e;
+    sp::encodeFvs(e, fvs);
+    return std::string(e.view());
+}
+
+/** A three-interval, two-phase result whose codec bytes are sound. */
+sp::SimPointResult
+soundResult()
+{
+    sp::SimPointResult r;
+    r.k = 2;
+    r.labels = {0, 1, 0};
+    r.phases = {{0, 2, 0.75, {0, 2}}, {1, 1, 0.25, {1}}};
+    r.bicByK = {-1.0, -2.0};
+    return r;
+}
+
+/** Decode `r`'s codec bytes, expecting a DecodeError. */
+void
+expectResultRejected(const sp::SimPointResult& r)
+{
+    serial::Encoder e;
+    sp::encodeSimPointResult(e, r);
+    serial::Decoder d(e.view());
+    EXPECT_THROW(sp::decodeSimPointResult(d), serial::DecodeError);
+}
+
+} // namespace
+
+TEST(SerialCodec, FrequencyVectorSetFormatsArePinned)
+{
+    const sp::FrequencyVectorSet fvs = pinnedFvs();
+
+    EXPECT_EQ(hexBytes(fvsBytes(fvs)),
+              "06050300000000000000e03f0359f3f8c21f6ea50105555555555555"
+              "d53f0001010000000000001d4000020200000054346f9d41040000"
+              "00000000044005d00fd00fd00fd00fdb05");
+
+    serial::Hasher h;
+    sp::hashFvs(h, fvs);
+    EXPECT_EQ(h.finish().hex(), "f93fbde543e78885be914edf7731f521");
+    EXPECT_EQ(sp::simPointKey(fvs, sp::SimPointOptions{}).hex(),
+              "60e8632f14b28a5a333ffebe38a19c62");
+
+    std::ostringstream bb;
+    sp::writeBbvFile(bb, fvs);
+    EXPECT_EQ(bb.str(), "T:1:0.5 :4:1e-300 :6:0.33333333333333331 \n"
+                        "T\n"
+                        "T:2:7.25 \n"
+                        "T\n"
+                        "T:3:123456789 :5:2.5 \n");
+}
+
+TEST(SerialCodec, FvsIndexPastDimensionRejected)
+{
+    // Entries name blocks up to 5 of a set whose dimension is cut to
+    // 4: project() would read past the end of its matrix.
+    sp::FrequencyVectorSet fvs = pinnedFvs();
+    fvs.dimension = 4;
+    const std::string bytes = fvsBytes(fvs);
+    serial::Decoder d(bytes);
+    EXPECT_THROW(sp::decodeFvs(d), serial::DecodeError);
+}
+
+TEST(SerialCodec, FvsIndicesNotRisingRejected)
+{
+    sp::FrequencyVectorSet fvs = pinnedFvs();
+    std::swap(fvs.index[0], fvs.index[1]);
+    const std::string bytes = fvsBytes(fvs);
+    serial::Decoder d(bytes);
+    EXPECT_THROW(sp::decodeFvs(d), serial::DecodeError);
+}
+
+TEST(SerialCodec, FvsLengthsCountMismatchRejected)
+{
+    // The pinned bytes end with the lengths array: a count and five
+    // lengths, 11 bytes.  Replace it with one of 4 or 6 lengths.
+    const std::string rows = fvsBytes(pinnedFvs());
+    for (u64 count : {4u, 6u}) {
+        serial::Encoder e;
+        e.varint(count);
+        for (u64 i = 0; i < count; ++i)
+            e.varint(2000);
+        const std::string bytes =
+            rows.substr(0, rows.size() - 11) + std::string(e.view());
+        serial::Decoder d(bytes);
+        EXPECT_THROW(sp::decodeFvs(d), serial::DecodeError) << count;
+    }
+}
+
+TEST(SerialCodec, FvsDimensionWiderThan32BitsRejected)
+{
+    // The sound bytes with the leading dimension varint replaced by
+    // 2^32 + 6, which used to truncate to 6 and decode.
+    serial::Encoder e;
+    e.varint((u64{1} << 32) + 6);
+    const std::string bytes =
+        std::string(e.view()) + fvsBytes(pinnedFvs()).substr(1);
+    serial::Decoder d(bytes);
+    EXPECT_THROW(sp::decodeFvs(d), serial::DecodeError);
+}
+
+TEST(SerialCodec, SimPointLabelPastKRejected)
+{
+    sp::SimPointResult r = soundResult();
+    {
+        serial::Encoder e;
+        sp::encodeSimPointResult(e, r);
+        serial::Decoder d(e.view());
+        EXPECT_NO_THROW(sp::decodeSimPointResult(d));
+    }
+    r.labels[1] = 2;
+    r.phases[1].id = 2;
+    expectResultRejected(r);
+}
+
+TEST(SerialCodec, SimPointMemberPastIntervalsRejected)
+{
+    sp::SimPointResult r = soundResult();
+    r.phases[0].members.push_back(3);
+    expectResultRejected(r);
+}
+
+TEST(SerialCodec, SimPointRepresentativePastIntervalsRejected)
+{
+    sp::SimPointResult r = soundResult();
+    r.phases[1].representative = 3;
+    expectResultRejected(r);
+}
+
+TEST(SerialCodec, SimPointRepresentativeOfAnotherPhaseRejected)
+{
+    sp::SimPointResult r = soundResult();
+    r.phases[1].representative = 0;
+    expectResultRejected(r);
 }
 
 TEST(SerialCodec, SimPointResultRoundTrip)
@@ -300,8 +477,7 @@ TEST(SerialCodec, ProfilePassRoundTrip)
     EXPECT_EQ(back.markers.counts, pass.markers.counts);
     EXPECT_EQ(back.markers.totalInstructions,
               pass.markers.totalInstructions);
-    EXPECT_EQ(back.fliIntervals.vectors, pass.fliIntervals.vectors);
-    EXPECT_EQ(back.fliIntervals.lengths, pass.fliIntervals.lengths);
+    EXPECT_TRUE(back.fliIntervals == pass.fliIntervals);
     EXPECT_EQ(back.fliBoundaries, pass.fliBoundaries);
     EXPECT_EQ(back.totalInstructions, pass.totalInstructions);
 }

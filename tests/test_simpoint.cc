@@ -71,8 +71,8 @@ TEST(Fvec, NormalizeMakesVectorsSumToOne)
 {
     FrequencyVectorSet fvs = syntheticClusters(3, 5);
     fvs.normalize();
-    for (const auto& vec : fvs.vectors)
-        EXPECT_NEAR(sparseSum(vec), 1.0, 1e-12);
+    for (std::size_t i = 0; i < fvs.size(); ++i)
+        EXPECT_NEAR(sparseSum(fvs.row(i)), 1.0, 1e-12);
 }
 
 TEST(Fvec, TotalInstructions)

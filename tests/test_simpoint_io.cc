@@ -17,6 +17,16 @@ using namespace xbsp::sp;
 namespace
 {
 
+/** A row's entries as an owned list, for comparisons. */
+SparseVec
+entriesOf(SparseRow row)
+{
+    SparseVec vec;
+    for (std::size_t e = 0; e < row.size(); ++e)
+        vec.emplace_back(row.index[e], row.value[e]);
+    return vec;
+}
+
 FrequencyVectorSet
 sampleFvs()
 {
@@ -39,12 +49,12 @@ TEST(SimPointIo, BbvRoundTrip)
     ASSERT_EQ(parsed.size(), original.size());
     EXPECT_EQ(parsed.dimension, 20u);
     for (std::size_t i = 0; i < original.size(); ++i) {
-        ASSERT_EQ(parsed.vectors[i].size(), original.vectors[i].size());
-        for (std::size_t j = 0; j < original.vectors[i].size(); ++j) {
-            EXPECT_EQ(parsed.vectors[i][j].first,
-                      original.vectors[i][j].first);
-            EXPECT_DOUBLE_EQ(parsed.vectors[i][j].second,
-                             original.vectors[i][j].second);
+        const SparseRow got = parsed.row(i);
+        const SparseRow want = original.row(i);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t j = 0; j < want.size(); ++j) {
+            EXPECT_EQ(got.index[j], want.index[j]);
+            EXPECT_DOUBLE_EQ(got.value[j], want.value[j]);
         }
     }
 }
@@ -203,10 +213,11 @@ TEST(SimPointIoProperty, RandomizedBbvRoundTripsBitExactly)
         const FrequencyVectorSet parsed =
             readBbvFile(ss, original.dimension);
         ASSERT_EQ(parsed.size(), original.size()) << "seed " << seed;
-        // Bitwise equality: pair<u32,double> compares doubles with
-        // ==, which is exactly the contract (%.17g is lossless).
-        EXPECT_EQ(parsed.vectors, original.vectors)
-            << "seed " << seed;
+        // Bitwise equality: the entries compare doubles with ==,
+        // which is exactly the contract (%.17g is lossless).
+        EXPECT_EQ(parsed.offsets, original.offsets) << "seed " << seed;
+        EXPECT_EQ(parsed.index, original.index) << "seed " << seed;
+        EXPECT_EQ(parsed.value, original.value) << "seed " << seed;
     }
 }
 
@@ -221,9 +232,9 @@ TEST(SimPointIoProperty, EmptyVectorsSurvive)
     writeBbvFile(ss, fvs);
     const FrequencyVectorSet parsed = readBbvFile(ss, 4);
     ASSERT_EQ(parsed.size(), 3u);
-    EXPECT_TRUE(parsed.vectors[0].empty());
-    EXPECT_EQ(parsed.vectors[1], fvs.vectors[1]);
-    EXPECT_TRUE(parsed.vectors[2].empty());
+    EXPECT_TRUE(parsed.row(0).empty());
+    EXPECT_EQ(entriesOf(parsed.row(1)), entriesOf(fvs.row(1)));
+    EXPECT_TRUE(parsed.row(2).empty());
 }
 
 TEST(SimPointIoProperty, DuplicateBlockIdsAccumulateOnRead)
@@ -234,7 +245,7 @@ TEST(SimPointIoProperty, DuplicateBlockIdsAccumulateOnRead)
     const FrequencyVectorSet parsed = readBbvFile(ss, 8);
     ASSERT_EQ(parsed.size(), 1u);
     const SparseVec expected{{1, 10.0}, {4, 4.0}};
-    EXPECT_EQ(parsed.vectors[0], expected);
+    EXPECT_EQ(entriesOf(parsed.row(0)), expected);
 }
 
 TEST(SimPointIoProperty, ExtremeWeightsRoundTrip)
@@ -250,7 +261,7 @@ TEST(SimPointIoProperty, ExtremeWeightsRoundTrip)
     writeBbvFile(ss, fvs);
     const FrequencyVectorSet parsed = readBbvFile(ss, 3);
     ASSERT_EQ(parsed.size(), 1u);
-    EXPECT_EQ(parsed.vectors[0], fvs.vectors[0]);
+    EXPECT_EQ(entriesOf(parsed.row(0)), entriesOf(fvs.row(0)));
 }
 
 // ---------------------------------------------------------------------
@@ -283,7 +294,8 @@ TEST(SimPointIoHostile, BbvIndexAtTheCeilingReads)
     const FrequencyVectorSet fvs = readBbvFile(ss);
     EXPECT_EQ(fvs.dimension, kMaxBbvDimension);
     const SparseVec expected{{kMaxBbvDimension - 1, 1.0}};
-    EXPECT_EQ(fvs.vectors.at(0), expected);
+    ASSERT_EQ(fvs.size(), 1u);
+    EXPECT_EQ(entriesOf(fvs.row(0)), expected);
 }
 
 TEST(SimPointIoHostile, BbvNonFiniteOrNegativeValueFatal)

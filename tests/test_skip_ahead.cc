@@ -101,7 +101,7 @@ profilePerEvent(const bin::Binary& binary, InstrCount target)
     engine.addObserver(&b, b.hooks());
     engine.run();
     markers.finish(engine.instructionsExecuted());
-    return {markers.result(), bbv.intervals(), bbv.boundaries(),
+    return {markers.result(), bbv.takeIntervals(), bbv.boundaries(),
             engine.instructionsExecuted()};
 }
 
@@ -115,7 +115,7 @@ vliPerEvent(const bin::Binary& binary, const core::MappableSet& set,
     PerEvent wrapped(collector);
     engine.addObserver(&wrapped, wrapped.hooks());
     engine.run();
-    return {collector.partition(), collector.intervals(),
+    return {collector.partition(), collector.takeIntervals(),
             engine.instructionsExecuted()};
 }
 
@@ -158,10 +158,7 @@ expectSameProfile(const prof::ProfilePass& skip,
     EXPECT_EQ(skip.markers.counts, ref.markers.counts) << what;
     EXPECT_EQ(skip.markers.totalInstructions,
               ref.markers.totalInstructions) << what;
-    EXPECT_EQ(skip.fliIntervals.dimension, ref.fliIntervals.dimension)
-        << what;
-    EXPECT_EQ(skip.fliIntervals.vectors, ref.fliIntervals.vectors) << what;
-    EXPECT_EQ(skip.fliIntervals.lengths, ref.fliIntervals.lengths) << what;
+    EXPECT_TRUE(skip.fliIntervals == ref.fliIntervals) << what;
     EXPECT_EQ(skip.fliBoundaries, ref.fliBoundaries) << what;
     EXPECT_EQ(skip.totalInstructions, ref.totalInstructions) << what;
 }
@@ -171,8 +168,7 @@ expectSameVli(const core::VliBuild& skip, const core::VliBuild& ref,
               const std::string& what)
 {
     EXPECT_EQ(skip.partition.boundaries, ref.partition.boundaries) << what;
-    EXPECT_EQ(skip.intervals.vectors, ref.intervals.vectors) << what;
-    EXPECT_EQ(skip.intervals.lengths, ref.intervals.lengths) << what;
+    EXPECT_TRUE(skip.intervals == ref.intervals) << what;
     EXPECT_EQ(skip.totalInstructions, ref.totalInstructions) << what;
 }
 

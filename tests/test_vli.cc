@@ -81,7 +81,7 @@ TEST(Vli, BbvSumsMatchLengths)
 {
     const VliFixture s = makeSetup(test::tinyProgram(), 5000);
     for (std::size_t i = 0; i < s.build.intervals.size(); ++i) {
-        EXPECT_NEAR(sp::sparseSum(s.build.intervals.vectors[i]),
+        EXPECT_NEAR(sp::sparseSum(s.build.intervals.row(i)),
                     static_cast<double>(s.build.intervals.lengths[i]),
                     1e-6);
     }
