@@ -53,25 +53,6 @@ SetAssociativeCache::SetAssociativeCache(const LevelConfig& config)
     lines.assign(static_cast<std::size_t>(numLines), 0);
 }
 
-Eviction
-SetAssociativeCache::fill(Addr addr, bool dirty)
-{
-    u64* set = &lines[setBase(addr)];
-    const u64 last = set[ways - 1];
-    Eviction ev;
-    if ((last & kValid) != 0) {
-        ev.valid = true;
-        ev.dirty = (last & kDirty) != 0;
-        ev.lineAddr = last & lineMask;
-        if (ev.dirty)
-            ++writebackCount;
-    }
-    for (u32 d = ways - 1; d > 0; --d)
-        set[d] = set[d - 1];
-    set[0] = (addr & lineMask) | kValid | (dirty ? kDirty : 0);
-    return ev;
-}
-
 void
 SetAssociativeCache::flush()
 {
@@ -93,6 +74,7 @@ SetAssociativeCache::resetStats()
     accessCount = 0;
     missCount = 0;
     writebackCount = 0;
+    walkCount = 0;
 }
 
 } // namespace xbsp::cache

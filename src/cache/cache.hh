@@ -11,13 +11,16 @@
  * line, so the valid lines of a set always form a prefix and a walk
  * can stop at the first empty slot.
  *
- * True LRU is then just move-to-front: a hit at depth d shifts the d
- * words above it down by one and reinstalls the line at the front; a
- * fill drops the last slot (the LRU line, if the set is full) and
- * inserts at the front.  The set contents after every operation are
- * exactly those of the classic "first free way, else the oldest
- * timestamp" policy, so every hit level, count and eviction matches
- * the timestamped oracle kept in tests/oracle.
+ * True LRU is then just move-to-front, and one walk does a whole
+ * access: it scans from the front, shifting each word it passes down
+ * by one, until it meets the line (a hit: the line lands at the front
+ * with the words above it shifted, exactly a move-to-front), an empty
+ * slot (a miss into free space) or the end of the set (a miss that
+ * displaces the LRU word).  A miss leaves the new line at the front.
+ * The set contents after every operation are exactly those of the
+ * classic "first free way, else the oldest timestamp" policy, so
+ * every hit level, count and eviction matches the timestamped oracle
+ * kept in tests/oracle.
  */
 
 #ifndef XBSP_CACHE_CACHE_HH
@@ -41,12 +44,19 @@ struct LevelConfig
     Cycles hitLatency = 3;
 };
 
-/** Result of filling a line: what got evicted, if anything. */
+/** A line a miss displaced from its set, if any. */
 struct Eviction
 {
     bool valid = false;
     bool dirty = false;
     Addr lineAddr = 0;
+};
+
+/** Outcome of one demand access. */
+struct AccessResult
+{
+    bool hit = false;
+    Eviction evicted;  ///< the displaced line (misses only)
 };
 
 /**
@@ -59,50 +69,59 @@ class SetAssociativeCache
     explicit SetAssociativeCache(const LevelConfig& config);
 
     /**
-     * Look up an address.  On a hit the line moves to the front of
-     * its set and, for writes, is marked dirty.
-     * @return true on hit.
+     * Demand access (allocate-on-miss), in one walk of the set.  A
+     * hit moves the line to the front and, for writes, marks it
+     * dirty.  A miss counts as one and installs the line at the
+     * front (dirty for writes), displacing the LRU line if the set
+     * is full.
      */
-    bool
-    lookup(Addr addr, bool isWrite)
+    AccessResult
+    accessOrFill(Addr addr, bool isWrite)
     {
         ++accessCount;
-        u64* set = &lines[setBase(addr)];
-        const int d = depthOf(set, addr);
-        if (d >= 0) {
-            moveToFront(set, static_cast<u32>(d),
-                        isWrite ? kDirty : 0);
-            return true;
+        AccessResult result;
+        const u64 displaced = walk(addr, isWrite ? kDirty : 0);
+        result.hit = displaced == kHit;
+        if (!result.hit) {
+            ++missCount;
+            result.evicted = evictionOf(displaced);
         }
-        ++missCount;
-        return false;
+        return result;
     }
 
     /**
-     * Touch the line containing `addr` if it is present: move it to
-     * the front and mark it dirty, counting one access (a writeback
-     * landing on a resident line).  A miss changes nothing.
-     * @return true when the line was present (and is now dirty).
+     * A dirty line written back from the level above: a resident
+     * line is touched (moved to the front, counted as one access)
+     * and dirtied; otherwise it is installed dirty without counting
+     * an access, displacing the LRU line if the set is full.
+     * @return the displaced line (valid=false on a hit or free slot).
      */
-    bool
-    touchIfPresent(Addr addr)
+    Eviction
+    absorbWriteback(Addr lineAddr)
     {
-        u64* set = &lines[setBase(addr)];
-        const int d = depthOf(set, addr);
-        if (d < 0)
-            return false;
-        ++accessCount;
-        moveToFront(set, static_cast<u32>(d), kDirty);
-        return true;
+        const u64 displaced = walk(lineAddr, kDirty);
+        if (displaced == kHit) {
+            ++accessCount;
+            return {};
+        }
+        return evictionOf(displaced);
     }
 
     /**
-     * Install the line containing `addr` (allocate-on-miss), evicting
-     * the LRU line if the set is full.
-     * @param dirty install the line already dirty (writeback fills).
-     * @return the eviction, with valid=false when a slot was free.
+     * `n` more hits on the line at the front of `addr`'s set, which
+     * the caller knows is `addr`'s line; dirties it when `isWrite`.
+     * No walk: the line is already most recently used.
      */
-    Eviction fill(Addr addr, bool dirty);
+    void
+    hitFront(Addr addr, u64 n, bool isWrite)
+    {
+        accessCount += n;
+        if (isWrite) {
+            u64& front = lines[setBase(addr)];
+            if ((front & kDirty) == 0)
+                front |= kDirty;
+        }
+    }
 
     /** Invalidate everything (cold-start a sampling region). */
     void flush();
@@ -111,19 +130,29 @@ class SetAssociativeCache
     bool
     probe(Addr addr) const
     {
-        return depthOf(&lines[setBase(addr)], addr) >= 0;
+        const u64* set = &lines[setBase(addr)];
+        const u64 key = (addr & lineMask) | kValid | kDirty;
+        for (u32 d = 0; d < ways && set[d] != 0; ++d) {
+            if ((set[d] | kDirty) == key)
+                return true;
+        }
+        return false;
     }
 
     const LevelConfig& config() const { return cfg; }
     u64 accesses() const { return accessCount; }
     u64 misses() const { return missCount; }
     u64 writebacksOut() const { return writebackCount; }
+    /** Set walks done (demand accesses and absorbed writebacks). */
+    u64 walks() const { return walkCount; }
     double missRate() const;
     void resetStats();
 
   private:
     static constexpr u64 kValid = 1;
     static constexpr u64 kDirty = 2;
+    /** walk()'s result on a hit; no line word is ever this value. */
+    static constexpr u64 kHit = kDirty;
 
     /** Index in `lines` of the first slot of `addr`'s set. */
     std::size_t
@@ -132,29 +161,56 @@ class SetAssociativeCache
         return ((addr >> setShift) & setMask) * ways;
     }
 
-    /** Recency depth of `addr`'s line within `set`, else -1. */
-    int
-    depthOf(const u64* set, Addr addr) const
+    /**
+     * The one set walk.  On a hit the line moves to the front with
+     * `flags` OR-ed in, and the result is kHit.  On a miss the line
+     * is installed at the front with `flags`, and the result is the
+     * word the set lost: the LRU line, or 0 when a slot was free.
+     * A word is stored only when its value changes, so a depth-0
+     * hit that adds no flag writes nothing.
+     */
+    u64
+    walk(Addr addr, u64 flags)
     {
+        ++walkCount;
+        u64* set = &lines[setBase(addr)];
         const u64 key = (addr & lineMask) | kValid | kDirty;
-        for (u32 d = 0; d < ways; ++d) {
-            const u64 line = set[d];
-            if ((line | kDirty) == key)
-                return static_cast<int>(d);
-            if (line == 0)
-                break;
+        u64 carry = set[0];
+        if ((carry | kDirty) == key) {
+            if ((carry & flags) != flags)
+                set[0] = carry | flags;
+            return kHit;
         }
-        return -1;
+        // Shift each passed word down by one; the front slot is
+        // written last, with the hit line or the installed one.
+        u64 front = (key & ~kDirty) | flags;
+        for (u32 d = 1; carry != 0 && d < ways; ++d) {
+            const u64 line = set[d];
+            set[d] = carry;
+            if ((line | kDirty) == key) {
+                front = line | flags;
+                carry = kHit;
+                break;
+            }
+            carry = line;
+        }
+        set[0] = front;
+        return carry;
     }
 
-    /** Move the line at depth `d` to the front, OR-ing in `flags`. */
-    static void
-    moveToFront(u64* set, u32 d, u64 flags)
+    /** The Eviction a miss's displaced word describes. */
+    Eviction
+    evictionOf(u64 displaced)
     {
-        const u64 line = set[d] | flags;
-        for (; d > 0; --d)
-            set[d] = set[d - 1];
-        set[0] = line;
+        Eviction ev;
+        if (displaced != 0) {
+            ev.valid = true;
+            ev.dirty = (displaced & kDirty) != 0;
+            ev.lineAddr = displaced & lineMask;
+            if (ev.dirty)
+                ++writebackCount;
+        }
+        return ev;
     }
 
     LevelConfig cfg;
@@ -167,6 +223,7 @@ class SetAssociativeCache
     u64 accessCount = 0;
     u64 missCount = 0;
     u64 writebackCount = 0;
+    u64 walkCount = 0;
 };
 
 } // namespace xbsp::cache

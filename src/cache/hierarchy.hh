@@ -5,12 +5,18 @@
  * L2 512KB/8-way, L3 1MB/16-way, all 64-byte lines and LRU, with
  * 3/14/35-cycle hit latencies and 250-cycle DRAM.
  *
- * The access path is split into an inline L1-hit fast path (one
- * inlined lookup, one latency-table read) and an out-of-line miss
- * slow path (L2/L3 walk, fills, writeback cascade).  accessBatch()
- * therefore keeps the dominant case — an L1 hit — inside one
- * branch-light inner loop; statistics and LRU state are updated
- * exactly as if access() had been called per reference.
+ * The access path is line-granular and one-pass.  The hierarchy
+ * remembers the line of the last reference: every access leaves its
+ * line at the front of its L1 set, and writebacks only touch L2/L3,
+ * so a reference to that same line is a depth-0 L1 hit and is
+ * serviced from the counters alone, with no set walk (an *elided*
+ * reference).  Any other reference walks its L1 set once, inline;
+ * a miss has already been installed by that walk and goes to the
+ * out-of-line path, which installs the line in each lower level as
+ * it walks down and then replays the displaced dirty lines, deepest
+ * level first.  Statistics and LRU state are exactly those of the
+ * reference-by-reference lookup-then-fill model (DESIGN.md, "Cache
+ * hot loop").
  */
 
 #ifndef XBSP_CACHE_HIERARCHY_HH
@@ -61,11 +67,16 @@ class Hierarchy
     HitLevel
     access(Addr addr, bool isWrite)
     {
-        if (levels[0].lookup(addr, isWrite)) {
-            ++serviced[0];
+        const Addr line = addr & lineMask;
+        if (line == lastLine) {
+            levels[0].hitFront(addr, 1, isWrite);
             return HitLevel::L1;
         }
-        return accessMissFrom(addr, isWrite);
+        lastLine = line;
+        const AccessResult l1 = levels[0].accessOrFill(addr, isWrite);
+        if (l1.hit)
+            return HitLevel::L1;
+        return missBelow(addr, l1.evicted);
     }
 
     /**
@@ -80,16 +91,21 @@ class Hierarchy
     {
         Cycles total = 0;
         for (const mem::MemRef& ref : refs) {
-            if (levels[0].lookup(ref.addr, ref.isWrite)) {
-                ++serviced[0];
-                total += latencyTable[0];
-            } else {
-                total += latencyTable[static_cast<std::size_t>(
-                    accessMissFrom(ref.addr, ref.isWrite))];
-            }
+            total += latencyTable[static_cast<std::size_t>(
+                access(ref.addr, ref.isWrite))];
         }
         return total;
     }
+
+    /**
+     * Service the `n` stack-spill references of one block execution,
+     * mem::stackRef(base, cursor) through stackRef(base, cursor + n
+     * - 1), and return the summed latency.  Exactly n access() calls
+     * in order, done as one access per line touched: the rest of a
+     * line's references are depth-0 hits, and a line with two or
+     * more of them (loads and stores alternate) ends dirty.
+     */
+    Cycles accessStackRun(Addr base, u32 cursor, u32 n);
 
     /** Total latency of a reference serviced at `level`. */
     Cycles
@@ -114,15 +130,32 @@ class Hierarchy
     u64 dramWritebacks() const { return dramWbCount; }
     u64 totalAccesses() const;
 
+    /** References serviced as depth-0 L1 hits without a set walk. */
+    u64
+    elidedRefs() const
+    {
+        return levels[0].accesses() - levels[0].walks();
+    }
+
+    /** Set walks done at all levels (demand and writeback). */
+    u64 setWalks() const;
+
   private:
+    /** No line: lines are aligned, so no masked address is odd. */
+    static constexpr Addr kNoLine = ~Addr(0);
+
     HierarchyConfig cfg;
     std::array<SetAssociativeCache, 3> levels;
     std::array<Cycles, 4> latencyTable{};  ///< per HitLevel
-    std::array<u64, 4> serviced{};         ///< per HitLevel
+    /// References serviced at L2, L3 and DRAM (L1 hits are the L1
+    /// level's accesses minus its misses).
+    std::array<u64, 4> serviced{};
     u64 dramWbCount = 0;
+    Addr lineMask = 0;        ///< ~(lineSize - 1)
+    Addr lastLine = kNoLine;  ///< line of the last reference
 
-    /** Slow path: L1 already looked up and missed. */
-    HitLevel accessMissFrom(Addr addr, bool isWrite);
+    /** Slow path: L1 missed and installed `addr`, evicting `l1Victim`. */
+    HitLevel missBelow(Addr addr, const Eviction& l1Victim);
     void writebackInto(std::size_t level, Addr lineAddr);
 };
 

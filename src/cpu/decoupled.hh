@@ -109,6 +109,20 @@ class DecoupledCore final : public Core
         credit(stall * cfg.fetchWidth);
     }
 
+    /**
+     * A block's stack spills as one run (exec::StackRunSink).  The
+     * FTQ credit saturates, so crediting the pattern batch's and the
+     * run's stalls apart ends where crediting their sum does.
+     */
+    void
+    onStackRun(Addr base, u32 cursor, u32 n)
+    {
+        const Cycles stall = hier.accessStackRun(base, cursor, n);
+        stats.cycles += stall;
+        stats.memRefs += n;
+        credit(stall * cfg.fetchWidth);
+    }
+
     void
     onMarker(u32 markerId) override
     {

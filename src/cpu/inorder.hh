@@ -53,6 +53,14 @@ class InOrderCore final : public Core
         stats.cycles += hier.accessBatch(refs);
         stats.memRefs += refs.size();
     }
+
+    /** A block's stack spills as one run (exec::StackRunSink). */
+    void
+    onStackRun(Addr base, u32 cursor, u32 n)
+    {
+        stats.cycles += hier.accessStackRun(base, cursor, n);
+        stats.memRefs += n;
+    }
 };
 
 } // namespace xbsp::cpu

@@ -23,7 +23,16 @@
  *         // Optional, detected with `requires` (see SkippingSink):
  *         u64 quietTrips(const Summary& trip, u64 maxTrips);
  *         void onBulk(const Summary& trip, u64 trips);
+ *         // Optional, detected with `requires` (see StackRunSink):
+ *         void onStackRun(Addr base, u32 cursor, u32 n);
  *     };
+ *
+ * Stack runs: a block's references are its pattern references and
+ * then its stack spills, a closed-form walk over the procedure's
+ * stack window (mem::stackRef).  A sink with onStackRun gets the
+ * pattern references as one onMemRefs() batch and then the spills
+ * as one run, (window base, first cursor, count), never
+ * materialized; every other sink gets both as one batch.
  *
  * Skip-ahead: a sink that wants no memory references and has the two
  * optional members is asked, at the start of every loop trip and at
@@ -47,9 +56,10 @@
  *    block event, so timing observers are fully up to date when
  *    boundary collectors cut an interval at a block event;
  *  - memory references are delivered as one onMemRefs() batch per
- *    block execution and observer, in issue order; each observer
- *    sees its whole batch before the next observer (references never
- *    interleave with block or marker events);
+ *    block execution and observer, in issue order (for a
+ *    StackRunSink: the pattern batch, then one stack run); each
+ *    observer sees its whole batch before the next observer
+ *    (references never interleave with block or marker events);
  *  - observers are notified in registration order;
  *  - a procedure's entry marker fires before its body, a loop's entry
  *    marker before its first iteration, and the back-branch marker
@@ -194,6 +204,13 @@ concept SkippingSink = requires(Sink& sink, const Summary& trip, u64 n) {
     sink.onBulk(trip, n);
 };
 
+/** A sink that takes a block's stack spills as one run. */
+template <typename Sink>
+concept StackRunSink =
+    requires(Sink& sink, Addr base, u32 cursor, u32 n) {
+        sink.onStackRun(base, cursor, n);
+    };
+
 /** Executes one binary once; construct a fresh engine per run. */
 class Engine
 {
@@ -291,10 +308,11 @@ class Engine
 
     /**
      * Execute one basic block into `sink`: bump the instruction
-     * counter, materialize the reference batch (pattern refs via
-     * AddressGenerator::nextBatch, then spill traffic cycling through
-     * a 64-slot per-procedure stack window, alternating load/store),
-     * dispatch it, then the block event.
+     * counter, generate the pattern references
+     * (AddressGenerator::nextBatch) and the stack spills (the next
+     * stackOps slots of the procedure's window, mem::stackRef),
+     * dispatch them (see "Stack runs" in the file comment), then the
+     * block event.
      */
     template <typename Sink>
     void
@@ -310,21 +328,25 @@ class Engine
                 st.gen->beginBlock();
                 st.gen->nextBatch(blk.memOps, refBuf.get());
             }
-            u32 cursor = st.stackCursor;
-            const u32 total = blk.memOps + blk.stackOps;
-            if (blk.stackOps > 0) {
-                const Addr base = mem::stackBase(blk.procId);
-                for (u32 i = blk.memOps; i < total; ++i) {
-                    refBuf[i] = {base + ((cursor & 63u) << 3),
-                                 (cursor & 1u) != 0};
-                    ++cursor;
+            const u32 cursor = st.stackCursor;
+            const Addr base = mem::stackBase(blk.procId);
+            st.stackCursor += blk.stackOps;
+            refsIssued += blk.memOps + blk.stackOps;
+            if constexpr (StackRunSink<Sink>) {
+                if (blk.memOps > 0) {
+                    sink.onMemRefs(std::span<const mem::MemRef>(
+                        refBuf.get(), blk.memOps));
                 }
-                st.stackCursor = cursor;
-            }
-            refsIssued += total;
-            if (total > 0) {
-                sink.onMemRefs(
-                    std::span<const mem::MemRef>(refBuf.get(), total));
+                if (blk.stackOps > 0)
+                    sink.onStackRun(base, cursor, blk.stackOps);
+            } else {
+                const u32 total = blk.memOps + blk.stackOps;
+                for (u32 i = 0; i < blk.stackOps; ++i)
+                    refBuf[blk.memOps + i] = mem::stackRef(base, cursor + i);
+                if (total > 0) {
+                    sink.onMemRefs(std::span<const mem::MemRef>(
+                        refBuf.get(), total));
+                }
             }
         }
 

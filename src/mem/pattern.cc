@@ -12,13 +12,6 @@ regionBase(u32 regionId)
     return (static_cast<Addr>(regionId) + 1) << 32;
 }
 
-Addr
-stackBase(u32 procId)
-{
-    // High half of the address space, one 4 GiB window per procedure.
-    return (1ull << 63) | (static_cast<Addr>(procId) << 32);
-}
-
 u64
 ceilPow2(u64 v)
 {

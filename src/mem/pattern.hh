@@ -25,7 +25,12 @@ inline constexpr u64 lineBytes = 64;
 Addr regionBase(u32 regionId);
 
 /** Base address of a procedure's stack frame window. */
-Addr stackBase(u32 procId);
+inline Addr
+stackBase(u32 procId)
+{
+    // High half of the address space, one 4 GiB window per procedure.
+    return (1ull << 63) | (static_cast<Addr>(procId) << 32);
+}
 
 /** One memory reference: address plus load/store direction. */
 struct MemRef
@@ -33,6 +38,26 @@ struct MemRef
     Addr addr = 0;
     bool isWrite = false;
 };
+
+/**
+ * The stack-spill window of a procedure: 64 slots of 8 bytes from
+ * stackBase(procId).  Each block keeps a running spill count, its
+ * cursor; spill reference number `cursor` goes to slot
+ * `cursor & 63`, and odd slots are stores, even slots loads.  The
+ * engine's materialized batches and the hierarchy's stack runs both
+ * read the window through stackRef().
+ */
+inline constexpr u32 stackSlots = 64;
+inline constexpr u32 stackSlotBytes = 8;
+
+/** The spill reference at running count `cursor` of a window. */
+inline MemRef
+stackRef(Addr base, u32 cursor)
+{
+    return {base + static_cast<Addr>(cursor & (stackSlots - 1)) *
+                       stackSlotBytes,
+            (cursor & 1u) != 0};
+}
 
 /**
  * Stateful generator producing the reference stream of one block

@@ -68,7 +68,8 @@ namespace
  * model consumes them) before the VLI tracker; run-end order matches
  * the legacy registration (core has no run-end hook, then fli, then
  * vli).  Core and observer classes are final, so the whole hot path
- * devirtualizes per backend.
+ * devirtualizes per backend.  Stack spills reach the core as one run
+ * per block (exec::StackRunSink), never materialized.
  */
 template <typename CoreT, bool HasFli, bool HasVli>
 struct DetailedSink
@@ -93,6 +94,12 @@ struct DetailedSink
     onMemRefs(std::span<const mem::MemRef> refs)
     {
         core.onMemRefs(refs);
+    }
+
+    void
+    onStackRun(Addr base, u32 cursor, u32 n)
+    {
+        core.onStackRun(base, cursor, n);
     }
 
     void
@@ -161,6 +168,9 @@ runDetailedOn(const bin::Binary& binary,
                                              nullptr);
     }
     core.flushStats();
+    auto& reg = obs::StatRegistry::global();
+    reg.counter("cache.refs.elided").add(hierarchy.elidedRefs());
+    reg.counter("cache.set_walks").add(hierarchy.setWalks());
 
     DetailedRunResult result;
     result.totals = core.totals();

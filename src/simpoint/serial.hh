@@ -28,26 +28,6 @@ void hashFvs(serial::Hasher& h, const FrequencyVectorSet& fvs);
 void hashSimPointOptions(serial::Hasher& h,
                          const SimPointOptions& options);
 
-/** Artifact-store codec for frequency-vector sets. */
-struct FvsCodec
-{
-    using Value = FrequencyVectorSet;
-    static constexpr u32 tag = serial::fourcc("FVEC");
-    static constexpr u32 version = 1;
-
-    static void
-    encode(serial::Encoder& e, const FrequencyVectorSet& fvs)
-    {
-        encodeFvs(e, fvs);
-    }
-
-    static FrequencyVectorSet
-    decode(serial::Decoder& d)
-    {
-        return decodeFvs(d);
-    }
-};
-
 /** Artifact-store codec for clustering results. */
 struct SimPointCodec
 {

@@ -23,38 +23,11 @@ hashMix(u64 value)
     return splitMix64(state);
 }
 
-namespace
-{
-
-inline u64
-rotl(u64 x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 Rng::Rng(u64 seed)
 {
     u64 sm = seed;
     for (auto& word : s)
         word = splitMix64(sm);
-}
-
-u64
-Rng::next()
-{
-    const u64 result = rotl(s[1] * 5, 7) * 9;
-    const u64 t = s[1] << 17;
-
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl(s[3], 45);
-
-    return result;
 }
 
 u64
@@ -77,12 +50,6 @@ Rng::nextRange(u64 lo, u64 hi)
     if (lo > hi)
         panic("Rng::nextRange called with lo {} > hi {}", lo, hi);
     return lo + nextBelow(hi - lo + 1);
-}
-
-double
-Rng::nextDouble()
-{
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 double

@@ -38,7 +38,21 @@ class Rng
     explicit Rng(u64 seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit draw. */
-    u64 next();
+    u64
+    next()
+    {
+        const u64 result = rotl(s[1] * 5, 7) * 9;
+        const u64 t = s[1] << 17;
+
+        s[2] ^= s[0];
+        s[3] ^= s[1];
+        s[1] ^= s[2];
+        s[0] ^= s[3];
+        s[2] ^= t;
+        s[3] = rotl(s[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound); bound must be > 0. */
     u64 nextBelow(u64 bound);
@@ -47,7 +61,11 @@ class Rng
     u64 nextRange(u64 lo, u64 hi);
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
     double nextDouble(double lo, double hi);
@@ -73,6 +91,12 @@ class Rng
     Rng fork(u64 label) const;
 
   private:
+    static u64
+    rotl(u64 x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     u64 s[4];
     bool hasSpare = false;
     double spare = 0.0;

@@ -35,26 +35,28 @@ addrFor(u64 set, u64 tag)
 TEST(Cache, MissThenHit)
 {
     SetAssociativeCache cache(toyConfig());
-    EXPECT_FALSE(cache.lookup(0x1000, false));
-    cache.fill(0x1000, false);
-    EXPECT_TRUE(cache.lookup(0x1000, false));
+    EXPECT_FALSE(cache.accessOrFill(0x1000, false).hit);
+    EXPECT_TRUE(cache.accessOrFill(0x1000, false).hit);
     // Same line, different byte offset.
-    EXPECT_TRUE(cache.lookup(0x103F, false));
+    EXPECT_TRUE(cache.accessOrFill(0x103F, false).hit);
     EXPECT_EQ(cache.accesses(), 3u);
     EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.walks(), 3u);
 }
 
 TEST(Cache, LruEviction)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(0, 1), b = addrFor(0, 2), c = addrFor(0, 3);
-    cache.fill(a, false);
-    cache.fill(b, false);
+    EXPECT_FALSE(cache.accessOrFill(a, false).evicted.valid);
+    EXPECT_FALSE(cache.accessOrFill(b, false).evicted.valid);
     // Touch a so b becomes LRU.
-    EXPECT_TRUE(cache.lookup(a, false));
-    const cache::Eviction ev = cache.fill(c, false);
-    EXPECT_TRUE(ev.valid);
-    EXPECT_EQ(ev.lineAddr, b);
+    EXPECT_TRUE(cache.accessOrFill(a, false).hit);
+    const cache::AccessResult r = cache.accessOrFill(c, false);
+    EXPECT_FALSE(r.hit);
+    EXPECT_TRUE(r.evicted.valid);
+    EXPECT_FALSE(r.evicted.dirty);
+    EXPECT_EQ(r.evicted.lineAddr, b);
     EXPECT_TRUE(cache.probe(a));
     EXPECT_FALSE(cache.probe(b));
     EXPECT_TRUE(cache.probe(c));
@@ -64,21 +66,24 @@ TEST(Cache, DirtyEvictionReported)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(1, 1), b = addrFor(1, 2), c = addrFor(1, 3);
-    cache.fill(a, false);
-    EXPECT_TRUE(cache.lookup(a, true)); // make dirty
-    cache.fill(b, false);
-    cache.fill(c, false); // evicts a (LRU), which is dirty
+    cache.accessOrFill(a, false);
+    EXPECT_TRUE(cache.accessOrFill(a, true).hit); // make dirty
+    cache.accessOrFill(b, false);
+    // Evicts a (LRU), which is dirty.
+    const cache::Eviction ev = cache.accessOrFill(c, false).evicted;
+    EXPECT_TRUE(ev.dirty);
+    EXPECT_EQ(ev.lineAddr, a);
     EXPECT_EQ(cache.writebacksOut(), 1u);
 }
 
-TEST(Cache, FillDirtyInstallsDirtyLine)
+TEST(Cache, WriteMissInstallsDirtyLine)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(2, 1);
-    cache.fill(a, true);
-    // Evict it with two clean fills; the dirty line writes back.
-    cache.fill(addrFor(2, 2), false);
-    cache.fill(addrFor(2, 3), false);
+    EXPECT_FALSE(cache.accessOrFill(a, true).hit);
+    // Evict it with two clean misses; the dirty line writes back.
+    cache.accessOrFill(addrFor(2, 2), false);
+    cache.accessOrFill(addrFor(2, 3), false);
     EXPECT_EQ(cache.writebacksOut(), 1u);
 }
 
@@ -86,36 +91,35 @@ TEST(Cache, ProbeDoesNotTouchLru)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(0, 1), b = addrFor(0, 2), c = addrFor(0, 3);
-    cache.fill(a, false);
-    cache.fill(b, false);
+    cache.accessOrFill(a, false);
+    cache.accessOrFill(b, false);
     // probe(a) must NOT refresh a; a stays LRU and gets evicted.
     EXPECT_TRUE(cache.probe(a));
-    const cache::Eviction ev = cache.fill(c, false);
-    EXPECT_EQ(ev.lineAddr, a);
+    EXPECT_EQ(cache.accessOrFill(c, false).evicted.lineAddr, a);
 }
 
 TEST(Cache, FlushInvalidatesEverything)
 {
     SetAssociativeCache cache(toyConfig());
-    cache.fill(0x0, true);
-    cache.fill(0x40, false);
+    cache.accessOrFill(0x0, true);
+    cache.accessOrFill(0x40, false);
     cache.flush();
     EXPECT_FALSE(cache.probe(0x0));
     EXPECT_FALSE(cache.probe(0x40));
     // Flush drops dirty data without writeback accounting.
-    cache.fill(addrFor(0, 7), false);
+    cache.accessOrFill(addrFor(0, 7), false);
     EXPECT_EQ(cache.writebacksOut(), 0u);
 }
 
 TEST(Cache, MissRateAndResetStats)
 {
     SetAssociativeCache cache(toyConfig());
-    cache.lookup(0x0, false);
-    cache.fill(0x0, false);
-    cache.lookup(0x0, false);
+    cache.accessOrFill(0x0, false);
+    cache.accessOrFill(0x0, false);
     EXPECT_DOUBLE_EQ(cache.missRate(), 0.5);
     cache.resetStats();
     EXPECT_EQ(cache.accesses(), 0u);
+    EXPECT_EQ(cache.walks(), 0u);
     EXPECT_DOUBLE_EQ(cache.missRate(), 0.0);
     EXPECT_TRUE(cache.probe(0x0)) << "contents survive resetStats";
 }
@@ -125,8 +129,8 @@ TEST(Cache, AssociativityIsolation)
     // Filling every set's both ways keeps all lines resident.
     SetAssociativeCache cache(toyConfig());
     for (u64 set = 0; set < 4; ++set) {
-        cache.fill(addrFor(set, 1), false);
-        cache.fill(addrFor(set, 2), false);
+        cache.accessOrFill(addrFor(set, 1), false);
+        cache.accessOrFill(addrFor(set, 2), false);
     }
     for (u64 set = 0; set < 4; ++set) {
         EXPECT_TRUE(cache.probe(addrFor(set, 1)));
@@ -158,43 +162,72 @@ TEST(Cache, BadGeometryFatal)
                 ::testing::ExitedWithCode(1), "divisible");
 }
 
-TEST(Cache, TouchIfPresentMatchesLookupOnHit)
+TEST(Cache, AbsorbWritebackTouchesResidentLine)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(0, 1);
-    cache.fill(a, false);
+    cache.accessOrFill(a, false);
     const u64 before = cache.accesses();
-    EXPECT_TRUE(cache.touchIfPresent(a));
-    // Counts one access (like the write lookup it replaces), no miss,
-    // and the line is now dirty: evicting it produces a writeback.
+    EXPECT_FALSE(cache.absorbWriteback(a).valid);
+    // Counts one access (like the write lookup it stands for), no
+    // miss, and the line is now dirty: evicting it writes back.
     EXPECT_EQ(cache.accesses(), before + 1);
-    EXPECT_EQ(cache.misses(), 0u);
-    cache.fill(addrFor(0, 2), false);
-    cache.fill(addrFor(0, 3), false);
+    EXPECT_EQ(cache.misses(), 1u);
+    cache.accessOrFill(addrFor(0, 2), false);
+    cache.accessOrFill(addrFor(0, 3), false);
     EXPECT_EQ(cache.writebacksOut(), 1u);
 }
 
-TEST(Cache, TouchIfPresentMissIsStateless)
+TEST(Cache, AbsorbWritebackInstallsAbsentLineDirty)
 {
     SetAssociativeCache cache(toyConfig());
-    cache.fill(addrFor(0, 1), false);
+    const Addr a = addrFor(0, 1), b = addrFor(0, 9);
+    cache.accessOrFill(a, false);
     const u64 before = cache.accesses();
-    EXPECT_FALSE(cache.touchIfPresent(addrFor(0, 9)));
+    EXPECT_FALSE(cache.absorbWriteback(b).valid) << "a free way";
+    // An install is not a demand access.
     EXPECT_EQ(cache.accesses(), before);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_FALSE(cache.probe(addrFor(0, 9)));
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_TRUE(cache.probe(b));
+    // The set is full with b most recent: the next install evicts a
+    // (clean), the one after that b (dirty).
+    const cache::Eviction first = cache.absorbWriteback(addrFor(0, 3));
+    EXPECT_EQ(first.lineAddr, a);
+    EXPECT_FALSE(first.dirty);
+    const cache::Eviction second =
+        cache.accessOrFill(addrFor(0, 4), false).evicted;
+    EXPECT_EQ(second.lineAddr, b);
+    EXPECT_TRUE(second.dirty);
+    EXPECT_EQ(cache.writebacksOut(), 1u);
+    EXPECT_EQ(cache.walks(), 4u);
 }
 
-TEST(Cache, TouchIfPresentRefreshesLru)
+TEST(Cache, AbsorbWritebackRefreshesLru)
 {
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(3, 1), b = addrFor(3, 2), c = addrFor(3, 3);
-    cache.fill(a, false);
-    cache.fill(b, false);
-    // Touch a so b becomes LRU, exactly like a hitting lookup would.
-    EXPECT_TRUE(cache.touchIfPresent(a));
-    const cache::Eviction ev = cache.fill(c, false);
-    EXPECT_EQ(ev.lineAddr, b);
+    cache.accessOrFill(a, false);
+    cache.accessOrFill(b, false);
+    // Touch a so b becomes LRU, exactly like a hitting access would.
+    cache.absorbWriteback(a);
+    EXPECT_EQ(cache.accessOrFill(c, false).evicted.lineAddr, b);
+}
+
+TEST(Cache, HitFrontCountsWithoutWalking)
+{
+    SetAssociativeCache cache(toyConfig());
+    const Addr a = addrFor(1, 1);
+    cache.accessOrFill(a, false);
+    cache.hitFront(a + 8, 5, false);
+    EXPECT_EQ(cache.accesses(), 6u);
+    EXPECT_EQ(cache.misses(), 1u);
+    EXPECT_EQ(cache.walks(), 1u);
+    // A read leaves the line clean, a write dirties it.
+    cache.accessOrFill(addrFor(1, 2), false);
+    EXPECT_FALSE(cache.accessOrFill(addrFor(1, 3), false).evicted.dirty);
+    cache.hitFront(addrFor(1, 3), 1, true);
+    cache.accessOrFill(addrFor(1, 4), false);
+    EXPECT_TRUE(cache.accessOrFill(addrFor(1, 5), false).evicted.dirty);
 }
 
 TEST(Cache, HitAtDepthMovesToFrontAndKeepsEvictionOrder)
@@ -209,9 +242,9 @@ TEST(Cache, HitAtDepthMovesToFrontAndKeepsEvictionOrder)
             SetAssociativeCache cache(
                 LevelConfig{"set", kWays * 64, kWays, 64, 1});
             for (u64 tag = 1; tag <= kWays; ++tag)
-                cache.fill(tag * 64, false);
+                cache.accessOrFill(tag * 64, false);
             const u64 hitTag = kWays - depth; // depth 0 = newest
-            EXPECT_TRUE(cache.lookup(hitTag * 64, write));
+            EXPECT_TRUE(cache.accessOrFill(hitTag * 64, write).hit);
             std::vector<Addr> expected;
             for (u64 tag = 1; tag <= kWays; ++tag) {
                 if (tag != hitTag)
@@ -220,13 +253,13 @@ TEST(Cache, HitAtDepthMovesToFrontAndKeepsEvictionOrder)
             expected.push_back(hitTag * 64);
             for (u32 i = 0; i < kWays; ++i) {
                 const cache::Eviction ev =
-                    cache.fill((100 + i) * 64, false);
+                    cache.accessOrFill((100 + i) * 64, false).evicted;
                 ASSERT_TRUE(ev.valid);
                 EXPECT_EQ(ev.lineAddr, expected[i])
                     << "depth " << depth << " eviction " << i;
                 EXPECT_EQ(ev.dirty, write && i == kWays - 1);
             }
-            EXPECT_EQ(cache.misses(), 0u);
+            EXPECT_EQ(cache.misses(), kWays * 2);
         }
     }
 }
@@ -236,11 +269,11 @@ TEST(Cache, FourByteLinesKeepAddressAndFlagsApart)
     // The smallest legal line: the flags fill both free low bits.
     SetAssociativeCache cache(LevelConfig{"tiny", 2 * 4, 2, 4, 1});
     const Addr a = 0xFFFF'FFFF'FFFF'FFF4ull, b = 0x10, c = 0x24;
-    cache.fill(a + 3, true);
-    cache.fill(b, false);
+    cache.accessOrFill(a + 3, true);
+    cache.accessOrFill(b, false);
     EXPECT_TRUE(cache.probe(a));
     EXPECT_FALSE(cache.probe(a + 4));
-    const cache::Eviction ev = cache.fill(c, false);
+    const cache::Eviction ev = cache.accessOrFill(c, false).evicted;
     EXPECT_TRUE(ev.valid);
     EXPECT_TRUE(ev.dirty);
     EXPECT_EQ(ev.lineAddr, a);

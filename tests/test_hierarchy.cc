@@ -12,9 +12,14 @@
 #include "cache/hierarchy.hh"
 #include "cache/reference.hh"
 #include "compile/compiler.hh"
+#include "core/mappable.hh"
+#include "core/vli.hh"
 #include "cpu/core.hh"
 #include "cpu/inorder.hh"
 #include "exec/engine.hh"
+#include "profile/profile.hh"
+#include "sim/detailed.hh"
+#include "sim/snapshots.hh"
 #include "workloads/workloads.hh"
 
 using namespace xbsp;
@@ -189,14 +194,14 @@ expectSameCounters(const Hierarchy& fast,
     EXPECT_EQ(fast.dramWritebacks(), reference.dramWritebacks());
 }
 
-/** Same lines resident at all three levels, over [0, footprint). */
+/** Same lines resident at all three levels, over [from, to). */
 void
-expectSameContents(const Hierarchy& fast,
-                   const cache::ReferenceHierarchy& reference,
-                   Addr footprint)
+expectSameContentsIn(const Hierarchy& fast,
+                     const cache::ReferenceHierarchy& reference,
+                     Addr from, Addr to)
 {
     const u32 line = fast.config().l1.lineSize;
-    for (Addr addr = 0; addr < footprint; addr += line) {
+    for (Addr addr = from; addr < to; addr += line) {
         ASSERT_EQ(fast.l1().probe(addr), reference.l1().probe(addr))
             << "L1 line " << addr;
         ASSERT_EQ(fast.l2().probe(addr), reference.l2().probe(addr))
@@ -253,8 +258,124 @@ TEST(Hierarchy, ReferenceModelMatchesFastPathExactly)
             EXPECT_EQ(fastCycles, refCycles);
             EXPECT_EQ(fast.totalAccesses(), kRefs - kRefs / 3);
             expectSameCounters(fast, reference);
-            expectSameContents(fast, reference, footprint);
+            expectSameContentsIn(fast, reference, 0, footprint);
         }
+    }
+}
+
+TEST(Hierarchy, SameLineStreamsMatchReferenceModel)
+{
+    // Short 8-byte walks with alternating loads and stores from
+    // random starts: most references go to the line the previous one
+    // left at the front of its L1 set and are serviced without a set
+    // walk.  Hit levels, counters and contents must still be the
+    // oracle's, and the elided references must be counted.
+    constexpr int kWalks = 20000;
+    for (const TwinGeometry& geometry : twinGeometries()) {
+        SCOPED_TRACE(geometry.name);
+        Hierarchy fast(geometry.config);
+        cache::ReferenceHierarchy reference(geometry.config);
+        const Addr footprint = geometry.config.l3.capacityBytes * 3 / 2;
+        u64 state = 0x2545F4914F6CDD1Dull;
+        u64 refs = 0;
+        for (int w = 0; w < kWalks; ++w) {
+            if (w == kWalks / 2) {
+                fast.flushAll();
+                reference.flushAll();
+            }
+            state = state * 6364136223846793005ull +
+                    1442695040888963407ull;
+            const Addr start = ((state >> 17) % footprint) & ~Addr(7);
+            const u32 length = 1 + static_cast<u32>((state >> 7) % 40);
+            for (u32 k = 0; k < length; ++k, ++refs) {
+                const Addr addr = start + 8 * k;
+                const bool isWrite = (k & 1) != 0;
+                ASSERT_EQ(fast.access(addr, isWrite),
+                          reference.access(addr, isWrite))
+                    << "walk " << w << " ref " << k;
+            }
+        }
+        EXPECT_EQ(fast.totalAccesses(), refs);
+        EXPECT_GT(fast.elidedRefs(), refs / 2);
+        EXPECT_EQ(fast.elidedRefs() + fast.l1().walks(), refs);
+        expectSameCounters(fast, reference);
+        expectSameContentsIn(fast, reference, 0,
+                             footprint + 8 * 40);
+    }
+}
+
+TEST(Hierarchy, StackRunsMatchReferenceByReference)
+{
+    // accessStackRun(base, cursor, n) must be exactly n accesses of
+    // mem::stackRef(base, cursor + i): for every twin geometry plus
+    // 32 B lines (the 512 B window spans 16 lines, so run lengths
+    // must come from the line size), every n in 0..150, cursors that
+    // wrap the window (63 -> 0) and the u32 counter, interleaved
+    // with random traffic that evicts stack lines.
+    std::vector<TwinGeometry> geometries = twinGeometries();
+    HierarchyConfig narrow;
+    narrow.l1 = {"L1D", 8 * 1024, 2, 32, 3};
+    narrow.l2 = {"L2D", 64 * 1024, 4, 32, 14};
+    narrow.l3 = {"L3D", 256 * 1024, 8, 32, 35};
+    geometries.push_back({"32B-line", narrow});
+    for (const TwinGeometry& geometry : geometries) {
+        SCOPED_TRACE(geometry.name);
+        Hierarchy fast(geometry.config);
+        cache::ReferenceHierarchy reference(geometry.config);
+        const Addr footprint = geometry.config.l2.capacityBytes;
+        u64 state = 0x9E3779B97F4A7C15ull;
+        Cycles fastCycles = 0, refCycles = 0;
+        u64 refs = 0;
+        for (u32 n = 0; n <= 150; ++n) {
+            const u32 proc = n % 3;
+            const Addr base = mem::stackBase(proc);
+            const u32 cursor =
+                n % 5 == 4 ? 0xFFFFFFC0u + 60 + n % 8 : 56 + n % 16;
+            fastCycles += fast.accessStackRun(base, cursor, n);
+            for (u32 i = 0; i < n; ++i) {
+                const mem::MemRef ref = mem::stackRef(base, cursor + i);
+                refCycles += reference.latency(
+                    reference.access(ref.addr, ref.isWrite));
+            }
+            refs += n;
+            // Random traffic between the runs, through both models.
+            for (int k = 0; k < 200; ++k, ++refs) {
+                state = state * 6364136223846793005ull +
+                        1442695040888963407ull;
+                const Addr addr = (state >> 17) % footprint;
+                const bool isWrite = ((state >> 9) & 3) == 0;
+                fastCycles += fast.latency(fast.access(addr, isWrite));
+                refCycles += reference.latency(
+                    reference.access(addr, isWrite));
+            }
+            ASSERT_EQ(fastCycles, refCycles) << "n " << n;
+        }
+        EXPECT_EQ(fast.totalAccesses(), refs);
+        expectSameCounters(fast, reference);
+        expectSameContentsIn(fast, reference, 0, footprint);
+        for (u32 proc = 0; proc < 3; ++proc) {
+            const Addr base = mem::stackBase(proc);
+            expectSameContentsIn(
+                fast, reference, base,
+                base + mem::stackSlots * mem::stackSlotBytes);
+        }
+    }
+}
+
+TEST(Hierarchy, StackRunWalksOncePerLine)
+{
+    // A full window pass from a line-aligned cursor walks the L1 once
+    // per line it touches: 8 lines of 64 B, 16 of 32 B.
+    for (const u32 lineSize : {64u, 32u}) {
+        HierarchyConfig config;
+        config.l1.lineSize = config.l2.lineSize = config.l3.lineSize =
+            lineSize;
+        Hierarchy hierarchy(config);
+        hierarchy.accessStackRun(mem::stackBase(0), 0, 64);
+        const u64 lines = 512 / lineSize;
+        EXPECT_EQ(hierarchy.l1().walks(), lines) << lineSize;
+        EXPECT_EQ(hierarchy.elidedRefs(), 64 - lines) << lineSize;
+        EXPECT_EQ(hierarchy.servicedAt(HitLevel::Memory), lines);
     }
 }
 
@@ -311,6 +432,99 @@ TEST(Hierarchy, ReferenceModelMatchesOnSuiteTraffic)
             EXPECT_GT(twins.fast.totalAccesses(), 0u);
             EXPECT_EQ(twins.fastCycles, twins.refCycles);
             expectSameCounters(twins.fast, twins.reference);
+        }
+    }
+}
+
+namespace
+{
+
+void
+expectSameIntervals(const std::vector<sim::IntervalStats>& a,
+                    const std::vector<sim::IntervalStats>& b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].instrs, b[i].instrs) << "interval " << i;
+        EXPECT_EQ(a[i].cycles, b[i].cycles) << "interval " << i;
+    }
+}
+
+} // namespace
+
+TEST(Hierarchy, StackRunDetailedRunMatchesMaterializedRun)
+{
+    // runDetailed hands the core each block's stack spills as one run;
+    // Engine::run() with the core as an observer materializes every
+    // spill reference.  Both timing cores must end with the same
+    // totals, memory statistics and FLI/VLI interval stats.
+    constexpr InstrCount kInterval = 100000;
+    for (const char* name : {"mcf", "swim"}) {
+        const ir::Program program = workloads::makeWorkload(name, 0.3);
+        std::vector<bin::Binary> binaries;
+        std::vector<prof::ProfilePass> passes;
+        for (const bin::Target target :
+             {bin::target32u, bin::target32o, bin::target64u,
+              bin::target64o}) {
+            binaries.push_back(compile::compileProgram(program, target));
+            passes.push_back(
+                prof::runProfilePass(binaries.back(), kInterval));
+        }
+        std::vector<const bin::Binary*> bins;
+        std::vector<const prof::MarkerProfile*> profs;
+        for (std::size_t i = 0; i < binaries.size(); ++i) {
+            bins.push_back(&binaries[i]);
+            profs.push_back(&passes[i].markers);
+        }
+        const core::MappableSet mappable =
+            core::findMappablePoints(bins, profs);
+        const core::VliBuild vli =
+            core::buildVliPartition(binaries[0], mappable, 0, kInterval);
+
+        for (std::size_t b = 0; b < binaries.size(); ++b) {
+            for (const cpu::CoreKind kind :
+                 {cpu::CoreKind::InOrder, cpu::CoreKind::Decoupled}) {
+                SCOPED_TRACE(std::string(name) + " binary " +
+                             std::to_string(b) + " " +
+                             std::string(cpu::coreKindName(kind)));
+                sim::DetailedRunRequest request;
+                request.fliBoundaries = passes[b].fliBoundaries;
+                request.mappable = &mappable;
+                request.binaryIdx = b;
+                request.partition = &vli.partition;
+                request.core = cpu::coreConfigFor(kind);
+                const sim::DetailedRunResult runs =
+                    sim::runDetailed(binaries[b], request);
+
+                Hierarchy hierarchy(request.memory);
+                const auto core = cpu::makeCore(request.core, hierarchy);
+                exec::Engine engine(binaries[b], request.seed);
+                sim::FliSnapshotter fli(engine, *core,
+                                        request.fliBoundaries);
+                sim::VliSnapshotter vliSnap(engine, *core, mappable, b,
+                                            vli.partition);
+                engine.addObserver(core.get(), core->hooks());
+                engine.addObserver(&fli, fli.hooks());
+                engine.addObserver(&vliSnap, vliSnap.hooks());
+                engine.run();
+
+                EXPECT_EQ(runs.totals, core->totals());
+                EXPECT_EQ(runs.memory.refs, hierarchy.totalAccesses());
+                EXPECT_EQ(runs.memory.l1Hits,
+                          hierarchy.servicedAt(HitLevel::L1));
+                EXPECT_EQ(runs.memory.l2Hits,
+                          hierarchy.servicedAt(HitLevel::L2));
+                EXPECT_EQ(runs.memory.l3Hits,
+                          hierarchy.servicedAt(HitLevel::L3));
+                EXPECT_EQ(runs.memory.dramAccesses,
+                          hierarchy.servicedAt(HitLevel::Memory));
+                EXPECT_EQ(runs.memory.dramWritebacks,
+                          hierarchy.dramWritebacks());
+                expectSameIntervals(runs.fliIntervals, fli.intervals());
+                expectSameIntervals(runs.vliIntervals,
+                                    vliSnap.intervals());
+                EXPECT_FALSE(runs.vliIntervals.empty());
+            }
         }
     }
 }
