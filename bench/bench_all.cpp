@@ -18,7 +18,6 @@
 #include <functional>
 #include <thread>
 
-#include "bench_clustering_common.hh"
 #include "bench_common.hh"
 #include "dist/client.hh"
 #include "dist/server.hh"
@@ -27,6 +26,7 @@
 #include "obs/setup.hh"
 #include "obs/stats.hh"
 #include "store/store.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
@@ -93,26 +93,6 @@ main(int argc, char** argv)
         timed("table3", [&] { return suite.table3(); });
     timed("mappability", [&] { return suite.mappabilityReport(); });
 
-    // Clustering engine microbench (naive vs accelerated BIC sweep)
-    // on the first couple of suite workloads; the dedicated
-    // bench_micro_clustering binary measures the full case set.
-    std::vector<bench::ClusteringBenchResult> clustering;
-    timed("clustering", [&] {
-        sp::SimPointOptions base = config.study.simpoint;
-        for (std::size_t w = 0; w < names.size() && w < 2; ++w) {
-            bench::ClusteringCase bc;
-            bc.workload = names[w];
-            bc.scale = config.workScale;
-            bc.interval = 5000;
-            clustering.push_back(
-                bench::benchClusteringSweep(bc, base, 1));
-        }
-        return bench::clusteringTable(clustering);
-    });
-
-    // The dedup digest build on duplicate-heavy synthetic input.
-    const bench::DedupBenchResult dedup = bench::benchDedupBuild(3);
-
     const double totalSeconds =
         std::chrono::duration<double>(clock::now() - suiteStart)
             .count();
@@ -140,10 +120,6 @@ main(int argc, char** argv)
         w.member("instructions_simulated", instructions);
         w.member("instructions_per_second",
                  static_cast<double>(instructions) / totalSeconds, 0);
-        w.key("clustering");
-        bench::writeClusteringCases(w, clustering);
-        w.key("dedup");
-        bench::writeDedupJson(w, dedup);
         w.key("figures").beginArray();
         for (const FigureTiming& t : timings) {
             w.beginObject();
@@ -232,77 +208,6 @@ main(int argc, char** argv)
         w.endObject();
         storeJson << '\n';
         inform("wrote store cold/warm summary to BENCH_store.json");
-    }
-
-    // Barrier-vs-graph scheduling benchmark: the same set of studies
-    // run cold (store disabled above) twice — once with the pre-graph
-    // per-study barrier orchestration, once as one global task graph
-    // across all workloads — so BENCH_graph.json records what stage-
-    // level scheduling buys on this machine.  Capped at a handful of
-    // workloads to bound the extra cold recomputation.
-    {
-        std::vector<std::string> abNames(
-            names.begin(),
-            names.begin() +
-                static_cast<std::ptrdiff_t>(
-                    std::min<std::size_t>(names.size(), 6)));
-        obs::StatRegistry& registry = obs::StatRegistry::global();
-
-        auto start = clock::now();
-        parallelFor(globalPool(), abNames.size(), [&](std::size_t i) {
-            sim::CrossBinaryStudy::runBarrier(
-                workloads::makeWorkload(abNames[i], config.workScale),
-                config.study);
-        });
-        const double barrierSeconds =
-            std::chrono::duration<double>(clock::now() - start)
-                .count();
-
-        const u64 busy0 = registry.timerNanos("scheduler.nodeBusy");
-        const u64 run0 =
-            registry.counterValue("scheduler.nodes.run");
-        start = clock::now();
-        harness::SuiteGraph suite;
-        harness::buildSuiteGraph(suite, config, abNames);
-        suite.graph.run(globalPool());
-        const double graphSeconds =
-            std::chrono::duration<double>(clock::now() - start)
-                .count();
-        const u64 busyNanos =
-            registry.timerNanos("scheduler.nodeBusy") - busy0;
-        const unsigned workers = std::max(1u, configuredJobs());
-        const double utilization =
-            static_cast<double>(busyNanos) /
-            (graphSeconds * 1e9 * static_cast<double>(workers));
-
-        std::ofstream graphJson("BENCH_graph.json");
-        if (!graphJson)
-            fatal("cannot write 'BENCH_graph.json'");
-        JsonWriter w(graphJson);
-        w.beginObject();
-        w.member("jobs", configuredJobs());
-        w.key("workloads").beginArray();
-        for (const std::string& name : abNames)
-            w.value(name);
-        w.endArray();
-        w.member("barrier_seconds", barrierSeconds, 3);
-        w.member("graph_seconds", graphSeconds, 3);
-        w.member("speedup",
-                 barrierSeconds / std::max(graphSeconds, 1e-9), 2);
-        w.key("scheduler").beginObject();
-        w.member("nodes", suite.graph.nodeCount());
-        w.member("edges", suite.graph.edgeCount());
-        w.member("critical_path", suite.graph.criticalPathLength());
-        w.member("nodes_run",
-                 registry.counterValue("scheduler.nodes.run") - run0);
-        w.member("utilization", utilization, 3);
-        w.endObject();
-        w.endObject();
-        graphJson << '\n';
-        inform("wrote barrier-vs-graph summary to BENCH_graph.json "
-               "({:.2f}x over {} workloads)",
-               barrierSeconds / std::max(graphSeconds, 1e-9),
-               abNames.size());
     }
 
     // Local-vs-distributed benchmark: the same suite request rendered

@@ -50,8 +50,11 @@ constexpr u32 frameMagic = serial::fourcc("XBSD");
  * Protocol version; peers with a different version are rejected.
  * Version 2: SuiteRequest carries the timing-core selection and
  * StageTask's embedded StudyConfig grew the CoreConfig fields.
+ * Version 3: that StudyConfig lost the clustering `accelerate` flag
+ * and duplicate-merge quantum, so a version-2 peer would misread
+ * every field after them.
  */
-constexpr u32 protocolVersion = 2;
+constexpr u32 protocolVersion = 3;
 
 /** Largest accepted frame payload (a malformed length cannot OOM). */
 constexpr u64 maxFrameBytes = 16ull * 1024 * 1024;

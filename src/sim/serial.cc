@@ -125,8 +125,6 @@ encodeStudyConfig(serial::Encoder& e, const StudyConfig& c)
     e.varint(c.simpoint.maxIterations);
     e.boolean(c.simpoint.earlyPoints);
     e.f64(c.simpoint.earlyTolerance);
-    e.boolean(c.simpoint.accelerate);
-    e.f64(c.simpoint.dedupQuantum);
     e.varint(c.primaryIdx);
     encodeLevel(e, c.memory.l1);
     encodeLevel(e, c.memory.l2);
@@ -156,8 +154,6 @@ decodeStudyConfig(serial::Decoder& d)
     c.simpoint.maxIterations = static_cast<u32>(d.varint());
     c.simpoint.earlyPoints = d.boolean();
     c.simpoint.earlyTolerance = d.f64();
-    c.simpoint.accelerate = d.boolean();
-    c.simpoint.dedupQuantum = d.f64();
     c.primaryIdx = static_cast<std::size_t>(d.varint());
     c.memory.l1 = decodeLevel(d);
     c.memory.l2 = decodeLevel(d);

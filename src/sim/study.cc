@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "obs/trace.hh"
 #include "pipeline/taskgraph.hh"
 #include "sim/stages.hh"
 #include "util/format.hh"
@@ -35,28 +34,6 @@ CrossBinaryStudy::run(const ir::Program& program,
     graph.setManifestInfo(format("study.{}", program.name),
                           studyConfigDigest(program.name, config));
     graph.run(globalPool());
-    return build.takeStudy();
-}
-
-CrossBinaryStudy
-CrossBinaryStudy::runBarrier(const ir::Program& program,
-                             const StudyConfig& config)
-{
-    // The pre-graph orchestration shape: the same stage functions,
-    // with a full barrier after each parallel step.  The per-stage
-    // data flow is identical, so results match run() field for field.
-    obs::TraceSpan span(format("study {} (barrier)", program.name),
-                       "study");
-    StudyBuild build(program, config);
-    ThreadPool& pool = globalPool();
-    build.compile();
-    parallelFor(pool, build.binaryCount(),
-                [&build](std::size_t b) { build.profile(b); });
-    build.match();
-    build.vliCluster();
-    parallelFor(pool, build.binaryCount(),
-                [&build](std::size_t b) { build.binary(b); });
-    build.finish();
     return build.takeStudy();
 }
 

@@ -114,16 +114,6 @@ class CrossBinaryStudy
     static CrossBinaryStudy run(const ir::Program& program,
                                 const StudyConfig& config);
 
-    /**
-     * Run the same stages as run(), but with the pre-graph barrier
-     * orchestration (parallelFor over profiles, then over binaries,
-     * with full barriers between stages).  Produces field-identical
-     * results; kept for the golden equivalence test and the
-     * barrier-vs-graph wall-time benchmark.
-     */
-    static CrossBinaryStudy runBarrier(const ir::Program& program,
-                                       const StudyConfig& config);
-
     const StudyConfig& config() const { return cfg; }
     const std::vector<bin::Binary>& binaries() const { return bins; }
     const core::MappableSet& mappable() const { return mappableSet; }

@@ -1,6 +1,5 @@
 #include "simpoint/fvec.hh"
 
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -25,44 +24,34 @@ bits(double value)
     return out;
 }
 
-/** Value a vector entry is compared under: raw bits or quantized. */
-u64
-entryKey(double value, double quantum)
-{
-    if (quantum <= 0.0)
-        return bits(value);
-    return static_cast<u64>(std::llround(value / quantum));
-}
-
 /**
- * Pinned 128-bit digest of a sparse row's quantized form (the frozen
- * util/serial hash, aligned-word fast path).  Probes compare digests
+ * Pinned 128-bit digest of a sparse row's indices and value bits (the
+ * frozen util/serial hash, aligned-word fast path).  Probes compare digests
  * first, and only a full-digest match falls through to the verifying
  * element comparison.
  */
 serial::Hash128
-vectorDigest(SparseRow row, double quantum)
+vectorDigest(SparseRow row)
 {
     serial::Hasher h;
     h.u64w(row.size());
     for (std::size_t e = 0; e < row.size(); ++e) {
         h.u64w(row.index[e]);
-        h.u64w(entryKey(row.value[e], quantum));
+        h.u64w(bits(row.value[e]));
     }
     return h.finish();
 }
 
-/** Exact equality of two sparse rows under `quantum`. */
+/** Bitwise equality of two sparse rows. */
 bool
-vectorsEqual(SparseRow a, SparseRow b, double quantum)
+vectorsEqual(SparseRow a, SparseRow b)
 {
     if (a.size() != b.size())
         return false;
     for (std::size_t e = 0; e < a.size(); ++e) {
         if (a.index[e] != b.index[e])
             return false;
-        if (entryKey(a.value[e], quantum) !=
-            entryKey(b.value[e], quantum))
+        if (bits(a.value[e]) != bits(b.value[e]))
             return false;
     }
     return true;
@@ -143,7 +132,7 @@ FrequencyVectorSet::normalize()
 }
 
 DedupMap
-FrequencyVectorSet::dedup(double quantum) const
+FrequencyVectorSet::dedup() const
 {
     auto& reg = obs::StatRegistry::global();
     obs::ScopedTimer buildTimer(reg.timer("dedup.build"));
@@ -164,11 +153,11 @@ FrequencyVectorSet::dedup(double quantum) const
     std::vector<unsigned char> sameAsPrev(size(), 0);
     parallelFor(globalPool(), size(), [&](std::size_t i) {
         if (i > 0 &&
-            vectorsEqual(row(i), row(i - 1), quantum)) {
+            vectorsEqual(row(i), row(i - 1))) {
             sameAsPrev[i] = 1;
             return;
         }
-        digests[i] = vectorDigest(row(i), quantum);
+        digests[i] = vectorDigest(row(i));
     });
 
     // Phase 2, serial in row order (class ids must be assigned in
@@ -176,8 +165,8 @@ FrequencyVectorSet::dedup(double quantum) const
     // class; run heads probe a flat pre-reserved map keyed on the
     // low digest word.  A candidate matches only on the full 128-bit
     // digest AND the verifying element comparison, so two intervals
-    // share a class only when their vectors really are equal under
-    // the quantum — even across digest collisions.  (A run member
+    // share a class only when their vectors really are equal bit for
+    // bit — even across digest collisions.  (A run member
     // can never be a class representative, so every firstOf row has
     // a computed digest.)
     std::unordered_map<u64, std::vector<u32>> buckets;
@@ -193,7 +182,7 @@ FrequencyVectorSet::dedup(double quantum) const
             for (u32 candidate : bucket) {
                 const u32 rep = map.firstOf[candidate];
                 if (digests[rep] == digests[i] &&
-                    vectorsEqual(row(i), row(rep), quantum)) {
+                    vectorsEqual(row(i), row(rep))) {
                     cls = candidate;
                     break;
                 }

@@ -51,8 +51,7 @@ double sparseSum(SparseRow row);
 /**
  * Duplicate-interval classes over a frequency-vector set.
  *
- * Intervals whose sparse vectors are equal (bitwise by default, or
- * after quantization when a quantum is given) form one class.  The
+ * Intervals whose sparse vectors are bitwise equal form one class.  The
  * class representative is the *lowest* original interval index, so a
  * representative's projected row is bit-identical to every member's
  * and any computation that depends only on the vector (distances,
@@ -154,15 +153,12 @@ struct FrequencyVectorSet
     InstrCount totalInstructions() const;
 
     /**
-     * Group intervals with equal vectors into duplicate classes.
-     * `quantum` 0 (the default) requires bitwise-equal values, which
-     * preserves exactness end to end; a positive quantum also merges
-     * vectors whose values agree after rounding to multiples of it
-     * (an approximation — see DESIGN.md, "Clustering acceleration").
-     * Class ids are assigned in order of first appearance, so
-     * `firstOf` is strictly ascending.
+     * Group intervals with bitwise-equal vectors into duplicate
+     * classes, which keeps every computation over them exact.  Class
+     * ids are assigned in order of first appearance, so `firstOf` is
+     * strictly ascending.
      */
-    DedupMap dedup(double quantum = 0.0) const;
+    DedupMap dedup() const;
 
     /** Same dimension, entries and lengths (values compared with ==). */
     bool operator==(const FrequencyVectorSet&) const = default;

@@ -24,7 +24,7 @@ namespace
  * Registry handles for the k-means hot path, resolved once.  All are
  * exact u64 event counts (never wall-clock), so totals are identical
  * at any worker count; test_clustering_equiv relies on that to check
- * the accelerated E-step against the naive one.
+ * them against the work of the naive reference in tests/oracle.
  */
 struct KMeansStats
 {
@@ -38,7 +38,6 @@ struct KMeansStats
     obs::Counter mstepReused;  ///< M-step lookups the memo served
     obs::Counter initTerms;  ///< terms summed by k-means++ draws
     obs::Distribution iterations;
-    obs::Distribution batchSize;  ///< centroid rows per batched call
 };
 
 KMeansStats&
@@ -56,71 +55,18 @@ kmeansStats()
         reg.counter("kmeans.mstep.reused"),
         reg.counter("kmeans.init.terms"),
         reg.distribution("kmeans.iterations"),
-        reg.distribution("kmeans.estep.batchSize"),
     };
     return stats;
 }
 
 /**
- * Assign every point to its nearest centroid; returns weighted SSE.
+ * State for the E-step: Hamerly distance bounds kept per duplicate
+ * class (per point when the data carries no class structure —
+ * classOf/classFirst are then identity maps).
  *
- * The E-step is the k-means hot loop (O(n * k * dims) per iteration)
- * and every point is independent, so it runs in parallel over fixed
- * chunks of the interval range.  The SSE is reduced per chunk and the
- * partials are summed in chunk order; since the chunking depends only
- * on the point count, the float summation order — and therefore the
- * whole clustering — is bit-identical at any worker count.
- */
-double
-assignLabels(const ProjectedData& data, const KMeansResult& res,
-             std::vector<u32>& labels)
-{
-    const std::size_t stride = data.rowStride();
-    // One sample per E-step (not per point): deterministic at any
-    // --jobs, and enough to see the batch shape in the stats dump.
-    kmeansStats().batchSize.sample(res.k);
-    std::vector<double> partialSse(parallelChunkCount(data.count), 0.0);
-    parallelChunks(
-        globalPool(), data.count,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-            obs::ShardCounter distances(kmeansStats().distances);
-            double sse = 0.0;
-            std::vector<double> dist(res.k);
-            for (std::size_t i = begin; i < end; ++i) {
-                // All k distances in one batched call: the point row
-                // stays hot while the centroid matrix streams.  Each
-                // dist[c] is bit-for-bit sqDist(point, centroid c).
-                simd::sqDistBatch(data.row(i), res.centroids.data(),
-                                  res.k, stride,
-                                  res.rowStride(data.dims),
-                                  dist.data());
-                double best = std::numeric_limits<double>::max();
-                u32 bestC = 0;
-                for (u32 c = 0; c < res.k; ++c) {
-                    if (dist[c] < best) {
-                        best = dist[c];
-                        bestC = c;
-                    }
-                }
-                labels[i] = bestC;
-                sse += data.weights[i] * best;
-            }
-            distances.add((end - begin) *
-                          static_cast<u64>(res.k));
-            partialSse[chunk] = sse;
-        });
-    double sse = 0.0;
-    for (double partial : partialSse)
-        sse += partial;
-    return sse;
-}
-
-/**
- * State for the accelerated E-step: Hamerly distance bounds kept per
- * duplicate class (per point when the data carries no class
- * structure — classOf/classFirst are then identity maps).
- *
- * Exactness argument, in full (DESIGN.md, "Clustering acceleration"):
+ * Exactness against the naive per-point scan of the reference loop
+ * (tests/oracle/simpoint), in full (DESIGN.md, "Clustering
+ * acceleration"):
  *
  *  - Rows of one duplicate class are bit-identical, so the naive
  *    per-point scan computes identical distances — and therefore an
@@ -287,9 +233,9 @@ struct AccelState
 };
 
 /**
- * Accelerated E-step: per-class Hamerly-bounded nearest-centroid
- * search, leaving each class's owner in `state.ownerOf` and its exact
- * squared distance in `state.dOwn`.  Labels and the SSE are not
+ * E-step: per-class Hamerly-bounded nearest-centroid search, leaving
+ * each class's owner in `state.ownerOf` and its exact squared
+ * distance in `state.dOwn`.  Labels and the SSE are not
  * broadcast here; see broadcastOwners().
  */
 void
@@ -369,8 +315,8 @@ assignClassesAccel(const ProjectedData& data, const KMeansResult& res,
 /**
  * Broadcast the last E-step's owners to every point and reduce the
  * weighted SSE over original points, in the same chunking the naive
- * E-step uses: the SSE is bit-identical to assignLabels() over the
- * same centroids.
+ * reference E-step uses: the SSE is bit-identical to its SSE over
+ * the same centroids.
  */
 double
 broadcastOwners(const ProjectedData& data, const AccelState& state,
@@ -456,10 +402,10 @@ emptyClusters(const KMeansResult& res)
 /**
  * Recompute weighted centroids; returns ids of empty clusters.
  *
- * With a `dirty` mask (accelerated path) only the flagged clusters
- * are rebuilt, and the flags are cleared.  A cluster no point entered
- * or left since an M-step last produced its row would get back
- * exactly the row it holds.  Callers flag every cluster whose row
+ * With a `dirty` mask only the flagged clusters are rebuilt, and the
+ * flags are cleared.  A cluster no point entered or left since an
+ * M-step last produced its row would get back exactly the row it
+ * holds.  Callers flag every cluster whose row
  * came from anywhere else (seeding, re-seeding).  The empty list
  * still covers all k clusters.
  */
@@ -634,13 +580,12 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
 }
 
 /**
- * Re-seed an empty cluster with the worst-fitting point.  With an
- * AccelState the point-to-owner distances are memoised per (class,
- * owner) pair: rows of a class are bit-identical, so one sqDist per
- * pair gives every member's distance bit for bit.  Only empty
- * clusters are re-seeded and their points are never candidates, so
- * the owners' centroids — and the table — stay fixed across the
- * whole call.  The scan itself still runs over points in index order
+ * Re-seed an empty cluster with the worst-fitting point.  The
+ * point-to-owner distances are memoised per (class, owner) pair:
+ * rows of a class are bit-identical, so one sqDist per pair gives
+ * every member's distance bit for bit.  Only empty clusters are
+ * re-seeded and their points are never candidates, so the owners'
+ * centroids — and the table — stay fixed across the whole call.  The scan itself still runs over points in index order
  * with the naive strict `>`, so it picks the same point.
  *
  * Each re-seeded cluster and the donor of its stolen point are
@@ -648,26 +593,19 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
  */
 void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
-            const std::vector<u32>& empty, const AccelState* accel,
+            const std::vector<u32>& empty, const AccelState& accel,
             std::vector<u8>* dirty = nullptr)
 {
     const std::size_t cstride = res.rowStride(data.dims);
-    std::vector<double> memo;
-    if (accel)
-        memo.assign(accel->classFirst.size() * res.k, -1.0);
+    std::vector<double> memo(accel.classFirst.size() * res.k, -1.0);
     auto ownerDist = [&](std::size_t i, u32 owner) {
-        auto dist = [&] {
-            return simd::sqDist(data.row(i),
-                                res.centroidRow(owner, data.dims),
-                                data.rowStride());
-        };
-        if (!accel)
-            return dist();
         double& slot =
-            memo[static_cast<std::size_t>(accel->classOf[i]) * res.k +
+            memo[static_cast<std::size_t>(accel.classOf[i]) * res.k +
                  owner];
         if (slot < 0.0)
-            slot = dist();
+            slot = simd::sqDist(data.row(i),
+                                res.centroidRow(owner, data.dims),
+                                data.rowStride());
         return slot;
     };
     for (u32 c : empty) {
@@ -694,17 +632,17 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
 }
 
 /**
- * D^2 seeding.  With an AccelState the distance-to-nearest-centroid
- * table is maintained per duplicate class and expanded to per-point
- * sampling probabilities; the probabilities — and hence the RNG
- * consumption and every pick — are bit-identical to the naive loop,
- * because a class member's distance IS its representative's distance
+ * D^2 seeding.  The distance-to-nearest-centroid table is maintained
+ * per duplicate class and expanded to per-point sampling
+ * probabilities; the probabilities — and hence the RNG consumption
+ * and every pick — are bit-identical to the naive loop, because a
+ * class member's distance IS its representative's distance
  * (identical rows).
  *
- * The accelerated draws also walk only the points whose term can
- * still be non-zero.  A term w * minDist that is +-0 stays +-0 from
- * then on: w is fixed and minDist only falls, so the rounded product
- * only shrinks in magnitude.  Adding +-0 to the (never -0) total and
+ * The draws also walk only the points whose term can still be
+ * non-zero.  A term w * minDist that is +-0 stays +-0 from then on:
+ * w is fixed and minDist only falls, so the rounded product only
+ * shrinks in magnitude.  Adding +-0 to the (never -0) total and
  * subtracting it from r change neither, and r <= 0 can first hold at
  * a zero term only when it already held before the scan, where the
  * naive draw picks index 0 (weights are non-negative).  So the
@@ -712,61 +650,53 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
  * the same r at every non-zero term and the same pick; a scan that
  * runs off the end still picks the last point, not the last active
  * one.
+ *
+ * Kept out of line: inlined into its one caller, runLloyd(), the
+ * sweep's clustering time rose by about 8 % on the fine_phases
+ * benchmark (4-core Xeon VM).
  */
-void
+[[gnu::noinline]] void
 initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
-             const AccelState* accel)
+             const AccelState& accel)
 {
-    // First centroid: weighted-uniform draw.
-    auto pickWeighted = [&](const std::vector<double>& probs) {
-        double total = 0.0;
-        for (double p : probs)
-            total += p;
-        kmeansStats().initTerms.add(probs.size());
-        double r = rng.nextDouble() * total;
-        for (std::size_t i = 0; i < probs.size(); ++i) {
-            r -= probs[i];
-            if (r <= 0.0)
-                return i;
-        }
-        return probs.size() - 1;
-    };
-
     const std::size_t cstride = res.rowStride(data.dims);
-    std::size_t first = pickWeighted(data.weights);
     auto setCentroid = [&](u32 c, std::size_t i) {
         double* crow = res.centroids.data() +
                        static_cast<std::size_t>(c) * cstride;
         const auto p = data.point(i);
         std::copy(p.begin(), p.end(), crow);
     };
-    setCentroid(0, first);
 
-    const std::size_t slots =
-        accel ? accel->classFirst.size() : data.count;
-    std::vector<double> minDist(slots,
+    // First centroid: weighted-uniform draw over every point.
+    {
+        double total = 0.0;
+        for (double w : data.weights)
+            total += w;
+        kmeansStats().initTerms.add(data.count);
+        double r = rng.nextDouble() * total;
+        std::size_t first = data.count - 1;
+        for (std::size_t i = 0; i < data.count; ++i) {
+            r -= data.weights[i];
+            if (r <= 0.0) {
+                first = i;
+                break;
+            }
+        }
+        setCentroid(0, first);
+    }
+
+    std::vector<double> minDist(accel.classFirst.size(),
                                 std::numeric_limits<double>::max());
     std::vector<double> probs(data.count);
-    std::vector<u32> active;
-    if (accel) {
-        active.resize(data.count);
-        std::iota(active.begin(), active.end(), u32{0});
-    }
+    std::vector<u32> active(data.count);
+    std::iota(active.begin(), active.end(), u32{0});
     for (u32 c = 1; c < res.k; ++c) {
-        for (std::size_t u = 0; u < slots; ++u) {
-            const std::size_t rep =
-                accel ? accel->classFirst[u] : u;
+        for (std::size_t u = 0; u < minDist.size(); ++u) {
             const double d =
-                simd::sqDist(data.row(rep),
+                simd::sqDist(data.row(accel.classFirst[u]),
                              res.centroidRow(c - 1, data.dims),
                              data.rowStride());
             minDist[u] = std::min(minDist[u], d);
-        }
-        if (!accel) {
-            for (std::size_t i = 0; i < data.count; ++i)
-                probs[i] = data.weights[i] * minDist[i];
-            setCentroid(c, pickWeighted(probs));
-            continue;
         }
         // Compact the active list to its non-zero terms (probs[j]
         // belongs to active[j]) and sum them in point order.
@@ -774,7 +704,7 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
         double total = 0.0;
         for (const u32 i : active) {
             const double p =
-                data.weights[i] * minDist[accel->classOf[i]];
+                data.weights[i] * minDist[accel.classOf[i]];
             if (p == 0.0)
                 continue;
             active[live] = i;
@@ -796,7 +726,7 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
 
 void
 initRandomPartition(const ProjectedData& data, KMeansResult& res,
-                    Rng& rng, const AccelState* accel)
+                    Rng& rng, const AccelState& accel)
 {
     for (std::size_t i = 0; i < data.count; ++i)
         res.labels[i] = static_cast<u32>(rng.nextBelow(res.k));
@@ -887,59 +817,25 @@ resumWeights(const ProjectedData& data, KMeansResult& res)
 }
 
 /**
- * The reference Lloyd loop: every iteration assigns every point,
- * rebuilds every centroid and reduces the SSE; a final E-step and
- * weight re-sum make labels, SSE and weights consistent with the
- * final centroids.
+ * The Lloyd loop, bit-identical to the naive reference loop in
+ * tests/oracle/simpoint (DESIGN.md "Clustering acceleration"):
+ * per-class E-steps under Hamerly bounds, labels kept per class
+ * between E-steps, M-steps that rebuild only dirty clusters and take
+ * whole rows from the sweep's `memo`, proven cycles jumped over, and
+ * no SSE until the fit is done.  Only a re-seed that splits a class,
+ * by moving one of its points, drops the labels to per point until
+ * the next E-step.
  */
 void
-runNaive(const ProjectedData& data, KMeansResult& res, Rng& rng,
-         const KMeansOptions& options)
-{
-    if (options.init == InitMethod::KMeansPlusPlus)
-        initPlusPlus(data, res, rng, nullptr);
-    else
-        initRandomPartition(data, res, rng, nullptr);
-    std::vector<u32> newLabels(data.count, 0);
-    for (u32 iter = 0; iter < options.maxIterations; ++iter) {
-        res.iterations = iter + 1;
-        res.weightedSse = assignLabels(data, res, newLabels);
-        const bool stable = newLabels == res.labels && iter > 0;
-        res.labels = newLabels;
-        const auto empty = updateCentroids(data, res);
-        if (!empty.empty()) {
-            reseedEmpty(data, res, empty, nullptr);
-            updateCentroids(data, res);
-            continue;
-        }
-        if (stable) {
-            res.converged = true;
-            break;
-        }
-    }
-    res.weightedSse = assignLabels(data, res, res.labels);
-    resumWeights(data, res);
-}
-
-/**
- * The accelerated Lloyd loop, bit-identical to runNaive() (DESIGN.md
- * "Clustering acceleration"): per-class E-steps under Hamerly
- * bounds, labels kept per class between E-steps, M-steps that rebuild
- * only dirty clusters and take whole rows from the sweep's `memo`,
- * proven cycles jumped over, and no SSE until the fit is done.  Only
- * a re-seed that splits a class, by moving one of its points, drops
- * the labels to per point until the next E-step.
- */
-void
-runAccelerated(const ProjectedData& data, KMeansResult& res, Rng& rng,
-               const KMeansOptions& options, MStepMemo* memo)
+runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
+         const KMeansOptions& options, MStepMemo* memo)
 {
     AccelState state;
     state.attach(data);
     if (options.init == InitMethod::KMeansPlusPlus)
-        initPlusPlus(data, res, rng, &state);
+        initPlusPlus(data, res, rng, state);
     else
-        initRandomPartition(data, res, rng, &state);
+        initRandomPartition(data, res, rng, state);
     state.adoptLabels(res.labels,
                       options.init == InitMethod::KMeansPlusPlus);
 
@@ -979,7 +875,7 @@ runAccelerated(const ProjectedData& data, KMeansResult& res, Rng& rng,
             updateCentroidsByClass(data, res, state, dirty, memo);
         if (!empty.empty()) {
             state.materialize(res.labels);
-            reseedEmpty(data, res, empty, &state, &dirty);
+            reseedEmpty(data, res, empty, state, &dirty);
             state.regroup(res.labels);
             if (state.classLevel)
                 updateCentroidsByClass(data, res, state, dirty, memo);
@@ -1028,11 +924,7 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
         static_cast<std::size_t>(res.k) * res.stride, 0.0);
     res.clusterWeight.assign(res.k, 0.0);
 
-    if (!options.accelerate) {
-        runNaive(data, res, rng, options);
-    } else {
-        runAccelerated(data, res, rng, options, memo);
-    }
+    runLloyd(data, res, rng, options, memo);
     kmeansStats().fits.add();
     kmeansStats().iterations.sample(res.iterations);
     return res;

@@ -27,28 +27,11 @@ enum class InitMethod
     RandomPartition  ///< random labels then M-step (SimPoint classic)
 };
 
-/** Iteration limits, seeding choice and E-step acceleration. */
+/** Iteration limit and seeding choice. */
 struct KMeansOptions
 {
     u32 maxIterations = 100;
     InitMethod init = InitMethod::KMeansPlusPlus;
-
-    /**
-     * Accelerate the E-step with Hamerly distance bounds (and, when
-     * the data carries duplicate-class structure, one distance
-     * computation per class instead of per point), and skip the work
-     * whose result is already fixed: labels are kept per class
-     * between E-steps, M-steps rebuild only clusters whose membership
-     * changed (or copy them from an MStepMemo), the SSE is reduced
-     * once per fit, and k-means++ draws skip points whose term is
-     * zero.
-     * Every skip is proven: whatever is computed uses the same
-     * arithmetic on the same operands in the same order as the naive
-     * loop, so labels, centroids, SSE and iteration counts are
-     * bit-identical either way (asserted by
-     * tests/test_clustering_equiv.cc).
-     */
-    bool accelerate = true;
 };
 
 /** One clustering of the projected data. */
@@ -87,8 +70,7 @@ struct KMeansResult
 };
 
 /**
- * Centroid rows and weights computed by the accelerated M-steps of
- * one sweep, shared by all of its fits.  While a fit's labels are
+ * Centroid rows and weights computed by the M-steps of one sweep, shared by all of its fits.  While a fit's labels are
  * kept per duplicate class, a cluster's row and weight depend only on
  * the set of classes it owns, so the memo keys them by that set
  * (compared exactly) and a fit reaching a set any fit of the sweep
@@ -119,9 +101,21 @@ class MStepMemo
  * Run Lloyd's algorithm with weights until labels stabilize or
  * maxIterations.  Empty clusters are re-seeded with the point
  * farthest from its centroid.  k is clamped to the point count.
+ *
+ * The loop skips the work whose result is already fixed: the E-step
+ * runs under Hamerly distance bounds, once per duplicate class when
+ * the data carries class structure; labels are kept per class
+ * between E-steps; M-steps rebuild only clusters whose membership
+ * changed (or copy them from `memo`); the SSE is reduced once per
+ * fit; and k-means++ draws skip points whose term is zero.  Every
+ * skip is proven: whatever is computed uses the same arithmetic on
+ * the same operands in the same order as the naive Lloyd loop, so
+ * labels, centroids, SSE and iteration counts are bit-identical to
+ * it (the reference in tests/oracle/simpoint, compared by
+ * tests/test_clustering_equiv.cc).
+ *
  * The fits of one sweep may share a `memo` built over the same
- * `data`; accelerated fits use it, the naive path ignores it, and
- * results are the same with or without it.
+ * `data`; results are the same with or without it.
  */
 KMeansResult runKMeans(const ProjectedData& data, u32 k, Rng& rng,
                        const KMeansOptions& options = KMeansOptions{},

@@ -32,11 +32,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
     // original interval ids.
     ProjectedData data;
     {
-        DedupMap dedup;
-        if (options.accelerate)
-            dedup = fvs.dedup(options.dedupQuantum);
-        data = project(fvs, options.projectedDims, options.seed,
-                       options.accelerate ? &dedup : nullptr);
+        const DedupMap dedup = fvs.dedup();
+        data = project(fvs, options.projectedDims, options.seed, &dedup);
     }
     // Nothing reads a row again; only the lengths weigh the phases.
     fvs.releaseEntries();
@@ -49,7 +46,6 @@ pickFromNormalized(FrequencyVectorSet fvs,
     KMeansOptions kmOpts;
     kmOpts.init = options.init;
     kmOpts.maxIterations = options.maxIterations;
-    kmOpts.accelerate = options.accelerate;
 
     // The (k, seed) sweep.  Every fit forks its own RNG stream from
     // the (const) sweep generator, so fits are order-independent and
@@ -58,29 +54,22 @@ pickFromNormalized(FrequencyVectorSet fvs,
     // which reproduces the sequential loop's pick — including its
     // lowest-seed-index tie-break — exactly.
     //
-    // The fits share one M-step memo (read only by accelerated
-    // fits), freed with the sweep; its entries are pure functions of
-    // their keys, so which fit fills an entry first never shows in a
-    // result.
+    // The fits share one M-step memo, freed with the sweep; its
+    // entries are pure functions of their keys, so which fit fills an
+    // entry first never shows in a result.
     const std::size_t fitCount =
         static_cast<std::size_t>(maxK) * options.seedsPerK;
     std::vector<KMeansResult> fits(fitCount);
     {
         MStepMemo memo(data);
-        auto fitOne = [&](std::size_t f) {
+        parallelFor(globalPool(), fitCount, [&](std::size_t f) {
             const u32 k = 1 + static_cast<u32>(f / options.seedsPerK);
             const u32 s = static_cast<u32>(f % options.seedsPerK);
             obs::TraceSpan span(format("kmeans k={} seed={}", k, s),
                                 "cluster");
             Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
             fits[f] = runKMeans(data, k, seedRng, kmOpts, &memo);
-        };
-        if (options.accelerate) {
-            parallelFor(globalPool(), fitCount, fitOne);
-        } else {
-            for (std::size_t f = 0; f < fitCount; ++f)
-                fitOne(f);
-        }
+        });
     }
 
     std::vector<KMeansResult> bestByK;
@@ -142,19 +131,15 @@ pickFromNormalized(FrequencyVectorSet fvs,
     // simulation points of both methods.
     //
     // Members are bucketed in one pass, in increasing interval order.
-    // With duplicate classes each member's distance is memoised per
-    // (class, phase): rows of a class are bit-identical, so one
-    // sqDist gives every member's distance bit for bit.
+    // Each member's distance is memoised per (duplicate class,
+    // phase): rows of a class are bit-identical, so one sqDist gives
+    // every member's distance bit for bit.
     const InstrCount total = fvs.totalInstructions();
     std::vector<std::vector<u32>> membersOf(chosen.k);
     for (std::size_t i = 0; i < fvs.size(); ++i)
         membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
-    std::vector<double> classDist;
-    std::vector<u32> classPhase;
-    if (data.hasClasses()) {
-        classDist.resize(data.classFirst.size());
-        classPhase.assign(data.classFirst.size(), chosen.k);
-    }
+    std::vector<double> classDist(data.classFirst.size());
+    std::vector<u32> classPhase(data.classFirst.size(), chosen.k);
     for (u32 c = 0; c < chosen.k; ++c) {
         Phase phase;
         phase.id = c;
@@ -168,17 +153,12 @@ pickFromNormalized(FrequencyVectorSet fvs,
         const auto centroid = chosen.centroid(c, data.dims);
         for (const u32 i : phase.members) {
             phaseInstrs += fvs.lengths[i];
-            double d;
-            if (data.hasClasses()) {
-                const u32 u = data.classOf[i];
-                if (classPhase[u] != c) {
-                    classPhase[u] = c;
-                    classDist[u] = sqDist(data.point(i), centroid);
-                }
-                d = classDist[u];
-            } else {
-                d = sqDist(data.point(i), centroid);
+            const u32 u = data.classOf[i];
+            if (classPhase[u] != c) {
+                classPhase[u] = c;
+                classDist[u] = sqDist(data.point(i), centroid);
             }
+            const double d = classDist[u];
             dists.push_back(d);
             bestDist = std::min(bestDist, d);
         }

@@ -41,28 +41,6 @@ struct SimPointOptions
      */
     bool earlyPoints = false;
     double earlyTolerance = 0.3;
-
-    /**
-     * Exact acceleration of the whole BIC sweep (see DESIGN.md,
-     * "Clustering acceleration"): duplicate-interval coalescing
-     * feeding projection and the E-step, Hamerly-bounded k-means,
-     * and the (k, seed) restart sweep fanned out on the global
-     * thread pool.  The result is bit-identical to the naive path
-     * at any thread count; disable only to measure the naive
-     * baseline (bench_micro_clustering) or to cross-check it
-     * (tests/test_clustering_equiv.cc).
-     */
-    bool accelerate = true;
-
-    /**
-     * Duplicate-merge tolerance: 0 (default) merges only intervals
-     * whose normalized vectors are bitwise equal, which keeps the
-     * acceleration exact.  A positive value also merges vectors
-     * equal after rounding values to multiples of the quantum —
-     * faster on noisy data, but approximate (each merged interval
-     * is clustered as its class representative).
-     */
-    double dedupQuantum = 0.0;
 };
 
 /** One phase: its members, representative and execution weight. */
@@ -87,7 +65,12 @@ struct SimPointResult
 /**
  * Run the full pipeline.  The input vectors are copied and
  * normalized internally; `fvs.lengths` provides the VLI weights (use
- * equal lengths for FLI).
+ * equal lengths for FLI).  The sweep is exactly accelerated (see
+ * DESIGN.md, "Clustering acceleration"): duplicate intervals are
+ * coalesced for projection and clustering, the fits run under
+ * Hamerly bounds, and the (k, seed) fits fan out on the global
+ * thread pool.  The result is bit-identical at any thread count to
+ * the naive sweep in tests/oracle/simpoint.
  */
 SimPointResult pickSimulationPoints(const FrequencyVectorSet& fvs,
                                     const SimPointOptions& options);

@@ -1,12 +1,12 @@
 /**
  * @file
- * Equivalence guard for the accelerated clustering engine: the
- * combination of duplicate-interval dedup, Hamerly-bounded k-means
- * and the parallel (k, seed) sweep must produce a SimPointResult
- * that is *bit-identical* to the naive path — same chosen k, same
- * labels over original intervals, same phase members,
+ * Equivalence guard for the clustering engine: the combination of
+ * duplicate-interval dedup, Hamerly-bounded k-means and the parallel
+ * (k, seed) sweep must produce a SimPointResult that is
+ * *bit-identical* to the naive reference sweep in tests/oracle — same
+ * chosen k, same labels over original intervals, same phase members,
  * representatives and weights, same BIC scores — on real profile
- * data (3 workloads x 4 compilation targets) at 1 and N worker
+ * data (3 workloads x 4 compilation targets) at 1 and 4 worker
  * threads, plus the low-level runKMeans contract on synthetic data.
  */
 
@@ -25,6 +25,7 @@
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
 #include "profile/profile.hh"
+#include "simpoint/reference.hh"
 #include "simpoint/simpoint.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
@@ -69,47 +70,82 @@ expectIdenticalKMeans(const KMeansResult& a, const KMeansResult& b)
     EXPECT_EQ(a.converged, b.converged);
 }
 
-/** Counter deltas of one accelerated and one naive fit. */
+/**
+ * Work of one fit: the reference's own count, or the engine's
+ * counter deltas (the reference never consults a memo or proves a
+ * cycle, so those stay 0 on its side).
+ */
 struct FitWork
 {
     u64 mstepRows = 0;
     u64 initTerms = 0;
     u64 mstepReused = 0;
+    u64 cycles = 0;
+    u64 proven = 0;
+
+    bool operator==(const FitWork&) const = default;
 };
 
+/** Counters FitWork reads, in its field order. */
+constexpr std::array<const char*, 5> fitCounters{
+    "kmeans.mstep.rows", "kmeans.init.terms", "kmeans.mstep.reused",
+    "kmeans.cycles", "kmeans.iterations.proven"};
+
+/** runKMeans through `memo` and the engine counters it moved. */
+std::pair<KMeansResult, FitWork>
+engineFit(const ProjectedData& data, u32 k, u64 seed,
+          const KMeansOptions& options, MStepMemo* memo)
+{
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    std::array<u64, fitCounters.size()> before{};
+    for (std::size_t c = 0; c < fitCounters.size(); ++c)
+        before[c] = reg.counterValue(fitCounters[c]);
+    Rng rng(seed);
+    KMeansResult res = runKMeans(data, k, rng, options, memo);
+    auto delta = [&](std::size_t c) {
+        return reg.counterValue(fitCounters[c]) - before[c];
+    };
+    return {std::move(res),
+            FitWork{delta(0), delta(1), delta(2), delta(3), delta(4)}};
+}
+
 /**
- * Run one fit naive and one accelerated from the same RNG state (the
- * accelerated one through `memo`, when given), require every
- * KMeansResult field to match, and return each side's M-step rows,
- * k-means++ terms and memo-served M-step lookups.
+ * Run one fit with the naive reference and with the engine (through
+ * `memo`, when given) at 1 and then 4 workers, all from the same RNG
+ * state; require every KMeansResult field to match the reference and
+ * return the reference's work and the 1-worker engine fit's.  Without
+ * a memo the 4-worker fit must do exactly the same work; with one it
+ * finds the entries the first fit left, so only its result is held
+ * to the reference.
  */
 std::pair<FitWork, FitWork>
 expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
-                      KMeansOptions options, MStepMemo* memo = nullptr)
+                      const KMeansOptions& options,
+                      MStepMemo* memo = nullptr)
 {
     obs::StatRegistry& reg = obs::StatRegistry::global();
-    auto work = [&](auto&& fit) {
-        const u64 rows0 = reg.counterValue("kmeans.mstep.rows");
-        const u64 terms0 = reg.counterValue("kmeans.init.terms");
-        const u64 reused0 = reg.counterValue("kmeans.mstep.reused");
-        const KMeansResult res = fit();
-        return std::pair{
-            res, FitWork{reg.counterValue("kmeans.mstep.rows") - rows0,
-                         reg.counterValue("kmeans.init.terms") -
-                             terms0,
-                         reg.counterValue("kmeans.mstep.reused") -
-                             reused0}};
-    };
-    options.accelerate = false;
-    Rng rngA(seed);
-    const auto [naive, naiveWork] =
-        work([&] { return runKMeans(data, k, rngA, options); });
-    options.accelerate = true;
-    Rng rngB(seed);
-    const auto [accel, accelWork] =
-        work([&] { return runKMeans(data, k, rngB, options, memo); });
-    expectIdenticalKMeans(naive, accel);
-    return {naiveWork, accelWork};
+    Rng rng(seed);
+    const u64 rows0 = reg.counterValue("kmeans.mstep.rows");
+    const ReferenceFit reference = referenceKMeans(data, k, rng, options);
+    EXPECT_EQ(reg.counterValue("kmeans.mstep.rows"), rows0)
+        << "the reference must leave the stat registry alone";
+    const FitWork referenceWork{reference.work.mstepRows,
+                                reference.work.initTerms};
+
+    FitWork serialWork;
+    for (const u64 jobs : {u64{1}, u64{4}}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        setGlobalJobs(jobs);
+        const auto [engine, work] = engineFit(data, k, seed, options, memo);
+        expectIdenticalKMeans(reference.result, engine);
+        if (jobs == 1) {
+            serialWork = work;
+        } else if (memo == nullptr) {
+            EXPECT_EQ(work, serialWork);
+        }
+    }
+    setGlobalJobs(0);
+    return {referenceWork, serialWork};
 }
 
 /** Gaussian blobs with exact duplicate points mixed in. */
@@ -241,16 +277,9 @@ TEST(KMeansEquiv, HamerlyMatchesNaiveAcrossKAndInit)
         for (const u32 k : {1u, 2u, 4u, 5u, 9u, 16u}) {
             SCOPED_TRACE("init " + std::to_string(static_cast<int>(
                              init)) + " k " + std::to_string(k));
-            KMeansOptions naiveOpts;
-            naiveOpts.init = init;
-            naiveOpts.accelerate = false;
-            KMeansOptions accelOpts = naiveOpts;
-            accelOpts.accelerate = true;
-            Rng rngA(k * 13 + 1);
-            Rng rngB = rngA;
-            expectIdenticalKMeans(
-                runKMeans(data, k, rngA, naiveOpts),
-                runKMeans(data, k, rngB, accelOpts));
+            KMeansOptions options;
+            options.init = init;
+            expectFitMatchesNaive(data, k, k * 13 + 1, options);
         }
     }
 }
@@ -264,14 +293,8 @@ TEST(KMeansEquiv, HamerlyMatchesNaiveOnDegenerateData)
     flat.points.assign(flat.count * flat.dims, 0.25);
     flat.weights.assign(flat.count, 1.0);
     for (const u32 k : {1u, 3u, 12u}) {
-        KMeansOptions naiveOpts;
-        naiveOpts.accelerate = false;
-        KMeansOptions accelOpts;
-        accelOpts.accelerate = true;
-        Rng rngA(5);
-        Rng rngB = rngA;
-        expectIdenticalKMeans(runKMeans(flat, k, rngA, naiveOpts),
-                              runKMeans(flat, k, rngB, accelOpts));
+        SCOPED_TRACE("k " + std::to_string(k));
+        expectFitMatchesNaive(flat, k, 5, {});
     }
 }
 
@@ -294,7 +317,6 @@ TEST(KMeansEquiv, ProvenCycleMatchesNaive)
         u32 period;
         u32 detectedAt;  ///< iteration that repeats a checkpoint
     };
-    obs::StatRegistry& reg = obs::StatRegistry::global();
     for (const Shape& shape : {Shape{"period 2", 1, 2, 4},
                                Shape{"period 1", 2, 1, 2}}) {
         const ProjectedData data =
@@ -303,32 +325,19 @@ TEST(KMeansEquiv, ProvenCycleMatchesNaive)
         for (const u32 maxIterations : {99u, 100u, 101u}) {
             SCOPED_TRACE(std::string(shape.name) + " max " +
                          std::to_string(maxIterations));
-            KMeansOptions naiveOpts;
-            naiveOpts.maxIterations = maxIterations;
-            naiveOpts.accelerate = false;
-            KMeansOptions accelOpts = naiveOpts;
-            accelOpts.accelerate = true;
-            Rng rngA(shape.dataSeed * 7 + k);
-            Rng rngB = rngA;
+            KMeansOptions options;
+            options.maxIterations = maxIterations;
+            const u64 seed = shape.dataSeed * 7 + k;
+            const auto [reference, engine] =
+                expectFitMatchesNaive(data, k, seed, options);
+            const KMeansResult fit =
+                engineFit(data, k, seed, options, nullptr).first;
+            EXPECT_EQ(fit.iterations, maxIterations);
+            EXPECT_FALSE(fit.converged);
 
-            const u64 cycles0 = reg.counterValue("kmeans.cycles");
-            const u64 proven0 =
-                reg.counterValue("kmeans.iterations.proven");
-            const KMeansResult naive =
-                runKMeans(data, k, rngA, naiveOpts);
-            EXPECT_EQ(reg.counterValue("kmeans.cycles"), cycles0);
-            const KMeansResult accel =
-                runKMeans(data, k, rngB, accelOpts);
-            expectIdenticalKMeans(naive, accel);
-            EXPECT_EQ(accel.iterations, maxIterations);
-            EXPECT_FALSE(accel.converged);
-
-            EXPECT_EQ(reg.counterValue("kmeans.cycles") - cycles0, 1u);
-            const u32 skipped = (maxIterations - shape.detectedAt) /
-                                shape.period * shape.period;
-            EXPECT_EQ(reg.counterValue("kmeans.iterations.proven") -
-                          proven0,
-                      skipped);
+            EXPECT_EQ(engine.cycles, 1u);
+            EXPECT_EQ(engine.proven, (maxIterations - shape.detectedAt) /
+                                         shape.period * shape.period);
         }
     }
 }
@@ -346,15 +355,11 @@ TEST(KMeansEquiv, ReseedWithMixedOwnersMatchesNaive)
                 data.weights[i] = 0.0;
         }
         for (const u32 k : {3u, 5u, 8u}) {
-            KMeansOptions naiveOpts;
-            naiveOpts.init = InitMethod::RandomPartition;
-            naiveOpts.accelerate = false;
-            KMeansOptions accelOpts = naiveOpts;
-            accelOpts.accelerate = true;
-            Rng rngA(seed * 31 + k);
-            Rng rngB = rngA;
-            expectIdenticalKMeans(runKMeans(data, k, rngA, naiveOpts),
-                                  runKMeans(data, k, rngB, accelOpts));
+            SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
+                         std::to_string(k));
+            KMeansOptions options;
+            options.init = InitMethod::RandomPartition;
+            expectFitMatchesNaive(data, k, seed * 31 + k, options);
         }
     }
 }
@@ -409,7 +414,9 @@ TEST(KMeansEquiv, PlusPlusAllZeroTermsPicksFirstPoint)
  * r can also be 0 while a term is still live: with a total of one
  * denormal term, r = u * total rounds to 0 whenever u < 0.5.  The
  * naive draw then picks index 0 — here a point already chosen — not
- * the first live point.
+ * the first live point.  With every weight 0 the first draw, over
+ * all points, has r = 0 as well and must pick index 0, not the last
+ * point.
  */
 TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
 {
@@ -417,25 +424,35 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
     data.dims = 3;
     data.count = 3;
     data.points = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0};
-    data.weights = {1.0, 1.0,
-                    std::numeric_limits<double>::denorm_min()};
     KMeansOptions options;
     options.maxIterations = 0;
-    u32 zeroDraws = 0;
-    for (u64 seed = 1; seed <= 16; ++seed) {
-        SCOPED_TRACE("seed " + std::to_string(seed));
-        options.accelerate = false;
-        Rng rngA(seed);
-        const KMeansResult naive = runKMeans(data, 2, rngA, options);
-        options.accelerate = true;
-        Rng rngB(seed);
-        const KMeansResult accel = runKMeans(data, 2, rngB, options);
-        EXPECT_EQ(naive.centroids, accel.centroids);
-        EXPECT_EQ(naive.labels, accel.labels);
-        if (accel.centroid(1, data.dims)[0] == 0.0)
-            ++zeroDraws;
+    for (const std::vector<double>& weights :
+         {std::vector<double>{1.0, 1.0,
+                              std::numeric_limits<double>::denorm_min()},
+          std::vector<double>{0.0, 0.0, 0.0}}) {
+        data.weights = weights;
+        u32 zeroDraws = 0;
+        for (u64 seed = 1; seed <= 16; ++seed) {
+            Rng rngA(seed);
+            const KMeansResult naive =
+                referenceKMeans(data, 2, rngA, options).result;
+            for (const u64 jobs : {u64{1}, u64{4}}) {
+                SCOPED_TRACE("weight " + std::to_string(weights[0]) +
+                             " seed " + std::to_string(seed) +
+                             " jobs " + std::to_string(jobs));
+                setGlobalJobs(jobs);
+                Rng rngB(seed);
+                const KMeansResult accel =
+                    runKMeans(data, 2, rngB, options);
+                EXPECT_EQ(naive.centroids, accel.centroids);
+                EXPECT_EQ(naive.labels, accel.labels);
+            }
+            if (naive.centroid(1, data.dims)[0] == 0.0)
+                ++zeroDraws;
+        }
+        EXPECT_GT(zeroDraws, 0u);
     }
-    EXPECT_GT(zeroDraws, 0u);
+    setGlobalJobs(0);
 }
 
 /**
@@ -453,22 +470,27 @@ TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
     KMeansOptions options;
     options.maxIterations = 0;
     for (const u32 k : {2u, 4u}) {
-        SCOPED_TRACE("k " + std::to_string(k));
-        options.accelerate = false;
         Rng rngA(k);
-        const KMeansResult naive = runKMeans(data, k, rngA, options);
-        options.accelerate = true;
-        Rng rngB(k);
-        const KMeansResult accel = runKMeans(data, k, rngB, options);
-        EXPECT_EQ(naive.centroids, accel.centroids);
-        EXPECT_EQ(naive.labels, accel.labels);
-        const auto last = data.point(data.count - 1);
-        for (u32 c = 0; c < k; ++c) {
-            const auto row = accel.centroid(c, data.dims);
-            EXPECT_TRUE(std::equal(row.begin(), row.end(), last.begin()))
-                << "centroid " << c;
+        const KMeansResult naive =
+            referenceKMeans(data, k, rngA, options).result;
+        for (const u64 jobs : {u64{1}, u64{4}}) {
+            SCOPED_TRACE("k " + std::to_string(k) + " jobs " +
+                         std::to_string(jobs));
+            setGlobalJobs(jobs);
+            Rng rngB(k);
+            const KMeansResult accel = runKMeans(data, k, rngB, options);
+            EXPECT_EQ(naive.centroids, accel.centroids);
+            EXPECT_EQ(naive.labels, accel.labels);
+            const auto last = data.point(data.count - 1);
+            for (u32 c = 0; c < k; ++c) {
+                const auto row = accel.centroid(c, data.dims);
+                EXPECT_TRUE(
+                    std::equal(row.begin(), row.end(), last.begin()))
+                    << "centroid " << c;
+            }
         }
     }
+    setGlobalJobs(0);
 }
 
 /**
@@ -645,7 +667,6 @@ TEST(KMeansEquiv, ReseedFallbackWithMemoMatchesNaive)
  */
 TEST(KMeansEquiv, CycleProvenFromOwnerArrays)
 {
-    obs::StatRegistry& reg = obs::StatRegistry::global();
     const ProjectedData data = withoutClasses(duplicateData(2, 7, 4, 1));
     const u32 k = 3;
     const u32 period = 2;
@@ -655,11 +676,11 @@ TEST(KMeansEquiv, CycleProvenFromOwnerArrays)
         KMeansOptions options;
         options.maxIterations = maxIterations;
         MStepMemo memo(data);
-        const u64 cycles0 = reg.counterValue("kmeans.cycles");
-        const u64 proven0 = reg.counterValue("kmeans.iterations.proven");
-        expectFitMatchesNaive(data, k, 1 * 7 + k, options, &memo);
-        EXPECT_EQ(reg.counterValue("kmeans.cycles") - cycles0, 1u);
-        EXPECT_EQ(reg.counterValue("kmeans.iterations.proven") - proven0,
+        const FitWork engine =
+            expectFitMatchesNaive(data, k, 1 * 7 + k, options, &memo)
+                .second;
+        EXPECT_EQ(engine.cycles, 1u);
+        EXPECT_EQ(engine.proven,
                   (maxIterations - detectedAt) / period * period);
     }
 }
@@ -679,15 +700,12 @@ TEST(KMeansEquiv, DeferredSseMatchesNaiveBitwise)
         for (const u32 k : {4u, 6u, 8u}) {
             SCOPED_TRACE("jobs " + std::to_string(jobs) + " k " +
                          std::to_string(k));
-            KMeansOptions options;
-            options.accelerate = false;
             Rng rngA(k);
-            const KMeansResult naive = runKMeans(data, k, rngA, options);
-            options.accelerate = true;
+            const KMeansResult naive =
+                referenceKMeans(data, k, rngA).result;
             Rng rngB(k);
             MStepMemo memo(data);
-            const KMeansResult accel =
-                runKMeans(data, k, rngB, options, &memo);
+            const KMeansResult accel = runKMeans(data, k, rngB, {}, &memo);
             expectIdenticalKMeans(naive, accel);
             EXPECT_EQ(std::bit_cast<u64>(naive.weightedSse),
                       std::bit_cast<u64>(accel.weightedSse));
@@ -701,43 +719,44 @@ TEST(KMeansEquiv, DeferredSseMatchesNaiveBitwise)
 /**
  * The suite workloads whose VLI sweeps cycle: at 2K-instruction
  * intervals applu's VLI vectors have fewer distinct rows than
- * k = 7..10 and vpr's fewer than k = 10.  The whole sweep, naive
- * against accelerated, must agree bit for bit, and the accelerated
- * one must actually have taken the shortcut.
+ * k = 7..10 and vpr's fewer than k = 10.  The whole sweep must agree
+ * bit for bit with the reference at 1 and 4 workers, and the engine
+ * must actually have taken the shortcut.
  */
 TEST(ClusteringEquiv, CyclingVliSweepsBitIdentical)
 {
-    SimPointOptions naiveOpts = harness::defaultStudyConfig().simpoint;
-    naiveOpts.accelerate = false;
-    SimPointOptions accelOpts = naiveOpts;
-    accelOpts.accelerate = true;
+    const SimPointOptions options = harness::defaultStudyConfig().simpoint;
     obs::StatRegistry& reg = obs::StatRegistry::global();
     for (const std::string name : {"applu", "vpr"}) {
         const FrequencyVectorSet fvs = vliVectors(name, 2'000);
         const SimPointResult naive =
-            pickSimulationPoints(fvs, naiveOpts);
-        const u64 cycles0 = reg.counterValue("kmeans.cycles");
-        const SimPointResult accel =
-            pickSimulationPoints(fvs, accelOpts);
-        EXPECT_GT(reg.counterValue("kmeans.cycles"), cycles0) << name;
-        expectIdenticalResults(naive, accel, name + " VLI");
+            referenceSimPoints(fvs, options).result;
+        for (const u64 jobs : {u64{1}, u64{4}}) {
+            setGlobalJobs(jobs);
+            const u64 cycles0 = reg.counterValue("kmeans.cycles");
+            const SimPointResult accel =
+                pickSimulationPoints(fvs, options);
+            EXPECT_GT(reg.counterValue("kmeans.cycles"), cycles0)
+                << name;
+            expectIdenticalResults(naive, accel,
+                                   name + " VLI jobs " +
+                                       std::to_string(jobs));
+        }
+        setGlobalJobs(0);
     }
 }
 
 /**
- * The headline guarantee: the full accelerated pipeline (dedup +
- * Hamerly + parallel sweep) is bit-identical to the naive pipeline
- * on the FLI profile vectors of every binary of several workloads,
- * with both 1 worker and several.
+ * The headline guarantee: the full pipeline (dedup + Hamerly +
+ * parallel sweep) is bit-identical to the naive reference sweep on
+ * the FLI profile vectors of every binary of several workloads, with
+ * both 1 worker and several.
  */
 TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
 {
     const std::vector<std::string> names{"gzip", "mcf", "swim"};
-    SimPointOptions naiveOpts;
-    naiveOpts.maxK = 10;
-    naiveOpts.accelerate = false;
-    SimPointOptions accelOpts = naiveOpts;
-    accelOpts.accelerate = true;
+    SimPointOptions options;
+    options.maxK = 10;
 
     for (const std::string& name : names) {
         const ir::Program program = workloads::makeWorkload(name, 1.0);
@@ -756,12 +775,12 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
 
             setGlobalJobs(1);
             const SimPointResult naive =
-                pickSimulationPoints(pass.fliIntervals, naiveOpts);
+                referenceSimPoints(pass.fliIntervals, options).result;
             const SimPointResult accelSerial =
-                pickSimulationPoints(pass.fliIntervals, accelOpts);
+                pickSimulationPoints(pass.fliIntervals, options);
             setGlobalJobs(4);
             const SimPointResult accelParallel =
-                pickSimulationPoints(pass.fliIntervals, accelOpts);
+                pickSimulationPoints(pass.fliIntervals, options);
             setGlobalJobs(0);
 
             expectIdenticalResults(naive, accelSerial,
@@ -774,22 +793,19 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
 
 /**
  * Phase building on suite vectors: members, representatives and
- * weights from the accelerated pipeline (members bucketed in one
- * pass, distances memoised per duplicate class) equal the naive
- * pipeline's.  The work counters, kmeans.mstep.reused included,
- * must also be identical at 1 and 4 workers, like every exact
- * counter, even though concurrent fits race to fill the memo.  The
- * accelerated runs profile afresh and hand the set over, so the
- * fvs.rows / fvs.entries layout counters are held to the same rule
- * and must count the profile's rows and entries exactly once.
+ * weights from the engine (members bucketed in one pass, distances
+ * memoised per duplicate class) equal the reference's.  The work
+ * counters, kmeans.mstep.reused included, must also be identical at
+ * 1 and 4 workers, like every exact counter, even though concurrent
+ * fits race to fill the memo.  The engine runs profile afresh and
+ * hand the set over, so the fvs.rows / fvs.entries layout counters
+ * are held to the same rule and must count the profile's rows and
+ * entries exactly once.
  */
 TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
 {
-    SimPointOptions naiveOpts;
-    naiveOpts.maxK = 10;
-    naiveOpts.accelerate = false;
-    SimPointOptions accelOpts = naiveOpts;
-    accelOpts.accelerate = true;
+    SimPointOptions options;
+    options.maxK = 10;
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto work = [&reg] {
         return std::array<u64, 6>{
@@ -816,44 +832,45 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
         ASSERT_GT(pass.fliIntervals.size(), 100u) << name;
 
         const auto before = work();
-        const SimPointResult naive =
-            pickSimulationPoints(pass.fliIntervals, naiveOpts);
-        const auto naiveWork = since(work(), before);
+        const ReferenceSweep naive =
+            referenceSimPoints(pass.fliIntervals, options);
+        EXPECT_EQ(since(work(), before), (std::array<u64, 6>{}))
+            << name << ": the reference must leave the registry alone";
 
         setGlobalJobs(1);
         const auto serialStart = work();
         const SimPointResult serial = pickSimulationPoints(
-            prof::runProfilePass(binary, 10000).fliIntervals, accelOpts);
+            prof::runProfilePass(binary, 10000).fliIntervals, options);
         const auto serialWork = since(work(), serialStart);
         setGlobalJobs(4);
         const auto parallelStart = work();
         const SimPointResult parallel = pickSimulationPoints(
-            prof::runProfilePass(binary, 10000).fliIntervals, accelOpts);
+            prof::runProfilePass(binary, 10000).fliIntervals, options);
         const auto parallelWork = since(work(), parallelStart);
         setGlobalJobs(0);
 
-        expectIdenticalResults(naive, serial, name + " (1 thread)");
-        expectIdenticalResults(naive, parallel, name + " (4 threads)");
+        expectIdenticalResults(naive.result, serial,
+                               name + " (1 thread)");
+        expectIdenticalResults(naive.result, parallel,
+                               name + " (4 threads)");
         EXPECT_EQ(serialWork, parallelWork) << name;
         EXPECT_EQ(serialWork[4], pass.fliIntervals.size()) << name;
         EXPECT_EQ(serialWork[5], pass.fliIntervals.entries()) << name;
-        // The accelerated sweep accumulates fewer M-step rows and
-        // sums fewer k-means++ terms than the naive one, and its
-        // fits take whole rows from the sweep's M-step memo, which
-        // the naive sweep never consults.
-        EXPECT_LT(serialWork[0], naiveWork[0]) << name;
-        EXPECT_LT(serialWork[1], naiveWork[1]) << name;
+        // The engine accumulates fewer M-step rows and sums fewer
+        // k-means++ terms than the reference, and its fits take whole
+        // rows from the sweep's M-step memo.
+        EXPECT_LT(serialWork[0], naive.work.mstepRows) << name;
+        EXPECT_LT(serialWork[1], naive.work.initTerms) << name;
         EXPECT_GT(serialWork[3], 0u) << name;
-        EXPECT_EQ(naiveWork[3], 0u) << name;
     }
 }
 
 /**
- * The accelerated path must not just match the naive result — its
- * observability counters must show *why* it is cheaper: the naive
- * sweep never touches the Hamerly counters, the accelerated sweep
- * proves most class assignments by the bound (skips > 0) and
- * evaluates strictly fewer E-step distances.
+ * The engine must not just match the reference result — its
+ * observability counters must show *why* it is cheaper: it proves
+ * most class assignments by the Hamerly bound (skips > 0) and
+ * evaluates strictly fewer E-step distances than the reference,
+ * with the same counts at 1 and 4 workers.
  */
 TEST(ClusteringEquiv, StatsQuantifyAcceleration)
 {
@@ -863,59 +880,69 @@ TEST(ClusteringEquiv, StatsQuantifyAcceleration)
     const prof::ProfilePass pass = prof::runProfilePass(binary, 10000);
     ASSERT_GT(pass.fliIntervals.size(), 100u);
 
-    SimPointOptions naiveOpts;
-    naiveOpts.maxK = 10;
-    naiveOpts.accelerate = false;
-    SimPointOptions accelOpts = naiveOpts;
-    accelOpts.accelerate = true;
+    SimPointOptions options;
+    options.maxK = 10;
 
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto snapshot = [&reg]() {
-        struct Work
-        {
-            u64 distances, skips, fallbacks;
-        };
-        return Work{reg.counterValue("kmeans.estep.distances"),
-                    reg.counterValue("kmeans.hamerly.skips"),
-                    reg.counterValue("kmeans.hamerly.fallbacks")};
+        return std::array<u64, 5>{
+            reg.counterValue("kmeans.estep.distances"),
+            reg.counterValue("kmeans.hamerly.skips"),
+            reg.counterValue("kmeans.hamerly.fallbacks"),
+            reg.counterValue("simpoint.sweeps"),
+            reg.counterValue("kmeans.fits")};
+    };
+    auto since = [](const std::array<u64, 5>& after,
+                    const std::array<u64, 5>& before) {
+        std::array<u64, 5> delta{};
+        for (std::size_t i = 0; i < delta.size(); ++i)
+            delta[i] = after[i] - before[i];
+        return delta;
     };
 
+    // The reference counts its own distances and moves no counter.
     const auto base = snapshot();
-    const SimPointResult naive =
-        pickSimulationPoints(pass.fliIntervals, naiveOpts);
-    const auto afterNaive = snapshot();
-    const SimPointResult accel =
-        pickSimulationPoints(pass.fliIntervals, accelOpts);
-    const auto afterAccel = snapshot();
-    expectIdenticalResults(naive, accel, "gzip/32o stats run");
+    const ReferenceSweep naive =
+        referenceSimPoints(pass.fliIntervals, options);
+    EXPECT_EQ(snapshot(), base);
+    EXPECT_GT(naive.work.distances, 0u);
 
-    // The naive sweep counts distances but never consults the bound.
-    const u64 naiveDistances = afterNaive.distances - base.distances;
-    EXPECT_GT(naiveDistances, 0u);
-    EXPECT_EQ(afterNaive.skips, base.skips);
-    EXPECT_EQ(afterNaive.fallbacks, base.fallbacks);
+    std::array<u64, 5> serialWork{};
+    for (const u64 jobs : {u64{1}, u64{4}}) {
+        setGlobalJobs(jobs);
+        const u64 dedupCalls0 = reg.counterValue("dedup.calls");
+        const auto before = snapshot();
+        const SimPointResult accel =
+            pickSimulationPoints(pass.fliIntervals, options);
+        const auto work = since(snapshot(), before);
+        expectIdenticalResults(naive.result, accel,
+                               "gzip/32o stats run, jobs " +
+                                   std::to_string(jobs));
 
-    // The accelerated sweep skips real work and pays fewer distances.
-    const u64 accelDistances =
-        afterAccel.distances - afterNaive.distances;
-    EXPECT_GT(accelDistances, 0u);
-    EXPECT_LT(accelDistances, naiveDistances);
-    EXPECT_GT(afterAccel.skips - afterNaive.skips, 0u);
-
-    // The sweep-level stats moved too: one sweep per engine, each
-    // sampling the same chosen k into the distribution.
-    EXPECT_GE(reg.counterValue("simpoint.sweeps"), 2u);
-    EXPECT_GT(reg.counterValue("kmeans.fits"), 0u);
-    EXPECT_GT(reg.counterValue("dedup.calls"), 0u);
+        // The engine skips real work and pays fewer distances.
+        EXPECT_GT(work[0], 0u);
+        EXPECT_LT(work[0], naive.work.distances);
+        EXPECT_GT(work[1], 0u);
+        // One sweep of maxK x seedsPerK fits over deduplicated data.
+        EXPECT_EQ(work[3], 1u);
+        EXPECT_EQ(work[4], u64{options.maxK} * options.seedsPerK);
+        EXPECT_EQ(reg.counterValue("dedup.calls") - dedupCalls0, 1u);
+        if (jobs == 1) {
+            serialWork = work;
+        } else {
+            EXPECT_EQ(work, serialWork);
+        }
+    }
+    setGlobalJobs(0);
 }
 
 /**
- * `accelerate` and the worker count are pure speed knobs.  Sweep
- * accelerate on/off x jobs 1/4 on real profile data; every
- * combination must produce a study report (labels, BIC scores,
- * phases) bit-identical to the serial naive reference.
+ * The worker count is a pure speed knob for the engine and the
+ * reference alike.  Sweep both over jobs 1/4 on real profile data;
+ * every combination must produce a result (labels, BIC scores,
+ * phases) bit-identical to the serial reference.
  */
-TEST(ClusteringEquiv, SimdSweepBitIdentical)
+TEST(ClusteringEquiv, JobsSweepBitIdentical)
 {
     const ir::Program program = workloads::makeWorkload("gzip", 1.0);
     const bin::Binary binary =
@@ -926,21 +953,20 @@ TEST(ClusteringEquiv, SimdSweepBitIdentical)
     SimPointOptions opts;
     opts.maxK = 10;
 
-    // Reference: serial, naive E-step.
     setGlobalJobs(1);
-    opts.accelerate = false;
     const SimPointResult reference =
-        pickSimulationPoints(pass.fliIntervals, opts);
+        referenceSimPoints(pass.fliIntervals, opts).result;
 
-    for (const bool accel : {false, true}) {
+    for (const bool engine : {false, true}) {
         for (const u64 jobs : {u64{1}, u64{4}}) {
-            opts.accelerate = accel;
             setGlobalJobs(jobs);
             const SimPointResult got =
-                pickSimulationPoints(pass.fliIntervals, opts);
+                engine ? pickSimulationPoints(pass.fliIntervals, opts)
+                       : referenceSimPoints(pass.fliIntervals, opts)
+                             .result;
             expectIdenticalResults(
                 reference, got,
-                std::string("accel=") + (accel ? "on" : "off") +
+                std::string(engine ? "engine" : "reference") +
                     " jobs=" + std::to_string(jobs));
         }
     }
@@ -951,7 +977,7 @@ TEST(ClusteringEquiv, DedupCollapsesDuplicateHeavyInput)
 {
     // Phase-structured input with exactly repeating vectors: dedup
     // must collapse each repetition class to one representative and
-    // the clustering must still be bit-identical to naive.
+    // the clustering must still be bit-identical to the reference.
     FrequencyVectorSet fvs;
     fvs.dimension = 64;
     for (std::size_t i = 0; i < 300; ++i) {
@@ -968,11 +994,13 @@ TEST(ClusteringEquiv, DedupCollapsesDuplicateHeavyInput)
     EXPECT_EQ(map.classOf.size(), 300u);
     EXPECT_EQ(map.classLength[0], 100u * 1000u);
 
-    SimPointOptions naiveOpts;
-    naiveOpts.accelerate = false;
-    SimPointOptions accelOpts;
-    accelOpts.accelerate = true;
-    expectIdenticalResults(pickSimulationPoints(fvs, naiveOpts),
-                           pickSimulationPoints(fvs, accelOpts),
-                           "duplicate-heavy synthetic");
+    const SimPointOptions options;
+    const SimPointResult naive = referenceSimPoints(fvs, options).result;
+    for (const u64 jobs : {u64{1}, u64{4}}) {
+        setGlobalJobs(jobs);
+        expectIdenticalResults(naive, pickSimulationPoints(fvs, options),
+                               "duplicate-heavy synthetic, jobs " +
+                                   std::to_string(jobs));
+    }
+    setGlobalJobs(0);
 }

@@ -138,6 +138,42 @@ TEST(DistWire, SuiteRequestFrameRoundTrip)
     EXPECT_EQ(back.core, request.core);
 }
 
+/**
+ * A peer speaking protocol version 2 embeds a StudyConfig of another
+ * layout in its stage tasks: its handshake must be refused, in both
+ * directions, before any task is read.
+ */
+TEST(DistWire, HandshakeRejectsOtherProtocolVersion)
+{
+    ASSERT_EQ(dist::protocolVersion, 3u);
+    auto payload = [](const std::string& frame) {
+        return std::string_view(frame).substr(8);
+    };
+
+    dist::Hello hello;
+    hello.version = 2;
+    hello.workerName = "w0";
+    const std::string helloFrame = dist::frameHello(hello);
+    serial::Decoder d(payload(helloFrame));
+    ASSERT_EQ(dist::decodeMsgType(d), dist::MsgType::Hello);
+    EXPECT_THROW((void)dist::decodeHello(d), serial::DecodeError);
+
+    dist::HelloAck ack;
+    ack.version = 2;
+    ack.serverName = "s0";
+    const std::string ackFrame = dist::frameHelloAck(ack);
+    serial::Decoder da(payload(ackFrame));
+    ASSERT_EQ(dist::decodeMsgType(da), dist::MsgType::HelloAck);
+    EXPECT_THROW((void)dist::decodeHelloAck(da), serial::DecodeError);
+
+    // The current version still decodes.
+    hello.version = dist::protocolVersion;
+    const std::string current = dist::frameHello(hello);
+    serial::Decoder dc(payload(current));
+    ASSERT_EQ(dist::decodeMsgType(dc), dist::MsgType::Hello);
+    EXPECT_EQ(dist::decodeHello(dc).workerName, "w0");
+}
+
 TEST(DistWire, SuiteConfigRejectsUnknownCore)
 {
     dist::SuiteRequest request = smallRequest();

@@ -2,9 +2,8 @@
  * @file
  * Task-graph scheduler contract tests: dependency ordering,
  * deterministic commits and errors at any job count, cache-probe
- * dispatch, failure isolation, dumps — plus the golden study-level
- * check that the stage-decomposed pipeline reproduces the
- * pre-refactor barrier orchestration field for field.
+ * dispatch, failure isolation, dumps — plus study-level checks that
+ * the graph-scheduled suite is deterministic at any job count.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
 #include "pipeline/taskgraph.hh"
-#include "sim/report.hh"
 #include "sim/study.hh"
 #include "test_support.hh"
 #include "util/json.hh"
@@ -249,63 +247,8 @@ TEST(TaskGraph, DumpsDescribeStructureAndStatus)
 }
 
 // ---------------------------------------------------------------
-// Study-level goldens: the graph-scheduled pipeline must reproduce
-// the pre-refactor barrier orchestration exactly.
+// Study-level goldens: the suite is deterministic at any job count.
 // ---------------------------------------------------------------
-
-namespace
-{
-
-sim::StudyConfig
-smallConfig()
-{
-    sim::StudyConfig config;
-    config.intervalTarget = 50000;
-    config.simpoint.maxK = 10;
-    return config;
-}
-
-std::string
-statsOf(const sim::CrossBinaryStudy& study)
-{
-    std::ostringstream os;
-    sim::dumpStudyStats(os, study);
-    return os.str();
-}
-
-} // namespace
-
-TEST(Pipeline, GraphStudyMatchesBarrierStudyFieldForField)
-{
-    const ir::Program program = test::tinyProgram();
-    const sim::CrossBinaryStudy graph =
-        sim::CrossBinaryStudy::run(program, smallConfig());
-    const sim::CrossBinaryStudy barrier =
-        sim::CrossBinaryStudy::runBarrier(program, smallConfig());
-
-    EXPECT_EQ(statsOf(graph), statsOf(barrier));
-    ASSERT_EQ(graph.perBinary().size(), barrier.perBinary().size());
-    EXPECT_EQ(graph.partition().intervalCount(),
-              barrier.partition().intervalCount());
-    for (std::size_t b = 0; b < graph.perBinary().size(); ++b) {
-        const auto& g = graph.perBinary()[b];
-        const auto& m = barrier.perBinary()[b];
-        EXPECT_EQ(g.totalInstrs, m.totalInstrs);
-        EXPECT_EQ(g.detailedRun.totals.cycles,
-                  m.detailedRun.totals.cycles);
-        EXPECT_DOUBLE_EQ(g.fliEstimate.estCpi, m.fliEstimate.estCpi);
-        EXPECT_DOUBLE_EQ(g.vliEstimate.estCpi, m.vliEstimate.estCpi);
-        EXPECT_EQ(g.fliEstimate.phases.size(),
-                  m.fliEstimate.phases.size());
-        EXPECT_EQ(g.vliEstimate.phases.size(),
-                  m.vliEstimate.phases.size());
-    }
-    EXPECT_DOUBLE_EQ(graph.trueSpeedup(0, 1),
-                     barrier.trueSpeedup(0, 1));
-    EXPECT_DOUBLE_EQ(
-        graph.speedupError(sim::Method::MappableVli, 0, 2),
-        barrier.speedupError(sim::Method::MappableVli, 0, 2));
-}
 
 TEST(Pipeline, SuiteDeterministicAcrossJobCounts)
 {

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include "simpoint/reference.hh"
 #include "simpoint/simpoint.hh"
+#include "util/threadpool.hh"
 
 using namespace xbsp;
 using namespace xbsp::sp;
@@ -115,15 +117,14 @@ TEST(Fvec, DedupGroupsEqualVectors)
               (std::vector<InstrCount>{300, 600, 300}));
 }
 
-TEST(Fvec, DedupQuantumMergesNearEqualVectors)
+TEST(Fvec, DedupKeepsNearEqualVectorsApart)
 {
     FrequencyVectorSet fvs;
     fvs.dimension = 4;
     fvs.addInterval(SparseVec{{0, 1.000}}, 10);
-    fvs.addInterval(SparseVec{{0, 1.004}}, 10); // same 0.01 bucket
-    fvs.addInterval(SparseVec{{0, 1.200}}, 10); // different bucket
+    fvs.addInterval(SparseVec{{0, 1.004}}, 10);
+    fvs.addInterval(SparseVec{{0, 1.200}}, 10);
     EXPECT_EQ(fvs.dedup().classes(), 3u);
-    EXPECT_EQ(fvs.dedup(0.01).classes(), 2u);
 }
 
 TEST(Projection, ShapeAndDeterminism)
@@ -351,21 +352,31 @@ TEST(SimPointPick, SingleIntervalDegenerate)
 TEST(SimPointPick, AllIdenticalIntervalsCollapseToOnePhase)
 {
     // Every interval carries the same vector: BIC must settle on a
-    // single phase covering everything, under both clustering paths.
-    for (const bool accelerate : {false, true}) {
-        FrequencyVectorSet fvs;
-        fvs.dimension = 8;
-        for (int i = 0; i < 25; ++i)
-            fvs.addInterval(SparseVec{{1, 3.0}, {4, 9.0}}, 1000);
-        SimPointOptions options;
-        options.accelerate = accelerate;
-        const SimPointResult result =
-            pickSimulationPoints(fvs, options);
-        EXPECT_EQ(result.k, 1u) << "accelerate " << accelerate;
+    // single phase covering everything, in the engine and in the
+    // naive reference sweep alike, at 1 and 4 workers.
+    FrequencyVectorSet fvs;
+    fvs.dimension = 8;
+    for (int i = 0; i < 25; ++i)
+        fvs.addInterval(SparseVec{{1, 3.0}, {4, 9.0}}, 1000);
+    const SimPointOptions options;
+    auto check = [](const SimPointResult& result) {
+        EXPECT_EQ(result.k, 1u);
         ASSERT_EQ(result.phases.size(), 1u);
         EXPECT_DOUBLE_EQ(result.phases[0].weight, 1.0);
         EXPECT_EQ(result.phases[0].members.size(), 25u);
+    };
+    for (const u64 jobs : {u64{1}, u64{4}}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        setGlobalJobs(jobs);
+        const SimPointResult engine = pickSimulationPoints(fvs, options);
+        const SimPointResult reference =
+            referenceSimPoints(fvs, options).result;
+        check(engine);
+        check(reference);
+        EXPECT_EQ(engine.labels, reference.labels);
+        EXPECT_EQ(engine.bicByK, reference.bicByK);
     }
+    setGlobalJobs(0);
 }
 
 TEST(SimPointPick, FewerIntervalsThanMaxK)
@@ -419,25 +430,34 @@ TEST(SimPointPick, EmptyInputFatal)
 
 TEST(SimPointPick, NonFiniteInputsPanicInsteadOfCrashing)
 {
-    for (const bool accelerate : {false, true}) {
+    // The engine and the naive reference sweep fail alike.
+    using Pick = SimPointResult (*)(const FrequencyVectorSet&,
+                                    const SimPointOptions&);
+    const Pick engine = [](const FrequencyVectorSet& fvs,
+                           const SimPointOptions& options) {
+        return pickSimulationPoints(fvs, options);
+    };
+    const Pick reference = [](const FrequencyVectorSet& fvs,
+                              const SimPointOptions& options) {
+        return referenceSimPoints(fvs, options).result;
+    };
+    for (const Pick pick : {engine, reference}) {
         SimPointOptions options;
-        options.accelerate = accelerate;
         // A NaN row poisons its centroid, so no fit at k = 1 has a
         // usable SSE.
         FrequencyVectorSet poisoned;
         poisoned.dimension = 2;
         poisoned.addInterval(SparseVec{{0, std::nan("")}}, 10);
         poisoned.addInterval(SparseVec{{1, 1.0}}, 10);
-        EXPECT_DEATH((void)pickSimulationPoints(poisoned, options),
+        EXPECT_DEATH((void)pick(poisoned, options),
                      "no k-means fit at k = 1");
         // A NaN tolerance (a decoded config can carry one) admits no
         // member as the representative: a panic with a message, not
         // an index into an empty candidate list.
         options.earlyPoints = true;
         options.earlyTolerance = std::nan("");
-        EXPECT_DEATH(
-            (void)pickSimulationPoints(syntheticClusters(2, 4), options),
-            "no member within");
+        EXPECT_DEATH((void)pick(syntheticClusters(2, 4), options),
+                     "no member within");
     }
 }
 

@@ -194,7 +194,6 @@ cmdSimpoints(const Options& options)
     sp::SimPointOptions spOptions;
     spOptions.maxK = maxKOption(options);
     spOptions.seed = options.getUint("seed");
-    spOptions.accelerate = options.getBool("accel");
     const sp::SimPointResult result =
         sp::pickSimulationPoints(fvs, spOptions);
 
@@ -219,7 +218,6 @@ cmdStudy(const Options& options)
     config.intervalTarget = options.getUint("interval");
     config.simpoint.maxK = maxKOption(options);
     config.simpoint.seed = options.getUint("seed");
-    config.simpoint.accelerate = options.getBool("accel");
     const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
         workloads::makeWorkload(options.getString("workload"),
                                 options.getDouble("scale")),
@@ -272,7 +270,6 @@ cmdGraph(const Options& options)
     config.study.intervalTarget = options.getUint("interval");
     config.study.simpoint.maxK = maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
-    config.study.simpoint.accelerate = options.getBool("accel");
 
     // Workloads come as positionals after the command; default to
     // the --workload option like the other single-study commands.
@@ -684,7 +681,6 @@ cmdCores(const Options& options)
     config.study.intervalTarget = options.getUint("interval");
     config.study.simpoint.maxK = maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
-    config.study.simpoint.accelerate = options.getBool("accel");
     config.workloads = splitList(options.getString("workloads"));
     if (config.workloads.empty())
         config.workloads.push_back(options.getString("workload"));
@@ -843,9 +839,6 @@ main(int argc, char** argv)
                     250000);
     options.addUint("maxk", "SimPoint cluster cap", 10);
     options.addUint("seed", "SimPoint seed", 42);
-    options.addBool("accel",
-                    "accelerated clustering engine (exact; see "
-                    "DESIGN.md)", true);
     options.addString("bb", "input .bb file (simpoints command)", "");
     options.addString("lengths", "input lengths file", "");
     options.addString("out", "output path prefix", "");
