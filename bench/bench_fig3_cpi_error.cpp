@@ -18,7 +18,8 @@ main(int argc, char** argv)
     if (!options.parse(argc, argv))
         return 0;
     // Env-only observability (XBSP_STATS / XBSP_METRICS / ...): CI
-    // scrapes this bench live and diffs its output sampler-on vs off.
+    // scrapes this bench continuously and diffs its output against
+    // an unscraped run.
     obs::ObsSession obsSession;
     harness::ExperimentSuite suite(bench::makeConfig(options));
     bench::emit(suite.figure3(), options);

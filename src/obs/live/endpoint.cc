@@ -1,12 +1,14 @@
 #include "obs/live/endpoint.hh"
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -39,17 +41,39 @@ writeAll(int fd, std::string_view data)
     return true;
 }
 
+/** Time a client gets to send its request head, and to take each
+ *  chunk of the response: a client that connects and goes silent
+ *  must not hold the only listener thread, or stop(), hostage. */
+constexpr int clientDeadlineMs = 1000;
+
 /** Read until the blank line ending the request head (best effort:
  *  we answer every request identically, so the head's content never
- *  matters — we just drain it so the client's write can finish). */
+ *  matters — we just drain it so the client's write can finish).
+ *  Gives up at the client deadline, or once `wakeFd` turns readable
+ *  (stop() was called). */
 void
-drainRequestHead(int fd)
+drainRequestHead(int fd, int wakeFd)
 {
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline =
+        Clock::now() + std::chrono::milliseconds(clientDeadlineMs);
     std::string head;
     char buf[512];
     while (head.find("\r\n\r\n") == std::string::npos &&
            head.find("\n\n") == std::string::npos &&
            head.size() < 16384) {
+        const auto left =
+            std::chrono::duration_cast<std::chrono::milliseconds>(
+                deadline - Clock::now())
+                .count();
+        if (left <= 0)
+            break;
+        pollfd fds[2] = {{fd, POLLIN, 0}, {wakeFd, POLLIN, 0}};
+        const int ready = ::poll(fds, 2, static_cast<int>(left));
+        if (ready < 0 && errno == EINTR)
+            continue;
+        if (ready <= 0 || (fds[1].revents & POLLIN))
+            break;
         const ssize_t n = ::read(fd, buf, sizeof(buf));
         if (n <= 0) {
             if (n < 0 && errno == EINTR)
@@ -262,8 +286,7 @@ MetricsEndpoint::loop()
     for (;;) {
         for (pollfd& p : fds)
             p.revents = 0;
-        const int ready =
-            ::poll(fds.data(), fds.size(), /*timeout ms=*/100);
+        const int ready = ::poll(fds.data(), fds.size(), -1);
         if (ready < 0) {
             if (errno == EINTR)
                 continue;
@@ -284,7 +307,13 @@ MetricsEndpoint::loop()
 void
 MetricsEndpoint::serveOne(int fd)
 {
-    drainRequestHead(fd);
+    // Bound every send too: a client that stops reading mid-response
+    // gets dropped instead of blocking the listener.
+    const timeval sendTimeout{clientDeadlineMs / 1000,
+                              (clientDeadlineMs % 1000) * 1000};
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &sendTimeout,
+                 sizeof(sendTimeout));
+    drainRequestHead(fd, wakePipe[0]);
 
     std::string payload;
     try {

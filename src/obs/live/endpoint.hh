@@ -10,8 +10,11 @@
  * routing, keep-alive, or TLS.
  *
  * The endpoint is part of the pure-observer telemetry layer: it only
- * ever *reads* (through the callback, which renders a ring sample),
- * so serving scrapes can never perturb study results.
+ * ever *reads* (through the callback, which renders the stats
+ * registry when the request arrives), so serving scrapes can never
+ * perturb study results.  A client gets a bounded time to send its
+ * request and to take the response, so a silent one neither stalls
+ * other scrapers nor delays stop().
  *
  * httpGetUnix()/httpGetTcp() are the matching one-shot clients used
  * by `xbsp top` and the tests; they return the response body.

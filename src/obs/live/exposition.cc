@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/progress.hh"
+#include "obs/stats.hh"
 #include "util/format.hh"
+#include "util/threadpool.hh"
 
 namespace xbsp::obs
 {
@@ -75,73 +78,45 @@ class ExpositionBuilder
     }
 };
 
-/** Per-second rate over the sample's delta window (0 if no window). */
-double
-rateOf(u64 delta, u64 deltaNanos)
-{
-    if (deltaNanos == 0)
-        return 0.0;
-    return static_cast<double>(delta) * 1e9 /
-           static_cast<double>(deltaNanos);
-}
-
 } // namespace
 
 std::string
-renderExposition(const MetricSample& sample)
+renderExposition(const StatRegistry& registry)
 {
     ExpositionBuilder b;
 
-    for (const SamplePoint& point : sample.stats) {
-        const std::string base = promSeriesName(point.path);
-        switch (point.kind) {
+    for (const LiveStat& stat : registry.liveStats()) {
+        const std::string base = promSeriesName(stat.path);
+        switch (stat.kind) {
           case StatKind::Counter:
-            b.counter(base + "_total", point.value);
-            if (sample.deltaNanos) {
-                b.gauge(base + "_rate",
-                        rateOf(point.deltaValue, sample.deltaNanos));
-            }
+            b.counter(base + "_total", stat.value);
             break;
           case StatKind::Distribution:
-            b.counter(base + "_sum", point.value);
-            b.counter(base + "_count", point.count);
+            b.counter(base + "_sum", stat.value);
+            b.counter(base + "_count", stat.count);
             break;
           case StatKind::Timer:
-            b.counter(base + "_nanos_total", point.value);
-            b.counter(base + "_count", point.count);
-            if (sample.deltaNanos) {
-                // Busy fraction: timer-nanos accumulated per elapsed
-                // nanosecond (can exceed 1 with several workers).
-                b.gauge(base + "_busy_ratio",
-                        static_cast<double>(point.deltaValue) /
-                            static_cast<double>(sample.deltaNanos));
-            }
+            b.counter(base + "_nanos_total", stat.value);
+            b.counter(base + "_count", stat.count);
             break;
         }
     }
 
-    // Synthetic state living outside the registry (see sampler.hh:
-    // the sampler must not register stats of its own).
-    b.counter("xbsp_sampler_samples_total", sample.seq);
-    b.gauge("xbsp_sample_wall_milliseconds",
-            static_cast<double>(sample.wallMillis));
-    b.gauge("xbsp_sample_monotonic_seconds",
-            static_cast<double>(sample.monotonicNanos) / 1e9);
-    b.gauge("xbsp_sample_delta_seconds",
-            static_cast<double>(sample.deltaNanos) / 1e9);
-    b.gauge("xbsp_pool_workers",
-            static_cast<double>(sample.poolWorkers));
+    // State living outside the registry: rendering must not register
+    // stats of its own, or a scraped run's stats dump would differ
+    // from a plain run's.
+    const Progress& progress = Progress::global();
+    b.gauge("xbsp_pool_workers", static_cast<double>(configuredJobs()));
     b.gauge("xbsp_progress_done",
-            static_cast<double>(sample.progressDone));
+            static_cast<double>(progress.completed()));
     // "steps", not "total": the _total suffix is reserved for
     // counters by the exposition format, and this is a gauge.
     b.gauge("xbsp_progress_steps",
-            static_cast<double>(sample.progressTotal));
+            static_cast<double>(progress.announced()));
     b.gauge("xbsp_progress_zero_cost",
-            static_cast<double>(sample.progressZeroCost));
-    b.gauge("xbsp_progress_elapsed_seconds",
-            sample.progressElapsedSeconds);
-    b.gauge("xbsp_progress_eta_seconds", sample.progressEtaSeconds);
+            static_cast<double>(progress.zeroCostCompleted()));
+    b.gauge("xbsp_progress_elapsed_seconds", progress.elapsedSeconds());
+    b.gauge("xbsp_progress_eta_seconds", progress.etaSeconds());
     return b.take();
 }
 

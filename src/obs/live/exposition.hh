@@ -1,8 +1,9 @@
 /**
  * @file
- * Prometheus text-exposition encoding of one MetricSample (format
+ * Prometheus text-exposition encoding of a StatRegistry (format
  * version 0.0.4 — the `text/plain; version=0.0.4` format every
- * Prometheus scraper and `promtool check metrics` accepts).
+ * Prometheus scraper and `promtool check metrics` accepts), rendered
+ * when a scrape arrives.
  *
  * Series naming: the registry's dotted path is sanitized (every
  * character outside [a-zA-Z0-9_] becomes '_') and prefixed "xbsp_".
@@ -13,11 +14,12 @@
  *   timer p         -> xbsp_<p>_nanos_total,
  *                      xbsp_<p>_count              (TYPE counter)
  *
- * plus, for every cumulative series, a companion `..._rate` gauge:
- * the per-second rate over the sample's delta window (the ring
- * stores deltas exactly so consumers get rates without diffing two
- * scrapes).  Synthetic gauges (progress, pool size, sampler ticks)
- * carry the state that lives outside the StatRegistry.
+ * plus gauges for the state that lives outside the registry: the
+ * Progress meter and the configured pool size.  The renderer keeps no
+ * state between scrapes, so it serves no rates: a rate computed here
+ * would cover the window since whichever client scraped last.
+ * Prometheus derives rates from the `_total` counters, and `xbsp top`
+ * diffs two of its own scrapes.
  *
  * parseExposition() is the matching reader used by `xbsp top` and
  * the tests: it understands exactly the subset this encoder emits
@@ -31,16 +33,19 @@
 #include <string>
 #include <string_view>
 
-#include "obs/live/ring.hh"
-
 namespace xbsp::obs
 {
 
 /** "kmeans.estep.distances" -> "xbsp_kmeans_estep_distances". */
 std::string promSeriesName(std::string_view path);
 
-/** Render `sample` as one exposition document. */
-std::string renderExposition(const MetricSample& sample);
+class StatRegistry;
+
+/**
+ * Render `registry` as one exposition document.  A pure read
+ * (StatRegistry::liveStats()): it registers and mutates nothing.
+ */
+std::string renderExposition(const StatRegistry& registry);
 
 /**
  * Parse an exposition document into name -> value.  Throws

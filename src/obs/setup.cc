@@ -5,7 +5,6 @@
 
 #include "obs/live/endpoint.hh"
 #include "obs/live/exposition.hh"
-#include "obs/live/sampler.hh"
 #include "obs/manifest/manifest.hh"
 #include "obs/progress.hh"
 #include "obs/stats.hh"
@@ -96,10 +95,6 @@ addCliOptions(Options& opts)
                    "also serve live metrics on 127.0.0.1:PORT; 0 "
                    "picks an ephemeral port (env: XBSP_METRICS_TCP)",
                    "");
-    opts.addUint("metrics-period-ms",
-                 "live metrics sampling period in milliseconds "
-                 "(env: XBSP_METRICS_PERIOD_MS)",
-                 100);
     opts.addString("log-level",
                    "log verbosity: quiet|warn|inform|debug "
                    "(env: XBSP_LOG_LEVEL)",
@@ -121,7 +116,6 @@ ObsSession::ObsSession(const Options& opts)
                                  "XBSP_METRICS")),
       metricsTcpPort(parsePort(pathFrom(opts.getString("metrics-tcp"),
                                         "XBSP_METRICS_TCP"))),
-      metricsPeriodMs(opts.getUint("metrics-period-ms")),
       includeTimers(opts.getBool("stats-timers"))
 {
     applyLogLevel(opts.getString("log-level"));
@@ -137,12 +131,6 @@ ObsSession::ObsSession()
       metricsSocketPath(pathFrom({}, "XBSP_METRICS")),
       metricsTcpPort(parsePort(pathFrom({}, "XBSP_METRICS_TCP")))
 {
-    if (const char* env = std::getenv("XBSP_METRICS_PERIOD_MS")) {
-        char* end = nullptr;
-        const unsigned long long ms = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0' && ms > 0)
-            metricsPeriodMs = ms;
-    }
     applyLogLevel({});
     applyCommon();
 }
@@ -161,35 +149,18 @@ ObsSession::applyCommon()
 void
 ObsSession::startTelemetry()
 {
-    MetricsSampler::Config samplerConfig;
-    samplerConfig.periodMillis = metricsPeriodMs;
-    liveSampler = std::make_unique<MetricsSampler>(
-        StatRegistry::global(), samplerConfig);
-    liveSampler->start();
-
     MetricsEndpoint::Config endpointConfig;
     endpointConfig.unixPath = metricsSocketPath;
     endpointConfig.tcpPort = metricsTcpPort;
-    MetricsSampler* sampler = liveSampler.get();
     liveEndpoint = std::make_unique<MetricsEndpoint>(
-        endpointConfig, [sampler] {
-            auto sample = sampler->latest();
-            if (!sample) {
-                // First scrape before the first tick: snapshot now
-                // rather than serving an empty document.
-                sampler->sampleOnce();
-                sample = sampler->latest();
-            }
-            return renderExposition(*sample);
-        });
+        endpointConfig,
+        [] { return renderExposition(StatRegistry::global()); });
     try {
         liveEndpoint->start();
     } catch (const std::exception& e) {
         // Telemetry must never kill the run it is watching.
         warn("live metrics endpoint disabled: {}", e.what());
         liveEndpoint.reset();
-        liveSampler->stop();
-        liveSampler.reset();
         return;
     }
     if (!metricsSocketPath.empty())
@@ -209,8 +180,6 @@ ObsSession::flush()
     // Telemetry down first: no scrape may observe the teardown.
     if (liveEndpoint)
         liveEndpoint->stop();
-    if (liveSampler)
-        liveSampler->stop();
 
     if (!statsPath.empty()) {
         std::ofstream os(statsPath);

@@ -4,7 +4,7 @@
  * subsystem.  Tools declare the shared flags with addCliOptions(),
  * then construct one ObsSession after parsing; the session enables
  * tracing/progress/log level for the run, owns the live-telemetry
- * machinery (metrics sampler + exposition endpoint), and writes the
+ * machinery (the metrics exposition endpoint), and writes the
  * stats, trace and manifest files when flushed (or destroyed).
  *
  * Flags (each with an environment fallback so wrapped invocations —
@@ -22,8 +22,6 @@
  *   --metrics-tcp=PORT  / XBSP_METRICS_TCP=  also serve on
  *                                            127.0.0.1:PORT (0 picks
  *                                            an ephemeral port)
- *   --metrics-period-ms=N / XBSP_METRICS_PERIOD_MS=N
- *                                            sampling period (>=1)
  *   --log-level=LEVEL   / XBSP_LOG_LEVEL=    quiet|warn|inform|debug
  *   --progress                               per-step ETA lines
  *   --stats-timers                           include wall-clock
@@ -32,8 +30,9 @@
  *                                            byte-identity, off by
  *                                            default)
  *
- * The sampler/endpoint pair is a pure observer (see obs/live): with
- * or without it, at any period and any --jobs, every study result,
+ * The endpoint is a pure observer (see obs/live): it renders the
+ * stats registry when a scrape arrives and runs nothing in between,
+ * so with or without scrapers, at any --jobs, every study result,
  * report, stats dump and trace is byte-identical.
  */
 
@@ -42,8 +41,6 @@
 
 #include <memory>
 #include <string>
-
-#include "util/types.hh"
 
 namespace xbsp
 {
@@ -54,7 +51,6 @@ namespace xbsp::obs
 {
 
 class MetricsEndpoint;
-class MetricsSampler;
 
 /** Declare the shared observability options on `opts`. */
 void addCliOptions(Options& opts);
@@ -87,10 +83,7 @@ class ObsSession
      */
     void flush();
 
-    /** The sampler, when --metrics-socket/--metrics-tcp enabled it. */
-    MetricsSampler* sampler() { return liveSampler.get(); }
-
-    /** The endpoint, when live telemetry is enabled. */
+    /** The endpoint, when --metrics-socket/--metrics-tcp enabled it. */
     MetricsEndpoint* endpoint() { return liveEndpoint.get(); }
 
     /** Resolved manifest output path ("" when none will be written). */
@@ -102,11 +95,9 @@ class ObsSession
     std::string manifestPath;
     std::string metricsSocketPath;
     int metricsTcpPort = -1;  ///< -1 disabled, 0 ephemeral
-    u64 metricsPeriodMs = 100;
     bool includeTimers = false;
     bool flushed = false;
 
-    std::unique_ptr<MetricsSampler> liveSampler;
     std::unique_ptr<MetricsEndpoint> liveEndpoint;
 
     void applyCommon();

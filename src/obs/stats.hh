@@ -218,12 +218,12 @@ class ShardCounter
     u64 local = 0;
 };
 
-/** Kind discriminator for sampled stats (see liveStats()). */
+/** Kind discriminator for live-read stats (see liveStats()). */
 enum class StatKind { Counter, Distribution, Timer };
 
 /**
- * One stat's merged state at a sampling instant, as read by the
- * MetricsSampler (obs/live): `value` holds the counter value, the
+ * One stat's merged state at a reading instant, as a metrics scrape
+ * renders it (obs/live): `value` holds the counter value, the
  * distribution sum or the timer nanoseconds; `count` holds the
  * sample/activation count (0 for counters).
  */
@@ -280,10 +280,11 @@ class StatRegistry
 
     /**
      * One relaxed-atomic read of every registered stat, in sorted
-     * path order.  This is the sampler's view: a pure read that
-     * registers nothing, takes only the registration mutex (to walk
-     * the entry map) and never blocks handle operations — stats
-     * written concurrently are simply picked up by the next sample.
+     * path order.  This is what a metrics scrape renders: a pure
+     * read that registers nothing, takes only the registration mutex
+     * (to walk the entry map) and never blocks handle operations —
+     * stats written concurrently are simply picked up by the next
+     * scrape.
      */
     std::vector<LiveStat> liveStats() const;
 

@@ -31,6 +31,8 @@
  *                                     scheduler utilization, per-stage
  *                                     node counts, store hit rate,
  *                                     E-step throughput, progress ETA
+ *                                     (rates between two of its own
+ *                                     scrapes)
  *                                     (scrapes the exposition endpoint
  *                                     another xbsp process serves via
  *                                     --metrics-socket / XBSP_METRICS)
@@ -367,9 +369,43 @@ seriesValue(const std::map<std::string, double>& series,
     return it == series.end() ? 0.0 : it->second;
 }
 
-/** One rendered frame of the live view. */
+/**
+ * Per-second growth of counter `name` from the previous frame's
+ * scrape to this one, over `windowSeconds` of the viewer's own clock.
+ * The endpoint serves no rates: they would cover the window since
+ * whichever client scraped last.
+ */
+double
+seriesRate(const std::map<std::string, double>& series,
+           const std::map<std::string, double>& previous,
+           const std::string& name, double windowSeconds)
+{
+    const double delta =
+        seriesValue(series, name) - seriesValue(previous, name);
+    return windowSeconds > 0.0 ? std::max(0.0, delta) / windowSeconds
+                               : 0.0;
+}
+
+/** `value` printed with `fmt`, or "n/a" when there is none. */
 std::string
-renderTopFrame(const std::map<std::string, double>& series)
+orNa(const char* fmt, std::optional<double> value)
+{
+    if (!value)
+        return "n/a";
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), fmt, *value);
+    return buf;
+}
+
+/**
+ * One rendered frame of the live view.  `previous` is the prior
+ * frame's scrape, taken `windowSeconds` earlier; nullptr on the first
+ * frame, which has no window and prints its rates as n/a.
+ */
+std::string
+renderTopFrame(const std::map<std::string, double>& series,
+               const std::map<std::string, double>* previous,
+               double windowSeconds, u64 frame)
 {
     std::string out;
     char line[256];
@@ -377,8 +413,6 @@ renderTopFrame(const std::map<std::string, double>& series)
 
     const double workers =
         std::max(1.0, seriesValue(series, "xbsp_pool_workers"));
-    const double busyRatio = seriesValue(
-        series, "xbsp_scheduler_nodeBusy_busy_ratio");
     const double done = seriesValue(series, "xbsp_progress_done");
     const double total = seriesValue(series, "xbsp_progress_steps");
     const double eta =
@@ -386,13 +420,27 @@ renderTopFrame(const std::map<std::string, double>& series)
     const double elapsed =
         seriesValue(series, "xbsp_progress_elapsed_seconds");
 
+    // Busy ratio: worker-busy nanoseconds per elapsed nanosecond (can
+    // exceed 1 with several workers).
+    std::optional<double> window, busyRatio, utilized, mdistPerSecond;
+    if (previous) {
+        window = windowSeconds * 1e3;
+        busyRatio = seriesRate(series, *previous,
+                               "xbsp_scheduler_nodeBusy_nanos_total",
+                               windowSeconds) /
+                    1e9;
+        utilized = 100.0 * *busyRatio / workers;
+        mdistPerSecond =
+            seriesRate(series, *previous,
+                       "xbsp_kmeans_estep_distances_total",
+                       windowSeconds) /
+            1e6;
+    }
+
     std::snprintf(line, sizeof(line),
-                  "xbsp top — sample %.0f, period %.0f ms, "
-                  "%.0f workers\n",
-                  seriesValue(series, "xbsp_sampler_samples_total"),
-                  seriesValue(series, "xbsp_sample_delta_seconds") *
-                      1e3,
-                  workers);
+                  "xbsp top — frame %llu, window %s, %.0f workers\n",
+                  static_cast<unsigned long long>(frame),
+                  orNa("%.0f ms", window).c_str(), workers);
     add();
     std::snprintf(line, sizeof(line),
                   "progress  %.0f/%.0f steps   elapsed %6.1fs   ",
@@ -404,9 +452,10 @@ renderTopFrame(const std::map<std::string, double>& series)
         std::snprintf(line, sizeof(line), "eta    n/a\n");
     add();
     std::snprintf(line, sizeof(line),
-                  "scheduler %5.1f%% utilized (worker-busy ratio "
-                  "%.2f over %.0f workers)\n",
-                  100.0 * busyRatio / workers, busyRatio, workers);
+                  "scheduler %s utilized (worker-busy ratio %s over "
+                  "%.0f workers)\n",
+                  orNa("%5.1f%%", utilized).c_str(),
+                  orNa("%.2f", busyRatio).c_str(), workers);
     add();
 
     // Per-stage table from the scheduler.stage.<stage>.<what>
@@ -455,8 +504,8 @@ renderTopFrame(const std::map<std::string, double>& series)
     add();
     std::snprintf(
         line, sizeof(line),
-        "e-step    %.2f Mdist/s (%.0f distances total)\n",
-        seriesValue(series, "xbsp_kmeans_estep_distances_rate") / 1e6,
+        "e-step    %s Mdist/s (%.0f distances total)\n",
+        orNa("%.2f", mdistPerSecond).c_str(),
         seriesValue(series, "xbsp_kmeans_estep_distances_total"));
     add();
     const double instrs = seriesValue(series, "xbsp_engine_instrs_total");
@@ -540,6 +589,9 @@ cmdTop(const Options& options)
     const u64 frames = options.getUint("count");  // 0 = until gone
     const bool plain = options.getBool("plain");
 
+    using Clock = std::chrono::steady_clock;
+    std::map<std::string, double> previous;
+    Clock::time_point previousAt;
     for (u64 frame = 0; frames == 0 || frame < frames; ++frame) {
         std::string body;
         try {
@@ -553,11 +605,19 @@ cmdTop(const Options& options)
                    e.what());
             return 0;
         }
-        const std::map<std::string, double> series =
+        const Clock::time_point now = Clock::now();
+        std::map<std::string, double> series =
             obs::parseExposition(body);
+        const double windowSeconds =
+            std::chrono::duration<double>(now - previousAt).count();
         if (!plain)
             std::fputs("\x1b[H\x1b[2J", stdout);
-        std::fputs(renderTopFrame(series).c_str(), stdout);
+        std::fputs(renderTopFrame(series, frame ? &previous : nullptr,
+                                  windowSeconds, frame + 1)
+                       .c_str(),
+                   stdout);
+        previous = std::move(series);
+        previousAt = now;
         std::fflush(stdout);
         if (frames == 0 || frame + 1 < frames)
             std::this_thread::sleep_for(
