@@ -1,11 +1,13 @@
 /**
  * @file
- * Shared scaffolding for the per-figure/table bench binaries: common
- * command-line options and table emission (text + optional CSV).
+ * Shared scaffolding for the ablation, analysis and Table 1 bench
+ * binaries: common command-line options and table emission (text +
+ * optional CSV).  The paper's figures render through
+ * `xbsp submit --local <figure...>`.
  */
 
-#ifndef XBSP_BENCH_COMMON_HH
-#define XBSP_BENCH_COMMON_HH
+#ifndef XBSP_BENCHCOMMON_HH
+#define XBSP_BENCHCOMMON_HH
 
 #include <iostream>
 #include <optional>
@@ -16,6 +18,7 @@
 #include "cpu/core.hh"
 #include "harness/experiments.hh"
 #include "util/format.hh"
+#include "util/logging.hh"
 #include "util/options.hh"
 #include "util/stats.hh"
 
@@ -38,14 +41,9 @@ makeOptions(const std::string& description)
     options.addBool("csv", "also emit CSV after the table", false);
     options.addBool("verbose", "per-study progress on stderr", true);
     options.addString("core",
-                      "timing core: inorder|decoupled (default: "
-                      "XBSP_CORE, else inorder; a model knob — "
-                      "changes results and store keys)", "");
+                      "timing core: inorder|decoupled (a model knob — "
+                      "changes results and store keys)", "inorder");
     options.addJobs();
-    options.addString("json",
-                      "write a machine-readable timing summary to "
-                      "this path (empty = binary's default, if any)",
-                      "");
     return options;
 }
 
@@ -69,13 +67,14 @@ makeConfig(const Options& options)
 {
     harness::ExperimentConfig config;
     options.applyJobs();
-    // A model knob: defaultStudyConfig() below reads the selection.
-    if (const std::string mode = options.getString("core");
-        !mode.empty())
-        cpu::selectCore(mode);
+    const std::string core = options.getString("core");
+    const std::optional<cpu::CoreKind> kind = cpu::parseCoreKind(core);
+    if (!kind)
+        fatal("unknown --core '{}' (want inorder|decoupled)", core);
     config.workloads = splitList(options.getString("workloads"));
     config.workScale = options.getDouble("scale");
     config.study = harness::defaultStudyConfig();
+    config.study.core = cpu::coreConfigFor(*kind);
     config.study.intervalTarget = options.getUint("interval");
     config.study.simpoint.maxK =
         static_cast<u32>(options.getUint("maxk"));
@@ -98,4 +97,4 @@ emit(const Table& table, const Options& options)
 
 } // namespace xbsp::bench
 
-#endif // XBSP_BENCH_COMMON_HH
+#endif // XBSP_BENCHCOMMON_HH

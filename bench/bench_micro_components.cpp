@@ -8,10 +8,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <string>
-#include <string_view>
-#include <vector>
-
 #include "cache/hierarchy.hh"
 #include "compile/compiler.hh"
 #include "cpu/core.hh"
@@ -149,29 +145,4 @@ BENCHMARK(BM_CompileAllTargets)->Unit(benchmark::kMillisecond);
 
 } // namespace
 
-// BENCHMARK_MAIN(), plus a default machine-readable report: unless
-// the caller picks their own --benchmark_out, results also land in
-// BENCH_micro_components.json (google-benchmark JSON format).
-int
-main(int argc, char** argv)
-{
-    bool haveOut = false;
-    for (int i = 1; i < argc; ++i) {
-        if (std::string_view(argv[i]).starts_with("--benchmark_out="))
-            haveOut = true;
-    }
-    std::vector<char*> args(argv, argv + argc);
-    std::string outArg = "--benchmark_out=BENCH_micro_components.json";
-    std::string formatArg = "--benchmark_out_format=json";
-    if (!haveOut) {
-        args.push_back(outArg.data());
-        args.push_back(formatArg.data());
-    }
-    int count = static_cast<int>(args.size());
-    benchmark::Initialize(&count, args.data());
-    if (benchmark::ReportUnrecognizedArguments(count, args.data()))
-        return 1;
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    return 0;
-}
+BENCHMARK_MAIN();

@@ -1,8 +1,5 @@
 #include "cpu/core.hh"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "cpu/decoupled.hh"
 #include "cpu/inorder.hh"
 #include "obs/stats.hh"
@@ -41,49 +38,12 @@ parseCoreKind(std::string_view name)
     return std::nullopt;
 }
 
-namespace
-{
-
-CoreKind
-resolveFromEnv()
-{
-    if (const char* env = std::getenv("XBSP_CORE")) {
-        const std::string_view name(env);
-        if (!name.empty()) {
-            if (const auto kind = parseCoreKind(name))
-                return *kind;
-            warn("XBSP_CORE='{}' unknown (want inorder|decoupled); "
-                 "using inorder",
-                 name);
-        }
-    }
-    return CoreKind::InOrder;
-}
-
-std::atomic<CoreKind>&
-kindSlot()
-{
-    static std::atomic<CoreKind> kind{resolveFromEnv()};
-    return kind;
-}
-
-} // namespace
-
-CoreKind
-activeCoreKind()
-{
-    return kindSlot().load(std::memory_order_relaxed);
-}
-
 bool
 selectCore(std::string_view name)
 {
-    if (const auto kind = parseCoreKind(name)) {
-        kindSlot().store(*kind, std::memory_order_relaxed);
+    if (parseCoreKind(name))
         return true;
-    }
-    warn("core '{}' unknown (want inorder|decoupled); keeping {}",
-         name, coreKindName(activeCoreKind()));
+    warn("core '{}' unknown (want inorder|decoupled)", name);
     return false;
 }
 
@@ -93,12 +53,6 @@ coreConfigFor(CoreKind kind)
     CoreConfig config;
     config.kind = kind;
     return config;
-}
-
-CoreConfig
-defaultCoreConfig()
-{
-    return coreConfigFor(activeCoreKind());
 }
 
 std::unique_ptr<Core>

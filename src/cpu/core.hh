@@ -148,24 +148,15 @@ std::string_view coreKindName(CoreKind kind);
 std::optional<CoreKind> parseCoreKind(std::string_view name);
 
 /**
- * The process-default core kind.  First call resolves the
- * `XBSP_CORE` environment variable ("inorder"/"decoupled"); unset or
- * unknown values select the in-order core.  Thread-safe.
- */
-CoreKind activeCoreKind();
-
-/**
- * Force the default kind (the `--core` option).  Returns false
- * (state unchanged, with a warning) on an unknown name.  This is a
- * *model* knob: it changes results and store keys.
+ * True when `name` parses as a core kind, with a warning otherwise.
+ * Stateless: it selects nothing.  Kept only because the benchmark
+ * harness still pins `selectCore("inorder")`; the CLI and the bench
+ * binaries carry the core in StudyConfig::core instead.
  */
 bool selectCore(std::string_view name);
 
 /** A CoreConfig with default knobs and the given kind. */
 CoreConfig coreConfigFor(CoreKind kind);
-
-/** A CoreConfig with default knobs and the process-default kind. */
-CoreConfig defaultCoreConfig();
 
 /**
  * Construct the backend `config` describes over `hierarchy` (not

@@ -110,9 +110,9 @@ struct SuiteRequest
     u64 seed = 42;
 
     /**
-     * Timing core ("inorder"/"decoupled"; "" = server default).
-     * Clients resolve --core/XBSP_CORE before submitting, so the
-     * rendered report never depends on the daemon's environment.
+     * Timing core ("inorder"/"decoupled"; "" = in-order).  `xbsp
+     * submit` always sends its --core value, so the rendered report
+     * never depends on the daemon.
      */
     std::string core;
 };

@@ -27,9 +27,6 @@ defaultStudyConfig()
     config.simpoint.seedsPerK = 5;
     config.simpoint.bicThreshold = 0.9;
     config.primaryIdx = 0;            // 32-bit unoptimized
-    // The timing backend honours --core / XBSP_CORE; the default
-    // (in-order) keeps every pre-existing report byte-identical.
-    config.core = cpu::defaultCoreConfig();
     return config;
 }
 

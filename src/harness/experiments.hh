@@ -168,7 +168,10 @@ struct SuiteGraph
 void buildSuiteGraph(SuiteGraph& out, const ExperimentConfig& config,
                      const std::vector<std::string>& workloads);
 
-/** Default study configuration used by all benches. */
+/**
+ * The paper's study configuration, with the in-order core; callers
+ * that take `--core` set `core` on the result.
+ */
 sim::StudyConfig defaultStudyConfig();
 
 /**

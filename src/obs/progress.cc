@@ -33,13 +33,6 @@ Progress::global()
 void
 Progress::enable()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (!started) {
-            start = std::chrono::steady_clock::now();
-            started = true;
-        }
-    }
     active.store(true, std::memory_order_relaxed);
 }
 
@@ -52,6 +45,15 @@ Progress::disable()
 void
 Progress::addSteps(u64 n)
 {
+    {
+        // The clock runs whether or not the meter prints: a scrape
+        // of a run without --progress reads elapsed time and the ETA.
+        std::lock_guard<std::mutex> lock(mutex);
+        if (!started) {
+            start = std::chrono::steady_clock::now();
+            started = true;
+        }
+    }
     total.fetch_add(n, std::memory_order_relaxed);
 }
 

@@ -81,7 +81,10 @@ class Progress
         return cheap.load(std::memory_order_relaxed);
     }
 
-    /** Wall-clock seconds since the meter started (0 before). */
+    /**
+     * Wall-clock seconds since the first addSteps() or the last
+     * reset() (0 before either).
+     */
     double elapsedSeconds() const;
 
     /**

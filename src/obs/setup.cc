@@ -121,23 +121,6 @@ ObsSession::ObsSession(const Options& opts)
     applyLogLevel(opts.getString("log-level"));
     if (opts.getBool("progress"))
         Progress::global().enable();
-    applyCommon();
-}
-
-ObsSession::ObsSession()
-    : statsPath(pathFrom({}, "XBSP_STATS")),
-      tracePath(pathFrom({}, "XBSP_TRACE")),
-      manifestPath(pathFrom({}, "XBSP_MANIFEST")),
-      metricsSocketPath(pathFrom({}, "XBSP_METRICS")),
-      metricsTcpPort(parsePort(pathFrom({}, "XBSP_METRICS_TCP")))
-{
-    applyLogLevel({});
-    applyCommon();
-}
-
-void
-ObsSession::applyCommon()
-{
     if (!tracePath.empty())
         TraceSession::global().enable();
     if (manifestPath.empty() && !statsPath.empty())

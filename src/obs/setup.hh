@@ -8,7 +8,7 @@
  * stats, trace and manifest files when flushed (or destroyed).
  *
  * Flags (each with an environment fallback so wrapped invocations —
- * CI, benches — can opt in without touching argv):
+ * CI, scripts — can opt in without touching argv):
  *
  *   --stats-out=FILE    / XBSP_STATS=FILE    stats registry JSON
  *   --trace-out=FILE    / XBSP_TRACE=FILE    Chrome trace JSON
@@ -65,9 +65,6 @@ class ObsSession
     /** Read the flags declared by addCliOptions() (+ env). */
     explicit ObsSession(const Options& opts);
 
-    /** Env-only configuration (benches without the shared flags). */
-    ObsSession();
-
     /** Flushes output files when requested; warns on failure. */
     ~ObsSession();
 
@@ -100,7 +97,6 @@ class ObsSession
 
     std::unique_ptr<MetricsEndpoint> liveEndpoint;
 
-    void applyCommon();
     void startTelemetry();
 };
 

@@ -29,6 +29,8 @@
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
 #include "store/store.hh"
+#include "test_support.hh"
+#include "util/format.hh"
 
 using namespace xbsp;
 namespace fs = std::filesystem;
@@ -216,6 +218,45 @@ TEST(DistCli, MaxKOutsideU32IsFatal)
         ASSERT_GT(pid, 0);
         EXPECT_EQ(dist::waitProcess(pid), 1) << bad;
     }
+}
+
+namespace
+{
+
+/**
+ * Stdout of `<env> xbsp submit figure3 --local ... <flags>`, which
+ * must exit 0.  At 20K-instruction intervals gzip has several
+ * phases, so its CPI error depends on the timing core.
+ */
+std::string
+submitLocalFigure3(const std::string& env, const std::string& flags)
+{
+    const std::string command =
+        format("{} '{}' submit figure3 --local --workloads gzip "
+               "--scale 0.1 --interval 20000 --no-cache {}",
+               env, cliPath(), flags);
+    const auto [out, status] = test::runShell(command);
+    EXPECT_EQ(status, 0) << command;
+    return out;
+}
+
+} // namespace
+
+/**
+ * The timing core travels only in the request: `--core` picks it,
+ * and the process environment (the removed XBSP_CORE fallback) has
+ * no say.
+ */
+TEST(DistCli, CoreFlagCarriesNoProcessState)
+{
+    const std::string inorder = submitLocalFigure3("", "--core inorder");
+    const std::string decoupled =
+        submitLocalFigure3("", "--core decoupled");
+    const std::string envOnly =
+        submitLocalFigure3("XBSP_CORE=decoupled", "");
+    ASSERT_FALSE(inorder.empty());
+    EXPECT_NE(decoupled, inorder);
+    EXPECT_EQ(envOnly, inorder);
 }
 
 TEST(DistWire, StageTaskCodecRoundTrip)

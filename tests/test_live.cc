@@ -27,6 +27,7 @@
 #include "obs/live/exposition.hh"
 #include "obs/stats.hh"
 #include "obs/trace.hh"
+#include "test_support.hh"
 #include "util/format.hh"
 #include "util/json.hh"
 #include "util/threadpool.hh"
@@ -373,17 +374,11 @@ TEST(XbspTop, ComputesRatesBetweenItsOwnScrapes)
     });
     endpoint.start();
 
-    const std::string command =
+    const auto [out, status] = test::runShell(
         format("'{}' top --metrics-socket '{}' --count 2 "
                "--interval-ms 100 --plain",
-               XBSP_CLI_PATH, socketPath);
-    FILE* pipe = ::popen(command.c_str(), "r");
-    ASSERT_NE(pipe, nullptr);
-    std::string out;
-    char buf[4096];
-    while (const std::size_t n = std::fread(buf, 1, sizeof(buf), pipe))
-        out.append(buf, n);
-    EXPECT_EQ(::pclose(pipe), 0) << out;
+               XBSP_CLI_PATH, socketPath));
+    EXPECT_EQ(status, 0) << out;
     endpoint.stop();
 
     const std::size_t second = out.find("xbsp top — frame 2,");

@@ -7,9 +7,11 @@
  * meter's ETA ignores zero-cost (cache-resolved) steps.
  */
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
+#include <thread>
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -24,6 +26,7 @@
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/json.hh"
+#include "util/options.hh"
 #include "util/threadpool.hh"
 
 using namespace xbsp;
@@ -240,7 +243,11 @@ TEST_F(ManifestTest, ObsSessionFlushSurvivesUnwritablePaths)
     ::setenv("XBSP_MANIFEST", "/nonexistent-xbsp-dir/manifest.json",
              1);
     {
-        obs::ObsSession session;
+        Options options("test");
+        obs::addCliOptions(options);
+        const char* argv[] = {"test"};
+        ASSERT_TRUE(options.parse(1, argv));
+        obs::ObsSession session(options);
         EXPECT_NO_THROW(session.flush());
         EXPECT_NO_THROW(session.flush());  // idempotent
     }
@@ -273,4 +280,22 @@ TEST(ProgressEta, ZeroCostStepsDoNotFeedTheEstimate)
     progress.completeStep("last");
     EXPECT_EQ(progress.completed(), progress.announced());
     EXPECT_LT(progress.etaSeconds(), 0.0);  // finished
+}
+
+/**
+ * A meter that never prints still keeps time: a scrape of a run
+ * without --progress serves its elapsed time and ETA, and an ETA of
+ * exactly 0 while steps remain would claim the run is done.
+ */
+TEST(ProgressEta, ClockRunsWithoutTheMeterEnabled)
+{
+    obs::Progress progress;
+    progress.addSteps(4);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    progress.completeStep("a");
+    progress.completeStep("b");
+    ASSERT_FALSE(progress.enabled());
+    EXPECT_GT(progress.elapsedSeconds(), 0.0);
+    const double eta = progress.etaSeconds();
+    EXPECT_TRUE(eta == -1.0 || eta > 0.0) << eta;
 }

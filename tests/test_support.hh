@@ -1,14 +1,17 @@
 /**
  * @file
  * Shared fixtures/helpers for the test suite: small deterministic
- * programs with known counts, and shortcuts for compiling/profiling
- * them.
+ * programs with known counts, shortcuts for compiling/profiling
+ * them, and a shell runner for tests that drive the CLI.
  */
 
 #ifndef XBSP_TESTS_TEST_SUPPORT_HH
 #define XBSP_TESTS_TEST_SUPPORT_HH
 
+#include <cstdio>
 #include <functional>
+#include <string>
+#include <utility>
 
 #include "compile/compiler.hh"
 #include "ir/builder.hh"
@@ -115,6 +118,23 @@ deepProgram(u32 outer, u32 inner)
     StmtSeq main = b.procedure("main");
     nest(main, outer, [](StmtSeq& s) { s.call("leaf"); });
     return b.build();
+}
+
+/**
+ * Run `command` through the shell: its stdout and pclose() status
+ * (0 when it exited 0), or status -1 when it could not start.
+ */
+inline std::pair<std::string, int>
+runShell(const std::string& command)
+{
+    FILE* pipe = ::popen(command.c_str(), "r");
+    if (!pipe)
+        return {{}, -1};
+    std::string out;
+    char buf[4096];
+    while (const std::size_t n = std::fread(buf, 1, sizeof(buf), pipe))
+        out.append(buf, n);
+    return {out, ::pclose(pipe)};
 }
 
 /** Compile the standard four binaries of a program. */

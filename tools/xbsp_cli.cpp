@@ -57,7 +57,11 @@
  *                                     daemon (default figure3); with
  *                                     --local, render in-process
  *                                     through the identical code path
- *                                     (the byte-compare baseline)
+ *                                     (the byte-compare baseline).
+ *                                     Figures: table1, figure1 ..
+ *                                     figure5, table2, table3,
+ *                                     mappability — the paper's
+ *                                     whole evaluation
  *   xbsp cores     [--workloads W,...] [--scale S]
  *                                     cross-microarchitecture
  *                                     experiment: the same binaries
@@ -81,6 +85,7 @@
 #include <iostream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -120,6 +125,17 @@ parseTarget(const std::string& name)
             return target;
     }
     fatal("unknown target '{}' (expected 32u/32o/64u/64o)", name);
+}
+
+/** --core as a kind: a model knob, so an unknown name is fatal. */
+cpu::CoreKind
+coreOption(const Options& options)
+{
+    const std::string name = options.getString("core");
+    const std::optional<cpu::CoreKind> kind = cpu::parseCoreKind(name);
+    if (!kind)
+        fatal("unknown --core '{}' (want inorder|decoupled)", name);
+    return *kind;
 }
 
 /** --maxk as SimPoint takes it: 0 or a count past u32 is fatal. */
@@ -220,6 +236,7 @@ cmdStudy(const Options& options)
     config.intervalTarget = options.getUint("interval");
     config.simpoint.maxK = maxKOption(options);
     config.simpoint.seed = options.getUint("seed");
+    config.core = cpu::coreConfigFor(coreOption(options));
     const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
         workloads::makeWorkload(options.getString("workload"),
                                 options.getDouble("scale")),
@@ -272,6 +289,7 @@ cmdGraph(const Options& options)
     config.study.intervalTarget = options.getUint("interval");
     config.study.simpoint.maxK = maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
+    config.study.core = cpu::coreConfigFor(coreOption(options));
 
     // Workloads come as positionals after the command; default to
     // the --workload option like the other single-study commands.
@@ -725,10 +743,7 @@ suiteRequestFromOptions(const Options& options)
     request.intervalTarget = options.getUint("interval");
     request.maxK = maxKOption(options);
     request.seed = options.getUint("seed");
-    // Resolved client-side (--core already applied in main) so the
-    // report never depends on the daemon's environment.
-    request.core =
-        std::string(cpu::coreKindName(cpu::activeCoreKind()));
+    request.core = std::string(cpu::coreKindName(coreOption(options)));
     return request;
 }
 
@@ -949,9 +964,8 @@ main(int argc, char** argv)
                     "per-stage deadline before a worker is declared "
                     "dead (`serve`)", 120000);
     options.addString("core",
-                      "timing core: inorder|decoupled (default: "
-                      "XBSP_CORE, else inorder; a model knob — "
-                      "changes results and store keys)", "");
+                      "timing core: inorder|decoupled (a model knob — "
+                      "changes results and store keys)", "inorder");
     options.addJobs();
     obs::addCliOptions(options);
     if (!options.parse(argc, argv))
@@ -971,11 +985,9 @@ main(int argc, char** argv)
 
     options.applyJobs();
 
-    // --core wins over XBSP_CORE; it changes results, so it must
-    // land before any stage runs.
-    if (const std::string mode = options.getString("core");
-        !mode.empty() && !cpu::selectCore(mode))
-        fatal("unknown --core '{}' (want inorder|decoupled)", mode);
+    // An unknown --core is fatal for every command, before any
+    // stage runs.
+    (void)coreOption(options);
 
     // Resolve the artifact store before any stage can run: an
     // explicit --cache-dir wins over XBSP_CACHE_DIR (which global()
