@@ -16,15 +16,6 @@ MappableKey::describe() const
     return xbsp::format("{} @{}", bin::markerKindName(kind), line);
 }
 
-u64
-MappableSet::totalDynamicFirings() const
-{
-    u64 total = 0;
-    for (const auto& point : points)
-        total += point.execCount;
-    return total;
-}
-
 namespace
 {
 

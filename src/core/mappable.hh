@@ -86,9 +86,6 @@ struct MappableSet
     {
         return markerToPoint[binaryIdx][markerId];
     }
-
-    /** Total dynamic firings of all mappable points (per binary). */
-    u64 totalDynamicFirings() const;
 };
 
 /**

@@ -83,9 +83,6 @@ class ObsSession
     /** The endpoint, when --metrics-socket/--metrics-tcp enabled it. */
     MetricsEndpoint* endpoint() { return liveEndpoint.get(); }
 
-    /** Resolved manifest output path ("" when none will be written). */
-    const std::string& manifestOutputPath() const { return manifestPath; }
-
   private:
     std::string statsPath;
     std::string tracePath;

@@ -136,12 +136,8 @@ StudyBuild::binary(std::size_t b)
         return;
     }
 
-    DetailedRunRequest req = makeRunRequest(config);
-    req.fliBoundaries = bs.fliBoundaries;
-    req.mappable = &study.mappableSet;
-    req.binaryIdx = b;
-    req.partition = &study.vliPartition;
-    bs.detailedRun = runDetailed(study.bins[b], req);
+    bs.detailedRun =
+        runDetailed(study.bins[b], detailedRequest(b, bs.fliBoundaries));
 
     bs.fliEstimate = estimateSampled(bs.fliClustering,
                                      bs.detailedRun.fliIntervals);
@@ -157,6 +153,18 @@ StudyBuild::finish()
                   std::chrono::steady_clock::now() - started)
                   .count();
     finished = true;
+}
+
+DetailedRunRequest
+StudyBuild::detailedRequest(
+    std::size_t b, const std::vector<InstrCount>& fliBoundaries) const
+{
+    DetailedRunRequest req = makeRunRequest(study.cfg);
+    req.fliBoundaries = fliBoundaries;
+    req.mappable = &study.mappableSet;
+    req.binaryIdx = b;
+    req.partition = &study.vliPartition;
+    return req;
 }
 
 CrossBinaryStudy
@@ -208,14 +216,10 @@ StudyBuild::binaryCached(std::size_t b) const
                             study.cfg.simpoint),
             sp::SimPointCodec::tag, sp::SimPointCodec::version))
         return false;
-    DetailedRunRequest req = makeRunRequest(study.cfg);
-    req.fliBoundaries = passes[b].fliBoundaries;
-    req.mappable = &study.mappableSet;
-    req.binaryIdx = b;
-    req.partition = &study.vliPartition;
-    return store.contains(detailedRunKey(study.bins[b], req),
-                          DetailedRunCodec::tag,
-                          DetailedRunCodec::version);
+    return store.contains(
+        detailedRunKey(study.bins[b],
+                       detailedRequest(b, passes[b].fliBoundaries)),
+        DetailedRunCodec::tag, DetailedRunCodec::version);
 }
 
 std::string
@@ -263,12 +267,10 @@ StudyBuild::binaryKeyHex(std::size_t b) const
     if (!study.cfg.detailed || b >= study.bins.size() ||
         b >= study.studies.size())
         return {};
-    DetailedRunRequest req = makeRunRequest(study.cfg);
-    req.fliBoundaries = study.studies[b].fliBoundaries;
-    req.mappable = &study.mappableSet;
-    req.binaryIdx = b;
-    req.partition = &study.vliPartition;
-    return detailedRunKey(study.bins[b], req).hex();
+    return detailedRunKey(study.bins[b],
+                          detailedRequest(b,
+                                          study.studies[b].fliBoundaries))
+        .hex();
 }
 
 std::string

@@ -89,6 +89,15 @@ class StudyBuild
     CrossBinaryStudy takeStudy();
 
   private:
+    /**
+     * Binary `b`'s detailed-run request over `fliBoundaries`.  The
+     * stage, its cache probe and its manifest key all build it here,
+     * so the probe and the key name the run the stage does.
+     */
+    DetailedRunRequest
+    detailedRequest(std::size_t b,
+                    const std::vector<InstrCount>& fliBoundaries) const;
+
     ir::Program prog;
     std::size_t targets;
     std::vector<prof::ProfilePass> passes;

@@ -190,11 +190,9 @@ FrequencyVectorSet::dedup() const
             if (cls == fresh) {
                 bucket.push_back(cls);
                 map.firstOf.push_back(static_cast<u32>(i));
-                map.classLength.push_back(0);
             }
         }
         map.classOf[i] = cls;
-        map.classLength[cls] += lengths[i];
     }
 
     reg.counter("dedup.calls").add();

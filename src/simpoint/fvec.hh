@@ -66,9 +66,6 @@ struct DedupMap
     /** Lowest original interval index per class. */
     std::vector<u32> firstOf;
 
-    /** Summed instruction length per class. */
-    std::vector<InstrCount> classLength;
-
     /** Number of duplicate classes (= unique vectors). */
     std::size_t classes() const { return firstOf.size(); }
 };

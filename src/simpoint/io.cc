@@ -6,7 +6,6 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 #include <vector>
 
@@ -17,9 +16,6 @@ namespace xbsp::sp
 
 namespace
 {
-
-/** Largest phase id: one more would wrap k = maxLabel + 1 to 0. */
-constexpr u64 kMaxPhaseId = std::numeric_limits<u32>::max() - 1;
 
 /**
  * Call `fn(fields, lineNo)` for every non-blank line of `is`, with
@@ -58,20 +54,6 @@ parseUint(const std::string& field, u64 max, const char* file,
     if (ec != std::errc() || ptr != end)
         fatal("{} file line {}: '{}' is not a non-negative integer",
               file, lineNo, field);
-    return value;
-}
-
-/** Finite, non-negative decimal; fatal() names file and line. */
-double
-parseWeight(const std::string& field, const char* file,
-            std::size_t lineNo)
-{
-    char* end = nullptr;
-    const double value = std::strtod(field.c_str(), &end);
-    if (end != field.c_str() + field.size() || !std::isfinite(value) ||
-        value < 0.0)
-        fatal("{} file line {}: '{}' is not a finite non-negative "
-              "number", file, lineNo, field);
     return value;
 }
 
@@ -209,81 +191,6 @@ writeLabelsFile(std::ostream& os, const SimPointResult& result)
 {
     for (u32 label : result.labels)
         os << label << "\n";
-}
-
-SimPointResult
-readSimPointFiles(std::istream& simpoints, std::istream& weights,
-                  std::istream& labels)
-{
-    SimPointResult result;
-
-    std::map<u32, u32> reps;
-    forEachLine(simpoints, [&](const std::vector<std::string>& fields,
-                               std::size_t lineNo) {
-        if (fields.size() != 2)
-            fatal("simpoints file line {}: expected '<interval> "
-                  "<phase>'", lineNo);
-        const u64 rep = parseUint(
-            fields[0], std::numeric_limits<u32>::max(), "simpoints",
-            lineNo);
-        const u64 id =
-            parseUint(fields[1], kMaxPhaseId, "simpoints", lineNo);
-        reps[static_cast<u32>(id)] = static_cast<u32>(rep);
-    });
-
-    std::map<u32, double> weightOf;
-    forEachLine(weights, [&](const std::vector<std::string>& fields,
-                             std::size_t lineNo) {
-        if (fields.size() != 2)
-            fatal("weights file line {}: expected '<weight> <phase>'",
-                  lineNo);
-        const u64 id =
-            parseUint(fields[1], kMaxPhaseId, "weights", lineNo);
-        weightOf[static_cast<u32>(id)] =
-            parseWeight(fields[0], "weights", lineNo);
-    });
-
-    if (reps.size() != weightOf.size())
-        fatal("simpoints file has {} phases but weights file has {}",
-              reps.size(), weightOf.size());
-
-    forEachLine(labels, [&](const std::vector<std::string>& fields,
-                            std::size_t lineNo) {
-        for (const std::string& field : fields)
-            result.labels.push_back(static_cast<u32>(
-                parseUint(field, kMaxPhaseId, "labels", lineNo)));
-    });
-    if (result.labels.empty())
-        fatal("labels file is empty");
-
-    u32 maxLabel = 0;
-    for (u32 l : result.labels)
-        maxLabel = std::max(maxLabel, l);
-    result.k = maxLabel + 1;
-
-    for (const auto& [phaseId, repIdx] : reps) {
-        Phase phase;
-        phase.id = phaseId;
-        phase.representative = repIdx;
-        auto wit = weightOf.find(phaseId);
-        if (wit == weightOf.end())
-            fatal("phase {} missing from weights file", phaseId);
-        phase.weight = wit->second;
-        for (u32 i = 0; i < result.labels.size(); ++i) {
-            if (result.labels[i] == phaseId)
-                phase.members.push_back(i);
-        }
-        if (phase.members.empty())
-            fatal("phase {} has a simulation point but no intervals",
-                  phaseId);
-        if (repIdx >= result.labels.size() ||
-            result.labels[repIdx] != phaseId) {
-            fatal("phase {}: representative {} does not carry the "
-                  "phase's label", phaseId, repIdx);
-        }
-        result.phases.push_back(std::move(phase));
-    }
-    return result;
 }
 
 } // namespace xbsp::sp

@@ -5,9 +5,11 @@
  * The reference SimPoint distribution consumes frequency-vector files
  * (one interval per line, "T:dim:count" fields) and produces
  * `.simpoints` / `.weights` files (one "value phaseId" pair per
- * line) plus a `.labels` file.  This module reads and writes those
- * formats so studies can exchange data with the original tools: BBVs
- * collected here can be clustered by stock SimPoint, and clusterings
+ * line) plus a `.labels` file.  This module reads and writes
+ * frequency-vector and interval-length files, and writes the three
+ * output files, so studies can exchange data with the original
+ * tools: BBVs collected here can be clustered by stock SimPoint, BBVs
+ * collected elsewhere can be clustered here, and clusterings
  * computed here can drive stock PinPoints-style flows.
  */
 
@@ -74,19 +76,6 @@ void writeWeightsFile(std::ostream& os, const SimPointResult& result);
 
 /** Write the `.labels` file: one phase id per interval line. */
 void writeLabelsFile(std::ostream& os, const SimPointResult& result);
-
-/**
- * Reconstruct a (partial) SimPointResult from `.simpoints`,
- * `.weights` and `.labels` streams.  Members are rebuilt from the
- * labels; BIC metadata is not representable in the files and is left
- * zero.  Calls fatal() on inconsistent inputs, on interval indices and
- * phase ids that are not decimal integers in u32 range (a phase id of
- * 2^32 - 1 is out of range too: k would wrap) and on negative or
- * non-finite weights.
- */
-SimPointResult readSimPointFiles(std::istream& simpoints,
-                                 std::istream& weights,
-                                 std::istream& labels);
 
 } // namespace xbsp::sp
 

@@ -61,8 +61,8 @@ kmeansStats()
 
 /**
  * State for the E-step: Hamerly distance bounds kept per duplicate
- * class (per point when the data carries no class structure —
- * classOf/classFirst are then identity maps).
+ * class (a singleton class per point when the data has no
+ * duplicates).
  *
  * Exactness against the naive per-point scan of the reference loop
  * (tests/oracle/simpoint), in full (DESIGN.md, "Clustering
@@ -98,7 +98,6 @@ struct AccelState
 {
     std::span<const u32> classOf;    ///< point -> class
     std::span<const u32> classFirst; ///< class -> lowest point index
-    std::vector<u32> identity;  ///< backs both maps without classes
     std::vector<u32> ownerOf;   ///< class -> owner hypothesis
     std::vector<double> lower;  ///< class -> non-owner lower bound
     std::vector<double> dOwn;   ///< class -> exact sqDist to owner
@@ -106,19 +105,12 @@ struct AccelState
     std::vector<u32> labelOwner;  ///< class -> label of its points
     bool classLevel = false;      ///< labelOwner holds the labels
 
-    /** Adopt the data's duplicate classes (identity when absent). */
+    /** Adopt the data's duplicate classes. */
     void
     attach(const ProjectedData& data)
     {
-        if (data.hasClasses()) {
-            classOf = data.classOf;
-            classFirst = data.classFirst;
-        } else {
-            identity.resize(data.count);
-            std::iota(identity.begin(), identity.end(), u32{0});
-            classOf = identity;
-            classFirst = identity;
-        }
+        classOf = data.classOf;
+        classFirst = data.classFirst;
         ownerOf.assign(classFirst.size(), 0);
         lower.assign(classFirst.size(), 0.0);
         dOwn.assign(classFirst.size(), 0.0);
@@ -146,7 +138,7 @@ struct AccelState
      * Make per-point labels class-level again when every class's
      * members share one label.  A re-seed moves single points, so it
      * keeps that only when each point it moved was alone in its
-     * class (always, for data without duplicate classes).
+     * class (always, for data without duplicates).
      */
     void
     regroup(const std::vector<u32>& labels)
@@ -825,8 +817,12 @@ resumWeights(const ProjectedData& data, KMeansResult& res)
  * no SSE until the fit is done.  Only a re-seed that splits a class,
  * by moving one of its points, drops the labels to per point until
  * the next E-step.
+ *
+ * Kept out of line, like initPlusPlus(): inlined into runKMeans(),
+ * the fine_phases benchmark's wall time rose by about 6 % (4-core
+ * Xeon VM, six alternating runs, all slower).
  */
-void
+[[gnu::noinline]] void
 runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
          const KMeansOptions& options, MStepMemo* memo)
 {
@@ -911,6 +907,10 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
 {
     if (data.count == 0)
         fatal("k-means called with no data points");
+    if (data.classOf.size() != data.count || data.classFirst.empty())
+        panic("k-means data without duplicate classes ({} of {} points "
+              "classed, {} classes)", data.classOf.size(), data.count,
+              data.classFirst.size());
     if (memo && &memo->data() != &data)
         panic("k-means M-step memo shared across different data");
     KMeansResult res;

@@ -102,10 +102,13 @@ class MStepMemo
  * maxIterations.  Empty clusters are re-seeded with the point
  * farthest from its centroid.  k is clamped to the point count.
  *
+ * `data` must carry its duplicate classes (project() attaches them;
+ * a point with no duplicate is a class of its own); without them the
+ * call panics.
+ *
  * The loop skips the work whose result is already fixed: the E-step
- * runs under Hamerly distance bounds, once per duplicate class when
- * the data carries class structure; labels are kept per class
- * between E-steps; M-steps rebuild only clusters whose membership
+ * runs under Hamerly distance bounds, once per duplicate class;
+ * labels are kept per class between E-steps; M-steps rebuild only clusters whose membership
  * changed (or copy them from `memo`); the SSE is reduced once per
  * fit; and k-means++ draws skip points whose term is zero.  Every
  * skip is proven: whatever is computed uses the same arithmetic on

@@ -1,6 +1,7 @@
 #include "simpoint/projection.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
@@ -18,11 +19,13 @@ sqDist(std::span<const double> a, std::span<const double> b)
 }
 
 ProjectedData
-project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
-        const DedupMap* dedup)
+project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 {
     if (dims == 0)
         fatal("projection dimension must be > 0");
+    // One row per duplicate class goes through the matrix below and
+    // is copied to the class's other members.
+    DedupMap dedup = fvs.dedup();
     ProjectedData out;
     out.allocate(fvs.size(), dims);
 
@@ -61,35 +64,22 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
     };
 
     ThreadPool& pool = globalPool();
-    if (dedup == nullptr) {
-        parallelChunks(pool, fvs.size(),
-                       [&](std::size_t begin, std::size_t end,
-                           std::size_t) {
-                           obs::ShardCounter ops(dotOps);
-                           for (std::size_t i = begin; i < end; ++i)
-                               projectRow(i, ops);
-                       });
-        reg.counter("projection.rows.projected").add(fvs.size());
-    } else {
-        parallelChunks(pool, dedup->firstOf.size(),
-                       [&](std::size_t begin, std::size_t end,
-                           std::size_t) {
-                           obs::ShardCounter ops(dotOps);
-                           for (std::size_t c = begin; c < end; ++c)
-                               projectRow(dedup->firstOf[c], ops);
-                       });
-        parallelFor(pool, fvs.size(), [&](std::size_t i) {
-            const u32 first = dedup->firstOf[dedup->classOf[i]];
-            if (static_cast<std::size_t>(first) != i)
-                std::copy_n(out.row(first), stride, out.row(i));
-        });
-        out.classOf = dedup->classOf;
-        out.classFirst = dedup->firstOf;
-        reg.counter("projection.rows.projected")
-            .add(dedup->firstOf.size());
-        reg.counter("projection.rows.copied")
-            .add(fvs.size() - dedup->firstOf.size());
-    }
+    parallelChunks(pool, dedup.classes(),
+                   [&](std::size_t begin, std::size_t end, std::size_t) {
+                       obs::ShardCounter ops(dotOps);
+                       for (std::size_t c = begin; c < end; ++c)
+                           projectRow(dedup.firstOf[c], ops);
+                   });
+    parallelFor(pool, fvs.size(), [&](std::size_t i) {
+        const u32 first = dedup.firstOf[dedup.classOf[i]];
+        if (static_cast<std::size_t>(first) != i)
+            std::copy_n(out.row(first), stride, out.row(i));
+    });
+    reg.counter("projection.rows.projected").add(dedup.classes());
+    reg.counter("projection.rows.copied")
+        .add(fvs.size() - dedup.classes());
+    out.classOf = std::move(dedup.classOf);
+    out.classFirst = std::move(dedup.firstOf);
 
     // Instruction-length weights rescaled to sum to the point count.
     const InstrCount total = fvs.totalInstructions();

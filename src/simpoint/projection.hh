@@ -35,17 +35,15 @@ struct ProjectedData
     std::vector<double> weights;  ///< per point; sums to count
 
     /**
-     * Optional duplicate-class structure (filled when project() is
-     * given a DedupMap): classOf[i] is the duplicate class of point
-     * i, classFirst[c] the lowest point index in class c.  Rows of
-     * one class are bit-identical, so per-class computations stand in
-     * exactly for per-point ones (see kmeans.cc).
+     * Duplicate-class structure (project() always attaches it):
+     * classOf[i] is the duplicate class of point i, classFirst[c] the
+     * lowest point index in class c.  Rows of one class are
+     * bit-identical, so per-class computations stand in exactly for
+     * per-point ones (see kmeans.cc).  Data without duplicates has
+     * one singleton class per point.
      */
     std::vector<u32> classOf;
     std::vector<u32> classFirst;
-
-    /** True when duplicate-class information is attached. */
-    bool hasClasses() const { return !classFirst.empty(); }
 
     /** Size `count` x `dims` zero-filled padded storage. */
     void
@@ -84,15 +82,15 @@ struct ProjectedData
  * Point weights are the interval instruction lengths rescaled to sum
  * to the number of points (so BIC formulas keep their usual scale).
  *
- * When `dedup` is given, only one vector per duplicate class is
- * pushed through the projection matrix and the resulting row is
- * copied to the class members — bit-identical to projecting each
- * member (equal sparse vectors feed identical arithmetic) at a
- * fraction of the multiplies — and the class structure is attached
- * to the result for the clustering layer.
+ * Rows are grouped into duplicate classes first (FrequencyVectorSet::
+ * dedup), only one vector per class is pushed through the projection
+ * matrix and the resulting row is copied to the class members —
+ * bit-identical to projecting each member (equal sparse vectors feed
+ * identical arithmetic) at a fraction of the multiplies — and the
+ * class structure is attached to the result for the clustering layer.
  */
 ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
-                      u64 seed, const DedupMap* dedup = nullptr);
+                      u64 seed);
 
 /**
  * Squared Euclidean distance between a row and a centroid, under the

@@ -90,10 +90,10 @@ encodeSimPointResult(serial::Encoder& e, const SimPointResult& r)
 SimPointResult
 decodeSimPointResult(serial::Decoder& d)
 {
-    // The checks readSimPointFiles makes on the text form: every
-    // label below k, and every phase non-empty, its members and
-    // representative existing intervals that carry its label.
-    // estimateSampled indexes interval stats with all of them.
+    // A store artifact is outside input: every label must be below
+    // k, and every phase non-empty, its members and representative
+    // existing intervals that carry its label.  estimateSampled
+    // indexes interval stats with all of them.
     SimPointResult r;
     r.k = d.varint32();
     const u64 labels = d.arrayCount();

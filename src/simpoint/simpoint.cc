@@ -25,16 +25,13 @@ SimPointResult
 pickFromNormalized(FrequencyVectorSet fvs,
                    const SimPointOptions& options)
 {
-    // Coalesce duplicate intervals up front: projection runs once per
+    // Projection coalesces duplicate intervals: it runs once per
     // class and the clustering layer scans classes instead of points.
     // The class structure rides along inside ProjectedData; every
     // label, member list and representative below stays expressed in
     // original interval ids.
-    ProjectedData data;
-    {
-        const DedupMap dedup = fvs.dedup();
-        data = project(fvs, options.projectedDims, options.seed, &dedup);
-    }
+    const ProjectedData data =
+        project(fvs, options.projectedDims, options.seed);
     // Nothing reads a row again; only the lengths weigh the phases.
     fvs.releaseEntries();
 

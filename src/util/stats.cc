@@ -31,20 +31,6 @@ stddev(std::span<const double> xs)
 }
 
 double
-geomean(std::span<const double> xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double acc = 0.0;
-    for (double x : xs) {
-        if (x <= 0.0)
-            panic("geomean requires positive values, got {}", x);
-        acc += std::log(x);
-    }
-    return std::exp(acc / static_cast<double>(xs.size()));
-}
-
-double
 weightedMean(std::span<const double> xs, std::span<const double> ws)
 {
     if (xs.size() != ws.size())

@@ -21,9 +21,6 @@ double mean(std::span<const double> xs);
 /** Population standard deviation; returns 0 for fewer than 2 items. */
 double stddev(std::span<const double> xs);
 
-/** Geometric mean of positive values; returns 0 for an empty span. */
-double geomean(std::span<const double> xs);
-
 /**
  * Weighted arithmetic mean.  Weights need not be normalized; the
  * function divides by their sum.  Returns 0 when the weight sum is 0.

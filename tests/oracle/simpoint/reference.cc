@@ -188,6 +188,47 @@ initRandomPartition(const ProjectedData& data, KMeansResult& res,
         updateCentroids(data, res, work);
 }
 
+/**
+ * Project every interval through the matrix sp::project() draws
+ * (same seed mix, same padded rows, same axpy per sparse entry), one
+ * point after another with no duplicate grouping, and attach a
+ * singleton class per point.  Against it test_clustering_equiv checks
+ * that the engine's once-per-class projection is exact.
+ */
+ProjectedData
+projectEachPoint(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
+{
+    ProjectedData out;
+    out.allocate(fvs.size(), dims);
+    Rng rng(hashMix(seed ^ 0x9e3779b97f4a7c15ull));
+    const std::size_t stride = out.rowStride();
+    simd::AlignedVec matrix(
+        static_cast<std::size_t>(fvs.dimension) * stride, 0.0);
+    for (std::size_t r = 0; r < fvs.dimension; ++r) {
+        for (u32 d = 0; d < dims; ++d)
+            matrix[r * stride + d] = rng.nextDouble(-1.0, 1.0);
+    }
+    for (std::size_t i = 0; i < fvs.size(); ++i) {
+        const SparseRow vec = fvs.row(i);
+        for (std::size_t e = 0; e < vec.size(); ++e)
+            simd::axpy(out.row(i),
+                       matrix.data() +
+                           static_cast<std::size_t>(vec.index[e]) *
+                               stride,
+                       vec.value[e], stride);
+        out.classOf.push_back(static_cast<u32>(i));
+        out.classFirst.push_back(static_cast<u32>(i));
+    }
+    const InstrCount total = fvs.totalInstructions();
+    if (total > 0) {
+        const double scale = static_cast<double>(out.count) /
+                             static_cast<double>(total);
+        for (std::size_t i = 0; i < out.count; ++i)
+            out.weights[i] = static_cast<double>(fvs.lengths[i]) * scale;
+    }
+    return out;
+}
+
 } // namespace
 
 ReferenceFit
@@ -245,8 +286,8 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
         fatal("SimPoint called with no intervals");
     FrequencyVectorSet normalized = fvs;
     normalized.normalize();
-    const ProjectedData data =
-        project(normalized, options.projectedDims, options.seed);
+    const ProjectedData data = projectEachPoint(
+        normalized, options.projectedDims, options.seed);
 
     const u32 maxK = std::max<u32>(
         1, std::min<u32>(options.maxK,

@@ -9,8 +9,8 @@
  *
  * This is an independent twin of sp::runKMeans and
  * sp::pickSimulationPoints.  It shares only the kernels (util/simd),
- * the projection and the BIC score with them, so it pins down the
- * results the engine must reproduce bit for bit (see
+ * the projection matrix's draws and the BIC score with them, so it
+ * pins down the results the engine must reproduce bit for bit (see
  * test_clustering_equiv).  Keep it boring; never optimize it.
  */
 
@@ -27,8 +27,8 @@ namespace xbsp::sp
 
 /**
  * Work the reference did, counted by itself: it never touches the
- * process-wide stat registry (projection still counts its own rows
- * there), so the engine's counters can be compared against these.
+ * process-wide stat registry, so the engine's counters can be
+ * compared against these.
  */
 struct ReferenceWork
 {
@@ -52,8 +52,8 @@ struct ReferenceSweep
 };
 
 /**
- * The naive Lloyd loop over `data` (duplicate classes, if attached,
- * are ignored).  Same contract as sp::runKMeans.
+ * The naive Lloyd loop over `data` (its duplicate classes are
+ * ignored).  Same contract as sp::runKMeans.
  */
 ReferenceFit referenceKMeans(const ProjectedData& data, u32 k, Rng& rng,
                              const KMeansOptions& options = {});

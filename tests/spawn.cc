@@ -1,12 +1,11 @@
-#include "dist/spawn.hh"
+#include "spawn.hh"
 
-#include <csignal>
 #include <cstdlib>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
-namespace xbsp::dist
+namespace xbsp::test
 {
 
 int
@@ -20,7 +19,7 @@ spawnProcess(const std::vector<std::string>& argv,
         return static_cast<int>(pid);
 
     // Child.  Only async-signal-unsafe work left is setenv/execv;
-    // acceptable because the parent is single-purpose test/bench
+    // acceptable because the parent is single-purpose test
     // scaffolding, not a general-purpose threaded host.
     for (const std::string& entry : extraEnv) {
         const std::size_t eq = entry.find('=');
@@ -51,10 +50,4 @@ waitProcess(int pid)
     return -1;
 }
 
-void
-killProcess(int pid, bool graceful)
-{
-    ::kill(pid, graceful ? SIGTERM : SIGKILL);
-}
-
-} // namespace xbsp::dist
+} // namespace xbsp::test

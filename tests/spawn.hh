@@ -1,18 +1,18 @@
 /**
  * @file
- * Minimal child-process helper for tests and benches that need real
+ * Minimal child-process helper for tests that need real
  * multi-process topology (an `xbsp work` fleet, a codec round-trip
- * helper): fork/exec with per-child environment additions, wait,
- * kill.  Not a general process library — no pipes, no pgids.
+ * helper): fork/exec with per-child environment additions, and wait.
+ * Not a general process library — no pipes, no pgids.
  */
 
-#ifndef XBSP_DIST_SPAWN_HH
-#define XBSP_DIST_SPAWN_HH
+#ifndef XBSP_TEST_SPAWN_HH
+#define XBSP_TEST_SPAWN_HH
 
 #include <string>
 #include <vector>
 
-namespace xbsp::dist
+namespace xbsp::test
 {
 
 /**
@@ -30,9 +30,6 @@ int spawnProcess(const std::vector<std::string>& argv,
  */
 int waitProcess(int pid);
 
-/** Send SIGTERM (graceful = true) or SIGKILL to `pid`. */
-void killProcess(int pid, bool graceful = true);
+} // namespace xbsp::test
 
-} // namespace xbsp::dist
-
-#endif // XBSP_DIST_SPAWN_HH
+#endif // XBSP_TEST_SPAWN_HH

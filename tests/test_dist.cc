@@ -22,12 +22,12 @@
 #include "cpu/core.hh"
 #include "dist/client.hh"
 #include "dist/server.hh"
-#include "dist/spawn.hh"
 #include "dist/stagerun.hh"
 #include "dist/transport.hh"
 #include "dist/wire.hh"
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
+#include "spawn.hh"
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/format.hh"
@@ -212,11 +212,11 @@ TEST(DistWire, SuiteConfigRejectsMaxKOutsideU32)
 TEST(DistCli, MaxKOutsideU32IsFatal)
 {
     for (const char* bad : {"4294967306", "4294967296", "0"}) {
-        const int pid = dist::spawnProcess(
+        const int pid = test::spawnProcess(
             {cliPath(), "study", "--workload", "gzip", "--scale",
              "0.01", "--maxk", bad});
         ASSERT_GT(pid, 0);
-        EXPECT_EQ(dist::waitProcess(pid), 1) << bad;
+        EXPECT_EQ(test::waitProcess(pid), 1) << bad;
     }
 }
 
@@ -314,9 +314,9 @@ TEST_F(DistTest, CrossProcessCodecRoundTrip)
     }
 
     const int pid =
-        dist::spawnProcess({cliPath(), "codec-roundtrip", file});
+        test::spawnProcess({cliPath(), "codec-roundtrip", file});
     ASSERT_GT(pid, 0);
-    EXPECT_EQ(dist::waitProcess(pid), 0);
+    EXPECT_EQ(test::waitProcess(pid), 0);
 
     std::ifstream is(file + ".rt", std::ios::binary);
     ASSERT_TRUE(is.good());
@@ -361,10 +361,10 @@ checkSuiteByteIdenticalUnderWorkerDeath(const fs::path& base,
     std::thread serveThread([&server] { server.serve(); });
 
     const std::string connect = "unix:" + so.unixPath;
-    const int w1 = dist::spawnProcess(
+    const int w1 = test::spawnProcess(
         {cliPath(), "work", "--connect", connect, "--worker-name",
          "w1"});
-    const int w2 = dist::spawnProcess(
+    const int w2 = test::spawnProcess(
         {cliPath(), "work", "--connect", connect, "--worker-name",
          "w2"},
         {"XBSP_DIST_FAULT=kill-after:1"});
@@ -389,8 +389,8 @@ checkSuiteByteIdenticalUnderWorkerDeath(const fs::path& base,
 
     server.stop();
     serveThread.join();
-    EXPECT_EQ(dist::waitProcess(w2), 3);  // injected _exit(3)
-    EXPECT_EQ(dist::waitProcess(w1), 0);  // drained via Shutdown
+    EXPECT_EQ(test::waitProcess(w2), 3);  // injected _exit(3)
+    EXPECT_EQ(test::waitProcess(w1), 0);  // drained via Shutdown
 }
 
 } // namespace

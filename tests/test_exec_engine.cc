@@ -1,17 +1,12 @@
 /**
  * @file
  * Unit and property tests for the execution engine: instruction
- * accounting, determinism, observer hooks, event ordering and
- * byte-exact trace replay.
+ * accounting, determinism, observer hooks and event ordering.
  */
-
-#include <sstream>
-#include <string>
 
 #include <gtest/gtest.h>
 
 #include "exec/engine.hh"
-#include "exec/trace.hh"
 #include "test_support.hh"
 #include "workloads/workloads.hh"
 
@@ -244,36 +239,6 @@ TEST(Engine, AddObserverAfterRunPanics)
     CountingObserver obs;
     EXPECT_DEATH(engine.addObserver(&obs, {true, false, false}),
                  "after run");
-}
-
-TEST(Engine, ReplayedTraceIsByteIdentical)
-{
-    // Serialize a full run (blocks, markers, memory references, in
-    // order), replay it through a fresh writer, and get the same
-    // bytes back.
-    for (const char* name : {"gzip", "mcf", "equake"}) {
-        const ir::Program program =
-            workloads::makeWorkload(name, 0.05);
-        for (const bin::Target target :
-             {bin::target32u, bin::target64o}) {
-            const bin::Binary binary =
-                compile::compileProgram(program, target);
-            exec::TraceOptions options;
-            options.memRefs = true;
-
-            std::stringstream live;
-            exec::TraceWriter writer(live, options);
-            exec::Engine engine(binary);
-            engine.addObserver(&writer, writer.hooks());
-            engine.run();
-
-            std::stringstream in(live.str()), out;
-            exec::TraceWriter rewriter(out, options);
-            exec::replayTrace(in, {&rewriter});
-            ASSERT_EQ(out.str(), live.str())
-                << name << "/" << bin::targetName(target);
-        }
-    }
 }
 
 TEST(Engine, SelectEngineModeChecksNames)

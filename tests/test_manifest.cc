@@ -21,6 +21,7 @@
 #include "obs/setup.hh"
 #include "obs/stats.hh"
 #include "pipeline/taskgraph.hh"
+#include "sim/serial.hh"
 #include "sim/stages.hh"
 #include "sim/study.hh"
 #include "store/store.hh"
@@ -168,6 +169,41 @@ TEST_F(ManifestTest, WarmRunProbeHitsMatchSchedulerCounters)
     EXPECT_EQ(hits, obs::StatRegistry::global().counterValue(
                         "scheduler.nodes.cacheResolved") -
                         cacheBefore);
+}
+
+/**
+ * A binary entry's store key is the key of the detailed run its stage
+ * did: rebuilt here from the study's own fields, it must equal the
+ * manifest's key, and the cold run must have stored a detailed run
+ * under it.
+ */
+TEST_F(ManifestTest, BinaryStoreKeysNameTheStoredDetailedRuns)
+{
+    store::ArtifactStore::configureGlobal({dir.string(), true});
+    const sim::StudyConfig config = tinyStudyConfig();
+    const sim::CrossBinaryStudy study =
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config);
+
+    ASSERT_EQ(obs::RunManifest::global().runCount(), 1u);
+    const obs::ManifestRun run =
+        obs::RunManifest::global().runs().front();
+    ASSERT_EQ(run.entries.size(), 12u);
+    const store::ArtifactStore& store = store::ArtifactStore::global();
+    for (std::size_t b = 0; b < study.binaries().size(); ++b) {
+        const obs::ManifestEntry& entry = run.entries[7 + b];
+        ASSERT_EQ(entry.stage, "binary");
+        sim::DetailedRunRequest req = sim::makeRunRequest(config);
+        req.fliBoundaries = study.perBinary()[b].fliBoundaries;
+        req.mappable = &study.mappable();
+        req.binaryIdx = b;
+        req.partition = &study.partition();
+        const serial::Hash128 key =
+            sim::detailedRunKey(study.binaries()[b], req);
+        EXPECT_EQ(entry.storeKey, key.hex()) << entry.label;
+        EXPECT_TRUE(store.contains(key, sim::DetailedRunCodec::tag,
+                                   sim::DetailedRunCodec::version))
+            << entry.label;
+    }
 }
 
 TEST_F(ManifestTest, FailedRunsAreRecordedWithStatusAndSkips)

@@ -170,7 +170,9 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     // The projection counter symmetric to kmeans.estep.distances:
     // one count per (sparse entry x output dim) multiply-add, which
     // is a function of the input only — never of layout, padding,
-    // kernel arch or worker count.
+    // kernel arch or worker count.  Projection runs once per
+    // duplicate class: the 200 intervals below repeat 40 vectors, so
+    // 40 rows are projected and 160 copied.
     sp::FrequencyVectorSet fvs;
     fvs.dimension = 64;
     const std::size_t intervals = 200;
@@ -190,6 +192,8 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     reg.reset();
     sp::project(fvs, dims, 99);
     const u64 serialOps = reg.counterValue("projection.dotOps");
+    EXPECT_EQ(reg.counterValue("projection.rows.projected"), 40u);
+    EXPECT_EQ(reg.counterValue("projection.rows.copied"), 160u);
 
     setGlobalJobs(4);
     reg.reset();
@@ -197,7 +201,8 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     const u64 parallelOps = reg.counterValue("projection.dotOps");
     setGlobalJobs(0);
 
-    EXPECT_EQ(serialOps, intervals * nnz * dims);
+    const std::size_t classes = 40;
+    EXPECT_EQ(serialOps, classes * nnz * dims);
     EXPECT_EQ(serialOps, parallelOps);
 }
 

@@ -26,18 +26,6 @@ TEST(Stats, Stddev)
     EXPECT_DOUBLE_EQ(stddev(std::vector<double>{3.0}), 0.0);
 }
 
-TEST(Stats, Geomean)
-{
-    std::vector<double> xs{1.0, 4.0, 16.0};
-    EXPECT_NEAR(geomean(xs), 4.0, 1e-12);
-}
-
-TEST(Stats, GeomeanRejectsNonPositive)
-{
-    std::vector<double> xs{1.0, -4.0};
-    EXPECT_DEATH((void)geomean(xs), "positive");
-}
-
 TEST(Stats, WeightedMean)
 {
     std::vector<double> xs{1.0, 3.0};
