@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "dist/transport.hh"
+#include "util/socket.hh"
 
 namespace xbsp::dist
 {
@@ -11,7 +11,7 @@ SuiteResponse
 submitSuite(const std::string& addressSpec,
             const SuiteRequest& request, int timeoutMs)
 {
-    const int fd = connectTo(parseAddress(addressSpec));
+    const int fd = net::connectTo(net::parseAddress(addressSpec));
     SuiteResponse response;
     try {
         if (!sendFrame(fd, frameSuiteRequest(request)))
@@ -26,14 +26,14 @@ submitSuite(const std::string& addressSpec,
             throw serial::DecodeError("expected SuiteResponse");
         response = decodeSuiteResponse(d);
     } catch (const serial::DecodeError& e) {
-        closeFd(fd);
+        net::closeFd(fd);
         throw std::runtime_error(
             std::string("dist: bad response: ") + e.what());
     } catch (...) {
-        closeFd(fd);
+        net::closeFd(fd);
         throw;
     }
-    closeFd(fd);
+    net::closeFd(fd);
     return response;
 }
 

@@ -2,10 +2,10 @@
 
 #include <sys/socket.h>
 
-#include "dist/transport.hh"
 #include "dist/wire.hh"
 #include "obs/stats.hh"
 #include "util/logging.hh"
+#include "util/socket.hh"
 
 namespace xbsp::dist
 {
@@ -37,15 +37,17 @@ Executor::addWorker(int fd, const std::string& workerName)
     {
         std::lock_guard lock(mutex);
         if (stopping) {
-            closeFd(fd);
+            net::closeFd(fd);
             return;
         }
         workerFds.push_back(fd);
         ++liveWorkers;
+        // Under the lock: the server's handler threads adopt workers
+        // concurrently.
+        threads.emplace_back(
+            [this, fd, workerName] { serviceWorker(fd, workerName); });
     }
     counter("dist.workers.connected").add();
-    threads.emplace_back(
-        [this, fd, workerName] { serviceWorker(fd, workerName); });
 }
 
 std::size_t
@@ -216,7 +218,7 @@ Executor::serviceWorker(int fd, std::string workerName)
             }
         }
         if (ownClose)
-            closeFd(fd);
+            net::closeFd(fd);
         if (haveFlight)
             requeueOrFail(std::move(flight));
         for (Flight& orphan : orphans) {
@@ -232,11 +234,14 @@ Executor::drain()
 {
     std::vector<Flight> orphans;
     std::vector<int> fds;
+    std::vector<std::thread> ioThreads;
     {
         std::lock_guard lock(mutex);
         if (stopping && threads.empty())
             return;
         stopping = true;
+        ioThreads = std::move(threads);
+        threads.clear();
         // Claim every live fd: once out of workerFds, a service
         // thread that detects its worker's death will not close it
         // (see serviceWorker), so writing to these outside the lock
@@ -255,14 +260,11 @@ Executor::drain()
         // not reliably interrupt poll() on the same fd.
         ::shutdown(fd, SHUT_RDWR);
     }
-    for (std::thread& t : threads) {
-        if (t.joinable())
-            t.join();
-    }
-    threads.clear();
+    for (std::thread& t : ioThreads)
+        t.join();
     // Claimed fds close only after every service thread is gone.
     for (const int fd : fds)
-        closeFd(fd);
+        net::closeFd(fd);
     {
         std::lock_guard lock(mutex);
         liveWorkers = 0;

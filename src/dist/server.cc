@@ -175,12 +175,12 @@ Server::serve()
         inform("dist: {} listening on tcp:{}", serverName,
                boundPort());
     for (;;) {
-        const int fd = acceptor.accept(-1);
+        const int fd = acceptor.accept();
         if (fd < 0)
             break;  // stop() or listener failure
         std::lock_guard lock(handlersMutex);
         if (stopping.load(std::memory_order_relaxed)) {
-            closeFd(fd);
+            net::closeFd(fd);
             break;
         }
         // A long-lived daemon serves unbounded requests; reap the
@@ -219,9 +219,12 @@ Server::stop()
 void
 Server::handleConnection(int fd)
 {
-    const std::optional<std::string> first = recvFrame(fd, 10'000);
+    // stop() cuts the wait short: a peer that connects and stays
+    // silent must not hold up the drain in serve().
+    const std::optional<std::string> first =
+        recvFrame(fd, 10'000, acceptor.wakeFd());
     if (!first) {
-        closeFd(fd);
+        net::closeFd(fd);
         return;
     }
     try {
@@ -233,7 +236,7 @@ Server::handleConnection(int fd)
             ack.serverName = serverName;
             ack.cacheDir = store::ArtifactStore::global().directory();
             if (!sendFrame(fd, frameHelloAck(ack))) {
-                closeFd(fd);
+                net::closeFd(fd);
                 return;
             }
             inform("dist: worker {} joined", hello.workerName);
@@ -242,13 +245,13 @@ Server::handleConnection(int fd)
         }
         if (type == MsgType::SuiteRequest) {
             handleSuite(fd, decodeSuiteRequest(d));
-            closeFd(fd);
+            net::closeFd(fd);
             return;
         }
         throw serial::DecodeError("unexpected first message");
     } catch (const serial::DecodeError& e) {
         warn("dist: rejecting connection: {}", e.what());
-        closeFd(fd);
+        net::closeFd(fd);
     }
 }
 

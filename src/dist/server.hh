@@ -14,8 +14,9 @@
  * stage once.
  *
  * Shutdown (stop(), typically from a SIGTERM handler) stops the
- * accept loop, joins client handlers, and drains the executor, which
- * sends Shutdown to every worker so they exit cleanly.
+ * accept loop, drops connections still waiting for their first
+ * frame, joins client handlers, and drains the executor, which sends
+ * Shutdown to every worker so they exit cleanly.
  *
  * The helpers at the bottom are the single rendering path shared by
  * the daemon and `xbsp submit --local`, which is what makes
@@ -33,9 +34,9 @@
 #include <vector>
 
 #include "dist/executor.hh"
-#include "dist/transport.hh"
 #include "dist/wire.hh"
 #include "harness/experiments.hh"
+#include "util/socket.hh"
 
 namespace xbsp::dist
 {
@@ -90,7 +91,7 @@ class Server
 
     ServerOptions opts;
     std::string serverName;
-    Listener acceptor;
+    net::Listener acceptor;
     Executor exec;
     std::atomic<bool> stopping{false};
     std::mutex handlersMutex;

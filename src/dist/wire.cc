@@ -1,5 +1,7 @@
 #include "dist/wire.hh"
 
+#include "util/socket.hh"
+
 namespace xbsp::dist
 {
 
@@ -25,6 +27,21 @@ checkVersion(u32 version)
         throw serial::DecodeError(
             "protocol version " + std::to_string(version) + " != " +
             std::to_string(protocolVersion));
+}
+
+/** Read exactly `size` bytes; false on EOF, error, expiry or wake. */
+bool
+readExact(int fd, char* out, std::size_t size,
+          const net::Deadline& deadline, int wakeFd)
+{
+    for (std::size_t off = 0; off < size;) {
+        const ssize_t got =
+            net::readSome(fd, out + off, size - off, deadline, wakeFd);
+        if (got <= 0)
+            return false;
+        off += static_cast<std::size_t>(got);
+    }
+    return true;
 }
 
 } // namespace
@@ -207,6 +224,36 @@ decodeSuiteResponse(serial::Decoder& d)
     m.report = d.str();
     d.expectEnd();
     return m;
+}
+
+bool
+sendFrame(int fd, const std::string& frame)
+{
+    return net::sendAll(fd, frame);
+}
+
+std::optional<std::string>
+recvFrame(int fd, int timeoutMs, int wakeFd)
+{
+    const net::Deadline deadline = net::deadlineIn(timeoutMs);
+    char header[8];
+    if (!readExact(fd, header, sizeof(header), deadline, wakeFd))
+        return std::nullopt;
+    u64 size = 0;
+    try {
+        serial::Decoder d(std::string_view(header, sizeof(header)));
+        if (d.fixed32() != frameMagic)
+            return std::nullopt;
+        size = d.fixed32();
+    } catch (const serial::DecodeError&) {
+        return std::nullopt;
+    }
+    if (size > maxFrameBytes)
+        return std::nullopt;
+    std::string payload(static_cast<std::size_t>(size), '\0');
+    if (!readExact(fd, payload.data(), payload.size(), deadline, wakeFd))
+        return std::nullopt;
+    return payload;
 }
 
 } // namespace xbsp::dist

@@ -13,7 +13,8 @@
  * with a tiny TaskDone — the store is the data plane, the socket only
  * the control plane.  Framing or version violations throw
  * serial::DecodeError; the peer is then treated as dead (see
- * src/dist/executor).
+ * src/dist/executor).  sendFrame()/recvFrame() move frames over a
+ * util/socket connection.
  *
  * Message inventory:
  *
@@ -35,6 +36,7 @@
 #ifndef XBSP_DIST_WIRE_HH
 #define XBSP_DIST_WIRE_HH
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -146,6 +148,18 @@ Task decodeTask(serial::Decoder& d);
 TaskDone decodeTaskDone(serial::Decoder& d);
 SuiteRequest decodeSuiteRequest(serial::Decoder& d);
 SuiteResponse decodeSuiteResponse(serial::Decoder& d);
+
+/** Write one pre-framed message; false on any socket error. */
+bool sendFrame(int fd, const std::string& frame);
+
+/**
+ * Read one complete frame payload (header validated and stripped).
+ * nullopt on EOF, on a deadline expiry (timeoutMs >= 0), once
+ * `wakeFd` (when >= 0) turns readable, or on any socket or framing
+ * error.
+ */
+std::optional<std::string> recvFrame(int fd, int timeoutMs = -1,
+                                     int wakeFd = -1);
 
 } // namespace xbsp::dist
 

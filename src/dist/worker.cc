@@ -6,17 +6,17 @@
 #include <csignal>
 #include <cstdlib>
 #include <exception>
-#include <thread>
+#include <optional>
 
 #include <poll.h>
 #include <unistd.h>
 
 #include "dist/stagerun.hh"
-#include "dist/transport.hh"
 #include "dist/wire.hh"
 #include "store/store.hh"
 #include "util/format.hh"
 #include "util/logging.hh"
+#include "util/socket.hh"
 
 namespace xbsp::dist
 {
@@ -32,38 +32,23 @@ onSigterm(int)
     drainRequested.store(true, std::memory_order_relaxed);
 }
 
-/** Parsed XBSP_DIST_FAULT directive; kind "" = no fault armed. */
-struct Fault
+/**
+ * XBSP_DIST_FAULT=kill-after:<n>: the number of tasks the worker
+ * executes before it _exit(3)s on the next one; nullopt = no fault.
+ */
+std::optional<long>
+parseKillAfter()
 {
-    std::string kind;   ///< "kill" | "kill-after" | "stall" | ""
-    std::string stage;  ///< for kill/stall
-    long after = 0;     ///< for kill-after
-};
-
-Fault
-parseFault()
-{
-    Fault fault;
     const char* raw = std::getenv("XBSP_DIST_FAULT");
     if (!raw || !*raw)
-        return fault;
+        return std::nullopt;
     const std::string spec(raw);
-    const std::size_t colon = spec.find(':');
-    if (colon == std::string::npos) {
+    const std::string kind = "kill-after:";
+    if (spec.rfind(kind, 0) != 0) {
         warn("dist: ignoring malformed XBSP_DIST_FAULT '{}'", spec);
-        return fault;
+        return std::nullopt;
     }
-    fault.kind = spec.substr(0, colon);
-    const std::string arg = spec.substr(colon + 1);
-    if (fault.kind == "kill" || fault.kind == "stall") {
-        fault.stage = arg;
-    } else if (fault.kind == "kill-after") {
-        fault.after = std::atol(arg.c_str());
-    } else {
-        warn("dist: ignoring malformed XBSP_DIST_FAULT '{}'", spec);
-        fault.kind.clear();
-    }
-    return fault;
+    return std::atol(spec.c_str() + kind.size());
 }
 
 /** Poll tick so the loop notices SIGTERM between frames. */
@@ -77,7 +62,7 @@ runWorker(const WorkerOptions& options)
     const std::string name =
         options.name.empty() ? format("worker-{}", ::getpid())
                              : options.name;
-    const Fault fault = parseFault();
+    const std::optional<long> killAfter = parseKillAfter();
 
     struct sigaction action{};
     action.sa_handler = onSigterm;
@@ -85,7 +70,7 @@ runWorker(const WorkerOptions& options)
 
     int fd = -1;
     try {
-        fd = connectTo(parseAddress(options.connect));
+        fd = net::connectTo(net::parseAddress(options.connect));
     } catch (const std::exception& e) {
         fatal("dist: {}", e.what());
     }
@@ -163,17 +148,8 @@ runWorker(const WorkerOptions& options)
             const StageTask stageTask =
                 decodeStageTask(request.payload);
 
-            if (fault.kind == "kill" && fault.stage == stageTask.stage)
-                ::_exit(3);
-            if (fault.kind == "kill-after" && executed >= fault.after)
-                ::_exit(3);
-            if (fault.kind == "stall" &&
-                fault.stage == stageTask.stage) {
-                // Outlive any reasonable deadline; the server will
-                // declare us dead and redispatch.
-                std::this_thread::sleep_for(
-                    std::chrono::seconds(3600));
-            }
+            if (killAfter && executed >= *killAfter)
+                ::_exit(3);  // mid-protocol death
 
             TaskDone reply;
             reply.taskId = request.taskId;
@@ -202,7 +178,7 @@ runWorker(const WorkerOptions& options)
         }
     }
 
-    closeFd(fd);
+    net::closeFd(fd);
     return exitCode;
 }
 

@@ -8,15 +8,10 @@
  * worker has none of its own), every runStageTask publishes through
  * it, and the TaskDone reply carries just ok/error/busy-time.
  *
- * Fault injection (tests and the CI smoke job), selected through the
- * XBSP_DIST_FAULT environment variable:
- *
- *   kill:<stage>      _exit(3) the moment a task of that stage kind
- *                     arrives (mid-protocol death)
- *   kill-after:<n>    execute n tasks normally, then _exit(3) on the
- *                     next one
- *   stall:<stage>     sleep through the server's deadline instead of
- *                     executing (exercises the timeout path)
+ * Fault injection (tests and the CI smoke job): with the environment
+ * variable XBSP_DIST_FAULT=kill-after:<n> the worker executes n
+ * tasks normally, then _exit(3)s on the next one (mid-protocol
+ * death; the server must requeue the task).
  *
  * SIGTERM requests a graceful drain: the current task finishes and
  * its TaskDone is sent before the loop exits.

@@ -14,20 +14,24 @@
  * registry when the request arrives), so serving scrapes can never
  * perturb study results.  A client gets a bounded time to send its
  * request and to take the response, so a silent one neither stalls
- * other scrapers nor delays stop().
+ * other scrapers nor delays stop().  The sockets come from
+ * util/socket: a net::Listener plus one thread that serves each
+ * accepted connection in turn.
  *
- * httpGetUnix()/httpGetTcp() are the matching one-shot clients used
- * by `xbsp top` and the tests; they return the response body.
+ * httpGet() is the matching one-shot client used by `xbsp top` and
+ * the tests; it returns the response body.
  */
 
 #ifndef XBSP_OBS_LIVE_ENDPOINT_HH
 #define XBSP_OBS_LIVE_ENDPOINT_HH
 
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
+
+#include "util/socket.hh"
 
 namespace xbsp::obs
 {
@@ -59,8 +63,8 @@ class MetricsEndpoint
 
     /**
      * Bind, listen and launch the accept thread.  Throws
-     * std::runtime_error if no configured socket could be bound.
-     * Idempotent while running.
+     * std::runtime_error when no socket is configured or one cannot
+     * be bound.  Idempotent while running.
      */
     void start();
 
@@ -72,33 +76,20 @@ class MetricsEndpoint
     /** Actual TCP port after start() (0 when TCP is disabled). */
     int boundTcpPort() const;
 
-    const std::string& unixPath() const { return cfg.unixPath; }
-
   private:
     Config cfg;
     std::function<std::string()> body;
 
-    std::thread thread;
     mutable std::mutex mutex;
-    bool threadRunning = false;
+    std::unique_ptr<net::Listener> listener;  ///< set while running
+    std::thread thread;  ///< accept -> serveOne until stop()
 
-    std::vector<int> listenFds;
-    int unixFd = -1;
-    int tcpFd = -1;
-    int tcpPortBound = 0;
-    int wakePipe[2] = {-1, -1};  ///< self-pipe to interrupt poll()
-
-    void loop();
     void serveOne(int fd);
-    void closeSockets();
 };
 
-/** GET the exposition from a unix-socket endpoint; returns the body.
- *  Throws std::runtime_error on connect/read failure. */
-std::string httpGetUnix(const std::string& socketPath);
-
-/** GET the exposition from a loopback TCP endpoint. */
-std::string httpGetTcp(int port);
+/** GET the exposition from the endpoint at `address`; returns the
+ *  body.  Throws std::runtime_error on connect/read failure. */
+std::string httpGet(const net::Address& address);
 
 } // namespace xbsp::obs
 

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -23,7 +24,6 @@
 #include "dist/client.hh"
 #include "dist/server.hh"
 #include "dist/stagerun.hh"
-#include "dist/transport.hh"
 #include "dist/wire.hh"
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
@@ -31,6 +31,7 @@
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/format.hh"
+#include "util/socket.hh"
 
 using namespace xbsp;
 namespace fs = std::filesystem;
@@ -88,17 +89,17 @@ smallRequest()
 
 TEST(DistWire, ParseAddress)
 {
-    const dist::Address unix1 = dist::parseAddress("unix:/tmp/s");
+    const net::Address unix1 = net::parseAddress("unix:/tmp/s");
     EXPECT_FALSE(unix1.tcp);
     EXPECT_EQ(unix1.path, "/tmp/s");
-    const dist::Address bare = dist::parseAddress("/tmp/s2");
+    const net::Address bare = net::parseAddress("/tmp/s2");
     EXPECT_FALSE(bare.tcp);
     EXPECT_EQ(bare.path, "/tmp/s2");
-    const dist::Address tcp = dist::parseAddress("tcp:4711");
+    const net::Address tcp = net::parseAddress("tcp:4711");
     EXPECT_TRUE(tcp.tcp);
     EXPECT_EQ(tcp.port, 4711);
     EXPECT_EQ(tcp.text(), "tcp:4711");
-    EXPECT_EQ(dist::parseAddress("tcp:65535").port, 65535);
+    EXPECT_EQ(net::parseAddress("tcp:65535").port, 65535);
 }
 
 TEST(DistWire, ParseAddressRejectsBadPorts)
@@ -108,9 +109,40 @@ TEST(DistWire, ParseAddressRejectsBadPorts)
     for (const char* spec :
          {"tcp:80abc", "tcp:", "tcp:0", "tcp:-1", "tcp:+80", "tcp: 80",
           "tcp:65536", "tcp:99999999999999999999", "unix:"}) {
-        EXPECT_THROW((void)dist::parseAddress(spec), std::runtime_error)
+        EXPECT_THROW((void)net::parseAddress(spec), std::runtime_error)
             << spec;
     }
+}
+
+/** The dist frames cross a real loopback TCP connection both ways. */
+TEST(DistWire, TaskFramesCrossLoopbackTcp)
+{
+    net::Listener listener("", 0);
+    ASSERT_GT(listener.boundPort(), 0);
+    const int client = net::connectTo(
+        net::parseAddress(format("tcp:{}", listener.boundPort())));
+    const int server = listener.accept();
+    ASSERT_GE(server, 0);
+
+    auto expectTask = [](const std::optional<std::string>& payload,
+                         const dist::Task& sent) {
+        ASSERT_TRUE(payload.has_value());
+        serial::Decoder d(*payload);
+        ASSERT_EQ(dist::decodeMsgType(d), dist::MsgType::Task);
+        const dist::Task got = dist::decodeTask(d);
+        EXPECT_EQ(got.taskId, sent.taskId);
+        EXPECT_EQ(got.specKey, sent.specKey);
+        EXPECT_EQ(got.payload, sent.payload);
+    };
+    const dist::Task down{7, "key-down", std::string("stage\0bytes", 11)};
+    ASSERT_TRUE(dist::sendFrame(server, dist::frameTask(down)));
+    expectTask(dist::recvFrame(client, 5'000), down);
+    const dist::Task up{8, "key-up", "reply"};
+    ASSERT_TRUE(dist::sendFrame(client, dist::frameTask(up)));
+    expectTask(dist::recvFrame(server, 5'000), up);
+
+    net::closeFd(client);
+    net::closeFd(server);
 }
 
 TEST(DistWire, SuiteRequestFrameRoundTrip)
@@ -323,6 +355,41 @@ TEST_F(DistTest, CrossProcessCodecRoundTrip)
     std::ostringstream buf;
     buf << is.rdbuf();
     EXPECT_EQ(buf.str(), payload);
+}
+
+using DistServer = DistTest;
+
+/**
+ * A peer that connects and never sends its first frame must not hold
+ * up the daemon's drain: stop() ends serve() at once, not after the
+ * 10 s first-frame deadline.
+ */
+TEST_F(DistServer, SilentClientDoesNotDelayStop)
+{
+    using namespace std::chrono_literals;
+    store::ArtifactStore::configureGlobal(
+        {(base / "cache").string(), true});
+    dist::ServerOptions so;
+    so.unixPath = (base / "sock").string();
+    dist::Server server(so);
+    auto served = std::async(std::launch::async,
+                             [&server] { server.serve(); });
+
+    const std::string connect = "unix:" + so.unixPath;
+    const int silent = net::connectTo(net::parseAddress(connect));
+    // The daemon accepts in connection order, so once this request
+    // is answered the silent connection has its own handler.
+    dist::SuiteRequest bad = smallRequest();
+    bad.workloads = {"no-such-workload"};
+    const dist::SuiteResponse response = dist::submitSuite(connect, bad);
+    EXPECT_FALSE(response.ok);
+
+    std::thread([&server] { server.stop(); }).join();
+    EXPECT_EQ(served.wait_for(1s), std::future_status::ready)
+        << "a silent client delayed serve()'s return";
+    // Hang up, so that a failing daemon can still unwind.
+    net::closeFd(silent);
+    served.wait();
 }
 
 namespace

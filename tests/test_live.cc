@@ -16,8 +16,6 @@
 #include <sstream>
 #include <thread>
 
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
@@ -30,6 +28,7 @@
 #include "test_support.hh"
 #include "util/format.hh"
 #include "util/json.hh"
+#include "util/socket.hh"
 #include "util/threadpool.hh"
 
 using namespace xbsp;
@@ -71,23 +70,6 @@ tempSocketPath()
         return {};
     close(fd);
     return pathTemplate;
-}
-
-/** Connect to a unix socket and send nothing; -1 on failure. */
-int
-connectSilently(const std::string& socketPath)
-{
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                  socketPath.c_str());
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd >= 0 && ::connect(fd, reinterpret_cast<sockaddr*>(&addr),
-                             sizeof(addr)) < 0) {
-        ::close(fd);
-        return -1;
-    }
-    return fd;
 }
 
 /**
@@ -287,12 +269,12 @@ TEST(MetricsEndpoint, ServesExpositionOverUnixSocket)
     endpoint.start();
     EXPECT_TRUE(endpoint.running());
 
-    const auto series = parseExposition(httpGetUnix(socketPath));
+    const auto series = parseExposition(httpGet({.path = socketPath}));
     EXPECT_DOUBLE_EQ(series.at("xbsp_served_requests_total"), 42.0);
 
     // Each scrape renders the registry as it is when it arrives.
     registry.counter("served.requests").add(1);
-    const auto again = parseExposition(httpGetUnix(socketPath));
+    const auto again = parseExposition(httpGet({.path = socketPath}));
     EXPECT_DOUBLE_EQ(again.at("xbsp_served_requests_total"), 43.0);
 
     endpoint.stop();
@@ -313,7 +295,8 @@ TEST(MetricsEndpoint, ServesOnEphemeralTcpPort)
     const int port = endpoint.boundTcpPort();
     ASSERT_GT(port, 0);
 
-    const auto series = parseExposition(httpGetTcp(port));
+    const auto series =
+        parseExposition(httpGet({.tcp = true, .path = {}, .port = port}));
     EXPECT_DOUBLE_EQ(series.at("xbsp_tcp_hits_total"), 5.0);
     endpoint.stop();
 }
@@ -332,7 +315,7 @@ TEST(MetricsEndpoint, SilentClientNeitherBlocksScrapesNorStop)
     endpoint.start();
 
     // A client that connects and never sends a byte.
-    const int silent = connectSilently(socketPath);
+    const int silent = net::connectTo({.path = socketPath});
     ASSERT_GE(silent, 0);
 
     // The next scraper is still served, and stop() still returns,
@@ -340,7 +323,7 @@ TEST(MetricsEndpoint, SilentClientNeitherBlocksScrapesNorStop)
     // on their own threads so a regression fails here instead of
     // hanging the test.
     auto scrape = std::async(std::launch::async, [&socketPath] {
-        return httpGetUnix(socketPath);
+        return httpGet({.path = socketPath});
     });
     const bool served = scrape.wait_for(5s) == std::future_status::ready;
     EXPECT_TRUE(served) << "a silent client blocked the next scrape";

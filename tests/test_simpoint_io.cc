@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the SimPoint file-format interoperability layer.
+ * Unit tests for the SimPoint file-format interoperability layer,
+ * and for the `xbsp bbv` / `xbsp simpoints` commands built on it.
  */
 
 #include <limits>
@@ -9,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include "simpoint/io.hh"
+#include "test_support.hh"
+#include "util/format.hh"
 #include "util/rng.hh"
 
 using namespace xbsp;
@@ -292,4 +295,33 @@ TEST(SimPointIoHostile, LengthsOutOfRangeFatal)
     EXPECT_EXIT(readLengthsFile(garbage, fvs),
                 ::testing::ExitedWithCode(1),
                 "lengths file line 2: '2x'");
+}
+
+namespace
+{
+
+/** Output and exit status of `xbsp <args>`, stderr included. */
+std::pair<std::string, int>
+runCli(const std::string& args)
+{
+    return test::runShell(format("'{}' {} 2>&1", XBSP_CLI_PATH, args));
+}
+
+} // namespace
+
+/** A missing --out fails before any input is read or profiled. */
+TEST(SimPointCli, OutPrefixCheckedBeforeAnyWork)
+{
+    const auto [simpoints, simpointsStatus] =
+        runCli("simpoints --bb /nonexistent.bb");
+    EXPECT_NE(simpointsStatus, 0);
+    EXPECT_NE(simpoints.find("simpoints requires --out"),
+              std::string::npos)
+        << simpoints;
+    EXPECT_EQ(simpoints.find("cannot open"), std::string::npos)
+        << simpoints;
+
+    const auto [bbv, bbvStatus] = runCli("bbv --workload no-such");
+    EXPECT_NE(bbvStatus, 0);
+    EXPECT_NE(bbv.find("bbv requires --out"), std::string::npos) << bbv;
 }

@@ -109,6 +109,7 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
+#include "util/socket.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
 
@@ -172,6 +173,9 @@ cmdDescribe(const Options& options)
 int
 cmdBbv(const Options& options)
 {
+    const std::string prefix = options.getString("out");
+    if (prefix.empty())
+        fatal("bbv requires --out <prefix>");
     const bin::Binary binary = compile::compileProgram(
         workloads::makeWorkload(options.getString("workload"),
                                 options.getDouble("scale")),
@@ -179,9 +183,6 @@ cmdBbv(const Options& options)
     const prof::ProfilePass pass = prof::runProfilePass(
         binary, options.getUint("interval"));
 
-    const std::string prefix = options.getString("out");
-    if (prefix.empty())
-        fatal("bbv requires --out <prefix>");
     std::ofstream bb(prefix + ".bb");
     sp::writeBbvFile(bb, pass.fliIntervals);
     std::ofstream lens(prefix + ".lens");
@@ -197,6 +198,9 @@ cmdSimpoints(const Options& options)
     const std::string bbPath = options.getString("bb");
     if (bbPath.empty())
         fatal("simpoints requires --bb <file>");
+    const std::string prefix = options.getString("out");
+    if (prefix.empty())
+        fatal("simpoints requires --out <prefix>");
     std::ifstream bb(bbPath);
     if (!bb)
         fatal("cannot open '{}'", bbPath);
@@ -215,9 +219,6 @@ cmdSimpoints(const Options& options)
     const sp::SimPointResult result =
         sp::pickSimulationPoints(fvs, spOptions);
 
-    const std::string prefix = options.getString("out");
-    if (prefix.empty())
-        fatal("simpoints requires --out <prefix>");
     std::ofstream sims(prefix + ".simpoints");
     sp::writeSimpointsFile(sims, result);
     std::ofstream weights(prefix + ".weights");
@@ -590,15 +591,16 @@ cmdTop(const Options& options)
         if (const char* env = std::getenv("XBSP_METRICS_TCP"))
             tcpSpec = env;
     }
-    int tcpPort = -1;
+    net::Address endpoint{.path = socketPath};
     if (!tcpSpec.empty()) {
         const std::optional<int> port = parseTcpPort(tcpSpec);
         if (!port || *port == 0)
             fatal("bad --metrics-tcp port '{}' (want 1-65535)",
                   tcpSpec);
-        tcpPort = *port;
+        if (socketPath.empty())
+            endpoint = {.tcp = true, .path = {}, .port = *port};
     }
-    if (socketPath.empty() && tcpPort < 0)
+    if (socketPath.empty() && tcpSpec.empty())
         fatal("top needs --metrics-socket PATH (or --metrics-tcp "
               "PORT) pointing at a run started with the same flag");
 
@@ -613,9 +615,7 @@ cmdTop(const Options& options)
     for (u64 frame = 0; frames == 0 || frame < frames; ++frame) {
         std::string body;
         try {
-            body = socketPath.empty()
-                       ? obs::httpGetTcp(tcpPort)
-                       : obs::httpGetUnix(socketPath);
+            body = obs::httpGet(endpoint);
         } catch (const std::exception& e) {
             if (frame == 0)
                 fatal("cannot scrape metrics endpoint: {}", e.what());
