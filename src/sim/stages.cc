@@ -42,7 +42,6 @@ StudyBuild::compile()
     progress.addSteps(2 + 2 * study.bins.size());
     progress.completeStep(format("study.{}.compile", prog.name));
 
-    passes.resize(study.bins.size());
     study.studies.resize(study.bins.size());
 }
 
@@ -52,10 +51,21 @@ StudyBuild::profile(std::size_t b)
     // Every binary owns its own engine and per-block address-
     // generator seeds (derived from config.engineSeed and block ids
     // only), so the four passes are independent and their results do
-    // not depend on execution order.
-    passes[b] = prof::runProfilePass(study.bins[b],
-                                     study.cfg.intervalTarget,
-                                     study.cfg.engineSeed);
+    // not depend on execution order.  The pass's FLI vectors are
+    // clustered here and die with the pass: no vector set outlives
+    // the node that made it.  Only markers, boundaries and the
+    // clustering travel on, in this binary's BinaryStudy slot.
+    const serial::Hash128 passKey = profilePassKey(b);
+    prof::ProfilePass pass = prof::runProfilePass(
+        study.bins[b], study.cfg.intervalTarget, study.cfg.engineSeed);
+    BinaryStudy& bs = study.studies[b];
+    bs.target = study.bins[b].target;
+    bs.totalInstrs = pass.totalInstructions;
+    bs.fliIntervalCount = pass.fliIntervals.size();
+    bs.fliClustering = sp::pickSimulationPoints(
+        std::move(pass.fliIntervals), study.cfg.simpoint, passKey);
+    bs.markers = std::move(pass.markers);
+    bs.fliBoundaries = std::move(pass.fliBoundaries);
     obs::Progress::global().completeStep(
         format("study.{}.profile.{}", prog.name,
                study.bins[b].displayName()));
@@ -68,7 +78,7 @@ StudyBuild::match()
     std::vector<const prof::MarkerProfile*> profPtrs;
     for (std::size_t b = 0; b < study.bins.size(); ++b) {
         binPtrs.push_back(&study.bins[b]);
-        profPtrs.push_back(&passes[b].markers);
+        profPtrs.push_back(&study.studies[b].markers);
     }
     study.mappableSet = core::findMappablePoints(binPtrs, profPtrs);
     if (study.mappableSet.points.empty())
@@ -97,20 +107,12 @@ StudyBuild::binary(std::size_t b)
 {
     // Reads shared state (bins, mappableSet, vliPartition,
     // vliCluster) const-only and writes only its own BinaryStudy
-    // slot, so the four binaries proceed independently.  The step is
-    // only counted complete on success: a throwing stage leaves the
-    // progress meter short and surfaces as a failed node instead.
+    // slot, which profile(b) filled, so the four binaries proceed
+    // independently.  The step is only counted complete on success:
+    // a throwing stage leaves the progress meter short and surfaces
+    // as a failed node instead.
     const StudyConfig& config = study.cfg;
     BinaryStudy& bs = study.studies[b];
-    bs.target = study.bins[b].target;
-    bs.totalInstrs = passes[b].totalInstructions;
-    bs.fliIntervalCount = passes[b].fliIntervals.size();
-    bs.fliClustering = sp::pickSimulationPoints(
-        std::move(passes[b].fliIntervals), config.simpoint);
-    // The profile pass is dead from here on: steal its buffers
-    // rather than deep-copying them.
-    bs.markers = std::move(passes[b].markers);
-    bs.fliBoundaries = std::move(passes[b].fliBoundaries);
 
     const std::string stepLabel = format(
         "study.{}.binary.{}", prog.name, study.bins[b].displayName());
@@ -189,16 +191,28 @@ StudyBuild::compileCached() const
     return true;
 }
 
+serial::Hash128
+StudyBuild::profilePassKey(std::size_t b) const
+{
+    return prof::profilePassKey(study.bins[b], study.cfg.intervalTarget,
+                                study.cfg.engineSeed);
+}
+
 bool
 StudyBuild::profileCached(std::size_t b) const
 {
+    // Both artifacts profile(b) produces must be on disk: a warm pass
+    // with a cold clustering (a new --maxk, say) would otherwise
+    // cluster inline on the scheduling thread.
     const store::ArtifactStore& store = store::ArtifactStore::global();
     if (b >= study.bins.size() || !store.enabled())
         return false;  // no binary yet, or nothing to probe
-    return store.contains(
-        prof::profilePassKey(study.bins[b], study.cfg.intervalTarget,
-                             study.cfg.engineSeed),
-        prof::ProfilePassCodec::tag, prof::ProfilePassCodec::version);
+    const serial::Hash128 passKey = profilePassKey(b);
+    return store.contains(passKey, prof::ProfilePassCodec::tag,
+                          prof::ProfilePassCodec::version) &&
+           store.contains(sp::simPointKey(passKey, study.cfg.simpoint),
+                          sp::SimPointCodec::tag,
+                          sp::SimPointCodec::version);
 }
 
 bool
@@ -206,19 +220,12 @@ StudyBuild::binaryCached(std::size_t b) const
 {
     // The no-detailed branch always runs a (cheap, unmemoized)
     // engine pass, so only the detailed path can cache-resolve.
-    if (!study.cfg.detailed)
+    if (!study.cfg.detailed || b >= study.studies.size())
         return false;
-    if (b >= study.bins.size() || b >= passes.size())
-        return false;
-    const store::ArtifactStore& store = store::ArtifactStore::global();
-    if (!store.contains(
-            sp::simPointKey(passes[b].fliIntervals,
-                            study.cfg.simpoint),
-            sp::SimPointCodec::tag, sp::SimPointCodec::version))
-        return false;
-    return store.contains(
+    return store::ArtifactStore::global().contains(
         detailedRunKey(study.bins[b],
-                       detailedRequest(b, passes[b].fliBoundaries)),
+                       detailedRequest(b,
+                                       study.studies[b].fliBoundaries)),
         DetailedRunCodec::tag, DetailedRunCodec::version);
 }
 
@@ -240,10 +247,7 @@ StudyBuild::profileKeyHex(std::size_t b) const
 {
     if (b >= study.bins.size())
         return {};
-    return prof::profilePassKey(study.bins[b],
-                                study.cfg.intervalTarget,
-                                study.cfg.engineSeed)
-        .hex();
+    return profilePassKey(b).hex();
 }
 
 std::string
@@ -261,9 +265,7 @@ StudyBuild::vliKeyHex() const
 std::string
 StudyBuild::binaryKeyHex(std::size_t b) const
 {
-    // Only the detailed path is memoized (see binaryCached); the
-    // boundaries were moved into the BinaryStudy slot by binary(),
-    // so the key must be rebuilt from there, not from the pass.
+    // Only the detailed path is memoized (see binaryCached).
     if (!study.cfg.detailed || b >= study.bins.size() ||
         b >= study.studies.size())
         return {};

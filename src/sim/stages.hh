@@ -10,8 +10,13 @@
  *              v            v
  *          binary[b] (×4) ──────> finish
  *
- * A StudyBuild owns all intermediate state (program, config, profile
- * passes) and the CrossBinaryStudy being assembled; each stage method
+ * profile[b] runs binary b's profile pass and clusters its FLI
+ * vectors in one node, so the vector set is freed before the node
+ * settles; binary[b] keeps the detailed run and its two estimates (or
+ * the boundary check when timing is off).
+ *
+ * A StudyBuild owns all intermediate state (program, config) and the
+ * CrossBinaryStudy being assembled; each stage method
  * reads only outputs of its declared predecessors and writes only its
  * own slots, so stages of *different* builds interleave freely on one
  * pool.  CrossBinaryStudy::run() wires a single build into a private
@@ -98,9 +103,14 @@ class StudyBuild
     detailedRequest(std::size_t b,
                     const std::vector<InstrCount>& fliBoundaries) const;
 
+    /**
+     * Store key of binary `b`'s profile pass; its FLI clustering is
+     * stored under sp::simPointKey of this key.
+     */
+    serial::Hash128 profilePassKey(std::size_t b) const;
+
     ir::Program prog;
     std::size_t targets;
-    std::vector<prof::ProfilePass> passes;
     CrossBinaryStudy study;
     std::chrono::steady_clock::time_point started;
     long long elapsed = 0;

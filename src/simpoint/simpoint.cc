@@ -1,6 +1,7 @@
 #include "simpoint/simpoint.hh"
 
 #include <limits>
+#include <mutex>
 #include <utility>
 
 #include "obs/stats.hh"
@@ -46,17 +47,26 @@ pickFromNormalized(FrequencyVectorSet fvs,
 
     // The (k, seed) sweep.  Every fit forks its own RNG stream from
     // the (const) sweep generator, so fits are order-independent and
-    // can fan out across the pool; the best-by-SSE reduction below
-    // runs serially in (k, seed-index) order with a strict less-than,
-    // which reproduces the sequential loop's pick — including its
-    // lowest-seed-index tie-break — exactly.
+    // can fan out across the pool.  Only the best fit per k is kept:
+    // each fit is folded in under a lock as the lexicographic minimum
+    // of (SSE, seed index), which is the sequential loop's strict
+    // less-than pick — lowest-seed-index tie-break included — in any
+    // completion order.  A fit whose SSE is not below the largest
+    // double (NaN included) never wins, as in the sequential loop.
     //
     // The fits share one M-step memo, freed with the sweep; its
     // entries are pure functions of their keys, so which fit fills an
     // entry first never shows in a result.
+    struct BestFit
+    {
+        KMeansResult fit;
+        u32 seed = 0;
+        bool found = false;
+    };
     const std::size_t fitCount =
         static_cast<std::size_t>(maxK) * options.seedsPerK;
-    std::vector<KMeansResult> fits(fitCount);
+    std::vector<BestFit> bestByK(maxK);
+    std::mutex bestMutex;  // guards bestByK while the fits run
     {
         MStepMemo memo(data);
         parallelFor(globalPool(), fitCount, [&](std::size_t f) {
@@ -65,31 +75,28 @@ pickFromNormalized(FrequencyVectorSet fvs,
             obs::TraceSpan span(format("kmeans k={} seed={}", k, s),
                                 "cluster");
             Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
-            fits[f] = runKMeans(data, k, seedRng, kmOpts, &memo);
+            KMeansResult res = runKMeans(data, k, seedRng, kmOpts, &memo);
+            if (!(res.weightedSse < std::numeric_limits<double>::max()))
+                return;
+            std::lock_guard guard(bestMutex);
+            BestFit& best = bestByK[k - 1];
+            if (!best.found || res.weightedSse < best.fit.weightedSse ||
+                (res.weightedSse == best.fit.weightedSse &&
+                 s < best.seed)) {
+                best.fit = std::move(res);
+                best.seed = s;
+                best.found = true;
+            }
         });
     }
 
-    std::vector<KMeansResult> bestByK;
     std::vector<double> bicByK;
-    bestByK.reserve(maxK);
+    bicByK.reserve(maxK);
     for (u32 k = 1; k <= maxK; ++k) {
-        KMeansResult best;
-        double bestSse = std::numeric_limits<double>::max();
-        for (u32 s = 0; s < options.seedsPerK; ++s) {
-            KMeansResult& res =
-                fits[static_cast<std::size_t>(k - 1) *
-                         options.seedsPerK +
-                     s];
-            if (res.weightedSse < bestSse) {
-                bestSse = res.weightedSse;
-                best = std::move(res);
-            }
-        }
-        if (best.k == 0)
+        if (!bestByK[k - 1].found)
             panic("no k-means fit at k = {} has an SSE below the "
                   "largest double (non-finite vectors?)", k);
-        bicByK.push_back(bicScore(data, best));
-        bestByK.push_back(std::move(best));
+        bicByK.push_back(bicScore(data, bestByK[k - 1].fit));
     }
 
     // Smallest k whose normalized BIC clears the threshold.
@@ -102,7 +109,7 @@ pickFromNormalized(FrequencyVectorSet fvs,
         }
     }
 
-    const KMeansResult& chosen = bestByK[chosenIdx];
+    const KMeansResult& chosen = bestByK[chosenIdx].fit;
     {
         auto& reg = obs::StatRegistry::global();
         reg.counter("simpoint.sweeps").add();
@@ -202,15 +209,16 @@ pickFromNormalized(FrequencyVectorSet fvs,
 }
 
 /**
- * Serve `compute` through the artifact store.  The key hashes every
- * raw vector, so it is built only when the store will look it up;
- * both overloads hash before they normalize, so the key is the same
- * either way.
+ * Serve `compute` through the artifact store: under
+ * simPointKey(*sourceKey, options) when a source key is given, else
+ * under the content key.  That one hashes every raw vector, so it is
+ * built only when the store will look it up; every overload hashes
+ * before it normalizes, so it is the same for all of them.
  */
 template <typename Compute>
 SimPointResult
 memoized(const FrequencyVectorSet& fvs, const SimPointOptions& options,
-         Compute&& compute)
+         const serial::Hash128* sourceKey, Compute&& compute)
 {
     if (fvs.size() == 0)
         fatal("SimPoint called with no intervals");
@@ -218,7 +226,24 @@ memoized(const FrequencyVectorSet& fvs, const SimPointOptions& options,
     if (!store.enabled())
         return compute();
     return store.getOrCompute<SimPointCodec>(
-        simPointKey(fvs, options), "simpoint", compute);
+        sourceKey ? simPointKey(*sourceKey, options)
+                  : simPointKey(fvs, options),
+        "simpoint", compute);
+}
+
+/**
+ * The consuming overloads: owned from the start, so the caller's set
+ * is empty afterwards even on a cache hit.
+ */
+SimPointResult
+pickOwned(FrequencyVectorSet&& fvs, const SimPointOptions& options,
+          const serial::Hash128* sourceKey)
+{
+    FrequencyVectorSet owned = std::exchange(fvs, {});
+    return memoized(owned, options, sourceKey, [&] {
+        owned.normalize();
+        return pickFromNormalized(std::move(owned), options);
+    });
 }
 
 } // namespace
@@ -234,11 +259,23 @@ simPointKey(const FrequencyVectorSet& fvs,
     return h.finish();
 }
 
+serial::Hash128
+simPointKey(const serial::Hash128& sourceKey,
+            const SimPointOptions& options)
+{
+    serial::Hasher h;
+    h.str("simpoint.source");
+    h.u64v(sourceKey.lo);
+    h.u64v(sourceKey.hi);
+    hashSimPointOptions(h, options);
+    return h.finish();
+}
+
 SimPointResult
 pickSimulationPoints(const FrequencyVectorSet& fvs,
                      const SimPointOptions& options)
 {
-    return memoized(fvs, options, [&] {
+    return memoized(fvs, options, nullptr, [&] {
         FrequencyVectorSet normalized = fvs;
         normalized.normalize();
         return pickFromNormalized(std::move(normalized), options);
@@ -249,13 +286,15 @@ SimPointResult
 pickSimulationPoints(FrequencyVectorSet&& fvs,
                      const SimPointOptions& options)
 {
-    // Owned from the start, so the caller's set is empty afterwards
-    // even on a cache hit.
-    FrequencyVectorSet owned = std::exchange(fvs, {});
-    return memoized(owned, options, [&] {
-        owned.normalize();
-        return pickFromNormalized(std::move(owned), options);
-    });
+    return pickOwned(std::move(fvs), options, nullptr);
+}
+
+SimPointResult
+pickSimulationPoints(FrequencyVectorSet&& fvs,
+                     const SimPointOptions& options,
+                     const serial::Hash128& sourceKey)
+{
+    return pickOwned(std::move(fvs), options, &sourceKey);
 }
 
 } // namespace xbsp::sp

@@ -84,13 +84,33 @@ SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
                                     const SimPointOptions& options);
 
 /**
- * Artifact-store key of one clustering run — the exact key
- * pickSimulationPoints memoizes under (artifact type SimPointCodec).
+ * Consuming overload keyed by provenance: memoized under
+ * simPointKey(sourceKey, options) instead of a hash of the vectors.
+ * `sourceKey` must be the store key of the artifact `fvs` was taken
+ * from (a profile pass), so the vectors are a pure function of it.
+ * The key then costs nothing to build, and a caller can probe for
+ * the clustering before it has the vectors.
+ */
+SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
+                                    const SimPointOptions& options,
+                                    const serial::Hash128& sourceKey);
+
+/**
+ * Artifact-store key of one clustering run — the exact key the two
+ * two-argument overloads memoize under (artifact type SimPointCodec).
  * Hashed over the *raw* (pre-normalization) vectors, which is what
- * both overloads receive.  Exposed so the pipeline scheduler can
- * probe whether a clustering stage is already cached.
+ * both receive.  Exposed so the pipeline scheduler can probe whether
+ * a clustering stage is already cached.
  */
 serial::Hash128 simPointKey(const FrequencyVectorSet& fvs,
+                            const SimPointOptions& options);
+
+/**
+ * Artifact-store key of the clustering the sourceKey overload
+ * memoizes: the source artifact's key and every SimPointOptions
+ * knob, under its own stage name so it never meets a content key.
+ */
+serial::Hash128 simPointKey(const serial::Hash128& sourceKey,
                             const SimPointOptions& options);
 
 } // namespace xbsp::sp

@@ -27,11 +27,13 @@
 #include "dist/wire.hh"
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
+#include "sim/stages.hh"
 #include "spawn.hh"
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/format.hh"
 #include "util/socket.hh"
+#include "workloads/workloads.hh"
 
 using namespace xbsp;
 namespace fs = std::filesystem;
@@ -355,6 +357,35 @@ TEST_F(DistTest, CrossProcessCodecRoundTrip)
     std::ostringstream buf;
     buf << is.rdbuf();
     EXPECT_EQ(buf.str(), payload);
+}
+
+TEST_F(DistTest, RemoteProfileStagePublishesPassAndFliClustering)
+{
+    // A worker replaying a profile stage must leave both artifacts
+    // the scheduler's probe for that node asks for: the profile pass
+    // and the pass's FLI clustering.
+    store::ArtifactStore::configureGlobal(
+        {(base / "cache").string(), true});
+    dist::StageTask task;
+    task.workload = "swim";
+    task.workScale = 0.25;
+    task.config = harness::defaultStudyConfig();
+    task.config.intervalTarget = 50'000;
+    task.stage = "profile";
+    task.index = 2;
+    const u64 clusterMisses =
+        counterValue("store.stage.simpoint.misses");
+    dist::runStageTask(task);
+    EXPECT_EQ(counterValue("store.stage.simpoint.misses") - clusterMisses,
+              1u);
+
+    sim::StudyBuild build(
+        workloads::makeWorkload(task.workload, task.workScale),
+        task.config);
+    build.compile();
+    for (std::size_t b = 0; b < build.binaryCount(); ++b)
+        EXPECT_EQ(build.profileCached(b), b == task.index) << b;
+    store::ArtifactStore::configureGlobal({});
 }
 
 using DistServer = DistTest;

@@ -345,14 +345,15 @@ TEST(MetricsEndpoint, SilentClientNeitherBlocksScrapesNorStop)
 
 TEST(XbspTop, ComputesRatesBetweenItsOwnScrapes)
 {
-    // Every scrape finds a million more E-step distances and 50 ms
-    // more scheduler busy time, so `xbsp top` has growth to rate.
+    // Every scrape finds a million more E-step distances and one
+    // more running node, so `xbsp top` has growth to rate and workers
+    // to count busy.
     StatRegistry registry;
     const std::string socketPath = tempSocketPath();
     ASSERT_FALSE(socketPath.empty());
     MetricsEndpoint endpoint({socketPath, -1}, [&registry] {
         registry.counter("kmeans.estep.distances").add(1'000'000);
-        registry.timer("scheduler.nodeBusy").addNanos(50'000'000);
+        registry.counter("scheduler.stage.profile.started").add();
         return renderExposition(registry);
     });
     endpoint.start();
@@ -407,6 +408,58 @@ TEST(XbspTop, ComputesRatesBetweenItsOwnScrapes)
               1)
         << frame2;
     EXPECT_GT(busy, 0.0);
+}
+
+TEST(XbspTop, UtilizationNeverExceedsThePool)
+{
+    // A synthetic pair of scrapes on a one-worker pool: one node has
+    // run since before the first scrape and settles just before the
+    // second, with its whole busy time.  That time is longer than the
+    // window, so a rate of scheduler.nodeBusy over the window reads
+    // above 100 %; the node was running at one end of the window and
+    // settled at the other, so half the window was busy.
+    const auto nodeStart = std::chrono::steady_clock::now();
+    std::atomic<int> scrapes{0};
+    const std::string socketPath = tempSocketPath();
+    ASSERT_FALSE(socketPath.empty());
+    MetricsEndpoint endpoint({socketPath, -1}, [&] {
+        const bool settled = scrapes.fetch_add(1) > 0;
+        const auto busy =
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - nodeStart);
+        return format("xbsp_pool_workers 1\n"
+                      "xbsp_scheduler_stage_binary_started_total 1\n"
+                      "xbsp_scheduler_stage_binary_settled_total {}\n"
+                      "xbsp_scheduler_nodeBusy_nanos_total {}\n"
+                      "xbsp_scheduler_nodeBusy_count {}\n",
+                      settled ? 1 : 0, settled ? busy.count() : 0,
+                      settled ? 1 : 0);
+    });
+    endpoint.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+
+    const auto [out, status] = test::runShell(
+        format("'{}' top --metrics-socket '{}' --count 2 "
+               "--interval-ms 100 --plain",
+               XBSP_CLI_PATH, socketPath));
+    EXPECT_EQ(status, 0) << out;
+    endpoint.stop();
+
+    const std::size_t second = out.find("xbsp top — frame 2,");
+    ASSERT_NE(second, std::string::npos) << out;
+    const std::string frame2 = out.substr(second);
+    double utilized = 0.0, busy = 0.0;
+    const std::size_t line = frame2.find("scheduler ");
+    ASSERT_NE(line, std::string::npos) << frame2;
+    ASSERT_EQ(std::sscanf(frame2.c_str() + line,
+                          "scheduler %lf%% utilized (worker-busy ratio "
+                          "%lf",
+                          &utilized, &busy),
+              2)
+        << frame2;
+    EXPECT_LE(utilized, 100.0) << frame2;
+    EXPECT_DOUBLE_EQ(utilized, 50.0) << frame2;
+    EXPECT_DOUBLE_EQ(busy, 0.5) << frame2;
 }
 
 TEST(LiveTelemetry, ScrapesAndTraceInterleaveCleanly)

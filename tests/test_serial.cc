@@ -22,6 +22,7 @@
 #include "simpoint/io.hh"
 #include "simpoint/serial.hh"
 #include "test_support.hh"
+#include "util/rng.hh"
 #include "util/serial.hh"
 
 using namespace xbsp;
@@ -480,6 +481,87 @@ TEST(SerialCodec, ProfilePassRoundTrip)
     EXPECT_TRUE(back.fliIntervals == pass.fliIntervals);
     EXPECT_EQ(back.fliBoundaries, pass.fliBoundaries);
     EXPECT_EQ(back.totalInstructions, pass.totalInstructions);
+}
+
+namespace
+{
+
+/**
+ * Decode `bytes` as the store does (decode, then expectEnd): true on
+ * success, false when the codec rejected them with DecodeError.  Any
+ * other exception escapes and fails the test.
+ */
+template <typename Codec>
+bool
+decodesCleanly(std::string_view bytes)
+{
+    serial::Decoder d(bytes);
+    try {
+        (void)Codec::decode(d);
+        d.expectEnd();
+        return true;
+    } catch (const serial::DecodeError&) {
+        return false;
+    }
+}
+
+/**
+ * Seeded mutation check of one codec: every proper prefix of the
+ * sound bytes is rejected, and every mutant with one to four bytes
+ * flipped, half of them also truncated, decodes or is rejected with
+ * DecodeError.  A crash, an out-of-bounds read under ASan or a
+ * bad_alloc from an absurd reservation fails the run.
+ */
+template <typename Codec>
+void
+expectMutantsDecodeOrReject(const std::string& sound, u64 seed)
+{
+    ASSERT_TRUE(decodesCleanly<Codec>(sound));
+    for (std::size_t len = 0; len < sound.size(); ++len)
+        EXPECT_FALSE(decodesCleanly<Codec>(sound.substr(0, len))) << len;
+
+    Rng rng(seed);
+    std::size_t rejected = 0;
+    const std::size_t mutants = 4000;
+    for (std::size_t m = 0; m < mutants; ++m) {
+        std::string mutant = sound;
+        const u64 flips = 1 + rng.nextBelow(4);
+        for (u64 f = 0; f < flips; ++f)
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+        if (m % 2)
+            mutant.resize(rng.nextBelow(mutant.size() + 1));
+        rejected += !decodesCleanly<Codec>(mutant);
+    }
+    // Truncation alone rejects half of them.
+    EXPECT_GE(rejected, mutants / 2);
+}
+
+} // namespace
+
+TEST(SerialCodecMutation, ProfilePassDecodesOrRejects)
+{
+    const bin::Binary binary = compile::compileProgram(
+        test::tinyProgram(), bin::target32u);
+    serial::Encoder e;
+    prof::ProfilePassCodec::encode(e, prof::runProfilePass(binary, 5000));
+    expectMutantsDecodeOrReject<prof::ProfilePassCodec>(
+        std::string(e.view()), 0x9f0f);
+}
+
+TEST(SerialCodecMutation, SimPointResultDecodesOrRejects)
+{
+    const bin::Binary binary = compile::compileProgram(
+        test::tinyProgram(), bin::target32u);
+    sp::SimPointOptions options;
+    options.maxK = 4;
+    serial::Encoder e;
+    sp::SimPointCodec::encode(
+        e, sp::pickSimulationPoints(
+               prof::runProfilePass(binary, 5000).fliIntervals,
+               options));
+    expectMutantsDecodeOrReject<sp::SimPointCodec>(
+        std::string(e.view()), 0x5b75);
 }
 
 TEST(SerialCodec, DetailedRunRoundTrip)

@@ -4,6 +4,7 @@
  * projection, weighted k-means, BIC and the end-to-end picker.
  */
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -377,6 +378,62 @@ TEST(SimPointPick, AllIdenticalIntervalsCollapseToOnePhase)
         EXPECT_EQ(engine.bicByK, reference.bicByK);
     }
     setGlobalJobs(0);
+}
+
+TEST(SimPointPick, TiedSeedsPickTheLowestSeedIndex)
+{
+    // Two pairs of coincident intervals: every k = 2 fit splits the
+    // pairs with an SSE of exactly 0, but k-means++ starts from
+    // either pair, so seeds tie with swapped labels.  The sweep must
+    // keep seed 0's fit, as the sequential reference sweep does, at
+    // any worker count and whichever fit finishes first.
+    FrequencyVectorSet fvs;
+    fvs.dimension = 4;
+    for (const u32 block : {0u, 2u, 0u, 2u})
+        fvs.addInterval(SparseVec{{block, 1.0}}, 1000);
+    FrequencyVectorSet normalized = fvs;
+    normalized.normalize();
+
+    SimPointOptions options;
+    options.maxK = 2;
+    KMeansOptions kmOpts;
+    kmOpts.init = options.init;
+    kmOpts.maxIterations = options.maxIterations;
+
+    std::size_t swapped = 0;
+    for (u64 seed = 0; seed < 8; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        options.seed = seed;
+        // The k = 2 fits of every seed index, drawn from the streams
+        // the sweep forks.
+        const ProjectedData data =
+            project(normalized, options.projectedDims, options.seed);
+        const Rng rng(hashMix(options.seed ^ 0xB1Cull));
+        std::vector<KMeansResult> fits;
+        for (u32 s = 0; s < options.seedsPerK; ++s) {
+            Rng seedRng = rng.fork((u64{2} << 16) | s);
+            fits.push_back(referenceKMeans(data, 2, seedRng, kmOpts).result);
+            EXPECT_EQ(fits[s].weightedSse, fits[0].weightedSse);
+        }
+        swapped += std::any_of(fits.begin(), fits.end(),
+                               [&](const KMeansResult& fit) {
+                                   return fit.labels != fits[0].labels;
+                               });
+
+        const SimPointResult reference =
+            referenceSimPoints(fvs, options).result;
+        ASSERT_EQ(reference.k, 2u);
+        EXPECT_EQ(reference.labels, fits[0].labels);
+        for (const u64 jobs : {u64{1}, u64{4}}) {
+            SCOPED_TRACE("jobs " + std::to_string(jobs));
+            setGlobalJobs(jobs);
+            EXPECT_EQ(pickSimulationPoints(fvs, options).labels,
+                      fits[0].labels);
+        }
+    }
+    setGlobalJobs(0);
+    // The property is only tested where the seeds disagree.
+    EXPECT_GT(swapped, 0u);
 }
 
 TEST(SimPointPick, FewerIntervalsThanMaxK)

@@ -15,10 +15,13 @@
 #include <limits>
 
 #include "obs/stats.hh"
+#include "pipeline/taskgraph.hh"
+#include "sim/stages.hh"
 #include "sim/study.hh"
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/format.hh"
+#include "util/threadpool.hh"
 
 using namespace xbsp;
 namespace fs = std::filesystem;
@@ -454,6 +457,46 @@ TEST_F(StoreTest, WarmStudyIsBitIdenticalToColdStudy)
     EXPECT_GT(counterValue("store.hits"), hitsBeforeWarm);
     // The warm run recomputed nothing: every stage was served.
     EXPECT_EQ(counterValue("store.misses"), missesAfterCold);
+}
+
+TEST_F(StoreTest, ProfileNodeCacheResolvesOnlyWithItsFliClustering)
+{
+    store::ArtifactStore::configureGlobal({dir.string(), true});
+    sim::StudyConfig config = tinyStudyConfig();
+    (void)sim::CrossBinaryStudy::run(test::tinyProgram(), config);
+
+    // A new maxK: every profile pass is on disk, no FLI clustering
+    // for it is.  The profile nodes must run on the pool — serving
+    // the pass, computing the clustering — and cache-resolve only
+    // once both artifacts are stored.
+    config.simpoint.maxK = 3;
+    auto profileStatuses = [&config] {
+        sim::StudyBuild build(test::tinyProgram(), config);
+        pipeline::TaskGraph graph;
+        const sim::StudyNodes nodes =
+            sim::appendStudyGraphNodes(graph, build);
+        graph.run(globalPool());
+        std::vector<pipeline::NodeStatus> out;
+        for (const pipeline::NodeId id : nodes.profiles)
+            out.push_back(graph.status(id));
+        return out;
+    };
+    const u64 passHits = counterValue("store.stage.profile.hits");
+    const u64 passMisses = counterValue("store.stage.profile.misses");
+    const u64 clusterMisses = counterValue("store.stage.simpoint.misses");
+    const std::vector<pipeline::NodeStatus> warmPass = profileStatuses();
+    ASSERT_EQ(warmPass.size(), 4u);
+    for (const pipeline::NodeStatus status : warmPass)
+        EXPECT_EQ(status, pipeline::NodeStatus::Done);
+    EXPECT_EQ(counterValue("store.stage.profile.hits") - passHits, 4u);
+    EXPECT_EQ(counterValue("store.stage.profile.misses"), passMisses);
+    // Four FLI clusterings and the VLI one.
+    EXPECT_EQ(counterValue("store.stage.simpoint.misses") - clusterMisses,
+              5u);
+
+    for (const pipeline::NodeStatus status : profileStatuses())
+        EXPECT_EQ(status, pipeline::NodeStatus::CacheResolved);
+    store::ArtifactStore::configureGlobal({});
 }
 
 TEST_F(StoreTest, InjectedCorruptionIsEvictedAndStudyStillIdentical)

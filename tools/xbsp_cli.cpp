@@ -405,6 +405,52 @@ seriesRate(const std::map<std::string, double>& series,
                                : 0.0;
 }
 
+/** Series-name prefix of the scheduler.stage.<stage>.<what> tallies. */
+const std::string stagePrefix = "xbsp_scheduler_stage_";
+
+/** The stages with a scheduler.stage.<stage>.started tally. */
+std::vector<std::string>
+schedulerStages(const std::map<std::string, double>& series)
+{
+    const std::string suffix = "_started_total";
+    std::vector<std::string> stages;
+    for (const auto& [name, value] : series) {
+        if (name.size() <= stagePrefix.size() + suffix.size() ||
+            name.compare(0, stagePrefix.size(), stagePrefix) != 0 ||
+            name.compare(name.size() - suffix.size(), suffix.size(),
+                         suffix) != 0)
+            continue;
+        stages.push_back(name.substr(
+            stagePrefix.size(),
+            name.size() - stagePrefix.size() - suffix.size()));
+    }
+    return stages;
+}
+
+/** Nodes of `stage` started but not yet settled. */
+double
+runningNodes(const std::map<std::string, double>& series,
+             const std::string& stage)
+{
+    const std::string base = stagePrefix + stage;
+    return seriesValue(series, base + "_started_total") -
+           seriesValue(series, base + "_settled_total");
+}
+
+/**
+ * Workers busy at one scrape: the running nodes of every stage,
+ * capped at the pool size (remote and cache-resolved nodes count as
+ * running but hold no pool worker).
+ */
+double
+busyWorkers(const std::map<std::string, double>& series, double workers)
+{
+    double running = 0.0;
+    for (const std::string& stage : schedulerStages(series))
+        running += runningNodes(series, stage);
+    return std::clamp(running, 0.0, workers);
+}
+
 /** `value` printed with `fmt`, or "n/a" when there is none. */
 std::string
 orNa(const char* fmt, std::optional<double> value)
@@ -439,15 +485,17 @@ renderTopFrame(const std::map<std::string, double>& series,
     const double elapsed =
         seriesValue(series, "xbsp_progress_elapsed_seconds");
 
-    // Busy ratio: worker-busy nanoseconds per elapsed nanosecond (can
-    // exceed 1 with several workers).
+    // Busy ratio: workers busy over the window, the mean of the
+    // running-node counts at its two ends.  Never above `workers`:
+    // the nodeBusy timer is no use here, since a node adds all of its
+    // busy time when it settles, however much of it fell before the
+    // window.
     std::optional<double> window, busyRatio, utilized, mdistPerSecond;
     if (previous) {
         window = windowSeconds * 1e3;
-        busyRatio = seriesRate(series, *previous,
-                               "xbsp_scheduler_nodeBusy_nanos_total",
-                               windowSeconds) /
-                    1e9;
+        busyRatio = (busyWorkers(*previous, workers) +
+                     busyWorkers(series, workers)) /
+                    2.0;
         utilized = 100.0 * *busyRatio / workers;
         mdistPerSecond =
             seriesRate(series, *previous,
@@ -480,34 +528,14 @@ renderTopFrame(const std::map<std::string, double>& series,
     // Per-stage table from the scheduler.stage.<stage>.<what>
     // counters: running = started - settled.
     out += "\n  stage      running     done    cache  skipped\n";
-    const std::string prefix = "xbsp_scheduler_stage_";
-    std::vector<std::string> stages;
-    for (const auto& [name, value] : series) {
-        if (name.compare(0, prefix.size(), prefix) != 0)
-            continue;
-        const std::string suffix = "_started_total";
-        if (name.size() <= prefix.size() + suffix.size() ||
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) != 0)
-            continue;
-        stages.push_back(name.substr(
-            prefix.size(),
-            name.size() - prefix.size() - suffix.size()));
-    }
-    for (const std::string& stage : stages) {
-        const std::string base = prefix + stage;
-        const double started =
-            seriesValue(series, base + "_started_total");
-        const double settled =
-            seriesValue(series, base + "_settled_total");
-        const double cache =
-            seriesValue(series, base + "_cache_total");
-        const double skipped =
-            seriesValue(series, base + "_skipped_total");
+    for (const std::string& stage : schedulerStages(series)) {
+        const std::string base = stagePrefix + stage;
         std::snprintf(line, sizeof(line),
                       "  %-9s %8.0f %8.0f %8.0f %8.0f\n",
-                      stage.c_str(), started - settled, settled,
-                      cache, skipped);
+                      stage.c_str(), runningNodes(series, stage),
+                      seriesValue(series, base + "_settled_total"),
+                      seriesValue(series, base + "_cache_total"),
+                      seriesValue(series, base + "_skipped_total"));
         add();
     }
 
