@@ -15,22 +15,45 @@ encodeVliBuild(serial::Encoder& e, const VliBuild& build)
     e.varint(build.totalInstructions);
 }
 
-VliBuild
-decodeVliBuild(serial::Decoder& d)
+namespace
 {
-    VliBuild build;
+
+VliPartition
+decodePartition(serial::Decoder& d)
+{
+    VliPartition partition;
     const u64 boundaries = d.arrayCount(2);
-    build.partition.boundaries.reserve(
-        static_cast<std::size_t>(boundaries));
+    partition.boundaries.reserve(static_cast<std::size_t>(boundaries));
     for (u64 i = 0; i < boundaries; ++i) {
         Boundary b;
         b.pointIdx = static_cast<u32>(d.varint());
         b.fireCount = d.varint();
-        build.partition.boundaries.push_back(b);
+        partition.boundaries.push_back(b);
     }
+    return partition;
+}
+
+} // namespace
+
+VliBuild
+decodeVliBuild(serial::Decoder& d)
+{
+    VliBuild build;
+    build.partition = decodePartition(d);
     build.intervals = sp::decodeFvs(d);
     build.totalInstructions = d.varint();
     return build;
+}
+
+VliBuildSkim
+decodeVliBuildSkim(serial::Decoder& d)
+{
+    VliBuildSkim skim;
+    skim.partition = decodePartition(d);
+    skim.vectors = sp::simPointContentHasher();
+    sp::skipFvs(d, &skim.vectors);
+    d.varint();  // totalInstructions
+    return skim;
 }
 
 void

@@ -49,6 +49,38 @@ struct VliBuildCodec
     }
 };
 
+/**
+ * A stored VLI build read without its vectors: the partition, and
+ * the clustering key of the skipped vectors half built (finish it
+ * with sp::finishSimPointKey to get the key
+ * sp::pickSimulationPoints(build.intervals, options) memoizes under).
+ */
+struct VliBuildSkim
+{
+    VliPartition partition;
+    serial::Hasher vectors;  ///< sp::simPointContentHasher() + the set
+};
+
+VliBuildSkim decodeVliBuildSkim(serial::Decoder& d);
+
+/**
+ * Decode-only codec for ArtifactStore::lookup: reads the entry
+ * VliBuildCodec wrote, skipping (and hashing) its vectors, for a
+ * reader that needs them only if their clustering is not stored.
+ */
+struct VliBuildSkimCodec
+{
+    using Value = VliBuildSkim;
+    static constexpr u32 tag = VliBuildCodec::tag;
+    static constexpr u32 version = VliBuildCodec::version;
+
+    static VliBuildSkim
+    decode(serial::Decoder& d)
+    {
+        return decodeVliBuildSkim(d);
+    }
+};
+
 } // namespace xbsp::core
 
 #endif // XBSP_CORE_SERIAL_HH

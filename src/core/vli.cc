@@ -159,9 +159,22 @@ buildVliPartition(const bin::Binary& primary,
                   const MappableSet& mappable, std::size_t primaryIdx,
                   InstrCount targetSize, u64 seed)
 {
+    if (!store::ArtifactStore::global().enabled())
+        return buildVliPartitionUncached(primary, mappable, primaryIdx,
+                                         targetSize, seed);
+    return buildVliPartition(
+        primary, mappable, primaryIdx, targetSize, seed,
+        vliBuildKey(primary, mappable, primaryIdx, targetSize, seed));
+}
+
+VliBuild
+buildVliPartition(const bin::Binary& primary,
+                  const MappableSet& mappable, std::size_t primaryIdx,
+                  InstrCount targetSize, u64 seed,
+                  const serial::Hash128& key)
+{
     return store::ArtifactStore::global().getOrCompute<VliBuildCodec>(
-        vliBuildKey(primary, mappable, primaryIdx, targetSize, seed),
-        "vli", [&] {
+        key, "vli", [&] {
             return buildVliPartitionUncached(primary, mappable,
                                              primaryIdx, targetSize,
                                              seed);

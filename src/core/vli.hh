@@ -116,6 +116,16 @@ VliBuild buildVliPartition(const bin::Binary& primary,
                            u64 seed = 0x5EEDull);
 
 /**
+ * buildVliPartition memoized under `key`, which must be
+ * vliBuildKey(primary, mappable, primaryIdx, targetSize, seed), for a
+ * caller that built the key already.
+ */
+VliBuild buildVliPartition(const bin::Binary& primary,
+                           const MappableSet& mappable,
+                           std::size_t primaryIdx, InstrCount targetSize,
+                           u64 seed, const serial::Hash128& key);
+
+/**
  * Artifact-store key of one VLI build — the exact key
  * buildVliPartition memoizes under (artifact type VliBuildCodec).
  * Exposed so the pipeline scheduler can probe whether a VLI stage is

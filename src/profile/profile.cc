@@ -155,11 +155,20 @@ ProfilePass
 runProfilePass(const bin::Binary& binary, InstrCount fliTarget,
                u64 seed)
 {
+    if (!store::ArtifactStore::global().enabled())
+        return runProfilePassUncached(binary, fliTarget, seed);
+    return runProfilePass(binary, fliTarget, seed,
+                          profilePassKey(binary, fliTarget, seed));
+}
+
+ProfilePass
+runProfilePass(const bin::Binary& binary, InstrCount fliTarget,
+               u64 seed, const serial::Hash128& key)
+{
     return store::ArtifactStore::global()
-        .getOrCompute<ProfilePassCodec>(
-            profilePassKey(binary, fliTarget, seed), "profile", [&] {
-                return runProfilePassUncached(binary, fliTarget, seed);
-            });
+        .getOrCompute<ProfilePassCodec>(key, "profile", [&] {
+            return runProfilePassUncached(binary, fliTarget, seed);
+        });
 }
 
 namespace

@@ -159,6 +159,16 @@ ProfilePass runProfilePass(const bin::Binary& binary,
                            u64 seed = 0x5EEDull);
 
 /**
+ * runProfilePass memoized under `key`, which must be
+ * profilePassKey(binary, fliTarget, seed): a caller that needs the
+ * key anyway passes it, so the binary is hashed once.  (The overload
+ * above hashes it only when the artifact store is on.)
+ */
+ProfilePass runProfilePass(const bin::Binary& binary,
+                           InstrCount fliTarget, u64 seed,
+                           const serial::Hash128& key);
+
+/**
  * Artifact-store key of one profile pass — the exact key
  * runProfilePass memoizes under (artifact type ProfilePassCodec).
  * Exposed so the pipeline scheduler can probe whether a profile

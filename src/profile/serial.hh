@@ -18,6 +18,13 @@ namespace xbsp::prof
 void encodeProfilePass(serial::Encoder& e, const ProfilePass& pass);
 ProfilePass decodeProfilePass(serial::Decoder& d);
 
+/**
+ * decodeProfilePass without materializing the FLI vectors: they are
+ * skipped under the same checks, `fliIntervals` stays empty and
+ * `fliBoundaries.size()` is the interval count.
+ */
+ProfilePass decodeProfilePassSkim(serial::Decoder& d);
+
 /** Artifact-store codec for runProfilePass results. */
 struct ProfilePassCodec
 {
@@ -35,6 +42,25 @@ struct ProfilePassCodec
     decode(serial::Decoder& d)
     {
         return decodeProfilePass(d);
+    }
+};
+
+/**
+ * Decode-only codec for ArtifactStore::lookup: reads the entry
+ * ProfilePassCodec wrote, skipping its FLI vectors
+ * (decodeProfilePassSkim), for a reader that needs only the markers
+ * and boundaries because the vectors' clustering is stored too.
+ */
+struct ProfilePassSkimCodec
+{
+    using Value = ProfilePass;
+    static constexpr u32 tag = ProfilePassCodec::tag;
+    static constexpr u32 version = ProfilePassCodec::version;
+
+    static ProfilePass
+    decode(serial::Decoder& d)
+    {
+        return decodeProfilePassSkim(d);
     }
 };
 

@@ -1,5 +1,6 @@
 #include "sim/stages.hh"
 
+#include <optional>
 #include <utility>
 
 #include "binary/serial.hh"
@@ -53,22 +54,49 @@ StudyBuild::profile(std::size_t b)
     // only), so the four passes are independent and their results do
     // not depend on execution order.  The pass's FLI vectors are
     // clustered here and die with the pass: no vector set outlives
-    // the node that made it.  Only markers, boundaries and the
-    // clustering travel on, in this binary's BinaryStudy slot.
-    const serial::Hash128 passKey = profilePassKey(b);
-    prof::ProfilePass pass = prof::runProfilePass(
-        study.bins[b], study.cfg.intervalTarget, study.cfg.engineSeed);
+    // the node that made it.  Only markers, the interval count, the
+    // clustering and — for a detailed run, their only reader — the
+    // boundaries travel on, in this binary's BinaryStudy slot.
+    const bin::Binary& binary = study.bins[b];
+    const StudyConfig& config = study.cfg;
+    store::ArtifactStore& store = store::ArtifactStore::global();
     BinaryStudy& bs = study.studies[b];
-    bs.target = study.bins[b].target;
+    prof::ProfilePass pass;
+    if (!store.enabled()) {
+        pass = prof::runProfilePass(binary, config.intervalTarget,
+                                    config.engineSeed);
+        bs.fliClustering = sp::pickSimulationPoints(
+            std::move(pass.fliIntervals), config.simpoint);
+    } else {
+        // A stored clustering needs no vectors: read the stored pass
+        // without them.  Anything missing is computed (and counted a
+        // miss) as on a cold run.
+        const serial::Hash128 passKey = profilePassKey(b);
+        std::optional<sp::SimPointResult> clustering =
+            store.lookup<sp::SimPointCodec>(
+                sp::simPointKey(passKey, config.simpoint), "simpoint");
+        std::optional<prof::ProfilePass> skimmed;
+        if (clustering)
+            skimmed = store.lookup<prof::ProfilePassSkimCodec>(
+                passKey, "profile");
+        pass = skimmed ? std::move(*skimmed)
+                       : prof::runProfilePass(binary,
+                                              config.intervalTarget,
+                                              config.engineSeed, passKey);
+        bs.fliClustering =
+            clustering ? std::move(*clustering)
+                       : sp::pickSimulationPoints(
+                             std::move(pass.fliIntervals),
+                             config.simpoint, passKey);
+    }
+    bs.target = binary.target;
     bs.totalInstrs = pass.totalInstructions;
-    bs.fliIntervalCount = pass.fliIntervals.size();
-    bs.fliClustering = sp::pickSimulationPoints(
-        std::move(pass.fliIntervals), study.cfg.simpoint, passKey);
+    bs.fliIntervalCount = pass.fliBoundaries.size();
     bs.markers = std::move(pass.markers);
-    bs.fliBoundaries = std::move(pass.fliBoundaries);
+    if (config.detailed)
+        bs.fliBoundaries = std::move(pass.fliBoundaries);
     obs::Progress::global().completeStep(
-        format("study.{}.profile.{}", prog.name,
-               study.bins[b].displayName()));
+        format("study.{}.profile.{}", prog.name, binary.displayName()));
 }
 
 void
@@ -90,14 +118,47 @@ StudyBuild::match()
 void
 StudyBuild::vliCluster()
 {
-    core::VliBuild vliBuild = core::buildVliPartition(
-        study.bins[study.cfg.primaryIdx], study.mappableSet,
-        study.cfg.primaryIdx, study.cfg.intervalTarget,
-        study.cfg.engineSeed);
-    // The build is dead once split: move its parts out.
-    study.vliPartition = std::move(vliBuild.partition);
-    study.vliCluster = sp::pickSimulationPoints(
-        std::move(vliBuild.intervals), study.cfg.simpoint);
+    const StudyConfig& config = study.cfg;
+    const bin::Binary& primary = study.bins[config.primaryIdx];
+    store::ArtifactStore& store = store::ArtifactStore::global();
+    std::optional<serial::Hash128> buildKey;
+    bool served = false;
+    if (store.enabled()) {
+        // A stored build whose clustering is stored too is read
+        // without its vectors, hashing them into the clustering's
+        // key on the way.  When the clustering is missing the build
+        // is read again, whole, below.
+        buildKey = core::vliBuildKey(primary, study.mappableSet,
+                                     config.primaryIdx,
+                                     config.intervalTarget,
+                                     config.engineSeed);
+        if (std::optional<core::VliBuildSkim> skim =
+                store.lookup<core::VliBuildSkimCodec>(*buildKey, "vli")) {
+            if (std::optional<sp::SimPointResult> clustering =
+                    store.lookup<sp::SimPointCodec>(
+                        sp::finishSimPointKey(skim->vectors,
+                                              config.simpoint),
+                        "simpoint")) {
+                study.vliPartition = std::move(skim->partition);
+                study.vliCluster = std::move(*clustering);
+                served = true;
+            }
+        }
+    }
+    if (!served) {
+        core::VliBuild vliBuild =
+            buildKey ? core::buildVliPartition(
+                           primary, study.mappableSet, config.primaryIdx,
+                           config.intervalTarget, config.engineSeed,
+                           *buildKey)
+                     : core::buildVliPartition(
+                           primary, study.mappableSet, config.primaryIdx,
+                           config.intervalTarget, config.engineSeed);
+        // The build is dead once split: move its parts out.
+        study.vliPartition = std::move(vliBuild.partition);
+        study.vliCluster = sp::pickSimulationPoints(
+            std::move(vliBuild.intervals), config.simpoint);
+    }
     obs::Progress::global().completeStep(
         format("study.{}.cluster", prog.name));
 }

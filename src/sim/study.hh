@@ -87,8 +87,15 @@ struct BinaryStudy
 
     /** Profile-pass outputs. */
     prof::MarkerProfile markers;
-    std::vector<InstrCount> fliBoundaries;
     std::size_t fliIntervalCount = 0;
+
+    /**
+     * Cumulative instruction count at the end of each FLI interval,
+     * kept only when config.detailed: the detailed-run request, its
+     * cache probe and its manifest key are its only readers.  Empty
+     * in a timing-free study.
+     */
+    std::vector<InstrCount> fliBoundaries;
 
     /** Per-binary SimPoint clustering (on this binary's FLI BBVs). */
     sp::SimPointResult fliClustering;

@@ -266,7 +266,7 @@ assignClassesAccel(const ProjectedData& data, const KMeansResult& res,
             obs::ShardCounter fallbacks(kmeansStats().fallbacks);
             std::vector<double> dist(k);
             for (std::size_t u = begin; u < end; ++u) {
-                const double* x = data.row(state.classFirst[u]);
+                const double* x = data.classRow(u);
                 const u32 a = state.ownerOf[u];
                 const double down =
                     simd::sqDist(x, res.centroidRow(a, data.dims),
@@ -591,11 +591,10 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
     const std::size_t cstride = res.rowStride(data.dims);
     std::vector<double> memo(accel.classFirst.size() * res.k, -1.0);
     auto ownerDist = [&](std::size_t i, u32 owner) {
-        double& slot =
-            memo[static_cast<std::size_t>(accel.classOf[i]) * res.k +
-                 owner];
+        const u32 u = accel.classOf[i];
+        double& slot = memo[static_cast<std::size_t>(u) * res.k + owner];
         if (slot < 0.0)
-            slot = simd::sqDist(data.row(i),
+            slot = simd::sqDist(data.classRow(u),
                                 res.centroidRow(owner, data.dims),
                                 data.rowStride());
         return slot;
@@ -685,7 +684,7 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
     for (u32 c = 1; c < res.k; ++c) {
         for (std::size_t u = 0; u < minDist.size(); ++u) {
             const double d =
-                simd::sqDist(data.row(accel.classFirst[u]),
+                simd::sqDist(data.classRow(u),
                              res.centroidRow(c - 1, data.dims),
                              data.rowStride());
             minDist[u] = std::min(minDist[u], d);
@@ -907,10 +906,11 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
 {
     if (data.count == 0)
         fatal("k-means called with no data points");
-    if (data.classOf.size() != data.count || data.classFirst.empty())
+    if (data.classOf.size() != data.count || data.classFirst.empty() ||
+        data.classRows.size() < data.classes() * data.rowStride())
         panic("k-means data without duplicate classes ({} of {} points "
-              "classed, {} classes)", data.classOf.size(), data.count,
-              data.classFirst.size());
+              "classed, {} classes, {} row doubles)", data.classOf.size(),
+              data.count, data.classes(), data.classRows.size());
     if (memo && &memo->data() != &data)
         panic("k-means M-step memo shared across different data");
     KMeansResult res;

@@ -1,6 +1,5 @@
 #include "simpoint/projection.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "obs/stats.hh"
@@ -23,11 +22,11 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 {
     if (dims == 0)
         fatal("projection dimension must be > 0");
-    // One row per duplicate class goes through the matrix below and
-    // is copied to the class's other members.
+    // One row per duplicate class goes through the matrix below; it
+    // is every member's row.
     DedupMap dedup = fvs.dedup();
     ProjectedData out;
-    out.allocate(fvs.size(), dims);
+    out.allocate(fvs.size(), dedup.classes(), dims);
 
     // Dense projection matrix, one row per original dimension, with
     // rows padded to the same stride as the output so the axpy kernel
@@ -51,9 +50,9 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
     auto& reg = obs::StatRegistry::global();
     obs::Counter dotOps = reg.counter("projection.dotOps");
 
-    auto projectRow = [&](std::size_t i, obs::ShardCounter& ops) {
-        double* row = out.row(i);
-        const SparseRow vec = fvs.row(i);
+    auto projectClass = [&](std::size_t c, obs::ShardCounter& ops) {
+        double* row = out.classRow(c);
+        const SparseRow vec = fvs.row(dedup.firstOf[c]);
         for (std::size_t e = 0; e < vec.size(); ++e) {
             const double* mrow =
                 matrix.data() +
@@ -63,21 +62,13 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
         ops.add(static_cast<u64>(vec.size()) * dims);
     };
 
-    ThreadPool& pool = globalPool();
-    parallelChunks(pool, dedup.classes(),
+    parallelChunks(globalPool(), dedup.classes(),
                    [&](std::size_t begin, std::size_t end, std::size_t) {
                        obs::ShardCounter ops(dotOps);
                        for (std::size_t c = begin; c < end; ++c)
-                           projectRow(dedup.firstOf[c], ops);
+                           projectClass(c, ops);
                    });
-    parallelFor(pool, fvs.size(), [&](std::size_t i) {
-        const u32 first = dedup.firstOf[dedup.classOf[i]];
-        if (static_cast<std::size_t>(first) != i)
-            std::copy_n(out.row(first), stride, out.row(i));
-    });
     reg.counter("projection.rows.projected").add(dedup.classes());
-    reg.counter("projection.rows.copied")
-        .add(fvs.size() - dedup.classes());
     out.classOf = std::move(dedup.classOf);
     out.classFirst = std::move(dedup.firstOf);
 

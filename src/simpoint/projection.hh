@@ -21,54 +21,70 @@ namespace xbsp::sp
 {
 
 /**
- * Dense, row-major projected data plus per-point weights.  Rows are
- * padded with +0.0 to `stride = simd::padded(dims)` doubles and the
- * storage is 32-byte aligned, so the lane kernels run tail-free
- * over whole rows (padding is bit-transparent — see util/simd).
+ * Projected data: one dense, padded row per duplicate class plus
+ * per-point weights and class ids.  Rows of one class are
+ * bit-identical, so a point's row *is* its class's row and is stored
+ * once: `classRows` holds `classes() x stride` doubles however many
+ * points share them.  Rows are padded with +0.0 to
+ * `stride = simd::padded(dims)` doubles and the storage is 32-byte
+ * aligned, so the lane kernels run tail-free over whole rows
+ * (padding is bit-transparent — see util/simd).
  */
 struct ProjectedData
 {
     u32 dims = 0;
-    std::size_t count = 0;
+    std::size_t count = 0;        ///< points
     std::size_t stride = 0;       ///< doubles between row starts
-    simd::AlignedVec points;      ///< count x stride, row-major
+    simd::AlignedVec classRows;   ///< classes() x stride, row-major
     std::vector<double> weights;  ///< per point; sums to count
 
     /**
      * Duplicate-class structure (project() always attaches it):
      * classOf[i] is the duplicate class of point i, classFirst[c] the
-     * lowest point index in class c.  Rows of one class are
-     * bit-identical, so per-class computations stand in exactly for
-     * per-point ones (see kmeans.cc).  Data without duplicates has
-     * one singleton class per point.
+     * lowest point index in class c.  Per-class computations stand in
+     * exactly for per-point ones (see kmeans.cc).  Data without
+     * duplicates has one singleton class per point.
      */
     std::vector<u32> classOf;
     std::vector<u32> classFirst;
 
-    /** Size `count` x `dims` zero-filled padded storage. */
+    /**
+     * Size zero-filled padded storage for `classCount` rows and unit
+     * weights for `points` points.
+     */
     void
-    allocate(std::size_t n, u32 d)
+    allocate(std::size_t points, std::size_t classCount, u32 d)
     {
         dims = d;
-        count = n;
+        count = points;
         stride = simd::padded(d);
-        points.assign(n * stride, 0.0);
-        weights.assign(n, 1.0);
+        classRows.assign(classCount * stride, 0.0);
+        weights.assign(points, 1.0);
     }
+
+    /** Number of duplicate classes. */
+    std::size_t classes() const { return classFirst.size(); }
 
     /** Doubles between row starts (tolerates unset stride). */
     std::size_t rowStride() const { return stride ? stride : dims; }
 
-    /** Raw padded row (kernel operand). */
+    /** Raw padded row of class `c` (kernel operand). */
     const double*
-    row(std::size_t i) const
+    classRow(std::size_t c) const
     {
-        return points.data() + i * rowStride();
+        return classRows.data() + c * rowStride();
     }
 
-    double* row(std::size_t i) { return points.data() + i * rowStride(); }
+    double*
+    classRow(std::size_t c)
+    {
+        return classRows.data() + c * rowStride();
+    }
 
-    /** Row accessor over the true (unpadded) dimensions. */
+    /** Raw padded row of point `i`: its class's row. */
+    const double* row(std::size_t i) const { return classRow(classOf[i]); }
+
+    /** Point `i`'s row over the true (unpadded) dimensions. */
     std::span<const double>
     point(std::size_t i) const
     {
@@ -83,11 +99,12 @@ struct ProjectedData
  * to the number of points (so BIC formulas keep their usual scale).
  *
  * Rows are grouped into duplicate classes first (FrequencyVectorSet::
- * dedup), only one vector per class is pushed through the projection
- * matrix and the resulting row is copied to the class members —
- * bit-identical to projecting each member (equal sparse vectors feed
- * identical arithmetic) at a fraction of the multiplies — and the
- * class structure is attached to the result for the clustering layer.
+ * dedup) and one vector per class is pushed through the projection
+ * matrix.  That row is every member's row — bit-identical to
+ * projecting each member (equal sparse vectors feed identical
+ * arithmetic) — so it is stored once, at a fraction of the
+ * multiplies and memory, with the class structure the clustering
+ * layer reads it through.
  */
 ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
                       u64 seed);

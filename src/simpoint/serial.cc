@@ -23,46 +23,134 @@ encodeFvs(serial::Encoder& e, const FrequencyVectorSet& fvs)
         e.varint(length);
 }
 
-FrequencyVectorSet
-decodeFvs(serial::Decoder& d)
+namespace
 {
-    // The same invariants addInterval enforces, as DecodeErrors: a
-    // row index at or past `dimension` would read past the end of the
-    // projection matrix, and a lengths count other than the row count
-    // past the end of `lengths`.
-    FrequencyVectorSet fvs;
-    fvs.dimension = d.varint32();
+
+/**
+ * Walk one encoded frequency-vector set, checking as DecodeErrors the
+ * invariants addInterval enforces: a row index at or past
+ * `dimension` would read past the end of the projection matrix, and
+ * a lengths count other than the row count past the end of
+ * `lengths`.  `visit` sees every decoded field in encoding order —
+ * which is also hashFvs's order — through dimension(u32), rows(u64),
+ * row(u64 entries), entry(u32 index, double value), rowEnd(u64
+ * entries so far), lengths(u64) and length(u64).
+ */
+template <typename Visitor>
+void
+walkFvs(serial::Decoder& d, Visitor& visit)
+{
+    const u32 dimension = d.varint32();
+    visit.dimension(dimension);
     const u64 rows = d.arrayCount();
-    if (rows > 0) {
-        fvs.offsets.reserve(static_cast<std::size_t>(rows) + 1);
-        fvs.offsets.push_back(0);
-    }
+    visit.rows(rows);
+    u64 total = 0;
     for (u64 i = 0; i < rows; ++i) {
         const u64 entries = d.arrayCount(9);
-        if (entries > std::numeric_limits<u32>::max() - fvs.entries())
+        if (entries > std::numeric_limits<u32>::max() - total)
             throw serial::DecodeError(
                 "frequency-vector set exceeds 2^32 - 1 entries");
+        visit.row(entries);
+        u32 last = 0;
         for (u64 j = 0; j < entries; ++j) {
             const u32 dim = d.varint32();
-            if (dim >= fvs.dimension)
+            if (dim >= dimension)
                 throw serial::DecodeError(
                     "frequency vector index exceeds dimension");
-            if (j > 0 && dim <= fvs.index.back())
+            if (j > 0 && dim <= last)
                 throw serial::DecodeError(
                     "frequency vector indices not strictly rising");
-            fvs.pushEntry(dim, d.f64());
+            last = dim;
+            visit.entry(dim, d.f64());
         }
-        fvs.offsets.push_back(static_cast<u32>(fvs.entries()));
+        total += entries;
+        visit.rowEnd(total);
     }
     const u64 lengths = d.arrayCount();
     if (lengths != rows)
         throw serial::DecodeError(
             "frequency-vector lengths count differs from row count");
-    fvs.lengths.reserve(static_cast<std::size_t>(lengths));
+    visit.lengths(lengths);
     for (u64 i = 0; i < lengths; ++i)
-        fvs.lengths.push_back(d.varint());
-    fvs.seal();
-    return fvs;
+        visit.length(d.varint());
+}
+
+/** Builds the set. */
+struct FvsBuilder
+{
+    FrequencyVectorSet fvs;
+
+    void dimension(u32 n) { fvs.dimension = n; }
+
+    void
+    rows(u64 n)
+    {
+        if (n > 0) {
+            fvs.offsets.reserve(static_cast<std::size_t>(n) + 1);
+            fvs.offsets.push_back(0);
+        }
+    }
+
+    void row(u64) {}
+    void entry(u32 index, double value) { fvs.pushEntry(index, value); }
+    void rowEnd(u64 total) { fvs.offsets.push_back(static_cast<u32>(total)); }
+    void lengths(u64 n) { fvs.lengths.reserve(static_cast<std::size_t>(n)); }
+    void length(u64 length) { fvs.lengths.push_back(length); }
+};
+
+/** Folds what hashFvs folds for the set, into `h` when given. */
+struct FvsSkipper
+{
+    serial::Hasher* h;
+    u64 count = 0;
+
+    void
+    fold(u64 v)
+    {
+        if (h)
+            h->u64v(v);
+    }
+
+    void dimension(u32 n) { fold(n); }
+
+    void
+    rows(u64 n)
+    {
+        count = n;
+        fold(n);
+    }
+
+    void row(u64 entries) { fold(entries); }
+
+    void
+    entry(u32 index, double value)
+    {
+        if (h)
+            h->u32v(index).f64(value);
+    }
+
+    void rowEnd(u64) {}
+    void lengths(u64 n) { fold(n); }
+    void length(u64 length) { fold(length); }
+};
+
+} // namespace
+
+FrequencyVectorSet
+decodeFvs(serial::Decoder& d)
+{
+    FvsBuilder builder;
+    walkFvs(d, builder);
+    builder.fvs.seal();
+    return std::move(builder.fvs);
+}
+
+u64
+skipFvs(serial::Decoder& d, serial::Hasher* h)
+{
+    FvsSkipper skipper{h};
+    walkFvs(d, skipper);
+    return skipper.count;
 }
 
 void

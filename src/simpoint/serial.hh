@@ -18,6 +18,14 @@ namespace xbsp::sp
 void encodeFvs(serial::Encoder& e, const FrequencyVectorSet& fvs);
 FrequencyVectorSet decodeFvs(serial::Decoder& d);
 
+/**
+ * Read past one encoded frequency-vector set without building it,
+ * under decodeFvs's checks and DecodeErrors; returns its row count.
+ * When `h` is given, folds into it exactly what hashFvs folds for
+ * the set decodeFvs would return.
+ */
+u64 skipFvs(serial::Decoder& d, serial::Hasher* h = nullptr);
+
 void encodeSimPointResult(serial::Encoder& e, const SimPointResult& r);
 SimPointResult decodeSimPointResult(serial::Decoder& d);
 

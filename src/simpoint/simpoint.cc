@@ -142,8 +142,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
     std::vector<std::vector<u32>> membersOf(chosen.k);
     for (std::size_t i = 0; i < fvs.size(); ++i)
         membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
-    std::vector<double> classDist(data.classFirst.size());
-    std::vector<u32> classPhase(data.classFirst.size(), chosen.k);
+    std::vector<double> classDist(data.classes());
+    std::vector<u32> classPhase(data.classes(), chosen.k);
     for (u32 c = 0; c < chosen.k; ++c) {
         Phase phase;
         phase.id = c;
@@ -160,7 +160,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
             const u32 u = data.classOf[i];
             if (classPhase[u] != c) {
                 classPhase[u] = c;
-                classDist[u] = sqDist(data.point(i), centroid);
+                classDist[u] =
+                    sqDist({data.classRow(u), data.dims}, centroid);
             }
             const double d = classDist[u];
             dists.push_back(d);
@@ -248,15 +249,28 @@ pickOwned(FrequencyVectorSet&& fvs, const SimPointOptions& options,
 
 } // namespace
 
+serial::Hasher
+simPointContentHasher()
+{
+    serial::Hasher h;
+    h.str("simpoint");
+    return h;
+}
+
+serial::Hash128
+finishSimPointKey(serial::Hasher h, const SimPointOptions& options)
+{
+    hashSimPointOptions(h, options);
+    return h.finish();
+}
+
 serial::Hash128
 simPointKey(const FrequencyVectorSet& fvs,
             const SimPointOptions& options)
 {
-    serial::Hasher h;
-    h.str("simpoint");
+    serial::Hasher h = simPointContentHasher();
     hashFvs(h, fvs);
-    hashSimPointOptions(h, options);
-    return h.finish();
+    return finishSimPointKey(std::move(h), options);
 }
 
 serial::Hash128

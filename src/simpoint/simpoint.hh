@@ -106,6 +106,16 @@ serial::Hash128 simPointKey(const FrequencyVectorSet& fvs,
                             const SimPointOptions& options);
 
 /**
+ * simPointKey(fvs, options) in two steps, for a reader that streams
+ * an encoded set instead of holding it: fold the raw set into
+ * simPointContentHasher() as hashFvs (or skipFvs) does, then finish
+ * with the options.
+ */
+serial::Hasher simPointContentHasher();
+serial::Hash128 finishSimPointKey(serial::Hasher h,
+                                  const SimPointOptions& options);
+
+/**
  * Artifact-store key of the clustering the sourceKey overload
  * memoizes: the source artifact's key and every SimPointOptions
  * knob, under its own stage name so it never meets a content key.

@@ -122,24 +122,35 @@ class ArtifactStore
         if (!enabled())
             return compute();
         obs::TraceSpan span(std::string("store ") + stage, "store");
-        if (std::optional<std::string> payload =
-                readEntry(key, Codec::tag, Codec::version)) {
-            try {
-                serial::Decoder decoder(*payload);
-                typename Codec::Value value = Codec::decode(decoder);
-                decoder.expectEnd();
-                countHit(stage);
-                return value;
-            } catch (const serial::DecodeError& e) {
-                evictEntry(key, e.what());
-            }
-        }
+        if (std::optional<typename Codec::Value> value =
+                read<Codec>(key, stage))
+            return std::move(*value);
         countMiss(stage);
         typename Codec::Value value = compute();
         serial::Encoder encoder;
         Codec::encode(encoder, value);
         writeEntry(key, Codec::tag, Codec::version, encoder.view());
         return value;
+    }
+
+    /**
+     * The read half of getOrCompute: the decoded entry under `key`
+     * (a hit for `stage`), or nullopt when it is absent or corrupt
+     * (corrupt entries are evicted).  Counts no miss, computes and
+     * writes nothing, so a caller can try a cheaper read first and
+     * fall back to getOrCompute, which counts the miss.  Codec needs
+     * only `Value`, `tag`, `version` and decode(): a decode-only
+     * codec may read the entry another codec wrote, in part.
+     * Always nullopt when the store is disabled.
+     */
+    template <typename Codec>
+    std::optional<typename Codec::Value>
+    lookup(const serial::Hash128& key, const char* stage)
+    {
+        if (!enabled())
+            return std::nullopt;
+        obs::TraceSpan span(std::string("store ") + stage, "store");
+        return read<Codec>(key, stage);
     }
 
     /**
@@ -207,6 +218,25 @@ class ArtifactStore
     mutable std::unordered_map<std::string,
                                std::chrono::steady_clock::time_point>
         recentProbes;
+
+    template <typename Codec>
+    std::optional<typename Codec::Value>
+    read(const serial::Hash128& key, const char* stage)
+    {
+        if (std::optional<std::string> payload =
+                readEntry(key, Codec::tag, Codec::version)) {
+            try {
+                serial::Decoder decoder(*payload);
+                typename Codec::Value value = Codec::decode(decoder);
+                decoder.expectEnd();
+                countHit(stage);
+                return value;
+            } catch (const serial::DecodeError& e) {
+                evictEntry(key, e.what());
+            }
+        }
+        return std::nullopt;
+    }
 
     void countHit(const char* stage) const;
     void countMiss(const char* stage) const;

@@ -188,18 +188,13 @@ initRandomPartition(const ProjectedData& data, KMeansResult& res,
         updateCentroids(data, res, work);
 }
 
-/**
- * Project every interval through the matrix sp::project() draws
- * (same seed mix, same padded rows, same axpy per sparse entry), one
- * point after another with no duplicate grouping, and attach a
- * singleton class per point.  Against it test_clustering_equiv checks
- * that the engine's once-per-class projection is exact.
- */
+} // namespace
+
 ProjectedData
-projectEachPoint(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
+referenceProject(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 {
     ProjectedData out;
-    out.allocate(fvs.size(), dims);
+    out.allocate(fvs.size(), fvs.size(), dims);
     Rng rng(hashMix(seed ^ 0x9e3779b97f4a7c15ull));
     const std::size_t stride = out.rowStride();
     simd::AlignedVec matrix(
@@ -211,7 +206,7 @@ projectEachPoint(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
     for (std::size_t i = 0; i < fvs.size(); ++i) {
         const SparseRow vec = fvs.row(i);
         for (std::size_t e = 0; e < vec.size(); ++e)
-            simd::axpy(out.row(i),
+            simd::axpy(out.classRow(i),
                        matrix.data() +
                            static_cast<std::size_t>(vec.index[e]) *
                                stride,
@@ -228,8 +223,6 @@ projectEachPoint(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
     }
     return out;
 }
-
-} // namespace
 
 ReferenceFit
 referenceKMeans(const ProjectedData& data, u32 k, Rng& rng,
@@ -286,7 +279,7 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
         fatal("SimPoint called with no intervals");
     FrequencyVectorSet normalized = fvs;
     normalized.normalize();
-    const ProjectedData data = projectEachPoint(
+    const ProjectedData data = referenceProject(
         normalized, options.projectedDims, options.seed);
 
     const u32 maxK = std::max<u32>(

@@ -52,6 +52,16 @@ struct ReferenceSweep
 };
 
 /**
+ * Project every interval of `fvs` through the matrix sp::project()
+ * draws (same seed mix, same padded rows, same axpy per sparse
+ * entry), one point after another with no duplicate grouping, each
+ * into its own singleton class.  Against it test_clustering_equiv
+ * checks that the engine's once-per-class projection is exact.
+ */
+ProjectedData referenceProject(const FrequencyVectorSet& fvs, u32 dims,
+                               u64 seed);
+
+/**
  * The naive Lloyd loop over `data` (its duplicate classes are
  * ignored).  Same contract as sp::runKMeans.
  */

@@ -14,8 +14,10 @@
 #include <array>
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <numeric>
+#include <span>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -150,28 +152,67 @@ expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
 }
 
 /**
- * Gaussian blobs with exact duplicate points mixed in, without class
- * structure: wrap in withClasses() or singletonClasses().
+ * Rows point by point, before any class structure: wrap in
+ * withClasses() or singletonClasses() to cluster them.
+ */
+struct Points
+{
+    u32 dims = 0;
+    std::size_t count = 0;
+    std::vector<double> rows;  ///< count x dims, row-major
+    std::vector<double> weights;
+
+    std::span<const double>
+    point(std::size_t i) const
+    {
+        return {rows.data() + i * dims, dims};
+    }
+};
+
+/**
+ * `points` under the class map `classOf`, whose classes are numbered
+ * in order of their lowest member: one stored row per class, taken
+ * from that member, as project() stores them.
  */
 ProjectedData
+classed(const Points& points, std::vector<u32> classOf)
+{
+    ProjectedData data;
+    data.dims = points.dims;
+    data.count = points.count;
+    data.weights = points.weights;
+    for (std::size_t i = 0; i < points.count; ++i) {
+        if (classOf[i] != data.classes())
+            continue;
+        data.classFirst.push_back(static_cast<u32>(i));
+        const auto row = points.point(i);
+        data.classRows.insert(data.classRows.end(), row.begin(),
+                              row.end());
+    }
+    data.classOf = std::move(classOf);
+    return data;
+}
+
+/** Gaussian blobs with exact duplicate points mixed in. */
+Points
 blobData(std::size_t count, u32 dims, u32 blobs, u64 seed)
 {
     Rng rng(seed);
-    ProjectedData data;
+    Points data;
     data.dims = dims;
     data.count = count;
-    data.points.resize(count * dims);
+    data.rows.resize(count * dims);
     data.weights.resize(count);
     for (std::size_t i = 0; i < count; ++i) {
         const std::size_t blob = i % blobs;
         if (i >= blobs && i % 3 == 0) {
             // Exact duplicate of an earlier point in the same blob.
             for (u32 d = 0; d < dims; ++d)
-                data.points[i * dims + d] =
-                    data.points[(i - blobs) * dims + d];
+                data.rows[i * dims + d] =
+                    data.rows[(i - blobs) * dims + d];
         } else {
             for (u32 d = 0; d < dims; ++d)
-                data.points[i * dims + d] =
+                data.rows[i * dims + d] =
                     10.0 * static_cast<double>(blob) +
                     rng.nextGaussian();
         }
@@ -192,58 +233,68 @@ duplicateData(std::size_t distinct, std::size_t copies, u32 dims,
     std::vector<double> rows(distinct * dims);
     for (double& v : rows)
         v = rng.nextGaussian();
-    ProjectedData data;
-    data.dims = dims;
-    data.count = distinct * copies;
-    data.points.resize(data.count * dims);
-    data.weights.resize(data.count);
-    for (std::size_t i = 0; i < data.count; ++i) {
+    Points points;
+    points.dims = dims;
+    points.count = distinct * copies;
+    std::vector<u32> classOf;
+    for (std::size_t i = 0; i < points.count; ++i) {
         const std::size_t r = i / copies;
-        for (u32 d = 0; d < dims; ++d)
-            data.points[i * dims + d] = rows[r * dims + d];
-        data.weights[i] = rng.nextDouble(0.5, 2.0);
-        data.classOf.push_back(static_cast<u32>(r));
+        points.rows.insert(points.rows.end(), rows.begin() + r * dims,
+                           rows.begin() + (r + 1) * dims);
+        points.weights.push_back(rng.nextDouble(0.5, 2.0));
+        classOf.push_back(static_cast<u32>(r));
     }
-    for (std::size_t r = 0; r < distinct; ++r)
-        data.classFirst.push_back(static_cast<u32>(r * copies));
-    return data;
+    return classed(points, std::move(classOf));
 }
 
 /**
- * `data` with the duplicate-class structure dedup would attach:
+ * `points` with the duplicate-class structure dedup would attach:
  * points whose rows are equal bit for bit share a class.
  */
 ProjectedData
-withClasses(ProjectedData data)
+withClasses(const Points& points)
 {
-    data.classOf.clear();
-    data.classFirst.clear();
-    for (std::size_t i = 0; i < data.count; ++i) {
-        const auto row = data.point(i);
+    std::vector<u32> classOf;
+    std::vector<std::size_t> firsts;
+    for (std::size_t i = 0; i < points.count; ++i) {
+        const auto row = points.point(i);
         u32 cls = 0;
-        while (cls < data.classFirst.size() &&
-               !std::ranges::equal(row,
-                                   data.point(data.classFirst[cls])))
+        while (cls < firsts.size() &&
+               !std::ranges::equal(row, points.point(firsts[cls])))
             ++cls;
-        if (cls == data.classFirst.size())
-            data.classFirst.push_back(static_cast<u32>(i));
-        data.classOf.push_back(cls);
+        if (cls == firsts.size())
+            firsts.push_back(i);
+        classOf.push_back(cls);
     }
-    return data;
+    return classed(points, std::move(classOf));
 }
 
 /**
- * `data` with every point alone in its class, equal rows included:
+ * `points` with every point alone in its class, equal rows included:
  * the structure a duplicate-free input gets, and a valid (if
  * unshared) one for any data.
  */
 ProjectedData
-singletonClasses(ProjectedData data)
+singletonClasses(const Points& points)
 {
-    data.classOf.resize(data.count);
-    std::iota(data.classOf.begin(), data.classOf.end(), u32{0});
-    data.classFirst = data.classOf;
-    return data;
+    std::vector<u32> classOf(points.count);
+    std::iota(classOf.begin(), classOf.end(), u32{0});
+    return classed(points, std::move(classOf));
+}
+
+/** `data` with every point alone in its class, its row copied. */
+ProjectedData
+singletonClasses(const ProjectedData& data)
+{
+    Points points;
+    points.dims = data.dims;
+    points.count = data.count;
+    points.weights = data.weights;
+    for (std::size_t i = 0; i < data.count; ++i) {
+        const auto row = data.point(i);
+        points.rows.insert(points.rows.end(), row.begin(), row.end());
+    }
+    return singletonClasses(points);
 }
 
 /**
@@ -276,11 +327,47 @@ vliVectors(const std::string& name, InstrCount interval)
         .intervals;
 }
 
+/**
+ * The input a stock `.bb` file gives: noisy intervals in which no two
+ * vectors are equal, so every duplicate class is a singleton.  Seven
+ * phases of 40 block ids each, lognormal counts, a phase switch with
+ * probability 0.02 per interval.
+ */
+FrequencyVectorSet
+duplicateFreeVectors(std::size_t intervals)
+{
+    constexpr u32 phases = 7;
+    constexpr u32 blocksPerPhase = 40;
+    Rng rng(2024);
+    FrequencyVectorSet fvs;
+    fvs.dimension = 1000;
+    std::vector<std::vector<u32>> blocksOf(phases);
+    for (std::vector<u32>& blocks : blocksOf) {
+        while (blocks.size() < blocksPerPhase) {
+            const u32 id = static_cast<u32>(rng.nextBelow(fvs.dimension));
+            if (std::ranges::find(blocks, id) == blocks.end())
+                blocks.push_back(id);
+        }
+        std::ranges::sort(blocks);
+    }
+    u32 phase = 0;
+    for (std::size_t i = 0; i < intervals; ++i) {
+        if (rng.nextDouble() < 0.02)
+            phase = static_cast<u32>(rng.nextBelow(phases));
+        SparseVec vec;
+        for (const u32 id : blocksOf[phase])
+            vec.emplace_back(
+                id, 100.0 * std::exp(0.3 * rng.nextGaussian()));
+        fvs.addInterval(std::move(vec), 10'000);
+    }
+    return fvs;
+}
+
 } // namespace
 
 TEST(KMeansEquiv, HamerlyMatchesNaiveAcrossKAndInit)
 {
-    const ProjectedData blobs = blobData(240, 8, 5, 77);
+    const Points blobs = blobData(240, 8, 5, 77);
     for (const ProjectedData& data :
          {withClasses(blobs), singletonClasses(blobs)}) {
         SCOPED_TRACE(std::to_string(data.classFirst.size()) +
@@ -301,10 +388,10 @@ TEST(KMeansEquiv, HamerlyMatchesNaiveAcrossKAndInit)
 TEST(KMeansEquiv, HamerlyMatchesNaiveOnDegenerateData)
 {
     // All points identical: every re-seeding path triggers.
-    ProjectedData flat;
+    Points flat;
     flat.dims = 3;
     flat.count = 12;
-    flat.points.assign(flat.count * flat.dims, 0.25);
+    flat.rows.assign(flat.count * flat.dims, 0.25);
     flat.weights.assign(flat.count, 1.0);
     for (const ProjectedData& data :
          {withClasses(flat), singletonClasses(flat)}) {
@@ -439,10 +526,10 @@ TEST(KMeansEquiv, PlusPlusAllZeroTermsPicksFirstPoint)
  */
 TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
 {
-    ProjectedData base;
+    Points base;
     base.dims = 3;
     base.count = 3;
-    base.points = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0};
+    base.rows = {0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0};
     KMeansOptions options;
     options.maxIterations = 0;
     for (const std::vector<double>& weights :
@@ -489,7 +576,7 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
  */
 TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
 {
-    ProjectedData blobs = blobData(30, 3, 3, 9);
+    Points blobs = blobData(30, 3, 3, 9);
     blobs.weights[4] = std::nan("");
     KMeansOptions options;
     options.maxIterations = 0;
@@ -530,21 +617,21 @@ TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
  */
 TEST(KMeansEquiv, DirtyClusterMStepMatchesNaive)
 {
-    ProjectedData data;
-    data.dims = 2;
+    Points points;
+    points.dims = 2;
     Rng rng(23);
     auto add = [&](double x, double y) {
-        data.points.push_back(x);
-        data.points.push_back(y);
-        data.weights.push_back(rng.nextDouble(0.5, 2.0));
-        ++data.count;
+        points.rows.push_back(x);
+        points.rows.push_back(y);
+        points.weights.push_back(rng.nextDouble(0.5, 2.0));
+        ++points.count;
     };
     for (int i = 0; i < 30; ++i) {
         add(1000.0 + rng.nextDouble(), rng.nextDouble());
         add(rng.nextDouble(0.0, 10.0), rng.nextDouble(0.0, 3.0));
         add(rng.nextDouble(0.0, 10.0), rng.nextDouble(0.0, 3.0));
     }
-    data = withClasses(std::move(data));
+    const ProjectedData data = withClasses(points);
     u64 partialFits = 0;
     for (const u64 seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -821,40 +908,56 @@ TEST(ClusteringEquiv, AcceleratedPipelineBitIdenticalOnWorkloads)
 }
 
 /**
- * The input a stock `.bb` file gives: noisy intervals in which no two
- * vectors are equal, so every duplicate class is a singleton.  Seven
- * phases of 40 block ids each, lognormal counts, a phase switch with
- * probability 0.02 per interval.  The full sweep must equal the
- * reference field for field at 1 and 4 workers, over one class per
- * interval, with the Hamerly bounds still skipping scans.
+ * project() stores one row per duplicate class and nothing per point:
+ * exactly classes x stride doubles.  Read through its class, every
+ * point's row equals, bit for bit over the padded stride, the
+ * reference's own per-point projection — on gzip's 2,000-instruction
+ * intervals, heavy with duplicates, and on a duplicate-free input —
+ * and the weights are the same.
+ */
+TEST(ProjectionEquiv, ClassRowsMatchPerPointProjection)
+{
+    const std::vector<bin::Binary> bins =
+        compile::compileAllTargets(workloads::makeWorkload("gzip", 1.0));
+    FrequencyVectorSet gzip =
+        prof::runProfilePass(bins[0], 2000).fliIntervals;
+    FrequencyVectorSet distinct = duplicateFreeVectors(1500);
+    for (FrequencyVectorSet* fvs : {&gzip, &distinct}) {
+        fvs->normalize();
+        for (const u64 jobs : {u64{1}, u64{4}}) {
+            setGlobalJobs(jobs);
+            const ProjectedData data = project(*fvs, 15, 42);
+            const ProjectedData reference = referenceProject(*fvs, 15, 42);
+            SCOPED_TRACE(std::to_string(data.count) + " points, " +
+                         std::to_string(data.classes()) +
+                         " classes, jobs " + std::to_string(jobs));
+            ASSERT_EQ(data.count, fvs->size());
+            ASSERT_EQ(data.stride, reference.stride);
+            EXPECT_EQ(data.classRows.size(),
+                      data.classes() * data.stride);
+            std::size_t differing = 0;
+            for (std::size_t i = 0; i < data.count; ++i)
+                differing += std::memcmp(data.row(i), reference.row(i),
+                                         data.stride *
+                                             sizeof(double)) != 0;
+            EXPECT_EQ(differing, 0u);
+            EXPECT_EQ(data.weights, reference.weights);
+        }
+        setGlobalJobs(0);
+    }
+    EXPECT_LT(project(gzip, 15, 42).classes() * 10, gzip.size());
+    EXPECT_EQ(project(distinct, 15, 42).classes(), distinct.size());
+}
+
+/**
+ * On duplicateFreeVectors() — one class per interval — the full
+ * sweep must equal the reference field for field at 1 and 4 workers,
+ * with the Hamerly bounds still skipping scans.
  */
 TEST(ClusteringEquiv, DuplicateFreeSweepMatchesReference)
 {
     constexpr std::size_t intervals = 1500;
-    constexpr u32 phases = 7;
-    constexpr u32 blocksPerPhase = 40;
-    Rng rng(2024);
-    FrequencyVectorSet fvs;
-    fvs.dimension = 1000;
-    std::vector<std::vector<u32>> blocksOf(phases);
-    for (std::vector<u32>& blocks : blocksOf) {
-        while (blocks.size() < blocksPerPhase) {
-            const u32 id = static_cast<u32>(rng.nextBelow(fvs.dimension));
-            if (std::ranges::find(blocks, id) == blocks.end())
-                blocks.push_back(id);
-        }
-        std::ranges::sort(blocks);
-    }
-    u32 phase = 0;
-    for (std::size_t i = 0; i < intervals; ++i) {
-        if (rng.nextDouble() < 0.02)
-            phase = static_cast<u32>(rng.nextBelow(phases));
-        SparseVec vec;
-        for (const u32 id : blocksOf[phase])
-            vec.emplace_back(
-                id, 100.0 * std::exp(0.3 * rng.nextGaussian()));
-        fvs.addInterval(std::move(vec), 10'000);
-    }
+    const FrequencyVectorSet fvs = duplicateFreeVectors(intervals);
 
     SimPointOptions options;
     options.maxK = 10;

@@ -172,7 +172,7 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     // is a function of the input only — never of layout, padding,
     // kernel arch or worker count.  Projection runs once per
     // duplicate class: the 200 intervals below repeat 40 vectors, so
-    // 40 rows are projected and 160 copied.
+    // 40 rows are projected and stored, and no row is copied.
     sp::FrequencyVectorSet fvs;
     fvs.dimension = 64;
     const std::size_t intervals = 200;
@@ -193,7 +193,8 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     sp::project(fvs, dims, 99);
     const u64 serialOps = reg.counterValue("projection.dotOps");
     EXPECT_EQ(reg.counterValue("projection.rows.projected"), 40u);
-    EXPECT_EQ(reg.counterValue("projection.rows.copied"), 160u);
+    EXPECT_EQ(reg.jsonString(false).find("projection.rows.copied"),
+              std::string::npos);
 
     setGlobalJobs(4);
     reg.reset();

@@ -17,6 +17,9 @@
 
 #include "binary/serial.hh"
 #include "core/serial.hh"
+#include "dist/stagerun.hh"
+#include "dist/wire.hh"
+#include "obs/stats.hh"
 #include "profile/serial.hh"
 #include "sim/serial.hh"
 #include "simpoint/io.hh"
@@ -549,6 +552,120 @@ TEST(SerialCodecMutation, ProfilePassDecodesOrRejects)
         std::string(e.view()), 0x9f0f);
 }
 
+TEST(SerialCodecMutation, ProfilePassSkimDecodesOrRejects)
+{
+    const bin::Binary binary = compile::compileProgram(
+        test::tinyProgram(), bin::target32u);
+    serial::Encoder e;
+    prof::ProfilePassCodec::encode(e, prof::runProfilePass(binary, 5000));
+    expectMutantsDecodeOrReject<prof::ProfilePassSkimCodec>(
+        std::string(e.view()), 0x5c17);
+}
+
+TEST(SerialCodecMutation, VliBuildAndSkimDecodeOrReject)
+{
+    const std::vector<bin::Binary> binaries =
+        test::compileFour(test::tinyProgram());
+    std::vector<prof::ProfilePass> passes;
+    std::vector<const bin::Binary*> bins;
+    std::vector<const prof::MarkerProfile*> profs;
+    for (const bin::Binary& binary : binaries)
+        passes.push_back(prof::runProfilePass(binary, 5000));
+    for (std::size_t b = 0; b < binaries.size(); ++b) {
+        bins.push_back(&binaries[b]);
+        profs.push_back(&passes[b].markers);
+    }
+    serial::Encoder e;
+    core::VliBuildCodec::encode(
+        e, core::buildVliPartition(binaries[0],
+                                   core::findMappablePoints(bins, profs),
+                                   0, 5000));
+    expectMutantsDecodeOrReject<core::VliBuildCodec>(
+        std::string(e.view()), 0x71b1);
+    expectMutantsDecodeOrReject<core::VliBuildSkimCodec>(
+        std::string(e.view()), 0x71b2);
+}
+
+TEST(SerialCodecMutation, BinaryDecodesOrRejects)
+{
+    serial::Encoder e;
+    bin::BinaryCodec::encode(e, compile::compileProgram(
+                                    test::tinyProgram(), bin::target64o));
+    expectMutantsDecodeOrReject<bin::BinaryCodec>(std::string(e.view()),
+                                                  0xb1a7);
+}
+
+TEST(SerialCodecMutation, DetailedRunDecodesOrRejects)
+{
+    sim::DetailedRunResult r;
+    r.totals = {1000, 3500, 220};
+    r.memory = {220, 180, 20, 15, 5, 2};
+    for (u64 i = 0; i < 12; ++i) {
+        r.fliIntervals.push_back({500 + i, 1700 + 3 * i});
+        r.vliIntervals.push_back({999 - i, 3499 + 7 * i});
+    }
+    serial::Encoder e;
+    sim::DetailedRunCodec::encode(e, r);
+    expectMutantsDecodeOrReject<sim::DetailedRunCodec>(
+        std::string(e.view()), 0xde7a);
+}
+
+namespace
+{
+
+/**
+ * A dist frame payload (message type, then fields) as the daemon and
+ * the workers read it: decodeMsgType, then the message's decoder.
+ */
+template <typename Message, dist::MsgType type,
+          Message (*decodeBody)(serial::Decoder&)>
+struct FrameCodec
+{
+    using Value = Message;
+
+    static Message
+    decode(serial::Decoder& d)
+    {
+        if (dist::decodeMsgType(d) != type)
+            throw serial::DecodeError("unexpected message type");
+        return decodeBody(d);
+    }
+};
+
+/** Frame payload: the frame minus its magic and size header. */
+std::string
+payloadOf(const std::string& frame)
+{
+    return frame.substr(8);
+}
+
+} // namespace
+
+TEST(SerialCodecMutation, DistTaskFramesDecodeOrReject)
+{
+    dist::StageTask stage;
+    stage.workload = "gzip";
+    stage.stage = "profile";
+    stage.index = 2;
+    dist::Task task;
+    task.taskId = 4242;
+    task.specKey = dist::stageTaskKey(stage);
+    task.payload = dist::encodeStageTask(stage);
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::Task, dist::MsgType::Task, dist::decodeTask>>(
+        payloadOf(dist::frameTask(task)), 0x7a5c);
+
+    dist::TaskDone done;
+    done.taskId = 4242;
+    done.ok = false;
+    done.error = "stage study.gzip.profile.32u failed";
+    done.busyNanos = 123'456'789;
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::TaskDone, dist::MsgType::TaskDone,
+                   dist::decodeTaskDone>>(
+        payloadOf(dist::frameTaskDone(done)), 0xd0e5);
+}
+
 TEST(SerialCodecMutation, SimPointResultDecodesOrRejects)
 {
     const bin::Binary binary = compile::compileProgram(
@@ -562,6 +679,73 @@ TEST(SerialCodecMutation, SimPointResultDecodesOrRejects)
                options));
     expectMutantsDecodeOrReject<sp::SimPointCodec>(
         std::string(e.view()), 0x5b75);
+}
+
+/**
+ * The skimming reads decode the bytes the full codecs wrote, minus
+ * the vectors: a profile pass keeps its markers and boundaries, and
+ * a VLI build its partition plus the exact clustering key of the
+ * vectors it skipped.  Neither builds a set (fvs.rows stays put).
+ */
+TEST(SerialCodec, SkimReadsKeepAllButTheVectors)
+{
+    const std::vector<bin::Binary> binaries =
+        test::compileFour(test::tinyProgram());
+    std::vector<prof::ProfilePass> passes;
+    for (const bin::Binary& binary : binaries)
+        passes.push_back(prof::runProfilePass(binary, 5000));
+    std::vector<const bin::Binary*> bins;
+    std::vector<const prof::MarkerProfile*> profs;
+    for (std::size_t b = 0; b < binaries.size(); ++b) {
+        bins.push_back(&binaries[b]);
+        profs.push_back(&passes[b].markers);
+    }
+    const core::VliBuild build = core::buildVliPartition(
+        binaries[0], core::findMappablePoints(bins, profs), 0, 5000);
+    const obs::StatRegistry& reg = obs::StatRegistry::global();
+    const u64 rows = reg.counterValue("fvs.rows");
+
+    serial::Encoder e;
+    prof::ProfilePassCodec::encode(e, passes[0]);
+    serial::Decoder d(e.view());
+    const prof::ProfilePass pass = prof::ProfilePassSkimCodec::decode(d);
+    d.expectEnd();
+    EXPECT_EQ(pass.markers.counts, passes[0].markers.counts);
+    EXPECT_EQ(pass.markers.totalInstructions,
+              passes[0].markers.totalInstructions);
+    EXPECT_EQ(pass.fliIntervals.size(), 0u);
+    EXPECT_EQ(pass.fliBoundaries, passes[0].fliBoundaries);
+    EXPECT_EQ(pass.fliBoundaries.size(), passes[0].fliIntervals.size());
+    EXPECT_EQ(pass.totalInstructions, passes[0].totalInstructions);
+
+    serial::Encoder v;
+    core::VliBuildCodec::encode(v, build);
+    serial::Decoder dv(v.view());
+    const core::VliBuildSkim skim = core::VliBuildSkimCodec::decode(dv);
+    dv.expectEnd();
+    EXPECT_EQ(skim.partition.intervalCount(),
+              build.partition.intervalCount());
+    for (const u32 maxK : {3u, 10u}) {
+        sp::SimPointOptions options;
+        options.maxK = maxK;
+        EXPECT_EQ(sp::finishSimPointKey(skim.vectors, options),
+                  sp::simPointKey(build.intervals, options));
+    }
+    EXPECT_EQ(reg.counterValue("fvs.rows"), rows);
+}
+
+TEST(SerialCodec, ProfilePassBoundaryCountMismatchRejected)
+{
+    const bin::Binary binary = compile::compileProgram(
+        test::tinyProgram(), bin::target32u);
+    prof::ProfilePass pass = prof::runProfilePass(binary, 5000);
+    pass.fliBoundaries.pop_back();
+    serial::Encoder e;
+    prof::encodeProfilePass(e, pass);
+    serial::Decoder d(e.view());
+    EXPECT_THROW(prof::decodeProfilePass(d), serial::DecodeError);
+    serial::Decoder skim(e.view());
+    EXPECT_THROW(prof::decodeProfilePassSkim(skim), serial::DecodeError);
 }
 
 TEST(SerialCodec, DetailedRunRoundTrip)

@@ -135,8 +135,8 @@ TEST(Projection, ShapeAndDeterminism)
     const ProjectedData c = project(fvs, 15, 43);
     EXPECT_EQ(a.dims, 15u);
     EXPECT_EQ(a.count, 30u);
-    EXPECT_EQ(a.points, b.points);
-    EXPECT_NE(a.points, c.points);
+    EXPECT_EQ(a.classRows, b.classRows);
+    EXPECT_NE(a.classRows, c.classRows);
 }
 
 TEST(Projection, WeightsSumToPointCount)
@@ -233,7 +233,7 @@ TEST(KMeans, WeightsPullCentroids)
     ProjectedData data;
     data.dims = 1;
     data.count = 2;
-    data.points = {0.0, 1.0};
+    data.classRows = {0.0, 1.0};
     data.weights = {1.8, 0.2};
     data.classOf = {0, 1};
     data.classFirst = {0, 1};

@@ -14,8 +14,10 @@
 #include <fstream>
 #include <limits>
 
+#include "compile/compiler.hh"
 #include "obs/stats.hh"
 #include "pipeline/taskgraph.hh"
+#include "profile/profile.hh"
 #include "sim/stages.hh"
 #include "sim/study.hh"
 #include "store/store.hh"
@@ -139,6 +141,35 @@ TEST_F(StoreTest, ContainsProbesHeaderWithoutHitMissAccounting)
     store.configure({dir.string(), false});
     EXPECT_FALSE(
         store.contains(key, StringCodec::tag, StringCodec::version));
+}
+
+TEST_F(StoreTest, LookupServesHitsAndCountsNoMiss)
+{
+    const serial::Hash128 key = keyOf("look-me-up");
+    const u64 hits0 = counterValue("store.stage.test.hits");
+    const u64 misses0 = counterValue("store.stage.test.misses");
+    EXPECT_FALSE(store.lookup<StringCodec>(key, "test").has_value());
+    EXPECT_EQ(counterValue("store.stage.test.misses"), misses0);
+    EXPECT_EQ(store.scan().entries, 0u);  // nothing computed or written
+
+    store.getOrCompute<StringCodec>(key, "test",
+                                    [] { return std::string("v"); });
+    EXPECT_EQ(store.lookup<StringCodec>(key, "test"),
+              std::optional<std::string>("v"));
+    EXPECT_EQ(counterValue("store.stage.test.hits"), hits0 + 1);
+    EXPECT_EQ(counterValue("store.stage.test.misses"), misses0 + 1);
+
+    // An entry the codec rejects is evicted, and still no miss counts.
+    store.writeEntry(key, StringCodec::tag, StringCodec::version,
+                     "\x05" "ab");
+    const u64 evictions0 = counterValue("store.evictions");
+    EXPECT_FALSE(store.lookup<StringCodec>(key, "test").has_value());
+    EXPECT_EQ(counterValue("store.evictions"), evictions0 + 1);
+    EXPECT_EQ(counterValue("store.stage.test.misses"), misses0 + 1);
+    EXPECT_EQ(store.scan().entries, 0u);
+
+    store.configure({dir.string(), false});
+    EXPECT_FALSE(store.lookup<StringCodec>(key, "test").has_value());
 }
 
 TEST_F(StoreTest, DisabledStoreAlwaysComputes)
@@ -414,11 +445,13 @@ studyFingerprint(const sim::CrossBinaryStudy& study)
 {
     std::string out;
     for (const auto& bs : study.perBinary()) {
-        out += format("{} {} {} {} {} {}|", bin::targetName(bs.target),
+        out += format("{} {} {} {} {} {} {} {}|",
+                      bin::targetName(bs.target),
                       bs.detailedRun.totals.instructions,
                       bs.detailedRun.totals.cycles,
                       bs.detailedRun.memory.dramAccesses,
-                      bs.fliEstimate.cpiError, bs.vliEstimate.cpiError);
+                      bs.fliEstimate.cpiError, bs.vliEstimate.cpiError,
+                      bs.fliIntervalCount, bs.fliClustering.k);
     }
     out += format("k={} intervals={}",
                   study.vliClustering().k,
@@ -457,6 +490,67 @@ TEST_F(StoreTest, WarmStudyIsBitIdenticalToColdStudy)
     EXPECT_GT(counterValue("store.hits"), hitsBeforeWarm);
     // The warm run recomputed nothing: every stage was served.
     EXPECT_EQ(counterValue("store.misses"), missesAfterCold);
+}
+
+/**
+ * A warm study needs no frequency vectors: every clustering is
+ * stored, so the profile passes and the VLI build are read with
+ * their vectors skipped, and no set is built (fvs.rows stays put).
+ */
+TEST_F(StoreTest, WarmStudyDecodesNoFrequencyVectors)
+{
+    store::ArtifactStore::configureGlobal({dir.string(), true});
+    const std::string cold = studyFingerprint(sim::CrossBinaryStudy::run(
+        test::tinyProgram(), tinyStudyConfig()));
+    const u64 rows = counterValue("fvs.rows");
+    const u64 hits = counterValue("store.hits");
+    const u64 misses = counterValue("store.misses");
+    const std::string warm = studyFingerprint(sim::CrossBinaryStudy::run(
+        test::tinyProgram(), tinyStudyConfig()));
+    store::ArtifactStore::configureGlobal({});
+
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(counterValue("fvs.rows"), rows);
+    EXPECT_EQ(counterValue("store.misses"), misses);
+    // Compile, profile, FLI clustering and detailed run per binary,
+    // plus the VLI build and its clustering.
+    EXPECT_EQ(counterValue("store.hits") - hits, 4u * 4u + 2u);
+}
+
+/**
+ * The partly warm stores a skimming read must fall back from: stored
+ * passes without their clusterings (a new maxK) and stored
+ * clusterings without their passes.  Both must give the study a cold
+ * run gives.
+ */
+TEST_F(StoreTest, PartlyWarmStudiesMatchColdStudies)
+{
+    sim::StudyConfig config = tinyStudyConfig();
+    store::ArtifactStore::configureGlobal({dir.string(), true});
+    (void)sim::CrossBinaryStudy::run(test::tinyProgram(), config);
+
+    config.simpoint.maxK = 3;
+    const std::string newMaxK = studyFingerprint(
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+
+    std::size_t removed = 0;
+    for (const bin::Binary& binary : compile::compileAllTargets(
+             test::tinyProgram(), config.compileOptions))
+        removed += fs::remove(store::ArtifactStore::global().entryPath(
+            prof::profilePassKey(binary, config.intervalTarget,
+                                 config.engineSeed)));
+    EXPECT_EQ(removed, 4u);
+    const u64 passMisses = counterValue("store.stage.profile.misses");
+    const std::string noPasses = studyFingerprint(
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+    EXPECT_EQ(counterValue("store.stage.profile.misses") - passMisses,
+              4u);
+
+    store::ArtifactStore::configureGlobal({});
+    const std::string cold = studyFingerprint(
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+    EXPECT_EQ(newMaxK, cold);
+    EXPECT_EQ(noPasses, cold);
 }
 
 TEST_F(StoreTest, ProfileNodeCacheResolvesOnlyWithItsFliClustering)

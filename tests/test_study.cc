@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "profile/profile.hh"
 #include "sim/study.hh"
 #include "test_support.hh"
 #include "workloads/workloads.hh"
@@ -147,6 +148,32 @@ TEST(Study, NonDetailedModeStillComputesStructure)
     for (const auto& bs : study.perBinary()) {
         EXPECT_TRUE(bs.detailedRun.fliIntervals.empty());
         EXPECT_GT(bs.avgVliIntervalSize, 0.0);
+    }
+}
+
+/**
+ * The FLI boundary list is kept only for the detailed run, its one
+ * reader: a timing-free study keeps none, while a detailed study's
+ * is its profile pass's, one boundary per FLI interval.
+ */
+TEST(Study, FliBoundariesKeptOnlyForDetailedRuns)
+{
+    sim::StudyConfig config = smallConfig();
+    config.detailed = false;
+    const auto timingFree =
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config);
+    const auto detailed = runTiny();
+    ASSERT_EQ(timingFree.perBinary().size(), detailed.perBinary().size());
+    for (std::size_t b = 0; b < detailed.perBinary().size(); ++b) {
+        const sim::BinaryStudy& bare = timingFree.perBinary()[b];
+        const sim::BinaryStudy& full = detailed.perBinary()[b];
+        EXPECT_TRUE(bare.fliBoundaries.empty());
+        EXPECT_EQ(bare.fliIntervalCount, full.fliIntervalCount);
+        const prof::ProfilePass pass = prof::runProfilePass(
+            detailed.binaries()[b], config.intervalTarget,
+            config.engineSeed);
+        EXPECT_EQ(full.fliBoundaries, pass.fliBoundaries);
+        EXPECT_EQ(full.fliIntervalCount, pass.fliIntervals.size());
     }
 }
 
