@@ -315,13 +315,20 @@ bin::Binary
 compileProgram(const ir::Program& program, const bin::Target& target,
                const CompileOptions& options)
 {
+    return compileProgram(program, target, options,
+                          compileKey(program, target, options));
+}
+
+bin::Binary
+compileProgram(const ir::Program& program, const bin::Target& target,
+               const CompileOptions& options, const serial::Hash128& key)
+{
     ir::validate(program);
     return store::ArtifactStore::global()
-        .getOrCompute<bin::BinaryCodec>(
-            compileKey(program, target, options), "compile", [&] {
-                Lowering lowering(program, target, options);
-                return lowering.run();
-            });
+        .getOrCompute<bin::BinaryCodec>(key, "compile", [&] {
+            Lowering lowering(program, target, options);
+            return lowering.run();
+        });
 }
 
 std::vector<bin::Target>

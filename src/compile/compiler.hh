@@ -51,6 +51,16 @@ bin::Binary compileProgram(const ir::Program& program,
                            const CompileOptions& options = {});
 
 /**
+ * compileProgram memoized under `key`, which must be
+ * compileKey(program, target, options), for a caller that built the
+ * key already.  The overload above builds the key and forwards here.
+ */
+bin::Binary compileProgram(const ir::Program& program,
+                           const bin::Target& target,
+                           const CompileOptions& options,
+                           const serial::Hash128& key);
+
+/**
  * Artifact-store key of one (program, target, options) compilation —
  * the exact key compileProgram memoizes under (artifact type
  * bin::BinaryCodec).  Exposed so the pipeline scheduler can probe

@@ -45,15 +45,14 @@ decodeVliBuild(serial::Decoder& d)
     return build;
 }
 
-VliBuildSkim
+VliBuild
 decodeVliBuildSkim(serial::Decoder& d)
 {
-    VliBuildSkim skim;
-    skim.partition = decodePartition(d);
-    skim.vectors = sp::simPointContentHasher();
-    sp::skipFvs(d, &skim.vectors);
-    d.varint();  // totalInstructions
-    return skim;
+    VliBuild build;
+    build.partition = decodePartition(d);
+    sp::skipFvs(d);
+    build.totalInstructions = d.varint();
+    return build;
 }
 
 void

@@ -50,31 +50,24 @@ struct VliBuildCodec
 };
 
 /**
- * A stored VLI build read without its vectors: the partition, and
- * the clustering key of the skipped vectors half built (finish it
- * with sp::finishSimPointKey to get the key
- * sp::pickSimulationPoints(build.intervals, options) memoizes under).
+ * decodeVliBuild without materializing the interval vectors: they
+ * are skipped under the same checks and `intervals` stays empty.
  */
-struct VliBuildSkim
-{
-    VliPartition partition;
-    serial::Hasher vectors;  ///< sp::simPointContentHasher() + the set
-};
-
-VliBuildSkim decodeVliBuildSkim(serial::Decoder& d);
+VliBuild decodeVliBuildSkim(serial::Decoder& d);
 
 /**
  * Decode-only codec for ArtifactStore::lookup: reads the entry
- * VliBuildCodec wrote, skipping (and hashing) its vectors, for a
- * reader that needs them only if their clustering is not stored.
+ * VliBuildCodec wrote, skipping its vectors (decodeVliBuildSkim),
+ * for a reader that needs only the partition because the vectors'
+ * clustering is stored too.
  */
 struct VliBuildSkimCodec
 {
-    using Value = VliBuildSkim;
+    using Value = VliBuild;
     static constexpr u32 tag = VliBuildCodec::tag;
     static constexpr u32 version = VliBuildCodec::version;
 
-    static VliBuildSkim
+    static VliBuild
     decode(serial::Decoder& d)
     {
         return decodeVliBuildSkim(d);

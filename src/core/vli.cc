@@ -159,9 +159,6 @@ buildVliPartition(const bin::Binary& primary,
                   const MappableSet& mappable, std::size_t primaryIdx,
                   InstrCount targetSize, u64 seed)
 {
-    if (!store::ArtifactStore::global().enabled())
-        return buildVliPartitionUncached(primary, mappable, primaryIdx,
-                                         targetSize, seed);
     return buildVliPartition(
         primary, mappable, primaryIdx, targetSize, seed,
         vliBuildKey(primary, mappable, primaryIdx, targetSize, seed));

@@ -118,7 +118,8 @@ VliBuild buildVliPartition(const bin::Binary& primary,
 /**
  * buildVliPartition memoized under `key`, which must be
  * vliBuildKey(primary, mappable, primaryIdx, targetSize, seed), for a
- * caller that built the key already.
+ * caller that built the key already.  The overload above builds the
+ * key and forwards here.
  */
 VliBuild buildVliPartition(const bin::Binary& primary,
                            const MappableSet& mappable,

@@ -155,8 +155,6 @@ ProfilePass
 runProfilePass(const bin::Binary& binary, InstrCount fliTarget,
                u64 seed)
 {
-    if (!store::ArtifactStore::global().enabled())
-        return runProfilePassUncached(binary, fliTarget, seed);
     return runProfilePass(binary, fliTarget, seed,
                           profilePassKey(binary, fliTarget, seed));
 }

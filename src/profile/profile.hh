@@ -161,8 +161,8 @@ ProfilePass runProfilePass(const bin::Binary& binary,
 /**
  * runProfilePass memoized under `key`, which must be
  * profilePassKey(binary, fliTarget, seed): a caller that needs the
- * key anyway passes it, so the binary is hashed once.  (The overload
- * above hashes it only when the artifact store is on.)
+ * key anyway passes it, so the binary is hashed once.  The overload
+ * above builds the key and forwards here.
  */
 ProfilePass runProfilePass(const bin::Binary& binary,
                            InstrCount fliTarget, u64 seed,

@@ -49,11 +49,17 @@ detailedRunKey(const bin::Binary& binary,
 DetailedRunResult
 runDetailed(const bin::Binary& binary, const DetailedRunRequest& req)
 {
+    return runDetailed(binary, req, detailedRunKey(binary, req));
+}
+
+DetailedRunResult
+runDetailed(const bin::Binary& binary, const DetailedRunRequest& req,
+            const serial::Hash128& key)
+{
     return store::ArtifactStore::global()
-        .getOrCompute<DetailedRunCodec>(
-            detailedRunKey(binary, req), "detailed", [&] {
-                return runDetailedUncached(binary, req);
-            });
+        .getOrCompute<DetailedRunCodec>(key, "detailed", [&] {
+            return runDetailedUncached(binary, req);
+        });
 }
 
 namespace

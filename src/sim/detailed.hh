@@ -75,6 +75,15 @@ DetailedRunResult runDetailed(const bin::Binary& binary,
                               const DetailedRunRequest& request);
 
 /**
+ * runDetailed memoized under `key`, which must be
+ * detailedRunKey(binary, request), for a caller that built the key
+ * already.  The overload above builds the key and forwards here.
+ */
+DetailedRunResult runDetailed(const bin::Binary& binary,
+                              const DetailedRunRequest& request,
+                              const serial::Hash128& key);
+
+/**
  * Artifact-store key of one detailed run (binary + every request
  * knob) — the exact key runDetailed memoizes under (artifact type
  * DetailedRunCodec).  Exposed so the pipeline scheduler can probe

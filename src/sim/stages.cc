@@ -18,12 +18,52 @@
 namespace xbsp::sim
 {
 
+namespace
+{
+
+/**
+ * The artifact stored under `sourceKey` (a profile pass or a VLI
+ * build), with the clustering of its vectors — stored under
+ * sp::simPointKey(sourceKey, options) — in `clustering`.  The
+ * clustering is looked up first; when it is stored, the source is
+ * read with SkimCodec, which skips the vectors.  Anything missing is
+ * computed (`compute` runs the keyed, memoized stage) and counted a
+ * miss, as on a cold run.  With the store off both lookups find
+ * nothing, so this is also the uncached path.
+ */
+template <typename SkimCodec, typename Compute>
+typename SkimCodec::Value
+readOrCluster(const serial::Hash128& sourceKey, const char* stage,
+              sp::FrequencyVectorSet SkimCodec::Value::*vectors,
+              const sp::SimPointOptions& options,
+              sp::SimPointResult& clustering, Compute&& compute)
+{
+    store::ArtifactStore& store = store::ArtifactStore::global();
+    std::optional<sp::SimPointResult> stored =
+        store.lookup<sp::SimPointCodec>(
+            sp::simPointKey(sourceKey, options), "simpoint");
+    std::optional<typename SkimCodec::Value> skimmed;
+    if (stored)
+        skimmed = store.lookup<SkimCodec>(sourceKey, stage);
+    typename SkimCodec::Value value =
+        skimmed ? std::move(*skimmed) : compute();
+    clustering = stored ? std::move(*stored)
+                        : sp::pickSimulationPoints(
+                              std::move(value.*vectors), options,
+                              sourceKey);
+    return value;
+}
+
+} // namespace
+
 StudyBuild::StudyBuild(ir::Program program, StudyConfig config)
-    : prog(std::move(program)),
-      targets(compile::standardTargets().size())
+    : prog(std::move(program))
 {
     study.cfg = std::move(config);
     study.name = prog.name;
+    for (const bin::Target& target : compile::standardTargets())
+        keys.compile.push_back(compile::compileKey(
+            prog, target, study.cfg.compileOptions));
 }
 
 void
@@ -31,11 +71,16 @@ StudyBuild::compile()
 {
     obs::StatRegistry::global().counter("study.runs").add();
     started = std::chrono::steady_clock::now();
-    study.bins = compile::compileAllTargets(prog,
-                                            study.cfg.compileOptions);
+    const std::vector<bin::Target> targets = compile::standardTargets();
+    for (std::size_t t = 0; t < targets.size(); ++t)
+        study.bins.push_back(compile::compileProgram(
+            prog, targets[t], study.cfg.compileOptions, keys.compile[t]));
     if (study.cfg.primaryIdx >= study.bins.size())
         fatal("primary binary index {} out of range",
               study.cfg.primaryIdx);
+    for (const bin::Binary& binary : study.bins)
+        keys.profile.push_back(prof::profilePassKey(
+            binary, study.cfg.intervalTarget, study.cfg.engineSeed));
 
     // Step layout for --progress: compile, one profile pass per
     // binary, the VLI build+cluster, one per-binary study step.
@@ -59,36 +104,14 @@ StudyBuild::profile(std::size_t b)
     // boundaries travel on, in this binary's BinaryStudy slot.
     const bin::Binary& binary = study.bins[b];
     const StudyConfig& config = study.cfg;
-    store::ArtifactStore& store = store::ArtifactStore::global();
+    const serial::Hash128& passKey = keys.profile[b];
     BinaryStudy& bs = study.studies[b];
-    prof::ProfilePass pass;
-    if (!store.enabled()) {
-        pass = prof::runProfilePass(binary, config.intervalTarget,
-                                    config.engineSeed);
-        bs.fliClustering = sp::pickSimulationPoints(
-            std::move(pass.fliIntervals), config.simpoint);
-    } else {
-        // A stored clustering needs no vectors: read the stored pass
-        // without them.  Anything missing is computed (and counted a
-        // miss) as on a cold run.
-        const serial::Hash128 passKey = profilePassKey(b);
-        std::optional<sp::SimPointResult> clustering =
-            store.lookup<sp::SimPointCodec>(
-                sp::simPointKey(passKey, config.simpoint), "simpoint");
-        std::optional<prof::ProfilePass> skimmed;
-        if (clustering)
-            skimmed = store.lookup<prof::ProfilePassSkimCodec>(
-                passKey, "profile");
-        pass = skimmed ? std::move(*skimmed)
-                       : prof::runProfilePass(binary,
-                                              config.intervalTarget,
-                                              config.engineSeed, passKey);
-        bs.fliClustering =
-            clustering ? std::move(*clustering)
-                       : sp::pickSimulationPoints(
-                             std::move(pass.fliIntervals),
-                             config.simpoint, passKey);
-    }
+    prof::ProfilePass pass = readOrCluster<prof::ProfilePassSkimCodec>(
+        passKey, "profile", &prof::ProfilePass::fliIntervals,
+        config.simpoint, bs.fliClustering, [&] {
+            return prof::runProfilePass(binary, config.intervalTarget,
+                                        config.engineSeed, passKey);
+        });
     bs.target = binary.target;
     bs.totalInstrs = pass.totalInstructions;
     bs.fliIntervalCount = pass.fliBoundaries.size();
@@ -113,51 +136,32 @@ StudyBuild::match()
         fatal("program '{}': no mappable points found across the "
               "binaries; cross-binary SimPoint cannot proceed",
               prog.name);
+    const StudyConfig& config = study.cfg;
+    keys.vli = core::vliBuildKey(study.bins[config.primaryIdx],
+                                 study.mappableSet, config.primaryIdx,
+                                 config.intervalTarget,
+                                 config.engineSeed);
 }
 
 void
 StudyBuild::vliCluster()
 {
     const StudyConfig& config = study.cfg;
-    const bin::Binary& primary = study.bins[config.primaryIdx];
-    store::ArtifactStore& store = store::ArtifactStore::global();
-    std::optional<serial::Hash128> buildKey;
-    bool served = false;
-    if (store.enabled()) {
-        // A stored build whose clustering is stored too is read
-        // without its vectors, hashing them into the clustering's
-        // key on the way.  When the clustering is missing the build
-        // is read again, whole, below.
-        buildKey = core::vliBuildKey(primary, study.mappableSet,
-                                     config.primaryIdx,
-                                     config.intervalTarget,
-                                     config.engineSeed);
-        if (std::optional<core::VliBuildSkim> skim =
-                store.lookup<core::VliBuildSkimCodec>(*buildKey, "vli")) {
-            if (std::optional<sp::SimPointResult> clustering =
-                    store.lookup<sp::SimPointCodec>(
-                        sp::finishSimPointKey(skim->vectors,
-                                              config.simpoint),
-                        "simpoint")) {
-                study.vliPartition = std::move(skim->partition);
-                study.vliCluster = std::move(*clustering);
-                served = true;
-            }
-        }
-    }
-    if (!served) {
-        core::VliBuild vliBuild =
-            buildKey ? core::buildVliPartition(
-                           primary, study.mappableSet, config.primaryIdx,
-                           config.intervalTarget, config.engineSeed,
-                           *buildKey)
-                     : core::buildVliPartition(
-                           primary, study.mappableSet, config.primaryIdx,
-                           config.intervalTarget, config.engineSeed);
-        // The build is dead once split: move its parts out.
-        study.vliPartition = std::move(vliBuild.partition);
-        study.vliCluster = sp::pickSimulationPoints(
-            std::move(vliBuild.intervals), config.simpoint);
+    const serial::Hash128& buildKey = *keys.vli;
+    core::VliBuild build = readOrCluster<core::VliBuildSkimCodec>(
+        buildKey, "vli", &core::VliBuild::intervals, config.simpoint,
+        study.vliCluster, [&] {
+            return core::buildVliPartition(
+                study.bins[config.primaryIdx], study.mappableSet,
+                config.primaryIdx, config.intervalTarget,
+                config.engineSeed, buildKey);
+        });
+    study.vliPartition = std::move(build.partition);
+    // The partition was the detailed runs' last input.
+    if (config.detailed) {
+        for (std::size_t b = 0; b < study.bins.size(); ++b)
+            keys.detailed.push_back(
+                detailedRunKey(study.bins[b], detailedRequest(b)));
     }
     obs::Progress::global().completeStep(
         format("study.{}.cluster", prog.name));
@@ -200,7 +204,7 @@ StudyBuild::binary(std::size_t b)
     }
 
     bs.detailedRun =
-        runDetailed(study.bins[b], detailedRequest(b, bs.fliBoundaries));
+        runDetailed(study.bins[b], detailedRequest(b), keys.detailed[b]);
 
     bs.fliEstimate = estimateSampled(bs.fliClustering,
                                      bs.detailedRun.fliIntervals);
@@ -219,11 +223,10 @@ StudyBuild::finish()
 }
 
 DetailedRunRequest
-StudyBuild::detailedRequest(
-    std::size_t b, const std::vector<InstrCount>& fliBoundaries) const
+StudyBuild::detailedRequest(std::size_t b) const
 {
     DetailedRunRequest req = makeRunRequest(study.cfg);
-    req.fliBoundaries = fliBoundaries;
+    req.fliBoundaries = study.studies[b].fliBoundaries;
     req.mappable = &study.mappableSet;
     req.binaryIdx = b;
     req.partition = &study.vliPartition;
@@ -242,21 +245,12 @@ bool
 StudyBuild::compileCached() const
 {
     const store::ArtifactStore& store = store::ArtifactStore::global();
-    for (const bin::Target& target : compile::standardTargets()) {
-        if (!store.contains(
-                compile::compileKey(prog, target,
-                                    study.cfg.compileOptions),
-                bin::BinaryCodec::tag, bin::BinaryCodec::version))
+    for (const serial::Hash128& key : keys.compile) {
+        if (!store.contains(key, bin::BinaryCodec::tag,
+                            bin::BinaryCodec::version))
             return false;
     }
     return true;
-}
-
-serial::Hash128
-StudyBuild::profilePassKey(std::size_t b) const
-{
-    return prof::profilePassKey(study.bins[b], study.cfg.intervalTarget,
-                                study.cfg.engineSeed);
 }
 
 bool
@@ -265,15 +259,14 @@ StudyBuild::profileCached(std::size_t b) const
     // Both artifacts profile(b) produces must be on disk: a warm pass
     // with a cold clustering (a new --maxk, say) would otherwise
     // cluster inline on the scheduling thread.
+    if (b >= keys.profile.size())
+        return false;  // no binary yet
     const store::ArtifactStore& store = store::ArtifactStore::global();
-    if (b >= study.bins.size() || !store.enabled())
-        return false;  // no binary yet, or nothing to probe
-    const serial::Hash128 passKey = profilePassKey(b);
-    return store.contains(passKey, prof::ProfilePassCodec::tag,
+    return store.contains(keys.profile[b], prof::ProfilePassCodec::tag,
                           prof::ProfilePassCodec::version) &&
-           store.contains(sp::simPointKey(passKey, study.cfg.simpoint),
-                          sp::SimPointCodec::tag,
-                          sp::SimPointCodec::version);
+           store.contains(
+               sp::simPointKey(keys.profile[b], study.cfg.simpoint),
+               sp::SimPointCodec::tag, sp::SimPointCodec::version);
 }
 
 bool
@@ -281,13 +274,10 @@ StudyBuild::binaryCached(std::size_t b) const
 {
     // The no-detailed branch always runs a (cheap, unmemoized)
     // engine pass, so only the detailed path can cache-resolve.
-    if (!study.cfg.detailed || b >= study.studies.size())
-        return false;
-    return store::ArtifactStore::global().contains(
-        detailedRunKey(study.bins[b],
-                       detailedRequest(b,
-                                       study.studies[b].fliBoundaries)),
-        DetailedRunCodec::tag, DetailedRunCodec::version);
+    return b < keys.detailed.size() &&
+           store::ArtifactStore::global().contains(
+               keys.detailed[b], DetailedRunCodec::tag,
+               DetailedRunCodec::version);
 }
 
 std::string
@@ -296,44 +286,28 @@ StudyBuild::compileKeyHex() const
     // One digest covering all four targets' compile keys, so the
     // manifest entry pins the complete binary set, not just one.
     serial::Hasher h;
-    for (const bin::Target& target : compile::standardTargets())
-        h.str(compile::compileKey(prog, target,
-                                  study.cfg.compileOptions)
-                  .hex());
+    for (const serial::Hash128& key : keys.compile)
+        h.str(key.hex());
     return h.finish().hex();
 }
 
 std::string
 StudyBuild::profileKeyHex(std::size_t b) const
 {
-    if (b >= study.bins.size())
-        return {};
-    return profilePassKey(b).hex();
+    return b < keys.profile.size() ? keys.profile[b].hex() : "";
 }
 
 std::string
 StudyBuild::vliKeyHex() const
 {
-    if (study.cfg.primaryIdx >= study.bins.size())
-        return {};
-    return core::vliBuildKey(study.bins[study.cfg.primaryIdx],
-                             study.mappableSet, study.cfg.primaryIdx,
-                             study.cfg.intervalTarget,
-                             study.cfg.engineSeed)
-        .hex();
+    return keys.vli ? keys.vli->hex() : "";
 }
 
 std::string
 StudyBuild::binaryKeyHex(std::size_t b) const
 {
     // Only the detailed path is memoized (see binaryCached).
-    if (!study.cfg.detailed || b >= study.bins.size() ||
-        b >= study.studies.size())
-        return {};
-    return detailedRunKey(study.bins[b],
-                          detailedRequest(b,
-                                          study.studies[b].fliBoundaries))
-        .hex();
+    return b < keys.detailed.size() ? keys.detailed[b].hex() : "";
 }
 
 std::string

@@ -27,7 +27,10 @@
  * Stages that are memoized through store::ArtifactStore carry cache
  * probes (the *Cached() methods): when every artifact a stage would
  * compute is already on disk, the scheduler resolves the node inline
- * instead of occupying a worker slot (see taskgraph.hh).
+ * instead of occupying a worker slot (see taskgraph.hh).  Each store
+ * key is built once, into a slot of the build, as soon as its last
+ * input exists; the stage, its probe and its manifest entry all read
+ * that slot.
  */
 
 #ifndef XBSP_SIM_STAGES_HH
@@ -35,6 +38,7 @@
 
 #include <chrono>
 #include <cstddef>
+#include <optional>
 
 #include "pipeline/taskgraph.hh"
 #include "sim/study.hh"
@@ -55,7 +59,7 @@ class StudyBuild
     const std::string& workload() const { return prog.name; }
 
     /** Number of per-binary stages (the four standard targets). */
-    std::size_t binaryCount() const { return targets; }
+    std::size_t binaryCount() const { return keys.compile.size(); }
 
     /**
      * Stage bodies, in dependency order.  Callers must respect the
@@ -94,23 +98,30 @@ class StudyBuild
     CrossBinaryStudy takeStudy();
 
   private:
-    /**
-     * Binary `b`'s detailed-run request over `fliBoundaries`.  The
-     * stage, its cache probe and its manifest key all build it here,
-     * so the probe and the key name the run the stage does.
-     */
-    DetailedRunRequest
-    detailedRequest(std::size_t b,
-                    const std::vector<InstrCount>& fliBoundaries) const;
+    /** Binary `b`'s detailed-run request (after vliCluster()). */
+    DetailedRunRequest detailedRequest(std::size_t b) const;
 
     /**
-     * Store key of binary `b`'s profile pass; its FLI clustering is
-     * stored under sp::simPointKey of this key.
+     * The store keys, one slot per memoized artifact.  A slot is
+     * filled once, by the stage that produces its last input, and
+     * read by the stage, its cache probe and its manifest entry: the
+     * graph orders the fill before every read.  A clustering's key is
+     * sp::simPointKey of its source's slot (profile pass, VLI build).
      */
-    serial::Hash128 profilePassKey(std::size_t b) const;
+    struct StoreKeys
+    {
+        /** Per standard target; at construction. */
+        std::vector<serial::Hash128> compile;
+        /** Per binary; by compile(). */
+        std::vector<serial::Hash128> profile;
+        /** By match(). */
+        std::optional<serial::Hash128> vli;
+        /** Per binary; by vliCluster(), in timed studies only. */
+        std::vector<serial::Hash128> detailed;
+    };
 
     ir::Program prog;
-    std::size_t targets;
+    StoreKeys keys;
     CrossBinaryStudy study;
     std::chrono::steady_clock::time_point started;
     long long elapsed = 0;

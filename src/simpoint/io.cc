@@ -142,6 +142,13 @@ readBbvFile(std::istream& is, u32 dimensionHint)
                 fvs.pushEntry(idx, val);
         }
         fvs.closeInterval(1);
+        // Every value is finite and non-negative, so a merged entry
+        // or the row can only overflow to +inf, and either makes the
+        // row's sum infinite: normalization would divide by it.
+        const double sum = sparseSum(fvs.row(fvs.size() - 1));
+        if (!std::isfinite(sum))
+            fatal("bb file line {}: values sum to {}, which is not "
+                  "finite", lineNo, sum);
     }
     fvs.dimension = std::max(dimensionHint, maxIdx + 1);
     fvs.seal();

@@ -31,10 +31,9 @@ namespace
  * invariants addInterval enforces: a row index at or past
  * `dimension` would read past the end of the projection matrix, and
  * a lengths count other than the row count past the end of
- * `lengths`.  `visit` sees every decoded field in encoding order —
- * which is also hashFvs's order — through dimension(u32), rows(u64),
- * row(u64 entries), entry(u32 index, double value), rowEnd(u64
- * entries so far), lengths(u64) and length(u64).
+ * `lengths`.  `visit` sees every decoded field in encoding order
+ * through dimension(u32), rows(u64), entry(u32 index, double value),
+ * rowEnd(u64 entries so far), lengths(u64) and length(u64).
  */
 template <typename Visitor>
 void
@@ -50,7 +49,6 @@ walkFvs(serial::Decoder& d, Visitor& visit)
         if (entries > std::numeric_limits<u32>::max() - total)
             throw serial::DecodeError(
                 "frequency-vector set exceeds 2^32 - 1 entries");
-        visit.row(entries);
         u32 last = 0;
         for (u64 j = 0; j < entries; ++j) {
             const u32 dim = d.varint32();
@@ -91,47 +89,23 @@ struct FvsBuilder
         }
     }
 
-    void row(u64) {}
     void entry(u32 index, double value) { fvs.pushEntry(index, value); }
     void rowEnd(u64 total) { fvs.offsets.push_back(static_cast<u32>(total)); }
     void lengths(u64 n) { fvs.lengths.reserve(static_cast<std::size_t>(n)); }
     void length(u64 length) { fvs.lengths.push_back(length); }
 };
 
-/** Folds what hashFvs folds for the set, into `h` when given. */
+/** Counts the rows. */
 struct FvsSkipper
 {
-    serial::Hasher* h;
     u64 count = 0;
 
-    void
-    fold(u64 v)
-    {
-        if (h)
-            h->u64v(v);
-    }
-
-    void dimension(u32 n) { fold(n); }
-
-    void
-    rows(u64 n)
-    {
-        count = n;
-        fold(n);
-    }
-
-    void row(u64 entries) { fold(entries); }
-
-    void
-    entry(u32 index, double value)
-    {
-        if (h)
-            h->u32v(index).f64(value);
-    }
-
+    void dimension(u32) {}
+    void rows(u64 n) { count = n; }
+    void entry(u32, double) {}
     void rowEnd(u64) {}
-    void lengths(u64 n) { fold(n); }
-    void length(u64 length) { fold(length); }
+    void lengths(u64) {}
+    void length(u64) {}
 };
 
 } // namespace
@@ -146,9 +120,9 @@ decodeFvs(serial::Decoder& d)
 }
 
 u64
-skipFvs(serial::Decoder& d, serial::Hasher* h)
+skipFvs(serial::Decoder& d)
 {
-    FvsSkipper skipper{h};
+    FvsSkipper skipper;
     walkFvs(d, skipper);
     return skipper.count;
 }

@@ -21,10 +21,8 @@ FrequencyVectorSet decodeFvs(serial::Decoder& d);
 /**
  * Read past one encoded frequency-vector set without building it,
  * under decodeFvs's checks and DecodeErrors; returns its row count.
- * When `h` is given, folds into it exactly what hashFvs folds for
- * the set decodeFvs would return.
  */
-u64 skipFvs(serial::Decoder& d, serial::Hasher* h = nullptr);
+u64 skipFvs(serial::Decoder& d);
 
 void encodeSimPointResult(serial::Encoder& e, const SimPointResult& r);
 SimPointResult decodeSimPointResult(serial::Decoder& d);

@@ -249,28 +249,15 @@ pickOwned(FrequencyVectorSet&& fvs, const SimPointOptions& options,
 
 } // namespace
 
-serial::Hasher
-simPointContentHasher()
-{
-    serial::Hasher h;
-    h.str("simpoint");
-    return h;
-}
-
-serial::Hash128
-finishSimPointKey(serial::Hasher h, const SimPointOptions& options)
-{
-    hashSimPointOptions(h, options);
-    return h.finish();
-}
-
 serial::Hash128
 simPointKey(const FrequencyVectorSet& fvs,
             const SimPointOptions& options)
 {
-    serial::Hasher h = simPointContentHasher();
+    serial::Hasher h;
+    h.str("simpoint");
     hashFvs(h, fvs);
-    return finishSimPointKey(std::move(h), options);
+    hashSimPointOptions(h, options);
+    return h.finish();
 }
 
 serial::Hash128

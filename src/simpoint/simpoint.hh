@@ -87,9 +87,9 @@ SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
  * Consuming overload keyed by provenance: memoized under
  * simPointKey(sourceKey, options) instead of a hash of the vectors.
  * `sourceKey` must be the store key of the artifact `fvs` was taken
- * from (a profile pass), so the vectors are a pure function of it.
- * The key then costs nothing to build, and a caller can probe for
- * the clustering before it has the vectors.
+ * from (a profile pass or a VLI build), so the vectors are a pure
+ * function of it.  The key then costs nothing to build, and a caller
+ * can probe for the clustering before it has the vectors.
  */
 SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
                                     const SimPointOptions& options,
@@ -104,16 +104,6 @@ SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
  */
 serial::Hash128 simPointKey(const FrequencyVectorSet& fvs,
                             const SimPointOptions& options);
-
-/**
- * simPointKey(fvs, options) in two steps, for a reader that streams
- * an encoded set instead of holding it: fold the raw set into
- * simPointContentHasher() as hashFvs (or skipFvs) does, then finish
- * with the options.
- */
-serial::Hasher simPointContentHasher();
-serial::Hash128 finishSimPointKey(serial::Hasher h,
-                                  const SimPointOptions& options);
 
 /**
  * Artifact-store key of the clustering the sourceKey overload

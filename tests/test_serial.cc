@@ -666,6 +666,66 @@ TEST(SerialCodecMutation, DistTaskFramesDecodeOrReject)
         payloadOf(dist::frameTaskDone(done)), 0xd0e5);
 }
 
+namespace
+{
+
+/** Shutdown has no body: the message type is the whole payload. */
+struct ShutdownBody
+{
+};
+
+ShutdownBody
+decodeShutdownBody(serial::Decoder&)
+{
+    return {};
+}
+
+} // namespace
+
+TEST(SerialCodecMutation, DistControlFramesDecodeOrReject)
+{
+    dist::Hello hello;
+    hello.workerName = "worker-7";
+    hello.cacheDir = "/var/cache/xbsp";
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::Hello, dist::MsgType::Hello, dist::decodeHello>>(
+        payloadOf(dist::frameHello(hello)), 0x4e11);
+
+    dist::HelloAck ack;
+    ack.serverName = "xbsp-serve";
+    ack.cacheDir = "/var/cache/xbsp";
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::HelloAck, dist::MsgType::HelloAck,
+                   dist::decodeHelloAck>>(
+        payloadOf(dist::frameHelloAck(ack)), 0xac4e);
+
+    dist::SuiteRequest request;
+    request.figures = {"figure1", "table2"};
+    request.workloads = {"gzip", "mcf"};
+    request.workScale = 0.25;
+    request.intervalTarget = 100'000;
+    request.maxK = 8;
+    request.seed = 7;
+    request.core = "decoupled";
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::SuiteRequest, dist::MsgType::SuiteRequest,
+                   dist::decodeSuiteRequest>>(
+        payloadOf(dist::frameSuiteRequest(request)), 0x5e0e);
+
+    dist::SuiteResponse response;
+    response.ok = true;
+    response.report = "Figure 1\n  gzip  1.23  4.56\n";
+    expectMutantsDecodeOrReject<
+        FrameCodec<dist::SuiteResponse, dist::MsgType::SuiteResponse,
+                   dist::decodeSuiteResponse>>(
+        payloadOf(dist::frameSuiteResponse(response)), 0x5e5b);
+
+    expectMutantsDecodeOrReject<
+        FrameCodec<ShutdownBody, dist::MsgType::Shutdown,
+                   decodeShutdownBody>>(payloadOf(dist::frameShutdown()),
+                                        0x5d0f);
+}
+
 TEST(SerialCodecMutation, SimPointResultDecodesOrRejects)
 {
     const bin::Binary binary = compile::compileProgram(
@@ -684,8 +744,8 @@ TEST(SerialCodecMutation, SimPointResultDecodesOrRejects)
 /**
  * The skimming reads decode the bytes the full codecs wrote, minus
  * the vectors: a profile pass keeps its markers and boundaries, and
- * a VLI build its partition plus the exact clustering key of the
- * vectors it skipped.  Neither builds a set (fvs.rows stays put).
+ * a VLI build its partition and instruction count.  Neither builds a
+ * set (fvs.rows stays put).
  */
 TEST(SerialCodec, SkimReadsKeepAllButTheVectors)
 {
@@ -721,16 +781,11 @@ TEST(SerialCodec, SkimReadsKeepAllButTheVectors)
     serial::Encoder v;
     core::VliBuildCodec::encode(v, build);
     serial::Decoder dv(v.view());
-    const core::VliBuildSkim skim = core::VliBuildSkimCodec::decode(dv);
+    const core::VliBuild skim = core::VliBuildSkimCodec::decode(dv);
     dv.expectEnd();
-    EXPECT_EQ(skim.partition.intervalCount(),
-              build.partition.intervalCount());
-    for (const u32 maxK : {3u, 10u}) {
-        sp::SimPointOptions options;
-        options.maxK = maxK;
-        EXPECT_EQ(sp::finishSimPointKey(skim.vectors, options),
-                  sp::simPointKey(build.intervals, options));
-    }
+    EXPECT_EQ(skim.partition.boundaries, build.partition.boundaries);
+    EXPECT_EQ(skim.intervals.size(), 0u);
+    EXPECT_EQ(skim.totalInstructions, build.totalInstructions);
     EXPECT_EQ(reg.counterValue("fvs.rows"), rows);
 }
 

@@ -278,6 +278,15 @@ TEST(SimPointIoHostile, BbvNonFiniteOrNegativeValueFatal)
                     "line 2: value .* is not finite and non-negative")
             << line;
     }
+    // Finite values whose merged entry, or whose row, overflows to
+    // +inf: normalization would leave a non-finite or all-zero row.
+    for (const char* line :
+         {"T:1:1e308 :1:1e308 :2:5\n", "T:1:1e308 :2:1e308\n"}) {
+        std::stringstream ss(std::string("T:1:1\n") + line);
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    "line 2: values sum to inf, which is not finite")
+            << line;
+    }
 }
 
 TEST(SimPointIoHostile, LengthsOutOfRangeFatal)

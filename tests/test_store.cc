@@ -529,9 +529,14 @@ TEST_F(StoreTest, PartlyWarmStudiesMatchColdStudies)
     store::ArtifactStore::configureGlobal({dir.string(), true});
     (void)sim::CrossBinaryStudy::run(test::tinyProgram(), config);
 
+    // A new maxK reads the stored VLI build once: its clustering is
+    // keyed by the build's key, so the node learns the clustering is
+    // missing before it reads the build.
     config.simpoint.maxK = 3;
+    const u64 vliHits = counterValue("store.stage.vli.hits");
     const std::string newMaxK = studyFingerprint(
         sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+    EXPECT_EQ(counterValue("store.stage.vli.hits") - vliHits, 1u);
 
     std::size_t removed = 0;
     for (const bin::Binary& binary : compile::compileAllTargets(
