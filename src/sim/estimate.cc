@@ -28,11 +28,23 @@ estimateSampled(const sp::SimPointResult& clustering,
         panic("estimateSampled: clustering has {} intervals but stats "
               "have {}", clustering.labels.size(), intervals.size());
 
+    // One ascending pass over the labels sums each phase's
+    // instructions and cycles: per phase, the additions a walk of its
+    // member intervals in rising order would make, in that order.
     BinaryEstimate est;
     double totalCycles = 0.0;
-    for (const IntervalStats& iv : intervals) {
+    std::vector<InstrCount> instrsOf(clustering.k);
+    std::vector<double> cyclesOf(clustering.k);
+    for (std::size_t i = 0; i < intervals.size(); ++i) {
+        const IntervalStats& iv = intervals[i];
+        const u32 label = clustering.labels[i];
+        if (label >= clustering.k)
+            panic("estimateSampled: interval {} has label {} of {} "
+                  "phases", i, label, clustering.k);
         est.totalInstrs += iv.instrs;
         totalCycles += static_cast<double>(iv.cycles);
+        instrsOf[label] += iv.instrs;
+        cyclesOf[label] += static_cast<double>(iv.cycles);
     }
     est.trueCycles = totalCycles;
     est.trueCpi = est.totalInstrs
@@ -41,16 +53,15 @@ estimateSampled(const sp::SimPointResult& clustering,
 
     double estCpi = 0.0;
     for (const sp::Phase& phase : clustering.phases) {
+        if (phase.id >= clustering.k)
+            panic("estimateSampled: phase id {} of {} phases", phase.id,
+                  clustering.k);
         PhaseEstimate pe;
         pe.phaseId = phase.id;
         pe.representative = phase.representative;
 
-        InstrCount phaseInstrs = 0;
-        double phaseCycles = 0.0;
-        for (u32 member : phase.members) {
-            phaseInstrs += intervals[member].instrs;
-            phaseCycles += static_cast<double>(intervals[member].cycles);
-        }
+        const InstrCount phaseInstrs = instrsOf[phase.id];
+        const double phaseCycles = cyclesOf[phase.id];
         pe.weight = est.totalInstrs
                         ? static_cast<double>(phaseInstrs) /
                               static_cast<double>(est.totalInstrs)

@@ -27,9 +27,10 @@ namespace
  * sp::simPointKey(sourceKey, options) — in `clustering`.  The
  * clustering is looked up first; when it is stored, the source is
  * read with SkimCodec, which skips the vectors.  Anything missing is
- * computed (`compute` runs the keyed, memoized stage) and counted a
- * miss, as on a cold run.  With the store off both lookups find
- * nothing, so this is also the uncached path.
+ * computed (`compute` runs the keyed, memoized source stage) and
+ * counted a miss, as on a cold run; a missed clustering is computed
+ * and stored without a second read.  With the store off both lookups
+ * find nothing, so this is also the uncached path.
  */
 template <typename SkimCodec, typename Compute>
 typename SkimCodec::Value
@@ -39,18 +40,22 @@ readOrCluster(const serial::Hash128& sourceKey, const char* stage,
               sp::SimPointResult& clustering, Compute&& compute)
 {
     store::ArtifactStore& store = store::ArtifactStore::global();
+    const serial::Hash128 clusteringKey =
+        sp::simPointKey(sourceKey, options);
     std::optional<sp::SimPointResult> stored =
-        store.lookup<sp::SimPointCodec>(
-            sp::simPointKey(sourceKey, options), "simpoint");
+        store.lookup<sp::SimPointCodec>(clusteringKey, "simpoint");
     std::optional<typename SkimCodec::Value> skimmed;
     if (stored)
         skimmed = store.lookup<SkimCodec>(sourceKey, stage);
     typename SkimCodec::Value value =
         skimmed ? std::move(*skimmed) : compute();
-    clustering = stored ? std::move(*stored)
-                        : sp::pickSimulationPoints(
-                              std::move(value.*vectors), options,
-                              sourceKey);
+    clustering =
+        stored ? std::move(*stored)
+               : store.computeAndStore<sp::SimPointCodec>(
+                     clusteringKey, "simpoint", [&] {
+                         return sp::clusterVectors(
+                             std::move(value.*vectors), options);
+                     });
     return value;
 }
 

@@ -139,9 +139,6 @@ encodeSimPointResult(serial::Encoder& e, const SimPointResult& r)
         e.varint(phase.id);
         e.varint(phase.representative);
         e.f64(phase.weight);
-        e.varint(phase.members.size());
-        for (u32 member : phase.members)
-            e.varint(member);
     }
     e.f64(r.chosenBic);
     e.varint(r.bicByK.size());
@@ -153,9 +150,12 @@ SimPointResult
 decodeSimPointResult(serial::Decoder& d)
 {
     // A store artifact is outside input: every label must be below
-    // k, and every phase non-empty, its members and representative
-    // existing intervals that carry its label.  estimateSampled
-    // indexes interval stats with all of them.
+    // k, and every representative an existing interval that carries
+    // its phase's label, which also proves each phase non-empty and
+    // its id below k.  Phase ids rise strictly, so no phase is
+    // counted twice.  estimateSampled indexes per-phase sums with the
+    // ids and interval stats with the labels' positions and the
+    // representatives.
     SimPointResult r;
     r.k = d.varint32();
     const u64 labels = d.arrayCount();
@@ -166,33 +166,21 @@ decodeSimPointResult(serial::Decoder& d)
             throw serial::DecodeError("phase label out of range");
         r.labels.push_back(label);
     }
-    auto carries = [&r](u32 interval, u32 phaseId) {
-        return interval < r.labels.size() &&
-               r.labels[interval] == phaseId;
-    };
-    const u64 phases = d.arrayCount(11);
+    const u64 phases = d.arrayCount(10);
     r.phases.reserve(static_cast<std::size_t>(phases));
     for (u64 i = 0; i < phases; ++i) {
         Phase phase;
         phase.id = d.varint32();
+        if (i > 0 && phase.id <= r.phases.back().id)
+            throw serial::DecodeError("phase ids not strictly rising");
         phase.representative = d.varint32();
-        if (!carries(phase.representative, phase.id))
+        if (phase.representative >= r.labels.size() ||
+            r.labels[phase.representative] != phase.id)
             throw serial::DecodeError(
                 "phase representative does not carry the phase's "
                 "label");
         phase.weight = d.f64();
-        const u64 members = d.arrayCount();
-        if (members == 0)
-            throw serial::DecodeError("phase has no members");
-        phase.members.reserve(static_cast<std::size_t>(members));
-        for (u64 j = 0; j < members; ++j) {
-            const u32 member = d.varint32();
-            if (!carries(member, phase.id))
-                throw serial::DecodeError(
-                    "phase member does not carry the phase's label");
-            phase.members.push_back(member);
-        }
-        r.phases.push_back(std::move(phase));
+        r.phases.push_back(phase);
     }
     r.chosenBic = d.f64();
     const u64 bics = d.arrayCount(8);

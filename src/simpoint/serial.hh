@@ -34,12 +34,15 @@ void hashFvs(serial::Hasher& h, const FrequencyVectorSet& fvs);
 void hashSimPointOptions(serial::Hasher& h,
                          const SimPointOptions& options);
 
-/** Artifact-store codec for clustering results. */
+/**
+ * Artifact-store codec for clustering results.  Version 2 writes no
+ * per-phase member lists: the labels are the only record of them.
+ */
 struct SimPointCodec
 {
     using Value = SimPointResult;
     static constexpr u32 tag = serial::fourcc("SPRS");
-    static constexpr u32 version = 1;
+    static constexpr u32 version = 2;
 
     static void
     encode(serial::Encoder& e, const SimPointResult& r)

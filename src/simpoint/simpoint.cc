@@ -29,8 +29,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
     // Projection coalesces duplicate intervals: it runs once per
     // class and the clustering layer scans classes instead of points.
     // The class structure rides along inside ProjectedData; every
-    // label, member list and representative below stays expressed in
-    // original interval ids.
+    // label and representative below stays expressed in original
+    // interval ids.
     const ProjectedData data =
         project(fvs, options.projectedDims, options.seed);
     // Nothing reads a row again; only the lengths weigh the phases.
@@ -121,8 +121,9 @@ pickFromNormalized(FrequencyVectorSet fvs,
     out.bicByK = bicByK;
     out.chosenBic = bicByK[chosenIdx];
 
-    // Build phases: members, instruction weights, representative =
-    // member interval closest to the cluster centroid.
+    // Build phases: instruction weights, representative = member
+    // interval closest to the cluster centroid.  The member lists are
+    // local: the labels are the result's only record of membership.
     //
     // Tie-breaking deviation from SimPoint 3.0: when several members
     // are equally close to the centroid (common here, because the
@@ -145,17 +146,17 @@ pickFromNormalized(FrequencyVectorSet fvs,
     std::vector<double> classDist(data.classes());
     std::vector<u32> classPhase(data.classes(), chosen.k);
     for (u32 c = 0; c < chosen.k; ++c) {
+        const std::vector<u32>& members = membersOf[c];
+        if (members.empty())
+            continue; // degenerate cluster; drop it
         Phase phase;
         phase.id = c;
-        phase.members = std::move(membersOf[c]);
-        if (phase.members.empty())
-            continue; // degenerate cluster; drop it
         InstrCount phaseInstrs = 0;
         std::vector<double> dists;
-        dists.reserve(phase.members.size());
+        dists.reserve(members.size());
         double bestDist = std::numeric_limits<double>::max();
         const auto centroid = chosen.centroid(c, data.dims);
-        for (const u32 i : phase.members) {
+        for (const u32 i : members) {
             phaseInstrs += fvs.lengths[i];
             const u32 u = data.classOf[i];
             if (classPhase[u] != c) {
@@ -180,9 +181,9 @@ pickFromNormalized(FrequencyVectorSet fvs,
             options.earlyPoints ? options.earlyTolerance : 1e-3;
         const double epsilon = tolerance * meanDist + 1e-12;
         std::vector<u32> candidates;
-        for (std::size_t m = 0; m < phase.members.size(); ++m) {
+        for (std::size_t m = 0; m < members.size(); ++m) {
             if (dists[m] <= bestDist + epsilon)
-                candidates.push_back(phase.members[m]);
+                candidates.push_back(members[m]);
         }
         if (candidates.empty())
             panic("phase {}: no member within {} of the centroid "
@@ -199,9 +200,9 @@ pickFromNormalized(FrequencyVectorSet fvs,
         phase.weight =
             total ? static_cast<double>(phaseInstrs) /
                         static_cast<double>(total)
-                  : static_cast<double>(phase.members.size()) /
+                  : static_cast<double>(members.size()) /
                         static_cast<double>(fvs.size());
-        out.phases.push_back(std::move(phase));
+        out.phases.push_back(phase);
     }
     if (out.phases.empty())
         panic("SimPoint produced no phases for {} intervals",
@@ -210,41 +211,21 @@ pickFromNormalized(FrequencyVectorSet fvs,
 }
 
 /**
- * Serve `compute` through the artifact store: under
- * simPointKey(*sourceKey, options) when a source key is given, else
- * under the content key.  That one hashes every raw vector, so it is
- * built only when the store will look it up; every overload hashes
- * before it normalizes, so it is the same for all of them.
+ * Serve `compute` through the artifact store under the content key.
+ * That one hashes every raw vector, so it is built only when the
+ * store will look it up; both overloads hash before they normalize,
+ * so it is the same for both.
  */
 template <typename Compute>
 SimPointResult
 memoized(const FrequencyVectorSet& fvs, const SimPointOptions& options,
-         const serial::Hash128* sourceKey, Compute&& compute)
+         Compute&& compute)
 {
-    if (fvs.size() == 0)
-        fatal("SimPoint called with no intervals");
     store::ArtifactStore& store = store::ArtifactStore::global();
     if (!store.enabled())
         return compute();
-    return store.getOrCompute<SimPointCodec>(
-        sourceKey ? simPointKey(*sourceKey, options)
-                  : simPointKey(fvs, options),
-        "simpoint", compute);
-}
-
-/**
- * The consuming overloads: owned from the start, so the caller's set
- * is empty afterwards even on a cache hit.
- */
-SimPointResult
-pickOwned(FrequencyVectorSet&& fvs, const SimPointOptions& options,
-          const serial::Hash128* sourceKey)
-{
-    FrequencyVectorSet owned = std::exchange(fvs, {});
-    return memoized(owned, options, sourceKey, [&] {
-        owned.normalize();
-        return pickFromNormalized(std::move(owned), options);
-    });
+    return store.getOrCompute<SimPointCodec>(simPointKey(fvs, options),
+                                             "simpoint", compute);
 }
 
 } // namespace
@@ -273,29 +254,32 @@ simPointKey(const serial::Hash128& sourceKey,
 }
 
 SimPointResult
+clusterVectors(FrequencyVectorSet fvs, const SimPointOptions& options)
+{
+    if (fvs.size() == 0)
+        fatal("SimPoint called with no intervals");
+    fvs.normalize();
+    return pickFromNormalized(std::move(fvs), options);
+}
+
+SimPointResult
 pickSimulationPoints(const FrequencyVectorSet& fvs,
                      const SimPointOptions& options)
 {
-    return memoized(fvs, options, nullptr, [&] {
-        FrequencyVectorSet normalized = fvs;
-        normalized.normalize();
-        return pickFromNormalized(std::move(normalized), options);
-    });
+    return memoized(fvs, options,
+                    [&] { return clusterVectors(fvs, options); });
 }
 
 SimPointResult
 pickSimulationPoints(FrequencyVectorSet&& fvs,
                      const SimPointOptions& options)
 {
-    return pickOwned(std::move(fvs), options, nullptr);
-}
-
-SimPointResult
-pickSimulationPoints(FrequencyVectorSet&& fvs,
-                     const SimPointOptions& options,
-                     const serial::Hash128& sourceKey)
-{
-    return pickOwned(std::move(fvs), options, &sourceKey);
+    // Owned from the start, so the caller's set is empty afterwards
+    // even on a cache hit.
+    FrequencyVectorSet owned = std::exchange(fvs, {});
+    return memoized(owned, options, [&] {
+        return clusterVectors(std::move(owned), options);
+    });
 }
 
 } // namespace xbsp::sp

@@ -43,21 +43,23 @@ struct SimPointOptions
     double earlyTolerance = 0.3;
 };
 
-/** One phase: its members, representative and execution weight. */
+/**
+ * One phase: its representative and execution weight.  Its members
+ * are the intervals whose label is its id (SimPointResult::labels).
+ */
 struct Phase
 {
     u32 id = 0;
     u32 representative = 0;      ///< interval index (simulation point)
     double weight = 0.0;         ///< fraction of executed instructions
-    std::vector<u32> members;    ///< interval indices, ascending
 };
 
 /** Full output of a SimPoint analysis over one interval set. */
 struct SimPointResult
 {
     u32 k = 0;                   ///< chosen number of phases
-    std::vector<u32> labels;     ///< phase id per interval
-    std::vector<Phase> phases;   ///< non-empty phases, by id
+    std::vector<u32> labels;     ///< phase id per interval (< k)
+    std::vector<Phase> phases;   ///< non-empty phases, by rising id
     double chosenBic = 0.0;
     std::vector<double> bicByK;  ///< raw BIC for k = 1..maxK
 };
@@ -84,31 +86,30 @@ SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
                                     const SimPointOptions& options);
 
 /**
- * Consuming overload keyed by provenance: memoized under
- * simPointKey(sourceKey, options) instead of a hash of the vectors.
- * `sourceKey` must be the store key of the artifact `fvs` was taken
- * from (a profile pass or a VLI build), so the vectors are a pure
- * function of it.  The key then costs nothing to build, and a caller
- * can probe for the clustering before it has the vectors.
+ * The pipeline alone: takes ownership of `fvs`, normalizes and
+ * clusters it without consulting the artifact store.  For a caller
+ * that memoizes the clustering under a key of its own.
  */
-SimPointResult pickSimulationPoints(FrequencyVectorSet&& fvs,
-                                    const SimPointOptions& options,
-                                    const serial::Hash128& sourceKey);
+SimPointResult clusterVectors(FrequencyVectorSet fvs,
+                              const SimPointOptions& options);
 
 /**
- * Artifact-store key of one clustering run — the exact key the two
- * two-argument overloads memoize under (artifact type SimPointCodec).
- * Hashed over the *raw* (pre-normalization) vectors, which is what
- * both receive.  Exposed so the pipeline scheduler can probe whether
- * a clustering stage is already cached.
+ * Artifact-store key of one clustering run — the exact key both
+ * pickSimulationPoints overloads memoize under (artifact type
+ * SimPointCodec).  Hashed over the *raw* (pre-normalization) vectors,
+ * which is what both receive.  Exposed so the pipeline scheduler can
+ * probe whether a clustering stage is already cached.
  */
 serial::Hash128 simPointKey(const FrequencyVectorSet& fvs,
                             const SimPointOptions& options);
 
 /**
- * Artifact-store key of the clustering the sourceKey overload
- * memoizes: the source artifact's key and every SimPointOptions
- * knob, under its own stage name so it never meets a content key.
+ * Artifact-store key of a clustering keyed by provenance: the key of
+ * the artifact the vectors were taken from (a profile pass or a VLI
+ * build, so the vectors are a pure function of it) and every
+ * SimPointOptions knob, under its own stage name so it never meets a
+ * content key.  It costs nothing to build, and a caller can look the
+ * clustering up before it has the vectors.
  */
 serial::Hash128 simPointKey(const serial::Hash128& sourceKey,
                             const SimPointOptions& options);

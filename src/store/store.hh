@@ -125,6 +125,23 @@ class ArtifactStore
         if (std::optional<typename Codec::Value> value =
                 read<Codec>(key, stage))
             return std::move(*value);
+        return computeAndStore<Codec>(key, stage,
+                                      std::forward<Fn>(compute));
+    }
+
+    /**
+     * The write half of getOrCompute: count a miss for `stage`, run
+     * `compute` and persist its value under `key`, without reading
+     * the entry first.  For a caller whose lookup() already missed.
+     * Just `compute` when the store is disabled.
+     */
+    template <typename Codec, typename Fn>
+    typename Codec::Value
+    computeAndStore(const serial::Hash128& key, const char* stage,
+                    Fn&& compute)
+    {
+        if (!enabled())
+            return compute();
         countMiss(stage);
         typename Codec::Value value = compute();
         serial::Encoder encoder;
@@ -138,9 +155,10 @@ class ArtifactStore
      * (a hit for `stage`), or nullopt when it is absent or corrupt
      * (corrupt entries are evicted).  Counts no miss, computes and
      * writes nothing, so a caller can try a cheaper read first and
-     * fall back to getOrCompute, which counts the miss.  Codec needs
-     * only `Value`, `tag`, `version` and decode(): a decode-only
-     * codec may read the entry another codec wrote, in part.
+     * fall back to getOrCompute, or to computeAndStore, which counts
+     * the miss.  Codec needs only `Value`, `tag`, `version` and
+     * decode(): a decode-only codec may read the entry another codec
+     * wrote, in part.
      * Always nullopt when the store is disabled.
      */
     template <typename Codec>

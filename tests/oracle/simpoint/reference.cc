@@ -333,25 +333,26 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
     out.bicByK = bicByK;
     out.chosenBic = bicByK[chosenIdx];
 
-    // Phases: members, instruction weights, and as representative
-    // the temporally median member among those within a small window
-    // of the closest distance to the centroid (the earliest one with
+    // Phases: members (bucketed here; the result records them only
+    // in the labels), instruction weights, and as representative the
+    // temporally median member among those within a small window of
+    // the closest distance to the centroid (the earliest one with
     // early points).
     const InstrCount total = fvs.totalInstructions();
     std::vector<std::vector<u32>> membersOf(chosen.k);
     for (std::size_t i = 0; i < fvs.size(); ++i)
         membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
     for (u32 c = 0; c < chosen.k; ++c) {
+        const std::vector<u32>& members = membersOf[c];
+        if (members.empty())
+            continue; // degenerate cluster; drop it
         Phase phase;
         phase.id = c;
-        phase.members = std::move(membersOf[c]);
-        if (phase.members.empty())
-            continue; // degenerate cluster; drop it
         InstrCount phaseInstrs = 0;
         std::vector<double> dists;
         double bestDist = std::numeric_limits<double>::max();
         const auto centroid = chosen.centroid(c, data.dims);
-        for (const u32 i : phase.members) {
+        for (const u32 i : members) {
             phaseInstrs += fvs.lengths[i];
             const double d = sqDist(data.point(i), centroid);
             dists.push_back(d);
@@ -366,9 +367,9 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
             options.earlyPoints ? options.earlyTolerance : 1e-3;
         const double epsilon = tolerance * meanDist + 1e-12;
         std::vector<u32> candidates;
-        for (std::size_t m = 0; m < phase.members.size(); ++m) {
+        for (std::size_t m = 0; m < members.size(); ++m) {
             if (dists[m] <= bestDist + epsilon)
-                candidates.push_back(phase.members[m]);
+                candidates.push_back(members[m]);
         }
         if (candidates.empty())
             panic("phase {}: no member within {} of the centroid "
@@ -381,9 +382,9 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
         phase.weight =
             total ? static_cast<double>(phaseInstrs) /
                         static_cast<double>(total)
-                  : static_cast<double>(phase.members.size()) /
+                  : static_cast<double>(members.size()) /
                         static_cast<double>(fvs.size());
-        out.phases.push_back(std::move(phase));
+        out.phases.push_back(phase);
     }
     if (out.phases.empty())
         panic("SimPoint produced no phases for {} intervals",

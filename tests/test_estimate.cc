@@ -1,7 +1,9 @@
 /**
  * @file
  * Unit tests for the sampled-estimation math (weights, per-phase
- * bias, speedup error) on hand-constructed inputs with known answers.
+ * bias, speedup error) on hand-constructed inputs with known answers,
+ * and for its label pass against explicit member lists on real
+ * studies.
  */
 
 #include <cmath>
@@ -9,6 +11,11 @@
 #include <gtest/gtest.h>
 
 #include "sim/estimate.hh"
+#include "sim/study.hh"
+#include "test_support.hh"
+#include "util/format.hh"
+#include "util/stats.hh"
+#include "workloads/workloads.hh"
 
 using namespace xbsp;
 
@@ -25,11 +32,9 @@ handmadeClustering()
     sp::Phase p0;
     p0.id = 0;
     p0.representative = 2;
-    p0.members = {0, 2};
     sp::Phase p1;
     p1.id = 1;
     p1.representative = 1;
-    p1.members = {1, 3};
     result.phases = {p0, p1};
     return result;
 }
@@ -41,7 +46,124 @@ handmadeIntervals()
     return {{100, 200}, {100, 500}, {100, 300}, {300, 1800}};
 }
 
+/**
+ * estimateSampled as it was written over per-phase member lists: each
+ * phase's sums walk its members in rising interval order.
+ */
+sim::BinaryEstimate
+memberListEstimate(const sp::SimPointResult& clustering,
+                   const std::vector<sim::IntervalStats>& intervals)
+{
+    sim::BinaryEstimate est;
+    double totalCycles = 0.0;
+    for (const sim::IntervalStats& iv : intervals) {
+        est.totalInstrs += iv.instrs;
+        totalCycles += static_cast<double>(iv.cycles);
+    }
+    est.trueCycles = totalCycles;
+    est.trueCpi = est.totalInstrs
+                      ? totalCycles / static_cast<double>(est.totalInstrs)
+                      : 0.0;
+    const std::vector<std::vector<u32>> members =
+        test::phaseMembers(clustering);
+    double estCpi = 0.0;
+    for (std::size_t p = 0; p < clustering.phases.size(); ++p) {
+        const sp::Phase& phase = clustering.phases[p];
+        sim::PhaseEstimate pe;
+        pe.phaseId = phase.id;
+        pe.representative = phase.representative;
+        InstrCount phaseInstrs = 0;
+        double phaseCycles = 0.0;
+        for (u32 member : members[p]) {
+            phaseInstrs += intervals[member].instrs;
+            phaseCycles += static_cast<double>(intervals[member].cycles);
+        }
+        pe.weight = est.totalInstrs
+                        ? static_cast<double>(phaseInstrs) /
+                              static_cast<double>(est.totalInstrs)
+                        : 0.0;
+        pe.trueCpi = phaseInstrs
+                         ? phaseCycles / static_cast<double>(phaseInstrs)
+                         : 0.0;
+        pe.spCpi = intervals[phase.representative].cpi();
+        pe.bias = signedRelativeError(pe.trueCpi, pe.spCpi);
+        estCpi += pe.weight * pe.spCpi;
+        est.phases.push_back(pe);
+    }
+    est.estCpi = estCpi;
+    est.estCycles = estCpi * static_cast<double>(est.totalInstrs);
+    est.cpiError = relativeError(est.trueCpi, est.estCpi);
+    return est;
+}
+
+/** Bitwise equality of every field of two estimates. */
+void
+expectSameEstimate(const sim::BinaryEstimate& want,
+                   const sim::BinaryEstimate& got)
+{
+    EXPECT_EQ(got.totalInstrs, want.totalInstrs);
+    EXPECT_EQ(got.trueCycles, want.trueCycles);
+    EXPECT_EQ(got.trueCpi, want.trueCpi);
+    EXPECT_EQ(got.estCpi, want.estCpi);
+    EXPECT_EQ(got.estCycles, want.estCycles);
+    EXPECT_EQ(got.cpiError, want.cpiError);
+    ASSERT_EQ(got.phases.size(), want.phases.size());
+    for (std::size_t p = 0; p < want.phases.size(); ++p) {
+        SCOPED_TRACE("phase " + std::to_string(p));
+        EXPECT_EQ(got.phases[p].phaseId, want.phases[p].phaseId);
+        EXPECT_EQ(got.phases[p].representative,
+                  want.phases[p].representative);
+        EXPECT_EQ(got.phases[p].weight, want.phases[p].weight);
+        EXPECT_EQ(got.phases[p].trueCpi, want.phases[p].trueCpi);
+        EXPECT_EQ(got.phases[p].spCpi, want.phases[p].spCpi);
+        EXPECT_EQ(got.phases[p].bias, want.phases[p].bias);
+    }
+}
+
 } // namespace
+
+/**
+ * One ascending pass over the labels makes each phase's additions in
+ * the order its member list did, so every estimate of a real study —
+ * all four binaries of gzip and mcf, FLI and VLI — equals the member
+ * loops' bit for bit, as does the estimate the study itself made.
+ */
+TEST(Estimate, LabelPassMatchesMemberLists)
+{
+    sim::StudyConfig config;
+    config.intervalTarget = 50'000;
+    std::size_t multiPhase = 0;
+    for (const char* name : {"gzip", "mcf"}) {
+        const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
+            workloads::makeWorkload(name, 0.5), config);
+        ASSERT_EQ(study.perBinary().size(), 4u);
+        for (const sim::BinaryStudy& bs : study.perBinary()) {
+            const std::string binary = bin::targetName(bs.target);
+            const struct
+            {
+                const char* scheme;
+                const sp::SimPointResult& clustering;
+                const std::vector<sim::IntervalStats>& intervals;
+                const sim::BinaryEstimate& studied;
+            } schemes[] = {
+                {"fli", bs.fliClustering, bs.detailedRun.fliIntervals,
+                 bs.fliEstimate},
+                {"vli", study.vliClustering(),
+                 bs.detailedRun.vliIntervals, bs.vliEstimate}};
+            for (const auto& s : schemes) {
+                SCOPED_TRACE(format("{} {} {}", name, binary, s.scheme));
+                const sim::BinaryEstimate want =
+                    memberListEstimate(s.clustering, s.intervals);
+                expectSameEstimate(
+                    want, sim::estimateSampled(s.clustering, s.intervals));
+                expectSameEstimate(want, s.studied);
+                multiPhase += s.clustering.phases.size() > 1;
+            }
+        }
+    }
+    // Most of the 16 clusterings have several phases to tell apart.
+    EXPECT_GE(multiPhase, 8u);
+}
 
 TEST(Estimate, WeightsTruthAndSpCpi)
 {

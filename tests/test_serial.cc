@@ -287,7 +287,7 @@ soundResult()
     sp::SimPointResult r;
     r.k = 2;
     r.labels = {0, 1, 0};
-    r.phases = {{0, 2, 0.75, {0, 2}}, {1, 1, 0.25, {1}}};
+    r.phases = {{0, 2, 0.75}, {1, 1, 0.25}};
     r.bicByK = {-1.0, -2.0};
     return r;
 }
@@ -391,10 +391,29 @@ TEST(SerialCodec, SimPointLabelPastKRejected)
     expectResultRejected(r);
 }
 
-TEST(SerialCodec, SimPointMemberPastIntervalsRejected)
+TEST(SerialCodec, SimPointPhaseIdsNotRisingRejected)
 {
+    // A repeated phase would be counted twice by estimateSampled, and
+    // a phase out of order breaks the sweep's id order.
     sp::SimPointResult r = soundResult();
-    r.phases[0].members.push_back(3);
+    r.phases[1] = r.phases[0];
+    expectResultRejected(r);
+    r = soundResult();
+    std::swap(r.phases[0], r.phases[1]);
+    expectResultRejected(r);
+}
+
+TEST(SerialCodec, SimPointPhaseWithoutIntervalsRejected)
+{
+    // Phase 2 is within the k of 3, but no interval carries its
+    // label, so its representative (interval 1, phase 1) cannot.
+    sp::SimPointResult r = soundResult();
+    r.k = 3;
+    r.phases.push_back({2, 1, 0.0});
+    expectResultRejected(r);
+    // A phase id past k cannot be carried by any interval either.
+    r = soundResult();
+    r.phases[1].id = 5;
     expectResultRejected(r);
 }
 
@@ -417,7 +436,7 @@ TEST(SerialCodec, SimPointResultRoundTrip)
     sp::SimPointResult r;
     r.k = 2;
     r.labels = {0, 1, 1, 0};
-    r.phases = {{0, 0, 0.5, {0, 3}}, {1, 1, 0.5, {1, 2}}};
+    r.phases = {{0, 0, 0.5}, {1, 1, 0.5}};
     r.chosenBic = -123.456789;
     r.bicByK = {-1.0, -2.5, 0.0};
 
@@ -435,7 +454,6 @@ TEST(SerialCodec, SimPointResultRoundTrip)
         EXPECT_EQ(back.phases[i].representative,
                   r.phases[i].representative);
         EXPECT_EQ(back.phases[i].weight, r.phases[i].weight);
-        EXPECT_EQ(back.phases[i].members, r.phases[i].members);
     }
     EXPECT_EQ(back.chosenBic, r.chosenBic);
     EXPECT_EQ(back.bicByK, r.bicByK);

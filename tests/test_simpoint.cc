@@ -11,6 +11,7 @@
 
 #include "simpoint/reference.hh"
 #include "simpoint/simpoint.hh"
+#include "test_support.hh"
 #include "util/threadpool.hh"
 
 using namespace xbsp;
@@ -289,22 +290,20 @@ TEST(SimPointPick, FindsPhasesAndWeights)
     EXPECT_EQ(result.labels.size(), fvs.size());
     EXPECT_EQ(result.bicByK.size(), 10u);
 
+    // Phases are non-empty, in rising id order, and each one's
+    // representative is a member: an interval carrying its label.
     double totalWeight = 0.0;
-    for (const Phase& phase : result.phases) {
+    const std::vector<std::vector<u32>> members = test::phaseMembers(result);
+    for (std::size_t p = 0; p < result.phases.size(); ++p) {
+        const Phase& phase = result.phases[p];
         totalWeight += phase.weight;
-        // Representative is a member carrying the phase's label.
-        EXPECT_EQ(result.labels[phase.representative], phase.id);
-        bool found = false;
-        for (u32 member : phase.members)
-            found |= member == phase.representative;
-        EXPECT_TRUE(found);
-        // Members all share the label and are ascending.
-        for (std::size_t m = 0; m < phase.members.size(); ++m) {
-            EXPECT_EQ(result.labels[phase.members[m]], phase.id);
-            if (m > 0) {
-                EXPECT_GT(phase.members[m], phase.members[m - 1]);
-            }
+        EXPECT_LT(phase.id, result.k);
+        if (p > 0) {
+            EXPECT_GT(phase.id, result.phases[p - 1].id);
         }
+        EXPECT_FALSE(members[p].empty());
+        EXPECT_TRUE(std::ranges::binary_search(members[p],
+                                               phase.representative));
     }
     EXPECT_NEAR(totalWeight, 1.0, 1e-9);
 }
@@ -318,8 +317,10 @@ TEST(SimPointPick, WeightsFollowInstructionLengths)
     SimPointOptions options;
     options.maxK = 4;
     const SimPointResult result = pickSimulationPoints(fvs, options);
-    for (const Phase& phase : result.phases) {
-        const u32 truth = truthLabel(phase.members[0], 2);
+    const std::vector<std::vector<u32>> members = test::phaseMembers(result);
+    for (std::size_t p = 0; p < result.phases.size(); ++p) {
+        const Phase& phase = result.phases[p];
+        const u32 truth = truthLabel(members[p][0], 2);
         if (result.k == 2) {
             EXPECT_NEAR(phase.weight, truth == 0 ? 0.75 : 0.25,
                         0.01);
@@ -364,7 +365,7 @@ TEST(SimPointPick, AllIdenticalIntervalsCollapseToOnePhase)
         EXPECT_EQ(result.k, 1u);
         ASSERT_EQ(result.phases.size(), 1u);
         EXPECT_DOUBLE_EQ(result.phases[0].weight, 1.0);
-        EXPECT_EQ(result.phases[0].members.size(), 25u);
+        EXPECT_EQ(test::phaseMembers(result)[0].size(), 25u);
     };
     for (const u64 jobs : {u64{1}, u64{4}}) {
         SCOPED_TRACE("jobs " + std::to_string(jobs));

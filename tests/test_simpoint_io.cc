@@ -4,8 +4,12 @@
  * and for the `xbsp bbv` / `xbsp simpoints` commands built on it.
  */
 
+#include <cstdlib>
 #include <limits>
 #include <sstream>
+
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +17,7 @@
 #include "test_support.hh"
 #include "util/format.hh"
 #include "util/rng.hh"
+#include "workloads/workloads.hh"
 
 using namespace xbsp;
 using namespace xbsp::sp;
@@ -110,9 +115,8 @@ TEST(SimPointIo, OutputFilesExactText)
     SimPointResult result;
     result.k = 3;
     result.labels = {0, 2, 2, 0, 1, 0};
-    result.phases = {Phase{0, 3, 1.0 / 3.0, {0, 3, 5}},
-                     Phase{1, 4, 1.0 / 6.0, {4}},
-                     Phase{2, 2, 0.5, {1, 2}}};
+    result.phases = {Phase{0, 3, 1.0 / 3.0}, Phase{1, 4, 1.0 / 6.0},
+                     Phase{2, 2, 0.5}};
 
     std::ostringstream sims, weights, labels;
     writeSimpointsFile(sims, result);
@@ -304,6 +308,107 @@ TEST(SimPointIoHostile, LengthsOutOfRangeFatal)
     EXPECT_EXIT(readLengthsFile(garbage, fvs),
                 ::testing::ExitedWithCode(1),
                 "lengths file line 2: '2x'");
+}
+
+// ---------------------------------------------------------------------
+// Fuzzed text: seeded mutants of gzip's real .bb and lengths files, as
+// `xbsp bbv` writes them, each read in a death-test child of its own,
+// one child at a time.  A reader either parses a mutant (exit 0) or
+// rejects it through fatal() (exit 1); a signal, or a hang the alarm
+// turns into one, fails the input.
+
+namespace
+{
+
+/** gzip's FLI vectors, profiled as `xbsp bbv --workload gzip` does. */
+const FrequencyVectorSet&
+gzipVectors()
+{
+    static const FrequencyVectorSet fvs =
+        prof::runProfilePass(
+            compile::compileProgram(workloads::makeWorkload("gzip", 1.0),
+                                    bin::target32u),
+            250'000)
+            .fliIntervals;
+    return fvs;
+}
+
+/**
+ * About 500 mutants of `text`: 100 seeded truncations (the empty text
+ * included), then 400 copies with 1-4 bytes replaced, each by a byte
+ * of the format's own alphabet or by a random one.
+ */
+std::vector<std::string>
+mutantsOf(const std::string& text, u64 seed)
+{
+    static constexpr std::string_view alphabet = "0123456789T: \n.-+eE";
+    Rng rng(seed);
+    std::vector<std::string> mutants{std::string()};
+    while (mutants.size() < 100)
+        mutants.push_back(text.substr(0, rng.nextBelow(text.size())));
+    while (mutants.size() < 500) {
+        std::string mutant = text;
+        for (u64 flips = 1 + rng.nextBelow(4); flips > 0; --flips) {
+            char& byte = mutant[rng.nextBelow(mutant.size())];
+            byte = rng.nextBool(0.5)
+                       ? alphabet[rng.nextBelow(alphabet.size())]
+                       : static_cast<char>(rng.nextBelow(256));
+        }
+        mutants.push_back(std::move(mutant));
+    }
+    return mutants;
+}
+
+/**
+ * Feed every mutant of `text` to `read` in its own child, expecting
+ * exit 0 or 1 from each; both outcomes must occur.
+ */
+template <typename Read>
+void
+expectMutantsParseOrFail(const std::string& text, u64 seed, Read read)
+{
+    std::size_t parsed = 0, rejected = 0;
+    auto exitedCleanly = [&](int status) {
+        if (!WIFEXITED(status) || WEXITSTATUS(status) > 1)
+            return false;
+        ++(WEXITSTATUS(status) == 0 ? parsed : rejected);
+        return true;
+    };
+    const std::vector<std::string> mutants = mutantsOf(text, seed);
+    for (std::size_t m = 0; m < mutants.size(); ++m) {
+        EXPECT_EXIT(
+            {
+                alarm(10);
+                std::istringstream is(mutants[m]);
+                read(is);
+                std::_Exit(0);
+            },
+            exitedCleanly, "")
+            << "mutant " << m << " of seed " << seed;
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
+}
+
+} // namespace
+
+TEST(SimPointIoFuzz, BbvMutantsParseOrFail)
+{
+    std::ostringstream bb;
+    writeBbvFile(bb, gzipVectors());
+    expectMutantsParseOrFail(bb.str(), 0xBB5EED, [](std::istream& is) {
+        (void)readBbvFile(is);
+    });
+}
+
+TEST(SimPointIoFuzz, LengthsMutantsParseOrFail)
+{
+    std::ostringstream lens;
+    writeLengthsFile(lens, gzipVectors());
+    expectMutantsParseOrFail(lens.str(), 0x1E5EED, [](std::istream& is) {
+        FrequencyVectorSet fvs = gzipVectors();
+        readLengthsFile(is, fvs);
+    });
 }
 
 namespace

@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 
 #include "compile/compiler.hh"
 #include "obs/stats.hh"
+#include "obs/trace.hh"
 #include "pipeline/taskgraph.hh"
 #include "profile/profile.hh"
 #include "sim/stages.hh"
@@ -170,6 +172,41 @@ TEST_F(StoreTest, LookupServesHitsAndCountsNoMiss)
 
     store.configure({dir.string(), false});
     EXPECT_FALSE(store.lookup<StringCodec>(key, "test").has_value());
+}
+
+TEST_F(StoreTest, ComputeAndStoreWritesWithoutReading)
+{
+    // A corrupt entry under the key is overwritten, not read: nothing
+    // is evicted, one miss counts, and the new value is what a lookup
+    // then finds.
+    const serial::Hash128 key = keyOf("write-me");
+    store.writeEntry(key, StringCodec::tag, StringCodec::version,
+                     "\x05" "ab");
+    const u64 hits0 = counterValue("store.stage.test.hits");
+    const u64 misses0 = counterValue("store.stage.test.misses");
+    const u64 evictions0 = counterValue("store.evictions");
+    int computations = 0;
+    EXPECT_EQ(store.computeAndStore<StringCodec>(key, "test", [&] {
+        ++computations;
+        return std::string("v");
+    }),
+              "v");
+    EXPECT_EQ(computations, 1);
+    EXPECT_EQ(counterValue("store.stage.test.misses"), misses0 + 1);
+    EXPECT_EQ(counterValue("store.stage.test.hits"), hits0);
+    EXPECT_EQ(counterValue("store.evictions"), evictions0);
+    EXPECT_EQ(store.lookup<StringCodec>(key, "test"),
+              std::optional<std::string>("v"));
+
+    // Disabled: it only computes.
+    store.configure({dir.string(), false});
+    EXPECT_EQ(store.computeAndStore<StringCodec>(
+                  keyOf("unwritten"), "test",
+                  [] { return std::string("w"); }),
+              "w");
+    EXPECT_EQ(counterValue("store.stage.test.misses"), misses0 + 1);
+    store.configure({dir.string(), true});
+    EXPECT_EQ(store.scan().entries, 1u);
 }
 
 TEST_F(StoreTest, DisabledStoreAlwaysComputes)
@@ -531,12 +568,25 @@ TEST_F(StoreTest, PartlyWarmStudiesMatchColdStudies)
 
     // A new maxK reads the stored VLI build once: its clustering is
     // keyed by the build's key, so the node learns the clustering is
-    // missing before it reads the build.
+    // missing before it reads the build.  Each missed clustering is
+    // read once too: one `store simpoint` span per miss.
     config.simpoint.maxK = 3;
     const u64 vliHits = counterValue("store.stage.vli.hits");
+    const u64 clusterMisses = counterValue("store.stage.simpoint.misses");
+    obs::TraceSession& trace = obs::TraceSession::global();
+    trace.clear();
+    trace.enable();
     const std::string newMaxK = studyFingerprint(
         sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+    trace.disable();
     EXPECT_EQ(counterValue("store.stage.vli.hits") - vliHits, 1u);
+    EXPECT_EQ(counterValue("store.stage.simpoint.misses") - clusterMisses,
+              5u);
+    const std::vector<obs::TraceEvent> events = trace.events();
+    trace.clear();
+    EXPECT_EQ(std::ranges::count(events, std::string("store simpoint"),
+                                 &obs::TraceEvent::name),
+              5);
 
     std::size_t removed = 0;
     for (const bin::Binary& binary : compile::compileAllTargets(

@@ -2,7 +2,8 @@
  * @file
  * Shared fixtures/helpers for the test suite: small deterministic
  * programs with known counts, shortcuts for compiling/profiling
- * them, and a shell runner for tests that drive the CLI.
+ * them, a shell runner for tests that drive the CLI, and the member
+ * lists of a clustering's phases.
  */
 
 #ifndef XBSP_TESTS_TEST_SUPPORT_HH
@@ -16,6 +17,7 @@
 #include "compile/compiler.hh"
 #include "ir/builder.hh"
 #include "profile/profile.hh"
+#include "simpoint/simpoint.hh"
 
 namespace xbsp::test
 {
@@ -149,6 +151,23 @@ inline prof::MarkerProfile
 profileMarkers(const bin::Binary& binary)
 {
     return prof::runProfilePass(binary, 1u << 20).markers;
+}
+
+/**
+ * Each phase's member intervals, ascending, read off the labels:
+ * element p lists the intervals labelled result.phases[p].id.
+ */
+inline std::vector<std::vector<u32>>
+phaseMembers(const sp::SimPointResult& result)
+{
+    std::vector<std::vector<u32>> members(result.phases.size());
+    for (std::size_t p = 0; p < result.phases.size(); ++p) {
+        for (std::size_t i = 0; i < result.labels.size(); ++i) {
+            if (result.labels[i] == result.phases[p].id)
+                members[p].push_back(static_cast<u32>(i));
+        }
+    }
+    return members;
 }
 
 /** Dynamic count of a (kind, symbol-or-line) marker group. */
