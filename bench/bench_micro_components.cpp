@@ -10,10 +10,9 @@
 
 #include "cache/hierarchy.hh"
 #include "compile/compiler.hh"
-#include "cpu/core.hh"
-#include "cpu/inorder.hh"
 #include "exec/engine.hh"
 #include "mem/pattern.hh"
+#include "sim/detailed.hh"
 #include "simpoint/simpoint.hh"
 #include "workloads/workloads.hh"
 
@@ -83,14 +82,8 @@ BM_EngineDetailedRun(benchmark::State& state)
     const bin::Binary binary =
         compile::compileProgram(program, bin::target32o);
     InstrCount instrs = 0;
-    for (auto _ : state) {
-        exec::Engine engine(binary);
-        cache::Hierarchy hierarchy;
-        cpu::InOrderCore core(hierarchy);
-        engine.addObserver(&core, {true, true, false});
-        engine.run();
-        instrs += engine.instructionsExecuted();
-    }
+    for (auto _ : state)
+        instrs += sim::runDetailed(binary, {}).totals.instructions;
     state.SetItemsProcessed(static_cast<i64>(instrs));
 }
 BENCHMARK(BM_EngineDetailedRun)->Unit(benchmark::kMillisecond);

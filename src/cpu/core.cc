@@ -1,7 +1,5 @@
 #include "cpu/core.hh"
 
-#include "cpu/decoupled.hh"
-#include "cpu/inorder.hh"
 #include "obs/stats.hh"
 #include "util/logging.hh"
 
@@ -53,18 +51,6 @@ coreConfigFor(CoreKind kind)
     CoreConfig config;
     config.kind = kind;
     return config;
-}
-
-std::unique_ptr<Core>
-makeCore(const CoreConfig& config, cache::Hierarchy& hierarchy)
-{
-    switch (config.kind) {
-      case CoreKind::InOrder:
-        return std::make_unique<InOrderCore>(hierarchy);
-      case CoreKind::Decoupled:
-        return std::make_unique<DecoupledCore>(hierarchy, config);
-    }
-    fatal("unknown core kind {}", static_cast<u32>(config.kind));
 }
 
 } // namespace xbsp::cpu

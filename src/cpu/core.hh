@@ -1,10 +1,14 @@
 /**
  * @file
- * The pluggable CPU-backend layer: an abstract timing core behind
- * which any microarchitecture model can sit.
+ * The pluggable CPU-backend layer: a timing core that turns the
+ * events of a run into cycles.
  *
- * A core is an execution observer (exec::Observer) in front of the
- * shared cache::Hierarchy.  The contract every backend must obey:
+ * A core sees the control flow (block and, when its model uses them,
+ * marker events) and the stall cycles of each block's memory
+ * references; it never sees an address.  The detailed walk
+ * (sim/walk.hh) owns the cache::Hierarchy, services every reference
+ * there and hands the core one onStall(cycles, refs) per serviced
+ * batch or stack run.  The contract every backend must obey:
  *
  *  - **Counters are monotonic.**  cycles() and instructions() only
  *    ever grow during a run; snapshot collectors read them at
@@ -16,6 +20,9 @@
  *    conforming core is bit-identical across worker counts by
  *    construction.  No wall-clock, no
  *    unseeded randomness, no iteration over unordered containers.
+ *  - **Stalls compose.**  A core must end in the same state whether
+ *    a block's stalls arrive per reference, per batch or as one sum,
+ *    so the walk may group references as it likes.
  *  - **The configuration is part of the result's identity.**  Every
  *    CoreConfig field is hashed into detailedRunKey and the study
  *    config digest (see sim/serial): a core is a *model* knob that
@@ -23,22 +30,19 @@
  *
  * Backends:
  *  - InOrderCore (cpu/inorder.hh): one cycle per instruction plus
- *    full blocking memory latency — the CMP$im-style seed model.
+ *    every stall cycle in full — the CMP$im-style seed model.
  *  - DecoupledCore (cpu/decoupled.hh): a staged pipeline with a
  *    decoupled branch-predictor front end (BTB + history predictor,
- *    fetch-target queue, mispredict flush penalty) in front of the
- *    same hierarchy.
+ *    fetch-target queue, mispredict flush penalty) whose fetch runs
+ *    ahead during stalls.
  */
 
 #ifndef XBSP_CPU_CORE_HH
 #define XBSP_CPU_CORE_HH
 
-#include <memory>
 #include <optional>
 #include <string_view>
 
-#include "cache/hierarchy.hh"
-#include "exec/engine.hh"
 #include "util/types.hh"
 
 namespace xbsp::cpu
@@ -102,31 +106,19 @@ struct CoreConfig
 };
 
 /**
- * Abstract timing core: an execution observer owning the performance
- * counters, attached to a shared (not owned) memory hierarchy.
- * Derived classes implement the event handlers; the counter accessors
- * are non-virtual so snapshot collectors pay no dispatch to read
- * them at interval boundaries.
+ * Timing core base: the performance counters.  Backends add the
+ * event handlers onBlock(blockId, instrs) and onStall(stall, refs)
+ * (and onMarker when they set usesMarkers); the walk calls them on
+ * the concrete type, and snapshot collectors read the counters
+ * through this base without dispatch.
  */
-class Core : public exec::Observer
+class Core
 {
   public:
-    explicit Core(cache::Hierarchy& hierarchy) : hier(hierarchy) {}
-
     /** Running counters (monotonic over the whole run). */
     Cycles cycles() const { return stats.cycles; }
     InstrCount instructions() const { return stats.instructions; }
     const CoreStats& totals() const { return stats; }
-
-    /** The memory system this core is attached to. */
-    cache::Hierarchy& hierarchy() { return hier; }
-
-    /**
-     * Zero the performance counters.  Microarchitectural state
-     * (predictor tables, queues) is deliberately kept: resetting
-     * counters mid-run must not change subsequent timing.
-     */
-    virtual void resetCounters() { stats = CoreStats{}; }
 
     /**
      * Fold this run's counters into the cpu.* registry series (one
@@ -137,7 +129,6 @@ class Core : public exec::Observer
     void flushStats() const;
 
   protected:
-    cache::Hierarchy& hier;
     CoreStats stats;
 };
 
@@ -157,13 +148,6 @@ bool selectCore(std::string_view name);
 
 /** A CoreConfig with default knobs and the given kind. */
 CoreConfig coreConfigFor(CoreKind kind);
-
-/**
- * Construct the backend `config` describes over `hierarchy` (not
- * owned; must outlive the core).  Fatal on out-of-range knobs.
- */
-std::unique_ptr<Core> makeCore(const CoreConfig& config,
-                               cache::Hierarchy& hierarchy);
 
 } // namespace xbsp::cpu
 

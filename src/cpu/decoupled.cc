@@ -5,9 +5,7 @@
 namespace xbsp::cpu
 {
 
-DecoupledCore::DecoupledCore(cache::Hierarchy& hierarchy,
-                             const CoreConfig& config)
-    : Core(hierarchy), cfg(config)
+DecoupledCore::DecoupledCore(const CoreConfig& config) : cfg(config)
 {
     if (cfg.fetchWidth < 1 || cfg.fetchWidth > 64)
         fatal("decoupled core: fetchWidth {} out of range (1-64)",

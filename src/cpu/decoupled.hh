@@ -2,8 +2,8 @@
  * @file
  * Decoupled-frontend pipeline core (scarab-style): a branch-predictor
  * driven fetch unit runs ahead of the backend through a fetch-target
- * queue (FTQ), with the existing blocking cache::Hierarchy behind the
- * backend.
+ * queue (FTQ), with the blocking memory stalls the detailed walk
+ * reports behind the backend.
  *
  * Mapping onto the engine's event stream (there is no architectural
  * PC here, so blocks and markers *are* the control flow):
@@ -28,7 +28,9 @@
  *    stalls (fetch bubbles, at the fetch-width refill rate) when it
  *    runs dry — which is exactly the post-flush state.  Backend
  *    cycles (retire + memory stalls) credit the frontend with
- *    run-ahead fetch time.
+ *    run-ahead fetch time.  The credit saturates additively at the
+ *    queue's capacity, so crediting a block's stalls per reference,
+ *    per batch or as one sum ends in the same state.
  *
  * Timing is a pure function of the event stream — deterministic at
  * any --jobs count — and all counters are monotonic, so the snapshot collectors gate it exactly
@@ -52,18 +54,11 @@ class DecoupledCore final : public Core
     /** Marker events train the global history register. */
     static constexpr bool usesMarkers = true;
 
-    /** The hierarchy is shared and not owned; config is validated. */
-    DecoupledCore(cache::Hierarchy& hierarchy,
-                  const CoreConfig& config);
-
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, true, true};
-    }
+    /** Fatal on out-of-range knobs. */
+    explicit DecoupledCore(const CoreConfig& config);
 
     void
-    onBlock(u32 blockId, u32 instrs) override
+    onBlock(u32 blockId, u32 instrs)
     {
         stats.instructions += instrs;
         predict(blockId);
@@ -88,43 +83,21 @@ class DecoupledCore final : public Core
         credit(static_cast<u64>(instrs) * cfg.fetchWidth);
     }
 
-    void
-    onMemRef(Addr addr, bool isWrite) override
-    {
-        const cache::HitLevel level = hier.access(addr, isWrite);
-        const Cycles stall = hier.latency(level);
-        stats.cycles += stall;
-        ++stats.memRefs;
-        credit(stall * cfg.fetchWidth);
-    }
-
-    void
-    onMemRefs(std::span<const mem::MemRef> refs) override
-    {
-        // Blocking memory, identical to the in-order model; the
-        // stall cycles are frontend run-ahead time.
-        const Cycles stall = hier.accessBatch(refs);
-        stats.cycles += stall;
-        stats.memRefs += refs.size();
-        credit(stall * cfg.fetchWidth);
-    }
-
     /**
-     * A block's stack spills as one run (exec::StackRunSink).  The
-     * FTQ credit saturates, so crediting the pattern batch's and the
-     * run's stalls apart ends where crediting their sum does.
+     * `refs` references were serviced in `stall` cycles: blocking
+     * memory, identical to the in-order model, during which the
+     * frontend runs ahead.
      */
     void
-    onStackRun(Addr base, u32 cursor, u32 n)
+    onStall(Cycles stall, u64 refs)
     {
-        const Cycles stall = hier.accessStackRun(base, cursor, n);
         stats.cycles += stall;
-        stats.memRefs += n;
+        stats.memRefs += refs;
         credit(stall * cfg.fetchWidth);
     }
 
     void
-    onMarker(u32 markerId) override
+    onMarker(u32 markerId)
     {
         history = (history << 3) ^
                   (static_cast<u64>(markerId) * 0x9E3779B97F4A7C15ull);

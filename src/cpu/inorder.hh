@@ -1,10 +1,10 @@
 /**
  * @file
  * In-order core timing model in the CMP$im style: one cycle per
- * instruction plus the full memory-hierarchy latency of every data
- * reference (a blocking, non-overlapping memory model).  The seed
- * backend of the pluggable core layer, and the default everywhere —
- * its timing math is frozen so existing reports stay byte-identical.
+ * instruction plus the full latency of every data reference (a
+ * blocking, non-overlapping memory model).  The seed backend of the
+ * pluggable core layer, and the default everywhere — its timing math
+ * is frozen so existing reports stay byte-identical.
  */
 
 #ifndef XBSP_CPU_INORDER_HH
@@ -15,51 +15,27 @@
 namespace xbsp::cpu
 {
 
-/** The blocking-memory timing model; blocks + memRefs hooks only. */
+/** The blocking-memory timing model; blocks and stalls only. */
 class InOrderCore final : public Core
 {
   public:
     /** Marker events carry no information for this model. */
     static constexpr bool usesMarkers = false;
 
-    /** The hierarchy is shared and not owned. */
-    explicit InOrderCore(cache::Hierarchy& hierarchy);
-
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, true, false};
-    }
-
     void
-    onBlock(u32 blockId, u32 instrs) override
+    onBlock(u32 blockId, u32 instrs)
     {
         (void)blockId;
         stats.instructions += instrs;
         stats.cycles += instrs;
     }
 
+    /** `refs` references were serviced in `stall` cycles. */
     void
-    onMemRef(Addr addr, bool isWrite) override
+    onStall(Cycles stall, u64 refs)
     {
-        const cache::HitLevel level = hier.access(addr, isWrite);
-        stats.cycles += hier.latency(level);
-        ++stats.memRefs;
-    }
-
-    void
-    onMemRefs(std::span<const mem::MemRef> refs) override
-    {
-        stats.cycles += hier.accessBatch(refs);
-        stats.memRefs += refs.size();
-    }
-
-    /** A block's stack spills as one run (exec::StackRunSink). */
-    void
-    onStackRun(Addr base, u32 cursor, u32 n)
-    {
-        stats.cycles += hier.accessStackRun(base, cursor, n);
-        stats.memRefs += n;
+        stats.cycles += stall;
+        stats.memRefs += refs;
     }
 };
 

@@ -231,17 +231,6 @@ Engine::flushStats()
     reg.distribution("engine.instrsPerRun").sample(instrCount);
 }
 
-InstrCount
-runOnce(const bin::Binary& binary,
-        const std::vector<Observer*>& observers, u64 seed)
-{
-    Engine engine(binary, seed);
-    for (Observer* obs : observers)
-        engine.addObserver(obs, obs->hooks());
-    engine.run();
-    return engine.instructionsExecuted();
-}
-
 bool
 selectEngineMode(std::string_view mode)
 {

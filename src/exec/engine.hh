@@ -46,14 +46,14 @@
  *
  * Engine::run() drives a sink that fans out to the registered
  * observers; Engine::runWith(sink) lets the dominant configurations (the BBV
- * profile pass, the detailed core) supply a concrete sink so the
+ * profile pass, the timed walk) supply a concrete sink so the
  * whole hot path devirtualizes into one translation unit.
  *
  * Event ordering contract (relied upon by the snapshot collectors):
  *  - the engine's instruction counter is updated *before* the block
  *    event is dispatched, so observers see the post-block count;
  *  - a block's memory-reference events are dispatched before its
- *    block event, so timing observers are fully up to date when
+ *    block event, so the timing core is fully up to date when
  *    boundary collectors cut an interval at a block event;
  *  - memory references are delivered as one onMemRefs() batch per
  *    block execution and observer, in issue order (for a
@@ -125,9 +125,9 @@ class Observer
     /**
      * The event kinds this observer needs.  The default subscribes
      * to everything — correct but wasteful; observers that only
-     * consume a subset override this so convenience drivers
-     * (runOnce) don't force the engine to materialize streams
-     * nobody reads.
+     * consume a subset override this so a caller registering them
+     * with addObserver(obs, obs->hooks()) doesn't force the engine
+     * to materialize streams nobody reads.
      */
     virtual ObserverHooks hooks() const { return {true, true, true}; }
 
@@ -138,26 +138,14 @@ class Observer
         (void)instrs;
     }
 
-    /** One memory reference was issued. */
-    virtual void onMemRef(Addr addr, bool isWrite)
-    {
-        (void)addr;
-        (void)isWrite;
-    }
-
     /**
      * All memory references of one basic-block execution, in issue
-     * order.  The engine dispatches this instead of per-reference
-     * onMemRef() calls; the default implementation fans back out to
-     * onMemRef(), so existing observers keep working unchanged.
-     * Batch-aware observers (the timing core) override this to
-     * amortize the virtual dispatch over the whole block.
+     * order: one call per block execution.
      */
     virtual void
     onMemRefs(std::span<const mem::MemRef> refs)
     {
-        for (const mem::MemRef& ref : refs)
-            onMemRef(ref.addr, ref.isWrite);
+        (void)refs;
     }
 
     /** A marker (proc entry / loop entry / loop branch) fired. */
@@ -481,14 +469,6 @@ class Engine
 
     void flushStats();
 };
-
-/**
- * Convenience: run `binary` once with the given observers, each
- * subscribed per its own hooks(), and return instructions executed.
- */
-InstrCount runOnce(const bin::Binary& binary,
-                   const std::vector<Observer*>& observers,
-                   u64 seed = 0x5EEDull);
 
 /**
  * Stateless name check kept for perfbench's xbspbench, its only

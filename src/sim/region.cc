@@ -1,5 +1,8 @@
 #include "sim/region.hh"
 
+#include <type_traits>
+
+#include "sim/walk.hh"
 #include "util/logging.hh"
 
 namespace xbsp::sim
@@ -9,39 +12,25 @@ namespace
 {
 
 /**
- * Gate helper shared by both region flavours: records core counters
- * at region start/end and optionally flushes the hierarchy at start.
+ * Records the core's counters at region start and end, flushing the
+ * walk's hierarchy first when the region starts cold.  The derived
+ * gates decide when the region starts and ends.
  */
-struct RegionGate
+class RegionGate
 {
-    cpu::Core& core;
-    cache::Hierarchy& hierarchy;
-    RegionWarming warming;
-    IntervalStats startSnap;
-    IntervalStats endSnap;
-    bool started = false;
-    bool ended = false;
-
-    void
-    begin(const exec::Engine& engine)
+  public:
+    /** `coldFlush`: the hierarchy to invalidate at start, or null. */
+    RegionGate(const exec::Engine& eng, const cpu::Core& c,
+               cache::Hierarchy* coldFlush)
+        : engine(eng), core(c), flush(coldFlush)
     {
-        if (started)
-            panic("region started twice");
-        started = true;
-        if (warming == RegionWarming::Cold)
-            hierarchy.flushAll();
-        startSnap = IntervalStats{engine.instructionsExecuted(),
-                                  core.cycles()};
     }
 
     void
-    end(const exec::Engine& engine)
+    onRunEnd()
     {
-        if (!started || ended)
-            panic("region ended out of order");
-        ended = true;
-        endSnap = IntervalStats{engine.instructionsExecuted(),
-                                core.cycles()};
+        if (started && !ended)
+            end();
     }
 
     IntervalStats
@@ -52,118 +41,133 @@ struct RegionGate
         return IntervalStats{endSnap.instrs - startSnap.instrs,
                              endSnap.cycles - startSnap.cycles};
     }
-};
 
-/** FLI gating observer: region = [bounds[i-1], bounds[i]). */
-class FliRegionObserver : public exec::Observer
-{
-  public:
-    FliRegionObserver(const exec::Engine& eng, RegionGate& g,
-                      InstrCount startAt, InstrCount endAt)
-        : engine(eng), gate(g), startInstr(startAt), endInstr(endAt)
+  protected:
+    const exec::Engine& engine;
+    bool started = false;
+    bool ended = false;
+
+    void
+    begin()
     {
-        if (startAt == 0)
-            gate.begin(engine);
+        if (started)
+            panic("region started twice");
+        started = true;
+        if (flush)
+            flush->flushAll();
+        startSnap = IntervalStats{engine.instructionsExecuted(),
+                                  core.cycles()};
     }
 
     void
-    onBlock(u32, u32) override
+    end()
     {
-        const InstrCount now = engine.instructionsExecuted();
-        if (!gate.started && now >= startInstr)
-            gate.begin(engine);
-        if (gate.started && !gate.ended && now >= endInstr)
-            gate.end(engine);
-    }
-
-    void
-    onRunEnd() override
-    {
-        if (gate.started && !gate.ended)
-            gate.end(engine);
+        if (!started || ended)
+            panic("region ended out of order");
+        ended = true;
+        endSnap = IntervalStats{engine.instructionsExecuted(),
+                                core.cycles()};
     }
 
   private:
-    const exec::Engine& engine;
-    RegionGate& gate;
+    const cpu::Core& core;
+    cache::Hierarchy* flush;
+    IntervalStats startSnap;
+    IntervalStats endSnap;
+};
+
+/** FLI gate at block events: region = [bounds[i-1], bounds[i]). */
+class FliRegionGate final : public RegionGate
+{
+  public:
+    static constexpr bool atMarkers = false;
+
+    FliRegionGate(const RegionGate& gate, InstrCount startAt,
+                  InstrCount endAt)
+        : RegionGate(gate), startInstr(startAt), endInstr(endAt)
+    {
+        if (startAt == 0)
+            begin();
+    }
+
+    void
+    onBlock(u32, u32)
+    {
+        const InstrCount now = engine.instructionsExecuted();
+        if (!started && now >= startInstr)
+            begin();
+        if (started && !ended && now >= endInstr)
+            end();
+    }
+
+  private:
     InstrCount startInstr;
     InstrCount endInstr;
 };
 
-/** VLI gating observer driven by boundary events. */
-class VliRegionObserver : public exec::Observer
+/** VLI gate at the mapped boundary events of the marker stream. */
+class VliRegionGate final : public RegionGate
 {
   public:
-    VliRegionObserver(const exec::Engine& eng, RegionGate& g,
-                      const core::MappableSet& mappable,
-                      std::size_t binaryIdx,
-                      const core::VliPartition& partition,
-                      std::size_t index)
-        : engine(eng), gate(g), regionIdx(index),
+    static constexpr bool atMarkers = true;
+
+    VliRegionGate(const RegionGate& gate,
+                  const core::MappableSet& mappable,
+                  std::size_t binaryIdx,
+                  const core::VliPartition& partition,
+                  std::size_t index)
+        : RegionGate(gate), regionIdx(index),
           tracker(mappable, binaryIdx, partition,
                   [this](std::size_t boundary) {
                       if (boundary + 1 == regionIdx)
-                          gate.begin(engine);
+                          begin();
                       else if (boundary == regionIdx)
-                          gate.end(engine);
+                          end();
                   })
     {
         if (regionIdx == 0)
-            gate.begin(engine);
+            begin();
     }
 
-    void
-    onMarker(u32 markerId) override
-    {
-        tracker.onMarker(markerId);
-    }
-
-    void
-    onRunEnd() override
-    {
-        if (gate.started && !gate.ended)
-            gate.end(engine);
-    }
+    void onMarker(u32 markerId) { tracker.onMarker(markerId); }
 
   private:
-    const exec::Engine& engine;
-    RegionGate& gate;
     std::size_t regionIdx;
     core::BoundaryTracker tracker;
 };
 
 /**
- * Common machinery of both flavours: engine + hierarchy + the
- * backend request.core describes, with the core registered first
- * (snapshotting observers read fully updated counters) and
- * subscribed per its own hooks so marker-fed frontends see their
- * training events.
+ * Replay the whole run through the timed walk with one GateT, built
+ * from `args`, in the sink slot of its event kind; the hierarchy it
+ * flushes when cold is the walk's own.
  */
-struct RegionRun
+template <typename GateT, typename... Args>
+IntervalStats
+replayRegion(const bin::Binary& binary,
+             const DetailedRunRequest& request, RegionWarming warming,
+             const Args&... args)
 {
-    exec::Engine engine;
-    cache::Hierarchy hierarchy;
-    std::unique_ptr<cpu::Core> core;
-    RegionGate gate;
-
-    RegionRun(const bin::Binary& binary,
-              const DetailedRunRequest& request, RegionWarming warming)
-        : engine(binary, request.seed), hierarchy(request.memory),
-          core(cpu::makeCore(request.core, hierarchy)),
-          gate{*core, hierarchy, warming, {}, {}, false, false}
-    {
-        engine.addObserver(core.get(), core->hooks());
-    }
-
-    IntervalStats
-    run(exec::Observer* observer, const exec::ObserverHooks& hooks)
-    {
-        engine.addObserver(observer, hooks);
-        engine.run();
-        core->flushStats();
+    exec::Engine engine(binary, request.seed);
+    return withCore(request.core, [&]<typename CoreT>(CoreT& core) {
+        using Sink = std::conditional_t<
+            GateT::atMarkers, DetailedSink<CoreT, EmptySlot, GateT>,
+            DetailedSink<CoreT, GateT, EmptySlot>>;
+        Sink sink{cache::Hierarchy(request.memory), core, nullptr,
+                  nullptr};
+        GateT gate(RegionGate(engine, core,
+                              warming == RegionWarming::Cold
+                                  ? &sink.hierarchy
+                                  : nullptr),
+                   args...);
+        if constexpr (GateT::atMarkers)
+            sink.vli = &gate;
+        else
+            sink.fli = &gate;
+        engine.runWith(sink);
+        core.flushStats();
         return gate.stats();
-    }
-};
+    });
+}
 
 } // namespace
 
@@ -176,11 +180,9 @@ simulateFliRegion(const bin::Binary& binary,
     if (index >= boundaries.size())
         fatal("FLI region index {} out of range ({} intervals)",
               index, boundaries.size());
-    RegionRun run(binary, request, warming);
     const InstrCount startAt = index == 0 ? 0 : boundaries[index - 1];
-    FliRegionObserver observer(run.engine, run.gate, startAt,
-                               boundaries[index]);
-    return run.run(&observer, {true, false, false});
+    return replayRegion<FliRegionGate>(binary, request, warming,
+                                       startAt, boundaries[index]);
 }
 
 IntervalStats
@@ -193,11 +195,10 @@ simulateVliRegion(const bin::Binary& binary,
     if (index >= request.partition->intervalCount())
         fatal("VLI region index {} out of range ({} intervals)",
               index, request.partition->intervalCount());
-    RegionRun run(binary, request, warming);
-    VliRegionObserver observer(run.engine, run.gate, *request.mappable,
-                               request.binaryIdx, *request.partition,
-                               index);
-    return run.run(&observer, {false, false, true});
+    return replayRegion<VliRegionGate>(binary, request, warming,
+                                       *request.mappable,
+                                       request.binaryIdx,
+                                       *request.partition, index);
 }
 
 } // namespace xbsp::sim

@@ -10,14 +10,14 @@
  * run does (build it with makeRunRequest so memory/core/seed cannot
  * diverge from the study configuration): simulateFliRegion reads
  * request.fliBoundaries, simulateVliRegion reads request.mappable /
- * binaryIdx / partition, and both build the timing backend that
- * request.core describes.
+ * binaryIdx / partition, and both replay the run on the backend
+ * request.core describes through the same timed walk (sim/walk.hh) a
+ * full run takes, with the region's gate in one of its slots.
  */
 
 #ifndef XBSP_SIM_REGION_HH
 #define XBSP_SIM_REGION_HH
 
-#include "cache/hierarchy.hh"
 #include "core/vli.hh"
 #include "sim/detailed.hh"
 #include "sim/snapshots.hh"

@@ -30,7 +30,12 @@ struct CountingObserver : exec::Observer
         instrs += n;
     }
 
-    void onMemRef(Addr, bool) override { ++memRefs; }
+    void
+    onMemRefs(std::span<const mem::MemRef> refs) override
+    {
+        memRefs += refs.size();
+    }
+
     void onMarker(u32) override { ++markers; }
     void onRunEnd() override { ended = true; }
 };
@@ -93,10 +98,12 @@ TEST(Engine, DeterministicAcrossRuns)
         {
             std::vector<Addr>* sink;
             void
-            onMemRef(Addr addr, bool) override
+            onMemRefs(std::span<const mem::MemRef> refs) override
             {
-                if (sink->size() < 10000)
-                    sink->push_back(addr);
+                for (const mem::MemRef& ref : refs) {
+                    if (sink->size() < 10000)
+                        sink->push_back(ref.addr);
+                }
             }
         } recorder;
         std::vector<Addr> addrs;
@@ -155,7 +162,12 @@ TEST(Engine, MemRefsDispatchedBeforeBlockEvent)
         const bin::Binary& bin;
         bool ok = true;
         explicit OrderChecker(const bin::Binary& b) : bin(b) {}
-        void onMemRef(Addr, bool) override { ++refsSinceBlock; }
+        void
+        onMemRefs(std::span<const mem::MemRef> refs) override
+        {
+            refsSinceBlock += refs.size();
+        }
+
         void
         onBlock(u32 id, u32) override
         {
@@ -189,13 +201,14 @@ TEST(Engine, MarkerEventsMatchProfileSemantics)
                                      "tail", 0), 10u);
 }
 
-TEST(Engine, RunOnceSubscribesPerObserverHooks)
+TEST(Engine, ObserversRegisteredWithOwnHooksGetOnlyThoseStreams)
 {
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
 
-    // An observer that declares a blocks-only subscription must not
-    // receive memory references or markers through runOnce.
+    // An observer that declares a blocks-only subscription and is
+    // registered with its own hooks() must not receive memory
+    // references or markers.
     struct BlocksOnly : CountingObserver
     {
         exec::ObserverHooks
@@ -204,13 +217,16 @@ TEST(Engine, RunOnceSubscribesPerObserverHooks)
             return {true, false, false};
         }
     } blocksOnly;
-    // The default hooks() is all-on, so undeclared observers keep
-    // the old runOnce behaviour.
+    // The default hooks() is all-on, so undeclared observers see
+    // every stream.
     CountingObserver everything;
 
-    const InstrCount ran =
-        exec::runOnce(binary, {&blocksOnly, &everything});
-    EXPECT_EQ(ran, bin::staticDynamicInstrCount(binary));
+    exec::Engine engine(binary);
+    engine.addObserver(&blocksOnly, blocksOnly.hooks());
+    engine.addObserver(&everything, everything.hooks());
+    engine.run();
+    EXPECT_EQ(engine.instructionsExecuted(),
+              bin::staticDynamicInstrCount(binary));
     EXPECT_GT(blocksOnly.blocks, 0u);
     EXPECT_EQ(blocksOnly.memRefs, 0u);
     EXPECT_EQ(blocksOnly.markers, 0u);

@@ -14,7 +14,7 @@
 #include "compile/compiler.hh"
 #include "core/mappable.hh"
 #include "core/vli.hh"
-#include "cpu/core.hh"
+#include "cpu/decoupled.hh"
 #include "cpu/inorder.hh"
 #include "exec/engine.hh"
 #include "profile/profile.hh"
@@ -439,6 +439,49 @@ TEST(Hierarchy, ReferenceModelMatchesOnSuiteTraffic)
 namespace
 {
 
+/**
+ * A core behind a hierarchy, walked reference by reference: each
+ * reference is one Hierarchy::access and one onStall(latency, 1).
+ */
+template <typename CoreT>
+struct PerRefTimer : exec::Observer
+{
+    Hierarchy& hierarchy;
+    CoreT& core;
+
+    PerRefTimer(Hierarchy& h, CoreT& c) : hierarchy(h), core(c) {}
+
+    exec::ObserverHooks
+    hooks() const override
+    {
+        return {true, true, CoreT::usesMarkers};
+    }
+
+    void
+    onBlock(u32 blockId, u32 instrs) override
+    {
+        core.onBlock(blockId, instrs);
+    }
+
+    void
+    onMemRefs(std::span<const mem::MemRef> refs) override
+    {
+        for (const mem::MemRef& ref : refs)
+            core.onStall(
+                hierarchy.latency(hierarchy.access(ref.addr, ref.isWrite)),
+                1);
+    }
+
+    void
+    onMarker(u32 markerId) override
+    {
+        if constexpr (CoreT::usesMarkers)
+            core.onMarker(markerId);
+        else
+            (void)markerId;
+    }
+};
+
 void
 expectSameIntervals(const std::vector<sim::IntervalStats>& a,
                     const std::vector<sim::IntervalStats>& b)
@@ -450,14 +493,50 @@ expectSameIntervals(const std::vector<sim::IntervalStats>& a,
     }
 }
 
+/**
+ * Walk `binary` reference by reference through `core` with both
+ * snapshot collectors attached, and require runDetailed's exact
+ * totals, memory statistics and FLI/VLI interval stats.
+ */
+template <typename CoreT>
+void
+expectPerRefWalkMatches(const bin::Binary& binary,
+                        const sim::DetailedRunRequest& request,
+                        const sim::DetailedRunResult& runs, CoreT& core)
+{
+    Hierarchy hierarchy(request.memory);
+    PerRefTimer<CoreT> timer(hierarchy, core);
+    exec::Engine engine(binary, request.seed);
+    sim::FliSnapshotter fli(engine, core, request.fliBoundaries);
+    sim::VliSnapshotter vliSnap(engine, core, *request.mappable,
+                                request.binaryIdx, *request.partition);
+    engine.addObserver(&timer, timer.hooks());
+    engine.addObserver(&fli, fli.hooks());
+    engine.addObserver(&vliSnap, vliSnap.hooks());
+    engine.run();
+
+    EXPECT_EQ(runs.totals, core.totals());
+    EXPECT_EQ(runs.memory.refs, hierarchy.totalAccesses());
+    EXPECT_EQ(runs.memory.l1Hits, hierarchy.servicedAt(HitLevel::L1));
+    EXPECT_EQ(runs.memory.l2Hits, hierarchy.servicedAt(HitLevel::L2));
+    EXPECT_EQ(runs.memory.l3Hits, hierarchy.servicedAt(HitLevel::L3));
+    EXPECT_EQ(runs.memory.dramAccesses,
+              hierarchy.servicedAt(HitLevel::Memory));
+    EXPECT_EQ(runs.memory.dramWritebacks, hierarchy.dramWritebacks());
+    expectSameIntervals(runs.fliIntervals, fli.intervals());
+    expectSameIntervals(runs.vliIntervals, vliSnap.intervals());
+    EXPECT_FALSE(runs.vliIntervals.empty());
+}
+
 } // namespace
 
 TEST(Hierarchy, StackRunDetailedRunMatchesMaterializedRun)
 {
-    // runDetailed hands the core each block's stack spills as one run;
-    // Engine::run() with the core as an observer materializes every
-    // spill reference.  Both timing cores must end with the same
-    // totals, memory statistics and FLI/VLI interval stats.
+    // runDetailed services each block's pattern references as one
+    // batch and its stack spills as one run, and hands the core the
+    // summed stalls.  A reference-by-reference walk (one access and
+    // one onStall per reference) must end both timing cores with the
+    // same totals, memory statistics and FLI/VLI interval stats.
     constexpr InstrCount kInterval = 100000;
     for (const char* name : {"mcf", "swim"}) {
         const ir::Program program = workloads::makeWorkload(name, 0.3);
@@ -495,35 +574,15 @@ TEST(Hierarchy, StackRunDetailedRunMatchesMaterializedRun)
                 request.core = cpu::coreConfigFor(kind);
                 const sim::DetailedRunResult runs =
                     sim::runDetailed(binaries[b], request);
-
-                Hierarchy hierarchy(request.memory);
-                const auto core = cpu::makeCore(request.core, hierarchy);
-                exec::Engine engine(binaries[b], request.seed);
-                sim::FliSnapshotter fli(engine, *core,
-                                        request.fliBoundaries);
-                sim::VliSnapshotter vliSnap(engine, *core, mappable, b,
-                                            vli.partition);
-                engine.addObserver(core.get(), core->hooks());
-                engine.addObserver(&fli, fli.hooks());
-                engine.addObserver(&vliSnap, vliSnap.hooks());
-                engine.run();
-
-                EXPECT_EQ(runs.totals, core->totals());
-                EXPECT_EQ(runs.memory.refs, hierarchy.totalAccesses());
-                EXPECT_EQ(runs.memory.l1Hits,
-                          hierarchy.servicedAt(HitLevel::L1));
-                EXPECT_EQ(runs.memory.l2Hits,
-                          hierarchy.servicedAt(HitLevel::L2));
-                EXPECT_EQ(runs.memory.l3Hits,
-                          hierarchy.servicedAt(HitLevel::L3));
-                EXPECT_EQ(runs.memory.dramAccesses,
-                          hierarchy.servicedAt(HitLevel::Memory));
-                EXPECT_EQ(runs.memory.dramWritebacks,
-                          hierarchy.dramWritebacks());
-                expectSameIntervals(runs.fliIntervals, fli.intervals());
-                expectSameIntervals(runs.vliIntervals,
-                                    vliSnap.intervals());
-                EXPECT_FALSE(runs.vliIntervals.empty());
+                if (kind == cpu::CoreKind::InOrder) {
+                    cpu::InOrderCore core;
+                    expectPerRefWalkMatches(binaries[b], request, runs,
+                                            core);
+                } else {
+                    cpu::DecoupledCore core(request.core);
+                    expectPerRefWalkMatches(binaries[b], request, runs,
+                                            core);
+                }
             }
         }
     }
@@ -532,24 +591,26 @@ TEST(Hierarchy, StackRunDetailedRunMatchesMaterializedRun)
 TEST(InOrderCore, CyclesAreInstrsPlusMemoryLatency)
 {
     cache::Hierarchy hierarchy;
-    cpu::InOrderCore core(hierarchy);
+    cpu::InOrderCore core;
     core.onBlock(0, 100);
     EXPECT_EQ(core.instructions(), 100u);
     EXPECT_EQ(core.cycles(), 100u);
 
-    core.onMemRef(0x8000, false); // cold: DRAM
+    const auto serve = [&](Addr addr) {
+        core.onStall(hierarchy.latency(hierarchy.access(addr, false)), 1);
+    };
+    serve(0x8000); // cold: DRAM
     EXPECT_EQ(core.cycles(), 100u + 250u);
-    core.onMemRef(0x8000, false); // L1 hit
+    serve(0x8000); // L1 hit
     EXPECT_EQ(core.cycles(), 100u + 250u + 3u);
     EXPECT_EQ(core.totals().memRefs, 2u);
 }
 
 TEST(InOrderCore, CpiMath)
 {
-    cache::Hierarchy hierarchy;
-    cpu::InOrderCore core(hierarchy);
+    cpu::InOrderCore core;
     EXPECT_DOUBLE_EQ(core.totals().cpi(), 0.0);
     core.onBlock(0, 10);
-    core.onMemRef(0x0, false); // 250
+    core.onStall(250, 1); // one DRAM reference
     EXPECT_DOUBLE_EQ(core.totals().cpi(), 26.0);
 }

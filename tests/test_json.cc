@@ -4,14 +4,22 @@
  * characters, encoded lone surrogates, overlong encodings, stray
  * continuation bytes) must come out as valid UTF-8 *and* valid JSON —
  * plus parseJson() reader tests: documents round-trip through the
- * writer, malformed input fails with an offset-bearing error.
+ * writer, malformed input fails with an offset-bearing error, and
+ * every truncation and thousands of mutants of a real stats dump
+ * either parse or throw JsonParseError.
  */
 
 #include <sstream>
+#include <string_view>
 
 #include <gtest/gtest.h>
 
+#include "harness/experiments.hh"
+#include "obs/stats.hh"
+#include "sim/study.hh"
 #include "util/json.hh"
+#include "util/rng.hh"
+#include "workloads/workloads.hh"
 
 using namespace xbsp;
 
@@ -202,4 +210,72 @@ TEST(JsonParse, AccessorKindMismatchesThrow)
     EXPECT_THROW((void)doc.at("n").items(), JsonParseError);
     EXPECT_THROW((void)doc.at("absent"), JsonParseError);
     EXPECT_THROW((void)doc.at(std::size_t{0}), JsonParseError);
+}
+
+namespace
+{
+
+/**
+ * What `xbsp study --workload gzip --scale 0.1 --stats-out FILE`
+ * writes: the stats registry after one study, timers left out.
+ */
+std::string
+studyStatsDump()
+{
+    (void)sim::CrossBinaryStudy::run(workloads::makeWorkload("gzip", 0.1),
+                                     harness::defaultStudyConfig());
+    std::ostringstream os;
+    obs::StatRegistry::global().writeJsonFile(os, false);
+    return os.str();
+}
+
+} // namespace
+
+TEST(JsonParse, MutantsParseOrThrow)
+{
+    // `xbsp manifest` reads such dumps from disk: a damaged one must
+    // come back as a value or a JsonParseError, never a crash, a hang
+    // or another exception.
+    const std::string dump = studyStatsDump();
+    ASSERT_GT(dump.size(), 1000u);
+    ASSERT_NO_THROW((void)parseJson(dump));
+
+    std::size_t parsed = 0, rejected = 0;
+    const auto feed = [&](std::string_view text) {
+        try {
+            (void)parseJson(text);
+            ++parsed;
+        } catch (const JsonParseError&) {
+            ++rejected;
+        }
+    };
+    for (std::size_t len = 0; len < dump.size(); ++len)
+        feed(std::string_view(dump).substr(0, len));
+    // Every cut up to the closing brace loses part of the document.
+    EXPECT_EQ(rejected, dump.rfind('}') + 1);
+    parsed = rejected = 0;
+
+    // 4,000 copies with 1-4 edits each: a byte replaced (by one of
+    // JSON's own alphabet or a random byte), inserted or deleted.
+    static constexpr std::string_view alphabet =
+        "{}[]:,\"\\0123456789.-+eEtrufalsn \n";
+    Rng rng(0x150Bull);
+    for (int m = 0; m < 4000; ++m) {
+        std::string mutant = dump;
+        for (u64 edits = 1 + rng.nextBelow(4); edits > 0; --edits) {
+            const std::size_t at = rng.nextBelow(mutant.size());
+            const char byte =
+                rng.nextBool(0.5)
+                    ? alphabet[rng.nextBelow(alphabet.size())]
+                    : static_cast<char>(rng.nextBelow(256));
+            switch (rng.nextBelow(3)) {
+              case 0: mutant[at] = byte; break;
+              case 1: mutant.insert(mutant.begin() + at, byte); break;
+              default: mutant.erase(at, 1); break;
+            }
+        }
+        feed(mutant);
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
