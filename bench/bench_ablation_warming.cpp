@@ -2,14 +2,17 @@
  * @file
  * Ablation: warm vs cold sampling (DESIGN.md decision 4).  The
  * pipeline's estimates assume functionally-warmed caches (statistics
- * gated over a full run).  This bench re-simulates each chosen VLI
- * simulation point with explicitly cold caches at region start and
- * compares the resulting CPI estimates, quantifying how much
- * cold-start bias the warm-sampling choice avoids.
+ * gated over a full run).  This bench re-simulates each binary's
+ * chosen VLI simulation points with explicitly cold caches at each
+ * point's start, in one walk per binary, and compares the resulting
+ * CPI estimates, quantifying how much cold-start bias the
+ * warm-sampling choice avoids.
  */
 
+#include <algorithm>
+#include <vector>
+
 #include "bench_common.hh"
-#include "sim/region.hh"
 
 using namespace xbsp;
 
@@ -34,19 +37,25 @@ main(int argc, char** argv)
         const sim::CrossBinaryStudy& s = suite.study(name);
         for (std::size_t b = 0; b < s.binaries().size(); ++b) {
             const sim::BinaryStudy& bs = s.perBinary()[b];
-            // Rebuild the estimate with cold region replays,
-            // through the same request a full detailed run uses.
+            // Rebuild the estimate from one cold walk over all of
+            // the binary's points, through the same request a full
+            // detailed run uses.
             sim::DetailedRunRequest request =
                 sim::makeRunRequest(config.study);
             request.mappable = &s.mappable();
             request.binaryIdx = b;
             request.partition = &s.partition();
+            std::vector<std::size_t> points;
+            for (const auto& phase : bs.vliEstimate.phases)
+                points.push_back(phase.representative);
+            std::ranges::sort(points);
+            const std::vector<sim::IntervalStats> cold =
+                sim::runColdPoints(s.binaries()[b], request, points);
             double coldCpi = 0.0;
             for (const auto& phase : bs.vliEstimate.phases) {
-                const sim::IntervalStats cold = sim::simulateVliRegion(
-                    s.binaries()[b], request, phase.representative,
-                    sim::RegionWarming::Cold);
-                coldCpi += phase.weight * cold.cpi();
+                const auto at = std::ranges::lower_bound(
+                    points, std::size_t{phase.representative});
+                coldCpi += phase.weight * cold[at - points.begin()].cpi();
             }
             table.startRow();
             table.addCell(name);

@@ -64,20 +64,32 @@ runDetailed(const bin::Binary& binary, const DetailedRunRequest& req,
 namespace
 {
 
-/** Walk the whole run with the given collectors; gather the result. */
+/**
+ * Walk the whole run with the given collectors; gather the result.
+ * A cold-point walk fills one slot and names the intervals whose
+ * cuts flush the walk's hierarchy in `coldPoints`; its cache counters
+ * stay out of the registry, which counts detailed runs.
+ */
 template <typename CoreT, typename FliT, typename VliT>
 DetailedRunResult
 walkRun(exec::Engine& engine, const DetailedRunRequest& req,
-        CoreT& core, FliT* fli, VliT* vli)
+        CoreT& core, FliT* fli, VliT* vli,
+        std::span<const std::size_t> coldPoints = {})
 {
     using Sink = DetailedSink<CoreT, FliT, VliT>;
     Sink sink{cache::Hierarchy(req.memory), core, fli, vli};
+    if constexpr (Sink::hasFli)
+        fli->flushAt(sink.hierarchy, coldPoints);
+    if constexpr (Sink::hasVli)
+        vli->flushAt(sink.hierarchy, coldPoints);
     engine.runWith(sink);
     core.flushStats();
     const cache::Hierarchy& hierarchy = sink.hierarchy;
-    auto& reg = obs::StatRegistry::global();
-    reg.counter("cache.refs.elided").add(hierarchy.elidedRefs());
-    reg.counter("cache.set_walks").add(hierarchy.setWalks());
+    if (coldPoints.empty()) {
+        auto& reg = obs::StatRegistry::global();
+        reg.counter("cache.refs.elided").add(hierarchy.elidedRefs());
+        reg.counter("cache.set_walks").add(hierarchy.setWalks());
+    }
 
     DetailedRunResult result;
     result.totals = core.totals();
@@ -134,5 +146,44 @@ runDetailedUncached(const bin::Binary& binary,
 }
 
 } // namespace
+
+std::vector<IntervalStats>
+runColdPoints(const bin::Binary& binary, const DetailedRunRequest& req,
+              std::span<const std::size_t> points)
+{
+    const bool fli = !req.fliBoundaries.empty();
+    if (fli == (req.partition != nullptr))
+        fatal("cold points need exactly one interval scheme (FLI "
+              "boundaries or a VLI partition)");
+    const std::size_t count = fli ? req.fliBoundaries.size()
+                                  : req.partition->intervalCount();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (points[i] >= count)
+            fatal("cold point {} out of range ({} intervals)",
+                  points[i], count);
+        if (i > 0 && points[i] <= points[i - 1])
+            fatal("cold points must be strictly increasing ({} after "
+                  "{})", points[i], points[i - 1]);
+    }
+
+    exec::Engine engine(binary, req.seed);
+    const DetailedRunResult run = withCore(req.core, [&](auto& core) {
+        constexpr EmptySlot* none = nullptr;
+        if (fli) {
+            FliSnapshotter snap(engine, core, req.fliBoundaries);
+            return walkRun(engine, req, core, &snap, none, points);
+        }
+        VliSnapshotter snap(engine, core, *req.mappable, req.binaryIdx,
+                            *req.partition);
+        return walkRun(engine, req, core, none, &snap, points);
+    });
+    const std::vector<IntervalStats>& intervals =
+        fli ? run.fliIntervals : run.vliIntervals;
+    std::vector<IntervalStats> stats;
+    stats.reserve(points.size());
+    for (const std::size_t point : points)
+        stats.push_back(intervals[point]);
+    return stats;
+}
 
 } // namespace xbsp::sim

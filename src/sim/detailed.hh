@@ -5,12 +5,15 @@
  * truth *and* the per-interval statistics both sampling schemes need,
  * because warm sampled simulation of a region is statistically
  * identical to gating statistics over that region of the full run.
+ * Cold sampled simulation of a binary's points is one more walk of
+ * the same kind, which flushes its caches where each point begins.
  */
 
 #ifndef XBSP_SIM_DETAILED_HH
 #define XBSP_SIM_DETAILED_HH
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -82,6 +85,22 @@ DetailedRunResult runDetailed(const bin::Binary& binary,
 DetailedRunResult runDetailed(const bin::Binary& binary,
                               const DetailedRunRequest& request,
                               const serial::Hash128& key);
+
+/**
+ * Cold simulation of `points`: interval indices, strictly increasing,
+ * of the request's one interval scheme (fliBoundaries or partition;
+ * fatal unless exactly one is set).  One walk of the whole run, not
+ * memoized: it flushes the walk's cache hierarchy at the cut that
+ * begins each point and returns the points' stats in order.  (A warm
+ * point is runDetailed's interval of the same index.)  On the
+ * in-order core a point's stats do not depend on the other points
+ * listed; the decoupled core's frontend carries its fetch-queue
+ * credit across earlier flushes (DESIGN.md, decision 4).
+ */
+std::vector<IntervalStats>
+runColdPoints(const bin::Binary& binary,
+              const DetailedRunRequest& request,
+              std::span<const std::size_t> points);
 
 /**
  * Artifact-store key of one detailed run (binary + every request

@@ -1,9 +1,20 @@
 #include "sim/snapshots.hh"
 
+#include "cache/hierarchy.hh"
 #include "util/logging.hh"
 
 namespace xbsp::sim
 {
+
+void
+SnapshotSeries::flushAt(cache::Hierarchy& hierarchy,
+                        std::span<const std::size_t> intervals)
+{
+    flush = &hierarchy;
+    coldStarts = intervals;
+    if (!coldStarts.empty() && coldStarts.front() == 0)
+        coldStarts = coldStarts.subspan(1);
+}
 
 void
 SnapshotSeries::snapshot(InstrCount instrs, Cycles cycles)
@@ -11,6 +22,11 @@ SnapshotSeries::snapshot(InstrCount instrs, Cycles cycles)
     if (finished)
         panic("SnapshotSeries::snapshot after finish");
     cuts.push_back(IntervalStats{instrs, cycles});
+    // This cut begins interval cuts.size().
+    if (!coldStarts.empty() && coldStarts.front() == cuts.size()) {
+        flush->flushAll();
+        coldStarts = coldStarts.subspan(1);
+    }
 }
 
 void

@@ -12,18 +12,26 @@
  * Because the cache hierarchy stays live across the whole run, the
  * per-interval statistics are exactly what warm (functionally-warmed)
  * sampled simulation of those regions would measure — the way
- * PinPoints drives CMP$im.
+ * PinPoints drives CMP$im.  A cold-point walk (sim::runColdPoints)
+ * has the collector flush the hierarchy at the cuts that begin its
+ * points.
  */
 
 #ifndef XBSP_SIM_SNAPSHOTS_HH
 #define XBSP_SIM_SNAPSHOTS_HH
 
+#include <span>
 #include <vector>
 
 #include "core/vli.hh"
 #include "cpu/core.hh"
 #include "exec/engine.hh"
 #include "util/types.hh"
+
+namespace xbsp::cache
+{
+class Hierarchy;
+} // namespace xbsp::cache
 
 namespace xbsp::sim
 {
@@ -47,6 +55,15 @@ struct IntervalStats
 class SnapshotSeries
 {
   public:
+    /**
+     * Flush `hierarchy` at the cut that begins each of `intervals`
+     * (strictly increasing indices; the span must outlive the run):
+     * those intervals start cold.  Interval 0 begins with the run,
+     * on a hierarchy that is still empty.
+     */
+    void flushAt(cache::Hierarchy& hierarchy,
+                 std::span<const std::size_t> intervals);
+
     /** Record an interior boundary snapshot. */
     void snapshot(InstrCount instrs, Cycles cycles);
 
@@ -60,6 +77,8 @@ class SnapshotSeries
     std::vector<IntervalStats> cuts;  ///< absolute values
     std::vector<IntervalStats> deltas;
     bool finished = false;
+    cache::Hierarchy* flush = nullptr;
+    std::span<const std::size_t> coldStarts;  ///< still to come
 };
 
 /** Cuts at recorded cumulative instruction counts (FLI). */
@@ -83,6 +102,14 @@ class FliSnapshotter final : public exec::Observer
 
     void onBlock(u32 blockId, u32 instrs) override;
     void onRunEnd() override;
+
+    /** Start `intervals` cold (SnapshotSeries::flushAt). */
+    void
+    flushAt(cache::Hierarchy& hierarchy,
+            std::span<const std::size_t> intervals)
+    {
+        series.flushAt(hierarchy, intervals);
+    }
 
     const std::vector<IntervalStats>& intervals() const;
 
@@ -112,6 +139,14 @@ class VliSnapshotter final : public exec::Observer
 
     void onMarker(u32 markerId) override;
     void onRunEnd() override;
+
+    /** Start `intervals` cold (SnapshotSeries::flushAt). */
+    void
+    flushAt(cache::Hierarchy& hierarchy,
+            std::span<const std::size_t> intervals)
+    {
+        series.flushAt(hierarchy, intervals);
+    }
 
     const std::vector<IntervalStats>& intervals() const;
 

@@ -189,7 +189,7 @@ std::vector<SpeedupPair> crossPlatformPairs(std::size_t binaryCount = 4);
 /**
  * The one place a DetailedRunRequest is derived from a StudyConfig:
  * memory, core and seed are copied here and nowhere else, so the
- * FLI, VLI and region-replay call sites cannot silently diverge.
+ * FLI, VLI and cold-point call sites cannot silently diverge.
  * Scheme fields (fliBoundaries / mappable / partition) start empty;
  * callers fill in the ones they need.
  */

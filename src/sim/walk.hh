@@ -5,8 +5,9 @@
  * each block's pattern batch (accessBatch) and stack run
  * (accessStackRun) there, and hands the core the stall cycles; the
  * core never sees an address.  Full detailed runs (sim/detailed.cc)
- * put snapshot collectors in the sink's FLI and VLI slots, region
- * replays (sim/region.cc) put their gate in one of them.
+ * put snapshot collectors in the sink's FLI and VLI slots; a
+ * cold-point walk puts one collector in its slot, which flushes the
+ * sink's hierarchy at the cuts that begin its points.
  */
 
 #ifndef XBSP_SIM_WALK_HH
