@@ -155,6 +155,8 @@ Options::parse(int argc, const char* const* argv)
         if (!opt && body.rfind("no-", 0) == 0) {
             Option* base = find(body.substr(3));
             if (base && base->kind == Kind::Bool) {
+                if (hasValue)
+                    fatal("--{} takes no value, got '{}'", body, value);
                 base->boolVal = false;
                 continue;
             }

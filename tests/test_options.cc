@@ -3,9 +3,18 @@
  * Unit tests for the command-line option parser.
  */
 
+#include <cstdlib>
+#include <string>
+#include <string_view>
+#include <vector>
+
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "util/options.hh"
+#include "util/rng.hh"
 
 using namespace xbsp;
 
@@ -69,6 +78,19 @@ TEST(Options, BareAndNegatedBools)
     EXPECT_TRUE(parse(options, {"--flag", "--no-on"}));
     EXPECT_TRUE(options.getBool("flag"));
     EXPECT_FALSE(options.getBool("on"));
+}
+
+TEST(Options, NegatedBoolWithValueFatal)
+{
+    // A value on the --no- form is a contradiction or a typo, never
+    // silently dropped.
+    for (const char* arg : {"--no-on=false", "--no-on=true",
+                            "--no-flag=1", "--no-flag="}) {
+        Options options = makeParser();
+        EXPECT_EXIT(parse(options, {arg}), ::testing::ExitedWithCode(1),
+                    "takes no value")
+            << arg;
+    }
 }
 
 TEST(Options, Positional)
@@ -155,4 +177,106 @@ TEST(ParseTcpPort, WholeDecimalInRange)
     EXPECT_FALSE(parseTcpPort("").has_value());
     EXPECT_FALSE(parseTcpPort("80abc").has_value());
     EXPECT_FALSE(parseTcpPort("-1").has_value());
+}
+
+namespace
+{
+
+/** The options `xbsp study` and the benches parse, by kind. */
+Options
+makeStudyParser()
+{
+    Options options("study");
+    options.addString("workload", "workload name", "swim");
+    options.addDouble("scale", "work scale", 1.0);
+    options.addUint("maxk", "SimPoint cluster cap", 10);
+    options.addBool("verbose", "progress on stderr", true);
+    options.addJobs();
+    return options;
+}
+
+/**
+ * About 500 mutants of `argv`: 100 seeded truncations (the argument
+ * list cut inside a random argument), then 400 copies with 1-4 bytes
+ * replaced, inserted or deleted inside random arguments, each new
+ * byte from the options' own alphabet or a random one.
+ */
+std::vector<std::vector<std::string>>
+argvMutantsOf(const std::vector<std::string>& argv, u64 seed)
+{
+    static constexpr std::string_view alphabet = "-=no0123456789.e ";
+    Rng rng(seed);
+    std::vector<std::vector<std::string>> mutants;
+    while (mutants.size() < 100) {
+        const std::size_t keep = rng.nextBelow(argv.size());
+        std::vector<std::string> mutant(argv.begin(),
+                                        argv.begin() + keep + 1);
+        mutant.back().resize(rng.nextBelow(mutant.back().size() + 1));
+        mutants.push_back(std::move(mutant));
+    }
+    while (mutants.size() < 500) {
+        std::vector<std::string> mutant = argv;
+        for (u64 edits = 1 + rng.nextBelow(4); edits > 0; --edits) {
+            std::string& arg = mutant[rng.nextBelow(mutant.size())];
+            const std::size_t at = rng.nextBelow(arg.size() + 1);
+            const char byte =
+                rng.nextBool(0.5)
+                    ? alphabet[rng.nextBelow(alphabet.size())]
+                    : static_cast<char>(rng.nextBelow(256));
+            switch (rng.nextBelow(3)) {
+              case 0:
+                if (at < arg.size())
+                    arg[at] = byte;
+                break;
+              case 1:
+                arg.insert(arg.begin() + at, byte);
+                break;
+              default:
+                if (at < arg.size())
+                    arg.erase(at, 1);
+                break;
+            }
+        }
+        mutants.push_back(std::move(mutant));
+    }
+    return mutants;
+}
+
+} // namespace
+
+/**
+ * Every mutant of a real study argv parses or fails with a clean
+ * `fatal`: each is parsed in its own child, which must exit 0 or 1;
+ * both outcomes occur.
+ */
+TEST(OptionsFuzz, StudyArgvMutantsParseOrFail)
+{
+    const std::vector<std::string> argv = {
+        "--workload", "gzip", "--scale", "0.5", "--maxk", "9",
+        "--jobs", "2", "--no-verbose"};
+    std::size_t parsed = 0, rejected = 0;
+    auto exitedCleanly = [&](int status) {
+        if (!WIFEXITED(status) || WEXITSTATUS(status) > 1)
+            return false;
+        ++(WEXITSTATUS(status) == 0 ? parsed : rejected);
+        return true;
+    };
+    const auto mutants = argvMutantsOf(argv, 0x0975EED);
+    for (std::size_t m = 0; m < mutants.size(); ++m) {
+        EXPECT_EXIT(
+            {
+                alarm(10);
+                std::vector<const char*> args{"xbsp"};
+                for (const std::string& arg : mutants[m])
+                    args.push_back(arg.c_str());
+                Options options = makeStudyParser();
+                (void)options.parse(static_cast<int>(args.size()),
+                                    args.data());
+                std::_Exit(0);
+            },
+            exitedCleanly, "")
+            << "mutant " << m;
+    }
+    EXPECT_GT(parsed, 0u);
+    EXPECT_GT(rejected, 0u);
 }
