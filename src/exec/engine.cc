@@ -214,7 +214,7 @@ void
 Engine::run()
 {
     VirtualSink sink{*this};
-    runWith(sink);
+    runInto(sink);
 }
 
 void

@@ -215,11 +215,30 @@ class Engine
     /**
      * Execute the program to completion into `sink` (see the Sink
      * concept in the file comment) instead of the observer vectors.
-     * May be called once, and not combined with addObserver().
+     * May be called once; panics after addObserver(), whose
+     * observers it would never call.
      */
     template <typename Sink>
     void
     runWith(Sink& sink)
+    {
+        if (!allObservers.empty())
+            panic("Engine::runWith with {} registered observers, "
+                  "which it would never call", allObservers.size());
+        runInto(sink);
+    }
+
+    /** Instructions executed so far (valid during and after run()). */
+    InstrCount instructionsExecuted() const { return instrCount; }
+
+    /** The binary being executed. */
+    const bin::Binary& binary() const { return bin; }
+
+  private:
+    /** The one run of the engine, into `sink` (run() or runWith()). */
+    template <typename Sink>
+    void
+    runInto(Sink& sink)
     {
         if (ran)
             panic("Engine::run called twice; construct a fresh Engine");
@@ -232,13 +251,6 @@ class Engine
         flushStats();
     }
 
-    /** Instructions executed so far (valid during and after run()). */
-    InstrCount instructionsExecuted() const { return instrCount; }
-
-    /** The binary being executed. */
-    const bin::Binary& binary() const { return bin; }
-
-  private:
     struct BlockState
     {
         std::unique_ptr<mem::AddressGenerator> gen;

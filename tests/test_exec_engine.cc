@@ -257,6 +257,29 @@ TEST(Engine, AddObserverAfterRunPanics)
                  "after run");
 }
 
+TEST(Engine, RunWithAfterAddObserverPanics)
+{
+    // runWith drives only its sink: an observer registered before it
+    // would silently never be called.
+    struct NullSink
+    {
+        bool wantsBlocks() const { return true; }
+        bool wantsMems() const { return false; }
+        bool wantsMarkers() const { return false; }
+        void onBlock(u32, u32) {}
+        void onMemRefs(std::span<const mem::MemRef>) {}
+        void onMarker(u32) {}
+        void onRunEnd() {}
+    };
+    const bin::Binary binary =
+        compile::compileProgram(test::tinyProgram(), bin::target32u);
+    exec::Engine engine(binary);
+    CountingObserver obs;
+    engine.addObserver(&obs, {true, false, false});
+    NullSink sink;
+    EXPECT_DEATH(engine.runWith(sink), "registered observers");
+}
+
 TEST(Engine, SelectEngineModeChecksNames)
 {
     EXPECT_TRUE(exec::selectEngineMode("compiled"));
