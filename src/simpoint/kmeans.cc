@@ -36,7 +36,8 @@ struct KMeansStats
     obs::Counter proven;     ///< iterations skipped by that proof
     obs::Counter mstepRows;  ///< point rows accumulated by M-steps
     obs::Counter mstepReused;  ///< M-step lookups the memo served
-    obs::Counter initTerms;  ///< terms summed by k-means++ draws
+    obs::Counter initTerms;  ///< k-means++ terms added in point order
+    obs::Counter initFallbacks;  ///< k-means++ draws drawn sequentially
     obs::Distribution iterations;
 };
 
@@ -54,6 +55,7 @@ kmeansStats()
         reg.counter("kmeans.mstep.rows"),
         reg.counter("kmeans.mstep.reused"),
         reg.counter("kmeans.init.terms"),
+        reg.counter("kmeans.init.fallbacks"),
         reg.distribution("kmeans.iterations"),
     };
     return stats;
@@ -421,7 +423,129 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
     return emptyClusters(res);
 }
 
+/** Points per block of a k-means++ draw's blocked sum. */
+constexpr std::size_t drawBlock = 256;
+
+/**
+ * One k-means++ draw over the terms `term(i)` of `n` points: the
+ * duplicate class of the point the sequential draw picks with uniform
+ * `u` (see plusPlusDraw() for that draw).
+ *
+ * The certified draw (DESIGN.md "Clustering acceleration", item 5)
+ * sums the terms in blocks of drawBlock points, four independent
+ * accumulators each, into block prefixes, and sets rHat = u * S for
+ * their total S.  The sequential draw's pick is then a live point
+ * whose computed prefix interval meets [rHat - tol, rHat + tol], so
+ * only the blocks that window touches are scanned, in point order.
+ * When all live points there share one class, that class holds the
+ * pick.  Otherwise, and whenever a premise of the bound fails (a
+ * negative term possible, S not finite or above 2^1023, rHat within
+ * tol of 0 or of S), the draw falls back to the sequential draw.
+ */
+template <typename Term>
+u32
+drawClass(std::size_t n, const Term& term, std::span<const u32> classOf,
+          double u, bool certify)
+{
+    KMeansStats& stats = kmeansStats();
+    const std::size_t blocks = (n + drawBlock - 1) / drawBlock;
+    std::vector<double> prefix(blocks + 1, 0.0);
+    for (std::size_t b = 0; b < blocks; ++b) {
+        const std::size_t end = std::min(n, (b + 1) * drawBlock);
+        std::size_t i = b * drawBlock;
+        double acc[4] = {0.0, 0.0, 0.0, 0.0};
+        for (; i + 4 <= end; i += 4) {
+            acc[0] += term(i);
+            acc[1] += term(i + 1);
+            acc[2] += term(i + 2);
+            acc[3] += term(i + 3);
+        }
+        for (; i < end; ++i)
+            acc[0] += term(i);
+        prefix[b + 1] = prefix[b] + ((acc[0] + acc[1]) + (acc[2] + acc[3]));
+    }
+    const double total = prefix[blocks];
+    const double rHat = u * total;
+    // 2x the first-order bound (4n - 1) * 2^-53 * rHat + 2^-1074.
+    const double tol =
+        rHat * (8.0 * static_cast<double>(n + 8) * 0x1p-53) +
+        4.0 * std::numeric_limits<double>::denorm_min();
+    if (certify && total <= 0x1p1023 && rHat > tol && rHat + tol < total) {
+        const double lo = rHat - tol;
+        const double hi = rHat + tol;
+        // The first block whose end prefix reaches the window.
+        const std::size_t start =
+            drawBlock * static_cast<std::size_t>(
+                            std::lower_bound(prefix.begin() + 1,
+                                             prefix.end(), lo) -
+                            (prefix.begin() + 1));
+        constexpr u32 none = std::numeric_limits<u32>::max();
+        u32 cls = none;
+        bool oneClass = true;
+        double sum = prefix[start / drawBlock];
+        std::size_t i = start;
+        for (; i < n && sum <= hi; ++i) {
+            const double t = term(i);
+            sum += t;
+            if (t > 0.0 && sum >= lo) {
+                if (cls == none) {
+                    cls = classOf[i];
+                } else if (classOf[i] != cls) {
+                    oneClass = false;
+                    break;
+                }
+            }
+        }
+        stats.initTerms.add(i - start);
+        if (oneClass) {
+            if (cls == none)
+                panic("k-means++ draw window at {} +- {} holds no live "
+                      "point", rHat, tol);
+            return cls;
+        }
+    }
+
+    stats.initFallbacks.add();
+    stats.initTerms.add(n);
+    double sequentialTotal = 0.0;
+    for (std::size_t i = 0; i < n; ++i)
+        sequentialTotal += term(i);
+    double r = u * sequentialTotal;
+    for (std::size_t i = 0; i < n; ++i) {
+        r -= term(i);
+        if (r <= 0.0)
+            return classOf[i];
+    }
+    return classOf[n - 1];
+}
+
+/** No value in `values` is negative (NaN is not). */
+bool
+noneNegative(std::span<const double> values)
+{
+    return std::ranges::none_of(values, [](double v) { return v < 0.0; });
+}
+
 } // namespace
+
+u32
+plusPlusDraw(std::span<const double> weights,
+             std::span<const double> minDist, std::span<const u32> classOf,
+             double u)
+{
+    if (weights.empty() || classOf.size() != weights.size())
+        panic("k-means++ draw over {} weights and {} class ids",
+              weights.size(), classOf.size());
+    const bool certify = noneNegative(weights) && noneNegative(minDist);
+    if (minDist.empty())
+        return drawClass(
+            weights.size(), [&](std::size_t i) { return weights[i]; },
+            classOf, u, certify);
+    return drawClass(
+        weights.size(),
+        [&](std::size_t i) { return weights[i] * minDist[classOf[i]]; },
+        classOf, u, certify);
+}
 
 /**
  * M-step results of one sweep, keyed by owned-class bitset and
@@ -624,23 +748,14 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
 
 /**
  * D^2 seeding.  The distance-to-nearest-centroid table is maintained
- * per duplicate class and expanded to per-point sampling
- * probabilities; the probabilities — and hence the RNG consumption
- * and every pick — are bit-identical to the naive loop, because a
- * class member's distance IS its representative's distance
- * (identical rows).
- *
- * The draws also walk only the points whose term can still be
- * non-zero.  A term w * minDist that is +-0 stays +-0 from then on:
- * w is fixed and minDist only falls, so the rounded product only
- * shrinks in magnitude.  Adding +-0 to the (never -0) total and
- * subtracting it from r change neither, and r <= 0 can first hold at
- * a zero term only when it already held before the scan, where the
- * naive draw picks index 0 (weights are non-negative).  So the
- * compacted active list, kept in point order, gives the same total,
- * the same r at every non-zero term and the same pick; a scan that
- * runs off the end still picks the last point, not the last active
- * one.
+ * per duplicate class, and each draw's term for point i is
+ * w_i * minDist[classOf[i]]: bit-identical to the naive loop's
+ * per-point term, because a class member's distance IS its
+ * representative's distance (identical rows).  Each draw takes one
+ * rng.nextDouble(), as the naive draw does, and yields the class of
+ * the point the naive draw picks (drawClass()).  Only that class's
+ * row reaches the centroid, so the seeds are the naive seeds bit for
+ * bit.
  *
  * Kept out of line: inlined into its one caller, runLloyd(), the
  * sweep's clustering time rose by about 8 % on the fine_phases
@@ -651,36 +766,24 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
              const AccelState& accel)
 {
     const std::size_t cstride = res.rowStride(data.dims);
-    auto setCentroid = [&](u32 c, std::size_t i) {
-        double* crow = res.centroids.data() +
-                       static_cast<std::size_t>(c) * cstride;
-        const auto p = data.point(i);
-        std::copy(p.begin(), p.end(), crow);
+    auto setCentroid = [&](u32 c, u32 cls) {
+        const double* row = data.classRow(cls);
+        std::copy(row, row + data.dims,
+                  res.centroids.data() +
+                      static_cast<std::size_t>(c) * cstride);
     };
+    // Distances are never negative, so only a weight can make a term
+    // negative and void the certified draw's bound.
+    const bool certify = noneNegative(data.weights);
 
     // First centroid: weighted-uniform draw over every point.
-    {
-        double total = 0.0;
-        for (double w : data.weights)
-            total += w;
-        kmeansStats().initTerms.add(data.count);
-        double r = rng.nextDouble() * total;
-        std::size_t first = data.count - 1;
-        for (std::size_t i = 0; i < data.count; ++i) {
-            r -= data.weights[i];
-            if (r <= 0.0) {
-                first = i;
-                break;
-            }
-        }
-        setCentroid(0, first);
-    }
+    setCentroid(0, drawClass(
+                       data.count,
+                       [&](std::size_t i) { return data.weights[i]; },
+                       accel.classOf, rng.nextDouble(), certify));
 
     std::vector<double> minDist(accel.classFirst.size(),
                                 std::numeric_limits<double>::max());
-    std::vector<double> probs(data.count);
-    std::vector<u32> active(data.count);
-    std::iota(active.begin(), active.end(), u32{0});
     for (u32 c = 1; c < res.k; ++c) {
         for (std::size_t u = 0; u < minDist.size(); ++u) {
             const double d =
@@ -689,29 +792,13 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
                              data.rowStride());
             minDist[u] = std::min(minDist[u], d);
         }
-        // Compact the active list to its non-zero terms (probs[j]
-        // belongs to active[j]) and sum them in point order.
-        std::size_t live = 0;
-        double total = 0.0;
-        for (const u32 i : active) {
-            const double p =
-                data.weights[i] * minDist[accel.classOf[i]];
-            if (p == 0.0)
-                continue;
-            active[live] = i;
-            probs[live++] = p;
-            total += p;
-        }
-        active.resize(live);
-        kmeansStats().initTerms.add(live);
-        double r = rng.nextDouble() * total;
-        std::size_t pick = r <= 0.0 ? 0 : data.count - 1;
-        for (std::size_t j = 0; r > 0.0 && j < live; ++j) {
-            r -= probs[j];
-            if (r <= 0.0)
-                pick = active[j];
-        }
-        setCentroid(c, pick);
+        setCentroid(c, drawClass(
+                           data.count,
+                           [&](std::size_t i) {
+                               return data.weights[i] *
+                                      minDist[accel.classOf[i]];
+                           },
+                           accel.classOf, rng.nextDouble(), certify));
     }
 }
 

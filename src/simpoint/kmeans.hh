@@ -10,6 +10,7 @@
 #define XBSP_SIMPOINT_KMEANS_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "simpoint/projection.hh"
@@ -110,9 +111,10 @@ class MStepMemo
  * runs under Hamerly distance bounds, once per duplicate class;
  * labels are kept per class between E-steps; M-steps rebuild only clusters whose membership
  * changed (or copy them from `memo`); the SSE is reduced once per
- * fit; and k-means++ draws skip points whose term is zero.  Every
- * skip is proven: whatever is computed uses the same arithmetic on
- * the same operands in the same order as the naive Lloyd loop, so
+ * fit; and each k-means++ draw finds the class of its pick from
+ * blocked sums (plusPlusDraw()).  Every skip is proven: whatever is
+ * computed uses the same arithmetic on the same operands in the same
+ * order as the naive Lloyd loop, or provably gives its result, so
  * labels, centroids, SSE and iteration counts are bit-identical to
  * it (the reference in tests/oracle/simpoint, compared by
  * tests/test_clustering_equiv.cc).
@@ -123,6 +125,27 @@ class MStepMemo
 KMeansResult runKMeans(const ProjectedData& data, u32 k, Rng& rng,
                        const KMeansOptions& options = KMeansOptions{},
                        MStepMemo* memo = nullptr);
+
+/**
+ * One k-means++ draw, as runKMeans() seeds with it: the duplicate
+ * class `classOf[pick]` of the point the sequential D^2 draw picks.
+ * Point i's term is t_i = weights[i] * minDist[classOf[i]], or
+ * weights[i] when `minDist` is empty (the first draw).  The
+ * sequential draw sums the terms in point order to T, sets
+ * r = u * T, picks index 0 if r <= 0, else subtracts the terms in
+ * point order from r and picks the first i where r <= 0, or the last
+ * point if none.
+ *
+ * The result is certified from blocked sums and a scan of only the
+ * points near the crossing; the sequential draw runs only when that
+ * cannot prove the class (`kmeans.init.fallbacks`).
+ * `kmeans.init.terms` counts the terms both add in point order.
+ * Either way the class is the sequential draw's, for any u in [0, 1)
+ * and any weights and distances, NaN and infinities included.
+ */
+u32 plusPlusDraw(std::span<const double> weights,
+                 std::span<const double> minDist,
+                 std::span<const u32> classOf, double u);
 
 } // namespace xbsp::sp
 

@@ -85,14 +85,15 @@ struct FitWork
     u64 mstepReused = 0;
     u64 cycles = 0;
     u64 proven = 0;
+    u64 initFallbacks = 0;
 
     bool operator==(const FitWork&) const = default;
 };
 
 /** Counters FitWork reads, in its field order. */
-constexpr std::array<const char*, 5> fitCounters{
+constexpr std::array<const char*, 6> fitCounters{
     "kmeans.mstep.rows", "kmeans.init.terms", "kmeans.mstep.reused",
-    "kmeans.cycles", "kmeans.iterations.proven"};
+    "kmeans.cycles", "kmeans.iterations.proven", "kmeans.init.fallbacks"};
 
 /** runKMeans through `memo` and the engine counters it moved. */
 std::pair<KMeansResult, FitWork>
@@ -109,7 +110,8 @@ engineFit(const ProjectedData& data, u32 k, u64 seed,
         return reg.counterValue(fitCounters[c]) - before[c];
     };
     return {std::move(res),
-            FitWork{delta(0), delta(1), delta(2), delta(3), delta(4)}};
+            FitWork{delta(0), delta(1), delta(2), delta(3), delta(4),
+                    delta(5)}};
 }
 
 /**
@@ -472,9 +474,11 @@ TEST(KMeansEquiv, ReseedWithMixedOwnersMatchesNaive)
 
 /**
  * Duplicate-heavy data: once k-means++ has picked a centroid inside a
- * class, every member's term is +0 and leaves the active list.  The
- * draws must still land where the naive draws land, while summing
- * fewer terms.
+ * class, every member's term is +0.  The draws must still land where
+ * the naive draws land.  While a class is left to pick, each draw is
+ * certified from its blocked sums; beyond the 6 distinct rows every
+ * term is +0, and those draws fall back to the sequential draw, which
+ * picks index 0.
  */
 TEST(KMeansEquiv, PlusPlusSkipsZeroMassPoints)
 {
@@ -485,23 +489,23 @@ TEST(KMeansEquiv, PlusPlusSkipsZeroMassPoints)
                          std::to_string(seed));
             const auto [naive, accel] =
                 expectFitMatchesNaive(data, k, seed * 97 + k, {});
-            // Naive sums every term of all k draws.  Each chosen
-            // centroid zeroes a whole new class of 40 points, so by
-            // draw j the accelerated draws have dropped min(j, 6)
-            // classes.
             EXPECT_EQ(naive.initTerms, u64{k} * data.count);
-            u64 dropped = 0;
-            for (u32 j = 1; j < k; ++j)
-                dropped += u64{40} * std::min(j, 6u);
-            EXPECT_EQ(accel.initTerms + dropped, naive.initTerms);
+            const u32 zeroDraws = k > 6 ? k - 6 : 0;
+            EXPECT_EQ(accel.initFallbacks, zeroDraws);
+            // The certified draws scan at most the 240 points between
+            // them, the fallbacks every point.
+            EXPECT_LE(accel.initTerms, u64{k} * data.count);
+            EXPECT_LT(accel.initTerms - u64{zeroDraws} * data.count,
+                      u64{k - zeroDraws} * data.count);
         }
     }
 }
 
 /**
  * All-identical rows with k >= 2: after the first pick every term is
- * +0, so total == 0, r == 0 and the naive draw picks index 0 — which
- * the accelerated draw must reproduce from an empty active list.
+ * +0, so total == 0, r == 0 and the naive draw picks index 0.  The
+ * first draw is certified (every point is in one class); every later
+ * one falls back to the sequential draw, which sums all 15 terms.
  */
 TEST(KMeansEquiv, PlusPlusAllZeroTermsPicksFirstPoint)
 {
@@ -510,8 +514,9 @@ TEST(KMeansEquiv, PlusPlusAllZeroTermsPicksFirstPoint)
         SCOPED_TRACE("k " + std::to_string(k));
         const auto [naive, accel] =
             expectFitMatchesNaive(data, k, 19 + k, {});
-        // Only the first draw has a non-zero term.
-        EXPECT_EQ(accel.initTerms, data.count);
+        EXPECT_EQ(accel.initFallbacks, k - 1);
+        EXPECT_GT(accel.initTerms, u64{k - 1} * data.count);
+        EXPECT_LE(accel.initTerms, u64{k} * data.count);
         EXPECT_EQ(naive.initTerms, u64{k} * data.count);
     }
 }
@@ -568,9 +573,9 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
 
 /**
  * A draw whose scan runs off the end picks the last point, not the
- * last active one.  A NaN weight makes every total NaN, so no draw
- * ever satisfies r <= 0: the first draw picks the last point, whose
- * term then drops to +0 and leaves the active list, and every later
+ * last live one.  A NaN weight makes every total NaN, so no draw
+ * ever satisfies r <= 0 and none can be certified: the first draw
+ * picks the last point, whose term then drops to +0, and every later
  * draw must pick it again.  maxIterations = 0 leaves the k-means++
  * rows in place to compare.
  */
@@ -606,6 +611,251 @@ TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
         }
     }
     setGlobalJobs(0);
+}
+
+namespace
+{
+
+/**
+ * The sequential k-means++ draw over explicit terms, as the naive
+ * reference draws: the index it picks with uniform `u`.
+ */
+std::size_t
+sequentialPick(std::span<const double> terms, double u)
+{
+    double total = 0.0;
+    for (const double t : terms)
+        total += t;
+    double r = u * total;
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+        r -= terms[i];
+        if (r <= 0.0)
+            return i;
+    }
+    return terms.size() - 1;
+}
+
+/** One k-means++ draw's inputs, as plusPlusDraw() takes them. */
+struct DrawCase
+{
+    std::vector<double> weights;
+    std::vector<u32> classOf;
+    std::vector<double> minDist;  ///< per class; empty: a first draw
+
+    /** Point i's term, computed as the engine computes it. */
+    std::vector<double>
+    terms() const
+    {
+        std::vector<double> t(weights);
+        if (!minDist.empty()) {
+            for (std::size_t i = 0; i < t.size(); ++i)
+                t[i] = weights[i] * minDist[classOf[i]];
+        }
+        return t;
+    }
+};
+
+/**
+ * Seeded draw case `c`.  Its points number 1 to 100,000; its classes
+ * are all singletons, runs of duplicates or interleaved duplicates;
+ * its weights are near 1, span 2^+-600, are one in three zero, or
+ * start with a run of subnormals ahead of a tail near 2^-1000, which
+ * rounds differently in point order and in blocks.  Distances are 0
+ * for classes already chosen.  A few cases carry a NaN, infinite or
+ * negative weight.
+ */
+DrawCase
+drawCase(u64 c)
+{
+    Rng rng(c + 1);
+    auto scaled = [&](int lo, int hi) {
+        return std::ldexp(rng.nextDouble(1.0, 2.0),
+                          lo + static_cast<int>(rng.nextBelow(
+                                   static_cast<u64>(hi - lo + 1))));
+    };
+    const std::size_t n =
+        c % 1000 == 1 ? 100'000
+        : c % 50 == 0 ? 1
+                      : 1 + rng.nextBelow(rng.nextBelow(4) == 0 ? 3000
+                                                                : 40);
+    DrawCase dc;
+    std::size_t classes = 0;
+    u32 run = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (c % 3) {
+        case 0:
+            dc.classOf.push_back(static_cast<u32>(i));
+            classes = n;
+            break;
+        case 1:
+            if (i == 0 || rng.nextBelow(8) == 0)
+                run = static_cast<u32>(rng.nextBelow(6));
+            dc.classOf.push_back(run);
+            classes = 6;
+            break;
+        default:
+            dc.classOf.push_back(static_cast<u32>(rng.nextBelow(8)));
+            classes = 8;
+        }
+    }
+    const u64 kind = (c / 3) % 4;
+    const std::size_t head = 1 + rng.nextBelow(40);
+    for (std::size_t i = 0; i < n; ++i) {
+        switch (kind) {
+        case 0:
+            dc.weights.push_back(rng.nextDouble(0.5, 2.0));
+            break;
+        case 1:
+            dc.weights.push_back(scaled(-600, 600));
+            break;
+        case 2:
+            dc.weights.push_back(rng.nextBelow(3) == 0 ? 0.0
+                                                       : scaled(-20, 20));
+            break;
+        default:
+            dc.weights.push_back(
+                i < head ? static_cast<double>(1 + rng.nextBelow(64)) *
+                               std::numeric_limits<double>::denorm_min()
+                         : scaled(-1010, -990));
+        }
+    }
+    if (c % 97 == 3)
+        dc.weights[rng.nextBelow(n)] = std::nan("");
+    if (c % 89 == 4)
+        dc.weights[rng.nextBelow(n)] =
+            std::numeric_limits<double>::infinity();
+    if (c % 83 == 5)
+        dc.weights[rng.nextBelow(n)] = -1.0;
+    if (c % 5 != 0) {
+        for (std::size_t u = 0; u < classes; ++u) {
+            dc.minDist.push_back(rng.nextBelow(5) == 0 ? 0.0
+                                 : kind == 1       ? scaled(-500, 100)
+                                 : kind == 3       ? scaled(0, 4)
+                                                   : rng.nextDouble(0.0, 4.0));
+        }
+    }
+    return dc;
+}
+
+/** `u` moved by `steps` representable doubles, or -1 outside [0, 1). */
+double
+nudged(double u, int steps)
+{
+    for (; steps > 0; --steps)
+        u = std::nextafter(u, 2.0);
+    for (; steps < 0; ++steps)
+        u = std::nextafter(u, -1.0);
+    return u >= 0.0 && u < 1.0 ? u : -1.0;
+}
+
+/**
+ * The uniforms to draw case `terms` with: 0, the largest below 1, two
+ * random ones, and those around the u that puts r on the prefix
+ * ending at a random live point (a class boundary when its successor
+ * is in another class), and half a subnormal step above it, where
+ * r = u * T rounds one way and u * S the other.
+ */
+std::vector<double>
+drawUniforms(std::span<const double> terms, Rng& rng)
+{
+    std::vector<double> us{0.0, std::nextafter(1.0, 0.0),
+                           rng.nextDouble(), rng.nextDouble()};
+    double total = 0.0;
+    for (const double t : terms)
+        total += t;
+    std::vector<std::size_t> live;
+    for (std::size_t i = 0; i < terms.size(); ++i) {
+        if (terms[i] > 0.0)
+            live.push_back(i);
+    }
+    if (live.empty() || !(total > 0.0) || !std::isfinite(total))
+        return us;
+    const std::size_t j = live[rng.nextBelow(live.size())];
+    double prefix = 0.0;
+    for (std::size_t i = 0; i <= j; ++i)
+        prefix += terms[i];
+    std::vector<double> targets{prefix / total};
+    if (total < 0x1p-900) {
+        // Scaled by 2^200, so the half-step is a normal double.
+        targets.push_back((std::ldexp(prefix, 200) + 0x1p-875) /
+                          std::ldexp(total, 200));
+    }
+    for (const double target : targets) {
+        for (int steps = -8; steps <= 8; ++steps) {
+            if (const double u = nudged(target, steps); u >= 0.0)
+                us.push_back(u);
+        }
+    }
+    return us;
+}
+
+} // namespace
+
+/**
+ * plusPlusDraw() against the sequential draw over 12,000 seeded cases
+ * (drawCase()), each at the uniforms of drawUniforms(): the class it
+ * returns must be the class of the sequential pick every time.  Both
+ * the certified path and the fallback must run.  Then one fit whose
+ * first crossing falls exactly on a class boundary: the draw must
+ * fall back, and the fit must equal the naive reference's.
+ */
+TEST(KMeansEquiv, CertifiedDrawMatchesSequentialDraw)
+{
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    const u64 fallbacks0 = reg.counterValue("kmeans.init.fallbacks");
+    u64 draws = 0;
+    u64 mismatches = 0;
+    for (u64 c = 0; c < 12'000; ++c) {
+        const DrawCase dc = drawCase(c);
+        const std::vector<double> terms = dc.terms();
+        Rng rng(c ^ 0x5eed);
+        for (const double u : drawUniforms(terms, rng)) {
+            ++draws;
+            const u32 got =
+                plusPlusDraw(dc.weights, dc.minDist, dc.classOf, u);
+            const u32 want = dc.classOf[sequentialPick(terms, u)];
+            if (got != want && ++mismatches <= 10) {
+                ADD_FAILURE() << "case " << c << " (" << terms.size()
+                              << " points) u " << std::hexfloat << u
+                              << ": class " << got << ", sequential "
+                              << want;
+            }
+        }
+    }
+    EXPECT_EQ(mismatches, 0u);
+    const u64 fallbacks =
+        reg.counterValue("kmeans.init.fallbacks") - fallbacks0;
+    EXPECT_GT(fallbacks, 0u);
+    EXPECT_LT(fallbacks, draws);
+
+    // Two classes of four points with integer weights summing to
+    // 2^53.  The first draw's u is m * 2^-53, so r = u * T = m, the
+    // weight of the first class: the sequential draw ends on that
+    // class's last point with r == 0, and the next point, in the
+    // other class, begins exactly at the crossing.  The second draw
+    // has one live class and is certified.
+    const u64 seed = 3;
+    Rng probe(seed);
+    const double m = probe.nextDouble() * 0x1p53;
+    ASSERT_GE(m, 8.0);
+    ASSERT_LE(m, 0x1p53 - 8.0);
+    Points points;
+    points.dims = 2;
+    points.count = 8;
+    for (std::size_t i = 0; i < points.count; ++i) {
+        points.rows.push_back(i < 4 ? 0.0 : 1.0);
+        points.rows.push_back(0.5);
+    }
+    for (const double mass : {m, 0x1p53 - m}) {
+        const double part = std::floor(mass / 4.0);
+        points.weights.insert(points.weights.end(), {part, part, part});
+        points.weights.push_back(mass - 3.0 * part);
+    }
+    KMeansOptions options;
+    options.maxIterations = 0;
+    const auto [naive, accel] =
+        expectFitMatchesNaive(withClasses(points), 2, seed, options);
+    EXPECT_EQ(accel.initFallbacks, 1u);
 }
 
 /**
@@ -988,7 +1238,8 @@ TEST(ClusteringEquiv, DuplicateFreeSweepMatchesReference)
  * fits race to fill the memo.  The engine runs profile afresh and
  * hand the set over, so the fvs.rows / fvs.entries layout counters
  * are held to the same rule and must count the profile's rows and
- * entries exactly once.
+ * entries exactly once.  Every k-means++ draw on these vectors is
+ * certified: none falls back to the sequential draw.
  */
 TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
 {
@@ -996,17 +1247,18 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
     options.maxK = 10;
     obs::StatRegistry& reg = obs::StatRegistry::global();
     auto work = [&reg] {
-        return std::array<u64, 6>{
+        return std::array<u64, 7>{
             reg.counterValue("kmeans.mstep.rows"),
             reg.counterValue("kmeans.init.terms"),
             reg.counterValue("kmeans.estep.distances"),
             reg.counterValue("kmeans.mstep.reused"),
             reg.counterValue("fvs.rows"),
-            reg.counterValue("fvs.entries")};
+            reg.counterValue("fvs.entries"),
+            reg.counterValue("kmeans.init.fallbacks")};
     };
-    auto since = [](const std::array<u64, 6>& after,
-                    const std::array<u64, 6>& before) {
-        std::array<u64, 6> delta{};
+    auto since = [](const std::array<u64, 7>& after,
+                    const std::array<u64, 7>& before) {
+        std::array<u64, 7> delta{};
         for (std::size_t i = 0; i < delta.size(); ++i)
             delta[i] = after[i] - before[i];
         return delta;
@@ -1022,7 +1274,7 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
         const auto before = work();
         const ReferenceSweep naive =
             referenceSimPoints(pass.fliIntervals, options);
-        EXPECT_EQ(since(work(), before), (std::array<u64, 6>{}))
+        EXPECT_EQ(since(work(), before), (std::array<u64, 7>{}))
             << name << ": the reference must leave the registry alone";
 
         setGlobalJobs(1);
@@ -1044,11 +1296,13 @@ TEST(ClusteringEquiv, SuitePhasesAndWorkCountersMatch)
         EXPECT_EQ(serialWork, parallelWork) << name;
         EXPECT_EQ(serialWork[4], pass.fliIntervals.size()) << name;
         EXPECT_EQ(serialWork[5], pass.fliIntervals.entries()) << name;
-        // The engine accumulates fewer M-step rows and sums fewer
-        // k-means++ terms than the reference, and its fits take whole
-        // rows from the sweep's M-step memo.
+        // The engine accumulates fewer M-step rows and adds fewer
+        // k-means++ terms in point order than the reference, its
+        // draws never fall back, and its fits take whole rows from
+        // the sweep's M-step memo.
         EXPECT_LT(serialWork[0], naive.work.mstepRows) << name;
         EXPECT_LT(serialWork[1], naive.work.initTerms) << name;
+        EXPECT_EQ(serialWork[6], 0u) << name;
         EXPECT_GT(serialWork[3], 0u) << name;
     }
 }
