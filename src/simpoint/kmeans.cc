@@ -35,6 +35,7 @@ struct KMeansStats
     obs::Counter cycles;     ///< fits that entered a proven cycle
     obs::Counter proven;     ///< iterations skipped by that proof
     obs::Counter mstepRows;  ///< point rows accumulated by M-steps
+    obs::Counter mstepRuns;  ///< same-class runs those rows came in
     obs::Counter mstepReused;  ///< M-step lookups the memo served
     obs::Counter initTerms;  ///< k-means++ terms added in point order
     obs::Counter initFallbacks;  ///< k-means++ draws drawn sequentially
@@ -53,6 +54,7 @@ kmeansStats()
         reg.counter("kmeans.cycles"),
         reg.counter("kmeans.iterations.proven"),
         reg.counter("kmeans.mstep.rows"),
+        reg.counter("kmeans.mstep.runs"),
         reg.counter("kmeans.mstep.reused"),
         reg.counter("kmeans.init.terms"),
         reg.counter("kmeans.init.fallbacks"),
@@ -335,41 +337,68 @@ broadcastOwners(const ProjectedData& data, const AccelState& state,
     return sse;
 }
 
+/** Rows and same-class runs one M-step accumulated, per cluster. */
+struct RebuildWork
+{
+    std::vector<u64> rows;
+    std::vector<u64> runs;
+};
+
 /**
  * Rebuild the clusters flagged in `rebuild` from scratch: zero the
- * row and weight, axpy every member's row in increasing point index,
- * then divide by the summed weight when it is positive.  That order
- * is the pinned semantics of an M-step, so a row and its weight are a
- * deterministic function of the cluster's ordered member list.
- * `forEachMember(add)` calls `add(i, c)` for every point i of a
- * flagged cluster c, in increasing i.  Returns the rows summed per
- * cluster.
+ * row and weight, add every member's weighted row in increasing point
+ * index, then divide by the summed weight when it is positive.  That
+ * order is the pinned semantics of an M-step, so a row and its weight
+ * are a deterministic function of the cluster's ordered member list.
+ * `forEachRun(add)` calls `add(begin, end, c)` for consecutive points
+ * [begin, end) of one class, all in flagged cluster c, covering every
+ * member of every flagged cluster in increasing point order.  The
+ * stretch shares one row, so simd::axpyRun adds it with the row held
+ * in registers: bit for bit one axpy per member.
  */
-template <typename ForEachMember>
-std::vector<u64>
+template <typename ForEachRun>
+RebuildWork
 rebuildClusters(const ProjectedData& data, KMeansResult& res,
-                const std::vector<u8>& rebuild,
-                ForEachMember forEachMember)
+                const std::vector<u8>& rebuild, ForEachRun forEachRun)
 {
     const std::size_t cstride = res.rowStride(data.dims);
     auto row = [&](u32 c) {
         return res.centroids.data() +
                static_cast<std::size_t>(c) * cstride;
     };
-    std::vector<u64> rows(res.k, 0);
+    RebuildWork work{std::vector<u64>(res.k, 0),
+                     std::vector<u64>(res.k, 0)};
     if (std::ranges::find(rebuild, u8{1}) == rebuild.end())
-        return rows;
+        return work;
     for (u32 c = 0; c < res.k; ++c) {
         if (rebuild[c]) {
             std::fill_n(row(c), cstride, 0.0);
             res.clusterWeight[c] = 0.0;
         }
     }
-    forEachMember([&](std::size_t i, u32 c) {
-        const double w = data.weights[i];
-        simd::axpy(row(c), data.row(i), w, data.rowStride());
-        res.clusterWeight[c] += w;
-        ++rows[c];
+    // The run loop reads through locals: GCC cannot prove the row
+    // stores leave the containers' buffer pointers alone, and
+    // reloading them per run made single-point runs slower than one
+    // axpy per member.
+    double* const centroids = res.centroids.data();
+    double* const clusterWeight = res.clusterWeight.data();
+    const double* const weights = data.weights.data();
+    const double* const classRows = data.classRows.data();
+    const u32* const classOf = data.classOf.data();
+    const std::size_t stride = data.rowStride();
+    u64* const rows = work.rows.data();
+    u64* const runs = work.runs.data();
+    forEachRun([&](std::size_t begin, std::size_t end, u32 c) {
+        const double* w = weights + begin;
+        simd::axpyRun(centroids + c * cstride,
+                      classRows + classOf[begin] * stride, w, end - begin,
+                      stride);
+        double weight = clusterWeight[c];
+        for (std::size_t i = 0; i < end - begin; ++i)
+            weight += w[i];
+        clusterWeight[c] = weight;
+        rows[c] += end - begin;
+        ++runs[c];
     });
     for (u32 c = 0; c < res.k; ++c) {
         if (!rebuild[c] || res.clusterWeight[c] <= 0.0)
@@ -378,7 +407,7 @@ rebuildClusters(const ProjectedData& data, KMeansResult& res,
         for (u32 d = 0; d < data.dims; ++d)
             crow[d] /= res.clusterWeight[c];
     }
-    return rows;
+    return work;
 }
 
 /** Clusters whose weight is not positive, over all k. */
@@ -409,67 +438,86 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
 {
     const std::vector<u8> all(res.k, 1);
     const std::vector<u8>& rebuild = dirty ? *dirty : all;
-    const auto rows =
+    const auto work =
         rebuildClusters(data, res, rebuild, [&](auto&& add) {
-            for (std::size_t i = 0; i < data.count; ++i) {
-                if (rebuild[res.labels[i]])
-                    add(i, res.labels[i]);
+            // Each run, split wherever the label changes.
+            const u32* const runStart = data.runStart.data();
+            const u32* const labels = res.labels.data();
+            const u8* const flagged = rebuild.data();
+            const std::size_t runs = data.runs();
+            for (std::size_t r = 0; r < runs; ++r) {
+                const std::size_t end = runStart[r + 1];
+                for (std::size_t i = runStart[r]; i < end;) {
+                    const u32 c = labels[i];
+                    std::size_t j = i + 1;
+                    while (j < end && labels[j] == c)
+                        ++j;
+                    if (flagged[c])
+                        add(i, j, c);
+                    i = j;
+                }
             }
         });
     kmeansStats().mstepRows.add(
-        std::accumulate(rows.begin(), rows.end(), u64{0}));
+        std::accumulate(work.rows.begin(), work.rows.end(), u64{0}));
+    kmeansStats().mstepRuns.add(
+        std::accumulate(work.runs.begin(), work.runs.end(), u64{0}));
     if (dirty)
         std::fill(dirty->begin(), dirty->end(), u8{0});
     return emptyClusters(res);
 }
 
-/** Points per block of a k-means++ draw's blocked sum. */
-constexpr std::size_t drawBlock = 256;
-
 /**
  * One k-means++ draw over the terms `term(i)` of `n` points: the
  * duplicate class of the point the sequential draw picks with uniform
- * `u` (see plusPlusDraw() for that draw).
+ * `u` (see plusPlusDraw() for that draw).  `pairTerm(p)` is pair p's
+ * share of a block's sum: pairs.weight[p] times the distance of class
+ * pairs.cls[p] (the weight alone in the first draw).
  *
  * The certified draw (DESIGN.md "Clustering acceleration", item 5)
- * sums the terms in blocks of drawBlock points, four independent
- * accumulators each, into block prefixes, and sets rHat = u * S for
- * their total S.  The sequential draw's pick is then a live point
- * whose computed prefix interval meets [rHat - tol, rHat + tol], so
- * only the blocks that window touches are scanned, in point order.
- * When all live points there share one class, that class holds the
- * pick.  Otherwise, and whenever a premise of the bound fails (a
- * negative term possible, S not finite or above 2^1023, rHat within
- * tol of 0 or of S), the draw falls back to the sequential draw.
+ * sums each block of drawBlock points over its class pairs, four
+ * independent accumulators each, into block prefixes, and sets
+ * rHat = u * S for their total S.  The sequential draw's pick is
+ * then a live point whose computed prefix interval meets
+ * [rHat - tol, rHat + tol], so only the blocks that window touches
+ * are scanned, point by point.  When all live points there share one
+ * class, that class holds the pick.  Otherwise, and whenever a
+ * premise of the bound fails (a negative term possible, S not finite
+ * or above 2^1023, rHat within tol of 0 or of S), the draw falls back
+ * to the sequential draw.
  */
-template <typename Term>
+template <typename PairTerm, typename Term>
 u32
-drawClass(std::size_t n, const Term& term, std::span<const u32> classOf,
-          double u, bool certify)
+drawClass(std::size_t n, const BlockPairs& pairs, const PairTerm& pairTerm,
+          const Term& term, std::span<const u32> classOf, double u,
+          bool certify)
 {
     KMeansStats& stats = kmeansStats();
-    const std::size_t blocks = (n + drawBlock - 1) / drawBlock;
+    const std::size_t blocks = pairs.start.size() - 1;
     std::vector<double> prefix(blocks + 1, 0.0);
     for (std::size_t b = 0; b < blocks; ++b) {
-        const std::size_t end = std::min(n, (b + 1) * drawBlock);
-        std::size_t i = b * drawBlock;
+        const std::size_t end = pairs.start[b + 1];
+        std::size_t p = pairs.start[b];
         double acc[4] = {0.0, 0.0, 0.0, 0.0};
-        for (; i + 4 <= end; i += 4) {
-            acc[0] += term(i);
-            acc[1] += term(i + 1);
-            acc[2] += term(i + 2);
-            acc[3] += term(i + 3);
+        for (; p + 4 <= end; p += 4) {
+            acc[0] += pairTerm(p);
+            acc[1] += pairTerm(p + 1);
+            acc[2] += pairTerm(p + 2);
+            acc[3] += pairTerm(p + 3);
         }
-        for (; i < end; ++i)
-            acc[0] += term(i);
+        for (; p < end; ++p)
+            acc[0] += pairTerm(p);
         prefix[b + 1] = prefix[b] + ((acc[0] + acc[1]) + (acc[2] + acc[3]));
     }
     const double total = prefix[blocks];
     const double rHat = u * total;
-    // 2x the first-order bound (4n - 1) * 2^-53 * rHat + 2^-1074.
+    // 2x the first-order bound (4n + 5) * 2^-53 * rHat +
+    // (4n + 2) * 2^-1075, with slack; the absolute part grows with n
+    // because each pair's product rounds apart from its members'.
+    const double scale = static_cast<double>(n + 8);
     const double tol =
-        rHat * (8.0 * static_cast<double>(n + 8) * 0x1p-53) +
-        4.0 * std::numeric_limits<double>::denorm_min();
+        rHat * (8.0 * scale * 0x1p-53) +
+        4.0 * scale * std::numeric_limits<double>::denorm_min();
     if (certify && total <= 0x1p1023 && rHat > tol && rHat + tol < total) {
         const double lo = rHat - tol;
         const double hi = rHat + tol;
@@ -537,12 +585,18 @@ plusPlusDraw(std::span<const double> weights,
         panic("k-means++ draw over {} weights and {} class ids",
               weights.size(), classOf.size());
     const bool certify = noneNegative(weights) && noneNegative(minDist);
+    const BlockPairs pairs = blockPairs(weights, classOf);
     if (minDist.empty())
         return drawClass(
-            weights.size(), [&](std::size_t i) { return weights[i]; },
-            classOf, u, certify);
+            weights.size(), pairs,
+            [&](std::size_t p) { return pairs.weight[p]; },
+            [&](std::size_t i) { return weights[i]; }, classOf, u,
+            certify);
     return drawClass(
-        weights.size(),
+        weights.size(), pairs,
+        [&](std::size_t p) {
+            return pairs.weight[p] * minDist[pairs.cls[p]];
+        },
         [&](std::size_t i) { return weights[i] * minDist[classOf[i]]; },
         classOf, u, certify);
 }
@@ -605,14 +659,16 @@ namespace
  * stored row and weight when some fit of the sweep — this one
  * included — already built them: the very bits this M-step would
  * compute.  Misses are rebuilt exactly as updateCentroids() would
- * (zeroed row, axpy per member in point order, one division) and
+ * (zeroed row, each member added in point order, one division), one
+ * run of the data at a time, since a run's class has one owner, and
  * then offered to the memo; when a concurrent fit inserted the same
  * key first, its equal value stays.
  *
- * `kmeans.mstep.rows` counts only the rows of rebuilds that insert
- * an entry (all rebuilds without a memo), and `kmeans.mstep.reused`
- * every lookup an entry served, so both are the same at any worker
- * count: each distinct key is inserted once per sweep.
+ * `kmeans.mstep.rows` and `kmeans.mstep.runs` count only the rows
+ * and runs of rebuilds that insert an entry (all rebuilds without a
+ * memo), and `kmeans.mstep.reused` every lookup an entry served, so
+ * all three are the same at any worker count: each distinct key is
+ * inserted once per sweep.
  */
 std::vector<u32>
 updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
@@ -662,16 +718,23 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
             }
         }
     }
-    const auto rowsOf =
+    const auto work =
         rebuildClusters(data, res, rebuild, [&](auto&& add) {
-            for (std::size_t i = 0; i < data.count; ++i) {
-                const u32 c = state.labelOwner[state.classOf[i]];
-                if (rebuild[c])
-                    add(i, c);
+            const u32* const runStart = data.runStart.data();
+            const u32* const owner = state.labelOwner.data();
+            const u32* const classOf = state.classOf.data();
+            const u8* const flagged = rebuild.data();
+            const std::size_t runs = data.runs();
+            for (std::size_t r = 0; r < runs; ++r) {
+                const u32 begin = runStart[r];
+                const u32 c = owner[classOf[begin]];
+                if (flagged[c])
+                    add(begin, runStart[r + 1], c);
             }
         });
 
     u64 rows = 0;
+    u64 runs = 0;
     for (u32 c = 0; c < k; ++c) {
         if (!rebuild[c])
             continue;
@@ -687,9 +750,11 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
                 continue;
             }
         }
-        rows += rowsOf[c];
+        rows += work.rows[c];
+        runs += work.runs[c];
     }
     kmeansStats().mstepRows.add(rows);
+    kmeansStats().mstepRuns.add(runs);
     kmeansStats().mstepReused.add(reused);
     std::fill(dirty.begin(), dirty.end(), u8{0});
     return emptyClusters(res);
@@ -776,9 +841,12 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
     // negative and void the certified draw's bound.
     const bool certify = noneNegative(data.weights);
 
+    const BlockPairs& pairs = data.pairs;
+
     // First centroid: weighted-uniform draw over every point.
     setCentroid(0, drawClass(
-                       data.count,
+                       data.count, pairs,
+                       [&](std::size_t p) { return pairs.weight[p]; },
                        [&](std::size_t i) { return data.weights[i]; },
                        accel.classOf, rng.nextDouble(), certify));
 
@@ -793,7 +861,11 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
             minDist[u] = std::min(minDist[u], d);
         }
         setCentroid(c, drawClass(
-                           data.count,
+                           data.count, pairs,
+                           [&](std::size_t p) {
+                               return pairs.weight[p] *
+                                      minDist[pairs.cls[p]];
+                           },
                            [&](std::size_t i) {
                                return data.weights[i] *
                                       minDist[accel.classOf[i]];
@@ -994,10 +1066,14 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     if (data.count == 0)
         fatal("k-means called with no data points");
     if (data.classOf.size() != data.count || data.classFirst.empty() ||
-        data.classRows.size() < data.classes() * data.rowStride())
-        panic("k-means data without duplicate classes ({} of {} points "
-              "classed, {} classes, {} row doubles)", data.classOf.size(),
-              data.count, data.classes(), data.classRows.size());
+        data.classRows.size() < data.classes() * data.rowStride() ||
+        !data.runIndexCurrent())
+        panic("k-means data without duplicate classes or a current run "
+              "index ({} of {} points classed, {} classes, {} row "
+              "doubles, {} runs ending at point {})",
+              data.classOf.size(), data.count, data.classes(),
+              data.classRows.size(), data.runs(),
+              data.runStart.empty() ? 0 : data.runStart.back());
     if (memo && &memo->data() != &data)
         panic("k-means M-step memo shared across different data");
     KMeansResult res;

@@ -103,16 +103,18 @@ class MStepMemo
  * maxIterations.  Empty clusters are re-seeded with the point
  * farthest from its centroid.  k is clamped to the point count.
  *
- * `data` must carry its duplicate classes (project() attaches them;
- * a point with no duplicate is a class of its own); without them the
- * call panics.
+ * `data` must carry its duplicate classes and a current run index
+ * (project() attaches both; a point with no duplicate is a class of
+ * its own, and ProjectedData::buildRunIndex() indexes hand-built
+ * data); without them the call panics.
  *
  * The loop skips the work whose result is already fixed: the E-step
  * runs under Hamerly distance bounds, once per duplicate class;
- * labels are kept per class between E-steps; M-steps rebuild only clusters whose membership
- * changed (or copy them from `memo`); the SSE is reduced once per
- * fit; and each k-means++ draw finds the class of its pick from
- * blocked sums (plusPlusDraw()).  Every skip is proven: whatever is
+ * labels are kept per class between E-steps; M-steps rebuild only
+ * clusters whose membership changed (or copy them from `memo`), one
+ * same-class run at a time; the SSE is reduced once per fit; and each
+ * k-means++ draw finds the class of its pick from blocked sums over
+ * class pairs (plusPlusDraw()).  Every skip is proven: whatever is
  * computed uses the same arithmetic on the same operands in the same
  * order as the naive Lloyd loop, or provably gives its result, so
  * labels, centroids, SSE and iteration counts are bit-identical to
@@ -136,9 +138,10 @@ KMeansResult runKMeans(const ProjectedData& data, u32 k, Rng& rng,
  * point order from r and picks the first i where r <= 0, or the last
  * point if none.
  *
- * The result is certified from blocked sums and a scan of only the
- * points near the crossing; the sequential draw runs only when that
- * cannot prove the class (`kmeans.init.fallbacks`).
+ * The result is certified from blocked sums over the block pairs
+ * (blockPairs()) and a scan of only the points near the crossing;
+ * the sequential draw runs only when that cannot prove the class
+ * (`kmeans.init.fallbacks`).
  * `kmeans.init.terms` counts the terms both add in point order.
  * Either way the class is the sequential draw's, for any u in [0, 1)
  * and any weights and distances, NaN and infinities included.

@@ -1,5 +1,7 @@
 #include "simpoint/projection.hh"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "obs/stats.hh"
@@ -15,6 +17,53 @@ double
 sqDist(std::span<const double> a, std::span<const double> b)
 {
     return simd::sqDist(a.data(), b.data(), a.size());
+}
+
+BlockPairs
+blockPairs(std::span<const double> weights, std::span<const u32> classOf)
+{
+    if (weights.size() != classOf.size())
+        panic("block pairs over {} weights and {} class ids",
+              weights.size(), classOf.size());
+    constexpr u32 none = std::numeric_limits<u32>::max();
+    const std::size_t n = classOf.size();
+    // Pair slot of each class in the current block; reset per block
+    // through the block's own pairs.
+    std::vector<u32> slot(
+        n ? static_cast<std::size_t>(std::ranges::max(classOf)) + 1 : 0,
+        none);
+    BlockPairs pairs;
+    pairs.start.push_back(0);
+    for (std::size_t begin = 0; begin < n; begin += drawBlock) {
+        const std::size_t first = pairs.cls.size();
+        for (std::size_t i = begin; i < std::min(n, begin + drawBlock);
+             ++i) {
+            u32& s = slot[classOf[i]];
+            if (s == none) {
+                s = static_cast<u32>(pairs.cls.size());
+                pairs.cls.push_back(classOf[i]);
+                pairs.weight.push_back(weights[i]);
+            } else {
+                pairs.weight[s] += weights[i];
+            }
+        }
+        for (std::size_t p = first; p < pairs.cls.size(); ++p)
+            slot[pairs.cls[p]] = none;
+        pairs.start.push_back(static_cast<u32>(pairs.cls.size()));
+    }
+    return pairs;
+}
+
+void
+ProjectedData::buildRunIndex()
+{
+    runStart.clear();
+    for (std::size_t i = 0; i < classOf.size(); ++i) {
+        if (i == 0 || classOf[i] != classOf[i - 1])
+            runStart.push_back(static_cast<u32>(i));
+    }
+    runStart.push_back(static_cast<u32>(classOf.size()));
+    pairs = blockPairs(weights, classOf);
 }
 
 ProjectedData
@@ -82,6 +131,7 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
                 static_cast<double>(fvs.lengths[i]) * scale;
         }
     }
+    out.buildRunIndex();
     return out;
 }
 

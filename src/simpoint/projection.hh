@@ -20,6 +20,31 @@
 namespace xbsp::sp
 {
 
+/** Points per block of a k-means++ draw's blocked sum. */
+inline constexpr std::size_t drawBlock = 256;
+
+/**
+ * The (class, weight) pairs a k-means++ draw sums its blocks over.
+ * Block b, points [b * drawBlock, (b + 1) * drawBlock), owns pairs
+ * [start[b], start[b + 1]): one per class with a member in the block,
+ * in order of its first member there, whose weight is the sum of
+ * those members' weights in point order.  In exact arithmetic a
+ * block's sum of terms w_i * minDist[classOf[i]] is the sum of
+ * weight[p] * minDist[cls[p]] over its pairs; the certified draw's
+ * window covers the rounding between the two (kmeans.cc,
+ * drawClass()).
+ */
+struct BlockPairs
+{
+    std::vector<u32> start;      ///< blocks + 1 offsets into cls/weight
+    std::vector<u32> cls;        ///< class of each pair
+    std::vector<double> weight;  ///< its members' weights, summed
+};
+
+/** The block pairs of points with `weights` under `classOf`. */
+BlockPairs blockPairs(std::span<const double> weights,
+                      std::span<const u32> classOf);
+
 /**
  * Projected data: one dense, padded row per duplicate class plus
  * per-point weights and class ids.  Rows of one class are
@@ -49,6 +74,17 @@ struct ProjectedData
     std::vector<u32> classFirst;
 
     /**
+     * Run index (buildRunIndex() derives it from classOf and weights;
+     * rebuild it after changing either).  Run r is the points
+     * [runStart[r], runStart[r + 1]), a maximal stretch of
+     * consecutive points in one class, so its members share one row;
+     * `pairs` are the k-means++ block pairs.  The M-step accumulates
+     * whole runs and k-means++ sums pairs (kmeans.cc).
+     */
+    std::vector<u32> runStart;
+    BlockPairs pairs;
+
+    /**
      * Size zero-filled padded storage for `classCount` rows and unit
      * weights for `points` points.
      */
@@ -64,6 +100,31 @@ struct ProjectedData
 
     /** Number of duplicate classes. */
     std::size_t classes() const { return classFirst.size(); }
+
+    /** Derive `runStart` and `pairs` from classOf and weights. */
+    void buildRunIndex();
+
+    /** Number of runs (0 before buildRunIndex()). */
+    std::size_t
+    runs() const
+    {
+        return runStart.empty() ? 0 : runStart.size() - 1;
+    }
+
+    /**
+     * The run index spans exactly `count` points: it was built, and
+     * no point was added or removed since.
+     */
+    bool
+    runIndexCurrent() const
+    {
+        const std::size_t blocks = (count + drawBlock - 1) / drawBlock;
+        return runs() > 0 && runStart.front() == 0 &&
+               runStart.back() == count &&
+               pairs.start.size() == blocks + 1 &&
+               pairs.start.back() == pairs.cls.size() &&
+               pairs.cls.size() == pairs.weight.size();
+    }
 
     /** Doubles between row starts (tolerates unset stride). */
     std::size_t rowStride() const { return stride ? stride : dims; }
@@ -104,7 +165,8 @@ struct ProjectedData
  * projecting each member (equal sparse vectors feed identical
  * arithmetic) — so it is stored once, at a fraction of the
  * multiplies and memory, with the class structure the clustering
- * layer reads it through.
+ * layer reads it through, and with the run index
+ * (ProjectedData::buildRunIndex()).
  */
 ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
                       u64 seed);

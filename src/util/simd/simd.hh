@@ -1,14 +1,15 @@
 /**
  * @file
  * Lane-shaped kernels for the clustering hot paths: squared
- * distance, batched point-vs-centroids distance, axpy and pinned sums
- * over dense double rows.
+ * distance, batched point-vs-centroids distance, axpy (one row, or
+ * one row over a run of weights) and pinned sums over dense double
+ * rows.
  *
  * **Determinism contract.**  Every reduction uses the *pinned 4-lane
  * order*: element i is accumulated into lane `i % 4` (elements in
  * increasing i order within each lane) and the four lane partials
  * are combined as `(l0 + l1) + (l2 + l3)`.  Elementwise kernels
- * (axpy) have no reduction and are defined elementwise.  All
+ * (axpy, axpyRun) have no reduction and are defined elementwise.  All
  * arithmetic is plain IEEE-754 multiply/add, **never FMA**: a fused
  * multiply-add rounds once where mul+add rounds twice, so fusing
  * would change bits, and the golden report digests depend on these
@@ -114,6 +115,49 @@ void sqDistBatch(const double* point, const double* rows, std::size_t k,
 
 /** dst[i] = dst[i] + a * src[i] for i in [0, n), elementwise. */
 void axpy(double* dst, const double* src, double a, std::size_t n);
+
+/**
+ * One row added `count` times with weights `w`: for each i in
+ * [0, count) in turn, dst[d] = dst[d] + w[i] * src[d] for d in
+ * [0, n).  Every element sees the same operations in the same order
+ * as `count` successive axpy(dst, src, w[i], n) calls, so the bits
+ * are theirs, but dst is loaded and stored once: eight elements at a
+ * time stay in registers across the whole run (the unrolled lane
+ * loops keep them there; rolled, GCC keeps them on the stack).
+ * Inline, so the M-step's run walk (sp::runKMeans) keeps it in its
+ * loop.
+ */
+inline void
+axpyRun(double* dst, const double* src, const double* w,
+        std::size_t count, std::size_t n)
+{
+    constexpr std::size_t width = 8;
+    std::size_t d = 0;
+    for (; d + width <= n; d += width) {
+        double acc[width];
+        double x[width];
+#pragma GCC unroll 8
+        for (std::size_t l = 0; l < width; ++l) {
+            acc[l] = dst[d + l];
+            x[l] = src[d + l];
+        }
+        for (std::size_t i = 0; i < count; ++i) {
+            const double a = w[i];
+#pragma GCC unroll 8
+            for (std::size_t l = 0; l < width; ++l)
+                acc[l] = acc[l] + a * x[l];
+        }
+#pragma GCC unroll 8
+        for (std::size_t l = 0; l < width; ++l)
+            dst[d + l] = acc[l];
+    }
+    for (; d < n; ++d) {
+        double acc = dst[d];
+        for (std::size_t i = 0; i < count; ++i)
+            acc = acc + w[i] * src[d];
+        dst[d] = acc;
+    }
+}
 
 /** Sum of n doubles under the pinned reduction order. */
 double sum(const double* a, std::size_t n);

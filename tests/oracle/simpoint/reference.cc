@@ -221,6 +221,7 @@ referenceProject(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
         for (std::size_t i = 0; i < out.count; ++i)
             out.weights[i] = static_cast<double>(fvs.lengths[i]) * scale;
     }
+    out.buildRunIndex();
     return out;
 }
 

@@ -174,7 +174,7 @@ struct Points
 /**
  * `points` under the class map `classOf`, whose classes are numbered
  * in order of their lowest member: one stored row per class, taken
- * from that member, as project() stores them.
+ * from that member, as project() stores them, and the run index.
  */
 ProjectedData
 classed(const Points& points, std::vector<u32> classOf)
@@ -192,6 +192,7 @@ classed(const Points& points, std::vector<u32> classOf)
                               row.end());
     }
     data.classOf = std::move(classOf);
+    data.buildRunIndex();
     return data;
 }
 
@@ -462,6 +463,7 @@ TEST(KMeansEquiv, ReseedWithMixedOwnersMatchesNaive)
             if (i % 4 != 3)
                 data.weights[i] = 0.0;
         }
+        data.buildRunIndex();
         for (const u32 k : {3u, 5u, 8u}) {
             SCOPED_TRACE("seed " + std::to_string(seed) + " k " +
                          std::to_string(k));
@@ -789,15 +791,79 @@ drawUniforms(std::span<const double> terms, Rng& rng)
     return us;
 }
 
+/**
+ * Draw cases shaped by the block pairs: block `b` of a case covers
+ * points [256 b, 256 b + 256) and sums one term per class it holds.
+ * Kind 0 puts 256 distinct classes in every block, kind 1 one class
+ * across many blocks, kind 2 runs of one class whose weights are all
+ * zero or whose class is already chosen (zero-weight pairs), and
+ * kind 3 subnormal distances whose per-point products round to 0
+ * while a whole pair's product does not.
+ */
+DrawCase
+pairCase(u64 c)
+{
+    Rng rng(c + 77);
+    const std::size_t n = 256 * (1 + rng.nextBelow(12)) +
+                          (c % 2 ? rng.nextBelow(256) : 0);
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    DrawCase dc;
+    std::size_t classes = 0;
+    switch (c % 4) {
+    case 0:
+        for (std::size_t i = 0; i < n; ++i) {
+            dc.classOf.push_back(static_cast<u32>(i % 256));
+            dc.weights.push_back(rng.nextDouble(0.5, 2.0));
+        }
+        classes = 256;
+        break;
+    case 1: {
+        const std::size_t other = rng.nextBelow(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            dc.classOf.push_back(i == other ? 1 : 0);
+            dc.weights.push_back(rng.nextDouble(0.5, 2.0));
+        }
+        classes = 2;
+        break;
+    }
+    case 2:
+        for (std::size_t i = 0; i < n; ++i) {
+            const u32 run = static_cast<u32>(i / 40);
+            dc.classOf.push_back(run);
+            dc.weights.push_back(run % 3 == 1 ? 0.0
+                                              : rng.nextDouble(0.5, 2.0));
+        }
+        classes = (n + 39) / 40;
+        break;
+    default:
+        for (std::size_t i = 0; i < n; ++i) {
+            dc.classOf.push_back(static_cast<u32>(i / 100));
+            dc.weights.push_back(rng.nextBelow(2) ? 0.5 : 0.25);
+        }
+        classes = (n + 99) / 100;
+    }
+    if (c % 8 != 0) {
+        for (std::size_t u = 0; u < classes; ++u) {
+            dc.minDist.push_back(
+                c % 4 == 3
+                    ? static_cast<double>(rng.nextBelow(4)) * denorm
+                : c % 4 == 2 && u % 3 == 2 ? 0.0
+                                           : rng.nextDouble(0.0, 4.0));
+        }
+    }
+    return dc;
+}
+
 } // namespace
 
 /**
  * plusPlusDraw() against the sequential draw over 12,000 seeded cases
- * (drawCase()), each at the uniforms of drawUniforms(): the class it
- * returns must be the class of the sequential pick every time.  Both
- * the certified path and the fallback must run.  Then one fit whose
- * first crossing falls exactly on a class boundary: the draw must
- * fall back, and the fit must equal the naive reference's.
+ * (drawCase()) and 400 shaped by the block pairs (pairCase()), each
+ * at the uniforms of drawUniforms(): the class it returns must be the
+ * class of the sequential pick every time.  Both the certified path
+ * and the fallback must run.  Then one fit whose first crossing falls
+ * exactly on a class boundary: the draw must fall back, and the fit
+ * must equal the naive reference's.
  */
 TEST(KMeansEquiv, CertifiedDrawMatchesSequentialDraw)
 {
@@ -805,23 +871,35 @@ TEST(KMeansEquiv, CertifiedDrawMatchesSequentialDraw)
     const u64 fallbacks0 = reg.counterValue("kmeans.init.fallbacks");
     u64 draws = 0;
     u64 mismatches = 0;
-    for (u64 c = 0; c < 12'000; ++c) {
-        const DrawCase dc = drawCase(c);
+    auto check = [&](const DrawCase& dc, const std::string& name,
+                     u64 seed) {
         const std::vector<double> terms = dc.terms();
-        Rng rng(c ^ 0x5eed);
+        Rng rng(seed ^ 0x5eed);
         for (const double u : drawUniforms(terms, rng)) {
             ++draws;
             const u32 got =
                 plusPlusDraw(dc.weights, dc.minDist, dc.classOf, u);
             const u32 want = dc.classOf[sequentialPick(terms, u)];
             if (got != want && ++mismatches <= 10) {
-                ADD_FAILURE() << "case " << c << " (" << terms.size()
+                ADD_FAILURE() << name << " (" << terms.size()
                               << " points) u " << std::hexfloat << u
                               << ": class " << got << ", sequential "
                               << want;
             }
         }
+    };
+    for (u64 c = 0; c < 12'000; ++c)
+        check(drawCase(c), "case " + std::to_string(c), c);
+
+    std::array<std::size_t, 4> pairsPerBlock{};
+    for (u64 c = 0; c < 400; ++c) {
+        const DrawCase dc = pairCase(c);
+        const BlockPairs pairs = blockPairs(dc.weights, dc.classOf);
+        pairsPerBlock[c % 4] = std::max<std::size_t>(
+            pairsPerBlock[c % 4], pairs.start[1] - pairs.start[0]);
+        check(dc, "pair case " + std::to_string(c), c + 12'000);
     }
+    EXPECT_EQ(pairsPerBlock, (std::array<std::size_t, 4>{256, 2, 7, 3}));
     EXPECT_EQ(mismatches, 0u);
     const u64 fallbacks =
         reg.counterValue("kmeans.init.fallbacks") - fallbacks0;
@@ -910,6 +988,7 @@ TEST(KMeansEquiv, ReseedPathMatchesNaiveAtIterationCap)
             ProjectedData light = data;
             for (std::size_t i = 0; i < light.count; i += 3)
                 light.weights[i] = 0.0;
+            light.buildRunIndex();
             for (const u32 maxIterations : {99u, 100u, 101u}) {
                 SCOPED_TRACE("init " +
                              std::to_string(static_cast<int>(init)) +

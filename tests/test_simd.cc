@@ -4,9 +4,10 @@
  * must return the *same bits* as a naive loop written here that
  * accumulates element i into lane `i % 4` and combines the lanes as
  * `(l0 + l1) + (l2 + l3)` — on odd lengths, ±0.0, denormals, empty
- * and single-element inputs — and padding rows with +0.0 must be
- * exactly transparent.  The golden report digests rest on these bits;
- * test_clustering_equiv checks them end to end.
+ * and single-element inputs — axpyRun must equal one axpy per
+ * weight, and padding rows with +0.0 must be exactly transparent.
+ * The golden report digests rest on these bits; test_clustering_equiv
+ * checks them end to end.
  */
 
 #include <gtest/gtest.h>
@@ -90,6 +91,45 @@ TEST(Simd, SumAndAxpyMatchPinnedLaneOrder)
     }
 }
 
+/**
+ * axpyRun is one axpy per weight, bit for bit: every run length from
+ * 0 to 300, unpadded and padded row lengths around the 8-element
+ * register block, and weights that are 0, -0, subnormal, negative or
+ * near 2^1000, mixed with ordinary ones.
+ */
+TEST(Simd, AxpyRunMatchesSuccessiveAxpy)
+{
+    const double denorm = std::numeric_limits<double>::denorm_min();
+    const double special[] = {0.0,    -0.0,         denorm,
+                              -denorm, 37 * denorm, 0x1p-1030,
+                              0x1p1000, -0x1.8p999, 0x1.fffp1000};
+    Rng rng(8080);
+    for (const std::size_t dims : {1ul, 3ul, 7ul, 8ul, 9ul, 15ul, 17ul}) {
+        for (const std::size_t n : {dims, simd::padded(dims)}) {
+            simd::AlignedVec src = randomVec(dims, 9000 + dims);
+            src.resize(n, +0.0);
+            for (std::size_t count = 0; count <= 300; ++count) {
+                SCOPED_TRACE("n=" + std::to_string(n) +
+                             " count=" + std::to_string(count));
+                std::vector<double> w(count);
+                for (double& v : w) {
+                    v = rng.nextBelow(3) == 0
+                            ? special[rng.nextBelow(std::size(special))]
+                            : rng.nextDouble(0.0, 2.0);
+                }
+                simd::AlignedVec want =
+                    count % 2 ? randomVec(n, count) : simd::AlignedVec(n);
+                simd::AlignedVec got = want;
+                for (const double v : w)
+                    simd::axpy(want.data(), src.data(), v, n);
+                simd::axpyRun(got.data(), src.data(), w.data(), count, n);
+                for (std::size_t d = 0; d < n; ++d)
+                    ASSERT_EQ(bits(got[d]), bits(want[d])) << "d=" << d;
+            }
+        }
+    }
+}
+
 TEST(Simd, BatchMatchesSingleRowKernel)
 {
     for (const std::size_t dims : {1ul, 3ul, 8ul, 15ul}) {
@@ -138,6 +178,7 @@ TEST(Simd, EmptyAndSingleElementInputs)
     EXPECT_EQ(bits(simd::sqDist(nullptr, nullptr, 0)), bits(+0.0));
     EXPECT_EQ(bits(simd::sum(nullptr, 0)), bits(+0.0));
     simd::axpy(nullptr, nullptr, 2.0, 0); // must not touch memory
+    simd::axpyRun(nullptr, nullptr, nullptr, 0, 0);
 
     const double a = 1.5, b = -0.25;
     EXPECT_EQ(bits(simd::sqDist(&a, &b, 1)), bits((a - b) * (a - b)));

@@ -238,10 +238,38 @@ TEST(KMeans, WeightsPullCentroids)
     data.weights = {1.8, 0.2};
     data.classOf = {0, 1};
     data.classFirst = {0, 1};
+    data.buildRunIndex();
     Rng rng(1);
     const KMeansResult result = runKMeans(data, 1, rng);
     EXPECT_NEAR(result.centroids[0], 0.1, 1e-9);
     EXPECT_NEAR(result.clusterWeight[0], 2.0, 1e-9);
+}
+
+TEST(KMeans, PanicsWithoutCurrentRunIndex)
+{
+    // Hand-built data must be indexed, and indexed again after a
+    // point is added: an index that misses a point would leave it out
+    // of every M-step and k-means++ draw.
+    ProjectedData data;
+    data.dims = 1;
+    data.count = 2;
+    data.classRows = {0.0, 1.0};
+    data.weights = {1.0, 1.0};
+    data.classOf = {0, 1};
+    data.classFirst = {0, 1};
+    Rng rng(1);
+    EXPECT_DEATH((void)runKMeans(data, 1, rng), "current run index");
+
+    data.buildRunIndex();
+    EXPECT_EQ(data.runs(), 2u);
+    data.count = 3;
+    data.weights.push_back(1.0);
+    data.classOf.push_back(1);
+    EXPECT_DEATH((void)runKMeans(data, 1, rng), "current run index");
+
+    data.buildRunIndex();
+    EXPECT_EQ(data.runStart, (std::vector<u32>{0, 1, 3}));
+    EXPECT_EQ(runKMeans(data, 1, rng).clusterWeight[0], 3.0);
 }
 
 TEST(Bic, PrefersTrueK)

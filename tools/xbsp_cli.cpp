@@ -567,12 +567,13 @@ renderTopFrame(const std::map<std::string, double>& series,
     std::snprintf(
         line, sizeof(line),
         "k-means   %.0f fits, %.0f proven cycles (%.0f iterations "
-        "skipped), %.0f M-step rows (%.0f rebuilds reused), %.0f "
-        "k-means++ terms (%.0f sequential draws)\n",
+        "skipped), %.0f M-step rows in %.0f runs (%.0f rebuilds "
+        "reused), %.0f k-means++ terms (%.0f sequential draws)\n",
         seriesValue(series, "xbsp_kmeans_fits_total"),
         seriesValue(series, "xbsp_kmeans_cycles_total"),
         seriesValue(series, "xbsp_kmeans_iterations_proven_total"),
         seriesValue(series, "xbsp_kmeans_mstep_rows_total"),
+        seriesValue(series, "xbsp_kmeans_mstep_runs_total"),
         seriesValue(series, "xbsp_kmeans_mstep_reused_total"),
         seriesValue(series, "xbsp_kmeans_init_terms_total"),
         seriesValue(series, "xbsp_kmeans_init_fallbacks_total"));
