@@ -1,11 +1,14 @@
 #include "simpoint/fvec.hh"
 
+#include <algorithm>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/serial.hh"
 #include "util/threadpool.hh"
 
@@ -41,6 +44,34 @@ vectorDigest(SparseRow row)
     }
     return h.finish();
 }
+
+/**
+ * Cheap 64-bit hash of a sparse row's indices and value bits for the
+ * intern index.  A match is only a candidate (closeRow() compares the
+ * rows), so a collision costs a comparison, never a wrong row.
+ */
+u64
+rowHash(SparseRow row)
+{
+    // Four independent lanes, so the multiplies overlap.
+    auto step = [&](u64 lane, std::size_t e) {
+        const u64 entry =
+            bits(row.value[e]) + u64{row.index[e]} * 0x9e3779b97f4a7c15ull;
+        return (std::rotl(lane, 23) ^ entry) * 0xff51afd7ed558ccdull;
+    };
+    u64 lane[4] = {row.size(), 1, 2, 3};
+    std::size_t e = 0;
+    for (; e + 4 <= row.size(); e += 4) {
+        for (std::size_t l = 0; l < 4; ++l)
+            lane[l] = step(lane[l], e + l);
+    }
+    for (; e < row.size(); ++e)
+        lane[0] = step(lane[0], e);
+    return hashMix(lane[0] ^ std::rotl(lane[1], 16) ^
+                   std::rotl(lane[2], 32) ^ std::rotl(lane[3], 48));
+}
+
+constexpr u32 noRow = std::numeric_limits<u32>::max();
 
 /** Bitwise equality of two sparse rows. */
 bool
@@ -79,6 +110,13 @@ FrequencyVectorSet::addInterval(const SparseVec& vec, InstrCount length)
 void
 FrequencyVectorSet::closeInterval(InstrCount length)
 {
+    closeRow();
+    lengths.push_back(length);
+}
+
+void
+FrequencyVectorSet::closeRow()
+{
     if (offsets.empty())
         offsets.push_back(0);
     const std::size_t begin = offsets.back();
@@ -93,42 +131,116 @@ FrequencyVectorSet::closeInterval(InstrCount length)
         if (e > begin && index[e] <= index[e - 1])
             panic("frequency vector indices must be strictly rising");
     }
-    offsets.push_back(static_cast<u32>(end));
-    lengths.push_back(length);
+    const SparseRow open{{index.data() + begin, end - begin},
+                         {value.data() + begin, end - begin}};
+    // Phases repeat one vector interval after interval, so most rows
+    // match their predecessor's and never reach the index.
+    u32 id = noRow;
+    if (!rowOf.empty() && vectorsEqual(open, storedRow(rowOf.back()))) {
+        id = rowOf.back();
+    } else {
+        if (intern.hashes.size() != storedRows()) {
+            intern = {};
+            for (std::size_t r = 0; r < storedRows(); ++r)
+                indexStored(rowHash(storedRow(r)));
+        }
+        const u64 h = rowHash(open);
+        id = findStored(open, h);
+        if (id == noRow) {
+            rowOf.push_back(static_cast<u32>(storedRows()));
+            offsets.push_back(static_cast<u32>(end));
+            indexStored(h);
+            return;
+        }
+    }
+    index.resize(begin);
+    value.resize(begin);
+    rowOf.push_back(id);
+}
+
+u32
+FrequencyVectorSet::findStored(SparseRow open, u64 h) const
+{
+    if (intern.slots.empty())
+        return noRow;
+    const std::size_t mask = intern.slots.size() - 1;
+    for (std::size_t s = h & mask;; s = (s + 1) & mask) {
+        const u32 r = intern.slots[s];
+        if (r == noRow)
+            return noRow;
+        if (intern.hashes[r] == h && vectorsEqual(open, storedRow(r)))
+            return r;
+    }
+}
+
+void
+FrequencyVectorSet::indexStored(u64 h)
+{
+    intern.hashes.push_back(h);
+    auto place = [&](u32 r) {
+        const std::size_t mask = intern.slots.size() - 1;
+        std::size_t s = intern.hashes[r] & mask;
+        while (intern.slots[s] != noRow)
+            s = (s + 1) & mask;
+        intern.slots[s] = r;
+    };
+    if (intern.slots.size() >= 2 * intern.hashes.size()) {
+        place(static_cast<u32>(intern.hashes.size() - 1));
+        return;
+    }
+    intern.slots.assign(std::bit_ceil(4 * intern.hashes.size()), noRow);
+    for (u32 r = 0; r < intern.hashes.size(); ++r)
+        place(r);
+}
+
+std::size_t
+FrequencyVectorSet::entries() const
+{
+    std::size_t total = 0;
+    for (u32 r : rowOf)
+        total += offsets[r + 1] - offsets[r];
+    return total;
 }
 
 void
 FrequencyVectorSet::seal()
 {
+    rowOf.shrink_to_fit();
     offsets.shrink_to_fit();
     index.shrink_to_fit();
     value.shrink_to_fit();
     lengths.shrink_to_fit();
+    intern = {};
     auto& reg = obs::StatRegistry::global();
     reg.counter("fvs.rows").add(size());
     reg.counter("fvs.entries").add(entries());
+    reg.counter("fvs.rows.stored").add(storedRows());
+    reg.counter("fvs.entries.stored").add(storedEntries());
 }
 
 void
 FrequencyVectorSet::releaseEntries()
 {
+    std::vector<u32>().swap(rowOf);
     std::vector<u32>().swap(offsets);
     std::vector<u32>().swap(index);
     std::vector<double>().swap(value);
+    intern = {};
 }
 
 void
 FrequencyVectorSet::normalize()
 {
-    for (std::size_t i = 0; i < size(); ++i) {
-        const u32 begin = offsets[i];
-        const u32 end = offsets[i + 1];
-        const double sum = sparseSum(row(i));
+    // Each stored row once: every interval sharing it gets the same
+    // bits it would have got alone.
+    for (std::size_t r = 0; r < storedRows(); ++r) {
+        const double sum = sparseSum(storedRow(r));
         if (sum == 0.0)
             continue;
-        for (u32 e = begin; e < end; ++e)
+        for (u32 e = offsets[r]; e < offsets[r + 1]; ++e)
             value[e] /= sum;
     }
+    intern = {};
 }
 
 DedupMap
@@ -137,60 +249,53 @@ FrequencyVectorSet::dedup() const
     auto& reg = obs::StatRegistry::global();
     obs::ScopedTimer buildTimer(reg.timer("dedup.build"));
 
-    DedupMap map;
-    map.classOf.resize(size());
-
-    // Phase 1, parallel: compare each row to its predecessor and
-    // digest the rows that start a run.  Phase-structured profiles
-    // emit long runs of identical vectors (a loop-dominated phase
-    // produces the same interval thousands of times), so most rows
-    // resolve on the predecessor comparison — which fails fast on
-    // the first differing entry — and never pay the digest.  Rows
-    // are independent (row i reads only rows i and i-1, both
-    // read-only) and land in preallocated slots, so the result is
-    // identical at any --jobs.
-    std::vector<serial::Hash128> digests(size());
-    std::vector<unsigned char> sameAsPrev(size(), 0);
-    parallelFor(globalPool(), size(), [&](std::size_t i) {
-        if (i > 0 &&
-            vectorsEqual(row(i), row(i - 1))) {
-            sameAsPrev[i] = 1;
-            return;
-        }
-        digests[i] = vectorDigest(row(i));
+    // Stored rows are distinct as stored, but normalizing can make
+    // two of them equal (proportional rows), so they are grouped
+    // again.  Phase 1, parallel: digest every stored row into its
+    // own slot, identical at any --jobs.
+    const std::size_t stored = storedRows();
+    std::vector<serial::Hash128> digests(stored);
+    parallelFor(globalPool(), stored, [&](std::size_t r) {
+        digests[r] = vectorDigest(storedRow(r));
     });
 
-    // Phase 2, serial in row order (class ids must be assigned in
-    // first-appearance order): run members copy the predecessor's
-    // class; run heads probe a flat pre-reserved map keyed on the
-    // low digest word.  A candidate matches only on the full 128-bit
-    // digest AND the verifying element comparison, so two intervals
-    // share a class only when their vectors really are equal bit for
-    // bit — even across digest collisions.  (A run member
-    // can never be a class representative, so every firstOf row has
-    // a computed digest.)
+    // Phase 2, serial: each stored row probes a flat pre-reserved map
+    // keyed on the low digest word.  A candidate matches only on the
+    // full 128-bit digest AND the verifying element comparison, so
+    // two rows share a group only when they really are equal bit for
+    // bit, even across digest collisions.
+    std::vector<u32> groupOf(stored);
+    std::vector<u32> groupRow;  // group -> its first stored row
     std::unordered_map<u64, std::vector<u32>> buckets;
-    buckets.reserve(size());
+    buckets.reserve(stored);
+    for (std::size_t r = 0; r < stored; ++r) {
+        std::vector<u32>& bucket = buckets[digests[r].lo];
+        u32 group = static_cast<u32>(groupRow.size());
+        for (u32 candidate : bucket) {
+            const u32 rep = groupRow[candidate];
+            if (digests[rep] == digests[r] &&
+                vectorsEqual(storedRow(r), storedRow(rep))) {
+                group = candidate;
+                break;
+            }
+        }
+        if (group == groupRow.size()) {
+            bucket.push_back(group);
+            groupRow.push_back(static_cast<u32>(r));
+        }
+        groupOf[r] = group;
+    }
+
+    // Phase 3, serial in interval order: class ids in order of first
+    // appearance, each class's first interval its representative.
+    DedupMap map;
+    map.classOf.resize(size());
+    std::vector<u32> classOfGroup(groupRow.size(), noRow);
     for (std::size_t i = 0; i < size(); ++i) {
-        u32 cls;
-        if (sameAsPrev[i]) {
-            cls = map.classOf[i - 1];
-        } else {
-            std::vector<u32>& bucket = buckets[digests[i].lo];
-            const u32 fresh = static_cast<u32>(map.classes());
-            cls = fresh;
-            for (u32 candidate : bucket) {
-                const u32 rep = map.firstOf[candidate];
-                if (digests[rep] == digests[i] &&
-                    vectorsEqual(row(i), row(rep))) {
-                    cls = candidate;
-                    break;
-                }
-            }
-            if (cls == fresh) {
-                bucket.push_back(cls);
-                map.firstOf.push_back(static_cast<u32>(i));
-            }
+        u32& cls = classOfGroup[groupOf[rowOf[i]]];
+        if (cls == noRow) {
+            cls = static_cast<u32>(map.classes());
+            map.firstOf.push_back(static_cast<u32>(i));
         }
         map.classOf[i] = cls;
     }
@@ -207,6 +312,22 @@ FrequencyVectorSet::dedup() const
     for (u64 size : classSize)
         sizes.sample(size);
     return map;
+}
+
+bool
+FrequencyVectorSet::operator==(const FrequencyVectorSet& other) const
+{
+    if (dimension != other.dimension || lengths != other.lengths ||
+        rowOf.size() != other.rowOf.size())
+        return false;
+    for (std::size_t i = 0; i < rowOf.size(); ++i) {
+        const SparseRow a = row(i);
+        const SparseRow b = other.row(i);
+        if (!std::ranges::equal(a.index, b.index) ||
+            !std::ranges::equal(a.value, b.value))
+            return false;
+    }
+    return true;
 }
 
 InstrCount

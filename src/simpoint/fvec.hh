@@ -6,10 +6,10 @@
  * by block size) plus the interval's dynamic instruction length —
  * SimPoint 3.0's variable-length-interval input format.
  *
- * A set stores all of its intervals in one flat CSR block (see
- * DESIGN.md, "Frequency-vector layout"): row i's entries are
- * index[offsets[i] .. offsets[i + 1]) with the matching values, so a
- * profile of a million intervals is four allocations, not a million.
+ * A set stores each distinct row once, in one flat CSR block (see
+ * DESIGN.md, "Frequency-vector layout"), and maps every interval to
+ * its stored row: a profile of a million intervals that repeats a few
+ * thousand vectors holds a few thousand rows.
  */
 
 #ifndef XBSP_SIMPOINT_FVEC_HH
@@ -70,19 +70,33 @@ struct DedupMap
     std::size_t classes() const { return firstOf.size(); }
 };
 
-/** A set of per-interval frequency vectors for one binary. */
+/**
+ * A set of per-interval frequency vectors for one binary.
+ *
+ * Rows are interned as they are closed: an interval whose vector is
+ * bitwise equal to one already stored records that row's id in
+ * `rowOf` and stores nothing else.  Interval i's vector is
+ * storedRow(rowOf[i]); stored rows are numbered in order of first
+ * appearance.
+ */
 struct FrequencyVectorSet
 {
     /** Number of static dimensions (basic blocks in the binary). */
     u32 dimension = 0;
 
+    /** Stored row of every interval. */
+    std::vector<u32> rowOf;
+
     /**
-     * Row starts into `index`/`value`: empty while the set has no
-     * rows, otherwise size() + 1 entries from 0 to index.size().
+     * Stored-row starts into `index`/`value`: empty while the set has
+     * no rows, otherwise storedRows() + 1 entries from 0 up.
      */
     std::vector<u32> offsets;
 
-    /** Dimension index of every entry, row after row. */
+    /**
+     * Dimension index of every stored entry, row after row, then the
+     * open row's entries (pushEntry()).
+     */
     std::vector<u32> index;
 
     /** Value of every entry, parallel to `index`. */
@@ -94,18 +108,35 @@ struct FrequencyVectorSet
     /** Number of intervals (survives releaseEntries()). */
     std::size_t size() const { return lengths.size(); }
 
-    /** Number of sparse entries over all rows. */
-    std::size_t entries() const { return index.size(); }
-
-    /** Interval `i`'s sparse vector, in execution order. */
-    SparseRow
-    row(std::size_t i) const
+    /** Number of distinct rows stored. */
+    std::size_t
+    storedRows() const
     {
-        const u32 begin = offsets[i];
-        const u32 count = offsets[i + 1] - begin;
+        return offsets.empty() ? 0 : offsets.size() - 1;
+    }
+
+    /** Number of sparse entries over the stored rows. */
+    std::size_t
+    storedEntries() const
+    {
+        return offsets.empty() ? 0 : offsets.back();
+    }
+
+    /** Number of sparse entries over all intervals' rows. */
+    std::size_t entries() const;
+
+    /** Stored row `r`. */
+    SparseRow
+    storedRow(std::size_t r) const
+    {
+        const u32 begin = offsets[r];
+        const u32 count = offsets[r + 1] - begin;
         return {{index.data() + begin, count},
                 {value.data() + begin, count}};
     }
+
+    /** Interval `i`'s sparse vector, in execution order. */
+    SparseRow row(std::size_t i) const { return storedRow(rowOf[i]); }
 
     /** Append one interval. */
     void addInterval(const SparseVec& vec, InstrCount length);
@@ -123,22 +154,33 @@ struct FrequencyVectorSet
     }
 
     /**
-     * End the open row as one interval of `length` instructions.
-     * Panics unless the row's indices are strictly rising and below
-     * `dimension` (the same checks addInterval makes).
+     * End the open row as one interval of `length` instructions:
+     * closeRow(), then record the length.
      */
     void closeInterval(InstrCount length);
 
     /**
-     * Done appending: drop spare capacity and add the set's rows and
-     * entries to the `fvs.rows` / `fvs.entries` counters.  Collectors
-     * and decoders call this once per set they build.
+     * End the open row as the next interval's vector, without its
+     * length (a decoder that reads lengths after every row appends
+     * them to `lengths` itself).  Panics unless the row's indices are
+     * strictly rising and below `dimension` (the checks addInterval
+     * makes).  A row bitwise equal to the previous interval's, or to
+     * any stored row, is dropped and that row's id recorded.
+     */
+    void closeRow();
+
+    /**
+     * Done appending: drop spare capacity and the intern index, and
+     * add the set to the `fvs.rows` / `fvs.entries` counters (every
+     * interval) and `fvs.rows.stored` / `fvs.entries.stored` (the
+     * distinct rows).  Collectors and decoders call this once per set
+     * they build.
      */
     void seal();
 
     /**
-     * Free the entries (`offsets`, `index`, `value`) once nothing
-     * will read a row again; `dimension` and `lengths` stay, so
+     * Free the rows (`rowOf`, `offsets`, `index`, `value`) once
+     * nothing will read one again; `dimension` and `lengths` stay, so
      * size() and totalInstructions() still answer.
      */
     void releaseEntries();
@@ -153,12 +195,39 @@ struct FrequencyVectorSet
      * Group intervals with bitwise-equal vectors into duplicate
      * classes, which keeps every computation over them exact.  Class
      * ids are assigned in order of first appearance, so `firstOf` is
-     * strictly ascending.
+     * strictly ascending.  Stored rows are compared, not intervals,
+     * so rows that became equal only on normalizing still share a
+     * class.
      */
     DedupMap dedup() const;
 
-    /** Same dimension, entries and lengths (values compared with ==). */
-    bool operator==(const FrequencyVectorSet&) const = default;
+    /**
+     * Same dimension, lengths and interval vectors (values compared
+     * with ==), however the rows are stored.
+     */
+    bool operator==(const FrequencyVectorSet& other) const;
+
+  private:
+    /**
+     * Open-addressed index of the stored rows while rows are
+     * appended: `slots` (a power of two, at most half full) holds
+     * stored-row ids by row hash, `hashes` each stored row's hash.
+     * A hash match is only a candidate; closeRow() compares the rows.
+     * Rebuilt when it does not cover every stored row (after seal()
+     * or normalize()).
+     */
+    struct InternIndex
+    {
+        std::vector<u32> slots;
+        std::vector<u64> hashes;
+    };
+    InternIndex intern;
+
+    /** The stored row bitwise equal to `open` (hash `h`), or none. */
+    u32 findStored(SparseRow open, u64 h) const;
+
+    /** Add the last stored row, whose hash is `h`, to the index. */
+    void indexStored(u64 h);
 };
 
 } // namespace xbsp::sp

@@ -96,7 +96,10 @@ kmeansStats()
  *
  * Between E-steps the labels are kept per class too: while
  * `classLevel` holds, point i's label is `labelOwner[classOf[i]]`
- * and `res.labels` is stale until materialize() writes it out.
+ * and the fit holds no per-point labels.  Only a random-partition
+ * start or a re-seed that splits a class makes them per point, in a
+ * vector materialize() fills and release() frees once they are
+ * class-level again.
  */
 struct AccelState
 {
@@ -120,22 +123,21 @@ struct AccelState
         dOwn.assign(classFirst.size(), 0.0);
     }
 
-    /**
-     * Seed owner hypotheses from the current labels.  `uniform` says
-     * every point carries the same label (k-means++ leaves them all
-     * 0), so the labels are class-level without a check.
-     */
+    /** Start with every point in cluster 0 (k-means++ seeding). */
     void
-    adoptLabels(const std::vector<u32>& labels, bool uniform)
+    adoptUniform()
+    {
+        labelOwner = ownerOf;
+        classLevel = true;
+    }
+
+    /** Seed owner hypotheses from per-point starting labels. */
+    void
+    adoptLabels(std::vector<u32>& labels)
     {
         for (std::size_t u = 0; u < classFirst.size(); ++u)
             ownerOf[u] = labels[classFirst[u]];
-        if (uniform) {
-            labelOwner = ownerOf;
-            classLevel = true;
-        } else {
-            regroup(labels);
-        }
+        regroup(labels);
     }
 
     /**
@@ -145,7 +147,7 @@ struct AccelState
      * class (always, for data without duplicates).
      */
     void
-    regroup(const std::vector<u32>& labels)
+    regroup(std::vector<u32>& labels)
     {
         for (std::size_t i = 0; i < labels.size(); ++i) {
             if (labels[i] != labels[classFirst[classOf[i]]])
@@ -155,6 +157,7 @@ struct AccelState
         for (std::size_t u = 0; u < classFirst.size(); ++u)
             labelOwner[u] = labels[classFirst[u]];
         classLevel = true;
+        release(labels);
     }
 
     /**
@@ -166,7 +169,7 @@ struct AccelState
      * class the labels are per point and are compared per point.
      */
     bool
-    adoptOwners(const std::vector<u32>& labels, std::vector<u8>& dirty)
+    adoptOwners(std::vector<u32>& labels, std::vector<u8>& dirty)
     {
         bool moved = false;
         auto move = [&](u32 from, u32 to) {
@@ -184,6 +187,7 @@ struct AccelState
         }
         labelOwner = ownerOf;
         classLevel = true;
+        release(labels);
         return moved;
     }
 
@@ -194,9 +198,18 @@ struct AccelState
     {
         if (!classLevel)
             return;
+        labels.resize(classOf.size());
         for (std::size_t i = 0; i < labels.size(); ++i)
             labels[i] = labelOwner[classOf[i]];
         classLevel = false;
+    }
+
+    /** Free per-point labels that `labelOwner` now stands for. */
+    void
+    release(std::vector<u32>& labels) const
+    {
+        if (classLevel)
+            std::vector<u32>().swap(labels);
     }
 
     /** Centroids teleported (re-seeding): bounds mean nothing now. */
@@ -231,8 +244,8 @@ struct AccelState
 /**
  * E-step: per-class Hamerly-bounded nearest-centroid search, leaving
  * each class's owner in `state.ownerOf` and its exact squared
- * distance in `state.dOwn`.  Labels and the SSE are not
- * broadcast here; see broadcastOwners().
+ * distance in `state.dOwn`.  The SSE is reduced only once the fit
+ * is done; see ownersSse().
  */
 void
 assignClassesAccel(const ProjectedData& data, const KMeansResult& res,
@@ -309,14 +322,12 @@ assignClassesAccel(const ProjectedData& data, const KMeansResult& res,
 }
 
 /**
- * Broadcast the last E-step's owners to every point and reduce the
- * weighted SSE over original points, in the same chunking the naive
- * reference E-step uses: the SSE is bit-identical to its SSE over
- * the same centroids.
+ * Reduce the weighted SSE of the last E-step's owners over original
+ * points, in the same chunking the naive reference E-step uses: the
+ * SSE is bit-identical to its SSE over the same centroids.
  */
 double
-broadcastOwners(const ProjectedData& data, const AccelState& state,
-                std::vector<u32>& labels)
+ownersSse(const ProjectedData& data, const AccelState& state)
 {
     std::vector<double> partialSse(parallelChunkCount(data.count),
                                    0.0);
@@ -324,11 +335,8 @@ broadcastOwners(const ProjectedData& data, const AccelState& state,
         globalPool(), data.count,
         [&](std::size_t begin, std::size_t end, std::size_t chunk) {
             double sse = 0.0;
-            for (std::size_t i = begin; i < end; ++i) {
-                const u32 u = state.classOf[i];
-                labels[i] = state.ownerOf[u];
-                sse += data.weights[i] * state.dOwn[u];
-            }
+            for (std::size_t i = begin; i < end; ++i)
+                sse += data.weights[i] * state.dOwn[state.classOf[i]];
             partialSse[chunk] = sse;
         });
     double sse = 0.0;
@@ -423,7 +431,8 @@ emptyClusters(const KMeansResult& res)
 }
 
 /**
- * Recompute weighted centroids; returns ids of empty clusters.
+ * Recompute weighted centroids from per-point `pointLabels`; returns
+ * ids of empty clusters.
  *
  * With a `dirty` mask only the flagged clusters are rebuilt, and the
  * flags are cleared.  A cluster no point entered or left since an
@@ -434,6 +443,7 @@ emptyClusters(const KMeansResult& res)
  */
 std::vector<u32>
 updateCentroids(const ProjectedData& data, KMeansResult& res,
+                const std::vector<u32>& pointLabels,
                 std::vector<u8>* dirty = nullptr)
 {
     const std::vector<u8> all(res.k, 1);
@@ -442,7 +452,7 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
         rebuildClusters(data, res, rebuild, [&](auto&& add) {
             // Each run, split wherever the label changes.
             const u32* const runStart = data.runStart.data();
-            const u32* const labels = res.labels.data();
+            const u32* const labels = pointLabels.data();
             const u8* const flagged = rebuild.data();
             const std::size_t runs = data.runs();
             for (std::size_t r = 0; r < runs; ++r) {
@@ -761,7 +771,8 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
 }
 
 /**
- * Re-seed an empty cluster with the worst-fitting point.  The
+ * Re-seed an empty cluster with the worst-fitting point, moving it
+ * in the per-point `labels`.  The
  * point-to-owner distances are memoised per (class, owner) pair:
  * rows of a class are bit-identical, so one sqDist per pair gives
  * every member's distance bit for bit.  Only empty clusters are
@@ -774,8 +785,8 @@ updateCentroidsByClass(const ProjectedData& data, KMeansResult& res,
  */
 void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
-            const std::vector<u32>& empty, const AccelState& accel,
-            std::vector<u8>* dirty = nullptr)
+            std::vector<u32>& labels, const std::vector<u32>& empty,
+            const AccelState& accel, std::vector<u8>* dirty = nullptr)
 {
     const std::size_t cstride = res.rowStride(data.dims);
     std::vector<double> memo(accel.classFirst.size() * res.k, -1.0);
@@ -792,7 +803,7 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
         double worst = -1.0;
         std::size_t worstIdx = 0;
         for (std::size_t i = 0; i < data.count; ++i) {
-            const u32 owner = res.labels[i];
+            const u32 owner = labels[i];
             if (res.clusterWeight[owner] <= 0.0)
                 continue;
             const double d = ownerDist(i, owner);
@@ -806,8 +817,8 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
         const auto p = data.point(worstIdx);
         std::copy(p.begin(), p.end(), crow);
         if (dirty)
-            (*dirty)[c] = (*dirty)[res.labels[worstIdx]] = 1;
-        res.labels[worstIdx] = c;
+            (*dirty)[c] = (*dirty)[labels[worstIdx]] = 1;
+        labels[worstIdx] = c;
     }
 }
 
@@ -874,22 +885,25 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
     }
 }
 
+/** Random starting labels, per point, and their centroids. */
 void
 initRandomPartition(const ProjectedData& data, KMeansResult& res,
-                    Rng& rng, const AccelState& accel)
+                    std::vector<u32>& labels, Rng& rng,
+                    const AccelState& accel)
 {
+    labels.resize(data.count);
     for (std::size_t i = 0; i < data.count; ++i)
-        res.labels[i] = static_cast<u32>(rng.nextBelow(res.k));
+        labels[i] = static_cast<u32>(rng.nextBelow(res.k));
     // Guarantee every cluster owns at least one point.
     for (u32 c = 0; c < res.k && c < data.count; ++c)
-        res.labels[c] = c;
-    const auto empty = updateCentroids(data, res);
-    reseedEmpty(data, res, empty, accel);
+        labels[c] = c;
+    const auto empty = updateCentroids(data, res, labels);
+    reseedEmpty(data, res, labels, empty, accel);
     // Re-seeding relabels the stolen points, leaving the donor
     // clusters' centroids and weights stale; recompute once so the
     // first E-step sees centroids consistent with the labels.
     if (!empty.empty())
-        updateCentroids(data, res);
+        updateCentroids(data, res, labels);
 }
 
 /**
@@ -923,17 +937,18 @@ struct CycleProbe
 
     /** Period of the cycle the state at `iter` closes, or 0. */
     u32
-    observe(u32 iter, const KMeansResult& res, const AccelState& state)
+    observe(u32 iter, const KMeansResult& res, const AccelState& state,
+            const std::vector<u32>& pointLabels)
     {
         if (iter == 0)
             return 0;
-        if (at && sameLabels(res, state) &&
+        if (at && sameLabels(state, pointLabels) &&
             std::memcmp(res.centroids.data(), centroids.data(),
                         centroids.size() * sizeof(double)) == 0)
             return iter - at;
         if ((iter & (iter - 1)) == 0) {
             byClass = state.classLevel;
-            labels = byClass ? state.labelOwner : res.labels;
+            labels = byClass ? state.labelOwner : pointLabels;
             centroids = res.centroids;
             at = iter;
         }
@@ -941,15 +956,16 @@ struct CycleProbe
     }
 
     bool
-    sameLabels(const KMeansResult& res, const AccelState& state) const
+    sameLabels(const AccelState& state,
+               const std::vector<u32>& pointLabels) const
     {
         if (byClass && state.classLevel)
             return labels == state.labelOwner;
-        for (std::size_t i = 0; i < res.labels.size(); ++i) {
+        for (std::size_t i = 0; i < state.classOf.size(); ++i) {
             const u32 u = state.classOf[i];
             const u32 then = byClass ? labels[u] : labels[i];
             const u32 now =
-                state.classLevel ? state.labelOwner[u] : res.labels[i];
+                state.classLevel ? state.labelOwner[u] : pointLabels[i];
             if (then != now)
                 return false;
         }
@@ -957,13 +973,15 @@ struct CycleProbe
     }
 };
 
-/** Re-sum every clusterWeight over the final labels, in point order. */
+/** Re-sum every clusterWeight over the final owners, in point order. */
 void
-resumWeights(const ProjectedData& data, KMeansResult& res)
+resumWeights(const ProjectedData& data, KMeansResult& res,
+             const AccelState& state)
 {
     std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
     for (std::size_t i = 0; i < data.count; ++i)
-        res.clusterWeight[res.labels[i]] += data.weights[i];
+        res.clusterWeight[state.ownerOf[state.classOf[i]]] +=
+            data.weights[i];
 }
 
 /**
@@ -986,12 +1004,15 @@ runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
 {
     AccelState state;
     state.attach(data);
-    if (options.init == InitMethod::KMeansPlusPlus)
+    // Per-point labels, held only while they are not class-level.
+    std::vector<u32> labels;
+    if (options.init == InitMethod::KMeansPlusPlus) {
         initPlusPlus(data, res, rng, state);
-    else
-        initRandomPartition(data, res, rng, state);
-    state.adoptLabels(res.labels,
-                      options.init == InitMethod::KMeansPlusPlus);
+        state.adoptUniform();
+    } else {
+        initRandomPartition(data, res, labels, rng, state);
+        state.adoptLabels(labels);
+    }
 
     // Clusters some point entered or left since an M-step last
     // produced their row.  Iteration 0's rows are seeds, not M-step
@@ -1002,7 +1023,7 @@ runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
     bool cycling = false;
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
         if (!cycling) {
-            if (const u32 period = probe.observe(iter, res, state)) {
+            if (const u32 period = probe.observe(iter, res, state, labels)) {
                 // Proven cycle: no iteration up to maxIterations
                 // breaks, and whole periods leave the state where it
                 // is.  Skip them and run the remainder normally.
@@ -1023,18 +1044,18 @@ runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
         // it is reduced after the loop from the same dOwn.
         assignClassesAccel(data, res, state);
         const bool stable =
-            !state.adoptOwners(res.labels, dirty) && iter > 0;
+            !state.adoptOwners(labels, dirty) && iter > 0;
         oldCentroids = res.centroids;
         const auto empty =
             updateCentroidsByClass(data, res, state, dirty, memo);
         if (!empty.empty()) {
-            state.materialize(res.labels);
-            reseedEmpty(data, res, empty, state, &dirty);
-            state.regroup(res.labels);
+            state.materialize(labels);
+            reseedEmpty(data, res, labels, empty, state, &dirty);
+            state.regroup(labels);
             if (state.classLevel)
                 updateCentroidsByClass(data, res, state, dirty, memo);
             else
-                updateCentroids(data, res, &dirty);
+                updateCentroids(data, res, labels, &dirty);
             state.invalidate();
             continue;
         }
@@ -1048,13 +1069,15 @@ runLloyd(const ProjectedData& data, KMeansResult& res, Rng& rng,
     // rebuilt nothing: a final E-step would read exactly the centroids
     // the last one read and give back the same owners and dOwn, and
     // every clusterWeight was summed by an M-step over these same
-    // members in this same order.  So it only broadcasts.  Any other
-    // fit ends on the reference's final assignment and weight re-sum.
+    // members in this same order.  So it only reduces the SSE.  Any
+    // other fit ends on the reference's final assignment and weight
+    // re-sum.  Either way the final labels are the owners, per class.
     if (!res.converged)
         assignClassesAccel(data, res, state);
-    res.weightedSse = broadcastOwners(data, state, res.labels);
+    res.weightedSse = ownersSse(data, state);
     if (!res.converged)
-        resumWeights(data, res);
+        resumWeights(data, res, state);
+    res.owners = std::move(state.ownerOf);
 }
 
 } // namespace
@@ -1079,7 +1102,6 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     KMeansResult res;
     res.k = std::max<u32>(1, std::min<u32>(
                                  k, static_cast<u32>(data.count)));
-    res.labels.assign(data.count, 0);
     // Centroid rows share the data's padded stride so the batched
     // kernels can stream both matrices tail-free.
     res.stride = data.rowStride();

@@ -39,7 +39,12 @@ struct KMeansOptions
 struct KMeansResult
 {
     u32 k = 0;
-    std::vector<u32> labels;           ///< per point
+    /**
+     * Label per duplicate class of the data the fit ran on: the final
+     * assignment is made per class, so point i's label is
+     * owners[classOf[i]] (see labels()).
+     */
+    std::vector<u32> owners;
     std::size_t stride = 0;            ///< doubles between centroid rows
     simd::AlignedVec centroids;        ///< k x stride, row-major, padded
     std::vector<double> clusterWeight; ///< sum of member weights
@@ -60,6 +65,16 @@ struct KMeansResult
     {
         return centroids.data() +
                static_cast<std::size_t>(c) * rowStride(dims);
+    }
+
+    /** Every point's label: owners[data.classOf[i]] for point i. */
+    std::vector<u32>
+    labels(const ProjectedData& data) const
+    {
+        std::vector<u32> out(data.count);
+        for (std::size_t i = 0; i < data.count; ++i)
+            out[i] = owners[data.classOf[i]];
+        return out;
     }
 
     /** Centroid row accessor over the true (unpadded) dimensions. */
@@ -110,7 +125,10 @@ class MStepMemo
  *
  * The loop skips the work whose result is already fixed: the E-step
  * runs under Hamerly distance bounds, once per duplicate class;
- * labels are kept per class between E-steps; M-steps rebuild only
+ * labels are kept per class between E-steps, and per point only
+ * while a random-partition start or a re-seed splits a class, so the
+ * result carries one label per class (KMeansResult::owners);
+ * M-steps rebuild only
  * clusters whose membership changed (or copy them from `memo`), one
  * same-class run at a time; the SSE is reduced once per fit; and each
  * k-means++ draw finds the class of its pick from blocked sums over

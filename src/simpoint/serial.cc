@@ -73,24 +73,16 @@ walkFvs(serial::Decoder& d, Visitor& visit)
         visit.length(d.varint());
 }
 
-/** Builds the set. */
+/** Builds the set, interning its rows as they end. */
 struct FvsBuilder
 {
     FrequencyVectorSet fvs;
 
     void dimension(u32 n) { fvs.dimension = n; }
 
-    void
-    rows(u64 n)
-    {
-        if (n > 0) {
-            fvs.offsets.reserve(static_cast<std::size_t>(n) + 1);
-            fvs.offsets.push_back(0);
-        }
-    }
-
+    void rows(u64 n) { fvs.rowOf.reserve(static_cast<std::size_t>(n)); }
     void entry(u32 index, double value) { fvs.pushEntry(index, value); }
-    void rowEnd(u64 total) { fvs.offsets.push_back(static_cast<u32>(total)); }
+    void rowEnd(u64) { fvs.closeRow(); }
     void lengths(u64 n) { fvs.lengths.reserve(static_cast<std::size_t>(n)); }
     void length(u64 length) { fvs.lengths.push_back(length); }
 };

@@ -47,7 +47,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
 
     // The (k, seed) sweep.  Every fit forks its own RNG stream from
     // the (const) sweep generator, so fits are order-independent and
-    // can fan out across the pool.  Only the best fit per k is kept:
+    // can fan out across the pool.  Only the best fit per k is kept,
+    // with one label per duplicate class (KMeansResult::owners):
     // each fit is folded in under a lock as the lexicographic minimum
     // of (SSE, seed index), which is the sequential loop's strict
     // less-than pick — lowest-seed-index tie-break included — in any
@@ -117,7 +118,8 @@ pickFromNormalized(FrequencyVectorSet fvs,
     }
     SimPointResult out;
     out.k = chosen.k;
-    out.labels = chosen.labels;
+    // The only per-interval labels the sweep materializes.
+    out.labels = chosen.labels(data);
     out.bicByK = bicByK;
     out.chosenBic = bicByK[chosenIdx];
 
@@ -142,7 +144,7 @@ pickFromNormalized(FrequencyVectorSet fvs,
     const InstrCount total = fvs.totalInstructions();
     std::vector<std::vector<u32>> membersOf(chosen.k);
     for (std::size_t i = 0; i < fvs.size(); ++i)
-        membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
+        membersOf[out.labels[i]].push_back(static_cast<u32>(i));
     std::vector<double> classDist(data.classes());
     std::vector<u32> classPhase(data.classes(), chosen.k);
     for (u32 c = 0; c < chosen.k; ++c) {

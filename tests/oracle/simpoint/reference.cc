@@ -66,7 +66,7 @@ assignLabels(const ProjectedData& data, const KMeansResult& res,
  */
 std::vector<u32>
 updateCentroids(const ProjectedData& data, KMeansResult& res,
-                ReferenceWork& work)
+                const std::vector<u32>& labels, ReferenceWork& work)
 {
     const std::size_t cstride = res.rowStride(data.dims);
     auto row = [&](u32 c) {
@@ -76,7 +76,7 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
     std::fill(res.centroids.begin(), res.centroids.end(), 0.0);
     std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
     for (std::size_t i = 0; i < data.count; ++i) {
-        const u32 c = res.labels[i];
+        const u32 c = labels[i];
         const double w = data.weights[i];
         simd::axpy(row(c), data.row(i), w, data.rowStride());
         res.clusterWeight[c] += w;
@@ -98,14 +98,14 @@ updateCentroids(const ProjectedData& data, KMeansResult& res,
 /** Re-seed each empty cluster with the worst-fitting point. */
 void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
-            const std::vector<u32>& empty)
+            std::vector<u32>& labels, const std::vector<u32>& empty)
 {
     const std::size_t cstride = res.rowStride(data.dims);
     for (u32 c : empty) {
         double worst = -1.0;
         std::size_t worstIdx = 0;
         for (std::size_t i = 0; i < data.count; ++i) {
-            const u32 owner = res.labels[i];
+            const u32 owner = labels[i];
             if (res.clusterWeight[owner] <= 0.0)
                 continue;
             const double d =
@@ -121,7 +121,7 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
                        static_cast<std::size_t>(c) * cstride;
         const auto p = data.point(worstIdx);
         std::copy(p.begin(), p.end(), crow);
-        res.labels[worstIdx] = c;
+        labels[worstIdx] = c;
     }
 }
 
@@ -172,20 +172,21 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
 
 void
 initRandomPartition(const ProjectedData& data, KMeansResult& res,
-                    Rng& rng, ReferenceWork& work)
+                    std::vector<u32>& labels, Rng& rng,
+                    ReferenceWork& work)
 {
     for (std::size_t i = 0; i < data.count; ++i)
-        res.labels[i] = static_cast<u32>(rng.nextBelow(res.k));
+        labels[i] = static_cast<u32>(rng.nextBelow(res.k));
     // Guarantee every cluster owns at least one point.
     for (u32 c = 0; c < res.k && c < data.count; ++c)
-        res.labels[c] = c;
-    const auto empty = updateCentroids(data, res, work);
-    reseedEmpty(data, res, empty);
+        labels[c] = c;
+    const auto empty = updateCentroids(data, res, labels, work);
+    reseedEmpty(data, res, labels, empty);
     // Re-seeding relabels the stolen points, leaving the donor
     // clusters' centroids and weights stale; recompute once so the
     // first E-step sees centroids consistent with the labels.
     if (!empty.empty())
-        updateCentroids(data, res, work);
+        updateCentroids(data, res, labels, work);
 }
 
 } // namespace
@@ -233,10 +234,11 @@ referenceKMeans(const ProjectedData& data, u32 k, Rng& rng,
         fatal("k-means called with no data points");
     ReferenceFit fit;
     KMeansResult& res = fit.result;
+    std::vector<u32>& labels = fit.labels;
     ReferenceWork& work = fit.work;
     res.k = std::max<u32>(1, std::min<u32>(
                                  k, static_cast<u32>(data.count)));
-    res.labels.assign(data.count, 0);
+    labels.assign(data.count, 0);
     res.stride = data.rowStride();
     res.centroids.assign(
         static_cast<std::size_t>(res.k) * res.stride, 0.0);
@@ -245,17 +247,17 @@ referenceKMeans(const ProjectedData& data, u32 k, Rng& rng,
     if (options.init == InitMethod::KMeansPlusPlus)
         initPlusPlus(data, res, rng, work);
     else
-        initRandomPartition(data, res, rng, work);
+        initRandomPartition(data, res, labels, rng, work);
     std::vector<u32> newLabels(data.count, 0);
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
         res.iterations = iter + 1;
         res.weightedSse = assignLabels(data, res, newLabels, work);
-        const bool stable = newLabels == res.labels && iter > 0;
-        res.labels = newLabels;
-        const auto empty = updateCentroids(data, res, work);
+        const bool stable = newLabels == labels && iter > 0;
+        labels = newLabels;
+        const auto empty = updateCentroids(data, res, labels, work);
         if (!empty.empty()) {
-            reseedEmpty(data, res, empty);
-            updateCentroids(data, res, work);
+            reseedEmpty(data, res, labels, empty);
+            updateCentroids(data, res, labels, work);
             continue;
         }
         if (stable) {
@@ -265,10 +267,10 @@ referenceKMeans(const ProjectedData& data, u32 k, Rng& rng,
     }
     // A final E-step and weight re-sum make labels, SSE and weights
     // consistent with the final centroids.
-    res.weightedSse = assignLabels(data, res, res.labels, work);
+    res.weightedSse = assignLabels(data, res, labels, work);
     std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
     for (std::size_t i = 0; i < data.count; ++i)
-        res.clusterWeight[res.labels[i]] += data.weights[i];
+        res.clusterWeight[labels[i]] += data.weights[i];
     return fit;
 }
 
@@ -294,10 +296,10 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
     // The (k, seed) sweep, one fit after another; the best fit per k
     // is the lowest SSE, ties going to the lowest seed index.
     ReferenceSweep sweep;
-    std::vector<KMeansResult> bestByK;
+    std::vector<ReferenceFit> bestByK;
     std::vector<double> bicByK;
     for (u32 k = 1; k <= maxK; ++k) {
-        KMeansResult best;
+        ReferenceFit best;
         double bestSse = std::numeric_limits<double>::max();
         for (u32 s = 0; s < options.seedsPerK; ++s) {
             Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
@@ -307,13 +309,13 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
             sweep.work.initTerms += fit.work.initTerms;
             if (fit.result.weightedSse < bestSse) {
                 bestSse = fit.result.weightedSse;
-                best = std::move(fit.result);
+                best = std::move(fit);
             }
         }
-        if (best.k == 0)
+        if (best.result.k == 0)
             panic("no k-means fit at k = {} has an SSE below the "
                   "largest double (non-finite vectors?)", k);
-        bicByK.push_back(bicScore(data, best));
+        bicByK.push_back(bicScore(data, best.result));
         bestByK.push_back(std::move(best));
     }
 
@@ -327,10 +329,10 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
         }
     }
 
-    const KMeansResult& chosen = bestByK[chosenIdx];
+    const KMeansResult& chosen = bestByK[chosenIdx].result;
     SimPointResult& out = sweep.result;
     out.k = chosen.k;
-    out.labels = chosen.labels;
+    out.labels = bestByK[chosenIdx].labels;
     out.bicByK = bicByK;
     out.chosenBic = bicByK[chosenIdx];
 
@@ -342,7 +344,7 @@ referenceSimPoints(const FrequencyVectorSet& fvs,
     const InstrCount total = fvs.totalInstructions();
     std::vector<std::vector<u32>> membersOf(chosen.k);
     for (std::size_t i = 0; i < fvs.size(); ++i)
-        membersOf[chosen.labels[i]].push_back(static_cast<u32>(i));
+        membersOf[out.labels[i]].push_back(static_cast<u32>(i));
     for (u32 c = 0; c < chosen.k; ++c) {
         const std::vector<u32>& members = membersOf[c];
         if (members.empty())

@@ -37,10 +37,15 @@ struct ReferenceWork
     u64 initTerms = 0;  ///< terms summed by k-means++ draws
 };
 
-/** One reference fit and the work it took. */
+/**
+ * One reference fit and the work it took.  The reference labels
+ * every point on its own, so `result.owners` stays empty and
+ * `labels` holds the label of each point.
+ */
 struct ReferenceFit
 {
     KMeansResult result;
+    std::vector<u32> labels;
     ReferenceWork work;
 };
 

@@ -60,12 +60,17 @@ expectIdenticalResults(const SimPointResult& naive,
     }
 }
 
-/** Exact equality of two runKMeans outputs. */
+/**
+ * Exact equality of a reference fit and a runKMeans output over
+ * `data`: each point's reference label is its class's owner.
+ */
 void
-expectIdenticalKMeans(const KMeansResult& a, const KMeansResult& b)
+expectIdenticalKMeans(const ReferenceFit& naive, const KMeansResult& b,
+                      const ProjectedData& data)
 {
+    const KMeansResult& a = naive.result;
     EXPECT_EQ(a.k, b.k);
-    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(naive.labels, b.labels(data));
     EXPECT_EQ(a.centroids, b.centroids);
     EXPECT_EQ(a.clusterWeight, b.clusterWeight);
     EXPECT_EQ(a.weightedSse, b.weightedSse);
@@ -142,7 +147,7 @@ expectFitMatchesNaive(const ProjectedData& data, u32 k, u64 seed,
         SCOPED_TRACE("jobs " + std::to_string(jobs));
         setGlobalJobs(jobs);
         const auto [engine, work] = engineFit(data, k, seed, options, memo);
-        expectIdenticalKMeans(reference.result, engine);
+        expectIdenticalKMeans(reference, engine, data);
         if (jobs == 1) {
             serialWork = work;
         } else if (memo == nullptr) {
@@ -549,8 +554,9 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
             u32 zeroDraws = 0;
             for (u64 seed = 1; seed <= 16; ++seed) {
                 Rng rngA(seed);
-                const KMeansResult naive =
-                    referenceKMeans(data, 2, rngA, options).result;
+                const ReferenceFit naiveFit =
+                    referenceKMeans(data, 2, rngA, options);
+                const KMeansResult& naive = naiveFit.result;
                 for (const u64 jobs : {u64{1}, u64{4}}) {
                     SCOPED_TRACE("weight " + std::to_string(weights[0]) +
                                  " classes " +
@@ -562,7 +568,7 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
                     const KMeansResult accel =
                         runKMeans(data, 2, rngB, options);
                     EXPECT_EQ(naive.centroids, accel.centroids);
-                    EXPECT_EQ(naive.labels, accel.labels);
+                    EXPECT_EQ(naiveFit.labels, accel.labels(data));
                 }
                 if (naive.centroid(1, data.dims)[0] == 0.0)
                     ++zeroDraws;
@@ -571,6 +577,39 @@ TEST(KMeansEquiv, PlusPlusZeroDrawPicksIndexZero)
         }
     }
     setGlobalJobs(0);
+}
+
+/**
+ * Three distinct rows, four copies each, and k = 4.  The fourth seed
+ * repeats a row, so every E-step leaves a cluster empty, and each
+ * re-seed moves the first point of a four-point class alone: the
+ * class splits and the labels drop to per point until the next
+ * E-step.  The fit never converges.  Its labels, one owner per class
+ * broadcast to the points, must equal the reference's per-point
+ * labels at every iteration limit, from either seeding.
+ */
+TEST(KMeansEquiv, LabelsAreClassOwnersAfterSplittingReseeds)
+{
+    const ProjectedData data = duplicateData(3, 4, 2, 31);
+    for (const InitMethod init :
+         {InitMethod::KMeansPlusPlus, InitMethod::RandomPartition}) {
+        for (const u32 maxIterations : {1u, 2u, 7u}) {
+            SCOPED_TRACE("init " + std::to_string(static_cast<int>(init)) +
+                         " max " + std::to_string(maxIterations));
+            KMeansOptions options;
+            options.init = init;
+            options.maxIterations = maxIterations;
+            expectFitMatchesNaive(data, 4, 5, options);
+            Rng rng(5);
+            const KMeansResult fit = runKMeans(data, 4, rng, options);
+            EXPECT_EQ(fit.owners.size(), data.classes());
+            EXPECT_FALSE(fit.converged);
+            EXPECT_EQ(fit.iterations, maxIterations);
+            const std::vector<u32> labels = fit.labels(data);
+            for (std::size_t i = 0; i < data.count; ++i)
+                EXPECT_EQ(labels[i], fit.owners[data.classOf[i]]) << i;
+        }
+    }
 }
 
 /**
@@ -591,8 +630,9 @@ TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
          {withClasses(blobs), singletonClasses(blobs)}) {
         for (const u32 k : {2u, 4u}) {
             Rng rngA(k);
-            const KMeansResult naive =
-                referenceKMeans(data, k, rngA, options).result;
+            const ReferenceFit naiveFit =
+                referenceKMeans(data, k, rngA, options);
+            const KMeansResult& naive = naiveFit.result;
             for (const u64 jobs : {u64{1}, u64{4}}) {
                 SCOPED_TRACE("k " + std::to_string(k) + " classes " +
                              std::to_string(data.classFirst.size()) +
@@ -601,7 +641,7 @@ TEST(KMeansEquiv, PlusPlusScanOffTheEndPicksLastPoint)
                 Rng rngB(k);
                 const KMeansResult accel = runKMeans(data, k, rngB, options);
                 EXPECT_EQ(naive.centroids, accel.centroids);
-                EXPECT_EQ(naive.labels, accel.labels);
+                EXPECT_EQ(naiveFit.labels, accel.labels(data));
                 const auto last = data.point(data.count - 1);
                 for (u32 c = 0; c < k; ++c) {
                     const auto row = accel.centroid(c, data.dims);
@@ -937,6 +977,41 @@ TEST(KMeansEquiv, CertifiedDrawMatchesSequentialDraw)
 }
 
 /**
+ * A draw whose blocked prefix is off by nearly the most a sum of n
+ * terms can be.  Point 0 (class 0) weighs a and point 1 (class 1)
+ * weighs 1 - a; n - 2 tail points (class 2) weigh 2^-53 each, half
+ * an ulp of 1.  The sequential total rounds every tail term away, so
+ * T = 1, r = a * T = a for u = a, and the sequential draw picks
+ * point 0.  The blocked sum keeps them: the tail's pairs add up
+ * exactly, so S = 1 + (n - 2) * 2^-53 and r-hat exceeds a by
+ * (n - 2) * 2^-53 * a.  Only a window that wide reaches back to point
+ * 0, finds classes 0 and 1 in it and falls back; a narrower one sees
+ * point 1 alone and certifies class 1.  So the window's relative
+ * part must be at least (n - 2) / (n + 8) of (n + 8) * 2^-53 * r-hat.
+ */
+TEST(KMeansEquiv, CertifiedWindowCoversATailTheSequentialSumDrops)
+{
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    for (const std::size_t n : {300u, 4'099u, 100'000u}) {
+        for (const double a : {0.25, 0.375}) {
+            SCOPED_TRACE("n " + std::to_string(n) + " a " +
+                         std::to_string(a));
+            std::vector<double> weights(n, 0x1p-53);
+            weights[0] = a;
+            weights[1] = 1.0 - a;
+            std::vector<u32> classOf(n, 2);
+            classOf[0] = 0;
+            classOf[1] = 1;
+            ASSERT_EQ(sequentialPick(weights, a), 0u);
+            const u64 fallbacks = reg.counterValue("kmeans.init.fallbacks");
+            EXPECT_EQ(plusPlusDraw(weights, {}, classOf, a), 0u);
+            EXPECT_EQ(reg.counterValue("kmeans.init.fallbacks"),
+                      fallbacks + 1);
+        }
+    }
+}
+
+/**
  * A far, tight group keeps its membership from the first M-step on
  * while the boundary between two clusters inside a spread-out group
  * keeps moving.  The M-steps in between rebuild only the clusters
@@ -1146,13 +1221,12 @@ TEST(KMeansEquiv, DeferredSseMatchesNaiveBitwise)
             SCOPED_TRACE("jobs " + std::to_string(jobs) + " k " +
                          std::to_string(k));
             Rng rngA(k);
-            const KMeansResult naive =
-                referenceKMeans(data, k, rngA).result;
+            const ReferenceFit naive = referenceKMeans(data, k, rngA);
             Rng rngB(k);
             MStepMemo memo(data);
             const KMeansResult accel = runKMeans(data, k, rngB, {}, &memo);
-            expectIdenticalKMeans(naive, accel);
-            EXPECT_EQ(std::bit_cast<u64>(naive.weightedSse),
+            expectIdenticalKMeans(naive, accel, data);
+            EXPECT_EQ(std::bit_cast<u64>(naive.result.weightedSse),
                       std::bit_cast<u64>(accel.weightedSse));
             converged += accel.converged;
         }

@@ -328,6 +328,49 @@ TEST(SerialCodec, FrequencyVectorSetFormatsArePinned)
                         "T:3:123456789 :5:2.5 \n");
 }
 
+/**
+ * A set whose rows repeat, back to back and scattered, stores three
+ * rows, yet its store bytes, content digest and store key are the
+ * ones pinned for the same intervals before rows were interned.  Its
+ * decode interns the same way and compares equal.
+ */
+TEST(SerialCodec, InternedSetFormatsArePinned)
+{
+    sp::FrequencyVectorSet fvs;
+    fvs.dimension = 6;
+    const sp::SparseVec a{{0, 0.5}, {3, 1e-300}};
+    const sp::SparseVec b{{1, 7.25}};
+    fvs.addInterval(a, 2000);
+    fvs.addInterval(a, 2000);
+    fvs.addInterval({}, 2000);
+    fvs.addInterval(b, 1999);
+    fvs.addInterval(a, 2000);
+    fvs.addInterval({}, 7);
+    fvs.addInterval(b, 2000);
+    fvs.addInterval(b, 3);
+    EXPECT_EQ(fvs.storedRows(), 3u);
+    EXPECT_EQ(fvs.rowOf, (std::vector<u32>{0, 0, 1, 2, 0, 1, 2, 2}));
+
+    const std::string bytes = fvsBytes(fvs);
+    EXPECT_EQ(hexBytes(bytes),
+              "06080200000000000000e03f0359f3f8c21f6ea5010200000000000000"
+              "e03f0359f3f8c21f6ea5010001010000000000001d4002000000000000"
+              "00e03f0359f3f8c21f6ea5010001010000000000001d40010100000000"
+              "00001d4008d00fd00fd00fcf0fd00f07d00f03");
+    serial::Hasher h;
+    sp::hashFvs(h, fvs);
+    EXPECT_EQ(h.finish().hex(), "528c0aa8fbe4c2946088a2bbe046417f");
+    EXPECT_EQ(sp::simPointKey(fvs, sp::SimPointOptions{}).hex(),
+              "74973547d2f5bc165d80ba18d8dbe64b");
+
+    serial::Decoder d(bytes);
+    const sp::FrequencyVectorSet back = sp::decodeFvs(d);
+    d.expectEnd();
+    EXPECT_TRUE(back == fvs);
+    EXPECT_EQ(back.rowOf, fvs.rowOf);
+    EXPECT_EQ(back.storedRows(), 3u);
+}
+
 TEST(SerialCodec, FvsIndexPastDimensionRejected)
 {
     // Entries name blocks up to 5 of a set whose dimension is cut to

@@ -5,10 +5,14 @@
  */
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <set>
 
 #include <gtest/gtest.h>
 
+#include "obs/stats.hh"
 #include "simpoint/reference.hh"
 #include "simpoint/simpoint.hh"
 #include "test_support.hh"
@@ -69,6 +73,76 @@ pairAgreement(const std::vector<u32>& labels, u32 k)
     return static_cast<double>(agree) / static_cast<double>(total);
 }
 
+/** A row's (index, value bits) pairs: equal exactly when bitwise equal. */
+std::vector<std::pair<u32, u64>>
+rowBits(SparseRow row)
+{
+    std::vector<std::pair<u32, u64>> out;
+    for (std::size_t e = 0; e < row.size(); ++e)
+        out.emplace_back(row.index[e], std::bit_cast<u64>(row.value[e]));
+    return out;
+}
+
+std::vector<std::pair<u32, u64>>
+rowBits(const SparseVec& vec)
+{
+    std::vector<std::pair<u32, u64>> out;
+    for (const auto& [idx, val] : vec)
+        out.emplace_back(idx, std::bit_cast<u64>(val));
+    return out;
+}
+
+/**
+ * Seeded interval streams over 64 dimensions: long runs of a few
+ * vectors, scattered repeats of twenty, all-distinct vectors, and a
+ * mix of empty rows with rows that differ only in the sign of a zero
+ * or that hold a NaN.
+ */
+std::vector<SparseVec>
+internStream(int kind, u64 seed)
+{
+    Rng rng(seed);
+    auto randomVec = [&] {
+        SparseVec vec;
+        for (u32 d = 0; d < 64; ++d) {
+            if (rng.nextBelow(6) == 0)
+                vec.emplace_back(d, rng.nextDouble(0.0, 1000.0));
+        }
+        return vec;
+    };
+    std::vector<SparseVec> pool;
+    std::vector<SparseVec> stream;
+    switch (kind) {
+    case 0:
+        for (int v = 0; v < 5; ++v)
+            pool.push_back(randomVec());
+        while (stream.size() < 2000) {
+            const SparseVec& vec = pool[rng.nextBelow(pool.size())];
+            stream.insert(stream.end(), 50 + rng.nextBelow(150), vec);
+        }
+        break;
+    case 1:
+        for (int v = 0; v < 20; ++v)
+            pool.push_back(randomVec());
+        for (int i = 0; i < 600; ++i)
+            stream.push_back(pool[rng.nextBelow(pool.size())]);
+        break;
+    case 2:
+        for (int i = 0; i < 300; ++i)
+            stream.push_back(randomVec());
+        break;
+    default:
+        pool = {{},
+                {{3, 0.0}},
+                {{3, -0.0}},
+                {{3, std::nan("")}, {9, 1.0}},
+                randomVec()};
+        for (int i = 0; i < 400; ++i)
+            stream.push_back(pool[rng.nextBelow(pool.size())]);
+    }
+    return stream;
+}
+
 } // namespace
 
 TEST(Fvec, NormalizeMakesVectorsSumToOne)
@@ -125,6 +199,110 @@ TEST(Fvec, DedupKeepsNearEqualVectorsApart)
     fvs.addInterval(SparseVec{{0, 1.004}}, 10);
     fvs.addInterval(SparseVec{{0, 1.200}}, 10);
     EXPECT_EQ(fvs.dedup().classes(), 3u);
+}
+
+/**
+ * Interned rows read back as the stream that made them, bit for bit,
+ * and the set stores each distinct row once.  A seal halfway drops
+ * the intern index; rows appended after it still find the rows
+ * stored before.
+ */
+TEST(Fvec, InternedRowsMatchTheStream)
+{
+    for (int kind = 0; kind < 4; ++kind) {
+        for (const bool sealHalfway : {false, true}) {
+            SCOPED_TRACE("stream " + std::to_string(kind) +
+                         (sealHalfway ? " sealed halfway" : ""));
+            const std::vector<SparseVec> stream =
+                internStream(kind, 17 + kind);
+            FrequencyVectorSet fvs;
+            fvs.dimension = 64;
+            std::set<std::vector<std::pair<u32, u64>>> distinct;
+            std::size_t entries = 0;
+            std::size_t storedEntries = 0;
+            for (std::size_t i = 0; i < stream.size(); ++i) {
+                if (sealHalfway && i == stream.size() / 2)
+                    fvs.seal();
+                fvs.addInterval(stream[i], 1000 + i);
+                entries += stream[i].size();
+                if (distinct.insert(rowBits(stream[i])).second)
+                    storedEntries += stream[i].size();
+            }
+            ASSERT_EQ(fvs.size(), stream.size());
+            for (std::size_t i = 0; i < stream.size(); ++i)
+                ASSERT_EQ(rowBits(fvs.row(i)), rowBits(stream[i])) << i;
+            EXPECT_EQ(fvs.storedRows(), distinct.size());
+            EXPECT_EQ(fvs.storedEntries(), storedEntries);
+            EXPECT_EQ(fvs.entries(), entries);
+            EXPECT_EQ(fvs.index.size(), storedEntries);
+            // Stored rows are numbered in order of first appearance.
+            u32 next = 0;
+            for (const u32 r : fvs.rowOf) {
+                ASSERT_LE(r, next);
+                next += r == next;
+            }
+            EXPECT_EQ(next, fvs.storedRows());
+        }
+    }
+}
+
+/**
+ * seal() adds every interval to `fvs.rows` / `fvs.entries` and only
+ * the stored rows to `fvs.rows.stored` / `fvs.entries.stored`.
+ */
+TEST(Fvec, SealCountsIntervalsAndStoredRows)
+{
+    FrequencyVectorSet fvs;
+    fvs.dimension = 8;
+    for (int rep = 0; rep < 4; ++rep) {
+        fvs.addInterval(SparseVec{{0, 1.0}, {3, 2.0}}, 100);
+        fvs.addInterval(SparseVec{{1, 5.0}}, 200);
+    }
+    obs::StatRegistry& reg = obs::StatRegistry::global();
+    auto value = [&](const char* path) { return reg.counterValue(path); };
+    const u64 rows = value("fvs.rows");
+    const u64 entries = value("fvs.entries");
+    const u64 storedRows = value("fvs.rows.stored");
+    const u64 storedEntries = value("fvs.entries.stored");
+    fvs.seal();
+    EXPECT_EQ(value("fvs.rows") - rows, 8u);
+    EXPECT_EQ(value("fvs.entries") - entries, 12u);
+    EXPECT_EQ(value("fvs.rows.stored") - storedRows, 2u);
+    EXPECT_EQ(value("fvs.entries.stored") - storedEntries, 3u);
+}
+
+/**
+ * Rows stored apart because their raw counts differ can normalize to
+ * the same bits; dedup() still puts them in one class.  A set
+ * holding the normalized rows once compares equal to it.
+ */
+TEST(Fvec, ProportionalRowsShareADedupClass)
+{
+    FrequencyVectorSet fvs;
+    fvs.dimension = 4;
+    fvs.addInterval(SparseVec{{1, 1.0}, {2, 2.0}}, 100);
+    fvs.addInterval(SparseVec{{1, 2.0}, {2, 4.0}}, 100);
+    fvs.addInterval(SparseVec{{3, 1.0}}, 100);
+    fvs.addInterval(SparseVec{{1, 2.0}, {2, 4.0}}, 100);
+    EXPECT_EQ(fvs.storedRows(), 3u);
+    fvs.normalize();
+    const DedupMap map = fvs.dedup();
+    EXPECT_EQ(map.classOf, (std::vector<u32>{0, 0, 1, 0}));
+    EXPECT_EQ(map.firstOf, (std::vector<u32>{0, 2}));
+
+    FrequencyVectorSet once;
+    once.dimension = 4;
+    for (const u32 block : {1u, 1u, 3u, 1u}) {
+        if (block == 1)
+            once.addInterval(SparseVec{{1, 1.0 / 3.0}, {2, 2.0 / 3.0}},
+                             100);
+        else
+            once.addInterval(SparseVec{{3, 1.0}}, 100);
+    }
+    EXPECT_EQ(once.storedRows(), 2u);
+    EXPECT_TRUE(fvs == once);
+    once.lengths[2] = 99;
+    EXPECT_FALSE(fvs == once);
 }
 
 TEST(Projection, ShapeAndDeterminism)
@@ -184,7 +362,7 @@ TEST(KMeans, RecoversWellSeparatedClusters)
     Rng rng(3);
     const KMeansResult result = runKMeans(data, 4, rng);
     EXPECT_EQ(result.k, 4u);
-    EXPECT_GT(pairAgreement(result.labels, 4), 0.999);
+    EXPECT_GT(pairAgreement(result.labels(data), 4), 0.999);
     EXPECT_TRUE(result.converged);
 }
 
@@ -199,7 +377,7 @@ TEST(KMeans, BothInitMethodsWork)
         KMeansOptions options;
         options.init = init;
         const KMeansResult result = runKMeans(data, 3, rng, options);
-        EXPECT_GT(pairAgreement(result.labels, 3), 0.99)
+        EXPECT_GT(pairAgreement(result.labels(data), 3), 0.99)
             << "init " << static_cast<int>(init);
     }
 }
@@ -438,14 +616,15 @@ TEST(SimPointPick, TiedSeedsPickTheLowestSeedIndex)
         const ProjectedData data =
             project(normalized, options.projectedDims, options.seed);
         const Rng rng(hashMix(options.seed ^ 0xB1Cull));
-        std::vector<KMeansResult> fits;
+        std::vector<ReferenceFit> fits;
         for (u32 s = 0; s < options.seedsPerK; ++s) {
             Rng seedRng = rng.fork((u64{2} << 16) | s);
-            fits.push_back(referenceKMeans(data, 2, seedRng, kmOpts).result);
-            EXPECT_EQ(fits[s].weightedSse, fits[0].weightedSse);
+            fits.push_back(referenceKMeans(data, 2, seedRng, kmOpts));
+            EXPECT_EQ(fits[s].result.weightedSse,
+                      fits[0].result.weightedSse);
         }
         swapped += std::any_of(fits.begin(), fits.end(),
-                               [&](const KMeansResult& fit) {
+                               [&](const ReferenceFit& fit) {
                                    return fit.labels != fits[0].labels;
                                });
 

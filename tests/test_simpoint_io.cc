@@ -220,6 +220,29 @@ TEST(SimPointIoProperty, DuplicateBlockIdsAccumulateOnRead)
     EXPECT_EQ(entriesOf(parsed.row(0)), expected);
 }
 
+TEST(SimPointIoProperty, ReaderInternsRepeatedAndMergedLines)
+{
+    // A repeated line, a line that names one id twice (merged into the
+    // same row), a scattered repeat and a proportional line: the set
+    // stores three rows, and the proportional one joins the first
+    // row's duplicate class once normalized.
+    std::stringstream ss("T:2:10 :5:4 \n"
+                         "T:2:10 :5:4 \n"
+                         "T:5:1.5 :2:10 :5:2.5 \n"
+                         "T:3:1 \n"
+                         "T:2:10 :5:4 \n"
+                         "T:2:20 :5:8 \n");
+    FrequencyVectorSet parsed = readBbvFile(ss, 8);
+    ASSERT_EQ(parsed.size(), 6u);
+    EXPECT_EQ(parsed.rowOf, (std::vector<u32>{0, 0, 0, 1, 0, 2}));
+    EXPECT_EQ(parsed.storedRows(), 3u);
+    EXPECT_EQ(entriesOf(parsed.row(2)), (SparseVec{{1, 10.0}, {4, 4.0}}));
+    EXPECT_EQ(entriesOf(parsed.row(5)), (SparseVec{{1, 20.0}, {4, 8.0}}));
+    parsed.normalize();
+    EXPECT_EQ(parsed.dedup().classOf,
+              (std::vector<u32>{0, 0, 0, 1, 0, 0}));
+}
+
 TEST(SimPointIoProperty, ExtremeWeightsRoundTrip)
 {
     FrequencyVectorSet fvs;
