@@ -17,7 +17,10 @@ CoreConfig
 decodeCoreConfig(serial::Decoder& d)
 {
     CoreConfig c;
-    c.kind = static_cast<CoreKind>(d.varint());
+    const u64 kind = d.varint();
+    if (kind > static_cast<u64>(CoreKind::Decoupled))
+        throw serial::DecodeError("bad CoreKind");
+    c.kind = static_cast<CoreKind>(kind);
     c.fetchWidth = static_cast<u32>(d.varint());
     c.ftqDepth = static_cast<u32>(d.varint());
     c.predictorBits = static_cast<u32>(d.varint());

@@ -150,7 +150,10 @@ decodeStudyConfig(serial::Decoder& d)
     c.simpoint.seedsPerK = static_cast<u32>(d.varint());
     c.simpoint.bicThreshold = d.f64();
     c.simpoint.seed = d.varint();
-    c.simpoint.init = static_cast<sp::InitMethod>(d.varint());
+    const u64 init = d.varint();
+    if (init > static_cast<u64>(sp::InitMethod::RandomPartition))
+        throw serial::DecodeError("bad InitMethod");
+    c.simpoint.init = static_cast<sp::InitMethod>(init);
     c.simpoint.maxIterations = static_cast<u32>(d.varint());
     c.simpoint.earlyPoints = d.boolean();
     c.simpoint.earlyTolerance = d.f64();

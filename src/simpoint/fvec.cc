@@ -4,13 +4,10 @@
 #include <bit>
 #include <cstring>
 #include <limits>
-#include <unordered_map>
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/serial.hh"
-#include "util/threadpool.hh"
 
 namespace xbsp::sp
 {
@@ -25,24 +22,6 @@ bits(double value)
     u64 out;
     std::memcpy(&out, &value, sizeof(out));
     return out;
-}
-
-/**
- * Pinned 128-bit digest of a sparse row's indices and value bits (the
- * frozen util/serial hash, aligned-word fast path).  Probes compare digests
- * first, and only a full-digest match falls through to the verifying
- * element comparison.
- */
-serial::Hash128
-vectorDigest(SparseRow row)
-{
-    serial::Hasher h;
-    h.u64w(row.size());
-    for (std::size_t e = 0; e < row.size(); ++e) {
-        h.u64w(row.index[e]);
-        h.u64w(bits(row.value[e]));
-    }
-    return h.finish();
 }
 
 /**
@@ -231,87 +210,51 @@ FrequencyVectorSet::releaseEntries()
 void
 FrequencyVectorSet::normalize()
 {
-    // Each stored row once: every interval sharing it gets the same
-    // bits it would have got alone.
-    for (std::size_t r = 0; r < storedRows(); ++r) {
-        const double sum = sparseSum(storedRow(r));
-        if (sum == 0.0)
-            continue;
-        for (u32 e = offsets[r]; e < offsets[r + 1]; ++e)
-            value[e] /= sum;
+    // Each stored row is divided once: every interval sharing it gets
+    // the bits it would have got alone.  Rows with proportional counts
+    // can divide to equal bits, so the rows are interned again as
+    // they are divided, compacted in place.  A row keeps its place in
+    // first-appearance order unless it folds into an earlier one, so
+    // `rowOf` stays numbered in that order.
+    const std::size_t stored = storedRows();
+    std::vector<u32> keptAs(stored);
+    intern = {};
+    u32 kept = 0;
+    u32 begin = 0;  // of row r's entries
+    u32 end = 0;    // of the kept rows' entries
+    for (std::size_t r = 0; r < stored; ++r) {
+        const u32 rowEnd = offsets[r + 1];
+        const SparseRow row{{index.data() + begin, rowEnd - begin},
+                            {value.data() + begin, rowEnd - begin}};
+        const double sum = sparseSum(row);
+        if (sum != 0.0) {
+            for (u32 e = begin; e < rowEnd; ++e)
+                value[e] /= sum;
+        }
+        const u64 h = rowHash(row);
+        keptAs[r] = findStored(row, h);
+        if (keptAs[r] == noRow) {
+            if (end != begin) {
+                std::copy(index.begin() + begin, index.begin() + rowEnd,
+                          index.begin() + end);
+                std::copy(value.begin() + begin, value.begin() + rowEnd,
+                          value.begin() + end);
+            }
+            end += rowEnd - begin;
+            offsets[kept + 1] = end;
+            keptAs[r] = kept++;
+            indexStored(h);
+        }
+        begin = rowEnd;
     }
     intern = {};
-}
-
-DedupMap
-FrequencyVectorSet::dedup() const
-{
-    auto& reg = obs::StatRegistry::global();
-    obs::ScopedTimer buildTimer(reg.timer("dedup.build"));
-
-    // Stored rows are distinct as stored, but normalizing can make
-    // two of them equal (proportional rows), so they are grouped
-    // again.  Phase 1, parallel: digest every stored row into its
-    // own slot, identical at any --jobs.
-    const std::size_t stored = storedRows();
-    std::vector<serial::Hash128> digests(stored);
-    parallelFor(globalPool(), stored, [&](std::size_t r) {
-        digests[r] = vectorDigest(storedRow(r));
-    });
-
-    // Phase 2, serial: each stored row probes a flat pre-reserved map
-    // keyed on the low digest word.  A candidate matches only on the
-    // full 128-bit digest AND the verifying element comparison, so
-    // two rows share a group only when they really are equal bit for
-    // bit, even across digest collisions.
-    std::vector<u32> groupOf(stored);
-    std::vector<u32> groupRow;  // group -> its first stored row
-    std::unordered_map<u64, std::vector<u32>> buckets;
-    buckets.reserve(stored);
-    for (std::size_t r = 0; r < stored; ++r) {
-        std::vector<u32>& bucket = buckets[digests[r].lo];
-        u32 group = static_cast<u32>(groupRow.size());
-        for (u32 candidate : bucket) {
-            const u32 rep = groupRow[candidate];
-            if (digests[rep] == digests[r] &&
-                vectorsEqual(storedRow(r), storedRow(rep))) {
-                group = candidate;
-                break;
-            }
-        }
-        if (group == groupRow.size()) {
-            bucket.push_back(group);
-            groupRow.push_back(static_cast<u32>(r));
-        }
-        groupOf[r] = group;
-    }
-
-    // Phase 3, serial in interval order: class ids in order of first
-    // appearance, each class's first interval its representative.
-    DedupMap map;
-    map.classOf.resize(size());
-    std::vector<u32> classOfGroup(groupRow.size(), noRow);
-    for (std::size_t i = 0; i < size(); ++i) {
-        u32& cls = classOfGroup[groupOf[rowOf[i]]];
-        if (cls == noRow) {
-            cls = static_cast<u32>(map.classes());
-            map.firstOf.push_back(static_cast<u32>(i));
-        }
-        map.classOf[i] = cls;
-    }
-
-    reg.counter("dedup.calls").add();
-    reg.counter("dedup.intervals").add(size());
-    reg.counter("dedup.classes").add(map.classes());
-    // One sample per class so the histogram shows how much arithmetic
-    // the per-class clustering path can share.
-    std::vector<u64> classSize(map.classes(), 0);
-    for (u32 cls : map.classOf)
-        ++classSize[cls];
-    obs::Distribution sizes = reg.distribution("dedup.classSize");
-    for (u64 size : classSize)
-        sizes.sample(size);
-    return map;
+    if (kept == stored)
+        return;
+    index.erase(index.begin() + end, index.begin() + begin);
+    value.erase(value.begin() + end, value.begin() + begin);
+    offsets.resize(kept + 1);
+    for (u32& r : rowOf)
+        r = keptAs[r];
 }
 
 bool

@@ -49,35 +49,15 @@ struct SparseRow
 double sparseSum(SparseRow row);
 
 /**
- * Duplicate-interval classes over a frequency-vector set.
- *
- * Intervals whose sparse vectors are bitwise equal form one class.  The
- * class representative is the *lowest* original interval index, so a
- * representative's projected row is bit-identical to every member's
- * and any computation that depends only on the vector (distances,
- * nearest-centroid labels) can be done once per class and broadcast
- * to the members without changing a single bit of the result.
- */
-struct DedupMap
-{
-    /** Class id per original interval. */
-    std::vector<u32> classOf;
-
-    /** Lowest original interval index per class. */
-    std::vector<u32> firstOf;
-
-    /** Number of duplicate classes (= unique vectors). */
-    std::size_t classes() const { return firstOf.size(); }
-};
-
-/**
  * A set of per-interval frequency vectors for one binary.
  *
  * Rows are interned as they are closed: an interval whose vector is
  * bitwise equal to one already stored records that row's id in
  * `rowOf` and stores nothing else.  Interval i's vector is
  * storedRow(rowOf[i]); stored rows are numbered in order of first
- * appearance.
+ * appearance.  So `rowOf` is the set's duplicate-class map: two
+ * intervals share a stored row exactly when their vectors are
+ * bitwise equal, and storedRows() counts the classes.
  */
 struct FrequencyVectorSet
 {
@@ -185,21 +165,17 @@ struct FrequencyVectorSet
      */
     void releaseEntries();
 
-    /** Normalize every vector to sum 1 (SimPoint step 1). */
+    /**
+     * Normalize every vector to sum 1 (SimPoint step 1): each stored
+     * row is divided by its sum once (a zero-sum row stays as it is),
+     * then interned again, so a row that divided to the bits of an
+     * earlier stored row (proportional counts) folds into it.  The
+     * surviving rows keep their first-appearance order.
+     */
     void normalize();
 
     /** Total instructions across all intervals. */
     InstrCount totalInstructions() const;
-
-    /**
-     * Group intervals with bitwise-equal vectors into duplicate
-     * classes, which keeps every computation over them exact.  Class
-     * ids are assigned in order of first appearance, so `firstOf` is
-     * strictly ascending.  Stored rows are compared, not intervals,
-     * so rows that became equal only on normalizing still share a
-     * class.
-     */
-    DedupMap dedup() const;
 
     /**
      * Same dimension, lengths and interval vectors (values compared

@@ -1,12 +1,11 @@
 #include "simpoint/io.hh"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "util/logging.hh"
@@ -62,7 +61,7 @@ parseUint(const std::string& field, u64 max, const char* file,
 void
 writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs)
 {
-    // %.17g guarantees strtod() recovers the exact double on read —
+    // %.17g guarantees from_chars() recovers the exact double on read —
     // the text BBV path round-trips bit-for-bit like the binary store.
     char buf[64];
     for (std::size_t i = 0; i < fvs.size(); ++i) {
@@ -94,40 +93,41 @@ readBbvFile(std::istream& is, u32 dimensionHint)
         if (line[0] != 'T')
             fatal("bb file line {}: expected 'T' prefix", lineNo);
         vec.clear();
-        std::size_t pos = 1;
-        while (pos < line.size()) {
-            if (line[pos] == ' ') {
+        const char* const lineEnd = line.data() + line.size();
+        for (const char* pos = line.data() + 1; pos < lineEnd;) {
+            if (*pos == ' ') {
                 ++pos;
                 continue;
             }
-            if (line[pos] != ':')
+            if (*pos != ':')
                 fatal("bb file line {}: expected ':' at column {}",
-                      lineNo, pos);
-            ++pos;
-            // strtoull would take a sign or leading blanks and wrap
-            // "-1"; an index starts with a digit.
-            if (!std::isdigit(static_cast<unsigned char>(line[pos])))
+                      lineNo, pos - line.data());
+            // from_chars takes no blank, sign or base prefix.
+            u64 idx = 0;
+            const auto [idxEnd, idxErr] =
+                std::from_chars(pos + 1, lineEnd, idx);
+            if (idxErr == std::errc::invalid_argument ||
+                idxEnd == lineEnd || *idxEnd != ':' ||
+                (idxErr == std::errc() && idx == 0))
                 fatal("bb file line {}: bad dimension index", lineNo);
-            char* end = nullptr;
-            errno = 0;
-            const unsigned long long idx =
-                std::strtoull(line.c_str() + pos, &end, 10);
-            if (*end != ':' || idx == 0)
-                fatal("bb file line {}: bad dimension index", lineNo);
-            if (errno == ERANGE || idx > kMaxBbvDimension)
+            if (idxErr != std::errc() || idx > kMaxBbvDimension)
                 fatal("bb file line {}: dimension index {} exceeds "
                       "the limit of {}", lineNo,
-                      line.substr(pos, static_cast<std::size_t>(
-                                           end - line.c_str()) - pos),
+                      std::string_view(pos + 1, idxEnd),
                       kMaxBbvDimension);
-            pos = static_cast<std::size_t>(end - line.c_str()) + 1;
-            const double val = std::strtod(line.c_str() + pos, &end);
-            if (end == line.c_str() + pos)
+            double val = 0.0;
+            const auto [valEnd, valErr] =
+                std::from_chars(idxEnd + 1, lineEnd, val);
+            if (valErr == std::errc::invalid_argument ||
+                (valEnd != lineEnd && *valEnd != ' ' && *valEnd != ':'))
                 fatal("bb file line {}: bad value", lineNo);
+            if (valErr != std::errc())
+                fatal("bb file line {}: value {} is out of a double's "
+                      "range", lineNo, std::string_view(idxEnd + 1, valEnd));
             if (!std::isfinite(val) || val < 0.0)
                 fatal("bb file line {}: value {} is not finite and "
                       "non-negative", lineNo, val);
-            pos = static_cast<std::size_t>(end - line.c_str());
+            pos = valEnd;
             vec.emplace_back(static_cast<u32>(idx - 1), val);
             maxIdx = std::max(maxIdx, static_cast<u32>(idx - 1));
         }

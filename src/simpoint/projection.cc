@@ -71,11 +71,12 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 {
     if (dims == 0)
         fatal("projection dimension must be > 0");
-    // One row per duplicate class goes through the matrix below; it
-    // is every member's row.
-    DedupMap dedup = fvs.dedup();
+    // The set's stored rows are its duplicate classes: one row per
+    // class goes through the matrix below, and it is every member's
+    // row.
+    const std::size_t classes = fvs.storedRows();
     ProjectedData out;
-    out.allocate(fvs.size(), dedup.classes(), dims);
+    out.allocate(fvs.size(), classes, dims);
 
     // Dense projection matrix, one row per original dimension, with
     // rows padded to the same stride as the output so the axpy kernel
@@ -101,7 +102,7 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 
     auto projectClass = [&](std::size_t c, obs::ShardCounter& ops) {
         double* row = out.classRow(c);
-        const SparseRow vec = fvs.row(dedup.firstOf[c]);
+        const SparseRow vec = fvs.storedRow(c);
         for (std::size_t e = 0; e < vec.size(); ++e) {
             const double* mrow =
                 matrix.data() +
@@ -111,15 +112,36 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
         ops.add(static_cast<u64>(vec.size()) * dims);
     };
 
-    parallelChunks(globalPool(), dedup.classes(),
+    parallelChunks(globalPool(), classes,
                    [&](std::size_t begin, std::size_t end, std::size_t) {
                        obs::ShardCounter ops(dotOps);
                        for (std::size_t c = begin; c < end; ++c)
                            projectClass(c, ops);
                    });
-    reg.counter("projection.rows.projected").add(dedup.classes());
-    out.classOf = std::move(dedup.classOf);
-    out.classFirst = std::move(dedup.firstOf);
+    reg.counter("projection.rows.projected").add(classes);
+
+    // Stored rows are numbered in order of first appearance, so class
+    // c's lowest member is the first interval whose row is c.
+    out.classOf = fvs.rowOf;
+    std::vector<u64> classSize(classes, 0);
+    out.classFirst.reserve(classes);
+    for (std::size_t i = 0; i < out.classOf.size(); ++i) {
+        const u32 c = out.classOf[i];
+        if (c == out.classFirst.size())
+            out.classFirst.push_back(static_cast<u32>(i));
+        else if (c > out.classFirst.size())
+            panic("interval {} reads stored row {} before row {}", i,
+                  c, out.classFirst.size());
+        ++classSize[c];
+    }
+    reg.counter("dedup.calls").add();
+    reg.counter("dedup.intervals").add(fvs.size());
+    reg.counter("dedup.classes").add(classes);
+    // One sample per class so the histogram shows how much arithmetic
+    // the per-class clustering path can share.
+    obs::Distribution sizes = reg.distribution("dedup.classSize");
+    for (u64 size : classSize)
+        sizes.sample(size);
 
     // Instruction-length weights rescaled to sum to the point count.
     const InstrCount total = fvs.totalInstructions();

@@ -159,14 +159,16 @@ struct ProjectedData
  * Point weights are the interval instruction lengths rescaled to sum
  * to the number of points (so BIC formulas keep their usual scale).
  *
- * Rows are grouped into duplicate classes first (FrequencyVectorSet::
- * dedup) and one vector per class is pushed through the projection
- * matrix.  That row is every member's row — bit-identical to
- * projecting each member (equal sparse vectors feed identical
- * arithmetic) — so it is stored once, at a fraction of the
- * multiplies and memory, with the class structure the clustering
- * layer reads it through, and with the run index
- * (ProjectedData::buildRunIndex()).
+ * The set's stored rows are its duplicate classes (after
+ * FrequencyVectorSet::normalize(), which folds rows that divided to
+ * equal bits): class c is stored row c, `classOf` is `fvs.rowOf`, and
+ * one vector per class is pushed through the projection matrix.  That
+ * row is every member's row — bit-identical to projecting each
+ * member (equal sparse vectors feed identical arithmetic) — so it is
+ * stored once, at a fraction of the multiplies and memory, with the
+ * class structure the clustering layer reads it through, and with
+ * the run index (ProjectedData::buildRunIndex()).  Adds to the
+ * `dedup.*` statistics.
  */
 ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
                       u64 seed);

@@ -231,7 +231,7 @@ blobData(std::size_t count, u32 dims, u32 blobs, u64 seed)
 
 /**
  * `distinct` random rows, each repeated `copies` times in one run,
- * with the duplicate-class structure dedup would attach.
+ * with the duplicate-class structure project() would attach.
  */
 ProjectedData
 duplicateData(std::size_t distinct, std::size_t copies, u32 dims,
@@ -256,8 +256,8 @@ duplicateData(std::size_t distinct, std::size_t copies, u32 dims,
 }
 
 /**
- * `points` with the duplicate-class structure dedup would attach:
- * points whose rows are equal bit for bit share a class.
+ * `points` with the duplicate-class structure project() would
+ * attach: points whose rows are equal bit for bit share a class.
  */
 ProjectedData
 withClasses(const Points& points)
@@ -1584,9 +1584,10 @@ TEST(ClusteringEquiv, DedupCollapsesDuplicateHeavyInput)
     }
     FrequencyVectorSet normalized = fvs;
     normalized.normalize();
-    const DedupMap map = normalized.dedup();
-    EXPECT_EQ(map.classes(), 3u);
-    EXPECT_EQ(map.classOf.size(), 300u);
+    EXPECT_EQ(normalized.storedRows(), 3u);
+    const ProjectedData data = project(normalized, 15, 42);
+    EXPECT_EQ(data.classes(), 3u);
+    EXPECT_EQ(data.classOf.size(), 300u);
 
     const SimPointOptions options;
     const SimPointResult naive = referenceSimPoints(fvs, options).result;

@@ -27,11 +27,13 @@
 #include "dist/wire.hh"
 #include "harness/experiments.hh"
 #include "obs/stats.hh"
+#include "simpoint/kmeans.hh"
 #include "sim/stages.hh"
 #include "spawn.hh"
 #include "store/store.hh"
 #include "test_support.hh"
 #include "util/format.hh"
+#include "util/rng.hh"
 #include "util/socket.hh"
 #include "workloads/workloads.hh"
 
@@ -314,6 +316,64 @@ TEST(DistWire, StageTaskCodecRoundTrip)
     // The single-flight key is a pure function of the spec bytes.
     EXPECT_EQ(dist::stageTaskKey(back), dist::stageTaskKey(task));
     EXPECT_EQ(dist::encodeStageTask(back), payload);
+}
+
+/**
+ * A StageTask from a hostile peer decodes or is rejected with
+ * DecodeError.  An enum outside its range is rejected too: an unknown
+ * k-means init would seed by random partition under a store key no
+ * other process computes, and an unknown core kind would end the
+ * worker instead of failing the task.
+ */
+TEST(DistWire, StageTaskDecoderRejectsHostileBytes)
+{
+    dist::StageTask task;
+    task.workload = "mcf";
+    task.workScale = 0.5;
+    task.config = harness::defaultStudyConfig();
+    task.config.core = cpu::coreConfigFor(cpu::CoreKind::Decoupled);
+    task.stage = "vli";
+    task.index = 1;
+    auto decodes = [](const std::string& bytes) {
+        try {
+            (void)dist::decodeStageTask(bytes);
+            return true;
+        } catch (const serial::DecodeError&) {
+            return false;
+        }
+    };
+
+    dist::StageTask badInit = task;
+    badInit.config.simpoint.init = static_cast<sp::InitMethod>(2);
+    EXPECT_THROW((void)dist::decodeStageTask(dist::encodeStageTask(badInit)),
+                 serial::DecodeError);
+    dist::StageTask badKind = task;
+    badKind.config.core.kind = static_cast<cpu::CoreKind>(2);
+    EXPECT_THROW((void)dist::decodeStageTask(dist::encodeStageTask(badKind)),
+                 serial::DecodeError);
+
+    // Every proper prefix is rejected; every mutant with one to four
+    // bytes changed, half of them also truncated, decodes or is
+    // rejected.  Any other exception escapes and fails the test.
+    const std::string sound = dist::encodeStageTask(task);
+    ASSERT_TRUE(decodes(sound));
+    for (std::size_t len = 0; len < sound.size(); ++len)
+        EXPECT_FALSE(decodes(sound.substr(0, len))) << len;
+    Rng rng(31);
+    std::size_t rejected = 0;
+    const std::size_t mutants = 4000;
+    for (std::size_t m = 0; m < mutants; ++m) {
+        std::string mutant = sound;
+        const u64 edits = 1 + rng.nextBelow(4);
+        for (u64 f = 0; f < edits; ++f)
+            mutant[rng.nextBelow(mutant.size())] ^=
+                static_cast<char>(1 + rng.nextBelow(255));
+        if (m % 2)
+            mutant.resize(rng.nextBelow(mutant.size() + 1));
+        rejected += !decodes(mutant);
+    }
+    // Truncation alone rejects half of them.
+    EXPECT_GE(rejected, mutants / 2);
 }
 
 TEST_F(DistTest, CrossProcessCodecRoundTrip)

@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -184,11 +185,12 @@ TEST(Fvec, DedupGroupsEqualVectors)
         fvs.addInterval(SparseVec{{1, 5.0}}, 200);
     }
     fvs.addInterval(SparseVec{{0, 1.0}, {3, 2.5}}, 300);
-    const DedupMap map = fvs.dedup();
-    EXPECT_EQ(map.classes(), 3u);
-    EXPECT_EQ(map.classOf,
-              (std::vector<u32>{0, 1, 0, 1, 0, 1, 2}));
-    EXPECT_EQ(map.firstOf, (std::vector<u32>{0, 1, 6}));
+    EXPECT_EQ(fvs.storedRows(), 3u);
+    EXPECT_EQ(fvs.rowOf, (std::vector<u32>{0, 1, 0, 1, 0, 1, 2}));
+    const ProjectedData data = project(fvs, 4, 1);
+    EXPECT_EQ(data.classes(), 3u);
+    EXPECT_EQ(data.classOf, (std::vector<u32>{0, 1, 0, 1, 0, 1, 2}));
+    EXPECT_EQ(data.classFirst, (std::vector<u32>{0, 1, 6}));
 }
 
 TEST(Fvec, DedupKeepsNearEqualVectorsApart)
@@ -198,7 +200,8 @@ TEST(Fvec, DedupKeepsNearEqualVectorsApart)
     fvs.addInterval(SparseVec{{0, 1.000}}, 10);
     fvs.addInterval(SparseVec{{0, 1.004}}, 10);
     fvs.addInterval(SparseVec{{0, 1.200}}, 10);
-    EXPECT_EQ(fvs.dedup().classes(), 3u);
+    EXPECT_EQ(fvs.storedRows(), 3u);
+    EXPECT_EQ(project(fvs, 4, 1).classes(), 3u);
 }
 
 /**
@@ -271,10 +274,35 @@ TEST(Fvec, SealCountsIntervalsAndStoredRows)
     EXPECT_EQ(value("fvs.entries.stored") - storedEntries, 3u);
 }
 
+namespace
+{
+
+/**
+ * `rowOf` is a duplicate-class map numbered in order of first
+ * appearance: two intervals share a stored row exactly when their
+ * rows are bitwise equal, and nothing else is stored.
+ */
+void
+expectBitwiseClasses(const FrequencyVectorSet& fvs)
+{
+    std::map<std::vector<std::pair<u32, u64>>, u32> classOf;
+    for (std::size_t i = 0; i < fvs.size(); ++i) {
+        const auto next = static_cast<u32>(classOf.size());
+        const auto it = classOf.try_emplace(rowBits(fvs.row(i)), next);
+        ASSERT_EQ(fvs.rowOf[i], it.first->second) << i;
+    }
+    EXPECT_EQ(fvs.storedRows(), classOf.size());
+    EXPECT_EQ(fvs.index.size(), fvs.storedEntries());
+    EXPECT_EQ(fvs.value.size(), fvs.storedEntries());
+}
+
+} // namespace
+
 /**
  * Rows stored apart because their raw counts differ can normalize to
- * the same bits; dedup() still puts them in one class.  A set
- * holding the normalized rows once compares equal to it.
+ * the same bits; normalize() folds the later row into the earlier
+ * one, so they share a duplicate class.  A set holding the
+ * normalized rows once compares equal to it.
  */
 TEST(Fvec, ProportionalRowsShareADedupClass)
 {
@@ -286,9 +314,17 @@ TEST(Fvec, ProportionalRowsShareADedupClass)
     fvs.addInterval(SparseVec{{1, 2.0}, {2, 4.0}}, 100);
     EXPECT_EQ(fvs.storedRows(), 3u);
     fvs.normalize();
-    const DedupMap map = fvs.dedup();
-    EXPECT_EQ(map.classOf, (std::vector<u32>{0, 0, 1, 0}));
-    EXPECT_EQ(map.firstOf, (std::vector<u32>{0, 2}));
+    EXPECT_EQ(fvs.storedRows(), 2u);
+    EXPECT_EQ(fvs.storedEntries(), 3u);
+    EXPECT_EQ(fvs.rowOf, (std::vector<u32>{0, 0, 1, 0}));
+    expectBitwiseClasses(fvs);
+    // The merged row has the bits each row divides to alone.
+    EXPECT_EQ(rowBits(fvs.row(0)),
+              rowBits(SparseVec{{1, 1.0 / 3.0}, {2, 2.0 / 3.0}}));
+    EXPECT_EQ(rowBits(fvs.row(1)),
+              rowBits(SparseVec{{1, 2.0 / 6.0}, {2, 4.0 / 6.0}}));
+    EXPECT_EQ(rowBits(fvs.row(2)), rowBits(SparseVec{{3, 1.0}}));
+    EXPECT_EQ(project(fvs, 4, 1).classFirst, (std::vector<u32>{0, 2}));
 
     FrequencyVectorSet once;
     once.dimension = 4;
@@ -303,6 +339,72 @@ TEST(Fvec, ProportionalRowsShareADedupClass)
     EXPECT_TRUE(fvs == once);
     once.lengths[2] = 99;
     EXPECT_FALSE(fvs == once);
+
+    // Merging is bitwise, as interning is: proportional rows that
+    // divide to different zeros stay apart, zero-sum rows are left
+    // undivided (so proportional ones stay apart), and NaN rows merge
+    // only when they divide to the same bits.  Rows appended
+    // afterwards still intern against the normalized rows.
+    const double nanA = std::bit_cast<double>(0x7ff8000000000001ull);
+    const double nanB = std::bit_cast<double>(0x7ff8000000000002ull);
+    const std::vector<SparseVec> rows = {
+        {{0, 1.0}, {1, 0.0}},  {{0, 2.0}, {1, -0.0}},
+        {{0, 1.0}, {1, -1.0}}, {{0, 2.0}, {1, -2.0}},
+        {{2, nanA}},           {{2, nanB}},
+        {{2, nanA}, {3, 1.0}}, {{0, 2.0}, {1, 0.0}},
+        {{2, nanA}, {3, 2.0}},
+    };
+    FrequencyVectorSet special;
+    special.dimension = 4;
+    for (const SparseVec& row : rows)
+        special.addInterval(row, 10);
+    EXPECT_EQ(special.storedRows(), rows.size());
+    special.normalize();
+    EXPECT_EQ(special.rowOf,
+              (std::vector<u32>{0, 1, 2, 3, 4, 5, 6, 0, 6}));
+    expectBitwiseClasses(special);
+    EXPECT_EQ(rowBits(special.row(2)), rowBits(rows[2]));
+    EXPECT_EQ(rowBits(special.row(3)), rowBits(rows[3]));
+
+    special.addInterval(SparseVec{{0, 1.0}, {1, 0.0}}, 10);
+    special.addInterval(SparseVec{{3, 5.0}}, 10);
+    EXPECT_EQ(special.rowOf[9], 0u);
+    EXPECT_EQ(special.rowOf[10], 7u);
+    EXPECT_EQ(special.storedRows(), 8u);
+    expectBitwiseClasses(special);
+
+    // Seeded streams with every row scaled by 1, 2 or 3: each
+    // interval reads back the bits its row divides to alone, and
+    // the rows scaled by 1 and 2 merge.
+    for (int kind = 0; kind < 4; ++kind) {
+        SCOPED_TRACE("stream " + std::to_string(kind));
+        Rng rng(40 + kind);
+        FrequencyVectorSet scaled;
+        scaled.dimension = 64;
+        std::vector<SparseVec> alone;
+        for (SparseVec vec : internStream(kind, 40 + kind)) {
+            const double scale = 1.0 + static_cast<double>(rng.nextBelow(3));
+            for (auto& entry : vec)
+                entry.second *= scale;
+            scaled.addInterval(vec, 1);
+            double sum = 0.0;
+            for (const auto& entry : vec)
+                sum += entry.second;
+            if (sum != 0.0) {
+                for (auto& entry : vec)
+                    entry.second /= sum;
+            }
+            alone.push_back(std::move(vec));
+        }
+        const std::size_t storedBefore = scaled.storedRows();
+        scaled.normalize();
+        for (std::size_t i = 0; i < alone.size(); ++i)
+            ASSERT_EQ(rowBits(scaled.row(i)), rowBits(alone[i])) << i;
+        expectBitwiseClasses(scaled);
+        if (kind < 2) {
+            EXPECT_LT(scaled.storedRows(), storedBefore);
+        }
+    }
 }
 
 TEST(Projection, ShapeAndDeterminism)

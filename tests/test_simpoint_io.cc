@@ -104,6 +104,32 @@ TEST(SimPointIo, BadBbvLinesFatal)
     std::stringstream zeroIdx("T:0:2\n");
     EXPECT_EXIT((void)readBbvFile(zeroIdx),
                 ::testing::ExitedWithCode(1), "dimension index");
+
+    // The reader takes the fields writeBbvFile and stock SimPoint
+    // write: decimal digits for an id, a decimal float for a value.
+    // A blank after a ':', a '+' sign, a hex float or trailing junk
+    // in a field is rejected (strtoull/strtod used to take all but
+    // the junk).
+    for (const char* line : {"T: 2:1\n", "T:+2:1\n", "T:0x2:1\n",
+                             "T:2x:1\n", "T:2\n", "T:\n"}) {
+        std::stringstream ss(std::string("T:1:1\n") + line);
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    "line 2: bad dimension index")
+            << line;
+    }
+    for (const char* line : {"T:2: 1\n", "T:2:+1\n", "T:2:0x1p3\n",
+                             "T:2:1.5x\n", "T:2:\n", "T:2: \n"}) {
+        std::stringstream ss(std::string("T:1:1\n") + line);
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    "line 2: bad value")
+            << line;
+    }
+    // Exponents and fields run together without a blank still read.
+    std::stringstream ss("T:1:2.5e-3 :3:7:4:1E+2 \n");
+    const FrequencyVectorSet fvs = readBbvFile(ss);
+    ASSERT_EQ(fvs.size(), 1u);
+    EXPECT_EQ(entriesOf(fvs.row(0)),
+              (SparseVec{{0, 2.5e-3}, {2, 7.0}, {3, 100.0}}));
 }
 
 TEST(SimPointIo, OutputFilesExactText)
@@ -224,8 +250,8 @@ TEST(SimPointIoProperty, ReaderInternsRepeatedAndMergedLines)
 {
     // A repeated line, a line that names one id twice (merged into the
     // same row), a scattered repeat and a proportional line: the set
-    // stores three rows, and the proportional one joins the first
-    // row's duplicate class once normalized.
+    // stores three rows, and normalizing folds the proportional one
+    // into the first.
     std::stringstream ss("T:2:10 :5:4 \n"
                          "T:2:10 :5:4 \n"
                          "T:5:1.5 :2:10 :5:2.5 \n"
@@ -239,8 +265,8 @@ TEST(SimPointIoProperty, ReaderInternsRepeatedAndMergedLines)
     EXPECT_EQ(entriesOf(parsed.row(2)), (SparseVec{{1, 10.0}, {4, 4.0}}));
     EXPECT_EQ(entriesOf(parsed.row(5)), (SparseVec{{1, 20.0}, {4, 8.0}}));
     parsed.normalize();
-    EXPECT_EQ(parsed.dedup().classOf,
-              (std::vector<u32>{0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(parsed.rowOf, (std::vector<u32>{0, 0, 0, 1, 0, 0}));
+    EXPECT_EQ(parsed.storedRows(), 2u);
 }
 
 TEST(SimPointIoProperty, ExtremeWeightsRoundTrip)
@@ -298,12 +324,21 @@ TEST(SimPointIoHostile, BbvNonFiniteOrNegativeValueFatal)
     // A NaN value used to reach phase building and index an empty
     // candidate list (SIGSEGV).
     for (const char* line :
-         {"T:1:nan\n", "T:1:inf\n", "T:1:-inf\n", "T:1:-2\n",
-          "T:1:1 :2:1e999\n"}) {
+         {"T:1:nan\n", "T:1:inf\n", "T:1:-inf\n", "T:1:-2\n"}) {
         std::stringstream ss(std::string("T:1:1\n") + line);
         EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
                     "line 2: value .* is not finite and non-negative")
             << line;
+    }
+    // A decimal past a double's range either way, which strtod read
+    // as inf or as zero.
+    for (const char* value : {"1e999", "2e-324"}) {
+        std::stringstream ss(std::string("T:1:1\nT:1:1 :2:") + value +
+                             "\n");
+        EXPECT_EXIT((void)readBbvFile(ss), ::testing::ExitedWithCode(1),
+                    std::string("line 2: value ") + value +
+                        " is out of a double's range")
+            << value;
     }
     // Finite values whose merged entry, or whose row, overflows to
     // +inf: normalization would leave a non-finite or all-zero row.
