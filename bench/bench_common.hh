@@ -76,8 +76,7 @@ makeConfig(const Options& options)
     config.study = harness::defaultStudyConfig();
     config.study.core = cpu::coreConfigFor(*kind);
     config.study.intervalTarget = options.getUint("interval");
-    config.study.simpoint.maxK =
-        static_cast<u32>(options.getUint("maxk"));
+    config.study.simpoint.maxK = harness::maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
     config.verbose = options.getBool("verbose");
     return config;

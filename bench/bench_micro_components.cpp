@@ -10,10 +10,11 @@
 
 #include "cache/hierarchy.hh"
 #include "compile/compiler.hh"
-#include "exec/engine.hh"
 #include "mem/pattern.hh"
+#include "profile/profile.hh"
 #include "sim/detailed.hh"
 #include "simpoint/simpoint.hh"
+#include "store/store.hh"
 #include "workloads/workloads.hh"
 
 using namespace xbsp;
@@ -65,12 +66,13 @@ BM_EngineProfileRun(benchmark::State& state)
     const ir::Program program = workloads::makeWorkload("gzip", 0.1);
     const bin::Binary binary =
         compile::compileProgram(program, bin::target32o);
+    // The profile pass proper (marker profile and FLI BBVs at
+    // fine_phases' 2K-instruction intervals, so bulk steps and
+    // per-event trips interleave), recomputed every time.
+    store::ArtifactStore::configureGlobal({});
     InstrCount instrs = 0;
-    for (auto _ : state) {
-        exec::Engine engine(binary);
-        engine.run();
-        instrs += engine.instructionsExecuted();
-    }
+    for (auto _ : state)
+        instrs += prof::runProfilePass(binary, 2000).totalInstructions;
     state.SetItemsProcessed(static_cast<i64>(instrs));
 }
 BENCHMARK(BM_EngineProfileRun)->Unit(benchmark::kMillisecond);

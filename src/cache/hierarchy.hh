@@ -83,7 +83,7 @@ class Hierarchy
      * Service a whole block's reference batch in issue order and
      * return the summed latency.  Statistics are updated exactly as
      * if access() had been called per reference; this entry point
-     * exists so batch-aware timing observers pay one call per block
+     * exists so batch-aware timing sinks pay one call per block
      * instead of two virtual dispatches per reference.
      */
     Cycles

@@ -72,11 +72,8 @@ VliBbvCollector::onMarker(u32 markerId)
 }
 
 u64
-VliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips,
-                            const exec::ObserverHooks& streams) const
+VliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips) const
 {
-    if (!streams.markers)
-        return maxTrips;
     const bool mapped = std::any_of(
         trip.markerCounts.begin(), trip.markerCounts.end(),
         [&](const exec::IdCount& m) {
@@ -96,13 +93,10 @@ VliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips,
 }
 
 void
-VliBbvCollector::onBulk(const exec::Summary& trip, u64 trips,
-                        const exec::ObserverHooks& streams)
+VliBbvCollector::onBulk(const exec::Summary& trip, u64 trips)
 {
-    if (streams.blocks)
-        accum.addTrips(engine.binary(), trip, trips);
-    if (streams.markers)
-        addFirings(fireCounts, mappable, binaryIdx, trip, trips);
+    accum.addTrips(engine.binary(), trip, trips);
+    addFirings(fireCounts, mappable, binaryIdx, trip, trips);
 }
 
 void
@@ -190,8 +184,7 @@ buildVliPartitionUncached(const bin::Binary& primary,
     exec::Engine engine(primary, seed);
     VliBbvCollector collector(engine, mappable, primaryIdx,
                               targetSize);
-    engine.addObserver(&collector, collector.hooks());
-    engine.run();
+    engine.runWith(collector);
 
     VliBuild build;
     build.partition = collector.partition();
@@ -251,10 +244,9 @@ BoundaryTracker::onMarker(u32 markerId)
 }
 
 u64
-BoundaryTracker::quietTrips(const exec::Summary& trip, u64 maxTrips,
-                            const exec::ObserverHooks& streams) const
+BoundaryTracker::quietTrips(const exec::Summary& trip, u64 maxTrips) const
 {
-    if (!streams.markers || finished())
+    if (finished())
         return maxTrips;
     // Only firings of the next boundary's point can cross it or
     // panic; n trips take that point from `have` to have + n * h.
@@ -273,11 +265,9 @@ BoundaryTracker::quietTrips(const exec::Summary& trip, u64 maxTrips,
 }
 
 void
-BoundaryTracker::onBulk(const exec::Summary& trip, u64 trips,
-                        const exec::ObserverHooks& streams)
+BoundaryTracker::onBulk(const exec::Summary& trip, u64 trips)
 {
-    if (streams.markers)
-        addFirings(fireCounts, mappable, binaryIdx, trip, trips);
+    addFirings(fireCounts, mappable, binaryIdx, trip, trips);
 }
 
 } // namespace xbsp::core

@@ -48,34 +48,30 @@ struct VliPartition
 };
 
 /**
- * Observer that builds the VLI partition and per-interval BBVs while
- * the primary binary runs (subscribe: blocks + markers).
+ * Sink that builds the VLI partition and per-interval BBVs while the
+ * primary binary runs (events: blocks + markers).
  */
-class VliBbvCollector : public exec::Observer
+class VliBbvCollector : public exec::SinkBase
 {
   public:
     VliBbvCollector(const exec::Engine& engine,
                     const MappableSet& mappable, std::size_t binaryIdx,
                     InstrCount targetSize);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, false, true};
-    }
+    bool wantsBlocks() const { return true; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
 
-    void onBlock(u32 blockId, u32 instrs) override;
-    void onMarker(u32 markerId) override;
-    void onRunEnd() override;
+    void onBlock(u32 blockId, u32 instrs);
+    void onMarker(u32 markerId);
+    void onRunEnd();
 
     /**
      * Every trip without a mappable marker of this binary; otherwise
      * the trips that end before the open interval reaches the target.
      */
-    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
-                   const exec::ObserverHooks& streams) const override;
-    void onBulk(const exec::Summary& trip, u64 trips,
-                const exec::ObserverHooks& streams) override;
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips) const;
+    void onBulk(const exec::Summary& trip, u64 trips);
 
     /**
      * Move the per-interval BBVs (with true VLI lengths) out, sealed
@@ -139,14 +135,14 @@ serial::Hash128 vliBuildKey(const bin::Binary& primary,
                             u64 seed = 0x5EEDull);
 
 /**
- * Observer that replays a boundary list in *any* binary of the set
- * (subscribe: markers).  It fires `onBoundary(i)` exactly when the
+ * Sink that replays a boundary list in *any* binary of the set
+ * (events: markers).  It fires `onBoundary(i)` exactly when the
  * i-th boundary's (point, count) event occurs, and panics if the
  * semantic-order invariant is violated (a point fires past its
  * expected count) — which would mean the binaries do not actually
  * execute the mappable points in the same order.
  */
-class BoundaryTracker : public exec::Observer
+class BoundaryTracker : public exec::SinkBase
 {
   public:
     using Callback = std::function<void(std::size_t boundaryIdx)>;
@@ -154,23 +150,19 @@ class BoundaryTracker : public exec::Observer
     BoundaryTracker(const MappableSet& mappable, std::size_t binaryIdx,
                     const VliPartition& partition, Callback onBoundary);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {false, false, true};
-    }
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
 
-    void onMarker(u32 markerId) override;
+    void onMarker(u32 markerId);
 
     /**
      * Every trip once finished or when the trip never fires the next
      * boundary's point; otherwise the trips that leave that point
      * short of the boundary's firing.
      */
-    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
-                   const exec::ObserverHooks& streams) const override;
-    void onBulk(const exec::Summary& trip, u64 trips,
-                const exec::ObserverHooks& streams) override;
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips) const;
+    void onBulk(const exec::Summary& trip, u64 trips);
 
     /** True when every boundary has been crossed. */
     bool finished() const { return next == part.boundaries.size(); }

@@ -1,5 +1,6 @@
 #include "dist/server.hh"
 
+#include <algorithm>
 #include <exception>
 #include <limits>
 #include <sstream>
@@ -101,6 +102,19 @@ renderFigure(harness::ExperimentSuite& suite, const std::string& name,
     throw std::runtime_error(format("unknown figure '{}'", name));
 }
 
+/**
+ * Whether `figure` reads detailed timing: the CPI and speedup errors
+ * of figures 3-5 and the phase tables.  Table 1, figures 1-2 and the
+ * mappability report do not.
+ */
+bool
+readsTiming(const std::string& figure)
+{
+    return figure == "figure3" || figure == "figure4" ||
+           figure == "figure5" || figure == "table2" ||
+           figure == "table3";
+}
+
 } // namespace
 
 std::string
@@ -116,13 +130,17 @@ renderSuiteReport(const SuiteRequest& request,
             throw std::runtime_error(
                 format("unknown workload '{}'", workload));
     }
-    if (backend)
-        enableRemote(config, backend);
-    harness::ExperimentSuite suite(config);
     const std::vector<std::string> figures =
         request.figures.empty()
             ? std::vector<std::string>{"figure3"}
             : request.figures;
+    // Timing is the suite's dominant cost; run it only when a
+    // requested figure reads it (the remote specs capture the flag).
+    config.study.detailed =
+        std::any_of(figures.begin(), figures.end(), readsTiming);
+    if (backend)
+        enableRemote(config, backend);
+    harness::ExperimentSuite suite(config);
     std::ostringstream os;
     for (const std::string& name : figures) {
         renderFigure(suite, name, config).print(os);

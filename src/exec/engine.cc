@@ -24,21 +24,6 @@ Engine::Engine(const bin::Binary& binary, u64 seed) : bin(binary)
         refBuf = std::make_unique<mem::MemRef[]>(maxRefs);
 }
 
-void
-Engine::addObserver(Observer* observer, const ObserverHooks& hooks)
-{
-    if (ran)
-        panic("Engine::addObserver after run()");
-    if (hooks.blocks)
-        blockObservers.push_back(observer);
-    if (hooks.memRefs)
-        memObservers.push_back(observer);
-    if (hooks.markers)
-        markerObservers.push_back(observer);
-    allObservers.push_back(observer);
-    allHooks.push_back(hooks);
-}
-
 namespace
 {
 
@@ -138,83 +123,12 @@ Engine::summarize(const std::vector<bin::MachineStmt>& stmts,
     }
 }
 
-/**
- * The observer path as a sink: fan every event out to the
- * registered observer vectors, in registration order.
- */
-struct Engine::VirtualSink
-{
-    Engine& engine;
-
-    bool wantsBlocks() const { return !engine.blockObservers.empty(); }
-    bool wantsMems() const { return !engine.memObservers.empty(); }
-    bool
-    wantsMarkers() const
-    {
-        return !engine.markerObservers.empty();
-    }
-
-    void
-    onBlock(u32 blockId, u32 instrs)
-    {
-        for (Observer* obs : engine.blockObservers)
-            obs->onBlock(blockId, instrs);
-    }
-
-    void
-    onMemRefs(std::span<const mem::MemRef> refs)
-    {
-        for (Observer* obs : engine.memObservers)
-            obs->onMemRefs(refs);
-    }
-
-    void
-    onMarker(u32 markerId)
-    {
-        for (Observer* obs : engine.markerObservers)
-            obs->onMarker(markerId);
-    }
-
-    void
-    onRunEnd()
-    {
-        for (Observer* obs : engine.allObservers)
-            obs->onRunEnd();
-    }
-
-    /** The least quiet count of the observers that receive events. */
-    u64
-    quietTrips(const Summary& trip, u64 maxTrips) const
-    {
-        u64 quiet = maxTrips;
-        for (std::size_t i = 0; i < engine.allObservers.size(); ++i) {
-            const ObserverHooks& streams = engine.allHooks[i];
-            if (!streams.blocks && !streams.markers)
-                continue;
-            const Observer& obs = *engine.allObservers[i];
-            quiet = std::min(quiet, obs.quietTrips(trip, quiet, streams));
-            if (quiet == 0)
-                break;
-        }
-        return quiet;
-    }
-
-    void
-    onBulk(const Summary& trip, u64 trips)
-    {
-        for (std::size_t i = 0; i < engine.allObservers.size(); ++i) {
-            const ObserverHooks& streams = engine.allHooks[i];
-            if (streams.blocks || streams.markers)
-                engine.allObservers[i]->onBulk(trip, trips, streams);
-        }
-    }
-};
-
 void
 Engine::run()
 {
-    VirtualSink sink{*this};
-    runInto(sink);
+    if (!stored)
+        panic("Engine::run without addObserver");
+    stored(*this);
 }
 
 void

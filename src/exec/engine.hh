@@ -1,16 +1,15 @@
 /**
  * @file
- * Deterministic execution engine with a Pin-like observer interface.
+ * Deterministic execution engine with a Pin-like event interface.
  *
  * The engine executes a bin::Binary: procedure entries, loop entries
  * and loop back-branches fire marker events; basic blocks fire block
- * events and generate their memory reference streams.  Observers
- * subscribe to the event kinds they need; profilers, the timing model
- * and the sampling gates are all observers.
- *
- * The run loop walks the statement tree with an explicit frame
- * stack (see DESIGN.md, "Engine run loop").  It is a template over a
- * *Sink*, the compile-time analogue of the observer vectors:
+ * events and generate their memory reference streams.  Every run
+ * drives one *Sink*: the profilers, the VLI builder, the boundary
+ * replay and the timed walk are all sinks, and the run loop, which
+ * walks the statement tree with an explicit frame stack (see
+ * DESIGN.md, "Engine run loop"), is a template over the sink's type,
+ * so each run's hot path compiles into one devirtualized loop:
  *
  *     struct MySink {
  *         bool wantsBlocks() const;
@@ -27,6 +26,12 @@
  *         void onStackRun(Addr base, u32 cursor, u32 n);
  *     };
  *
+ * The engine dispatches only the event kinds the sink wants.  A run
+ * with several consumers (the profile pass's marker profiler and BBV
+ * collector, the timed walk's core and snapshot collectors) has one
+ * sink that forwards to each in a fixed order.  SinkBase supplies
+ * no-op handlers for the events a sink ignores.
+ *
  * Stack runs: a block's references are its pattern references and
  * then its stack spills, a closed-form walk over the procedure's
  * stack window (mem::stackRef).  A sink with onStackRun gets the
@@ -36,31 +41,24 @@
  *
  * Skip-ahead: a sink that wants no memory references and has the two
  * optional members is asked, at the start of every loop trip and at
- * every call, how many whole trips are *quiet* — trips in which none
- * of its observers can react to an event beyond counting it.  The
- * engine then applies those trips in one step from the trip's static
- * Summary (counters first, then onBulk) instead of walking them.  A
- * quiet trip never contains an event that changes what an observer
- * does next, so the observers end up in exactly the state the
- * per-event walk leaves (DESIGN.md, "Engine run loop").
- *
- * Engine::run() drives a sink that fans out to the registered
- * observers; Engine::runWith(sink) lets the dominant configurations (the BBV
- * profile pass, the timed walk) supply a concrete sink so the
- * whole hot path devirtualizes into one translation unit.
+ * every call, how many whole trips are *quiet* — trips in which no
+ * event can make it do anything beyond counting it.  The engine then
+ * applies those trips in one step from the trip's static Summary
+ * (counters first, then onBulk) instead of walking them.  A quiet
+ * trip never contains an event that changes what the sink does next,
+ * so it ends up in exactly the state the per-event walk leaves
+ * (DESIGN.md, "Engine run loop").
  *
  * Event ordering contract (relied upon by the snapshot collectors):
  *  - the engine's instruction counter is updated *before* the block
- *    event is dispatched, so observers see the post-block count;
+ *    event is dispatched, so the sink sees the post-block count;
  *  - a block's memory-reference events are dispatched before its
  *    block event, so the timing core is fully up to date when
  *    boundary collectors cut an interval at a block event;
  *  - memory references are delivered as one onMemRefs() batch per
- *    block execution and observer, in issue order (for a
- *    StackRunSink: the pattern batch, then one stack run); each
- *    observer sees its whole batch before the next observer
- *    (references never interleave with block or marker events);
- *  - observers are notified in registration order;
+ *    block execution, in issue order (for a StackRunSink: the
+ *    pattern batch, then one stack run), and never interleave with
+ *    block or marker events;
  *  - a procedure's entry marker fires before its body, a loop's entry
  *    marker before its first iteration, and the back-branch marker
  *    after each iteration's body and control block.
@@ -72,6 +70,7 @@
 #include <algorithm>
 #include <concepts>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
@@ -86,7 +85,10 @@
 namespace xbsp::exec
 {
 
-/** Which event streams an observer wants to receive. */
+/**
+ * The event kinds of an Engine::addObserver registration (the
+ * xbspbench shim); a sink states its own with wants*().
+ */
 struct ObserverHooks
 {
     bool blocks = false;
@@ -116,73 +118,17 @@ struct Summary
     std::vector<IdCount> markerCounts;  ///< sorted by marker id
 };
 
-/** Base class for execution observers; override what you need. */
-class Observer
+/**
+ * No-op handlers for the events a sink does not take.  Non-virtual:
+ * a sink derives from it and declares the handlers it needs, which
+ * hide these.
+ */
+struct SinkBase
 {
-  public:
-    virtual ~Observer() = default;
-
-    /**
-     * The event kinds this observer needs.  The default subscribes
-     * to everything — correct but wasteful; observers that only
-     * consume a subset override this so a caller registering them
-     * with addObserver(obs, obs->hooks()) doesn't force the engine
-     * to materialize streams nobody reads.
-     */
-    virtual ObserverHooks hooks() const { return {true, true, true}; }
-
-    /** A basic block finished executing `instrs` instructions. */
-    virtual void onBlock(u32 blockId, u32 instrs)
-    {
-        (void)blockId;
-        (void)instrs;
-    }
-
-    /**
-     * All memory references of one basic-block execution, in issue
-     * order: one call per block execution.
-     */
-    virtual void
-    onMemRefs(std::span<const mem::MemRef> refs)
-    {
-        (void)refs;
-    }
-
-    /** A marker (proc entry / loop entry / loop branch) fired. */
-    virtual void onMarker(u32 markerId) { (void)markerId; }
-
-    /** The program finished. */
-    virtual void onRunEnd() {}
-
-    /**
-     * How many of the next `maxTrips` repetitions of `trip` are
-     * quiet for this observer: no event in them may make it do
-     * anything but count.  `streams` are the event kinds it is
-     * subscribed to.  The default 0 keeps the observer on the
-     * per-event path; the engine skips only when every observer
-     * agrees.
-     */
-    virtual u64
-    quietTrips(const Summary& trip, u64 maxTrips,
-               const ObserverHooks& streams) const
-    {
-        (void)trip;
-        (void)maxTrips;
-        (void)streams;
-        return 0;
-    }
-
-    /**
-     * `trips` quiet repetitions of `trip` ran: apply their events of
-     * `streams` at once.  The engine's counters already include them.
-     */
-    virtual void
-    onBulk(const Summary& trip, u64 trips, const ObserverHooks& streams)
-    {
-        (void)trip;
-        (void)trips;
-        (void)streams;
-    }
+    void onBlock(u32, u32) {}
+    void onMemRefs(std::span<const mem::MemRef>) {}
+    void onMarker(u32) {}
+    void onRunEnd() {}
 };
 
 /** A sink with the optional skip-ahead members. */
@@ -206,39 +152,13 @@ class Engine
     /** `seed` feeds the per-block address generators. */
     explicit Engine(const bin::Binary& binary, u64 seed = 0x5EEDull);
 
-    /** Subscribe an observer (not owned) to selected event kinds. */
-    void addObserver(Observer* observer, const ObserverHooks& hooks);
-
-    /** Execute the program to completion.  May be called once. */
-    void run();
-
     /**
      * Execute the program to completion into `sink` (see the Sink
-     * concept in the file comment) instead of the observer vectors.
-     * May be called once; panics after addObserver(), whose
-     * observers it would never call.
+     * concept in the file comment).  May be called once.
      */
     template <typename Sink>
     void
     runWith(Sink& sink)
-    {
-        if (!allObservers.empty())
-            panic("Engine::runWith with {} registered observers, "
-                  "which it would never call", allObservers.size());
-        runInto(sink);
-    }
-
-    /** Instructions executed so far (valid during and after run()). */
-    InstrCount instructionsExecuted() const { return instrCount; }
-
-    /** The binary being executed. */
-    const bin::Binary& binary() const { return bin; }
-
-  private:
-    /** The one run of the engine, into `sink` (run() or runWith()). */
-    template <typename Sink>
-    void
-    runInto(Sink& sink)
     {
         if (ran)
             panic("Engine::run called twice; construct a fresh Engine");
@@ -251,6 +171,33 @@ class Engine
         flushStats();
     }
 
+    /**
+     * Shim kept for perfbench's xbspbench, its only caller, and
+     * deleted with the benchmark's next revision like
+     * selectEngineMode: store one sink for run() to drive through
+     * runWith.  The sink's own wants*() pick its events; the hooks
+     * argument is ignored.
+     */
+    template <typename Sink>
+    void
+    addObserver(Sink* sink, const ObserverHooks&)
+    {
+        if (ran || stored)
+            panic("Engine::addObserver after run() or a first "
+                  "addObserver: one sink per engine");
+        stored = [sink](Engine& engine) { engine.runWith(*sink); };
+    }
+
+    /** Run the sink addObserver stored (the xbspbench shim). */
+    void run();
+
+    /** Instructions executed so far (valid during and after the run). */
+    InstrCount instructionsExecuted() const { return instrCount; }
+
+    /** The binary being executed. */
+    const bin::Binary& binary() const { return bin; }
+
+  private:
     struct BlockState
     {
         std::unique_ptr<mem::AddressGenerator> gen;
@@ -278,16 +225,8 @@ class Engine
         const SummaryNode* node = nullptr;        ///< when skipping
     };
 
-    /** Sink fanning out to the registered observer vectors. */
-    struct VirtualSink;
-
     const bin::Binary& bin;
     std::vector<BlockState> states;
-    std::vector<Observer*> blockObservers;
-    std::vector<Observer*> memObservers;
-    std::vector<Observer*> markerObservers;
-    std::vector<Observer*> allObservers;
-    std::vector<ObserverHooks> allHooks;    ///< parallel to allObservers
     std::unique_ptr<mem::MemRef[]> refBuf;  ///< per-block scratch
     std::vector<Frame> frames;              ///< statement walk stack
     /// Summary nodes, built on the first skipping run: one per
@@ -297,7 +236,7 @@ class Engine
     std::vector<const SummaryNode*> procSummaries;  ///< by proc id
     InstrCount instrCount = 0;
     // Event tallies kept as plain integers in the hot path and
-    // flushed to the stats registry once per run() (one atomic add
+    // flushed to the stats registry once per run (one atomic add
     // per stat, so merged totals are exact at any worker count).
     u64 blocksExecuted = 0;
     u64 refsIssued = 0;
@@ -305,6 +244,7 @@ class Engine
     u64 bulkInstrs = 0;  ///< instructions applied by onBulk steps
     u64 bulkTrips = 0;   ///< trips and calls applied by onBulk steps
     bool ran = false;
+    std::function<void(Engine&)> stored;  ///< the shim's run
 
     /**
      * Execute one basic block into `sink`: bump the instruction

@@ -1,6 +1,7 @@
 #include "harness/experiments.hh"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_set>
 #include <utility>
 
@@ -28,6 +29,16 @@ defaultStudyConfig()
     config.simpoint.bicThreshold = 0.9;
     config.primaryIdx = 0;            // 32-bit unoptimized
     return config;
+}
+
+u32
+maxKOption(const Options& options)
+{
+    const u64 maxK = options.getUint("maxk");
+    if (maxK == 0 || maxK > std::numeric_limits<u32>::max())
+        fatal("--maxk must be between 1 and {}, got {}",
+              std::numeric_limits<u32>::max(), maxK);
+    return static_cast<u32>(maxK);
 }
 
 ExperimentSuite::ExperimentSuite(ExperimentConfig config)

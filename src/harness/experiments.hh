@@ -27,6 +27,7 @@
 
 #include "pipeline/taskgraph.hh"
 #include "sim/study.hh"
+#include "util/options.hh"
 #include "util/table.hh"
 
 namespace xbsp::sim
@@ -173,6 +174,13 @@ void buildSuiteGraph(SuiteGraph& out, const ExperimentConfig& config,
  * that take `--core` set `core` on the result.
  */
 sim::StudyConfig defaultStudyConfig();
+
+/**
+ * --maxk as SimPoint takes it, for the CLI and the benches: 0 or a
+ * count past u32 is fatal, never narrowed (2^32 + 10 would run as
+ * k = 10).
+ */
+u32 maxKOption(const Options& options);
 
 /**
  * The cross-*microarchitecture* experiment: the same binaries studied

@@ -26,11 +26,8 @@ MarkerProfiler::finish(InstrCount totalInstrs)
 }
 
 void
-MarkerProfiler::onBulk(const exec::Summary& trip, u64 trips,
-                       const exec::ObserverHooks& streams)
+MarkerProfiler::onBulk(const exec::Summary& trip, u64 trips)
 {
-    if (!streams.markers)
-        return;
     for (const exec::IdCount& m : trip.markerCounts)
         profile.counts[m.id] += trips * m.count;
 }
@@ -93,24 +90,21 @@ FliBbvCollector::onBlock(u32 blockId, u32 instrs)
 }
 
 u64
-FliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips,
-                            const exec::ObserverHooks& streams) const
+FliBbvCollector::quietTrips(const exec::Summary& trip, u64 maxTrips) const
 {
     // An interval closes at the first block event with
     // used >= target, so used < target between events, and no event
     // of n trips sees more than used + n * trip.instrs.
-    if (!streams.blocks || trip.instrs == 0)
+    if (trip.instrs == 0)
         return maxTrips;
     const InstrCount used = engine.instructionsExecuted() - intervalStart;
     return std::min(maxTrips, (target - 1 - used) / trip.instrs);
 }
 
 void
-FliBbvCollector::onBulk(const exec::Summary& trip, u64 trips,
-                        const exec::ObserverHooks& streams)
+FliBbvCollector::onBulk(const exec::Summary& trip, u64 trips)
 {
-    if (streams.blocks)
-        accum.addTrips(engine.binary(), trip, trips);
+    accum.addTrips(engine.binary(), trip, trips);
 }
 
 void
@@ -173,14 +167,9 @@ namespace
 {
 
 /**
- * Concrete sink for the profile pass — blocks into the BBV
- * collector, markers into the marker profiler, no memory stream, and
- * bulk steps wherever the open FLI interval stays short of its
- * target.
- * Both observer classes are final, so every call devirtualizes and
- * the whole pass compiles into one tight loop.  Event routing and
- * run-end order match the legacy registration (markers, then bbv)
- * exactly.
+ * The profile pass's sink: blocks into the BBV collector, markers
+ * into the marker profiler, no memory stream, and bulk steps
+ * wherever the open FLI interval stays short of its target.
  */
 struct ProfileSink
 {
@@ -202,15 +191,15 @@ struct ProfileSink
     u64
     quietTrips(const exec::Summary& trip, u64 maxTrips) const
     {
-        return std::min(markers.quietTrips(trip, maxTrips, markers.hooks()),
-                        bbv.quietTrips(trip, maxTrips, bbv.hooks()));
+        return std::min(markers.quietTrips(trip, maxTrips),
+                        bbv.quietTrips(trip, maxTrips));
     }
 
     void
     onBulk(const exec::Summary& trip, u64 trips)
     {
-        markers.onBulk(trip, trips, markers.hooks());
-        bbv.onBulk(trip, trips, bbv.hooks());
+        markers.onBulk(trip, trips);
+        bbv.onBulk(trip, trips);
     }
 };
 

@@ -26,30 +26,26 @@ struct MarkerProfile
     InstrCount totalInstructions = 0;
 };
 
-/** Observer that fills a MarkerProfile (subscribe: markers). */
-class MarkerProfiler final : public exec::Observer
+/** Sink that fills a MarkerProfile (events: markers). */
+class MarkerProfiler : public exec::SinkBase
 {
   public:
     explicit MarkerProfiler(const bin::Binary& binary);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {false, false, true};
-    }
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
 
-    void onMarker(u32 markerId) override { ++profile.counts[markerId]; }
+    void onMarker(u32 markerId) { ++profile.counts[markerId]; }
 
     /** Counting is all it does: every trip is quiet. */
     u64
-    quietTrips(const exec::Summary&, u64 maxTrips,
-               const exec::ObserverHooks&) const override
+    quietTrips(const exec::Summary&, u64 maxTrips) const
     {
         return maxTrips;
     }
 
-    void onBulk(const exec::Summary& trip, u64 trips,
-                const exec::ObserverHooks& streams) override;
+    void onBulk(const exec::Summary& trip, u64 trips);
 
     /** Record the final instruction count at run end. */
     void finish(InstrCount totalInstrs);
@@ -94,32 +90,28 @@ class BbvAccumulator
 };
 
 /**
- * Fixed-length-interval BBV collector (subscribe: blocks).  Intervals
+ * Fixed-length-interval BBV collector (a sink; events: blocks).  Intervals
  * close at the first block boundary at or after each multiple of the
  * target size, using the engine's canonical instruction counter, so
  * every collector and snapshot gate in any run of the same binary
  * agrees on the boundaries.  The trailing partial interval is kept
  * (with its true, shorter length).
  */
-class FliBbvCollector final : public exec::Observer
+class FliBbvCollector : public exec::SinkBase
 {
   public:
     FliBbvCollector(const exec::Engine& engine, InstrCount targetSize);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, false, false};
-    }
+    bool wantsBlocks() const { return true; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return false; }
 
-    void onBlock(u32 blockId, u32 instrs) override;
-    void onRunEnd() override;
+    void onBlock(u32 blockId, u32 instrs);
+    void onRunEnd();
 
     /** Trips that end before the open interval reaches the target. */
-    u64 quietTrips(const exec::Summary& trip, u64 maxTrips,
-                   const exec::ObserverHooks& streams) const override;
-    void onBulk(const exec::Summary& trip, u64 trips,
-                const exec::ObserverHooks& streams) override;
+    u64 quietTrips(const exec::Summary& trip, u64 maxTrips) const;
+    void onBulk(const exec::Summary& trip, u64 trips);
 
     /**
      * Move the per-interval BBVs (with instruction lengths) out,

@@ -1,6 +1,6 @@
 /**
  * @file
- * Interval snapshot collectors: observers that cut one detailed
+ * Interval snapshot collectors: sinks that cut one detailed
  * simulation run into per-interval (instruction, cycle) statistics,
  * for both interval schemes:
  *
@@ -82,7 +82,7 @@ class SnapshotSeries
 };
 
 /** Cuts at recorded cumulative instruction counts (FLI). */
-class FliSnapshotter final : public exec::Observer
+class FliSnapshotter : public exec::SinkBase
 {
   public:
     /**
@@ -94,14 +94,12 @@ class FliSnapshotter final : public exec::Observer
                    const cpu::Core& core,
                    std::vector<InstrCount> boundaries);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, false, false};
-    }
+    bool wantsBlocks() const { return true; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return false; }
 
-    void onBlock(u32 blockId, u32 instrs) override;
-    void onRunEnd() override;
+    void onBlock(u32 blockId, u32 instrs);
+    void onRunEnd();
 
     /** Start `intervals` cold (SnapshotSeries::flushAt). */
     void
@@ -122,7 +120,7 @@ class FliSnapshotter final : public exec::Observer
 };
 
 /** Cuts at mapped VLI boundary events in any binary of the set. */
-class VliSnapshotter final : public exec::Observer
+class VliSnapshotter : public exec::SinkBase
 {
   public:
     VliSnapshotter(const exec::Engine& engine,
@@ -131,14 +129,12 @@ class VliSnapshotter final : public exec::Observer
                    std::size_t binaryIdx,
                    const core::VliPartition& partition);
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {false, false, true};
-    }
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
 
-    void onMarker(u32 markerId) override;
-    void onRunEnd() override;
+    void onMarker(u32 markerId);
+    void onRunEnd();
 
     /** Start `intervals` cold (SnapshotSeries::flushAt). */
     void

@@ -199,8 +199,7 @@ StudyBuild::binary(std::size_t b)
         core::BoundaryTracker tracker(study.mappableSet, b,
                                       study.vliPartition,
                                       [](std::size_t) {});
-        engine.addObserver(&tracker, {false, false, true});
-        engine.run();
+        engine.runWith(tracker);
         if (!tracker.finished())
             panic("binary {}: VLI boundaries not all crossed",
                   study.bins[b].displayName());

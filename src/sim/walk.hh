@@ -36,8 +36,9 @@ struct EmptySlot
  * (marker events: onMarker, onRunEnd).  Block events hit the core
  * first, then the FLI slot; markers go to the core (when its model
  * consumes them) before the VLI slot — collectors read fully updated
- * counters.  Core and collector classes are final, so the whole hot
- * path devirtualizes into one instantiation per combination.
+ * counters.  Core classes are final and collectors non-virtual, so
+ * the whole hot path devirtualizes into one instantiation per
+ * combination.
  */
 template <typename CoreT, typename FliT, typename VliT>
 struct DetailedSink

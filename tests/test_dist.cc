@@ -228,6 +228,25 @@ TEST(DistWire, SuiteConfigRejectsUnknownCore)
               harness::defaultStudyConfig().core);
 }
 
+TEST(DistSuite, TimingFreeFiguresRunNoDetailedSimulation)
+{
+    // Figures 1-2 read no timing: rendering them alone runs no
+    // detailed simulation and prints the same bytes as the first two
+    // tables of a report that also renders figure 3.
+    store::ArtifactStore::configureGlobal({});
+    dist::SuiteRequest request = smallRequest();
+    request.figures = {"figure1", "figure2"};
+    const u64 before = counterValue("sim.detailedRuns");
+    const std::string phases = dist::renderSuiteReport(request, nullptr);
+    EXPECT_EQ(counterValue("sim.detailedRuns"), before);
+
+    request.figures = {"figure1", "figure2", "figure3"};
+    const std::string timed = dist::renderSuiteReport(request, nullptr);
+    EXPECT_GT(counterValue("sim.detailedRuns"), before);
+    ASSERT_GT(timed.size(), phases.size());
+    EXPECT_EQ(timed.substr(0, phases.size()), phases);
+}
+
 TEST(DistWire, SuiteConfigRejectsMaxKOutsideU32)
 {
     dist::SuiteRequest request = smallRequest();

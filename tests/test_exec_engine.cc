@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit and property tests for the execution engine: instruction
- * accounting, determinism, observer hooks and event ordering.
+ * accounting, determinism, event-kind filtering and event ordering.
  */
 
 #include <gtest/gtest.h>
@@ -15,29 +15,37 @@ using namespace xbsp;
 namespace
 {
 
-struct CountingObserver : exec::Observer
+/** Counts the events of the kinds it wants (all, by default). */
+struct CountingSink
 {
+    bool wantBlocks = true;
+    bool wantMems = true;
+    bool wantMarkers = true;
     u64 blocks = 0;
     InstrCount instrs = 0;
     u64 memRefs = 0;
     u64 markers = 0;
     bool ended = false;
 
+    bool wantsBlocks() const { return wantBlocks; }
+    bool wantsMems() const { return wantMems; }
+    bool wantsMarkers() const { return wantMarkers; }
+
     void
-    onBlock(u32, u32 n) override
+    onBlock(u32, u32 n)
     {
         ++blocks;
         instrs += n;
     }
 
     void
-    onMemRefs(std::span<const mem::MemRef> refs) override
+    onMemRefs(std::span<const mem::MemRef> refs)
     {
         memRefs += refs.size();
     }
 
-    void onMarker(u32) override { ++markers; }
-    void onRunEnd() override { ended = true; }
+    void onMarker(u32) { ++markers; }
+    void onRunEnd() { ended = true; }
 };
 
 } // namespace
@@ -47,44 +55,47 @@ TEST(Engine, InstructionCountMatchesStaticComputation)
     const auto bins = test::compileFour(test::tinyProgram());
     for (const auto& binary : bins) {
         exec::Engine engine(binary);
-        engine.run();
+        CountingSink sink;
+        engine.runWith(sink);
+        EXPECT_EQ(sink.instrs, engine.instructionsExecuted());
         EXPECT_EQ(engine.instructionsExecuted(),
                   bin::staticDynamicInstrCount(binary))
             << binary.displayName();
     }
 }
 
-TEST(Engine, ObserverTotalsConsistent)
+TEST(Engine, SinkTotalsConsistent)
 {
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
     exec::Engine engine(binary);
-    CountingObserver obs;
-    engine.addObserver(&obs, {true, true, true});
-    engine.run();
-    EXPECT_TRUE(obs.ended);
-    EXPECT_EQ(obs.instrs, engine.instructionsExecuted());
+    CountingSink counts;
+    engine.runWith(counts);
+    EXPECT_TRUE(counts.ended);
+    EXPECT_EQ(counts.instrs, engine.instructionsExecuted());
     // Memory references = sum over blocks of (memOps + stackOps) x
     // executions; cross-check against a manual walk.
     u64 expectedRefs = 0;
     {
         exec::Engine recount(binary);
-        struct RefCounter : exec::Observer
+        struct RefCounter : exec::SinkBase
         {
             const bin::Binary& bin;
             u64 refs = 0;
             explicit RefCounter(const bin::Binary& b) : bin(b) {}
+            bool wantsBlocks() const { return true; }
+            bool wantsMems() const { return false; }
+            bool wantsMarkers() const { return false; }
             void
-            onBlock(u32 id, u32) override
+            onBlock(u32 id, u32)
             {
                 refs += bin.blocks[id].memOps + bin.blocks[id].stackOps;
             }
         } counter(binary);
-        recount.addObserver(&counter, {true, false, false});
-        recount.run();
+        recount.runWith(counter);
         expectedRefs = counter.refs;
     }
-    EXPECT_EQ(obs.memRefs, expectedRefs);
+    EXPECT_EQ(counts.memRefs, expectedRefs);
 }
 
 TEST(Engine, DeterministicAcrossRuns)
@@ -94,11 +105,14 @@ TEST(Engine, DeterministicAcrossRuns)
     std::vector<Addr> first;
     for (int run = 0; run < 2; ++run) {
         exec::Engine engine(binary, 1234);
-        struct Recorder : exec::Observer
+        struct Recorder : exec::SinkBase
         {
             std::vector<Addr>* sink;
+            bool wantsBlocks() const { return false; }
+            bool wantsMems() const { return true; }
+            bool wantsMarkers() const { return false; }
             void
-            onMemRefs(std::span<const mem::MemRef> refs) override
+            onMemRefs(std::span<const mem::MemRef> refs)
             {
                 for (const mem::MemRef& ref : refs) {
                     if (sink->size() < 10000)
@@ -108,8 +122,7 @@ TEST(Engine, DeterministicAcrossRuns)
         } recorder;
         std::vector<Addr> addrs;
         recorder.sink = &addrs;
-        engine.addObserver(&recorder, {false, true, false});
-        engine.run();
+        engine.runWith(recorder);
         if (run == 0)
             first = addrs;
         else
@@ -122,33 +135,43 @@ TEST(Engine, SeedChangesAddressStreamNotCounts)
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32o);
     exec::Engine a(binary, 1), b(binary, 2);
-    CountingObserver ca, cb;
-    a.addObserver(&ca, {true, true, true});
-    b.addObserver(&cb, {true, true, true});
-    a.run();
-    b.run();
+    CountingSink ca, cb;
+    a.runWith(ca);
+    b.runWith(cb);
     EXPECT_EQ(ca.instrs, cb.instrs);
     EXPECT_EQ(ca.blocks, cb.blocks);
     EXPECT_EQ(ca.markers, cb.markers);
     EXPECT_EQ(ca.memRefs, cb.memRefs);
 }
 
-TEST(Engine, HooksFilterEventKinds)
+TEST(Engine, WantsFilterEventKinds)
 {
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
-    exec::Engine engine(binary);
-    CountingObserver onlyBlocks, onlyMarkers;
-    engine.addObserver(&onlyBlocks, {true, false, false});
-    engine.addObserver(&onlyMarkers, {false, false, true});
-    engine.run();
-    EXPECT_GT(onlyBlocks.blocks, 0u);
+    CountingSink everything;
+    CountingSink onlyBlocks{.wantMems = false, .wantMarkers = false};
+    CountingSink onlyMems{.wantBlocks = false, .wantMarkers = false};
+    CountingSink onlyMarkers{.wantBlocks = false, .wantMems = false};
+    for (CountingSink* sink :
+         {&everything, &onlyBlocks, &onlyMems, &onlyMarkers}) {
+        exec::Engine engine(binary);
+        engine.runWith(*sink);
+        EXPECT_TRUE(sink->ended);
+        EXPECT_EQ(engine.instructionsExecuted(),
+                  bin::staticDynamicInstrCount(binary));
+    }
+    EXPECT_GT(everything.blocks, 0u);
+    EXPECT_GT(everything.memRefs, 0u);
+    EXPECT_GT(everything.markers, 0u);
+    EXPECT_EQ(onlyBlocks.blocks, everything.blocks);
     EXPECT_EQ(onlyBlocks.memRefs, 0u);
     EXPECT_EQ(onlyBlocks.markers, 0u);
+    EXPECT_EQ(onlyMems.blocks, 0u);
+    EXPECT_EQ(onlyMems.memRefs, everything.memRefs);
+    EXPECT_EQ(onlyMems.markers, 0u);
     EXPECT_EQ(onlyMarkers.blocks, 0u);
-    EXPECT_GT(onlyMarkers.markers, 0u);
-    EXPECT_TRUE(onlyBlocks.ended);
-    EXPECT_TRUE(onlyMarkers.ended);
+    EXPECT_EQ(onlyMarkers.memRefs, 0u);
+    EXPECT_EQ(onlyMarkers.markers, everything.markers);
 }
 
 TEST(Engine, MemRefsDispatchedBeforeBlockEvent)
@@ -156,28 +179,30 @@ TEST(Engine, MemRefsDispatchedBeforeBlockEvent)
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
     exec::Engine engine(binary);
-    struct OrderChecker : exec::Observer
+    struct OrderChecker : exec::SinkBase
     {
         u64 refsSinceBlock = 0;
         const bin::Binary& bin;
         bool ok = true;
         explicit OrderChecker(const bin::Binary& b) : bin(b) {}
+        bool wantsBlocks() const { return true; }
+        bool wantsMems() const { return true; }
+        bool wantsMarkers() const { return false; }
         void
-        onMemRefs(std::span<const mem::MemRef> refs) override
+        onMemRefs(std::span<const mem::MemRef> refs)
         {
             refsSinceBlock += refs.size();
         }
 
         void
-        onBlock(u32 id, u32) override
+        onBlock(u32 id, u32)
         {
             const auto& blk = bin.blocks[id];
             ok &= refsSinceBlock == blk.memOps + blk.stackOps;
             refsSinceBlock = 0;
         }
     } checker(binary);
-    engine.addObserver(&checker, {true, true, false});
-    engine.run();
+    engine.runWith(checker);
     EXPECT_TRUE(checker.ok);
 }
 
@@ -201,49 +226,14 @@ TEST(Engine, MarkerEventsMatchProfileSemantics)
                                      "tail", 0), 10u);
 }
 
-TEST(Engine, ObserversRegisteredWithOwnHooksGetOnlyThoseStreams)
-{
-    const bin::Binary binary =
-        compile::compileProgram(test::tinyProgram(), bin::target32u);
-
-    // An observer that declares a blocks-only subscription and is
-    // registered with its own hooks() must not receive memory
-    // references or markers.
-    struct BlocksOnly : CountingObserver
-    {
-        exec::ObserverHooks
-        hooks() const override
-        {
-            return {true, false, false};
-        }
-    } blocksOnly;
-    // The default hooks() is all-on, so undeclared observers see
-    // every stream.
-    CountingObserver everything;
-
-    exec::Engine engine(binary);
-    engine.addObserver(&blocksOnly, blocksOnly.hooks());
-    engine.addObserver(&everything, everything.hooks());
-    engine.run();
-    EXPECT_EQ(engine.instructionsExecuted(),
-              bin::staticDynamicInstrCount(binary));
-    EXPECT_GT(blocksOnly.blocks, 0u);
-    EXPECT_EQ(blocksOnly.memRefs, 0u);
-    EXPECT_EQ(blocksOnly.markers, 0u);
-    EXPECT_TRUE(blocksOnly.ended);
-    EXPECT_GT(everything.blocks, 0u);
-    EXPECT_GT(everything.memRefs, 0u);
-    EXPECT_GT(everything.markers, 0u);
-    EXPECT_TRUE(everything.ended);
-}
-
 TEST(Engine, RunTwicePanics)
 {
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
     exec::Engine engine(binary);
-    engine.run();
-    EXPECT_DEATH(engine.run(), "run called twice");
+    CountingSink sink;
+    engine.runWith(sink);
+    EXPECT_DEATH(engine.runWith(sink), "run called twice");
 }
 
 TEST(Engine, AddObserverAfterRunPanics)
@@ -251,33 +241,10 @@ TEST(Engine, AddObserverAfterRunPanics)
     const bin::Binary binary =
         compile::compileProgram(test::tinyProgram(), bin::target32u);
     exec::Engine engine(binary);
-    engine.run();
-    CountingObserver obs;
-    EXPECT_DEATH(engine.addObserver(&obs, {true, false, false}),
+    CountingSink sink;
+    engine.runWith(sink);
+    EXPECT_DEATH(engine.addObserver(&sink, {true, true, true}),
                  "after run");
-}
-
-TEST(Engine, RunWithAfterAddObserverPanics)
-{
-    // runWith drives only its sink: an observer registered before it
-    // would silently never be called.
-    struct NullSink
-    {
-        bool wantsBlocks() const { return true; }
-        bool wantsMems() const { return false; }
-        bool wantsMarkers() const { return false; }
-        void onBlock(u32, u32) {}
-        void onMemRefs(std::span<const mem::MemRef>) {}
-        void onMarker(u32) {}
-        void onRunEnd() {}
-    };
-    const bin::Binary binary =
-        compile::compileProgram(test::tinyProgram(), bin::target32u);
-    exec::Engine engine(binary);
-    CountingObserver obs;
-    engine.addObserver(&obs, {true, false, false});
-    NullSink sink;
-    EXPECT_DEATH(engine.runWith(sink), "registered observers");
 }
 
 TEST(Engine, SelectEngineModeChecksNames)
@@ -300,8 +267,11 @@ TEST_P(EngineWorkloadTest, InstrCountMatchesStaticOnAllTargets)
     for (const auto& target : compile::standardTargets()) {
         const bin::Binary binary =
             compile::compileProgram(program, target);
+        // The profiler calls every trip quiet: one bulk step from the
+        // entry procedure's summary.
         exec::Engine engine(binary);
-        engine.run();
+        prof::MarkerProfiler markers(binary);
+        engine.runWith(markers);
         EXPECT_EQ(engine.instructionsExecuted(),
                   bin::staticDynamicInstrCount(binary))
             << binary.displayName();

@@ -27,6 +27,26 @@ quickConfig(std::vector<std::string> workloads)
 
 } // namespace
 
+TEST(Harness, MaxKOptionRejectsZeroAndCountsPastU32)
+{
+    // The CLI and the benches share this check: 0 and counts past
+    // u32 exit 1 instead of running as k = 1 or a narrowed k.
+    const auto parsed = [](const char* value) {
+        Options options("maxk");
+        options.addUint("maxk", "SimPoint cluster cap", 10);
+        const char* argv[] = {"prog", "--maxk", value};
+        EXPECT_TRUE(options.parse(3, argv));
+        return options;
+    };
+    EXPECT_EQ(harness::maxKOption(parsed("1")), 1u);
+    EXPECT_EQ(harness::maxKOption(parsed("4294967295")), 4294967295u);
+    for (const char* bad : {"0", "4294967296", "4294967298"}) {
+        EXPECT_EXIT((void)harness::maxKOption(parsed(bad)),
+                    ::testing::ExitedWithCode(1), "--maxk must be")
+            << bad;
+    }
+}
+
 TEST(Harness, DefaultConfigMatchesPaper)
 {
     const sim::StudyConfig config = harness::defaultStudyConfig();

@@ -20,6 +20,7 @@
 #include "profile/profile.hh"
 #include "sim/detailed.hh"
 #include "sim/snapshots.hh"
+#include "test_support.hh"
 #include "workloads/workloads.hh"
 
 using namespace xbsp;
@@ -387,20 +388,19 @@ namespace
  * through the batched walk the timing cores use, the reference one
  * reference by reference.
  */
-struct TwinObserver final : exec::Observer
+struct TwinSink : exec::SinkBase
 {
     Hierarchy fast;
     cache::ReferenceHierarchy reference;
     Cycles fastCycles = 0;
     Cycles refCycles = 0;
 
-    exec::ObserverHooks hooks() const override
-    {
-        return {false, true, false};
-    }
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return true; }
+    bool wantsMarkers() const { return false; }
 
     void
-    onMemRefs(std::span<const mem::MemRef> refs) override
+    onMemRefs(std::span<const mem::MemRef> refs)
     {
         fastCycles += fast.accessBatch(refs);
         for (const mem::MemRef& ref : refs) {
@@ -425,10 +425,9 @@ TEST(Hierarchy, ReferenceModelMatchesOnSuiteTraffic)
                          bin::targetName(target));
             const bin::Binary binary =
                 compile::compileProgram(program, target);
-            TwinObserver twins;
+            TwinSink twins;
             exec::Engine engine(binary, 0x5EEDull);
-            engine.addObserver(&twins, twins.hooks());
-            engine.run();
+            engine.runWith(twins);
             EXPECT_GT(twins.fast.totalAccesses(), 0u);
             EXPECT_EQ(twins.fastCycles, twins.refCycles);
             expectSameCounters(twins.fast, twins.reference);
@@ -444,27 +443,25 @@ namespace
  * reference is one Hierarchy::access and one onStall(latency, 1).
  */
 template <typename CoreT>
-struct PerRefTimer : exec::Observer
+struct PerRefTimer : exec::SinkBase
 {
     Hierarchy& hierarchy;
     CoreT& core;
 
     PerRefTimer(Hierarchy& h, CoreT& c) : hierarchy(h), core(c) {}
 
-    exec::ObserverHooks
-    hooks() const override
-    {
-        return {true, true, CoreT::usesMarkers};
-    }
+    bool wantsBlocks() const { return true; }
+    bool wantsMems() const { return true; }
+    bool wantsMarkers() const { return CoreT::usesMarkers; }
 
     void
-    onBlock(u32 blockId, u32 instrs) override
+    onBlock(u32 blockId, u32 instrs)
     {
         core.onBlock(blockId, instrs);
     }
 
     void
-    onMemRefs(std::span<const mem::MemRef> refs) override
+    onMemRefs(std::span<const mem::MemRef> refs)
     {
         for (const mem::MemRef& ref : refs)
             core.onStall(
@@ -473,7 +470,7 @@ struct PerRefTimer : exec::Observer
     }
 
     void
-    onMarker(u32 markerId) override
+    onMarker(u32 markerId)
     {
         if constexpr (CoreT::usesMarkers)
             core.onMarker(markerId);
@@ -510,10 +507,8 @@ expectPerRefWalkMatches(const bin::Binary& binary,
     sim::FliSnapshotter fli(engine, core, request.fliBoundaries);
     sim::VliSnapshotter vliSnap(engine, core, *request.mappable,
                                 request.binaryIdx, *request.partition);
-    engine.addObserver(&timer, timer.hooks());
-    engine.addObserver(&fli, fli.hooks());
-    engine.addObserver(&vliSnap, vliSnap.hooks());
-    engine.run();
+    test::FanOut all(timer, fli, vliSnap);
+    engine.runWith(all);
 
     EXPECT_EQ(runs.totals, core.totals());
     EXPECT_EQ(runs.memory.refs, hierarchy.totalAccesses());

@@ -1,12 +1,12 @@
 /**
  * @file
  * Skip-ahead equivalence: the engine's bulk steps over quiet loop
- * trips and calls must leave every qualifying observer — the marker
+ * trips and calls must leave every skipping sink — the marker
  * profiler, the FLI and VLI BBV collectors and the boundary tracker —
  * in exactly the state the per-event walk leaves, and must keep every
- * misordering panic.  The reference run wraps each observer in
- * PerEvent, which declines bulk steps, so the engine walks every
- * event for it.
+ * misordering panic.  The reference run wraps each sink in
+ * test::PerEvent, which has no bulk members, so the engine walks
+ * every event for it.
  */
 
 #include <algorithm>
@@ -27,24 +27,6 @@ using namespace xbsp;
 
 namespace
 {
-
-/** Forwards every event to `inner` and declines bulk steps. */
-class PerEvent final : public exec::Observer
-{
-  public:
-    explicit PerEvent(exec::Observer& observer) : inner(observer) {}
-
-    exec::ObserverHooks hooks() const override { return inner.hooks(); }
-    void onBlock(u32 blockId, u32 instrs) override
-    {
-        inner.onBlock(blockId, instrs);
-    }
-    void onMarker(u32 markerId) override { inner.onMarker(markerId); }
-    void onRunEnd() override { inner.onRunEnd(); }
-
-  private:
-    exec::Observer& inner;
-};
 
 /** The engine's exact counters, as deltas over one run. */
 struct EngineTally
@@ -88,18 +70,17 @@ tallyOf(Fn&& fn)
             after.bulkTrips - before.bulkTrips};
 }
 
-/** runProfilePass's observers, walked event by event. */
+/** runProfilePass's collectors, walked event by event. */
 prof::ProfilePass
 profilePerEvent(const bin::Binary& binary, InstrCount target)
 {
     exec::Engine engine(binary);
     prof::MarkerProfiler markers(binary);
     prof::FliBbvCollector bbv(engine, target);
-    PerEvent m(markers);
-    PerEvent b(bbv);
-    engine.addObserver(&m, m.hooks());
-    engine.addObserver(&b, b.hooks());
-    engine.run();
+    test::PerEvent m(markers);
+    test::PerEvent b(bbv);
+    test::FanOut both(m, b);
+    engine.runWith(both);
     markers.finish(engine.instructionsExecuted());
     return {markers.result(), bbv.takeIntervals(), bbv.boundaries(),
             engine.instructionsExecuted()};
@@ -112,9 +93,8 @@ vliPerEvent(const bin::Binary& binary, const core::MappableSet& set,
 {
     exec::Engine engine(binary);
     core::VliBbvCollector collector(engine, set, idx, target);
-    PerEvent wrapped(collector);
-    engine.addObserver(&wrapped, wrapped.hooks());
-    engine.run();
+    test::PerEvent wrapped(collector);
+    engine.runWith(wrapped);
     return {collector.partition(), collector.takeIntervals(),
             engine.instructionsExecuted()};
 }
@@ -141,12 +121,12 @@ replay(const bin::Binary& binary, const core::MappableSet& set,
                                       out.at.emplace_back(
                                           i, engine.instructionsExecuted());
                                   });
-    PerEvent wrapped(tracker);
-    exec::Observer* observer = &tracker;
-    if (perEvent)
-        observer = &wrapped;
-    engine.addObserver(observer, observer->hooks());
-    engine.run();
+    if (perEvent) {
+        test::PerEvent wrapped(tracker);
+        engine.runWith(wrapped);
+    } else {
+        engine.runWith(tracker);
+    }
     out.finished = tracker.finished();
     return out;
 }
@@ -475,14 +455,13 @@ TEST(SkipAhead, CallToEmptyProcedure)
               set.pointFor(0, binary.procs[empty].entryMarkerId));
 }
 
-TEST(SkipAhead, QuietObserversWalkTheWholeRunInOneStep)
+TEST(SkipAhead, QuietSinkWalksTheWholeRunInOneStep)
 {
     const bin::Binary binary = nestedWithCall();
     prof::MarkerProfiler markers(binary);
     const EngineTally tally = tallyOf([&] {
         exec::Engine engine(binary);
-        engine.addObserver(&markers, markers.hooks());
-        engine.run();
+        engine.runWith(markers);
     });
     EXPECT_EQ(tally.bulkTrips, 1u);
     EXPECT_EQ(tally.bulkInstrs, tally.instrs);
@@ -490,19 +469,18 @@ TEST(SkipAhead, QuietObserversWalkTheWholeRunInOneStep)
               test::profileMarkers(binary).counts);
 }
 
-TEST(SkipAhead, ObserverWithoutBulkKeepsEveryEvent)
+TEST(SkipAhead, SinkWithoutBulkKeepsEveryEvent)
 {
-    // One observer that declines is enough to keep the walk per
-    // event for everyone.
+    // One fanned-out sink without bulk members is enough to keep the
+    // walk per event for every sink.
     const bin::Binary binary = nestedWithCall();
     prof::MarkerProfiler markers(binary);
-    PerEvent declines(markers);
+    test::PerEvent declines(markers);
     prof::MarkerProfiler other(binary);
     const EngineTally tally = tallyOf([&] {
         exec::Engine engine(binary);
-        engine.addObserver(&other, other.hooks());
-        engine.addObserver(&declines, declines.hooks());
-        engine.run();
+        test::FanOut both(other, declines);
+        engine.runWith(both);
     });
     EXPECT_EQ(tally.bulkTrips, 0u);
     EXPECT_EQ(other.result().counts, markers.result().counts);
@@ -589,7 +567,7 @@ namespace
 {
 
 /** Counts point firings and finds the one the tracker dies at. */
-class FiringWatch final : public exec::Observer
+class FiringWatch : public exec::SinkBase
 {
   public:
     FiringWatch(const core::MappableSet& set, core::Boundary after,
@@ -599,10 +577,12 @@ class FiringWatch final : public exec::Observer
     {
     }
 
-    exec::ObserverHooks hooks() const override { return {false, false, true}; }
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
 
     void
-    onMarker(u32 markerId) override
+    onMarker(u32 markerId)
     {
         const u32 p = mappable.pointFor(1, markerId);
         if (p == invalidId)
@@ -657,8 +637,7 @@ TEST(SkipAheadDeathTest, SwappedWorkloadBoundariesPanicAlike)
             continue;
         FiringWatch watch(set, bs[i + 1], bs[i].pointIdx);
         exec::Engine engine(bins[1]);
-        engine.addObserver(&watch, watch.hooks());
-        engine.run();
+        engine.runWith(watch);
         dieAt = watch.found;
     }
     ASSERT_NE(dieAt, 0u);

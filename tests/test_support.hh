@@ -2,19 +2,24 @@
  * @file
  * Shared fixtures/helpers for the test suite: small deterministic
  * programs with known counts, shortcuts for compiling/profiling
- * them, a shell runner for tests that drive the CLI, and the member
- * lists of a clustering's phases.
+ * them, engine sinks that fan events out or walk them one by one, a
+ * shell runner for tests that drive the CLI, and the member lists of
+ * a clustering's phases.
  */
 
 #ifndef XBSP_TESTS_TEST_SUPPORT_HH
 #define XBSP_TESTS_TEST_SUPPORT_HH
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
+#include <span>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "compile/compiler.hh"
+#include "exec/engine.hh"
 #include "ir/builder.hh"
 #include "profile/profile.hh"
 #include "simpoint/simpoint.hh"
@@ -121,6 +126,116 @@ deepProgram(u32 outer, u32 inner)
     nest(main, outer, [](StmtSeq& s) { s.call("leaf"); });
     return b.build();
 }
+
+/**
+ * Engine sink that forwards each event to `sinks`, in order, each
+ * getting only the kinds it wants.  It skips ahead only when every
+ * sink can: a trip is quiet when it is quiet for all of them.
+ */
+template <typename... Sinks>
+class FanOut
+{
+  public:
+    explicit FanOut(Sinks&... each) : sinks(each...) {}
+
+    bool
+    wantsBlocks() const
+    {
+        return std::apply([](auto&... s) { return (s.wantsBlocks() || ...); },
+                          sinks);
+    }
+    bool
+    wantsMems() const
+    {
+        return std::apply([](auto&... s) { return (s.wantsMems() || ...); },
+                          sinks);
+    }
+    bool
+    wantsMarkers() const
+    {
+        return std::apply(
+            [](auto&... s) { return (s.wantsMarkers() || ...); }, sinks);
+    }
+
+    void
+    onBlock(u32 blockId, u32 instrs)
+    {
+        forEach([&](auto& s) {
+            if (s.wantsBlocks())
+                s.onBlock(blockId, instrs);
+        });
+    }
+    void
+    onMemRefs(std::span<const mem::MemRef> refs)
+    {
+        forEach([&](auto& s) {
+            if (s.wantsMems())
+                s.onMemRefs(refs);
+        });
+    }
+    void
+    onMarker(u32 markerId)
+    {
+        forEach([&](auto& s) {
+            if (s.wantsMarkers())
+                s.onMarker(markerId);
+        });
+    }
+    void onRunEnd() { forEach([](auto& s) { s.onRunEnd(); }); }
+
+    u64
+    quietTrips(const exec::Summary& trip, u64 maxTrips) const
+        requires(exec::SkippingSink<Sinks> && ...)
+    {
+        u64 quiet = maxTrips;
+        forEach([&](auto& s) {
+            quiet = std::min(quiet, s.quietTrips(trip, quiet));
+        });
+        return quiet;
+    }
+    void
+    onBulk(const exec::Summary& trip, u64 trips)
+        requires(exec::SkippingSink<Sinks> && ...)
+    {
+        forEach([&](auto& s) { s.onBulk(trip, trips); });
+    }
+
+  private:
+    std::tuple<Sinks&...> sinks;
+
+    template <typename Fn>
+    void
+    forEach(Fn&& fn) const
+    {
+        std::apply([&](auto&... s) { (fn(s), ...); }, sinks);
+    }
+};
+
+/**
+ * Engine sink that forwards every event to `inner` and has no
+ * quietTrips/onBulk, so the engine walks event by event for it.
+ */
+template <typename Inner>
+class PerEvent
+{
+  public:
+    explicit PerEvent(Inner& sink) : inner(sink) {}
+
+    bool wantsBlocks() const { return inner.wantsBlocks(); }
+    bool wantsMems() const { return inner.wantsMems(); }
+    bool wantsMarkers() const { return inner.wantsMarkers(); }
+    void onBlock(u32 blockId, u32 instrs) { inner.onBlock(blockId, instrs); }
+    void
+    onMemRefs(std::span<const mem::MemRef> refs)
+    {
+        inner.onMemRefs(refs);
+    }
+    void onMarker(u32 markerId) { inner.onMarker(markerId); }
+    void onRunEnd() { inner.onRunEnd(); }
+
+  private:
+    Inner& inner;
+};
 
 /**
  * Run `command` through the shell: its stdout and pclose() status

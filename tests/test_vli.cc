@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/vli.hh"
+#include "obs/stats.hh"
 #include "test_support.hh"
 #include "workloads/workloads.hh"
 
@@ -99,8 +100,7 @@ TEST(Vli, TrackerCrossesAllBoundariesInEveryBinary)
                 EXPECT_EQ(idx, cuts.size());
                 cuts.push_back(engine.instructionsExecuted());
             });
-        engine.addObserver(&tracker, {false, false, true});
-        engine.run();
+        engine.runWith(tracker);
         EXPECT_TRUE(tracker.finished()) << s.binaries[b].displayName();
         // Boundary positions strictly increase.
         for (std::size_t i = 1; i < cuts.size(); ++i)
@@ -123,8 +123,7 @@ TEST(Vli, MappedIntervalsShrinkInOptimizedBinaries)
             sizes.push_back(engine.instructionsExecuted() - last);
             last = engine.instructionsExecuted();
         });
-    engine.addObserver(&tracker, {false, false, true});
-    engine.run();
+    engine.runWith(tracker);
     ASSERT_FALSE(sizes.empty());
     double avg = 0.0;
     for (InstrCount size : sizes)
@@ -142,14 +141,57 @@ TEST(Vli, PrimaryTrackerReproducesOwnPartition)
         s.set, 0, s.build.partition, [&](std::size_t) {
             cuts.push_back(engine.instructionsExecuted());
         });
-    engine.addObserver(&tracker, {false, false, true});
-    engine.run();
+    engine.runWith(tracker);
     ASSERT_EQ(cuts.size(), s.build.partition.boundaries.size());
     InstrCount cumulative = 0;
     for (std::size_t i = 0; i < cuts.size(); ++i) {
         cumulative += s.build.intervals.lengths[i];
         EXPECT_EQ(cuts[i], cumulative);
     }
+}
+
+TEST(Vli, AddObserverShimMatchesRunWith)
+{
+    // The engine's addObserver/run() shim (kept for perfbench's
+    // xbspbench) must replay boundaries exactly as runWith does:
+    // same crossings, same engine counters.  It takes one sink.
+    const VliFixture s = makeSetup(test::trickyProgram(), 2000);
+    const std::vector<std::string> names = {
+        "engine.runs",   "engine.blocks",      "engine.instrs",
+        "engine.memRefs", "engine.markers",    "engine.instrs.bulk",
+        "engine.trips.bulk"};
+    const auto replay = [&](bool shim) {
+        const obs::StatRegistry& reg = obs::StatRegistry::global();
+        std::vector<u64> added;
+        for (const std::string& name : names)
+            added.push_back(reg.counterValue(name));
+        exec::Engine engine(s.binaries[1]);
+        std::vector<InstrCount> cuts;
+        core::BoundaryTracker tracker(
+            s.set, 1, s.build.partition, [&](std::size_t) {
+                cuts.push_back(engine.instructionsExecuted());
+            });
+        if (shim) {
+            engine.addObserver(&tracker, {false, false, true});
+            engine.run();
+        } else {
+            engine.runWith(tracker);
+        }
+        for (std::size_t i = 0; i < names.size(); ++i)
+            added[i] = reg.counterValue(names[i]) - added[i];
+        return std::pair{cuts, added};
+    };
+    const auto direct = replay(false);
+    EXPECT_EQ(direct.first.size(), s.build.partition.boundaries.size());
+    EXPECT_GT(direct.second.back(), 0u) << "no bulk step";
+    EXPECT_EQ(replay(true), direct);
+
+    exec::Engine engine(s.binaries[1]);
+    core::BoundaryTracker tracker(s.set, 1, s.build.partition,
+                                  [](std::size_t) {});
+    engine.addObserver(&tracker, {false, false, true});
+    EXPECT_DEATH(engine.addObserver(&tracker, {false, false, true}),
+                 "one sink per engine");
 }
 
 TEST(Vli, InvalidBoundaryPanics)

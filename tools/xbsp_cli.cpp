@@ -83,7 +83,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -137,17 +136,6 @@ coreOption(const Options& options)
     if (!kind)
         fatal("unknown --core '{}' (want inorder|decoupled)", name);
     return *kind;
-}
-
-/** --maxk as SimPoint takes it: 0 or a count past u32 is fatal. */
-u32
-maxKOption(const Options& options)
-{
-    const u64 maxK = options.getUint("maxk");
-    if (maxK == 0 || maxK > std::numeric_limits<u32>::max())
-        fatal("--maxk must be between 1 and {}, got {}",
-              std::numeric_limits<u32>::max(), maxK);
-    return static_cast<u32>(maxK);
 }
 
 int
@@ -214,7 +202,7 @@ cmdSimpoints(const Options& options)
     }
 
     sp::SimPointOptions spOptions;
-    spOptions.maxK = maxKOption(options);
+    spOptions.maxK = harness::maxKOption(options);
     spOptions.seed = options.getUint("seed");
     const sp::SimPointResult result =
         sp::pickSimulationPoints(fvs, spOptions);
@@ -235,7 +223,7 @@ cmdStudy(const Options& options)
 {
     sim::StudyConfig config = harness::defaultStudyConfig();
     config.intervalTarget = options.getUint("interval");
-    config.simpoint.maxK = maxKOption(options);
+    config.simpoint.maxK = harness::maxKOption(options);
     config.simpoint.seed = options.getUint("seed");
     config.core = cpu::coreConfigFor(coreOption(options));
     const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
@@ -288,7 +276,7 @@ cmdGraph(const Options& options)
     config.workScale = options.getDouble("scale");
     config.study = harness::defaultStudyConfig();
     config.study.intervalTarget = options.getUint("interval");
-    config.study.simpoint.maxK = maxKOption(options);
+    config.study.simpoint.maxK = harness::maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
     config.study.core = cpu::coreConfigFor(coreOption(options));
 
@@ -771,7 +759,7 @@ suiteRequestFromOptions(const Options& options)
     request.workloads = splitList(options.getString("workloads"));
     request.workScale = options.getDouble("scale");
     request.intervalTarget = options.getUint("interval");
-    request.maxK = maxKOption(options);
+    request.maxK = harness::maxKOption(options);
     request.seed = options.getUint("seed");
     request.core = std::string(cpu::coreKindName(coreOption(options)));
     return request;
@@ -784,7 +772,7 @@ cmdCores(const Options& options)
     config.workScale = options.getDouble("scale");
     config.study = harness::defaultStudyConfig();
     config.study.intervalTarget = options.getUint("interval");
-    config.study.simpoint.maxK = maxKOption(options);
+    config.study.simpoint.maxK = harness::maxKOption(options);
     config.study.simpoint.seed = options.getUint("seed");
     config.workloads = splitList(options.getString("workloads"));
     if (config.workloads.empty())
